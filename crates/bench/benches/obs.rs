@@ -11,8 +11,7 @@ use sit_bench::harness::Bench;
 use sit_obs::metrics::Histogram;
 use sit_obs::trace::{self, Tracer};
 use sit_obs::MonotonicClock;
-use sit_server::pool::ThreadPool;
-use sit_server::server::{Server, ServerConfig};
+use sit_server::server::{Gate, Server, ServerConfig};
 use sit_server::store::StoreConfig;
 use sit_server::wire::{FrameBuffer, Framed};
 use sit_server::{serve_connection, sim_pair, Client, Service, Transport};
@@ -21,12 +20,12 @@ const PINGS: usize = 32;
 
 /// One connection through `serve_connection`: write `PINGS` ping frames,
 /// read every response, hang up (the B8 shape, minus fault injection).
-fn roundtrip(service: &Arc<Service>, pool: &Arc<ThreadPool>) -> usize {
+fn roundtrip(service: &Arc<Service>, gate: &Arc<Gate>) -> usize {
     let (client_end, server_end) = sim_pair();
     let service_for_conn = Arc::clone(service);
-    let pool = Arc::clone(pool);
+    let gate = Arc::clone(gate);
     let server =
-        std::thread::spawn(move || serve_connection(server_end, &service_for_conn, &pool));
+        std::thread::spawn(move || serve_connection(server_end, &service_for_conn, &gate));
     let mut conn = client_end;
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 1024];
@@ -52,15 +51,15 @@ fn roundtrip(service: &Arc<Service>, pool: &Arc<ThreadPool>) -> usize {
 fn main() {
     let mut bench = Bench::new("obs").with_counts(2, 20);
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 64));
+    let gate = Arc::new(Gate::new(2, 64));
 
     service.tracer().set_enabled(true);
     bench.run(format!("traced/ping_x{PINGS}"), || {
-        roundtrip(&service, &pool)
+        roundtrip(&service, &gate)
     });
     service.tracer().set_enabled(false);
     bench.run(format!("untraced/ping_x{PINGS}"), || {
-        roundtrip(&service, &pool)
+        roundtrip(&service, &gate)
     });
     service.tracer().set_enabled(true);
 
@@ -143,6 +142,6 @@ fn main() {
         tracer.export_chrome().len()
     });
 
-    pool.shutdown();
+    gate.drain();
     bench.finish().expect("write BENCH_obs.json");
 }

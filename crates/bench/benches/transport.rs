@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use sit_bench::harness::Bench;
 use sit_server::fault::{EventLog, FaultConfig, FaultPlan, FaultedTransport, VirtualClock};
-use sit_server::pool::ThreadPool;
+use sit_server::server::Gate;
 use sit_server::store::StoreConfig;
 use sit_server::wire::{FrameBuffer, Framed};
 use sit_server::{serve_connection, sim_pair, Service, Transport};
@@ -17,10 +17,10 @@ const PINGS: usize = 32;
 
 /// Drive one connection through `serve_connection`: write `PINGS` ping
 /// frames, read every response, hang up. Returns bytes received.
-fn roundtrip(service: &Arc<Service>, pool: &Arc<ThreadPool>, fault_seed: Option<u64>) -> usize {
+fn roundtrip(service: &Arc<Service>, gate: &Arc<Gate>, fault_seed: Option<u64>) -> usize {
     let (client_end, server_end) = sim_pair();
     let service = Arc::clone(service);
-    let pool = Arc::clone(pool);
+    let gate = Arc::clone(gate);
     let server = std::thread::spawn(move || match fault_seed {
         Some(seed) => {
             let cfg = FaultConfig {
@@ -36,9 +36,9 @@ fn roundtrip(service: &Arc<Service>, pool: &Arc<ThreadPool>, fault_seed: Option<
                 EventLog::new(),
                 VirtualClock::new(),
             );
-            serve_connection(faulted, &service, &pool);
+            serve_connection(faulted, &service, &gate);
         }
-        None => serve_connection(server_end, &service, &pool),
+        None => serve_connection(server_end, &service, &gate),
     });
     let mut conn = client_end;
     let mut frames = FrameBuffer::new();
@@ -65,13 +65,13 @@ fn roundtrip(service: &Arc<Service>, pool: &Arc<ThreadPool>, fault_seed: Option<
 fn main() {
     let mut bench = Bench::new("transport").with_counts(2, 20);
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 64));
+    let gate = Arc::new(Gate::new(2, 64));
 
     bench.run(format!("sim/ping_x{PINGS}"), || {
-        roundtrip(&service, &pool, None)
+        roundtrip(&service, &gate, None)
     });
     bench.run(format!("sim_faulted/ping_x{PINGS}"), || {
-        roundtrip(&service, &pool, Some(0xFA))
+        roundtrip(&service, &gate, Some(0xFA))
     });
 
     // Raw reassembly: 256 one-KiB lines pushed in 173-byte chunks (a
@@ -95,6 +95,6 @@ fn main() {
         lines
     });
 
-    pool.shutdown();
+    gate.drain();
     bench.finish().expect("write BENCH_transport.json");
 }

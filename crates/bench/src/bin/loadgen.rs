@@ -10,7 +10,7 @@
 //!
 //! * `SIT_LOADGEN_CLIENTS`  — concurrent client threads (default 4)
 //! * `SIT_LOADGEN_SESSIONS` — sessions replayed per client (default 6)
-//! * `SIT_LOADGEN_THREADS`  — server worker threads (default 4)
+//! * `SIT_LOADGEN_THREADS`  — requests the server executes at once (default 4)
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;

@@ -22,8 +22,6 @@
 //!   policies), periodic snapshots with journal compaction, and crash
 //!   recovery that replays records through the service's own dispatch
 //!   (`--data-dir`);
-//! * [`pool`] — a fixed worker pool with a bounded queue; a full queue
-//!   rejects with the `overloaded` error instead of blocking;
 //! * [`metrics`] — lock-free per-verb counters and base-2 latency
 //!   histograms (`sit-obs`), served by `stats` and, as Prometheus
 //!   text, by `metrics_text`;
@@ -38,7 +36,10 @@
 //!   storage (torn writes, short writes, byte-offset crash points),
 //!   the engine of the chaos test suites;
 //! * [`server`] — TCP (`sit serve`) and stdio (`sit serve --stdio`)
-//!   serving with graceful draining shutdown, generic over [`transport`];
+//!   serving with graceful draining shutdown, generic over [`transport`]:
+//!   each TCP connection runs its requests on its own thread behind a
+//!   bounded admission [`server::Gate`] that answers `overloaded` when
+//!   its slots and queue are full, instead of blocking;
 //! * [`client`] — the blocking client used by `sit client`, the tests,
 //!   and the `loadgen` bench, with configurable timeouts and bounded
 //!   jittered retry for idempotent verbs.
@@ -67,7 +68,6 @@ pub mod client;
 pub mod fault;
 pub mod metrics;
 pub mod persist;
-pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod service;
@@ -80,7 +80,7 @@ pub use client::{error_code, Client, ClientConfig, RetryPolicy};
 pub use persist::{FsyncPolicy, PersistConfig, Persistence};
 pub use proto::{ErrorCode, Request, ServerError};
 pub use server::{
-    serve_connection, serve_stdio, PersistOptions, Server, ServerConfig, ServerHandle,
+    serve_connection, serve_stdio, Gate, PersistOptions, Server, ServerConfig, ServerHandle,
 };
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use transport::{sim_pair, SimConn, TcpTransport, Transport};

@@ -523,7 +523,7 @@ pub enum ErrorCode {
     Conflict,
     /// Any other engine error ([`CoreError`]).
     Core,
-    /// The worker queue is full — retry later.
+    /// Every execution slot and queue place is taken — retry later.
     Overloaded,
     /// The server is draining; no new requests are accepted.
     ShuttingDown,
@@ -578,7 +578,7 @@ impl ServerError {
     pub fn overloaded() -> ServerError {
         ServerError {
             code: ErrorCode::Overloaded,
-            message: "worker queue full; retry later".into(),
+            message: "request queue full; retry later".into(),
         }
     }
 

@@ -2,36 +2,41 @@
 //!
 //! ## TCP ([`Server`])
 //!
-//! One acceptor thread owns the listener. Each connection gets a cheap
-//! blocking reader thread; *execution* happens on the shared bounded
-//! [`ThreadPool`] — a connection submits the frame plus a reply channel
-//! and waits, so responses stay in request order per connection while
-//! different connections run in parallel. When the pool queue is full
-//! the submit is rejected without blocking and the connection is
+//! One acceptor thread owns the listener. Each connection gets its own
+//! blocking thread, which reads a frame, executes it, and writes the
+//! response, so responses stay in request order per connection while
+//! different connections run in parallel. Execution is bounded by a
+//! [`Gate`]: at most `threads` requests run at once, at most
+//! `queue_cap` more wait for a slot, and a request beyond that is
 //! answered with the typed `overloaded` error immediately.
+//!
+//! The server keeps one read interrupter per *live* connection; a
+//! connection removes its own entry when its thread ends, so sockets and
+//! thread handles are released as clients hang up, not at shutdown.
 //!
 //! Graceful shutdown (wire verb `shutdown`, or
 //! [`Service::begin_shutdown`] from a ctrl channel) drains: the acceptor
-//! stops, queued and in-flight requests complete and their responses are
-//! written, then client sockets are read-shutdown to unblock readers and
-//! every thread is joined.
+//! stops, the gate refuses new requests and waits for running and
+//! waiting ones (their responses are still written), then live client
+//! sockets are read-shutdown to unblock readers and every connection
+//! thread is joined.
 //!
 //! ## stdio ([`serve_stdio`])
 //!
 //! The same protocol, one request per line on stdin, one response per
 //! line on stdout — single-threaded, for pipes and tests.
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use sit_obs::clock::MonotonicClock;
+use sit_obs::sync::lock_recover;
 
 use crate::persist::PersistConfig;
-use crate::pool::ThreadPool;
 use crate::proto::{ErrorCode, ServerError};
 use crate::service::Service;
 use crate::storage::{DirStorage, Storage};
@@ -51,7 +56,7 @@ pub struct PersistOptions {
 /// Serving limits.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Requests executing at once.
     pub threads: usize,
     /// Bounded queue depth; submissions beyond it get `overloaded`.
     pub queue_cap: usize,
@@ -131,34 +136,37 @@ impl Server {
             service,
             config,
         } = self;
-        let pool = Arc::new(ThreadPool::new(config.threads, config.queue_cap));
-        let interrupters: Arc<Mutex<Vec<Interrupter>>> = Arc::new(Mutex::new(Vec::new()));
+        let gate = Arc::new(Gate::new(config.threads, config.queue_cap));
+        let live: Arc<LiveConnections> = Arc::default();
         let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
 
-        for stream in listener.incoming() {
+        for (id, stream) in listener.incoming().enumerate() {
             if service.is_draining() {
                 break;
             }
             let Ok(stream) = stream else { continue };
             let transport = TcpTransport::new(stream);
-            interrupters
-                .lock()
-                .expect("interrupters lock")
-                .push(transport.interrupter());
+            let registration = Registration::new(&live, id, transport.interrupter());
             let service = Arc::clone(&service);
-            let pool = Arc::clone(&pool);
+            let gate = Arc::clone(&gate);
             let handle = std::thread::Builder::new()
                 .name("sit-conn".into())
-                .spawn(move || serve_connection(transport, &service, &pool))
+                .spawn(move || {
+                    let _registration = registration;
+                    serve_connection(transport, &service, &gate);
+                })
                 .expect("spawn connection thread");
+            // Let go of connections that have ended, so the handles
+            // kept are bounded by the live connections.
+            conn_threads.retain(|thread| !thread.is_finished());
             conn_threads.push(handle);
         }
 
-        // Drain: finish queued + in-flight work (responses are written by
-        // the connection threads as results arrive)...
-        pool.shutdown();
+        // Drain: finish running and waiting requests (their responses
+        // are written by the connection threads)...
+        gate.drain();
         // ...then unblock any reader still waiting for a next request.
-        for interrupter in interrupters.lock().expect("interrupters lock").iter() {
+        for interrupter in lock_recover(&live).values() {
             interrupter.interrupt();
         }
         for handle in conn_threads {
@@ -213,22 +221,148 @@ impl ServerHandle {
     }
 }
 
+/// The read interrupters of the server's live connections, by accept
+/// order.
+type LiveConnections = Mutex<HashMap<usize, Interrupter>>;
+
+/// One connection's entry in [`LiveConnections`]. Dropping it (when the
+/// connection's thread ends, by return or by unwinding) removes the
+/// entry and with it the interrupter's handle on the socket, so the
+/// server holds sockets only for connections that are still open.
+struct Registration {
+    live: Arc<LiveConnections>,
+    id: usize,
+}
+
+impl Registration {
+    fn new(live: &Arc<LiveConnections>, id: usize, interrupter: Interrupter) -> Registration {
+        lock_recover(live).insert(id, interrupter);
+        Registration {
+            live: Arc::clone(live),
+            id,
+        }
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        lock_recover(&self.live).remove(&self.id);
+    }
+}
+
+/// Admission control for request execution.
+///
+/// At most `slots` requests hold a [`Permit`] at once; at most `queue`
+/// more block in [`Gate::enter`] until a slot frees; any request beyond
+/// that is refused at once, never blocked. [`Gate::drain`] refuses new
+/// entries and waits until every running and waiting request is done.
+/// A permit gives its slot back when dropped — also while a panicking
+/// request unwinds — so a drain cannot wedge on a lost slot.
+pub struct Gate {
+    slots: usize,
+    queue: usize,
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
+    draining: bool,
+}
+
+/// [`Gate::enter`] refused: the slots and the queue are full, or the
+/// gate is draining.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Refused;
+
+/// The right to execute one request; gives its slot back on drop.
+#[must_use = "the slot is given back as soon as the permit is dropped"]
+pub struct Permit<'a> {
+    gate: &'a Gate,
+}
+
+impl Gate {
+    /// A gate running at most `slots` requests at once with at most
+    /// `queue` more waiting (each at least 1).
+    pub fn new(slots: usize, queue: usize) -> Gate {
+        Gate {
+            slots: slots.max(1),
+            queue: queue.max(1),
+            state: Mutex::new(GateState::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Take a slot, waiting for one if every slot is busy and the queue
+    /// has room; refuse at once if the queue is full or the gate is
+    /// draining.
+    pub fn enter(&self) -> Result<Permit<'_>, Refused> {
+        let mut state = lock_recover(&self.state);
+        if state.draining {
+            return Err(Refused);
+        }
+        if state.running >= self.slots {
+            if state.waiting >= self.queue {
+                return Err(Refused);
+            }
+            state.waiting += 1;
+            while state.running >= self.slots {
+                state = self
+                    .changed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.waiting -= 1;
+        }
+        state.running += 1;
+        Ok(Permit { gate: self })
+    }
+
+    /// Requests currently waiting for a slot (diagnostics).
+    pub fn waiting(&self) -> usize {
+        lock_recover(&self.state).waiting
+    }
+
+    /// Refuse new entries, then wait until no request is running or
+    /// waiting. Idempotent.
+    pub fn drain(&self) {
+        let mut state = lock_recover(&self.state);
+        state.draining = true;
+        while state.running + state.waiting > 0 {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = lock_recover(&self.gate.state);
+        state.running -= 1;
+        // Waiters and a drain share the condvar, so wake them all; with
+        // neither present, skip the wake-up call.
+        if state.waiting > 0 || state.draining {
+            self.gate.changed.notify_all();
+        }
+    }
+}
+
 /// Serve one connection over any [`Transport`] until the peer hangs up
 /// (EOF), a write fails, or an unrecoverable frame arrives.
 ///
 /// This is the loop both the TCP acceptor and the simulated/chaos
 /// transports run: bytes are reassembled into newline-delimited frames by
 /// a [`FrameBuffer`] (so torn and coalesced reads behave identically on
-/// every transport), each frame executes on the shared bounded pool, and
-/// the response is written back in request order. A frame that exceeds
-/// [`crate::wire::MAX_LINE`] without a newline gets a typed `parse` error
-/// and the connection is closed — there is no way to resynchronize a
-/// stream mid-flood.
-pub fn serve_connection<T: Transport>(
-    mut transport: T,
-    service: &Arc<Service>,
-    pool: &Arc<ThreadPool>,
-) {
+/// every transport), each frame executes on the calling thread once
+/// `gate` admits it, and the response is written back in request order.
+/// A frame that exceeds [`crate::wire::MAX_LINE`] without a newline gets
+/// a typed `parse` error and the connection is closed — there is no way
+/// to resynchronize a stream mid-flood.
+pub fn serve_connection<T: Transport>(mut transport: T, service: &Service, gate: &Gate) {
     let tracer = service.tracer().clone();
     tracer.instant("accept");
     let mut frames = FrameBuffer::new();
@@ -250,20 +384,12 @@ pub fn serve_connection<T: Transport>(
                 continue;
             }
             tracer.instant("frame");
-            let (tx, rx) = mpsc::channel();
-            let job_service = Arc::clone(service);
-            let submitted = pool.submit(Box::new(move || {
-                let _ = tx.send(job_service.handle_line(&line));
-            }));
-            let response = match submitted {
-                Ok(()) => match rx.recv() {
-                    Ok(handled) => handled.frame,
-                    Err(_) => return, // worker vanished mid-drain
-                },
-                Err(_) if service.is_draining() => {
+            let response = match gate.enter() {
+                Ok(_permit) => service.handle_line(&line).frame,
+                Err(Refused) if service.is_draining() => {
                     ServerError::shutting_down().to_response().encode()
                 }
-                Err(_) => ServerError::overloaded().to_response().encode(),
+                Err(Refused) => ServerError::overloaded().to_response().encode(),
             };
             let written = {
                 let _write = tracer.span("write");
@@ -315,6 +441,8 @@ pub fn serve_stdio(
 mod tests {
     use super::*;
     use crate::wire::Json;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn stdio_round_trip_and_shutdown() {
@@ -346,6 +474,94 @@ mod tests {
         assert!(bye.contains("\"draining\":true"), "{bye}");
 
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn gate_never_runs_more_than_its_slots() {
+        let gate = Gate::new(2, 64);
+        let active = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let _permit = gate.enter().expect("queue has room for all");
+                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(2));
+                    active.fetch_sub(1, Ordering::SeqCst);
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(done.load(Ordering::SeqCst), 8);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&peak), "peak concurrency {peak}");
+    }
+
+    #[test]
+    fn gate_refuses_when_slots_and_queue_are_full() {
+        let gate = Gate::new(1, 2);
+        std::thread::scope(|scope| {
+            let held = gate.enter().unwrap();
+            for _ in 0..2 {
+                scope.spawn(|| drop(gate.enter().expect("queued, then admitted")));
+            }
+            while gate.waiting() < 2 {
+                std::thread::yield_now();
+            }
+            assert!(matches!(gate.enter(), Err(Refused)));
+            drop(held);
+        });
+        assert!(gate.enter().is_ok(), "slots free again");
+    }
+
+    #[test]
+    fn drain_finishes_running_and_queued_entries_and_is_idempotent() {
+        let gate = Gate::new(1, 64);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let held = gate.enter().unwrap();
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let _permit = gate.enter().expect("queued before the drain");
+                    std::thread::sleep(Duration::from_millis(1));
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            while gate.waiting() < 8 {
+                std::thread::yield_now();
+            }
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                drop(held);
+            });
+            gate.drain();
+            assert_eq!(done.load(Ordering::SeqCst), 8, "queued entries drained");
+            gate.drain(); // second drain is a no-op
+        });
+    }
+
+    #[test]
+    fn drained_gate_refuses() {
+        let gate = Gate::new(1, 4);
+        gate.drain();
+        assert!(matches!(gate.enter(), Err(Refused)));
+    }
+
+    #[test]
+    fn panic_while_holding_a_permit_releases_it() {
+        let gate = Gate::new(1, 1);
+        std::thread::scope(|scope| {
+            let request = scope.spawn(|| {
+                let _permit = gate.enter().unwrap();
+                panic!("request panic must give its slot back");
+            });
+            assert!(request.join().is_err());
+        });
+        drop(gate.enter().expect("the slot came back"));
+        // And the drain does not wedge waiting for the lost request.
+        gate.drain();
     }
 
     #[test]

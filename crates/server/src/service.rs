@@ -55,7 +55,7 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
-/// Shared per-server state behind every worker.
+/// Shared per-server state behind every connection.
 pub struct Service {
     store: SessionStore,
     metrics: Metrics,
@@ -130,7 +130,7 @@ impl Service {
     /// Register a callback fired once when a `shutdown` request is
     /// accepted (the TCP server uses it to unblock its accept loop).
     pub fn set_shutdown_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        *self.shutdown_hook.lock().expect("hook lock") = Some(hook);
+        *lock_recover(&self.shutdown_hook) = Some(hook);
     }
 
     /// Has a shutdown been requested?
@@ -142,7 +142,7 @@ impl Service {
     /// the wire verb).
     pub fn begin_shutdown(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
-            if let Some(hook) = self.shutdown_hook.lock().expect("hook lock").as_ref() {
+            if let Some(hook) = lock_recover(&self.shutdown_hook).as_ref() {
                 hook();
             }
         }

@@ -9,16 +9,22 @@
 //! Locking is two-level so sessions do not serialize each other: the
 //! registry mutex guards only id→entry bookkeeping (lookup, LRU stamps,
 //! eviction), while each session lives behind its own `Arc<Mutex<_>>` —
-//! two requests to *different* sessions run fully in parallel on the
-//! worker pool, and an eviction never blocks on a long-running request
-//! (the in-flight request keeps its `Arc` and completes against the
-//! now-anonymous session).
+//! two requests to *different* sessions run fully in parallel on their
+//! connection threads, and an eviction never blocks on a long-running
+//! request (the in-flight request keeps its `Arc` and completes against
+//! the now-anonymous session).
+//!
+//! The registry lock is taken poison-recovering: a request that panics
+//! while holding it unwinds only its own connection thread, and the
+//! bookkeeping it guards (ids, LRU stamps, counters) stays usable for
+//! every later request.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sit_core::session::Session;
+use sit_obs::sync::lock_recover;
 
 /// Store limits.
 #[derive(Clone, Copy, Debug)]
@@ -76,7 +82,7 @@ impl SessionStore {
 
     /// Insert a session and return its assigned id.
     pub fn open(&self, session: Session) -> String {
-        let mut reg = self.registry.lock().expect("store lock");
+        let mut reg = lock_recover(&self.registry);
         self.expire(&mut reg);
         let id = reg.next_id;
         Self::insert(&mut reg, self.config, id, session);
@@ -87,7 +93,7 @@ impl SessionStore {
     /// recovered sessions back to their journaled ids). Future
     /// server-assigned ids stay above it.
     pub fn insert_with_id(&self, id: u64, session: Session) {
-        let mut reg = self.registry.lock().expect("store lock");
+        let mut reg = lock_recover(&self.registry);
         self.expire(&mut reg);
         Self::insert(&mut reg, self.config, id, session);
     }
@@ -120,7 +126,7 @@ impl SessionStore {
     /// the id is unknown, closed, expired, or evicted.
     pub fn get(&self, id: &str) -> Option<SharedSession> {
         let key: u64 = id.parse().ok()?;
-        let mut reg = self.registry.lock().expect("store lock");
+        let mut reg = lock_recover(&self.registry);
         self.expire(&mut reg);
         let entry = reg.entries.get_mut(&key)?;
         entry.last_used = Instant::now();
@@ -132,14 +138,14 @@ impl SessionStore {
         let Ok(key) = id.parse::<u64>() else {
             return false;
         };
-        let mut reg = self.registry.lock().expect("store lock");
+        let mut reg = lock_recover(&self.registry);
         self.expire(&mut reg);
         reg.entries.remove(&key).is_some()
     }
 
     /// Live session count.
     pub fn len(&self) -> usize {
-        let mut reg = self.registry.lock().expect("store lock");
+        let mut reg = lock_recover(&self.registry);
         self.expire(&mut reg);
         reg.entries.len()
     }
@@ -151,7 +157,7 @@ impl SessionStore {
 
     /// (LRU, TTL) eviction counts so far.
     pub fn evictions(&self) -> (u64, u64) {
-        let reg = self.registry.lock().expect("store lock");
+        let reg = lock_recover(&self.registry);
         (reg.evicted_lru, reg.evicted_ttl)
     }
 
@@ -221,6 +227,24 @@ mod tests {
         assert!(s.get("7").is_some());
         let next = s.open(Session::new());
         assert_eq!(next, "8", "fresh ids never collide with recovered ones");
+    }
+
+    #[test]
+    fn poisoned_registry_keeps_serving() {
+        let s = store(4, None);
+        let id = s.open(Session::new());
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _reg = s.registry.lock().unwrap();
+                panic!("request panics while holding the registry lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(s.registry.is_poisoned());
+        assert!(s.get(&id).is_some());
+        let next = s.open(Session::new());
+        assert_eq!(next, "2");
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

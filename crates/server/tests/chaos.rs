@@ -1,7 +1,7 @@
 //! Chaos suite: seeded multi-client fault scenarios against the real
 //! serving stack.
 //!
-//! Each scenario builds a [`Service`] + worker pool, connects several
+//! Each scenario builds a [`Service`] + admission [`Gate`], connects several
 //! simulated clients through [`FaultedTransport`] (torn reads, short
 //! writes, virtual-time stalls, planned connection drops), and drives a
 //! seeded workload in lockstep — clients take turns, one outstanding
@@ -24,14 +24,13 @@
 //! Set `SIT_CHAOS_TRACE=<path>` to dump all traces to a file —
 //! `scripts/verify.sh` runs the suite twice and diffs the dumps.
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sit_prng::Xoshiro256pp;
 use sit_server::fault::{EventLog, FaultConfig, FaultEvent, FaultPlan, FaultedTransport, VirtualClock};
-use sit_server::pool::ThreadPool;
-use sit_server::serve_connection;
+use sit_server::server::{serve_connection, Gate};
 use sit_server::service::Service;
 use sit_server::store::StoreConfig;
 use sit_server::transport::{sim_pair, SimConn, Transport};
@@ -421,7 +420,7 @@ fn run_scenario(seed: u64) -> Vec<String> {
         },
         Arc::new(clock.clone()),
     ));
-    let pool = Arc::new(ThreadPool::new(2, 16));
+    let gate = Arc::new(Gate::new(2, 16));
     let log = EventLog::with_tracer(service.tracer().clone());
 
     let mut clients: Vec<ChaosClient> = Vec::new();
@@ -449,10 +448,10 @@ fn run_scenario(seed: u64) -> Vec<String> {
                 pair_closer.interrupt();
             });
         let svc = Arc::clone(&service);
-        let pl = Arc::clone(&pool);
+        let gt = Arc::clone(&gate);
         let handle = std::thread::Builder::new()
             .name(format!("chaos-conn-{k}"))
-            .spawn(move || serve_connection(faulted, &svc, &pl))
+            .spawn(move || serve_connection(faulted, &svc, &gt))
             .expect("spawn serve thread");
         clients.push(ChaosClient {
             conn: client_end,
@@ -523,7 +522,7 @@ fn run_scenario(seed: u64) -> Vec<String> {
             .join()
             .unwrap_or_else(|_| panic!("seed={seed}: serve thread c{k} panicked"));
     }
-    pool.shutdown();
+    gate.drain();
 
     // The fault trace, per connection (per-connection order is
     // deterministic; global interleaving of *logging* is not).
@@ -591,17 +590,17 @@ fn chaos_scenarios_are_deterministic_and_hold_invariants() {
     }
 }
 
-/// Pool saturation surfaces as the typed `overloaded` error on the wire
+/// Gate saturation surfaces as the typed `overloaded` error on the wire
 /// (not a hang, not a dropped frame), and the connection recovers once
-/// the pool frees up.
+/// the gate frees up.
 #[test]
 fn saturated_pool_answers_overloaded_then_recovers() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(1, 1));
+    let gate = Arc::new(Gate::new(1, 1));
     let (client_end, server_end) = sim_pair();
     let svc = Arc::clone(&service);
-    let pl = Arc::clone(&pool);
-    let handle = std::thread::spawn(move || serve_connection(server_end, &svc, &pl));
+    let gt = Arc::clone(&gate);
+    let handle = std::thread::spawn(move || serve_connection(server_end, &svc, &gt));
 
     let mut client = ChaosClient {
         conn: client_end,
@@ -610,29 +609,26 @@ fn saturated_pool_answers_overloaded_then_recovers() {
         handle,
     };
 
-    // Occupy the single worker behind a gate, then fill the queue.
-    let (gate_tx, gate_rx) = mpsc::channel::<()>();
-    let gate_rx = Arc::new(Mutex::new(gate_rx));
-    let blocker = Arc::clone(&gate_rx);
-    pool.submit(Box::new(move || {
-        blocker.lock().unwrap().recv().ok();
-    }))
-    .unwrap();
-    while pool.queued() > 0 {
+    // Occupy the single slot, then fill the queue with a second entrant.
+    let held = gate.enter().unwrap();
+    let queued = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || drop(gate.enter().expect("queued, then admitted")))
+    };
+    while gate.waiting() < 1 {
         std::thread::yield_now();
     }
-    pool.submit(Box::new(|| {})).unwrap();
-    assert_eq!(pool.queued(), pool.capacity(), "queue saturated");
 
     // A request now bounces with the typed backpressure error.
     let Outcome::Response(resp) = client.call(r#"{"op":"ping"}"#) else {
-        panic!("saturated pool must answer, not drop");
+        panic!("saturated gate must answer, not drop");
     };
     let value = Json::parse(&resp).unwrap();
     assert_eq!(err_code(&value), Some("overloaded"), "{resp}");
 
-    // Release the worker; the same connection recovers.
-    gate_tx.send(()).unwrap();
+    // Release the slot; the same connection recovers.
+    drop(held);
+    queued.join().unwrap();
     let mut recovered = false;
     for _ in 0..200 {
         match client.call(r#"{"op":"ping"}"#) {
@@ -644,11 +640,11 @@ fn saturated_pool_answers_overloaded_then_recovers() {
             Outcome::Dead { .. } => panic!("connection died during recovery"),
         }
     }
-    assert!(recovered, "connection must recover after the pool drains");
+    assert!(recovered, "connection must recover after the gate frees up");
 
     drop(client.conn);
     client.handle.join().unwrap();
-    pool.shutdown();
+    gate.drain();
 }
 
 /// A frame that exceeds `MAX_LINE` without a newline cannot be
@@ -656,11 +652,11 @@ fn saturated_pool_answers_overloaded_then_recovers() {
 #[test]
 fn oversized_frame_gets_parse_error_then_close() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let gate = Arc::new(Gate::new(2, 8));
     let (mut client_end, server_end) = sim_pair();
     let svc = Arc::clone(&service);
-    let pl = Arc::clone(&pool);
-    let handle = std::thread::spawn(move || serve_connection(server_end, &svc, &pl));
+    let gt = Arc::clone(&gate);
+    let handle = std::thread::spawn(move || serve_connection(server_end, &svc, &gt));
 
     let flood = vec![b'x'; MAX_LINE + 16];
     client_end.write_all(&flood).unwrap();
@@ -687,7 +683,7 @@ fn oversized_frame_gets_parse_error_then_close() {
         }
     }
     handle.join().unwrap();
-    pool.shutdown();
+    gate.drain();
 }
 
 /// Drop-mid-frame from the client side: bytes of a request with no
@@ -696,17 +692,17 @@ fn oversized_frame_gets_parse_error_then_close() {
 #[test]
 fn client_hangup_mid_frame_never_executes_the_partial_request() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let gate = Arc::new(Gate::new(2, 8));
     let (mut client_end, server_end) = sim_pair();
     let svc = Arc::clone(&service);
-    let pl = Arc::clone(&pool);
-    let handle = std::thread::spawn(move || serve_connection(server_end, &svc, &pl));
+    let gt = Arc::clone(&gate);
+    let handle = std::thread::spawn(move || serve_connection(server_end, &svc, &gt));
 
     client_end.write_all(br#"{"op":"open"#).unwrap();
     drop(client_end);
     handle.join().unwrap();
     assert_eq!(service.store().len(), 0, "partial open must not execute");
-    pool.shutdown();
+    gate.drain();
 }
 
 /// `stats` through a byte-by-byte torn, stalled transport must still
@@ -715,7 +711,7 @@ fn client_hangup_mid_frame_never_executes_the_partial_request() {
 #[test]
 fn stats_under_torn_frames_is_well_formed() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let gate = Arc::new(Gate::new(2, 8));
     let (client_end, server_end) = sim_pair();
     let cfg = FaultConfig {
         min_segment: 1,
@@ -734,8 +730,8 @@ fn stats_under_torn_frames_is_well_formed() {
         VirtualClock::new(),
     );
     let svc = Arc::clone(&service);
-    let pl = Arc::clone(&pool);
-    let handle = std::thread::spawn(move || serve_connection(faulted, &svc, &pl));
+    let gt = Arc::clone(&gate);
+    let handle = std::thread::spawn(move || serve_connection(faulted, &svc, &gt));
     let mut client = ChaosClient {
         conn: client_end,
         frames: FrameBuffer::new(),
@@ -764,5 +760,5 @@ fn stats_under_torn_frames_is_well_formed() {
 
     drop(client.conn);
     client.handle.join().unwrap();
-    pool.shutdown();
+    gate.drain();
 }

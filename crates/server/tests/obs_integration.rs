@@ -9,8 +9,7 @@ use std::thread::JoinHandle;
 use sit_obs::clock::ManualClock;
 use sit_obs::trace::Phase;
 use sit_server::fault::{EventLog, FaultConfig, FaultPlan, FaultedTransport, VirtualClock};
-use sit_server::pool::ThreadPool;
-use sit_server::serve_connection;
+use sit_server::server::{serve_connection, Gate};
 use sit_server::service::Service;
 use sit_server::store::StoreConfig;
 use sit_server::transport::{sim_pair, Transport};
@@ -205,7 +204,7 @@ fn fault_events_join_the_span_stream() {
         StoreConfig::default(),
         Arc::new(clock.clone()),
     ));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let gate = Arc::new(Gate::new(2, 8));
     let (mut client_end, server_end) = sim_pair();
     let log = EventLog::with_tracer(service.tracer().clone());
     let cfg = FaultConfig {
@@ -224,8 +223,8 @@ fn fault_events_join_the_span_stream() {
         clock,
     );
     let svc = Arc::clone(&service);
-    let pl = Arc::clone(&pool);
-    let handle: JoinHandle<()> = std::thread::spawn(move || serve_connection(faulted, &svc, &pl));
+    let gt = Arc::clone(&gate);
+    let handle: JoinHandle<()> = std::thread::spawn(move || serve_connection(faulted, &svc, &gt));
 
     client_end.write_all(b"{\"op\":\"ping\"}\n").unwrap();
     let mut frames = FrameBuffer::new();
@@ -242,7 +241,7 @@ fn fault_events_join_the_span_stream() {
     }
     drop(client_end);
     handle.join().unwrap();
-    pool.shutdown();
+    gate.drain();
 
     assert!(!log.snapshot().is_empty(), "faults fired");
     let faults: Vec<_> = service

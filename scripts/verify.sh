@@ -148,7 +148,6 @@ smoke_out="$(./target/release/sit client "127.0.0.1:$port" <<'REQS'
 {"op":"integrate","session":"1","a":"s1","b":"s2"}
 {"op":"stats"}
 {"op":"metrics_text"}
-{"op":"shutdown"}
 REQS
 )"
 echo "$smoke_out" | sed 's/^/  /'
@@ -158,7 +157,32 @@ echo "$smoke_out" | grep -q '"ok":true,"schema":' \
   || { echo "FAIL: integrate over the wire failed" >&2; exit 1; }
 echo "$smoke_out" | grep -q 'sit_requests_total' \
   || { echo "FAIL: metrics_text exposition missing over the wire" >&2; exit 1; }
-echo "$smoke_out" | grep -q '"draining":true' \
+
+# Short connections must not pile up descriptors in the server: each
+# one is released when its client hangs up, not at shutdown.
+if [ -d "/proc/$serve_pid/fd" ]; then
+  fds_before="$(ls "/proc/$serve_pid/fd" | wc -l)"
+  for _ in $(seq 1 200); do
+    exec 3<>"/dev/tcp/127.0.0.1/$port"
+    printf '{"op":"ping"}\n' >&3
+    read -r _ <&3
+    exec 3>&-
+  done
+  fds_after=""
+  for _ in $(seq 1 50); do
+    fds_after="$(ls "/proc/$serve_pid/fd" | wc -l)"
+    [ "$fds_after" -le $((fds_before + 4)) ] && break
+    sleep 0.1
+  done
+  if [ "$fds_after" -gt $((fds_before + 4)) ]; then
+    echo "FAIL: server fds grew from $fds_before to $fds_after over 200 connections" >&2
+    exit 1
+  fi
+  echo "ok: server fds $fds_before -> $fds_after over 200 short connections"
+fi
+
+bye="$(echo '{"op":"shutdown"}' | ./target/release/sit client "127.0.0.1:$port")"
+echo "$bye" | grep -q '"draining":true' \
   || { echo "FAIL: shutdown not acknowledged" >&2; exit 1; }
 
 # Graceful shutdown: the process must exit on its own (drained), not be

@@ -127,6 +127,10 @@ sit - interactive schema integration (ICDE 1988 reproduction)
                                     stdin/stdout with --stdio); port 0
                                     picks a free port, printed on the
                                     `listening on ...` line.
+                                    At most --threads requests run at
+                                    once (default 4) and --queue more
+                                    wait (default 128); any beyond are
+                                    answered `overloaded`.
                                     --data-dir makes sessions durable:
                                     mutations are journaled (write-ahead)
                                     to DIR and recovered on restart;
@@ -299,7 +303,12 @@ fn serve(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
                     return Err("--threads must be at least 1".into());
                 }
             }
-            "--queue" => config.queue_cap = parse_num(&need("--queue")?, "--queue")?,
+            "--queue" => {
+                config.queue_cap = parse_num(&need("--queue")?, "--queue")?;
+                if config.queue_cap == 0 {
+                    return Err("--queue must be at least 1".into());
+                }
+            }
             "--max-sessions" => {
                 config.store.max_sessions = parse_num(&need("--max-sessions")?, "--max-sessions")?;
             }

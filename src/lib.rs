@@ -21,7 +21,7 @@
 //!   terminal engine.
 //! * [`server`] — integration sessions as a service: a newline-delimited
 //!   JSON protocol over TCP or stdio (`sit serve`), with a session store,
-//!   a bounded worker pool, and per-verb latency metrics.
+//!   bounded request admission, and per-verb latency metrics.
 //! * [`obs`] — std-only observability: lock-cheap span tracing with
 //!   Chrome trace-event export (`sit trace`), base-2 histograms and
 //!   counters with Prometheus text exposition, and injectable clocks.

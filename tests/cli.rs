@@ -141,6 +141,20 @@ fn errors_are_reported() {
 }
 
 #[test]
+fn serve_rejects_zero_threads_and_zero_queue() {
+    // `--stdio` with no input would serve and exit 0 if a limit were
+    // accepted, so a missing check fails here instead of hanging.
+    for flag in ["--threads", "--queue"] {
+        let (_, stderr, ok) = run(&["serve", "--stdio", flag, "0"]);
+        assert!(!ok, "{flag} 0 must be rejected");
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let (stdout, _, ok) = run(&["--help"]);
     assert!(ok);
