@@ -104,6 +104,49 @@ const COMPOSE: [[u8; 5]; 5] = {
     ]
 };
 
+/// [`COMPOSE`] lifted to sets: `COMPOSE_SETS[x][y]` is the union of
+/// `COMPOSE[r][s]` over every `r` in bit set `x` and `s` in bit set `y`.
+/// Built at compile time so [`Rel5Set::compose`] is one load.
+const COMPOSE_SETS: [[u8; 32]; 32] = {
+    let mut table = [[0u8; 32]; 32];
+    let mut x = 0;
+    while x < 32 {
+        let mut y = 0;
+        while y < 32 {
+            let mut out = 0u8;
+            let mut r = 0;
+            while r < 5 {
+                let mut s = 0;
+                while s < 5 {
+                    if x & (1 << r) != 0 && y & (1 << s) != 0 {
+                        out |= COMPOSE[r][s];
+                    }
+                    s += 1;
+                }
+                r += 1;
+            }
+            table[x][y] = out;
+            y += 1;
+        }
+        x += 1;
+    }
+    table
+};
+
+/// `CONVERSE_SETS[x]` is bit set `x` with `PP` and `PPi` swapped — the
+/// only pair of [`Rel5`] relations that are not their own converse.
+const CONVERSE_SETS: [u8; 32] = {
+    let mut table = [0u8; 32];
+    let mut x = 0;
+    while x < 32 {
+        let pp = (x as u8 >> 1) & 1;
+        let ppi = (x as u8 >> 2) & 1;
+        table[x] = (x as u8 & 0b11001) | (pp << 2) | (ppi << 1);
+        x += 1;
+    }
+    table
+};
+
 /// A set of possible [`Rel5`] relations between a fixed ordered pair,
 /// represented as a 5-bit mask. The constraint network refines these sets;
 /// an empty set signals a contradiction.
@@ -177,32 +220,17 @@ impl Rel5Set {
     }
 
     /// Converse of every member: the constraint seen from the swapped pair.
-    pub fn converse(self) -> Rel5Set {
-        let mut out = Rel5Set::EMPTY;
-        for r in Rel5::ALL {
-            if self.contains(r) {
-                out = out.union(Rel5Set::only(r.converse()));
-            }
-        }
-        out
+    #[inline]
+    pub const fn converse(self) -> Rel5Set {
+        Rel5Set(CONVERSE_SETS[(self.0 & 0b11111) as usize])
     }
 
     /// Composition lifted to sets: all relations possible between `a` and
     /// `c` given the possible relations `self` between `(a,b)` and `other`
     /// between `(b,c)`.
-    pub fn compose(self, other: Rel5Set) -> Rel5Set {
-        let mut out = 0u8;
-        for r in Rel5::ALL {
-            if !self.contains(r) {
-                continue;
-            }
-            for s in Rel5::ALL {
-                if other.contains(s) {
-                    out |= COMPOSE[r as usize][s as usize];
-                }
-            }
-        }
-        Rel5Set(out)
+    #[inline]
+    pub const fn compose(self, other: Rel5Set) -> Rel5Set {
+        Rel5Set(COMPOSE_SETS[(self.0 & 0b11111) as usize][(other.0 & 0b11111) as usize])
     }
 
     /// Iterate members.
@@ -475,6 +503,31 @@ mod tests {
                     witnessed[r as usize][s as usize],
                     "table entry ({r},{s}) is not tight"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn set_tables_match_memberwise_definition() {
+        // Every one of the 32 x 32 set pairs against the definition:
+        // compose is the union of COMPOSE over members, converse maps
+        // each member to its converse.
+        for x in 0u8..32 {
+            let xs = Rel5Set::from_bits(x);
+            let mut converse = Rel5Set::EMPTY;
+            for r in xs.iter() {
+                converse = converse.union(Rel5Set::only(r.converse()));
+            }
+            assert_eq!(xs.converse(), converse, "converse of {xs}");
+            for y in 0u8..32 {
+                let ys = Rel5Set::from_bits(y);
+                let mut composed = 0u8;
+                for r in xs.iter() {
+                    for s in ys.iter() {
+                        composed |= COMPOSE[r as usize][s as usize];
+                    }
+                }
+                assert_eq!(xs.compose(ys).bits(), composed, "{xs} ∘ {ys}");
             }
         }
     }

@@ -14,6 +14,14 @@ cargo build --release --workspace --all-targets
 echo "== cargo test -q (offline) =="
 cargo test -q --workspace
 
+echo "== benchmark's own tests (perfbench correctness gate) =="
+# perfbench is a workspace of its own, so the step above does not reach
+# it. Its tests run tiny passes of every workload through the benchmark's
+# correctness gate: assertion-matrix cells must match sit-datagen ground
+# truth, and `assert` on a cloned session must derive as many facts as
+# the service reported.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== dependency graph is the workspace allowlist, nothing else =="
 # The resolved graph must be exactly the in-tree crates below: every
 # package must be path-sourced and on the allowlist. Anything else —
