@@ -51,6 +51,19 @@ pub enum CoreError {
     InvalidResult(String),
     /// The two objects are the same object.
     SelfAssertion(GObj),
+    /// Registering the schema would push the session past one of its
+    /// size limits ([`crate::session::Session::MAX_OBJECTS`],
+    /// [`crate::session::Session::MAX_RELATIONSHIPS`]).
+    SessionFull {
+        /// The rejected schema.
+        schema: String,
+        /// What is counted: `object classes` or `relationship sets`.
+        what: &'static str,
+        /// The session's count had the schema been registered.
+        count: usize,
+        /// The limit it would exceed.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -80,6 +93,15 @@ impl fmt::Display for CoreError {
                 write!(f, "integration produced an invalid schema: {msg}")
             }
             CoreError::SelfAssertion(o) => write!(f, "cannot assert {o} against itself"),
+            CoreError::SessionFull {
+                schema,
+                what,
+                count,
+                limit,
+            } => write!(
+                f,
+                "schema `{schema}` would bring the session to {count} {what}; the limit is {limit}"
+            ),
         }
     }
 }

@@ -34,6 +34,16 @@ pub struct Session {
 }
 
 impl Session {
+    /// Most object classes one session may hold. Each assertion engine
+    /// keeps a dense matrix of n² one-byte cells over its nodes, and the
+    /// structural seeds of one schema grow with the square of its root
+    /// entity sets, so registration is where a session's size is bounded.
+    pub const MAX_OBJECTS: usize = 2048;
+
+    /// Most relationship sets one session may hold (the relationship
+    /// engine's matrix, like the object engine's, is n² bytes).
+    pub const MAX_RELATIONSHIPS: usize = 2048;
+
     /// Fresh, empty session.
     pub fn new() -> Session {
         Session::default()
@@ -44,13 +54,43 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Register a component schema; seeds structural facts and registers
-    /// every attribute in its own equivalence class.
+    /// every attribute in its own equivalence class. A schema that would
+    /// push the session past [`Session::MAX_OBJECTS`] or
+    /// [`Session::MAX_RELATIONSHIPS`] is rejected before anything changes.
     pub fn add_schema(&mut self, schema: Schema) -> Result<SchemaId> {
         let _span = sit_obs::trace::span("session.add_schema");
+        self.check_capacity(&schema)?;
         let sid = self.catalog.add(schema)?;
         self.equiv.register_schema(&self.catalog, sid);
         self.seed_structure(sid)?;
         Ok(sid)
+    }
+
+    fn check_capacity(&self, schema: &Schema) -> Result<()> {
+        let (objects, rels) = self.catalog.schemas().fold((0, 0), |(o, r), (_, s)| {
+            (o + s.object_count(), r + s.relationship_count())
+        });
+        let limits = [
+            (
+                "object classes",
+                objects + schema.object_count(),
+                Self::MAX_OBJECTS,
+            ),
+            (
+                "relationship sets",
+                rels + schema.relationship_count(),
+                Self::MAX_RELATIONSHIPS,
+            ),
+        ];
+        match limits.into_iter().find(|&(_, count, limit)| count > limit) {
+            Some((what, count, limit)) => Err(CoreError::SessionFull {
+                schema: schema.name().to_owned(),
+                what,
+                count,
+                limit,
+            }),
+            None => Ok(()),
+        }
     }
 
     fn seed_structure(&mut self, sid: SchemaId) -> Result<()> {
@@ -335,6 +375,31 @@ mod tests {
         assert!(s.retract_objects(instructor, grad));
         s.assert_objects(instructor, grad, Assertion::MayBe).unwrap();
         assert_eq!(s.object_engine().known(instructor, student), None);
+    }
+
+    #[test]
+    fn oversized_schemas_are_rejected_before_registration() {
+        let ddl = |name: &str, categories: usize| {
+            let mut ddl = format!("schema {name} {{ entity R {{ k: int key; }}\n");
+            for i in 0..categories {
+                ddl.push_str(&format!("category C{i} of R {{}}\n"));
+            }
+            ddl.push('}');
+            sit_ecr::ddl::parse(&ddl).unwrap()
+        };
+        let mut s = Session::new();
+        // Exactly at the limit is accepted...
+        s.add_schema(ddl("big", Session::MAX_OBJECTS - 1)).unwrap();
+        // ...one more object class anywhere in the session is not, and
+        // the rejected schema leaves no trace.
+        let err = s.add_schema(ddl("more", 0)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::SessionFull { count, limit, .. }
+                if count == Session::MAX_OBJECTS + 1 && limit == Session::MAX_OBJECTS),
+            "{err}"
+        );
+        assert_eq!(s.catalog().len(), 1);
+        assert!(s.catalog().by_name("more").is_none());
     }
 
     #[test]

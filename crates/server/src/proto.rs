@@ -36,6 +36,11 @@
 //! ([`sit_core::script::keyword`]): `equals`, `contained-in`, `contains`,
 //! `disjoint-integrable`, `may-be-integrable`, `disjoint-non-integrable`.
 //!
+//! A session holds at most [`sit_core::session::Session::MAX_OBJECTS`]
+//! object classes and [`sit_core::session::Session::MAX_RELATIONSHIPS`]
+//! relationship sets; an `add_schema` or `load` whose schema would exceed
+//! either fails with `bad_request` and leaves that schema unregistered.
+//!
 //! Any request may additionally carry a `trace_id` string. It is not
 //! part of the decoded [`Request`] (unknown keys are ignored); the
 //! service reads it off the frame and attaches it to the request's
@@ -617,6 +622,7 @@ impl From<CoreError> for ServerError {
     fn from(e: CoreError) -> ServerError {
         let code = match &e {
             CoreError::Conflict(_) => ErrorCode::Conflict,
+            CoreError::SessionFull { .. } => ErrorCode::BadRequest,
             _ => ErrorCode::Core,
         };
         ServerError {

@@ -820,6 +820,43 @@ mod tests {
     }
 
     #[test]
+    fn oversized_schema_is_a_bad_request() {
+        let service = Service::new(StoreConfig::default());
+        let opened = call(&service, r#"{"op":"open"}"#);
+        let sid = opened.get("session").and_then(Json::as_str).unwrap().to_owned();
+        // One root with a category per object class past the session's
+        // limit: registering it would size the closure matrix by the
+        // declaration count, so it is refused before the engine sees it.
+        let mut ddl = String::from("schema big { entity R { k: int key; }\n");
+        for i in 0..Session::MAX_OBJECTS {
+            ddl.push_str(&format!("category C{i} of R {{}}\n"));
+        }
+        ddl.push('}');
+        let frame = Request::AddSchema {
+            session: sid.clone(),
+            ddl,
+        }
+        .to_json()
+        .encode();
+        let r = call(&service, &frame);
+        assert_eq!(err_code(&r).as_deref(), Some("bad_request"), "{r:?}");
+        let list = call(&service, &format!(r#"{{"op":"list_schemas","session":"{sid}"}}"#));
+        assert_eq!(
+            list.get("schemas").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(0),
+            "{list:?}"
+        );
+        // The session stays usable.
+        let frame = Request::AddSchema {
+            session: sid,
+            ddl: SC1.into(),
+        }
+        .to_json()
+        .encode();
+        assert!(ok(&call(&service, &frame)));
+    }
+
+    #[test]
     fn conflict_is_reported_with_its_code() {
         let service = Service::new(StoreConfig::default());
         let opened = call(&service, r#"{"op":"open"}"#);
