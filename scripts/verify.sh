@@ -103,7 +103,8 @@ needed = [
     "request", "parse", "dispatch", "encode",
     # engine phases (core layer)
     "session.add_schema", "acs.declare_equivalent", "ocs.ranked_pairs",
-    "closure.assert", "integrate", "integrate.lattice", "integrate.rels",
+    "ocs.ranked_rel_pairs", "closure.assert", "integrate", "integrate.lattice",
+    "integrate.attrs", "integrate.assemble", "integrate.rels",
 ]
 missing = [n for n in needed if n not in names]
 assert not missing, f"trace is missing spans: {missing}"
