@@ -27,7 +27,7 @@
 //! line on stdout — single-threaded, for pipes and tests.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -372,11 +372,7 @@ pub fn serve_connection<T: Transport>(mut transport: T, service: &Service, gate:
             let line = match framed {
                 Framed::Line(line) => line,
                 Framed::Overflow => {
-                    let error = ServerError {
-                        code: ErrorCode::Parse,
-                        message: "frame exceeds maximum length without a newline".into(),
-                    };
-                    let _ = write_frame(&mut transport, &error.to_response().encode());
+                    let _ = write_frame(&mut transport, &overflow_frame());
                     return;
                 }
             };
@@ -415,26 +411,58 @@ fn write_frame<T: Transport>(transport: &mut T, frame: &str) -> std::io::Result<
     transport.flush()
 }
 
+/// The typed `parse` error answering a frame that reached
+/// [`crate::wire::MAX_LINE`] without a newline.
+fn overflow_frame() -> String {
+    ServerError {
+        code: ErrorCode::Parse,
+        message: "frame exceeds maximum length without a newline".into(),
+    }
+    .to_response()
+    .encode()
+}
+
 /// Serve the protocol over arbitrary reader/writer pairs (stdin/stdout in
-/// `sit serve --stdio`). Returns after EOF or a `shutdown` request.
+/// `sit serve --stdio`). Returns after EOF, a `shutdown` request, or a
+/// frame longer than [`crate::wire::MAX_LINE`] (answered with a `parse`
+/// error, as on TCP). A last line without a newline is served at EOF.
 pub fn serve_stdio(
     service: &Service,
-    reader: impl BufRead,
+    mut reader: impl Read,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut frames = FrameBuffer::new();
+    let mut chunk = [0u8; 4096];
+    let mut eof = false;
+    loop {
+        while let Some(framed) = frames.next_frame() {
+            let Framed::Line(line) = framed else {
+                writeln!(writer, "{}", overflow_frame())?;
+                return writer.flush();
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            let handled = service.handle_line(&line);
+            writeln!(writer, "{}", handled.frame)?;
+            writer.flush()?;
+            if handled.shutdown {
+                return Ok(());
+            }
         }
-        let handled = service.handle_line(&line);
-        writeln!(writer, "{}", handled.frame)?;
-        writer.flush()?;
-        if handled.shutdown {
-            break;
+        if eof {
+            return Ok(());
+        }
+        match reader.read(&mut chunk) {
+            Ok(0) => {
+                eof = true;
+                frames.push(b"\n");
+            }
+            Ok(n) => frames.push(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -457,6 +485,47 @@ mod tests {
             let v = Json::parse(l).unwrap();
             assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{l}");
         }
+    }
+
+    /// A reader of `len` bytes that never sends a newline, counting what
+    /// the server pulls from it.
+    struct Flood {
+        left: usize,
+        consumed: Arc<AtomicUsize>,
+    }
+
+    impl std::io::Read for Flood {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.left);
+            buf[..n].fill(b'x');
+            self.left -= n;
+            self.consumed.fetch_add(n, Ordering::SeqCst);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn stdio_stops_reading_at_the_frame_limit() {
+        let service = Service::new(StoreConfig::default());
+        let consumed = Arc::new(AtomicUsize::new(0));
+        let flood = Flood {
+            left: 4 << 20,
+            consumed: Arc::clone(&consumed),
+        };
+        let reader = std::io::BufReader::with_capacity(4096, flood);
+        let mut out = Vec::new();
+        serve_stdio(&service, reader, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let frames: Vec<&str> = text.lines().collect();
+        assert_eq!(frames.len(), 1, "{text}");
+        let v = Json::parse(frames[0]).unwrap();
+        let code = v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+        assert_eq!(code, Some("parse"), "{text}");
+        let read = consumed.load(Ordering::SeqCst);
+        assert!(
+            read <= crate::wire::MAX_LINE + 4096,
+            "read {read} bytes of a newline-free flood"
+        );
     }
 
     #[test]
