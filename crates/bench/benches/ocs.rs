@@ -2,6 +2,7 @@
 
 use sit_bench::harness::Bench;
 use sit_bench::{drive_session, Phase2Strategy, Phase3Strategy};
+use sit_core::catalog::GObj;
 use sit_core::resemblance::{ocs_matrix, ocs_sparse};
 use sit_datagen::oracle::GroundTruthOracle;
 use sit_datagen::GeneratorConfig;
@@ -35,15 +36,10 @@ fn main() {
         // Ablation: class-walk accumulation instead of the dense
         // object-pair scan.
         bench.run(format!("derive_sparse/{objects}"), || {
-            ocs_sparse(
-                driven.session.catalog(),
-                driven.session.equivalences(),
-                sa,
-                sb,
-            )
+            ocs_sparse(driven.session.equivalences(), sa, sb)
         });
         bench.run(format!("ranked_pairs/{objects}"), || {
-            driven.session.candidates(sa, sb)
+            driven.session.candidates::<GObj>(sa, sb)
         });
     }
     bench.finish().expect("write BENCH_ocs.json");

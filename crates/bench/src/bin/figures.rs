@@ -10,6 +10,7 @@
 //! of the paper-vs-measured comparison.
 
 use sit_core::assertion::Assertion;
+use sit_core::catalog::GRel;
 use sit_core::session::Session;
 use sit_ecr::{fixtures, render};
 use sit_tui::app::App;
@@ -152,9 +153,9 @@ fn paper_session() -> Session {
     s.assert_objects(student, grad, Assertion::Contains).unwrap();
     s.assert_objects(student, faculty, Assertion::DisjointIntegrable)
         .unwrap();
-    let m1 = s.rel_named("sc1", "Majors").unwrap();
-    let m2 = s.rel_named("sc2", "Majors").unwrap();
-    s.assert_rels(m1, m2, Assertion::Equal).unwrap();
+    let m1 = s.named::<GRel>("sc1", "Majors").unwrap();
+    let m2 = s.named::<GRel>("sc2", "Majors").unwrap();
+    s.assert(m1, m2, Assertion::Equal).unwrap();
     s
 }
 

@@ -18,9 +18,11 @@ use sit_bench::{
     drive_session, random_pairs, ranking_quality, table, Phase2Strategy, Phase3Strategy,
 };
 use sit_core::assertion::Assertion;
+use sit_core::catalog::GObj;
 use sit_core::session::Session;
 use sit_datagen::oracle::{GroundTruthOracle, NoisyOracle};
 use sit_datagen::GeneratorConfig;
+use sit_ecr::AttrOwner;
 use sit_matcher::{best_integration_order, WeightedResemblance};
 use sit_translate::{HierSchema, RecordType, RelSchema, Table};
 
@@ -193,7 +195,7 @@ fn b2_heuristic_quality(report: &mut Report) {
             Phase3Strategy::Ranked,
         );
         let (sa, sb) = driven.ids;
-        let ranked = driven.session.candidates(sa, sb);
+        let ranked = driven.session.candidates::<GObj>(sa, sb);
         let q_ratio = ranking_quality(&driven.session, &ranked, &pair.truth);
         let rand = random_pairs(&driven.session, sa, sb, 1);
         let q_rand = ranking_quality(&driven.session, &rand, &pair.truth);
@@ -206,7 +208,7 @@ fn b2_heuristic_quality(report: &mut Report) {
             Phase2Strategy::MatcherSuggested { threshold: 0.55 },
             Phase3Strategy::Ranked,
         );
-        let ranked2 = driven2.session.candidates(driven2.ids.0, driven2.ids.1);
+        let ranked2 = driven2.session.candidates::<GObj>(driven2.ids.0, driven2.ids.1);
         let q_matcher = ranking_quality(&driven2.session, &ranked2, &pair.truth);
         for (strategy, q) in [
             ("random order", q_rand),
@@ -495,8 +497,8 @@ fn run_fold(family: &sit_datagen::SchemaFamily, order: &[usize]) -> FoldOutcome 
                     };
                     if let Some((ka, kb)) = same_key {
                         let _ = session.declare_equivalent(
-                            sit_core::catalog::GAttr::object(acc, ga.object, ka),
-                            sit_core::catalog::GAttr::object(next, gb.object, kb),
+                            sit_core::catalog::GAttr::new(acc, AttrOwner::Object(ga.object), ka),
+                            sit_core::catalog::GAttr::new(next, AttrOwner::Object(gb.object), kb),
                         );
                     }
                     let _ = session.assert_objects(*ga, *gb, assertion);

@@ -148,7 +148,7 @@ pub fn drive_session(
                 .collect()
         }
         Phase3Strategy::Ranked | Phase3Strategy::RankedWithClosure => session
-            .candidates(sa, sb)
+            .candidates::<GObj>(sa, sb)
             .into_iter()
             .map(|p: CandidatePair<GObj>| (p.left, p.right))
             .collect(),
@@ -371,7 +371,7 @@ mod tests {
         let (sa, sb) = driven.ids;
         // Fresh session replays just phase 2, so the ranking reflects the
         // equivalences without assertions.
-        let ranked = driven.session.candidates(sa, sb);
+        let ranked = driven.session.candidates::<GObj>(sa, sb);
         let q_ranked = ranking_quality(&driven.session, &ranked, &pair.truth);
         let random = random_pairs(&driven.session, sa, sb, 99);
         let q_random = ranking_quality(&driven.session, &random, &pair.truth);

@@ -10,6 +10,7 @@ use std::fmt;
 
 use sit_ecr::{AttrId, AttrOwner, Attribute, ObjectId, RelId, Schema, SchemaId};
 
+use crate::element::Element;
 use crate::error::{CoreError, Result};
 
 /// Globally qualified object class: `(schema, object)`.
@@ -74,24 +75,6 @@ impl GAttr {
         Self {
             schema,
             owner,
-            attr,
-        }
-    }
-
-    /// Attribute of an object class.
-    pub const fn object(schema: SchemaId, object: ObjectId, attr: AttrId) -> Self {
-        Self {
-            schema,
-            owner: AttrOwner::Object(object),
-            attr,
-        }
-    }
-
-    /// Attribute of a relationship set.
-    pub const fn rel(schema: SchemaId, rel: RelId, attr: AttrId) -> Self {
-        Self {
-            schema,
-            owner: AttrOwner::Rel(rel),
             attr,
         }
     }
@@ -179,42 +162,25 @@ impl Catalog {
     /// numbering on Screen 7.
     pub fn attrs_of(&self, schema: SchemaId) -> Vec<GAttr> {
         let s = self.schema(schema);
-        let mut out = Vec::new();
-        for (oid, obj) in s.objects() {
-            for aid in obj.attr_ids() {
-                out.push(GAttr::object(schema, oid, aid));
-            }
-        }
-        for (rid, rel) in s.relationships() {
-            for i in 0..rel.attr_count() as u32 {
-                out.push(GAttr::rel(schema, rid, AttrId::new(i)));
-            }
-        }
-        out
+        let owners = s
+            .object_ids()
+            .map(AttrOwner::Object)
+            .chain(s.rel_ids().map(AttrOwner::Rel));
+        owners
+            .flat_map(|owner| {
+                (0..s.owner_attrs(owner).len() as u32)
+                    .map(move |i| GAttr::new(schema, owner, AttrId::new(i)))
+            })
+            .collect()
     }
 
-    /// Resolve `schema.object`.
-    pub fn object_named(&self, schema: &str, object: &str) -> Result<GObj> {
+    /// Resolve `schema.name` to an object class or relationship set.
+    pub fn named<E: Element>(&self, schema: &str, name: &str) -> Result<E> {
         let sid = self
             .by_name(schema)
             .ok_or_else(|| CoreError::UnknownName(schema.to_owned()))?;
-        let oid = self
-            .schema(sid)
-            .object_by_name(object)
-            .ok_or_else(|| CoreError::UnknownName(format!("{schema}.{object}")))?;
-        Ok(GObj::new(sid, oid))
-    }
-
-    /// Resolve `schema.relationship`.
-    pub fn rel_named(&self, schema: &str, rel: &str) -> Result<GRel> {
-        let sid = self
-            .by_name(schema)
-            .ok_or_else(|| CoreError::UnknownName(schema.to_owned()))?;
-        let rid = self
-            .schema(sid)
-            .rel_by_name(rel)
-            .ok_or_else(|| CoreError::UnknownName(format!("{schema}.{rel}")))?;
-        Ok(GRel::new(sid, rid))
+        E::find(sid, self.schema(sid), name)
+            .ok_or_else(|| CoreError::UnknownName(format!("{schema}.{name}")))
     }
 
     /// Resolve `schema.owner.attr` where `owner` may be an object class or
@@ -224,21 +190,17 @@ impl Catalog {
             .by_name(schema)
             .ok_or_else(|| CoreError::UnknownName(schema.to_owned()))?;
         let s = self.schema(sid);
-        if let Some(oid) = s.object_by_name(owner) {
-            let (aid, _) = s
-                .object(oid)
-                .attr_by_name(attr)
-                .ok_or_else(|| CoreError::UnknownName(format!("{schema}.{owner}.{attr}")))?;
-            return Ok(GAttr::object(sid, oid, aid));
-        }
-        if let Some(rid) = s.rel_by_name(owner) {
-            let (aid, _) = s
-                .relationship(rid)
-                .attr_by_name(attr)
-                .ok_or_else(|| CoreError::UnknownName(format!("{schema}.{owner}.{attr}")))?;
-            return Ok(GAttr::rel(sid, rid, aid));
-        }
-        Err(CoreError::UnknownName(format!("{schema}.{owner}")))
+        let owner_id = s
+            .object_by_name(owner)
+            .map(AttrOwner::Object)
+            .or_else(|| s.rel_by_name(owner).map(AttrOwner::Rel))
+            .ok_or_else(|| CoreError::UnknownName(format!("{schema}.{owner}")))?;
+        let aid = s
+            .owner_attrs(owner_id)
+            .iter()
+            .position(|a| a.name == attr)
+            .ok_or_else(|| CoreError::UnknownName(format!("{schema}.{owner}.{attr}")))?;
+        Ok(GAttr::new(sid, owner_id, AttrId::new(aid as u32)))
     }
 
     /// The attribute behind a [`GAttr`].
@@ -248,22 +210,15 @@ impl Catalog {
             .ok_or_else(|| CoreError::UnknownElement(format!("{}.{:?}.{}", a.schema, a.owner, a.attr)))
     }
 
-    /// Dotted display name `schema.Object` of an object class.
-    pub fn obj_display(&self, o: GObj) -> String {
-        match self.try_schema(o.schema).and_then(|s| s.try_object(o.object)) {
-            Some(obj) => format!("{}.{}", self.schema(o.schema).name(), obj.name),
-            None => o.to_string(),
-        }
-    }
-
-    /// Dotted display name `schema.Rel` of a relationship set.
-    pub fn rel_display(&self, r: GRel) -> String {
-        match self
-            .try_schema(r.schema)
-            .and_then(|s| s.try_relationship(r.rel))
-        {
-            Some(rel) => format!("{}.{}", self.schema(r.schema).name(), rel.name),
-            None => r.to_string(),
+    /// Dotted display name `schema.Name` of an object class or
+    /// relationship set.
+    pub fn display<E: Element>(&self, e: E) -> String {
+        let named = self
+            .try_schema(e.schema())
+            .and_then(|s| Some((s.name(), s.owner_name(e.owner())?)));
+        match named {
+            Some((schema, name)) => format!("{schema}.{name}"),
+            None => e.to_string(),
         }
     }
 
@@ -314,15 +269,16 @@ mod tests {
     #[test]
     fn name_resolution() {
         let c = cat();
-        let student = c.object_named("sc1", "Student").unwrap();
-        assert_eq!(c.obj_display(student), "sc1.Student");
-        let majors = c.rel_named("sc2", "Majors").unwrap();
-        assert_eq!(c.rel_display(majors), "sc2.Majors");
+        let student: GObj = c.named("sc1", "Student").unwrap();
+        assert_eq!(c.display(student), "sc1.Student");
+        let majors: GRel = c.named("sc2", "Majors").unwrap();
+        assert_eq!(c.display(majors), "sc2.Majors");
         let gpa = c.attr_named("sc1", "Student", "GPA").unwrap();
         assert_eq!(c.attr_display(gpa), "sc1.Student.GPA");
         let since = c.attr_named("sc1", "Majors", "Since").unwrap();
         assert!(matches!(since.owner, AttrOwner::Rel(_)));
-        assert!(c.object_named("sc1", "Ghost").is_err());
+        assert!(c.named::<GObj>("sc1", "Ghost").is_err());
+        assert!(c.named::<GRel>("sc1", "Student").is_err());
         assert!(c.attr_named("sc1", "Student", "Ghost").is_err());
         assert!(c.attr_named("ghost", "Student", "Name").is_err());
     }

@@ -16,13 +16,16 @@
 //!   relevant assertions used in the derivation" — that the Assertion
 //!   Conflict Resolution Screen displays.
 //!
-//! The engine is generic over the node type so the same machinery serves
-//! object classes ([`crate::GObj`]) and relationship sets ([`crate::GRel`]).
-//! Intra-schema facts are seeded from schema structure: a category is a
-//! proper part of each single parent, and distinct entity sets of one
-//! schema are disjoint ("a given entity can be a member of only one entity
-//! set") — which is exactly how Screen 9's line 4
-//! (`sc4.Grad_student ⊆ sc4.Student`) enters the derivation.
+//! The engine is generic over the node type. A session holds one engine
+//! per [`crate::Element`] kind, object classes ([`crate::GObj`]) and
+//! relationship sets ([`crate::GRel`]), and reaches both through one
+//! generic path (`Session::assert`, `Session::retract`), so the kinds
+//! derive, conflict and repair alike. The session seeds intra-schema
+//! facts from schema structure: a category is a proper part of each
+//! single parent, distinct root entity sets of one schema are disjoint
+//! ("a given entity can be a member of only one entity set"), and so are
+//! distinct relationship sets of one schema. That is exactly how Screen
+//! 9's line 4 (`sc4.Grad_student ⊆ sc4.Student`) enters the derivation.
 //!
 //! # Representation
 //!

@@ -106,30 +106,40 @@ pub fn clusters<N>(engine: &AssertionEngine<N>, universe: &[N]) -> Clusters<N>
 where
     N: Copy + Eq + Ord + Hash + fmt::Debug,
 {
-    let index: HashMap<N, usize> = universe.iter().copied().zip(0..).collect();
-    let mut dsu = Dsu::new(universe.len());
-    for (i, &a) in universe.iter().enumerate() {
-        for (j, &b) in universe.iter().enumerate().skip(i + 1) {
-            if connects(engine, a, b) {
-                dsu.union(i, j);
-            }
-        }
-    }
-    let mut groups_by_root: HashMap<usize, Vec<N>> = HashMap::new();
-    for (&n, &i) in &index {
-        groups_by_root.entry(dsu.find(i)).or_default().push(n);
-    }
-    let mut groups: Vec<Vec<N>> = groups_by_root.into_values().collect();
-    for g in &mut groups {
-        g.sort_unstable();
-    }
-    groups.sort_by(|a, b| a[0].cmp(&b[0]));
+    let groups = partition(universe, |a, b| connects(engine, a, b));
     let by_node = groups
         .iter()
         .enumerate()
         .flat_map(|(gi, g)| g.iter().map(move |&n| (n, gi)))
         .collect();
     Clusters { groups, by_node }
+}
+
+/// The connected components of `universe` under `linked`: each sorted,
+/// ordered by smallest member. Clusters and phase 4's equals-merging
+/// both partition this way.
+pub fn partition<N>(universe: &[N], linked: impl Fn(N, N) -> bool) -> Vec<Vec<N>>
+where
+    N: Copy + Ord,
+{
+    let mut dsu = Dsu::new(universe.len());
+    for (i, &a) in universe.iter().enumerate() {
+        for (j, &b) in universe.iter().enumerate().skip(i + 1) {
+            if linked(a, b) {
+                dsu.union(i, j);
+            }
+        }
+    }
+    let mut groups_by_root: Vec<Vec<N>> = vec![Vec::new(); universe.len()];
+    for (i, &n) in universe.iter().enumerate() {
+        groups_by_root[dsu.find(i)].push(n);
+    }
+    let mut groups: Vec<Vec<N>> = groups_by_root.into_iter().filter(|g| !g.is_empty()).collect();
+    for g in &mut groups {
+        g.sort_unstable();
+    }
+    groups.sort_by(|a, b| a[0].cmp(&b[0]));
+    groups
 }
 
 /// Does the pinned relation between `a` and `b` connect them into one

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::catalog::{GObj, GRel};
+use crate::catalog::GRel;
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
@@ -49,8 +49,9 @@ pub enum CoreError {
     /// The integrated schema failed ECR validation; carries the display
     /// form of the underlying violation list.
     InvalidResult(String),
-    /// The two objects are the same object.
-    SelfAssertion(GObj),
+    /// Both sides of an assertion are the same object class or
+    /// relationship set (carries its id form, `schema.element`).
+    SelfAssertion(String),
     /// Registering the schema would push the session past one of its
     /// size limits ([`crate::session::Session::MAX_OBJECTS`],
     /// [`crate::session::Session::MAX_RELATIONSHIPS`]).

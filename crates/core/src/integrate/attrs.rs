@@ -14,18 +14,24 @@
 //!   (the paper's tool leaves them down).
 //! * A derived attribute is a key only when every component is a key, and
 //!   its domain is the least generalization of the component domains.
+//!
+//! Relationship sets (`super::rels`) get their slots from the same
+//! [`member_groups`] and [`pulled_up_groups`]; only absorption along
+//! containment edges is specific to the object lattice.
 
 use std::collections::HashMap;
 
-use sit_ecr::{Domain, ObjectKind};
+use sit_ecr::{AttrId, Domain};
 
 use super::names::merged_attr_name;
 use super::objects::Lattice;
 use super::{ComponentAttrInfo, IntegrationOptions};
-use crate::catalog::{Catalog, GAttr, GObj};
+use crate::catalog::{Catalog, GAttr};
+use crate::element::Element;
 use crate::equivalence::{ClassNo, EquivalenceRegistry};
 
-/// One attribute slot of an integrated object class, before final naming.
+/// One attribute slot of an integrated object class or relationship set,
+/// before final naming.
 #[derive(Clone, Debug)]
 pub(super) struct Placement {
     /// Equivalence class of the slot (drives absorption).
@@ -49,12 +55,12 @@ impl Placement {
         merged_attr_name(&names)
     }
 
-    fn absorb(&mut self, other: Placement) {
-        for c in other.components {
-            if !self.components.contains(&c) {
+    fn absorb(&mut self, other: &Placement) {
+        for c in &other.components {
+            if !self.components.contains(c) {
                 self.domain = self.domain.generalize(&c.attr.domain);
                 self.key = self.key && c.attr.is_key();
-                self.components.push(c);
+                self.components.push(c.clone());
             }
         }
     }
@@ -78,7 +84,8 @@ pub(super) fn place_attributes(
         let node = &lattice.nodes[i];
         let groups = if let Some((x, y)) = node.derived_children {
             if options.pull_up_common_attrs {
-                pulled_up_groups(catalog, equiv, lattice, x, y)
+                let members = |n: usize| member_groups(catalog, equiv, &lattice.nodes[n].members);
+                pulled_up_groups(&members(x), &members(y))
             } else {
                 Vec::new()
             }
@@ -97,7 +104,7 @@ pub(super) fn place_attributes(
             });
             match site {
                 Some((anode, slot)) => {
-                    placed[anode][slot].absorb(group);
+                    placed[anode][slot].absorb(&group);
                 }
                 None => {
                     let slot = placed[i].len();
@@ -116,43 +123,39 @@ pub(super) fn place_attributes(
     placed
 }
 
-/// Group the attributes of a node's member objects by equivalence class.
-fn member_groups(
+/// Group the attributes of a node's members (object classes or
+/// relationship sets) by equivalence class, in member order.
+pub(super) fn member_groups<E: Element>(
     catalog: &Catalog,
     equiv: &EquivalenceRegistry,
-    members: &[GObj],
+    members: &[E],
 ) -> Vec<Placement> {
     let mut by_class: Vec<Placement> = Vec::new();
     let mut class_slot: HashMap<ClassNo, usize> = HashMap::new();
     for &m in members {
-        let schema = catalog.schema(m.schema);
-        let obj = schema.object(m.object);
-        for (aid, attr) in obj.attributes.iter().enumerate() {
-            let ga = GAttr::object(m.schema, m.object, sit_ecr::AttrId::new(aid as u32));
-            let class = equiv.class_no(ga);
-            let info = ComponentAttrInfo {
-                schema: schema.name().to_owned(),
-                owner: obj.name.clone(),
-                owner_kind: owner_kind(&obj.kind),
-                attr: attr.clone(),
+        let (sid, owner) = (m.schema(), m.owner());
+        let schema = catalog.schema(sid);
+        let owner_name = schema.owner_name(owner).unwrap_or_default();
+        for (aid, attr) in schema.owner_attrs(owner).iter().enumerate() {
+            let class = equiv.class_no(GAttr::new(sid, owner, AttrId::new(aid as u32)));
+            let group = Placement {
+                class,
+                domain: attr.domain.clone(),
+                key: attr.is_key(),
+                components: vec![ComponentAttrInfo {
+                    schema: schema.name().to_owned(),
+                    owner: owner_name.to_owned(),
+                    owner_kind: m.owner_letter(schema),
+                    attr: attr.clone(),
+                }],
             };
             match class.and_then(|c| class_slot.get(&c).copied()) {
-                Some(slot) => by_class[slot].absorb(Placement {
-                    class,
-                    domain: attr.domain.clone(),
-                    key: attr.is_key(),
-                    components: vec![info],
-                }),
+                Some(slot) => by_class[slot].absorb(&group),
                 None => {
                     if let Some(c) = class {
                         class_slot.insert(c, by_class.len());
                     }
-                    by_class.push(Placement {
-                        class,
-                        domain: attr.domain.clone(),
-                        key: attr.is_key(),
-                        components: vec![info],
-                    });
+                    by_class.push(group);
                 }
             }
         }
@@ -160,32 +163,17 @@ fn member_groups(
     by_class
 }
 
-/// Classes present (via members) in both children of a derived node, as
-/// merged placements — the optional pull-up.
-fn pulled_up_groups(
-    catalog: &Catalog,
-    equiv: &EquivalenceRegistry,
-    lattice: &Lattice,
-    x: usize,
-    y: usize,
-) -> Vec<Placement> {
-    let gx = member_groups(catalog, equiv, &lattice.nodes[x].members);
-    let gy = member_groups(catalog, equiv, &lattice.nodes[y].members);
+/// The groups whose class both children of a derived node have, merged —
+/// the optional pull-up into the derived superset.
+pub(super) fn pulled_up_groups(x: &[Placement], y: &[Placement]) -> Vec<Placement> {
     let mut out = Vec::new();
-    for px in gx {
+    for px in x {
         let Some(c) = px.class else { continue };
-        if let Some(py) = gy.iter().find(|p| p.class == Some(c)) {
+        if let Some(py) = y.iter().find(|p| p.class == Some(c)) {
             let mut merged = px.clone();
-            merged.absorb(py.clone());
+            merged.absorb(py);
             out.push(merged);
         }
     }
     out
-}
-
-fn owner_kind(kind: &ObjectKind) -> char {
-    match kind {
-        ObjectKind::EntitySet => 'E',
-        ObjectKind::Category { .. } => 'C',
-    }
 }

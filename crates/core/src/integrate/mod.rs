@@ -23,6 +23,7 @@
 
 mod attrs;
 mod names;
+mod nodes;
 mod objects;
 mod rels;
 
@@ -33,7 +34,7 @@ pub use names::{
 
 use std::collections::HashMap;
 
-use sit_ecr::{Attribute, ObjectId, RelId, Schema, SchemaId};
+use sit_ecr::{AttrOwner, Attribute, ObjectId, RelId, Schema, SchemaId};
 
 use crate::catalog::{Catalog, GObj, GRel};
 use crate::closure::AssertionEngine;
@@ -87,55 +88,38 @@ impl AttrProvenance {
     }
 }
 
-/// How an integrated object class came to be.
+/// How an integrated object class ([`NodeOrigin`]) or relationship set
+/// ([`RelOrigin`]) came to be.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NodeOrigin {
-    /// Copied from one component schema (possibly with rebound parents).
-    Copied(GObj),
-    /// `E_` merge of component classes asserted equal.
-    Merged(Vec<GObj>),
-    /// `D_` derived superclass over the given integrated children.
+pub enum Origin<E, Id> {
+    /// Copied from one component schema (object classes possibly with
+    /// rebound parents, relationship sets with rebound participants).
+    Copied(E),
+    /// `E_` merge of component elements asserted equal.
+    Merged(Vec<E>),
+    /// `D_` derived superset over the given integrated children.
     DerivedSuper {
-        /// Integrated ids of the child classes.
-        children: Vec<ObjectId>,
+        /// Integrated ids of the children.
+        children: Vec<Id>,
     },
 }
 
-impl NodeOrigin {
-    /// Component objects directly behind this node (empty for derived).
-    pub fn members(&self) -> &[GObj] {
+impl<E, Id> Origin<E, Id> {
+    /// Component elements directly behind this node (empty for derived).
+    pub fn members(&self) -> &[E] {
         match self {
-            NodeOrigin::Copied(o) => std::slice::from_ref(o),
-            NodeOrigin::Merged(v) => v,
-            NodeOrigin::DerivedSuper { .. } => &[],
+            Origin::Copied(e) => std::slice::from_ref(e),
+            Origin::Merged(v) => v,
+            Origin::DerivedSuper { .. } => &[],
         }
     }
 }
+
+/// How an integrated object class came to be.
+pub type NodeOrigin = Origin<GObj, ObjectId>;
 
 /// How an integrated relationship set came to be.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RelOrigin {
-    /// Copied from one component schema with rebound participants.
-    Copied(GRel),
-    /// `E_` merge of relationship sets asserted equal.
-    Merged(Vec<GRel>),
-    /// `D_` derived relationship set over the given integrated children.
-    DerivedSuper {
-        /// Integrated ids of the child relationship sets.
-        children: Vec<RelId>,
-    },
-}
-
-impl RelOrigin {
-    /// Component relationship sets directly behind this node.
-    pub fn members(&self) -> &[GRel] {
-        match self {
-            RelOrigin::Copied(r) => std::slice::from_ref(r),
-            RelOrigin::Merged(v) => v,
-            RelOrigin::DerivedSuper { .. } => &[],
-        }
-    }
-}
+pub type RelOrigin = Origin<GRel, RelId>;
 
 /// The output of phase 4: a valid ECR schema plus full provenance.
 #[derive(Clone, Debug)]
@@ -173,6 +157,16 @@ impl IntegratedSchema {
     /// Integrated relationship carrying a component relationship set.
     pub fn rel_of(&self, r: GRel) -> Option<RelId> {
         self.rel_map.get(&r).copied()
+    }
+
+    /// Provenance of each attribute of one integrated object class or
+    /// relationship set.
+    pub fn attr_prov(&self, owner: AttrOwner) -> Option<&[AttrProvenance]> {
+        let prov = match owner {
+            AttrOwner::Object(o) => self.object_attr_prov.get(o.index()),
+            AttrOwner::Rel(r) => self.rel_attr_prov.get(r.index()),
+        };
+        prov.map(Vec::as_slice)
     }
 
     /// Objects of the integrated schema whose origin is a derived (`D_`)
@@ -239,7 +233,7 @@ pub fn integrate(
     });
     let mut assembled = {
         let _span = sit_obs::trace::span("integrate.assemble");
-        objects::assemble(catalog, &lattice, placements, &name, options)?
+        objects::assemble(&lattice, placements, &name, options)
     };
 
     // Relationship lattice on top of the assembled objects.

@@ -1,43 +1,28 @@
 //! Object-class lattice construction and schema assembly.
 //!
-//! The first half of phase 4: merge *equals* groups, place IS-A edges for
-//! containment (with transitive reduction so only Hasse edges appear as
-//! category links), generate derived superclasses for overlap and
-//! disjoint-integrable pairs, and topologically assemble the object side of
-//! the integrated schema.
+//! The first half of phase 4. On the equals-merged nodes of
+//! `super::nodes`, place IS-A edges for containment (with transitive
+//! reduction so only Hasse edges appear as category links, plus the
+//! structural category edges no pinned fact covers), add derived
+//! superclasses for overlap and disjoint-integrable pairs, and
+//! topologically assemble the object side of the integrated schema.
 
 use std::collections::{HashMap, VecDeque};
 
 use sit_ecr::{ObjectId, RelId, SchemaBuilder};
 
 use super::attrs::Placement;
-use super::names::{derived_object_name, equivalent_object_name, NamePool};
+use super::names::{equivalent_object_name, NamePool};
+use super::nodes::{self, Merged, Node};
 use super::{AttrProvenance, IntegrationOptions, NodeOrigin, RelOrigin};
-use crate::assertion::Rel5;
 use crate::catalog::{Catalog, GObj, GRel};
 use crate::closure::AssertionEngine;
-use crate::cluster::Dsu;
 use crate::error::{CoreError, Result};
-
-/// A proto-node of the integrated object lattice.
-#[derive(Clone, Debug)]
-pub(super) struct Node {
-    /// Component objects merged into this node (empty for derived nodes).
-    pub members: Vec<GObj>,
-    /// Parent node indexes (IS-A, post transitive reduction, plus derived
-    /// superclass edges).
-    pub parents: Vec<usize>,
-    /// For derived nodes: the two child node indexes.
-    pub derived_children: Option<(usize, usize)>,
-    /// Display name within the integrated schema (assigned pre-assembly,
-    /// final uniquification happens at claim time).
-    pub name: String,
-}
 
 /// The object lattice: nodes plus a parents-first topological order.
 #[derive(Clone, Debug)]
 pub(super) struct Lattice {
-    pub nodes: Vec<Node>,
+    pub nodes: Vec<Node<GObj>>,
     /// Node indexes, parents before children.
     pub topo: Vec<usize>,
 }
@@ -68,85 +53,19 @@ pub(super) fn build_lattice(
     engine: &AssertionEngine<GObj>,
     universe: &[GObj],
 ) -> Result<Lattice> {
-    // 1. Merge `equals` groups.
-    let index: HashMap<GObj, usize> = universe.iter().copied().zip(0..).collect();
-    let mut dsu = Dsu::new(universe.len());
-    for (i, &a) in universe.iter().enumerate() {
-        for (j, &b) in universe.iter().enumerate().skip(i + 1) {
-            if engine.known(a, b) == Some(Rel5::Eq) {
-                dsu.union(i, j);
-            }
-        }
-    }
-    let mut groups: HashMap<usize, Vec<GObj>> = HashMap::new();
-    for &o in universe {
-        groups.entry(dsu.find(index[&o])).or_default().push(o);
-    }
-    let mut nodes: Vec<Node> = groups
-        .into_values()
-        .map(|mut members| {
-            members.sort_unstable();
-            Node {
-                members,
-                parents: Vec::new(),
-                derived_children: None,
-                name: String::new(),
-            }
-        })
-        .collect();
-    nodes.sort_by(|a, b| a.members[0].cmp(&b.members[0]));
-
-    // 2. Node-level relation: intersection over member pairs.
+    // 1–3. Merge `equals` groups; containment order and derived pairs.
+    let Merged {
+        mut nodes,
+        contained,
+        derived,
+    } = nodes::merge(catalog, engine, universe)?;
     let n = nodes.len();
-    let node_rel = |x: usize, y: usize| -> crate::assertion::Rel5Set {
-        let mut set = crate::assertion::Rel5Set::ALL;
-        for &a in &nodes[x].members {
-            for &b in &nodes[y].members {
-                set = set.intersect(engine.constraint(a, b));
-            }
-        }
-        set
-    };
-
-    // 3. Containment order (PP) and derived pairs (PO / integrable DR).
-    let mut pp = vec![vec![false; n]; n]; // pp[x][y]: x ⊂ y
-    let mut derived_pairs: Vec<(usize, usize)> = Vec::new();
-    for x in 0..n {
-        for y in (x + 1)..n {
-            let set = node_rel(x, y);
-            if set.is_empty() {
-                return Err(CoreError::InconsistentLattice(format!(
-                    "no relation possible between `{}` and `{}` after equals-merging",
-                    catalog.obj_display(nodes[x].members[0]),
-                    catalog.obj_display(nodes[y].members[0]),
-                )));
-            }
-            match set.singleton() {
-                Some(Rel5::Pp) => pp[x][y] = true,
-                Some(Rel5::Ppi) => pp[y][x] = true,
-                Some(Rel5::Po) => derived_pairs.push((x, y)),
-                Some(Rel5::Dr) => {
-                    let integrable = nodes[x].members.iter().any(|&a| {
-                        nodes[y].members.iter().any(|&b| engine.is_integrable_dr(a, b))
-                    });
-                    if integrable {
-                        derived_pairs.push((x, y));
-                    }
-                }
-                Some(Rel5::Eq) => {
-                    return Err(CoreError::InconsistentLattice(format!(
-                        "`{}` and `{}` are equal but were not merged",
-                        catalog.obj_display(nodes[x].members[0]),
-                        catalog.obj_display(nodes[y].members[0]),
-                    )))
-                }
-                None => {}
-            }
-        }
-    }
 
     // 4. Transitive closure of PP, then reduction to Hasse edges.
-    let mut closure = pp.clone();
+    let mut closure = vec![vec![false; n]; n]; // closure[x][y]: x ⊂ y
+    for (x, y) in contained {
+        closure[x][y] = true;
+    }
     for k in 0..n {
         for i in 0..n {
             if closure[i][k] {
@@ -210,17 +129,7 @@ pub(super) fn build_lattice(
     }
 
     // 5. Derived superclasses for overlap / disjoint-integrable pairs.
-    for (x, y) in derived_pairs {
-        let d = nodes.len();
-        nodes.push(Node {
-            members: Vec::new(),
-            parents: Vec::new(),
-            derived_children: Some((x, y)),
-            name: String::new(),
-        });
-        nodes[x].parents.push(d);
-        nodes[y].parents.push(d);
-    }
+    nodes::add_derived(&mut nodes, &derived);
 
     // 6. Names: base nodes first (derived names reference child names).
     for node in &mut nodes {
@@ -238,12 +147,7 @@ pub(super) fn build_lattice(
             equivalent_object_name(&names)
         };
     }
-    for i in 0..nodes.len() {
-        if let Some((x, y)) = nodes[i].derived_children {
-            let name = derived_object_name(&[nodes[x].name.as_str(), nodes[y].name.as_str()]);
-            nodes[i].name = name;
-        }
-    }
+    nodes::name_derived(&mut nodes);
 
     // 7. Topological order, parents first.
     let topo = topo_order(&nodes).ok_or_else(|| {
@@ -254,7 +158,7 @@ pub(super) fn build_lattice(
 }
 
 /// Is `target` reachable from `from` by walking parent edges?
-fn reachable_up(nodes: &[Node], from: usize, target: usize) -> bool {
+fn reachable_up(nodes: &[Node<GObj>], from: usize, target: usize) -> bool {
     let mut seen = vec![false; nodes.len()];
     let mut stack = vec![from];
     seen[from] = true;
@@ -272,7 +176,7 @@ fn reachable_up(nodes: &[Node], from: usize, target: usize) -> bool {
     false
 }
 
-fn topo_order(nodes: &[Node]) -> Option<Vec<usize>> {
+fn topo_order(nodes: &[Node<GObj>]) -> Option<Vec<usize>> {
     let n = nodes.len();
     let mut indeg = vec![0usize; n]; // number of parents not yet emitted
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -315,18 +219,18 @@ pub(super) struct Assembled {
 /// Emit the object classes of the integrated schema from the lattice and
 /// the attribute placements.
 pub(super) fn assemble(
-    catalog: &Catalog,
     lattice: &Lattice,
     placements: Vec<Vec<Placement>>,
     schema_name: &str,
     options: &IntegrationOptions,
-) -> Result<Assembled> {
+) -> Assembled {
     let mut builder = SchemaBuilder::new(schema_name);
     let mut pool = NamePool::with_overrides(options.rename.clone());
     let n = lattice.nodes.len();
     let mut node_ids = vec![ObjectId::new(0); n];
-    let mut object_origin_by_node: Vec<Option<NodeOrigin>> = vec![None; n];
-    let mut attr_prov_by_node: Vec<Vec<AttrProvenance>> = vec![Vec::new(); n];
+    // Emission follows the topological order, so it is integrated
+    // ObjectId order.
+    let mut object_attr_prov = Vec::with_capacity(n);
 
     for &i in &lattice.topo {
         let node = &lattice.nodes[i];
@@ -351,32 +255,18 @@ pub(super) fn assemble(
                 components: placement.components.clone(),
             });
         }
-        let oid = ob.finish();
-        node_ids[i] = oid;
-        attr_prov_by_node[i] = prov_row;
+        node_ids[i] = ob.finish();
+        object_attr_prov.push(prov_row);
     }
 
     // Origins are resolved only now: a derived superclass is emitted
     // before its children (parents-first order), so the children's ids
     // exist only after the loop.
-    for (i, node) in lattice.nodes.iter().enumerate() {
-        object_origin_by_node[i] = Some(match node.derived_children {
-            Some((x, y)) => NodeOrigin::DerivedSuper {
-                children: vec![node_ids[x], node_ids[y]],
-            },
-            None if node.members.len() == 1 => NodeOrigin::Copied(node.members[0]),
-            None => NodeOrigin::Merged(node.members.clone()),
-        });
-    }
-    let _ = catalog; // retained in the signature for future name needs
-
-    // Re-order per integrated ObjectId (emission order == topo order).
-    let mut object_origin = Vec::with_capacity(n);
-    let mut object_attr_prov = Vec::with_capacity(n);
-    for &i in &lattice.topo {
-        object_origin.push(object_origin_by_node[i].clone().expect("emitted"));
-        object_attr_prov.push(std::mem::take(&mut attr_prov_by_node[i]));
-    }
+    let object_origin: Vec<NodeOrigin> = lattice
+        .topo
+        .iter()
+        .map(|&i| lattice.nodes[i].origin(&node_ids))
+        .collect();
     let object_map: HashMap<GObj, ObjectId> = lattice
         .nodes
         .iter()
@@ -385,7 +275,7 @@ pub(super) fn assemble(
         .map(|(m, i)| (m, node_ids[i]))
         .collect();
 
-    Ok(Assembled {
+    Assembled {
         builder,
         object_origin,
         object_attr_prov,
@@ -396,5 +286,5 @@ pub(super) fn assemble(
         rel_attr_prov: Vec::new(),
         rel_lattice: Vec::new(),
         rel_map: HashMap::new(),
-    })
+    }
 }

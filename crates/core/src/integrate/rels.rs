@@ -1,13 +1,19 @@
 //! Relationship-set integration — the second lattice of phase 4.
 //!
 //! "Relationship set integration can be performed in a manner similar to
-//! object class integration" (paper §1 phase 4): *equals* merges two
-//! relationship sets into an `E_` set (the paper's `E_Stud_Majo`),
-//! containment and overlap build a lattice of relationship sets (recorded
-//! as [`super::IntegratedSchema::rel_lattice`] edges, since the base ECR
-//! model has no sub-relationship construct), and unasserted relationship
-//! sets are copied with their participants rebound to the integrated
-//! object classes.
+//! object class integration" (paper §1 phase 4), and it runs on the same
+//! code: the equals-merging and pairwise classification of
+//! `super::nodes` and the attribute slots of `super::attrs`. *Equals*
+//! merges two relationship sets into an `E_` set (the paper's
+//! `E_Stud_Majo`), containment and overlap build a lattice of
+//! relationship sets, and unasserted relationship sets are copied with
+//! their participants rebound to the integrated object classes.
+//!
+//! Two things stay specific to relationship sets. Every containment pair
+//! is recorded as a [`super::IntegratedSchema::rel_lattice`] edge, with
+//! no transitive reduction and no structural edges, since the base ECR
+//! model has no sub-relationship construct. And each node's participant
+//! legs are rebound to the integrated object classes, as follows.
 //!
 //! Merging participants: two legs pair up when their integrated object
 //! classes are identical or comparable in the integrated IS-A lattice; the
@@ -17,18 +23,16 @@
 //! set admits every instance either component admitted; a derived (union)
 //! relationship set lowers minimums to zero and sums maximums.
 
-use std::collections::HashMap;
-
 use sit_ecr::{Cardinality, ObjectId, ObjectKind, RelId};
 
-use super::names::{derived_rel_name, equivalent_rel_name, merged_attr_name};
+use super::attrs::{member_groups, pulled_up_groups, Placement};
+use super::names::{equivalent_rel_name, NamePool};
+use super::nodes::{self, Merged};
 use super::objects::Assembled;
-use super::{AttrProvenance, ComponentAttrInfo, IntegrationOptions, RelOrigin};
-use crate::assertion::Rel5;
-use crate::catalog::{Catalog, GAttr, GRel};
+use super::{AttrProvenance, IntegrationOptions};
+use crate::catalog::{Catalog, GObj, GRel};
 use crate::closure::AssertionEngine;
-use crate::cluster::Dsu;
-use crate::equivalence::{ClassNo, EquivalenceRegistry};
+use crate::equivalence::EquivalenceRegistry;
 use crate::error::{CoreError, Result};
 
 /// One leg of a relationship set being assembled.
@@ -37,15 +41,6 @@ struct Leg {
     object: ObjectId,
     cardinality: Cardinality,
     role: Option<String>,
-}
-
-/// One relationship node prior to emission.
-#[derive(Clone, Debug)]
-struct RelNode {
-    members: Vec<GRel>,
-    derived_children: Option<(usize, usize)>,
-    /// Child → parent lattice edges land on these indexes.
-    pp_parents: Vec<usize>,
 }
 
 /// Integrate relationship sets into `assembled` (object side already
@@ -67,108 +62,52 @@ pub(super) fn integrate_rels(
     // Ancestor table over the emitted objects (for leg comparability).
     let ancestors = object_ancestors(assembled);
 
-    // 1. Merge `equals` groups.
-    let index: HashMap<GRel, usize> = universe.iter().copied().zip(0..).collect();
-    let mut dsu = Dsu::new(universe.len());
-    for (i, &a) in universe.iter().enumerate() {
-        for (j, &b) in universe.iter().enumerate().skip(i + 1) {
-            if engine.known(a, b) == Some(Rel5::Eq) {
-                dsu.union(i, j);
-            }
-        }
+    // 1–2. Merge `equals` groups; every containment pair is a lattice
+    //      edge, and overlapping or disjoint-integrable pairs get a
+    //      derived (union) relationship set.
+    let Merged {
+        mut nodes,
+        contained,
+        derived,
+    } = nodes::merge(catalog, engine, &universe)?;
+    for (child, parent) in contained {
+        nodes[child].parents.push(parent);
     }
-    let mut groups: HashMap<usize, Vec<GRel>> = HashMap::new();
-    for &r in &universe {
-        groups.entry(dsu.find(index[&r])).or_default().push(r);
-    }
-    let mut nodes: Vec<RelNode> = groups
-        .into_values()
-        .map(|mut members| {
-            members.sort_unstable();
-            RelNode {
-                members,
-                derived_children: None,
-                pp_parents: Vec::new(),
-            }
-        })
-        .collect();
-    nodes.sort_by(|a, b| a.members[0].cmp(&b.members[0]));
+    nodes::add_derived(&mut nodes, &derived);
 
-    // 2. Node-level relations: lattice edges and derived pairs.
-    let n = nodes.len();
-    let mut derived_pairs = Vec::new();
-    for x in 0..n {
-        for y in (x + 1)..n {
-            let mut set = crate::assertion::Rel5Set::ALL;
-            for &a in &nodes[x].members {
-                for &b in &nodes[y].members {
-                    set = set.intersect(engine.constraint(a, b));
-                }
-            }
-            match set.singleton() {
-                Some(Rel5::Pp) => nodes[x].pp_parents.push(y),
-                Some(Rel5::Ppi) => nodes[y].pp_parents.push(x),
-                Some(Rel5::Po) => derived_pairs.push((x, y)),
-                Some(Rel5::Dr) => {
-                    let integrable = nodes[x].members.iter().any(|&a| {
-                        nodes[y].members.iter().any(|&b| engine.is_integrable_dr(a, b))
-                    });
-                    if integrable {
-                        derived_pairs.push((x, y));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    for (x, y) in derived_pairs {
-        let d = nodes.len();
-        nodes.push(RelNode {
-            members: Vec::new(),
-            derived_children: Some((x, y)),
-            pp_parents: Vec::new(),
-        });
-        nodes[x].pp_parents.push(d);
-        nodes[y].pp_parents.push(d);
-    }
-
-    // 3. Emit base nodes first (derived need their children's legs),
-    //    collecting legs/attrs/names per node.
+    // 3. Legs, attribute slots and names: base nodes first (derived
+    //    nodes need their children's legs and names).
     let total = nodes.len();
     let mut legs_of: Vec<Vec<Leg>> = vec![Vec::new(); total];
-    let mut attrs_of: Vec<Vec<RelAttrSlot>> = vec![Vec::new(); total];
-    let mut name_of: Vec<String> = vec![String::new(); total];
-    for (i, node) in nodes.iter().enumerate() {
-        if node.derived_children.is_some() {
-            continue;
+    let mut attrs_of: Vec<Vec<Placement>> = vec![Vec::new(); total];
+    for (i, node) in nodes.iter_mut().enumerate() {
+        if node.derived_children.is_none() {
+            legs_of[i] = merge_legs(catalog, assembled, &ancestors, &node.members)?;
+            attrs_of[i] = member_groups(catalog, equiv, &node.members);
+            node.name = merged_name(catalog, &node.members);
         }
-        let (legs, attrs, name) =
-            merge_member_rels(catalog, equiv, assembled, &ancestors, &node.members)?;
-        legs_of[i] = legs;
-        attrs_of[i] = attrs;
-        name_of[i] = name;
     }
-    for i in 0..total {
-        let Some((x, y)) = nodes[i].derived_children else {
+    nodes::name_derived(&mut nodes);
+    for (i, node) in nodes.iter().enumerate() {
+        let Some((x, y)) = node.derived_children else {
             continue;
         };
-        let legs = union_legs(assembled, &ancestors, &legs_of[x], &legs_of[y])
-            .ok_or(CoreError::RelLegMismatch {
+        legs_of[i] = union_legs(&ancestors, &legs_of[x], &legs_of[y]).ok_or(
+            CoreError::RelLegMismatch {
                 a: nodes[x].members[0],
                 b: nodes[y].members[0],
-            })?;
-        legs_of[i] = legs;
-        name_of[i] = derived_rel_name(&[name_of[x].as_str(), name_of[y].as_str()]);
+            },
+        )?;
         if options.pull_up_common_attrs {
-            attrs_of[i] = common_attr_slots(&attrs_of[x], &attrs_of[y]);
+            attrs_of[i] = pulled_up_groups(&attrs_of[x], &attrs_of[y]);
         }
     }
 
     // 4. Emit into the schema builder in node order, then record lattice
     //    edges using the assigned RelIds.
     let mut rel_ids = vec![RelId::new(0); total];
-    for i in 0..total {
-        let claimed = assembled.pool.claim(&name_of[i]);
+    for (i, node) in nodes.iter().enumerate() {
+        let claimed = assembled.pool.claim(&node.name);
         let mut rb = assembled.builder.relationship(claimed);
         for leg in &legs_of[i] {
             rb = match &leg.role {
@@ -177,10 +116,9 @@ pub(super) fn integrate_rels(
             };
         }
         let mut prov_row = Vec::new();
-        let mut attr_pool = super::names::NamePool::default();
+        let mut attr_pool = NamePool::default();
         for slot in &attrs_of[i] {
-            let names: Vec<&str> = slot.components.iter().map(|c| c.attr.name.as_str()).collect();
-            let aname = attr_pool.claim(&merged_attr_name(&names));
+            let aname = attr_pool.claim(&slot.name());
             rb = if slot.key {
                 rb.attr_key(aname, slot.domain.clone())
             } else {
@@ -190,58 +128,30 @@ pub(super) fn integrate_rels(
                 components: slot.components.clone(),
             });
         }
-        let rid = rb.finish();
-        rel_ids[i] = rid;
+        rel_ids[i] = rb.finish();
         assembled.rel_attr_prov.push(prov_row);
-        assembled.rel_origin.push(match nodes[i].derived_children {
-            Some((x, y)) => RelOrigin::DerivedSuper {
-                children: vec![rel_ids[x], rel_ids[y]],
-            },
-            None if nodes[i].members.len() == 1 => RelOrigin::Copied(nodes[i].members[0]),
-            None => RelOrigin::Merged(nodes[i].members.clone()),
-        });
-        for &m in &nodes[i].members {
-            assembled.rel_map.insert(m, rid);
+        // Derived nodes follow their children, whose ids are set.
+        assembled.rel_origin.push(node.origin(&rel_ids));
+        for &m in &node.members {
+            assembled.rel_map.insert(m, rel_ids[i]);
         }
     }
     for (i, node) in nodes.iter().enumerate() {
-        for &p in &node.pp_parents {
+        for &p in &node.parents {
             assembled.rel_lattice.push((rel_ids[i], rel_ids[p]));
         }
     }
     Ok(())
 }
 
-/// An attribute slot of a relationship node.
-#[derive(Clone, Debug)]
-struct RelAttrSlot {
-    class: Option<ClassNo>,
-    domain: sit_ecr::Domain,
-    key: bool,
-    components: Vec<ComponentAttrInfo>,
-}
-
-impl RelAttrSlot {
-    fn absorb(&mut self, other: &RelAttrSlot) {
-        for c in &other.components {
-            if !self.components.contains(c) {
-                self.domain = self.domain.generalize(&c.attr.domain);
-                self.key = self.key && c.attr.is_key();
-                self.components.push(c.clone());
-            }
-        }
-    }
-}
-
-/// Merge the member relationship sets of one node: pair legs, widen
-/// constraints, collapse equivalent attributes, and compute the node name.
-fn merge_member_rels(
+/// Merge the legs of the member relationship sets of one node: pair them
+/// through the integrated IS-A lattice and widen their constraints.
+fn merge_legs(
     catalog: &Catalog,
-    equiv: &EquivalenceRegistry,
     assembled: &Assembled,
     ancestors: &[Vec<ObjectId>],
     members: &[GRel],
-) -> Result<(Vec<Leg>, Vec<RelAttrSlot>, String)> {
+) -> Result<Vec<Leg>> {
     debug_assert!(!members.is_empty());
     // Start from the first member's legs.
     let first = members[0];
@@ -253,7 +163,7 @@ fn merge_member_rels(
         .map(|p| Leg {
             object: assembled
                 .object_map
-                .get(&crate::catalog::GObj::new(first.schema, p.object))
+                .get(&GObj::new(first.schema, p.object))
                 .copied()
                 .expect("participant object was integrated"),
             cardinality: p.cardinality,
@@ -267,7 +177,7 @@ fn merge_member_rels(
         for p in &mrel.participants {
             let obj = assembled
                 .object_map
-                .get(&crate::catalog::GObj::new(m.schema, p.object))
+                .get(&GObj::new(m.schema, p.object))
                 .copied()
                 .expect("participant object was integrated");
             // Prefer an exact node match, then a comparable one.
@@ -298,55 +208,27 @@ fn merge_member_rels(
         }
     }
 
-    // Attributes, collapsed by equivalence class.
-    let mut slots: Vec<RelAttrSlot> = Vec::new();
-    let mut class_slot: HashMap<ClassNo, usize> = HashMap::new();
-    for &m in members {
-        let ms = catalog.schema(m.schema);
-        let mrel = ms.relationship(m.rel);
-        for (aid, attr) in mrel.attributes.iter().enumerate() {
-            let ga = GAttr::rel(m.schema, m.rel, sit_ecr::AttrId::new(aid as u32));
-            let class = equiv.class_no(ga);
-            let info = ComponentAttrInfo {
-                schema: ms.name().to_owned(),
-                owner: mrel.name.clone(),
-                owner_kind: 'R',
-                attr: attr.clone(),
-            };
-            let slot = RelAttrSlot {
-                class,
-                domain: attr.domain.clone(),
-                key: attr.is_key(),
-                components: vec![info],
-            };
-            match class.and_then(|c| class_slot.get(&c).copied()) {
-                Some(i) => slots[i].absorb(&slot),
-                None => {
-                    if let Some(c) = class {
-                        class_slot.insert(c, slots.len());
-                    }
-                    slots.push(slot);
-                }
-            }
-        }
-    }
+    Ok(legs)
+}
 
-    // Name: original for a copied set, `E_...` for a merge.
-    let name = if members.len() == 1 {
-        frel.name.clone()
-    } else {
-        let names: Vec<&str> = members
-            .iter()
-            .map(|&m| catalog.schema(m.schema).relationship(m.rel).name.as_str())
-            .collect();
-        let first_participant = frel
-            .participants
-            .first()
-            .map(|p| catalog.schema(first.schema).object(p.object).name.clone())
-            .unwrap_or_default();
-        equivalent_rel_name(&names, &first_participant)
-    };
-    Ok((legs, slots, name))
+/// Name of a base node: the original for a copied set, `E_...` for a
+/// merge.
+fn merged_name(catalog: &Catalog, members: &[GRel]) -> String {
+    let first = members[0];
+    let frel = catalog.schema(first.schema).relationship(first.rel);
+    if members.len() == 1 {
+        return frel.name.clone();
+    }
+    let names: Vec<&str> = members
+        .iter()
+        .map(|&m| catalog.schema(m.schema).relationship(m.rel).name.as_str())
+        .collect();
+    let first_participant = frel
+        .participants
+        .first()
+        .map(|p| catalog.schema(first.schema).object(p.object).name.as_str())
+        .unwrap_or_default();
+    equivalent_rel_name(&names, first_participant)
 }
 
 /// Legs of a derived (union) relationship set over two children: pair the
@@ -355,7 +237,6 @@ fn merge_member_rels(
 /// instance of the general class may participate in neither child) and
 /// sum maximums.
 fn union_legs(
-    _assembled: &Assembled,
     ancestors: &[Vec<ObjectId>],
     a: &[Leg],
     b: &[Leg],
@@ -399,21 +280,6 @@ fn common_general(ancestors: &[Vec<ObjectId>], a: ObjectId, b: ObjectId) -> Opti
         .filter(|x| bs.contains(x))
         // Deepest = the candidate with the most ancestors of its own.
         .max_by_key(|x| ancestors[x.index()].len())
-}
-
-/// Attribute slots common (by class) to both children — pull-up for
-/// derived relationship sets.
-fn common_attr_slots(a: &[RelAttrSlot], b: &[RelAttrSlot]) -> Vec<RelAttrSlot> {
-    let mut out = Vec::new();
-    for sa in a {
-        let Some(c) = sa.class else { continue };
-        if let Some(sb) = b.iter().find(|s| s.class == Some(c)) {
-            let mut merged = sa.clone();
-            merged.absorb(sb);
-            out.push(merged);
-        }
-    }
-    out
 }
 
 /// If one object equals or (transitively) contains the other in the

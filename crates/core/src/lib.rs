@@ -44,6 +44,7 @@ pub mod assertion;
 pub mod catalog;
 pub mod closure;
 pub mod cluster;
+pub mod element;
 pub mod equivalence;
 pub mod error;
 pub mod integrate;
@@ -56,8 +57,9 @@ pub mod session;
 pub use assertion::{Assertion, Rel5, Rel5Set};
 pub use catalog::{Catalog, GAttr, GObj, GRel};
 pub use closure::{AssertionEngine, ConflictReport, DerivedFact, FactId, FactSource};
+pub use element::Element;
 pub use equivalence::{ClassNo, EquivalenceRegistry};
 pub use error::{CoreError, Result};
 pub use integrate::{IntegratedSchema, IntegrationOptions};
-pub use resemblance::{ocs_matrix, ranked_pairs, ranked_rel_pairs, CandidatePair};
+pub use resemblance::{ocs_matrix, ranked_pairs, CandidatePair};
 pub use session::Session;

@@ -25,7 +25,7 @@ pub use query::{CmpOp, ComponentQuery, Filter, Query, UnionPlan};
 
 use std::collections::HashMap;
 
-use sit_ecr::ObjectId;
+use sit_ecr::{AttrOwner, ObjectId};
 
 use crate::catalog::Catalog;
 use crate::error::{CoreError, Result};
@@ -109,41 +109,23 @@ impl Mappings {
             }
         }
 
-        // Attribute maps from provenance (both directions).
+        // Attribute maps from provenance (both directions), relationship
+        // attributes included.
         let mut attr_up = HashMap::new();
         let mut attr_down: HashMap<IntegratedAttrKey, Vec<ComponentAttrKey>> = HashMap::new();
-        for (oid, prov_row) in integrated.object_attr_prov.iter().enumerate() {
-            let oid = ObjectId::new(oid as u32);
-            let obj = schema.object(oid);
-            for (aid, prov) in prov_row.iter().enumerate() {
-                let aname = obj.attributes[aid].name.clone();
+        let owners = schema
+            .object_ids()
+            .map(AttrOwner::Object)
+            .chain(schema.rel_ids().map(AttrOwner::Rel));
+        for owner in owners {
+            let iname = schema.owner_name(owner).unwrap_or_default();
+            let prov_row = integrated.attr_prov(owner).unwrap_or_default();
+            for (attr, prov) in schema.owner_attrs(owner).iter().zip(prov_row) {
+                let target = (iname.to_owned(), attr.name.clone());
                 for c in &prov.components {
-                    attr_up.insert(
-                        (c.schema.clone(), c.owner.clone(), c.attr.name.clone()),
-                        (obj.name.clone(), aname.clone()),
-                    );
-                    attr_down
-                        .entry((obj.name.clone(), aname.clone()))
-                        .or_default()
-                        .push((c.schema.clone(), c.owner.clone(), c.attr.name.clone()));
-                }
-            }
-        }
-        // Relationship attributes participate in up-translation too.
-        for (rid, prov_row) in integrated.rel_attr_prov.iter().enumerate() {
-            let rid = sit_ecr::RelId::new(rid as u32);
-            let rel = schema.relationship(rid);
-            for (aid, prov) in prov_row.iter().enumerate() {
-                let aname = rel.attributes[aid].name.clone();
-                for c in &prov.components {
-                    attr_up.insert(
-                        (c.schema.clone(), c.owner.clone(), c.attr.name.clone()),
-                        (rel.name.clone(), aname.clone()),
-                    );
-                    attr_down
-                        .entry((rel.name.clone(), aname.clone()))
-                        .or_default()
-                        .push((c.schema.clone(), c.owner.clone(), c.attr.name.clone()));
+                    let key = (c.schema.clone(), c.owner.clone(), c.attr.name.clone());
+                    attr_up.insert(key.clone(), target.clone());
+                    attr_down.entry(target.clone()).or_default().push(key);
                 }
             }
         }

@@ -11,10 +11,18 @@
 //! attributes in the smaller object class)`. Thus a value of 0.5 ...
 //! specifies that every attribute in one object class has an equivalent
 //! attribute in the other object class."
+//!
+//! Relationship sets carry attributes too, and main-menu task 5 ranks
+//! their pairs the same way, so [`ocs_entry`] and [`ranked_pairs`] are
+//! generic over [`Element`]: one body serves both kinds, and only the
+//! span name (`ocs.ranked_pairs` or `ocs.ranked_rel_pairs`) tells them
+//! apart. The dense [`ocs_matrix`] and [`ocs_sparse`] cover object
+//! classes, the OCS matrix the paper names.
 
-use sit_ecr::{AttrOwner, SchemaId};
+use sit_ecr::{AttrId, AttrOwner, SchemaId};
 
-use crate::catalog::{Catalog, GAttr, GObj, GRel};
+use crate::catalog::{Catalog, GAttr};
+use crate::element::Element;
 use crate::equivalence::EquivalenceRegistry;
 
 /// A candidate pair with its resemblance, as one row of Screen 8.
@@ -58,36 +66,13 @@ fn equivalent_count(
     count
 }
 
-/// OCS entry for a pair of object classes.
-pub fn ocs_entry(
-    catalog: &Catalog,
-    equiv: &EquivalenceRegistry,
-    a: GObj,
-    b: GObj,
-) -> usize {
-    let sa = catalog.schema(a.schema);
-    let left = sa
-        .object(a.object)
-        .attr_ids()
-        .map(|aid| GAttr::object(a.schema, a.object, aid));
-    equivalent_count(equiv, left, |m| {
-        m.schema == b.schema && m.owner == AttrOwner::Object(b.object)
-    })
-}
-
-/// OCS entry for a pair of relationship sets.
-pub fn ocs_rel_entry(
-    catalog: &Catalog,
-    equiv: &EquivalenceRegistry,
-    a: GRel,
-    b: GRel,
-) -> usize {
-    let sa = catalog.schema(a.schema);
-    let left = (0..sa.relationship(a.rel).attr_count() as u32)
-        .map(|i| GAttr::rel(a.schema, a.rel, sit_ecr::AttrId::new(i)));
-    equivalent_count(equiv, left, |m| {
-        m.schema == b.schema && m.owner == AttrOwner::Rel(b.rel)
-    })
+/// OCS entry for a pair of object classes or relationship sets: the
+/// number of equivalent attributes between them.
+pub fn ocs_entry<E: Element>(catalog: &Catalog, equiv: &EquivalenceRegistry, a: E, b: E) -> usize {
+    let (owner, schema) = (a.owner(), a.schema());
+    let left = (0..catalog.schema(schema).owner_attrs(owner).len() as u32)
+        .map(|i| GAttr::new(schema, owner, AttrId::new(i)));
+    equivalent_count(equiv, left, |m| m.schema == b.schema() && m.owner == b.owner())
 }
 
 /// The full OCS matrix between two schemas' object classes:
@@ -119,7 +104,6 @@ pub fn ocs_matrix(
 /// ⚗ ablation of DESIGN.md §6.1); they agree by construction, which
 /// `tests` verify.
 pub fn ocs_sparse(
-    catalog: &Catalog,
     equiv: &EquivalenceRegistry,
     sa: SchemaId,
     sb: SchemaId,
@@ -145,7 +129,6 @@ pub fn ocs_sparse(
             }
         }
     }
-    let _ = catalog;
     out
 }
 
@@ -162,88 +145,51 @@ pub fn attribute_ratio(equivalent: usize, attrs_a: usize, attrs_b: usize) -> f64
     }
 }
 
-/// The ranked object-pair list of Screen 8: all cross-schema object pairs
-/// with at least one equivalent attribute, ordered by descending attribute
-/// ratio (ties broken by equivalent-attribute count, then definition
-/// order — the heuristic "the higher the percentage of equivalent
-/// attributes ... the more likely they are to be integrated with stronger
-/// assertions").
-pub fn ranked_pairs(
+/// The ranked pair list of Screen 8 (and of main-menu task 5 for
+/// relationship sets): all cross-schema pairs with at least one
+/// equivalent attribute, ordered by descending attribute ratio (ties
+/// broken by the dotted display names — the heuristic "the higher the
+/// percentage of equivalent attributes ... the more likely they are to be
+/// integrated with stronger assertions").
+pub fn ranked_pairs<E: Element>(
     catalog: &Catalog,
     equiv: &EquivalenceRegistry,
     sa: SchemaId,
     sb: SchemaId,
-) -> Vec<CandidatePair<GObj>> {
-    let _span = sit_obs::trace::span("ocs.ranked_pairs");
+) -> Vec<CandidatePair<E>> {
+    let _span = sit_obs::trace::span(E::RANK_SPAN);
+    let attr_count = |e: E| catalog.schema(e.schema()).owner_attrs(e.owner()).len();
     let mut out = Vec::new();
-    for a in catalog.objects_of(sa) {
-        for b in catalog.objects_of(sb) {
+    for a in E::members(catalog, sa) {
+        for b in E::members(catalog, sb) {
             let e = ocs_entry(catalog, equiv, a, b);
             if e == 0 {
                 continue;
             }
-            let na = catalog.schema(sa).object(a.object).attr_count();
-            let nb = catalog.schema(sb).object(b.object).attr_count();
             out.push(CandidatePair {
                 left: a,
                 right: b,
                 equivalent: e,
-                ratio: attribute_ratio(e, na, nb),
+                ratio: attribute_ratio(e, attr_count(a), attr_count(b)),
             });
         }
     }
-    sort_candidates(&mut out, |p| {
-        (catalog.obj_display(p.left), catalog.obj_display(p.right))
-    });
-    out
-}
-
-/// The ranked relationship-pair list (main-menu task 5's ordering).
-pub fn ranked_rel_pairs(
-    catalog: &Catalog,
-    equiv: &EquivalenceRegistry,
-    sa: SchemaId,
-    sb: SchemaId,
-) -> Vec<CandidatePair<GRel>> {
-    let _span = sit_obs::trace::span("ocs.ranked_rel_pairs");
-    let mut out = Vec::new();
-    for a in catalog.rels_of(sa) {
-        for b in catalog.rels_of(sb) {
-            let e = ocs_rel_entry(catalog, equiv, a, b);
-            if e == 0 {
-                continue;
-            }
-            let na = catalog.schema(sa).relationship(a.rel).attr_count();
-            let nb = catalog.schema(sb).relationship(b.rel).attr_count();
-            out.push(CandidatePair {
-                left: a,
-                right: b,
-                equivalent: e,
-                ratio: attribute_ratio(e, na, nb),
-            });
-        }
-    }
-    sort_candidates(&mut out, |p| {
-        (catalog.rel_display(p.left), catalog.rel_display(p.right))
-    });
-    out
-}
-
-/// Order: ratio descending, ties broken by the dotted display names —
-/// which reproduces Screen 8's listing (`sc1.Department` before
-/// `sc1.Student` at equal ratio).
-fn sort_candidates<N, K: Ord>(out: &mut [CandidatePair<N>], key: impl Fn(&CandidatePair<N>) -> K) {
     out.sort_by(|l, r| {
         r.ratio
             .partial_cmp(&l.ratio)
             .expect("ratios are finite")
-            .then(key(l).cmp(&key(r)))
+            .then_with(|| {
+                (catalog.display(l.left), catalog.display(l.right))
+                    .cmp(&(catalog.display(r.left), catalog.display(r.right)))
+            })
     });
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{GObj, GRel};
     use sit_ecr::fixtures;
 
     /// Catalog + equivalences matching Screen 8's state: Name and GPA of
@@ -278,13 +224,13 @@ mod tests {
         // sc1.Student/sc2.Grad_student 0.5000,
         // sc1.Student/sc2.Faculty 0.3333.
         let (c, r, s1, s2) = setup();
-        let pairs = ranked_pairs(&c, &r, s1, s2);
+        let pairs: Vec<CandidatePair<GObj>> = ranked_pairs(&c, &r, s1, s2);
         let row = |o1: &str, o2: &str| {
             pairs
                 .iter()
                 .find(|p| {
-                    c.obj_display(p.left) == format!("sc1.{o1}")
-                        && c.obj_display(p.right) == format!("sc2.{o2}")
+                    c.display(p.left) == format!("sc1.{o1}")
+                        && c.display(p.right) == format!("sc2.{o2}")
                 })
                 .unwrap_or_else(|| panic!("missing row {o1}/{o2}"))
         };
@@ -314,7 +260,7 @@ mod tests {
     fn sparse_and_dense_ocs_agree() {
         let (c, r, s1, s2) = setup();
         let dense = ocs_matrix(&c, &r, s1, s2);
-        let sparse = ocs_sparse(&c, &r, s1, s2);
+        let sparse = ocs_sparse(&r, s1, s2);
         for (i, row) in dense.iter().enumerate() {
             for (j, &v) in row.iter().enumerate() {
                 let key = (
@@ -344,10 +290,10 @@ mod tests {
         let at = |s: &str, o: &str, a: &str| c.attr_named(s, o, a).unwrap();
         r.declare_equivalent(&c, at("sc1", "Majors", "Since"), at("sc2", "Majors", "Since"))
             .unwrap();
-        let pairs = ranked_rel_pairs(&c, &r, s1, s2);
+        let pairs: Vec<CandidatePair<GRel>> = ranked_pairs(&c, &r, s1, s2);
         assert_eq!(pairs.len(), 1);
-        assert_eq!(c.rel_display(pairs[0].left), "sc1.Majors");
-        assert_eq!(c.rel_display(pairs[0].right), "sc2.Majors");
+        assert_eq!(c.display(pairs[0].left), "sc1.Majors");
+        assert_eq!(c.display(pairs[0].right), "sc2.Majors");
         assert!((pairs[0].ratio - 0.5).abs() < 1e-9);
     }
 
@@ -375,11 +321,11 @@ mod tests {
         // p and q cannot be declared equivalent (same schema); chain
         // through Y.r instead.
         reg.declare_equivalent(&c, at("a", "X", "q"), at("b", "Y", "r")).unwrap();
-        let x = c.object_named("a", "X").unwrap();
-        let y = c.object_named("b", "Y").unwrap();
+        let x: GObj = c.named("a", "X").unwrap();
+        let y: GObj = c.named("b", "Y").unwrap();
         assert_eq!(ocs_entry(&c, &reg, x, y), 1, "one shared class");
         // Ratio from Y's side: 1/(1+1) = 0.5.
-        let pairs = ranked_pairs(&c, &reg, s1, s2);
+        let pairs = ranked_pairs::<GObj>(&c, &reg, s1, s2);
         assert!((pairs[0].ratio - 0.5).abs() < 1e-9);
     }
 }

@@ -3,6 +3,7 @@
 //! role preservation, and the error paths.
 
 use sit_core::assertion::Assertion;
+use sit_core::catalog::GRel;
 use sit_core::error::CoreError;
 use sit_core::integrate::{IntegrationOptions, RelOrigin};
 use sit_core::session::Session;
@@ -29,9 +30,9 @@ fn contained_relationship_builds_a_lattice_edge() {
     let person = s.object_named("a", "Person").unwrap();
     let human = s.object_named("b", "Human").unwrap();
     s.assert_objects(person, human, Assertion::Equal).unwrap();
-    let sup = s.rel_named("a", "Supervises").unwrap();
-    let adv = s.rel_named("b", "Advises").unwrap();
-    s.assert_rels(adv, sup, Assertion::ContainedIn).unwrap();
+    let sup = s.named::<GRel>("a", "Supervises").unwrap();
+    let adv = s.named::<GRel>("b", "Advises").unwrap();
+    s.assert(adv, sup, Assertion::ContainedIn).unwrap();
 
     let result = s.integrate(sa, sb, &IntegrationOptions::default()).unwrap();
     let schema = &result.schema;
@@ -74,9 +75,9 @@ fn disjoint_integrable_relationships_produce_a_derived_union() {
     let uc = s.object_named("a", "UCourse").unwrap();
     let gc = s.object_named("b", "GCourse").unwrap();
     s.assert_objects(uc, gc, Assertion::DisjointIntegrable).unwrap();
-    let tu = s.rel_named("a", "TeachesU").unwrap();
-    let tg = s.rel_named("b", "TeachesG").unwrap();
-    s.assert_rels(tu, tg, Assertion::DisjointIntegrable).unwrap();
+    let tu = s.named::<GRel>("a", "TeachesU").unwrap();
+    let tg = s.named::<GRel>("b", "TeachesG").unwrap();
+    s.assert(tu, tg, Assertion::DisjointIntegrable).unwrap();
 
     let result = s.integrate(sa, sb, &IntegrationOptions::default()).unwrap();
     let schema = &result.schema;
@@ -127,9 +128,9 @@ fn merged_relationship_widens_constraints_and_merges_attrs() {
         s.assert_objects(a, b, Assertion::Equal).unwrap();
     }
     s.declare_equivalent_named("a", "R", "weight", "b", "S", "load").unwrap();
-    let r = s.rel_named("a", "R").unwrap();
-    let srel = s.rel_named("b", "S").unwrap();
-    s.assert_rels(r, srel, Assertion::Equal).unwrap();
+    let r = s.named::<GRel>("a", "R").unwrap();
+    let srel = s.named::<GRel>("b", "S").unwrap();
+    s.assert(r, srel, Assertion::Equal).unwrap();
 
     let result = s.integrate(sa, sb, &IntegrationOptions::default()).unwrap();
     let schema = &result.schema;
@@ -162,9 +163,9 @@ fn leg_mismatch_is_reported() {
     let x = s.object_named("a", "X").unwrap();
     let p = s.object_named("b", "P").unwrap();
     s.assert_objects(x, p, Assertion::Equal).unwrap();
-    let r = s.rel_named("a", "R").unwrap();
-    let srel = s.rel_named("b", "S").unwrap();
-    s.assert_rels(r, srel, Assertion::Equal).unwrap();
+    let r = s.named::<GRel>("a", "R").unwrap();
+    let srel = s.named::<GRel>("b", "S").unwrap();
+    s.assert(r, srel, Assertion::Equal).unwrap();
     let err = s.integrate(sa, sb, &IntegrationOptions::default()).unwrap_err();
     assert!(matches!(err, CoreError::RelLegMismatch { .. }), "{err}");
 }
@@ -184,9 +185,9 @@ fn pull_up_moves_common_rel_attrs_to_the_union() {
         s.assert_objects(a, b, Assertion::Equal).unwrap();
     }
     s.declare_equivalent_named("a", "R", "started", "b", "S", "begun").unwrap();
-    let r = s.rel_named("a", "R").unwrap();
-    let srel = s.rel_named("b", "S").unwrap();
-    s.assert_rels(r, srel, Assertion::DisjointIntegrable).unwrap();
+    let r = s.named::<GRel>("a", "R").unwrap();
+    let srel = s.named::<GRel>("b", "S").unwrap();
+    s.assert(r, srel, Assertion::DisjointIntegrable).unwrap();
 
     let options = IntegrationOptions {
         pull_up_common_attrs: true,
@@ -242,9 +243,9 @@ fn rel_mappings_translate_view_queries() {
     let d1 = s.object_named("sc1", "Department").unwrap();
     let d2 = s.object_named("sc2", "Department").unwrap();
     s.assert_objects(d1, d2, Assertion::Equal).unwrap();
-    let m1 = s.rel_named("sc1", "Majors").unwrap();
-    let m2 = s.rel_named("sc2", "Majors").unwrap();
-    s.assert_rels(m1, m2, Assertion::Equal).unwrap();
+    let m1 = s.named::<GRel>("sc1", "Majors").unwrap();
+    let m2 = s.named::<GRel>("sc2", "Majors").unwrap();
+    s.assert(m1, m2, Assertion::Equal).unwrap();
     let (_, mappings) = s
         .integrate_with_mappings(sa, sb, &IntegrationOptions::default())
         .unwrap();

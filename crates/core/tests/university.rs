@@ -4,6 +4,7 @@
 //! every step.
 
 use sit_core::assertion::Assertion;
+use sit_core::catalog::{GObj, GRel};
 use sit_core::integrate::IntegrationOptions;
 use sit_core::mapping::{CmpOp, Query};
 use sit_core::session::Session;
@@ -41,9 +42,9 @@ fn paper_session() -> (Session, sit_ecr::SchemaId, sit_ecr::SchemaId) {
     s.assert_objects(student, faculty, Assertion::DisjointIntegrable)
         .unwrap();
 
-    let majors1 = s.rel_named("sc1", "Majors").unwrap();
-    let majors2 = s.rel_named("sc2", "Majors").unwrap();
-    s.assert_rels(majors1, majors2, Assertion::Equal).unwrap();
+    let majors1 = s.named::<GRel>("sc1", "Majors").unwrap();
+    let majors2 = s.named::<GRel>("sc2", "Majors").unwrap();
+    s.assert(majors1, majors2, Assertion::Equal).unwrap();
 
     (s, sc1, sc2)
 }
@@ -51,13 +52,13 @@ fn paper_session() -> (Session, sit_ecr::SchemaId, sit_ecr::SchemaId) {
 #[test]
 fn screen8_candidate_rows() {
     let (s, sc1, sc2) = paper_session();
-    let pairs = s.candidates(sc1, sc2);
+    let pairs = s.candidates::<GObj>(sc1, sc2);
     let rows: Vec<(String, String, String)> = pairs
         .iter()
         .map(|p| {
             (
-                s.catalog().obj_display(p.left),
-                s.catalog().obj_display(p.right),
+                s.catalog().display(p.left),
+                s.catalog().display(p.right),
                 format!("{:.4}", p.ratio),
             )
         })

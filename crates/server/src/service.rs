@@ -22,9 +22,11 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use sit_core::assertion::Assertion;
 use sit_core::integrate::IntegrationOptions;
 use sit_core::script;
 use sit_core::session::Session;
+use sit_core::{Element, GObj, GRel};
 use sit_ecr::render;
 use sit_obs::clock::{Clock, MonotonicClock};
 use sit_obs::metrics::prom_counter;
@@ -501,93 +503,23 @@ pub(crate) fn apply_session_request(
             let removed = s.remove_from_class(attr);
             Ok(ok_response(vec![("removed", Json::Bool(removed))]))
         }
-        Request::Candidates { a, b, .. } => {
-            let (sa, sb) = (schema_id(s, a)?, schema_id(s, b)?);
-            let pairs: Vec<Json> = s
-                .candidates(sa, sb)
-                .into_iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("left", Json::str(s.catalog().obj_display(p.left))),
-                        ("right", Json::str(s.catalog().obj_display(p.right))),
-                        ("equivalent", Json::num(p.equivalent as u64)),
-                        ("ratio", Json::Num(p.ratio)),
-                    ])
-                })
-                .collect();
-            Ok(ok_response(vec![("pairs", Json::Arr(pairs))]))
-        }
-        Request::RelCandidates { a, b, .. } => {
-            let (sa, sb) = (schema_id(s, a)?, schema_id(s, b)?);
-            let pairs: Vec<Json> = s
-                .rel_candidates(sa, sb)
-                .into_iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("left", Json::str(s.catalog().rel_display(p.left))),
-                        ("right", Json::str(s.catalog().rel_display(p.right))),
-                        ("equivalent", Json::num(p.equivalent as u64)),
-                        ("ratio", Json::Num(p.ratio)),
-                    ])
-                })
-                .collect();
-            Ok(ok_response(vec![("pairs", Json::Arr(pairs))]))
-        }
-        Request::Assert { a, b, assertion, .. } => {
-            let ga = object_path(s, a)?;
-            let gb = object_path(s, b)?;
-            let derived = s.assert_objects(ga, gb, *assertion)?;
-            let derived: Vec<Json> = derived
-                .iter()
-                .map(|d| {
-                    Json::obj(vec![
-                        ("a", Json::str(s.catalog().obj_display(d.a))),
-                        ("rel", Json::str(d.rel.to_string())),
-                        ("b", Json::str(s.catalog().obj_display(d.b))),
-                    ])
-                })
-                .collect();
-            Ok(ok_response(vec![("derived", Json::Arr(derived))]))
-        }
-        Request::RelAssert { a, b, assertion, .. } => {
-            let ga = rel_path(s, a)?;
-            let gb = rel_path(s, b)?;
-            let derived = s.assert_rels(ga, gb, *assertion)?;
-            let derived: Vec<Json> = derived
-                .iter()
-                .map(|d| {
-                    Json::obj(vec![
-                        ("a", Json::str(s.catalog().rel_display(d.a))),
-                        ("rel", Json::str(d.rel.to_string())),
-                        ("b", Json::str(s.catalog().rel_display(d.b))),
-                    ])
-                })
-                .collect();
-            Ok(ok_response(vec![("derived", Json::Arr(derived))]))
-        }
-        Request::Retract { a, b, .. } => {
-            let ga = object_path(s, a)?;
-            let gb = object_path(s, b)?;
-            let retracted = s.retract_objects(ga, gb);
-            Ok(ok_response(vec![("retracted", Json::Bool(retracted))]))
-        }
-        Request::RelRetract { a, b, .. } => {
-            let ga = rel_path(s, a)?;
-            let gb = rel_path(s, b)?;
-            let retracted = s.retract_rels(ga, gb);
-            Ok(ok_response(vec![("retracted", Json::Bool(retracted))]))
-        }
+        Request::Candidates { a, b, .. } => candidates::<GObj>(s, a, b),
+        Request::RelCandidates { a, b, .. } => candidates::<GRel>(s, a, b),
+        Request::Assert { a, b, assertion, .. } => assert::<GObj>(s, a, b, *assertion),
+        Request::RelAssert { a, b, assertion, .. } => assert::<GRel>(s, a, b, *assertion),
+        Request::Retract { a, b, .. } => retract::<GObj>(s, a, b),
+        Request::RelRetract { a, b, .. } => retract::<GRel>(s, a, b),
         Request::Matrix { a, b, .. } => {
             let (sa, sb) = (schema_id(s, a)?, schema_id(s, b)?);
             let rows: Vec<Json> = s
                 .catalog()
                 .objects_of(sa)
-                .map(|o| Json::str(s.catalog().obj_display(o)))
+                .map(|o| Json::str(s.catalog().display(o)))
                 .collect();
             let cols: Vec<Json> = s
                 .catalog()
                 .objects_of(sb)
-                .map(|o| Json::str(s.catalog().obj_display(o)))
+                .map(|o| Json::str(s.catalog().display(o)))
                 .collect();
             let cells: Vec<Json> = s
                 .assertion_matrix(sa, sb)
@@ -667,18 +599,58 @@ fn attr_path(path: &str) -> Result<(&str, &str, &str), ServerError> {
     }
 }
 
-fn object_path(s: &Session, path: &str) -> Result<sit_core::catalog::GObj, ServerError> {
-    let (schema, object) = path
+/// Resolve a `schema.Name` path to an element of kind `E`.
+fn element_path<E: Element>(s: &Session, path: &str) -> Result<E, ServerError> {
+    let (schema, name) = path
         .split_once('.')
-        .ok_or_else(|| ServerError::bad_request(format!("object paths are `schema.Object`: `{path}`")))?;
-    Ok(s.object_named(schema, object)?)
+        .ok_or_else(|| ServerError::bad_request(format!("{}: `{path}`", E::PATH_HINT)))?;
+    Ok(s.named(schema, name)?)
 }
 
-fn rel_path(s: &Session, path: &str) -> Result<sit_core::catalog::GRel, ServerError> {
-    let (schema, rel) = path
-        .split_once('.')
-        .ok_or_else(|| ServerError::bad_request(format!("relationship paths are `schema.Rel`: `{path}`")))?;
-    Ok(s.rel_named(schema, rel)?)
+fn candidates<E: Element>(s: &Session, a: &str, b: &str) -> Result<Json, ServerError> {
+    let (sa, sb) = (schema_id(s, a)?, schema_id(s, b)?);
+    let pairs: Vec<Json> = s
+        .candidates::<E>(sa, sb)
+        .into_iter()
+        .map(|p| {
+            Json::obj(vec![
+                ("left", Json::str(s.catalog().display(p.left))),
+                ("right", Json::str(s.catalog().display(p.right))),
+                ("equivalent", Json::num(p.equivalent as u64)),
+                ("ratio", Json::Num(p.ratio)),
+            ])
+        })
+        .collect();
+    Ok(ok_response(vec![("pairs", Json::Arr(pairs))]))
+}
+
+fn assert<E: Element>(
+    s: &mut Session,
+    a: &str,
+    b: &str,
+    assertion: Assertion,
+) -> Result<Json, ServerError> {
+    let ga = element_path::<E>(s, a)?;
+    let gb = element_path::<E>(s, b)?;
+    let derived: Vec<Json> = s
+        .assert(ga, gb, assertion)?
+        .iter()
+        .map(|d| {
+            Json::obj(vec![
+                ("a", Json::str(s.catalog().display(d.a))),
+                ("rel", Json::str(d.rel.to_string())),
+                ("b", Json::str(s.catalog().display(d.b))),
+            ])
+        })
+        .collect();
+    Ok(ok_response(vec![("derived", Json::Arr(derived))]))
+}
+
+fn retract<E: Element>(s: &mut Session, a: &str, b: &str) -> Result<Json, ServerError> {
+    let ga = element_path::<E>(s, a)?;
+    let gb = element_path::<E>(s, b)?;
+    let retracted = s.retract(ga, gb);
+    Ok(ok_response(vec![("retracted", Json::Bool(retracted))]))
 }
 
 #[cfg(test)]

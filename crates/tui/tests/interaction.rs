@@ -206,3 +206,51 @@ fn viewer_guards_unknown_names_and_wrong_kinds() {
     feed(&mut app, keys("x"));
     assert!(app.render().contains("Main Menu"));
 }
+
+#[test]
+fn relationship_conflict_is_repaired_like_an_object_conflict() {
+    let mut session = Session::new();
+    session
+        .add_schema(
+            ddl::parse(
+                "schema a { entity P { id: int key; } \
+                 relationship R1 { P (0,n); P (0,n); x: int; } \
+                 relationship R2 { P (0,n); P (0,n); x: int; } }",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    session
+        .add_schema(
+            ddl::parse("schema b { entity Q { id: int key; } relationship S { Q (0,n); Q (0,n); x: int; } }")
+                .unwrap(),
+        )
+        .unwrap();
+    session.declare_equivalent_named("a", "R1", "x", "b", "S", "x").unwrap();
+    session.declare_equivalent_named("a", "R2", "x", "b", "S", "x").unwrap();
+    let mut app = App::with_session(session);
+    // Task 4 picks the schema pair; task 5 lists a.R1/b.S, then a.R2/b.S.
+    feed(&mut app, keys("4"));
+    feed(&mut app, vec![Event::text("a b")]);
+    feed(&mut app, keys("e"));
+    feed(&mut app, keys("5"));
+    assert!(app.render().contains("Relationship Pairs"), "{}", app.render());
+    // R1 = S, then R2 = S contradicts the seeded R1 / R2 disjointness.
+    feed(&mut app, keys("11"));
+    let f = app.render();
+    assert!(f.contains("<derived>(CONFLICT)"), "{f}");
+    // Repair: change R1 = S to "may be"; R2 = S is then accepted.
+    feed(&mut app, keys("c"));
+    feed(&mut app, vec![Event::text("a.R1 b.S 5")]);
+    assert!(app.render().contains("assertion changed"), "{}", app.render());
+    let catalog = app.session().catalog();
+    let rel = |schema: &str, name: &str| {
+        let sid = catalog.by_name(schema).unwrap();
+        sit_core::GRel::new(sid, catalog.schema(sid).rel_by_name(name).unwrap())
+    };
+    let (r1, s) = (rel("a", "R1"), rel("b", "S"));
+    assert_eq!(
+        app.session().rel_engine().effective(r1, s),
+        Some(sit_core::assertion::Assertion::MayBe)
+    );
+}

@@ -35,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for d in &derived {
         println!(
             "derived : {} {} {}",
-            session.catalog().obj_display(d.a),
+            session.catalog().display(d.a),
             d.rel,
-            session.catalog().obj_display(d.b)
+            session.catalog().display(d.b)
         );
     }
 

@@ -10,6 +10,7 @@
 //! ```
 
 use sit::core::assertion::Assertion;
+use sit::core::catalog::GObj;
 use sit::core::mapping::Query;
 use sit::core::session::Session;
 use sit::ecr::render;
@@ -76,11 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("\nranked candidates:");
-    for pair in session.candidates(p, q) {
+    for pair in session.candidates::<GObj>(p, q) {
         println!(
             "  {:<24} {:<22} {:.4}",
-            session.catalog().obj_display(pair.left),
-            session.catalog().obj_display(pair.right),
+            session.catalog().display(pair.left),
+            session.catalog().display(pair.right),
             pair.ratio
         );
     }

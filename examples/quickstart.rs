@@ -10,6 +10,7 @@
 //! ```
 
 use sit::core::assertion::Assertion;
+use sit::core::catalog::{GObj, GRel};
 use sit::core::mapping::{CmpOp, Query};
 use sit::core::session::Session;
 use sit::ecr::{fixtures, render};
@@ -37,11 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The OCS-derived ranked candidate list with attribute ratios
     // (Screen 8's rows).
     println!("\nranked object pairs (attribute ratio):");
-    for pair in session.candidates(sc1, sc2) {
+    for pair in session.candidates::<GObj>(sc1, sc2) {
         println!(
             "  {:<22} {:<24} {:.4}",
-            session.catalog().obj_display(pair.left),
-            session.catalog().obj_display(pair.right),
+            session.catalog().display(pair.left),
+            session.catalog().display(pair.right),
             pair.ratio
         );
     }
@@ -55,9 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     session.assert_objects(dept1, dept2, Assertion::Equal)?;
     session.assert_objects(student, grad, Assertion::Contains)?;
     session.assert_objects(student, faculty, Assertion::DisjointIntegrable)?;
-    let majors1 = session.rel_named("sc1", "Majors")?;
-    let majors2 = session.rel_named("sc2", "Majors")?;
-    session.assert_rels(majors1, majors2, Assertion::Equal)?;
+    let majors1 = session.named::<GRel>("sc1", "Majors")?;
+    let majors2 = session.named::<GRel>("sc2", "Majors")?;
+    session.assert(majors1, majors2, Assertion::Equal)?;
     println!("\nphase 3: assertions recorded (codes 1, 3, 4 of Screen 8)");
 
     // ---- Phase 4: integration + mappings ---------------------------

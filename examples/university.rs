@@ -55,17 +55,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let derived = session.assert_objects(a, b, assertion)?;
         println!(
             "\nasserted {} {} {} -> {} derived",
-            session.catalog().obj_display(a),
+            session.catalog().display(a),
             assertion,
-            session.catalog().obj_display(b),
+            session.catalog().display(b),
             derived.len()
         );
         for d in derived {
             println!(
                 "  derived: {} {} {}",
-                session.catalog().obj_display(d.a),
+                session.catalog().display(d.a),
                 d.rel,
-                session.catalog().obj_display(d.b)
+                session.catalog().display(d.b)
             );
         }
     }
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (i, group) in result.object_clusters.groups.iter().enumerate() {
         let names: Vec<String> = group
             .iter()
-            .map(|&g| session.catalog().obj_display(g))
+            .map(|&g| session.catalog().display(g))
             .collect();
         println!("  cluster {i}: {}", names.join(", "));
     }

@@ -4,6 +4,7 @@
 //! and n-ary integration driven by the matcher's fold ordering.
 
 use sit::core::assertion::Assertion;
+use sit::core::catalog::GRel;
 use sit::core::mapping::Query;
 use sit::core::nary::fold_integrate;
 use sit::core::session::Session;
@@ -158,9 +159,9 @@ fn tui_and_api_produce_the_same_integration() {
     session
         .assert_objects(st, fa, Assertion::DisjointIntegrable)
         .unwrap();
-    let m1 = session.rel_named("sc1", "Majors").unwrap();
-    let m2 = session.rel_named("sc2", "Majors").unwrap();
-    session.assert_rels(m1, m2, Assertion::Equal).unwrap();
+    let m1 = session.named::<GRel>("sc1", "Majors").unwrap();
+    let m2 = session.named::<GRel>("sc2", "Majors").unwrap();
+    session.assert(m1, m2, Assertion::Equal).unwrap();
     let api_schema = session
         .integrate(sc1, sc2, &Default::default())
         .unwrap()

@@ -10,6 +10,7 @@
 //! deterministic across runs, with reproducing seeds on failure.
 
 use sit::core::assertion::{Assertion, Rel5, Rel5Set};
+use sit::core::catalog::GObj;
 use sit::core::closure::AssertionEngine;
 use sit::core::session::Session;
 use sit::ecr::{ddl, Cardinality, Domain, SchemaBuilder};
@@ -316,7 +317,7 @@ fn sparse_ocs_matches_dense_and_ranking_is_total() {
         // Dense and sparse derivations agree entry-for-entry: the
         // sparse map holds exactly the non-zero dense cells.
         let dense = ocs_matrix(catalog, equiv, sa, sb);
-        let sparse = ocs_sparse(catalog, equiv, sa, sb);
+        let sparse = ocs_sparse(equiv, sa, sb);
         let mut nonzero = 0usize;
         for (i, row) in dense.iter().enumerate() {
             for (j, &count) in row.iter().enumerate() {
@@ -336,17 +337,17 @@ fn sparse_ocs_matches_dense_and_ranking_is_total() {
         // Ranking: one row per non-zero cell, deterministic across
         // calls, and strictly totally ordered by the documented key
         // (ratio desc, equivalent count desc, definition order asc).
-        let ranked = session.candidates(sa, sb);
+        let ranked = session.candidates::<GObj>(sa, sb);
         prop_assert_eq!(ranked.len(), nonzero, "ranking row count != non-zero OCS cells");
         prop_assert_eq!(
-            &session.candidates(sa, sb),
+            &session.candidates::<GObj>(sa, sb),
             &ranked,
             "ranking is not deterministic"
         );
         for w in ranked.windows(2) {
             let (p, q) = (&w[0], &w[1]);
-            let name_p = (catalog.obj_display(p.left), catalog.obj_display(p.right));
-            let name_q = (catalog.obj_display(q.left), catalog.obj_display(q.right));
+            let name_p = (catalog.display(p.left), catalog.display(p.right));
+            let name_q = (catalog.display(q.left), catalog.display(q.right));
             let strictly_before =
                 p.ratio > q.ratio || (p.ratio == q.ratio && name_p < name_q);
             prop_assert!(
@@ -400,7 +401,7 @@ fn sit_bench_drive(
         }
     }
     // Phase 3 over the ranked candidates.
-    for pair_cand in session.candidates(sa, sb) {
+    for pair_cand in session.candidates::<GObj>(sa, sb) {
         let na = session
             .catalog()
             .schema(sa)
