@@ -22,7 +22,6 @@ use crate::element::{Element, Engines};
 use crate::equivalence::EquivalenceRegistry;
 use crate::error::{CoreError, Result};
 use crate::integrate::{integrate, IntegratedSchema, IntegrationOptions};
-use crate::mapping::Mappings;
 use crate::resemblance::{ranked_pairs, CandidatePair};
 
 /// One interactive integration session.
@@ -298,18 +297,6 @@ impl Session {
             sb,
             options,
         )
-    }
-
-    /// Integrate and also generate the request mappings.
-    pub fn integrate_with_mappings(
-        &self,
-        sa: SchemaId,
-        sb: SchemaId,
-        options: &IntegrationOptions,
-    ) -> Result<(IntegratedSchema, Mappings)> {
-        let integrated = self.integrate(sa, sb, options)?;
-        let mappings = Mappings::new(&self.catalog, &integrated);
-        Ok((integrated, mappings))
     }
 }
 

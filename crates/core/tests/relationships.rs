@@ -6,6 +6,7 @@ use sit_core::assertion::Assertion;
 use sit_core::catalog::GRel;
 use sit_core::error::CoreError;
 use sit_core::integrate::{IntegrationOptions, RelOrigin};
+use sit_core::mapping::Mappings;
 use sit_core::session::Session;
 use sit_ecr::{ddl, Cardinality};
 
@@ -246,9 +247,8 @@ fn rel_mappings_translate_view_queries() {
     let m1 = s.named::<GRel>("sc1", "Majors").unwrap();
     let m2 = s.named::<GRel>("sc2", "Majors").unwrap();
     s.assert(m1, m2, Assertion::Equal).unwrap();
-    let (_, mappings) = s
-        .integrate_with_mappings(sa, sb, &IntegrationOptions::default())
-        .unwrap();
+    let result = s.integrate(sa, sb, &IntegrationOptions::default()).unwrap();
+    let mappings = Mappings::new(s.catalog(), &result);
     // View query against sc2.Majors maps to the merged relationship.
     let q = sit_core::mapping::Query::select("Majors", &["Since"]);
     let up = mappings.to_integrated("sc2", &q).unwrap();

@@ -6,7 +6,7 @@
 use sit_core::assertion::Assertion;
 use sit_core::catalog::{GObj, GRel};
 use sit_core::integrate::IntegrationOptions;
-use sit_core::mapping::{CmpOp, Query};
+use sit_core::mapping::{CmpOp, Mappings, Query};
 use sit_core::session::Session;
 use sit_ecr::fixtures;
 
@@ -135,16 +135,12 @@ fn screen12_component_attributes() {
     assert!(prov.is_derived());
     assert_eq!(prov.components.len(), 2);
     let c0 = &prov.components[0];
-    assert_eq!(
-        (c0.schema.as_str(), c0.owner.as_str(), c0.owner_kind),
-        ("sc1", "Student", 'E')
-    );
-    assert_eq!(c0.attr.name, "Name");
+    let (sname, owner, attr) = c0.resolve(s.catalog());
+    assert_eq!((sname, owner, c0.owner_kind), ("sc1", "Student", 'E'));
+    assert_eq!(attr.name, "Name");
     let c1 = &prov.components[1];
-    assert_eq!(
-        (c1.schema.as_str(), c1.owner.as_str(), c1.owner_kind),
-        ("sc2", "Grad_student", 'E')
-    );
+    let (sname, owner, _) = c1.resolve(s.catalog());
+    assert_eq!((sname, owner, c1.owner_kind), ("sc2", "Grad_student", 'E'));
 
     // GPA also merged (D_GPA), non-key; Grad_student keeps Support_type.
     assert!(obj.attr_by_name("D_GPA").is_some());
@@ -242,9 +238,8 @@ fn pull_up_ablation_moves_name_to_derived_class() {
 #[test]
 fn mappings_translate_both_directions() {
     let (s, sc1, sc2) = paper_session();
-    let (result, mappings) = s
-        .integrate_with_mappings(sc1, sc2, &IntegrationOptions::default())
-        .unwrap();
+    let result = s.integrate(sc1, sc2, &IntegrationOptions::default()).unwrap();
+    let mappings = Mappings::new(s.catalog(), &result);
 
     // Logical design: a view request against sc2.Grad_student rewrites to
     // the integrated schema — Name was absorbed into Student.D_Name.
@@ -272,7 +267,6 @@ fn mappings_translate_both_directions() {
     let plan = mappings.to_components(&dept_q).unwrap();
     assert!(plan.equivalent);
     assert_eq!(plan.branches.len(), 2);
-    let _ = result;
 }
 
 #[test]

@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use sit_core::assertion::Assertion;
 use sit_core::integrate::IntegrationOptions;
+use sit_core::mapping::Mappings;
 use sit_core::script;
 use sit_core::session::Session;
 use sit_core::{Element, GObj, GRel};
@@ -555,7 +556,8 @@ pub(crate) fn apply_session_request(
             };
             let mut pairs: Vec<(&str, Json)> = Vec::new();
             if *mappings {
-                let (integrated, maps) = s.integrate_with_mappings(sa, sb, &options)?;
+                let integrated = s.integrate(sa, sb, &options)?;
+                let maps = Mappings::new(s.catalog(), &integrated);
                 pairs.push(("schema", Json::str(render::render(&integrated.schema))));
                 pairs.push(("objects", Json::num(integrated.schema.object_count() as u64)));
                 pairs.push((

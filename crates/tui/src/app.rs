@@ -1099,16 +1099,17 @@ impl App {
             let attr_name = schema.owner_attrs(owner).get(attr)?.name.clone();
             let prov = integrated.attr_prov(owner)?.get(attr)?;
             let c = prov.components.get(comp)?;
+            let (original_schema, original_object, component) = c.resolve(self.session.catalog());
             Some(screens::ComponentView {
                 owner: name.to_owned(),
                 owner_kind: kind_label(schema, owner).to_owned(),
                 attr: attr_name,
-                comp_name: c.attr.name.clone(),
-                domain: c.attr.domain.tag(),
-                key: c.attr.is_key(),
-                original_object: c.owner.clone(),
+                comp_name: component.name.clone(),
+                domain: component.domain.tag(),
+                key: component.is_key(),
+                original_object: original_object.to_owned(),
                 original_type: c.owner_kind,
-                original_schema: c.schema.clone(),
+                original_schema: original_schema.to_owned(),
                 index: comp + 1,
                 total: prov.components.len(),
             })

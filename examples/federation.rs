@@ -11,7 +11,7 @@
 
 use sit::core::assertion::Assertion;
 use sit::core::catalog::GObj;
-use sit::core::mapping::Query;
+use sit::core::mapping::{Mappings, Query};
 use sit::core::session::Session;
 use sit::ecr::render;
 use sit::translate::{HierSchema, RecordType, RelSchema, Table};
@@ -96,8 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let division = session.object_named("projects", "division")?;
     session.assert_objects(dept, division, Assertion::Equal)?;
 
-    let (result, mappings) =
-        session.integrate_with_mappings(p, q, &Default::default())?;
+    let result = session.integrate(p, q, &Default::default())?;
+    let mappings = Mappings::new(session.catalog(), &result);
     println!("\n--- global schema ---");
     print!("{}", render::render(&result.schema));
 

@@ -11,7 +11,7 @@
 
 use sit::core::assertion::Assertion;
 use sit::core::catalog::{GObj, GRel};
-use sit::core::mapping::{CmpOp, Query};
+use sit::core::mapping::{CmpOp, Mappings, Query};
 use sit::core::session::Session;
 use sit::ecr::{fixtures, render};
 
@@ -62,7 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nphase 3: assertions recorded (codes 1, 3, 4 of Screen 8)");
 
     // ---- Phase 4: integration + mappings ---------------------------
-    let (result, mappings) = session.integrate_with_mappings(sc1, sc2, &Default::default())?;
+    let result = session.integrate(sc1, sc2, &Default::default())?;
+    let mappings = Mappings::new(session.catalog(), &result);
     println!("\nphase 4: integrated schema (Figure 5):\n");
     print!("{}", render::render(&result.schema));
 

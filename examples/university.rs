@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let comps: Vec<String> = prov
                 .components
                 .iter()
-                .map(|c| format!("{}.{}.{}", c.schema, c.owner, c.attr.name))
+                .map(|c| session.catalog().attr_display(c.attr))
                 .collect();
             println!("    {:<14} <- {}", attr.name, comps.join(" + "));
         }

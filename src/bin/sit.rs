@@ -33,7 +33,7 @@
 
 use std::io::{BufRead, Write};
 
-use sit::core::mapping::Query;
+use sit::core::mapping::{Mappings, Query};
 use sit::core::script;
 use sit::core::session::Session;
 use sit::ecr::render;
@@ -233,9 +233,10 @@ fn run() -> Result<(), String> {
             pull_up_common_attrs: args.pull_up,
             ..Default::default()
         };
-        let (result, mappings) = session
-            .integrate_with_mappings(sa, sb, &options)
+        let result = session
+            .integrate(sa, sb, &options)
             .map_err(|e| e.to_string())?;
+        let mappings = Mappings::new(session.catalog(), &result);
         print!("{}", render::render(&result.schema));
         if let Some((schema, q)) = &args.to_integrated {
             let q: Query = q.parse()?;

@@ -5,7 +5,7 @@
 
 use sit::core::assertion::Assertion;
 use sit::core::catalog::GRel;
-use sit::core::mapping::Query;
+use sit::core::mapping::{Mappings, Query};
 use sit::core::nary::fold_integrate;
 use sit::core::session::Session;
 use sit::datagen::{DdaOracle, GeneratorConfig, GroundTruthOracle};
@@ -48,9 +48,8 @@ fn translate_integrate_map_pipeline() {
     session
         .assert_objects(customer, client, Assertion::MayBe)
         .unwrap();
-    let (result, mappings) = session
-        .integrate_with_mappings(a, b, &Default::default())
-        .unwrap();
+    let result = session.integrate(a, b, &Default::default()).unwrap();
+    let mappings = Mappings::new(session.catalog(), &result);
     let derived = result
         .schema
         .object_by_name("D_cust_clie")
@@ -78,10 +77,8 @@ fn mapping_dictionary_lists_all_correspondences() {
     let d1 = session.object_named("sc1", "Department").unwrap();
     let d2 = session.object_named("sc2", "Department").unwrap();
     session.assert_objects(d1, d2, Assertion::Equal).unwrap();
-    let (_, mappings) = session
-        .integrate_with_mappings(a, b, &Default::default())
-        .unwrap();
-    let dict = mappings.describe();
+    let integrated = session.integrate(a, b, &Default::default()).unwrap();
+    let dict = Mappings::new(session.catalog(), &integrated).describe();
     assert!(dict.contains("object sc1.Department -> E_Department"), "{dict}");
     assert!(dict.contains("object sc2.Department -> E_Department"), "{dict}");
     assert!(
