@@ -209,14 +209,13 @@ impl EquivalenceRegistry {
     }
 
     fn class_no_of_index(&self, i: usize) -> ClassNo {
+        // A class's representative is always its smallest member: a class
+        // starts as a singleton, a merge keeps the representative of the
+        // class with the smaller number, and a removal re-roots the class
+        // at its smallest remaining member.
         let rep = self.class_of[i];
-        let min = self
-            .members
-            .get(&rep)
-            .and_then(|ms| ms.iter().min())
-            .copied()
-            .unwrap_or(rep);
-        (min + 1) as ClassNo
+        debug_assert_eq!(self.members[&rep].iter().min(), Some(&rep));
+        (rep + 1) as ClassNo
     }
 }
 
