@@ -32,11 +32,12 @@ pub mod query;
 
 pub use query::{CmpOp, ComponentQuery, Filter, Query, UnionPlan};
 
-use sit_ecr::{AttrId, AttrOwner, ObjectId, SchemaId};
+use sit_ecr::{AttrId, AttrOwner, SchemaId};
 
 use crate::catalog::{Catalog, GAttr, GObj, GRel};
+use crate::element::Element;
 use crate::error::{CoreError, Result};
-use crate::integrate::{IntegratedSchema, NodeOrigin, RelOrigin};
+use crate::integrate::{IntegratedSchema, Origin};
 
 /// Bidirectional mappings between the component schemas and one
 /// integrated schema, read through the catalog and the integration
@@ -211,19 +212,14 @@ impl<'a> Mappings<'a> {
         let schema = &self.integrated.schema;
         let mut branches = Vec::new();
         let equivalent = if let Some(o) = schema.object_by_name(&q.object) {
-            self.expand_object(o, q, &mut branches)
+            let origins = &self.integrated.object_origin;
+            self.expand(origins, o, AttrOwner::Object, q, &mut branches)
         } else {
-            // A derived relationship set has no component members to
-            // translate to.
-            let (r, origin) = schema
+            let r = schema
                 .rel_by_name(&q.object)
-                .map(|r| (r, &self.integrated.rel_origin[r.index()]))
-                .filter(|(_, origin)| !matches!(origin, RelOrigin::DerivedSuper { .. }))
                 .ok_or_else(|| CoreError::UnknownName(q.object.clone()))?;
-            for &m in origin.members() {
-                branches.push(self.branch(m.schema, AttrOwner::Rel(m.rel), AttrOwner::Rel(r), q));
-            }
-            origin.members().len() > 1
+            let origins = &self.integrated.rel_origin;
+            self.expand(origins, r, AttrOwner::Rel, q, &mut branches)
         };
         Ok(UnionPlan {
             branches,
@@ -231,25 +227,28 @@ impl<'a> Mappings<'a> {
         })
     }
 
-    /// The branches of integrated object `o`: one per component member,
-    /// or the union of a derived class's children. Returns whether the
-    /// branches are an `E_` merge of one extension.
-    fn expand_object(&self, o: ObjectId, q: &Query, branches: &mut Vec<ComponentQuery>) -> bool {
-        match &self.integrated.object_origin[o.index()] {
-            NodeOrigin::DerivedSuper { children } => {
+    /// The branches of integrated element `id` (an object class or a
+    /// relationship set, `owner` says which): one per component member,
+    /// or the union of a derived element's children. Returns whether
+    /// the branches are an `E_` merge of one extension.
+    fn expand<E: Element, Id: Copy + Into<usize>>(
+        &self,
+        origins: &[Origin<E, Id>],
+        id: Id,
+        owner: fn(Id) -> AttrOwner,
+        q: &Query,
+        branches: &mut Vec<ComponentQuery>,
+    ) -> bool {
+        match &origins[id.into()] {
+            Origin::DerivedSuper { children } => {
                 for &child in children {
-                    self.expand_object(child, q, branches);
+                    self.expand(origins, child, owner, q, branches);
                 }
                 false
             }
             origin => {
                 for &m in origin.members() {
-                    branches.push(self.branch(
-                        m.schema,
-                        AttrOwner::Object(m.object),
-                        AttrOwner::Object(o),
-                        q,
-                    ));
+                    branches.push(self.branch(m.schema(), m.owner(), owner(id), q));
                 }
                 origin.members().len() > 1
             }

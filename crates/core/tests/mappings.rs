@@ -1,8 +1,9 @@
 //! Mapping tables keyed by element kind and ordered by component id.
 
+use sit_core::assertion::Assertion;
 use sit_core::integrate::IntegrationOptions;
 use sit_core::mapping::{Mappings, Query};
-use sit_core::{script, Session};
+use sit_core::{script, GObj, GRel, Session};
 use sit_ecr::{ddl, SchemaId};
 
 /// An entity set and a relationship set may share a name within one
@@ -69,4 +70,61 @@ fn merged_relationship_branches_follow_component_order() {
         let schemas: Vec<&str> = plan.branches.iter().map(|b| b.schema.as_str()).collect();
         assert_eq!(schemas, ["sc1", "sc2"]);
     }
+}
+
+/// A derived (`D_`) relationship set expands to the union of its
+/// children, as a derived object class does.
+#[test]
+fn derived_relationship_set_expands_to_its_children() {
+    let mut s = Session::new();
+    let a = s
+        .add_schema(
+            ddl::parse(
+                "schema a { entity Prof { id: int key; } entity UCourse { no: int key; }
+                 relationship TeachesU { Prof (0,3); UCourse (1,1); hours: int; } }",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    let b = s
+        .add_schema(
+            ddl::parse(
+                "schema b { entity Teacher { id: int key; } entity GCourse { no: int key; }
+                 relationship TeachesG { Teacher (0,2); GCourse (1,1); hours: int; } }",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    s.declare_equivalent_named("a", "Prof", "id", "b", "Teacher", "id")
+        .unwrap();
+    s.declare_equivalent_named("a", "UCourse", "no", "b", "GCourse", "no")
+        .unwrap();
+    let (prof, teacher) = (
+        s.named("a", "Prof").unwrap(),
+        s.named("b", "Teacher").unwrap(),
+    );
+    s.assert::<GObj>(prof, teacher, Assertion::Equal).unwrap();
+    let (uc, gc) = (
+        s.named("a", "UCourse").unwrap(),
+        s.named("b", "GCourse").unwrap(),
+    );
+    s.assert::<GObj>(uc, gc, Assertion::DisjointIntegrable)
+        .unwrap();
+    let (tu, tg) = (
+        s.named("a", "TeachesU").unwrap(),
+        s.named("b", "TeachesG").unwrap(),
+    );
+    s.assert::<GRel>(tu, tg, Assertion::DisjointIntegrable)
+        .unwrap();
+
+    let integrated = s.integrate(a, b, &IntegrationOptions::default()).unwrap();
+    let mappings = Mappings::new(s.catalog(), &integrated);
+    let plan = mappings
+        .to_components(&Query::select("D_Teac_Teac", &["hours"]))
+        .unwrap();
+    assert!(!plan.equivalent, "a derived union is not one extension");
+    assert_eq!(
+        plan.to_string(),
+        "[a] select hours from TeachesU\n∪ [b] select hours from TeachesG"
+    );
 }

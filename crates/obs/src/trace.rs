@@ -118,7 +118,7 @@ impl Tracer {
                 capacity: capacity.max(1),
                 // Preallocated so steady-state recording never grows
                 // the buffer under the lock.
-                ring: Mutex::new(VecDeque::with_capacity(capacity.max(1).min(DEFAULT_CAPACITY))),
+                ring: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, DEFAULT_CAPACITY))),
                 next_span: AtomicU64::new(1),
                 dropped: AtomicU64::new(0),
                 enabled: AtomicBool::new(true),

@@ -449,11 +449,10 @@ impl<T: Transport> Transport for FaultedTransport<T> {
         if allowed == 0 {
             return Ok(0);
         }
-        let n = self.inner.write(&buf[..allowed])?;
-        if n == 0 {
-            return Ok(0);
-        }
-        if let Some(delay_ms) = self.plan.write.advance(n) {
+        // Stall before the bytes reach the peer: a peer that reacts to
+        // them must already see the advanced clock, or its next request
+        // races this thread's clock update.
+        if let Some(delay_ms) = self.plan.write.advance(allowed) {
             let at = self.plan.write.offset;
             if delay_ms > 0 {
                 self.clock.advance_ms(delay_ms);
@@ -469,7 +468,8 @@ impl<T: Transport> Transport for FaultedTransport<T> {
                 self.log.push(FaultEvent::WriteSplit { conn: self.conn, at });
             }
         }
-        Ok(n)
+        self.inner.write_all(&buf[..allowed])?;
+        Ok(allowed)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -542,7 +542,7 @@ impl FaultedStorage {
     }
 
     fn dead() -> io::Error {
-        io::Error::new(io::ErrorKind::Other, "storage crashed by fault plan")
+        io::Error::other("storage crashed by fault plan")
     }
 
     fn check_alive(&self) -> io::Result<()> {
@@ -654,6 +654,10 @@ impl Storage for FaultedStorage {
     fn list(&self) -> io::Result<Vec<String>> {
         self.check_alive()?;
         self.inner.list()
+    }
+
+    fn release(&self, name: &str) {
+        self.inner.release(name);
     }
 }
 

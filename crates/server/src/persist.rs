@@ -45,17 +45,25 @@
 //! `every-n` and `never` trade the tail of un-fsynced acknowledgements
 //! for throughput — after power loss the recovered state is a prefix
 //! of the acknowledged history, never a divergent state.
+//!
+//! ## Ownership
+//!
+//! [`Persistence`] keeps no per-session state. A session's bookkeeping
+//! is its [`Journal`], owned by the session's store entry: `append` and
+//! `maybe_snapshot` take it, `recover` returns one per session, and
+//! eviction or `close` drops it with the session, releasing the
+//! storage's append handle. `close` marks the journal closed before it
+//! deletes the files, so no later append can re-create them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sit_core::script;
 use sit_core::session::Session;
 use sit_obs::clock::Clock;
 use sit_obs::metrics::{prom_counter, prom_histogram, Counter, Histogram};
-use sit_obs::sync::lock_recover;
 use sit_obs::trace;
 
 use crate::proto::{ErrorCode, Request, ServerError};
@@ -299,7 +307,7 @@ pub struct PersistMetrics {
 impl PersistMetrics {
     /// Append the `sit_persist_*` / `sit_recover_*` Prometheus series.
     pub fn prometheus(&self, out: &mut String) {
-        let counters: [(&str, &Counter); 10] = [
+        let counters: [(&str, &Counter); 11] = [
             ("sit_persist_journal_records_total", &self.journal_records),
             ("sit_persist_journal_bytes_total", &self.journal_bytes),
             ("sit_persist_fsync_total", &self.fsyncs),
@@ -316,6 +324,7 @@ impl PersistMetrics {
                 "sit_recover_skipped_snapshots_total",
                 &self.recover_skipped_snapshots,
             ),
+            ("sit_recover_replay_errors_total", &self.replay_errors),
         ];
         for (name, counter) in counters {
             out.push_str("# TYPE ");
@@ -323,13 +332,6 @@ impl PersistMetrics {
             out.push_str(" counter\n");
             prom_counter(out, name, "", counter.get());
         }
-        out.push_str("# TYPE sit_recover_replay_errors_total counter\n");
-        prom_counter(
-            out,
-            "sit_recover_replay_errors_total",
-            "",
-            self.replay_errors.get(),
-        );
         for (name, h) in [
             ("sit_persist_record_bytes", &self.record_bytes),
             ("sit_persist_fsync_ns", &self.fsync_ns),
@@ -346,17 +348,20 @@ impl PersistMetrics {
 // ---------------------------------------------------------------------
 // The persistence manager
 
-/// Per-session journal/snapshot bookkeeping.
-#[derive(Default)]
-struct SessionState {
+/// One session's journal and snapshot bookkeeping. The session's store
+/// entry owns it, so eviction and `close` drop it with the session;
+/// dropping it releases the storage's cached handle for the journal.
+pub struct Journal {
+    storage: Arc<dyn Storage>,
+    id: u64,
+    /// `<id>.journal`, named once here.
+    name: String,
     /// Last sequence number assigned (journaled or covered by a
     /// snapshot).
     seq: u64,
     /// Known-good journal length in bytes — the repair truncation
     /// point after a failed append.
     good_len: u64,
-    /// Intact records currently in the journal file.
-    journal_records: u64,
     /// Records journaled since the last snapshot.
     since_snapshot: u64,
     /// Records appended since the last fsync (`every-n` bookkeeping).
@@ -369,42 +374,51 @@ struct SessionState {
     /// further mutations on this session are refused rather than
     /// silently diverging from disk.
     broken: bool,
-    /// The journal file name, built once on first append instead of
-    /// re-formatted on every write-ahead record.
-    jname: String,
+    /// Set by `close` before it deletes the files: a later append would
+    /// re-create the journal and bring the closed session back.
+    closed: bool,
 }
 
-impl SessionState {
-    fn jname(&mut self, id: u64) -> &str {
-        if self.jname.is_empty() {
-            self.jname = journal_name(id);
+impl Journal {
+    fn new(storage: Arc<dyn Storage>, id: u64) -> Journal {
+        Journal {
+            storage,
+            id,
+            name: format!("{id}.journal"),
+            seq: 0,
+            good_len: 0,
+            since_snapshot: 0,
+            unsynced: 0,
+            gen: 0,
+            snap_last_seq: 0,
+            broken: false,
+            closed: false,
         }
-        &self.jname
+    }
+
+    /// Refuse every later append and snapshot (wire `close`, before
+    /// the files go).
+    pub fn close(&mut self) {
+        self.closed = true;
     }
 }
 
-fn journal_name(id: u64) -> String {
-    format!("{id}.journal")
+impl Drop for Journal {
+    fn drop(&mut self) {
+        self.storage.release(&self.name);
+    }
 }
 
 fn snap_name(id: u64, gen: u64) -> String {
     format!("{id}.snap.{gen}")
 }
 
-/// What [`Persistence::recover`] found on disk.
-#[derive(Default)]
-pub struct RecoveryReport {
-    /// Recovered sessions, ascending by id, ready to pin into the
-    /// store.
-    pub sessions: Vec<(u64, Session)>,
-}
-
-/// The journal/snapshot engine for one data directory.
+/// The journal/snapshot engine for one data directory. It holds no
+/// per-session state: each call takes the session's [`Journal`].
 pub struct Persistence {
     storage: Arc<dyn Storage>,
     config: PersistConfig,
     clock: Arc<dyn Clock>,
-    sessions: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
     metrics: PersistMetrics,
 }
 
@@ -420,7 +434,6 @@ impl Persistence {
             storage,
             config,
             clock,
-            sessions: Mutex::new(HashMap::new()),
             metrics: PersistMetrics::default(),
         }
     }
@@ -435,104 +448,87 @@ impl Persistence {
         &self.metrics
     }
 
-    /// Sessions with persistence state (live or evicted-but-on-disk).
-    pub fn tracked(&self) -> usize {
-        lock_recover(&self.sessions).len()
-    }
-
-    fn state(&self, id: u64) -> Result<Arc<Mutex<SessionState>>, ServerError> {
-        lock_recover(&self.sessions)
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| persist_error(format!("session `{id}` has no persistence state")))
-    }
-
     /// Create the journal for a fresh session (`open`/`load`), durable
     /// per the fsync policy.
-    pub fn create_session(&self, id: u64) -> Result<(), ServerError> {
-        let jname = journal_name(id);
+    pub fn create_journal(&self, id: u64) -> Result<Journal, ServerError> {
+        let journal = Journal::new(Arc::clone(&self.storage), id);
         self.storage
-            .append(&jname, &[])
+            .append(&journal.name, &[])
             .map_err(|e| persist_io("journal create", &e))?;
         if self.config.fsync == FsyncPolicy::Always {
             self.storage
-                .sync(&jname)
+                .sync(&journal.name)
                 .map_err(|e| persist_io("journal create fsync", &e))?;
         }
-        lock_recover(&self.sessions).insert(id, Arc::new(Mutex::new(SessionState::default())));
-        Ok(())
+        Ok(journal)
     }
 
     /// Write-ahead append: journal one request frame (and fsync per
     /// policy) *before* the verb is applied. On failure nothing is
     /// acknowledged: the journal is repaired back to its known-good
     /// length, or the session is marked broken if even that fails.
-    pub fn append(&self, id: u64, payload: &[u8]) -> Result<(), ServerError> {
-        let state = self.state(id)?;
-        let mut st = lock_recover(&state);
-        if st.broken {
+    pub fn append(&self, j: &mut Journal, payload: &[u8]) -> Result<(), ServerError> {
+        if j.closed {
+            return Err(ServerError::unknown_session(&j.id.to_string()));
+        }
+        if j.broken {
             return Err(persist_error(
                 "session persistence disabled after an unrecoverable storage failure",
             ));
         }
-        let seq = st.seq + 1;
+        let seq = j.seq + 1;
         let record = encode_record(seq, payload);
-        st.jname(id);
         {
             let _span = trace::span("persist.append");
-            if let Err(e) = self.storage.append(&st.jname, &record) {
-                self.metrics.errors.inc();
-                let jname = st.jname.clone();
-                self.repair(&jname, &mut st);
+            if let Err(e) = self.storage.append(&j.name, &record) {
+                self.repair(j);
                 return Err(persist_io("journal append", &e));
             }
         }
-        st.unsynced += 1;
+        j.unsynced += 1;
         let sync_now = match self.config.fsync {
             FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => st.unsynced >= n.max(1),
+            FsyncPolicy::EveryN(n) => j.unsynced >= n.max(1),
             FsyncPolicy::Never => false,
         };
         if sync_now {
             let _span = trace::span("persist.fsync");
             let t0 = self.clock.now_ns();
-            if let Err(e) = self.storage.sync(&st.jname) {
-                self.metrics.errors.inc();
-                let jname = st.jname.clone();
-                self.repair(&jname, &mut st);
+            if let Err(e) = self.storage.sync(&j.name) {
+                self.repair(j);
                 return Err(persist_io("journal fsync", &e));
             }
             self.metrics.fsyncs.inc();
             self.metrics
                 .fsync_ns
                 .record(self.clock.now_ns().saturating_sub(t0));
-            st.unsynced = 0;
+            j.unsynced = 0;
         }
-        st.seq = seq;
-        st.good_len += record.len() as u64;
-        st.journal_records += 1;
-        st.since_snapshot += 1;
+        j.seq = seq;
+        j.good_len += record.len() as u64;
+        j.since_snapshot += 1;
         self.metrics.journal_records.inc();
         self.metrics.journal_bytes.add(record.len() as u64);
         self.metrics.record_bytes.record(record.len() as u64);
         Ok(())
     }
 
-    /// Truncate the journal back to the last acknowledged byte after a
-    /// failed append/fsync, so the file never carries a torn record
+    /// Count a failed append/fsync and truncate the journal back to the
+    /// last acknowledged byte, so the file never carries a torn record
     /// into the *next* append. If the truncation itself fails the
     /// session is marked broken.
-    fn repair(&self, jname: &str, st: &mut SessionState) {
+    fn repair(&self, j: &mut Journal) {
+        self.metrics.errors.inc();
         let result = (|| -> io::Result<()> {
-            let data = self.storage.read(jname)?;
-            let good = usize::try_from(st.good_len).unwrap_or(usize::MAX);
+            let data = self.storage.read(&j.name)?;
+            let good = usize::try_from(j.good_len).unwrap_or(usize::MAX);
             if data.len() > good {
-                self.storage.write_atomic(jname, &data[..good])?;
+                self.storage.write_atomic(&j.name, &data[..good])?;
             }
             Ok(())
         })();
         if result.is_err() {
-            st.broken = true;
+            j.broken = true;
             self.metrics.errors.inc();
         }
     }
@@ -541,51 +537,45 @@ impl Persistence {
     /// `snapshot_every` records. Never fails the triggering request —
     /// its record is already durable in the journal — but records
     /// failures in the metrics.
-    pub fn maybe_snapshot(&self, id: u64, session: &Session) {
-        if self.config.snapshot_every == 0 {
-            return;
-        }
-        let Ok(state) = self.state(id) else { return };
-        let mut st = lock_recover(&state);
-        if st.broken || st.since_snapshot < self.config.snapshot_every {
+    pub fn maybe_snapshot(&self, j: &mut Journal, session: &Session) {
+        if self.config.snapshot_every == 0
+            || j.broken
+            || j.closed
+            || j.since_snapshot < self.config.snapshot_every
+        {
             return;
         }
         let _span = trace::span("persist.snapshot");
         let text = script::save(session);
-        let gen = st.gen + 1;
-        let snap = encode_record(st.seq, text.as_bytes());
-        if self.storage.write_atomic(&snap_name(id, gen), &snap).is_err() {
+        let gen = j.gen + 1;
+        let snap = encode_record(j.seq, text.as_bytes());
+        if self
+            .storage
+            .write_atomic(&snap_name(j.id, gen), &snap)
+            .is_err()
+        {
             self.metrics.errors.inc();
             return;
         }
         // The snapshot is durable; the journal now only *needs* records
         // after the previous generation (kept so a torn newer snapshot
         // can fall back one generation without losing anything).
-        let keep_above = st.snap_last_seq;
-        st.gen = gen;
-        st.snap_last_seq = st.seq;
-        st.since_snapshot = 0;
+        let keep_above = j.snap_last_seq;
+        j.gen = gen;
+        j.snap_last_seq = j.seq;
+        j.since_snapshot = 0;
         self.metrics.snapshots.inc();
-        let jname = journal_name(id);
         let compacted = (|| -> io::Result<()> {
-            let bytes = match self.storage.read(&jname) {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(e),
-            };
-            let scan = decode_records(&bytes, MAX_JOURNAL_PAYLOAD);
+            let bytes = read_or_empty(&*self.storage, &j.name)?;
             let mut out = Vec::new();
-            let mut kept = 0u64;
-            for (seq, payload) in &scan.records {
-                if *seq > keep_above {
-                    out.extend_from_slice(&encode_record(*seq, payload));
-                    kept += 1;
+            for (seq, payload) in decode_records(&bytes, MAX_JOURNAL_PAYLOAD).records {
+                if seq > keep_above {
+                    out.extend_from_slice(&encode_record(seq, &payload));
                 }
             }
-            self.storage.write_atomic(&jname, &out)?;
-            st.good_len = out.len() as u64;
-            st.journal_records = kept;
-            st.unsynced = 0;
+            self.storage.write_atomic(&j.name, &out)?;
+            j.good_len = out.len() as u64;
+            j.unsynced = 0;
             Ok(())
         })();
         match compacted {
@@ -595,12 +585,13 @@ impl Persistence {
             Err(_) => self.metrics.errors.inc(),
         }
         if gen >= 3 {
-            let _ = self.storage.remove(&snap_name(id, gen - 2));
+            let _ = self.storage.remove(&snap_name(j.id, gen - 2));
         }
     }
 
-    /// Remove every file belonging to `id` (wire `close`). On failure
-    /// the caller must keep the session open — a close acknowledged
+    /// Remove every file belonging to `id` (wire `close`). A live
+    /// session's journal must be closed first. An error leaves files
+    /// behind; the close may be retried, and only a close acknowledged
     /// means the files are gone.
     pub fn remove_session(&self, id: u64) -> Result<(), ServerError> {
         let prefix = format!("{id}.");
@@ -613,14 +604,14 @@ impl Persistence {
                 .remove(name)
                 .map_err(|e| persist_io("remove session file", &e))?;
         }
-        lock_recover(&self.sessions).remove(&id);
         Ok(())
     }
 
-    /// Scan the storage and rebuild every session: latest valid
-    /// snapshot (skipping corrupt generations), then journal replay
-    /// through the service's own dispatch, truncating any torn tail.
-    pub fn recover(&self) -> io::Result<RecoveryReport> {
+    /// Scan the storage and rebuild every session, ascending by id:
+    /// latest valid snapshot (skipping corrupt generations), then
+    /// journal replay through the service's own dispatch, truncating
+    /// any torn tail.
+    pub fn recover(&self) -> io::Result<Vec<(u64, Session, Journal)>> {
         let _span = trace::span("recover");
         // Group files by session id.
         let mut found: BTreeMap<u64, (bool, Vec<u64>)> = BTreeMap::new();
@@ -636,7 +627,7 @@ impl Persistence {
                 entry.1.push(gen);
             }
         }
-        let mut report = RecoveryReport::default();
+        let mut sessions = Vec::new();
         for (id, (has_journal, mut gens)) in found {
             if !has_journal && gens.is_empty() {
                 continue;
@@ -645,19 +636,18 @@ impl Persistence {
             let mut span = trace::span("recover.session");
             span.set_arg("session", id.to_string());
             gens.sort_unstable();
-            let (session, state) = self.recover_one(id, &gens)?;
+            let (session, journal) = self.recover_one(id, &gens)?;
             drop(span);
             self.metrics
                 .recover_ns
                 .record(self.clock.now_ns().saturating_sub(t0));
             self.metrics.recovered_sessions.inc();
-            lock_recover(&self.sessions).insert(id, Arc::new(Mutex::new(state)));
-            report.sessions.push((id, session));
+            sessions.push((id, session, journal));
         }
-        Ok(report)
+        Ok(sessions)
     }
 
-    fn recover_one(&self, id: u64, gens: &[u64]) -> io::Result<(Session, SessionState)> {
+    fn recover_one(&self, id: u64, gens: &[u64]) -> io::Result<(Session, Journal)> {
         // Newest decodable snapshot wins; corrupt ones are skipped.
         let mut session = Session::new();
         let mut snap_last_seq = 0u64;
@@ -681,27 +671,23 @@ impl Persistence {
             }
         }
         // Journal scan: truncate a torn tail, replay the rest.
-        let jname = journal_name(id);
-        let bytes = match self.storage.read(&jname) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
+        let mut journal = Journal::new(Arc::clone(&self.storage), id);
+        let bytes = read_or_empty(&*self.storage, &journal.name)?;
         let scan = decode_records(&bytes, MAX_JOURNAL_PAYLOAD);
         if scan.trailing > 0 {
             self.metrics
                 .recover_truncated_bytes
                 .add(scan.trailing as u64);
-            self.storage.write_atomic(&jname, &bytes[..scan.consumed])?;
+            self.storage
+                .write_atomic(&journal.name, &bytes[..scan.consumed])?;
         }
-        let mut seq = snap_last_seq;
-        let mut since_snapshot = 0u64;
+        journal.seq = snap_last_seq;
         for (rseq, payload) in &scan.records {
-            seq = seq.max(*rseq);
+            journal.seq = journal.seq.max(*rseq);
             if *rseq <= snap_last_seq {
                 continue; // already covered by the snapshot
             }
-            since_snapshot += 1;
+            journal.since_snapshot += 1;
             self.metrics.recovered_records.inc();
             self.replay(&mut session, payload);
         }
@@ -713,18 +699,10 @@ impl Persistence {
                 let _ = self.storage.remove(&snap_name(id, gen));
             }
         }
-        let state = SessionState {
-            seq,
-            good_len: scan.consumed as u64,
-            journal_records: scan.records.len() as u64,
-            since_snapshot,
-            unsynced: 0,
-            gen: max_gen,
-            snap_last_seq,
-            broken: false,
-            jname: journal_name(id),
-        };
-        Ok((session, state))
+        journal.good_len = scan.consumed as u64;
+        journal.gen = max_gen;
+        journal.snap_last_seq = snap_last_seq;
+        Ok((session, journal))
     }
 
     /// Apply one journaled frame to the recovering session through the
@@ -770,6 +748,14 @@ pub(crate) fn persist_error(message: impl Into<String>) -> ServerError {
 
 fn persist_io(what: &str, e: &io::Error) -> ServerError {
     persist_error(format!("{what}: {e}"))
+}
+
+/// Read `name`, treating a missing file as empty.
+fn read_or_empty(storage: &dyn Storage, name: &str) -> io::Result<Vec<u8>> {
+    match storage.read(name) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        other => other,
+    }
 }
 
 #[cfg(test)]
@@ -851,19 +837,19 @@ mod tests {
             PersistConfig::default(),
             Arc::clone(&clock),
         );
-        p.create_session(7).unwrap();
+        let mut journal = p.create_journal(7).unwrap();
         let frame = Request::AddSchema {
             session: "7".into(),
             ddl: "schema s { entity E { x: int key; } }".into(),
         }
         .to_json()
         .encode();
-        p.append(7, frame.as_bytes()).unwrap();
+        p.append(&mut journal, frame.as_bytes()).unwrap();
 
         let p2 = Persistence::new(storage, PersistConfig::default(), clock);
-        let report = p2.recover().unwrap();
-        assert_eq!(report.sessions.len(), 1);
-        let (id, session) = &report.sessions[0];
+        let sessions = p2.recover().unwrap();
+        assert_eq!(sessions.len(), 1);
+        let (id, session, _) = &sessions[0];
         assert_eq!(*id, 7);
         assert_eq!(session.catalog().schemas().count(), 1);
         assert_eq!(p2.metrics().recovered_records.get(), 1);

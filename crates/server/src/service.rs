@@ -38,7 +38,7 @@ use crate::metrics::Metrics;
 use crate::persist::{PersistConfig, Persistence};
 use crate::proto::{ok_response, Request, ServerError};
 use crate::storage::Storage;
-use crate::store::{SessionStore, StoreConfig};
+use crate::store::{Entry, SessionStore, StoreConfig};
 use crate::wire::Json;
 
 /// Finished trace events the service retains (oldest overwritten).
@@ -103,13 +103,13 @@ impl Service {
     ) -> io::Result<Service> {
         let mut service = Service::with_clock(store_config, Arc::clone(&clock));
         let persistence = Persistence::new(storage, persist_config, clock);
-        let report = {
+        let recovered = {
             // Recovery spans land on this service's tracer.
             let _current = trace::set_current(&service.tracer);
             persistence.recover()?
         };
-        for (id, session) in report.sessions {
-            service.store.insert_with_id(id, session);
+        for (id, session, journal) in recovered {
+            service.store.insert(id, session, Some(journal));
         }
         service.persist = Some(Arc::new(persistence));
         Ok(service)
@@ -250,30 +250,31 @@ impl Service {
         match request {
             Request::Ping => Ok(ok_response(vec![("pong", Json::Bool(true))])),
             Request::Open => {
-                let id = self.store.open(Session::new());
-                if let Some(p) = &self.persist {
-                    let key: u64 = id.parse().expect("store ids are numeric");
-                    if let Err(e) = p.create_session(key) {
-                        // Nothing durable exists: the open must fail
-                        // rather than hand out a session that would
-                        // vanish on restart.
-                        self.store.close(&id);
-                        return Err(e);
-                    }
-                }
+                let id = self.open(Session::new(), None)?;
                 Ok(ok_response(vec![("session", Json::str(id))]))
             }
             Request::Close { session } => {
+                let entry = self.store.remove(&session);
                 if let Some(p) = &self.persist {
+                    if let Some(Entry {
+                        session: live,
+                        journal: Some(journal),
+                        ..
+                    }) = &entry
+                    {
+                        // Wait out a request in flight, then seal the
+                        // journal so no record lands after the files go.
+                        let _in_flight = lock_recover(live);
+                        lock_recover(journal).close();
+                    }
                     if let Ok(key) = session.parse::<u64>() {
-                        // Files first: an acknowledged close means the
-                        // session does not resurrect on restart. This
-                        // also clears files of already-evicted ids.
+                        // An acknowledged close means the session does not
+                        // resurrect on restart. This also clears files of
+                        // already-evicted ids.
                         p.remove_session(key)?;
                     }
                 }
-                let closed = self.store.close(&session);
-                Ok(ok_response(vec![("closed", Json::Bool(closed))]))
+                Ok(ok_response(vec![("closed", Json::Bool(entry.is_some()))]))
             }
             Request::Load { script } => {
                 let session = script::load(&script)?;
@@ -282,24 +283,9 @@ impl Service {
                     .schemas()
                     .map(|(_, sch)| Json::str(sch.name()))
                     .collect();
-                let id = self.store.open(session);
-                if let Some(p) = &self.persist {
-                    let key: u64 = id.parse().expect("store ids are numeric");
-                    // The canonical `load` frame is the session's first
-                    // journal record; replay re-runs `script::load`.
-                    let frame = Request::Load {
-                        script: script.clone(),
-                    }
-                    .to_json()
-                    .encode();
-                    let journaled = p
-                        .create_session(key)
-                        .and_then(|()| p.append(key, frame.as_bytes()));
-                    if let Err(e) = journaled {
-                        self.store.close(&id);
-                        return Err(e);
-                    }
-                }
+                // The canonical `load` frame is the session's first
+                // journal record; replay re-runs `script::load`.
+                let id = self.open(session, Some(Request::Load { script }))?;
                 Ok(ok_response(vec![
                     ("session", Json::str(id)),
                     ("schemas", Json::Arr(schemas)),
@@ -383,6 +369,25 @@ impl Service {
         }
     }
 
+    /// Insert a fresh session. On a durable service its journal, with
+    /// `first` as its first record, is written before the entry exists,
+    /// so a failure leaves nothing to undo.
+    fn open(&self, session: Session, first: Option<Request>) -> Result<String, ServerError> {
+        let id = self.store.reserve_id();
+        let journal = match &self.persist {
+            Some(p) => {
+                let mut journal = p.create_journal(id)?;
+                if let Some(first) = first {
+                    p.append(&mut journal, first.to_json().encode().as_bytes())?;
+                }
+                Some(journal)
+            }
+            None => None,
+        };
+        self.store.insert(id, session, journal);
+        Ok(id.to_string())
+    }
+
     /// One session-addressed request: look up the session, journal the
     /// frame first if it mutates (write-ahead: an acknowledged mutation
     /// is durable *before* it is visible), then apply through
@@ -390,31 +395,27 @@ impl Service {
     /// records through.
     fn dispatch_session(&self, request: &Request, raw: &str) -> Result<Json, ServerError> {
         let id = request.session_id().expect("caller checked session_id");
-        let handle = self
+        let entry = self
             .store
-            .get(id)
+            .entry(id)
             .ok_or_else(|| ServerError::unknown_session(id))?;
-        let mut session = lock_recover(&handle);
-        let persist = self
-            .persist
-            .as_ref()
-            .filter(|_| request.is_mutating())
-            .map(|p| {
-                let key: u64 = id.parse().expect("store ids are numeric");
-                (p, key)
-            });
-        if let Some((p, key)) = &persist {
+        let mut session = lock_recover(&entry.session);
+        let mut journal = match (&self.persist, &entry.journal) {
+            (Some(p), Some(j)) if request.is_mutating() => Some((p, lock_recover(j))),
+            _ => None,
+        };
+        if let Some((p, j)) = &mut journal {
             // The journal stores the wire frame as received — replay
             // re-parses it through the same `Request::from_json` the
             // live path used, so no re-encoding happens per mutation.
-            p.append(*key, raw.as_bytes())?;
+            p.append(j, raw.as_bytes())?;
         }
         let result = apply_session_request(&mut session, request);
-        if let Some((p, key)) = &persist {
+        if let Some((p, j)) = &mut journal {
             // The record is durable whatever `result` was (a failed
             // verb replays to the same failure); snapshot cadence
             // counts attempts.
-            p.maybe_snapshot(*key, &session);
+            p.maybe_snapshot(j, &session);
         }
         result
     }
@@ -446,7 +447,6 @@ impl Service {
         out.push_str(&self.metrics.prometheus());
         out
     }
-
 }
 
 /// Apply one session-addressed verb to a session. Pure with respect to
@@ -554,25 +554,16 @@ pub(crate) fn apply_session_request(
                 pull_up_common_attrs: *pull_up,
                 ..Default::default()
             };
-            let mut pairs: Vec<(&str, Json)> = Vec::new();
+            let integrated = s.integrate(sa, sb, &options)?;
+            let schema = &integrated.schema;
+            let mut pairs = vec![
+                ("schema", Json::str(render::render(schema))),
+                ("objects", Json::num(schema.object_count() as u64)),
+                ("relationships", Json::num(schema.relationship_count() as u64)),
+            ];
             if *mappings {
-                let integrated = s.integrate(sa, sb, &options)?;
                 let maps = Mappings::new(s.catalog(), &integrated);
-                pairs.push(("schema", Json::str(render::render(&integrated.schema))));
-                pairs.push(("objects", Json::num(integrated.schema.object_count() as u64)));
-                pairs.push((
-                    "relationships",
-                    Json::num(integrated.schema.relationship_count() as u64),
-                ));
                 pairs.push(("mappings", Json::str(maps.describe())));
-            } else {
-                let integrated = s.integrate(sa, sb, &options)?;
-                pairs.push(("schema", Json::str(render::render(&integrated.schema))));
-                pairs.push(("objects", Json::num(integrated.schema.object_count() as u64)));
-                pairs.push((
-                    "relationships",
-                    Json::num(integrated.schema.relationship_count() as u64),
-                ));
             }
             Ok(ok_response(pairs))
         }

@@ -55,6 +55,10 @@ pub trait Storage: Send + Sync {
 
     /// All file names, sorted.
     fn list(&self) -> io::Result<Vec<String>>;
+
+    /// Drop any resource cached for `name` (an open append handle); the
+    /// file itself stays. Called when the file's owner goes away.
+    fn release(&self, _name: &str) {}
 }
 
 fn check_name(name: &str) -> io::Result<()> {
@@ -78,7 +82,8 @@ const TMP_PREFIX: &str = ".tmp.";
 pub struct DirStorage {
     root: PathBuf,
     /// Cached append handles; invalidated by `write_atomic`/`remove`
-    /// (the rename swaps the inode out from under an open descriptor).
+    /// (the rename swaps the inode out from under an open descriptor)
+    /// and dropped by `release`.
     handles: Mutex<HashMap<String, File>>,
 }
 
@@ -91,11 +96,6 @@ impl DirStorage {
             root,
             handles: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// The directory this storage lives in.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn sync_dir(&self) -> io::Result<()> {
@@ -180,6 +180,10 @@ impl Storage for DirStorage {
         names.sort();
         Ok(names)
     }
+
+    fn release(&self, name: &str) {
+        lock_recover(&self.handles).remove(name);
+    }
 }
 
 struct MemFile {
@@ -209,14 +213,6 @@ impl MemStorage {
         for file in files.values_mut() {
             file.data.truncate(file.synced);
         }
-    }
-
-    /// Total bytes currently held (diagnostics).
-    pub fn total_bytes(&self) -> u64 {
-        lock_recover(&self.files)
-            .values()
-            .map(|f| f.data.len() as u64)
-            .sum()
     }
 }
 

@@ -14,17 +14,24 @@
 //! request (the in-flight request keeps its `Arc` and completes against
 //! the now-anonymous session).
 //!
+//! On a durable service an [`Entry`] also holds the session's
+//! [`Journal`]. The entry is the only per-session registry: when LRU,
+//! TTL or `close` drops it, the session, its journal bookkeeping and the
+//! storage's append handle go with it.
+//!
 //! The registry lock is taken poison-recovering: a request that panics
 //! while holding it unwinds only its own connection thread, and the
 //! bookkeeping it guards (ids, LRU stamps, counters) stays usable for
 //! every later request.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use sit_core::session::Session;
 use sit_obs::sync::lock_recover;
+
+use crate::persist::Journal;
 
 /// Store limits.
 #[derive(Clone, Copy, Debug)]
@@ -48,8 +55,18 @@ impl Default for StoreConfig {
 /// Shared handle to one session.
 pub type SharedSession = Arc<Mutex<Session>>;
 
-struct Entry {
-    session: SharedSession,
+/// Shared handle to one durable session's journal.
+pub type SharedJournal = Arc<Mutex<Journal>>;
+
+/// One live session: the session and, on a durable service, its
+/// journal. The store holds the only long-lived copy, so dropping it
+/// (LRU, TTL or `close`) releases both once in-flight requests finish.
+#[derive(Clone)]
+pub struct Entry {
+    /// The session itself.
+    pub session: SharedSession,
+    /// Its journal bookkeeping; `None` on a service without persistence.
+    pub journal: Option<SharedJournal>,
     last_used: Instant,
 }
 
@@ -82,30 +99,27 @@ impl SessionStore {
 
     /// Insert a session and return its assigned id.
     pub fn open(&self, session: Session) -> String {
-        let mut reg = lock_recover(&self.registry);
-        self.expire(&mut reg);
-        let id = reg.next_id;
-        Self::insert(&mut reg, self.config, id, session);
+        let id = self.reserve_id();
+        self.insert(id, session, None);
         id.to_string()
     }
 
-    /// Insert a session under a caller-chosen id (crash recovery pins
-    /// recovered sessions back to their journaled ids). Future
-    /// server-assigned ids stay above it.
-    pub fn insert_with_id(&self, id: u64, session: Session) {
+    /// Hand out a fresh id without inserting anything yet, so a durable
+    /// open can create the journal before the entry exists.
+    pub fn reserve_id(&self) -> u64 {
         let mut reg = lock_recover(&self.registry);
-        self.expire(&mut reg);
-        Self::insert(&mut reg, self.config, id, session);
+        reg.next_id += 1;
+        reg.next_id - 1
     }
 
-    fn insert(reg: &mut Registry, config: StoreConfig, id: u64, session: Session) {
-        while reg.entries.len() >= config.max_sessions.max(1) {
+    /// Insert a session (and its journal) under `id`: a reserved id, or
+    /// a journaled one that crash recovery pins back. Future
+    /// server-assigned ids stay above it.
+    pub fn insert(&self, id: u64, session: Session, journal: Option<Journal>) {
+        let mut reg = self.registry();
+        while reg.entries.len() >= self.config.max_sessions.max(1) {
             // Evict the least-recently-used entry to make room.
-            if let Some((&victim, _)) = reg
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-            {
+            if let Some((&victim, _)) = reg.entries.iter().min_by_key(|(_, e)| e.last_used) {
                 reg.entries.remove(&victim);
                 reg.evicted_lru += 1;
             } else {
@@ -117,6 +131,7 @@ impl SessionStore {
             id,
             Entry {
                 session: Arc::new(Mutex::new(session)),
+                journal: journal.map(|j| Arc::new(Mutex::new(j))),
                 last_used: Instant::now(),
             },
         );
@@ -125,29 +140,32 @@ impl SessionStore {
     /// Fetch a session handle by id, refreshing its LRU stamp. `None` if
     /// the id is unknown, closed, expired, or evicted.
     pub fn get(&self, id: &str) -> Option<SharedSession> {
+        self.entry(id).map(|e| e.session)
+    }
+
+    /// Fetch a session with its journal, refreshing its LRU stamp.
+    pub fn entry(&self, id: &str) -> Option<Entry> {
         let key: u64 = id.parse().ok()?;
-        let mut reg = lock_recover(&self.registry);
-        self.expire(&mut reg);
+        let mut reg = self.registry();
         let entry = reg.entries.get_mut(&key)?;
         entry.last_used = Instant::now();
-        Some(Arc::clone(&entry.session))
+        Some(entry.clone())
     }
 
     /// Remove a session; `true` if it was live.
     pub fn close(&self, id: &str) -> bool {
-        let Ok(key) = id.parse::<u64>() else {
-            return false;
-        };
-        let mut reg = lock_recover(&self.registry);
-        self.expire(&mut reg);
-        reg.entries.remove(&key).is_some()
+        self.remove(id).is_some()
+    }
+
+    /// Remove a session and hand back its entry, if it was live.
+    pub fn remove(&self, id: &str) -> Option<Entry> {
+        let key: u64 = id.parse().ok()?;
+        self.registry().entries.remove(&key)
     }
 
     /// Live session count.
     pub fn len(&self) -> usize {
-        let mut reg = lock_recover(&self.registry);
-        self.expire(&mut reg);
-        reg.entries.len()
+        self.registry().entries.len()
     }
 
     /// Is the store empty?
@@ -161,13 +179,17 @@ impl SessionStore {
         (reg.evicted_lru, reg.evicted_ttl)
     }
 
-    fn expire(&self, reg: &mut Registry) {
-        let Some(ttl) = self.config.ttl else { return };
-        let now = Instant::now();
-        let before = reg.entries.len();
-        reg.entries
-            .retain(|_, e| now.duration_since(e.last_used) < ttl);
-        reg.evicted_ttl += (before - reg.entries.len()) as u64;
+    /// The registry, locked, with idle entries expired.
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        let mut reg = lock_recover(&self.registry);
+        if let Some(ttl) = self.config.ttl {
+            let now = Instant::now();
+            let before = reg.entries.len();
+            reg.entries
+                .retain(|_, e| now.duration_since(e.last_used) < ttl);
+            reg.evicted_ttl += (before - reg.entries.len()) as u64;
+        }
+        reg
     }
 }
 
@@ -221,9 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_with_id_pins_recovered_ids_and_bumps_the_counter() {
+    fn insert_pins_recovered_ids_and_bumps_the_counter() {
         let s = store(4, None);
-        s.insert_with_id(7, Session::new());
+        s.insert(7, Session::new(), None);
         assert!(s.get("7").is_some());
         let next = s.open(Session::new());
         assert_eq!(next, "8", "fresh ids never collide with recovered ones");

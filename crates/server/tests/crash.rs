@@ -168,12 +168,8 @@ fn check_crash_point(c: u64, atomic_tear: bool) {
             "session {sid} diverged after crash at byte {c} (atomic_tear={atomic_tear})"
         );
     }
-    let tracked = recovered
-        .persistence()
-        .expect("recovered service is durable")
-        .tracked();
     assert_eq!(
-        tracked,
+        recovered.store().len(),
         live.len(),
         "recovery resurrected or lost sessions at byte {c} (atomic_tear={atomic_tear})"
     );

@@ -14,6 +14,9 @@ cargo build --release --workspace --all-targets
 echo "== cargo test -q (offline) =="
 cargo test -q --workspace
 
+echo "== cargo clippy on the server, core and obs crates (warnings are errors) =="
+cargo clippy --offline -p sit-server -p sit-core -p sit-obs --all-targets -- -D warnings
+
 echo "== benchmark's own tests (perfbench correctness gate) =="
 # perfbench is a workspace of its own, so the step above does not reach
 # it. Its tests run tiny passes of every workload through the benchmark's
