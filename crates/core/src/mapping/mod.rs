@@ -213,13 +213,13 @@ impl<'a> Mappings<'a> {
         let mut branches = Vec::new();
         let equivalent = if let Some(o) = schema.object_by_name(&q.object) {
             let origins = &self.integrated.object_origin;
-            self.expand(origins, o, AttrOwner::Object, q, &mut branches)
+            self.expand(origins, o, o, AttrOwner::Object, q, &mut branches)
         } else {
             let r = schema
                 .rel_by_name(&q.object)
                 .ok_or_else(|| CoreError::UnknownName(q.object.clone()))?;
             let origins = &self.integrated.rel_origin;
-            self.expand(origins, r, AttrOwner::Rel, q, &mut branches)
+            self.expand(origins, r, r, AttrOwner::Rel, q, &mut branches)
         };
         Ok(UnionPlan {
             branches,
@@ -229,11 +229,14 @@ impl<'a> Mappings<'a> {
 
     /// The branches of integrated element `id` (an object class or a
     /// relationship set, `owner` says which): one per component member,
-    /// or the union of a derived element's children. Returns whether
-    /// the branches are an `E_` merge of one extension.
+    /// or the union of a derived element's children. `named` is the
+    /// element the query named: `id` itself, or a derived ancestor whose
+    /// attributes the branches resolve first. Returns whether the
+    /// branches are an `E_` merge of one extension.
     fn expand<E: Element, Id: Copy + Into<usize>>(
         &self,
         origins: &[Origin<E, Id>],
+        named: Id,
         id: Id,
         owner: fn(Id) -> AttrOwner,
         q: &Query,
@@ -242,13 +245,14 @@ impl<'a> Mappings<'a> {
         match &origins[id.into()] {
             Origin::DerivedSuper { children } => {
                 for &child in children {
-                    self.expand(origins, child, owner, q, branches);
+                    self.expand(origins, named, child, owner, q, branches);
                 }
                 false
             }
             origin => {
+                let targets = [owner(named), owner(id)];
                 for &m in origin.members() {
-                    branches.push(self.branch(m.schema(), m.owner(), owner(id), q));
+                    branches.push(self.branch(m.schema(), m.owner(), targets, q));
                 }
                 origin.members().len() > 1
             }
@@ -256,18 +260,19 @@ impl<'a> Mappings<'a> {
     }
 
     /// Build the branch for one component member (`owner` in schema
-    /// `sid`) of integrated element `target`: each projected integrated
-    /// attribute maps back through its provenance to the member's own
-    /// attribute when it contributed one.
+    /// `sid`): each projected attribute, looked up on the named element
+    /// and then on the member's own integrated element (`targets`), maps
+    /// back through its provenance to the member's own attribute when it
+    /// contributed one.
     fn branch(
         &self,
         sid: SchemaId,
         owner: AttrOwner,
-        target: AttrOwner,
+        targets: [AttrOwner; 2],
         q: &Query,
     ) -> ComponentQuery {
         let integrated = &self.integrated.schema;
-        let resolve = |attr: &str| -> Option<String> {
+        let resolve_on = |target: AttrOwner, attr: &str| -> Option<String> {
             let aid = integrated
                 .owner_attrs(target)
                 .iter()
@@ -279,6 +284,7 @@ impl<'a> Mappings<'a> {
                 .or_else(|| components.iter().find(|c| c.attr.schema == sid))?;
             Some(self.catalog.attr(c.attr).ok()?.name.clone())
         };
+        let resolve = |attr: &str| targets.iter().find_map(|&t| resolve_on(t, attr));
         let mut project = Vec::new();
         let mut missing = Vec::new();
         for attr in &q.project {

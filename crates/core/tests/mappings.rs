@@ -128,3 +128,40 @@ fn derived_relationship_set_expands_to_its_children() {
         "[a] select hours from TeachesU\n∪ [b] select hours from TeachesG"
     );
 }
+
+/// An attribute merged onto a derived (`D_`) object class resolves in
+/// every branch of its union to that child's own component attribute.
+#[test]
+fn derived_object_class_attribute_resolves_in_each_branch() {
+    let mut s = Session::new();
+    let a = s
+        .add_schema(ddl::parse("schema a { entity Dept { dept_no: int key; } }").unwrap())
+        .unwrap();
+    let b = s
+        .add_schema(ddl::parse("schema b { entity Part_Dept { dno: int key; } }").unwrap())
+        .unwrap();
+    s.declare_equivalent_named("a", "Dept", "dept_no", "b", "Part_Dept", "dno")
+        .unwrap();
+    let (dept, part) = (
+        s.named("a", "Dept").unwrap(),
+        s.named("b", "Part_Dept").unwrap(),
+    );
+    s.assert::<GObj>(dept, part, Assertion::DisjointIntegrable)
+        .unwrap();
+
+    // Pull-up moves the common key onto the derived parent.
+    let options = IntegrationOptions {
+        pull_up_common_attrs: true,
+        ..Default::default()
+    };
+    let integrated = s.integrate(a, b, &options).unwrap();
+    let mappings = Mappings::new(s.catalog(), &integrated);
+    let plan = mappings
+        .to_components(&Query::select("D_Dept_Part", &["D_dept_dno"]))
+        .unwrap();
+    assert!(plan.branches.iter().all(|b| b.missing.is_empty()), "{plan}");
+    assert_eq!(
+        plan.to_string(),
+        "[a] select dept_no from Dept\n∪ [b] select dno from Part_Dept"
+    );
+}

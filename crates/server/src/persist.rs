@@ -9,9 +9,14 @@
 //!   conflicting assert) stays in the journal and fails identically on
 //!   replay — dispatch is deterministic, so the journal needs no
 //!   outcome bit.
-//! * `<id>.snap.<gen>` — snapshot generation `gen`: one record whose
-//!   payload is the [`script::save`] text and whose sequence field is
-//!   the last journal sequence it covers.
+//! * `<id>.snap.0`, `<id>.snap.1` — two snapshot slots, each one record
+//!   whose payload is the [`script::save`] text and whose sequence field
+//!   is the last journal sequence it covers (the higher is the newer).
+//!
+//! The names follow from the id, so finding a session's files needs no
+//! listing. Any other `<id>.snap.*` is the old numbered layout: recovery
+//! fails on it with `InvalidData` rather than replay a compacted journal
+//! without its snapshot.
 //!
 //! ## Record container
 //!
@@ -28,14 +33,14 @@
 //! ## Snapshots and compaction
 //!
 //! Every [`PersistConfig::snapshot_every`] journaled records the
-//! session is snapshotted: write `snap.(g+1)` atomically, then rewrite
-//! the journal keeping only records *after the previous generation's*
-//! last sequence, then drop `snap.(g-1)`. Two generations plus that
-//! one-generation journal overlap mean a corrupt newest snapshot (torn
-//! by a crash mid-write) falls back to the older generation with no
-//! acknowledged record lost. Replay skips records at or below the
-//! recovered snapshot's sequence, so crashing between snapshot and
-//! compaction is also safe.
+//! session is snapshotted: `write_atomic` the slot that does *not* hold
+//! the newest valid snapshot, then rewrite the journal keeping only
+//! records after the *other* slot's sequence. The overwrite is the
+//! retention: the previous snapshot survives one more cycle, so a
+//! corrupt newest slot (torn by a crash mid-write) falls back to the
+//! other with no acknowledged record lost. Replay skips records at or
+//! below the recovered snapshot's sequence, so crashing between
+//! snapshot and compaction is also safe.
 //!
 //! ## Durability contract
 //!
@@ -55,7 +60,8 @@
 //! storage's append handle. `close` marks the journal closed before it
 //! deletes the files, so no later append can re-create them.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -294,7 +300,7 @@ pub struct PersistMetrics {
     pub recovered_records: Counter,
     /// Torn/corrupt tail bytes truncated at startup.
     pub recover_truncated_bytes: Counter,
-    /// Corrupt snapshots skipped in favor of older generations.
+    /// Torn, corrupt or unloadable snapshot slots passed over at recovery.
     pub recover_skipped_snapshots: Counter,
     /// Replayed records whose verb returned an error (a verb that
     /// failed live fails identically on replay — this counts those,
@@ -366,8 +372,9 @@ pub struct Journal {
     since_snapshot: u64,
     /// Records appended since the last fsync (`every-n` bookkeeping).
     unsynced: u32,
-    /// Latest snapshot generation on disk (0 = none yet).
-    gen: u64,
+    /// Slot of the newest valid snapshot; the next one overwrites the
+    /// other (1 before any, so the first lands in slot 0).
+    slot: usize,
     /// The latest snapshot's covered sequence.
     snap_last_seq: u64,
     /// Set when storage failed in a way repair could not undo; all
@@ -389,7 +396,7 @@ impl Journal {
             good_len: 0,
             since_snapshot: 0,
             unsynced: 0,
-            gen: 0,
+            slot: 1,
             snap_last_seq: 0,
             broken: false,
             closed: false,
@@ -409,8 +416,8 @@ impl Drop for Journal {
     }
 }
 
-fn snap_name(id: u64, gen: u64) -> String {
-    format!("{id}.snap.{gen}")
+fn snap_name(id: u64, slot: usize) -> String {
+    format!("{id}.snap.{slot}")
 }
 
 /// The journal/snapshot engine for one data directory. It holds no
@@ -547,21 +554,21 @@ impl Persistence {
         }
         let _span = trace::span("persist.snapshot");
         let text = script::save(session);
-        let gen = j.gen + 1;
+        let slot = 1 - j.slot;
         let snap = encode_record(j.seq, text.as_bytes());
         if self
             .storage
-            .write_atomic(&snap_name(j.id, gen), &snap)
+            .write_atomic(&snap_name(j.id, slot), &snap)
             .is_err()
         {
             self.metrics.errors.inc();
             return;
         }
         // The snapshot is durable; the journal now only *needs* records
-        // after the previous generation (kept so a torn newer snapshot
-        // can fall back one generation without losing anything).
+        // after the other slot's (kept so a torn newer snapshot can fall
+        // back to it without losing anything).
         let keep_above = j.snap_last_seq;
-        j.gen = gen;
+        j.slot = slot;
         j.snap_last_seq = j.seq;
         j.since_snapshot = 0;
         self.metrics.snapshots.inc();
@@ -584,94 +591,85 @@ impl Persistence {
             // state stays consistent, only compaction was skipped.
             Err(_) => self.metrics.errors.inc(),
         }
-        if gen >= 3 {
-            let _ = self.storage.remove(&snap_name(j.id, gen - 2));
-        }
     }
 
     /// Remove every file belonging to `id` (wire `close`). A live
     /// session's journal must be closed first. An error leaves files
     /// behind; the close may be retried, and only a close acknowledged
-    /// means the files are gone.
+    /// means the files are gone. The journal goes first, so a crash part
+    /// way never leaves a compacted journal without its snapshot.
     pub fn remove_session(&self, id: u64) -> Result<(), ServerError> {
-        let prefix = format!("{id}.");
-        let names = self
-            .storage
-            .list()
-            .map_err(|e| persist_io("list for close", &e))?;
-        for name in names.iter().filter(|n| n.starts_with(&prefix)) {
+        for name in [format!("{id}.journal"), snap_name(id, 0), snap_name(id, 1)] {
             self.storage
-                .remove(name)
+                .remove(&name)
                 .map_err(|e| persist_io("remove session file", &e))?;
         }
         Ok(())
     }
 
-    /// Scan the storage and rebuild every session, ascending by id:
-    /// latest valid snapshot (skipping corrupt generations), then
-    /// journal replay through the service's own dispatch, truncating
-    /// any torn tail.
+    /// Rebuild every session on the storage, ascending by id. The one
+    /// directory listing only learns the ids; `recover_one` reads each
+    /// session from its fixed names.
     pub fn recover(&self) -> io::Result<Vec<(u64, Session, Journal)>> {
         let _span = trace::span("recover");
-        // Group files by session id.
-        let mut found: BTreeMap<u64, (bool, Vec<u64>)> = BTreeMap::new();
+        let mut ids = BTreeSet::new();
         for name in self.storage.list()? {
             let Some((id, rest)) = name.split_once('.') else {
                 continue;
             };
             let Ok(id) = id.parse::<u64>() else { continue };
-            let entry = found.entry(id).or_default();
-            if rest == "journal" {
-                entry.0 = true;
-            } else if let Some(gen) = rest.strip_prefix("snap.").and_then(|g| g.parse().ok()) {
-                entry.1.push(gen);
+            match rest {
+                "journal" | "snap.0" | "snap.1" => {
+                    ids.insert(id);
+                }
+                _ if rest.starts_with("snap.") => {
+                    let msg = format!("`{name}`: old numbered snapshot layout, not a slot");
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+                }
+                _ => {}
             }
         }
-        let mut sessions = Vec::new();
-        for (id, (has_journal, mut gens)) in found {
-            if !has_journal && gens.is_empty() {
-                continue;
-            }
-            let t0 = self.clock.now_ns();
-            let mut span = trace::span("recover.session");
-            span.set_arg("session", id.to_string());
-            gens.sort_unstable();
-            let (session, journal) = self.recover_one(id, &gens)?;
-            drop(span);
-            self.metrics
-                .recover_ns
-                .record(self.clock.now_ns().saturating_sub(t0));
-            self.metrics.recovered_sessions.inc();
-            sessions.push((id, session, journal));
-        }
-        Ok(sessions)
+        ids.into_iter()
+            .map(|id| self.recover_one(id).map(|(s, j)| (id, s, j)))
+            .collect()
     }
 
-    fn recover_one(&self, id: u64, gens: &[u64]) -> io::Result<(Session, Journal)> {
-        // Newest decodable snapshot wins; corrupt ones are skipped.
+    /// Rebuild session `id` from its three names: the newest snapshot
+    /// slot that decodes and loads (the other slot if it does not),
+    /// then journal replay through the service's own dispatch,
+    /// truncating any torn tail.
+    pub(crate) fn recover_one(&self, id: u64) -> io::Result<(Session, Journal)> {
+        let t0 = self.clock.now_ns();
+        let mut span = trace::span("recover.session");
+        span.set_arg("session", id.to_string());
+        let mut journal = Journal::new(Arc::clone(&self.storage), id);
+        let mut slots = Vec::new();
+        for slot in 0..2 {
+            match self.storage.read(&snap_name(id, slot)) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                read => match read.ok().and_then(|bytes| decode_snapshot(&bytes)) {
+                    Some((last_seq, payload)) => slots.push((last_seq, slot, payload)),
+                    None => self.metrics.recover_skipped_snapshots.inc(),
+                },
+            }
+        }
+        slots.sort_unstable_by_key(|&(last_seq, ..)| Reverse(last_seq));
         let mut session = Session::new();
-        let mut snap_last_seq = 0u64;
-        for &gen in gens.iter().rev() {
-            let loaded = self
-                .storage
-                .read(&snap_name(id, gen))
+        for (last_seq, slot, payload) in slots {
+            let loaded = String::from_utf8(payload)
                 .ok()
-                .and_then(|bytes| decode_snapshot(&bytes))
-                .and_then(|(last_seq, payload)| {
-                    let text = String::from_utf8(payload).ok()?;
-                    script::load(&text).ok().map(|s| (last_seq, s))
-                });
+                .and_then(|text| script::load(&text).ok());
             match loaded {
-                Some((last_seq, s)) => {
+                Some(s) => {
                     session = s;
-                    snap_last_seq = last_seq;
+                    journal.slot = slot;
+                    journal.snap_last_seq = last_seq;
                     break;
                 }
                 None => self.metrics.recover_skipped_snapshots.inc(),
             }
         }
         // Journal scan: truncate a torn tail, replay the rest.
-        let mut journal = Journal::new(Arc::clone(&self.storage), id);
         let bytes = read_or_empty(&*self.storage, &journal.name)?;
         let scan = decode_records(&bytes, MAX_JOURNAL_PAYLOAD);
         if scan.trailing > 0 {
@@ -681,27 +679,22 @@ impl Persistence {
             self.storage
                 .write_atomic(&journal.name, &bytes[..scan.consumed])?;
         }
-        journal.seq = snap_last_seq;
+        journal.seq = journal.snap_last_seq;
         for (rseq, payload) in &scan.records {
             journal.seq = journal.seq.max(*rseq);
-            if *rseq <= snap_last_seq {
+            if *rseq <= journal.snap_last_seq {
                 continue; // already covered by the snapshot
             }
             journal.since_snapshot += 1;
             self.metrics.recovered_records.inc();
             self.replay(&mut session, payload);
         }
-        let max_gen = gens.last().copied().unwrap_or(0);
-        // Prune generations the retention scheme no longer references
-        // (older crashes can leave a trail behind the newest two).
-        for &gen in gens {
-            if gen + 1 < max_gen {
-                let _ = self.storage.remove(&snap_name(id, gen));
-            }
-        }
         journal.good_len = scan.consumed as u64;
-        journal.gen = max_gen;
-        journal.snap_last_seq = snap_last_seq;
+        drop(span);
+        self.metrics
+            .recover_ns
+            .record(self.clock.now_ns().saturating_sub(t0));
+        self.metrics.recovered_sessions.inc();
         Ok((session, journal))
     }
 

@@ -283,9 +283,9 @@ impl Service {
                     .schemas()
                     .map(|(_, sch)| Json::str(sch.name()))
                     .collect();
-                // The canonical `load` frame is the session's first
-                // journal record; replay re-runs `script::load`.
-                let id = self.open(session, Some(Request::Load { script }))?;
+                // The frame as received is the session's first journal
+                // record; replay re-runs `script::load` on it.
+                let id = self.open(session, Some(raw))?;
                 Ok(ok_response(vec![
                     ("session", Json::str(id)),
                     ("schemas", Json::Arr(schemas)),
@@ -372,13 +372,13 @@ impl Service {
     /// Insert a fresh session. On a durable service its journal, with
     /// `first` as its first record, is written before the entry exists,
     /// so a failure leaves nothing to undo.
-    fn open(&self, session: Session, first: Option<Request>) -> Result<String, ServerError> {
+    fn open(&self, session: Session, first: Option<&str>) -> Result<String, ServerError> {
         let id = self.store.reserve_id();
         let journal = match &self.persist {
             Some(p) => {
                 let mut journal = p.create_journal(id)?;
                 if let Some(first) = first {
-                    p.append(&mut journal, first.to_json().encode().as_bytes())?;
+                    p.append(&mut journal, first.as_bytes())?;
                 }
                 Some(journal)
             }

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use sit_obs::sync::lock_recover;
 
@@ -50,7 +50,8 @@ pub trait Storage: Send + Sync {
     /// Read the whole file. `ErrorKind::NotFound` if it does not exist.
     fn read(&self, name: &str) -> io::Result<Vec<u8>>;
 
-    /// Remove the file; removing a missing file is not an error.
+    /// Remove the file; removing a missing file is not an error and
+    /// makes nothing durable (there is nothing to sync).
     fn remove(&self, name: &str) -> io::Result<()>;
 
     /// All file names, sorted.
@@ -83,8 +84,9 @@ pub struct DirStorage {
     root: PathBuf,
     /// Cached append handles; invalidated by `write_atomic`/`remove`
     /// (the rename swaps the inode out from under an open descriptor)
-    /// and dropped by `release`.
-    handles: Mutex<HashMap<String, File>>,
+    /// and dropped by `release`. The lock is never held across I/O, so
+    /// one session's fsync does not stall another's append.
+    handles: Mutex<HashMap<String, Arc<File>>>,
 }
 
 impl DirStorage {
@@ -107,26 +109,25 @@ impl DirStorage {
 impl Storage for DirStorage {
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
         check_name(name)?;
-        let mut handles = lock_recover(&self.handles);
-        if !handles.contains_key(name) {
-            let file = OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(self.root.join(name))?;
-            handles.insert(name.to_owned(), file);
-        }
-        let file = handles.get_mut(name).expect("just inserted");
-        file.write_all(data)
+        let cached = lock_recover(&self.handles).get(name).cloned();
+        let file = match cached {
+            Some(file) => file,
+            None => {
+                let path = self.root.join(name);
+                let file = Arc::new(OpenOptions::new().append(true).create(true).open(path)?);
+                lock_recover(&self.handles).insert(name.to_owned(), Arc::clone(&file));
+                file
+            }
+        };
+        (&*file).write_all(data)
     }
 
     fn sync(&self, name: &str) -> io::Result<()> {
         check_name(name)?;
-        {
-            let handles = lock_recover(&self.handles);
-            match handles.get(name) {
-                Some(file) => file.sync_all()?,
-                None => File::open(self.root.join(name))?.sync_all()?,
-            }
+        let cached = lock_recover(&self.handles).get(name).cloned();
+        match cached {
+            Some(file) => file.sync_all()?,
+            None => File::open(self.root.join(name))?.sync_all()?,
         }
         self.sync_dir()
     }
@@ -156,10 +157,10 @@ impl Storage for DirStorage {
         check_name(name)?;
         lock_recover(&self.handles).remove(name);
         match std::fs::remove_file(self.root.join(name)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-            _ => {}
+            Ok(()) => self.sync_dir(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(e),
         }
-        self.sync_dir()
     }
 
     fn list(&self) -> io::Result<Vec<String>> {

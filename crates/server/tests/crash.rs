@@ -43,7 +43,8 @@ const DDL_B: &str = "schema sb { entity P2 { N: char key; } }";
 /// deterministically ("1", "2", "3" in open order). The workload
 /// crosses every persistence path: journal appends, an apply-time
 /// failure that still hits the journal (the bogus equiv), snapshots +
-/// compaction (snapshot_every=2), generation pruning, and `close`.
+/// compaction (snapshot_every=2) through both snapshot slots, and
+/// `close`.
 fn workload() -> Vec<String> {
     let f = |s: &str| s.to_owned();
     vec![

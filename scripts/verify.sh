@@ -243,6 +243,10 @@ before="$(./target/release/sit client "127.0.0.1:$crash_port" <<'REQS'
 {"op":"add_schema","session":"1","ddl":"schema s2 { entity Pupil { Name: char key; } }"}
 {"op":"equiv","session":"1","a":"s1.Student.Name","b":"s2.Pupil.Name"}
 {"op":"assert","session":"1","a":"s1.Student","b":"s2.Pupil","assertion":"equals"}
+{"op":"add_schema","session":"1","ddl":"schema s3 { entity Learner { Name: char key; } }"}
+{"op":"add_schema","session":"1","ddl":"schema s4 { entity Scholar { Name: char key; } }"}
+{"op":"equiv","session":"1","a":"s3.Learner.Name","b":"s4.Scholar.Name"}
+{"op":"assert","session":"1","a":"s3.Learner","b":"s4.Scholar","assertion":"equals"}
 {"op":"save","session":"1"}
 REQS
 )"
@@ -255,11 +259,17 @@ before_save="$(echo "$before" | tail -n 1)"
 # (The brace group keeps bash's "Killed" job notice out of the output.)
 { kill -9 "$crash_pid" && wait "$crash_pid"; } 2>/dev/null || true
 crash_pid=""
+# Eight mutations under --snapshot-every 4: both snapshot slots are written.
+for slot in 0 1; do
+  [ -f "$persist_dir/1.snap.$slot" ] \
+    || { echo "FAIL: snapshot slot 1.snap.$slot was never written" >&2; exit 1; }
+done
 
 start_durable
 after="$(printf '%s\n' \
   '{"op":"save","session":"1"}' \
   '{"op":"persist_stats"}' \
+  '{"op":"close","session":"1"}' \
   '{"op":"shutdown"}' \
   | ./target/release/sit client "127.0.0.1:$crash_port")"
 after_save="$(echo "$after" | head -n 1)"
@@ -271,6 +281,14 @@ if [ "$before_save" != "$after_save" ]; then
 fi
 echo "$after" | grep -q '"enabled":true' \
   || { echo "FAIL: persist_stats does not report persistence enabled" >&2; exit 1; }
+echo "$after" | grep -q '"closed":true' \
+  || { echo "FAIL: close of the recovered session not acknowledged" >&2; exit 1; }
+# A closed session's files are its three fixed names; none may remain.
+left="$(cd "$persist_dir" && ls -A | grep '^1\.' || true)"
+if [ -n "$left" ]; then
+  echo "FAIL: files of closed session 1 remain: $left" >&2
+  exit 1
+fi
 for _ in $(seq 1 50); do
   kill -0 "$crash_pid" 2>/dev/null || break
   sleep 0.1
@@ -281,6 +299,6 @@ if kill -0 "$crash_pid" 2>/dev/null; then
 fi
 wait "$crash_pid" 2>/dev/null || true
 crash_pid=""
-echo "ok: acknowledged state survived kill -9 byte-for-byte"
+echo "ok: acknowledged state survived kill -9 byte-for-byte; close removed every file"
 
 echo "== verify OK =="
