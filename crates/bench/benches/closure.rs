@@ -96,7 +96,8 @@ fn main() {
         bench.run(format!("star_equalities/{n}"), || {
             let mut e = AssertionEngine::new();
             for i in 1..=n {
-                e.assert(0, i, Assertion::Equal, |x| format!("n{x}")).unwrap();
+                e.assert(0, i, Assertion::Equal, |x| format!("n{x}"))
+                    .unwrap();
             }
             e
         });

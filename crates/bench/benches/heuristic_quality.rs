@@ -4,8 +4,8 @@
 
 use sit_bench::harness::Bench;
 use sit_bench::{drive_session, Phase2Strategy, Phase3Strategy};
-use sit_core::session::Session;
 use sit_core::catalog::GObj;
+use sit_core::session::Session;
 use sit_datagen::oracle::GroundTruthOracle;
 use sit_datagen::GeneratorConfig;
 use sit_matcher::suggest::suggest_equivalences;
@@ -30,7 +30,9 @@ fn main() {
             Phase3Strategy::Ranked,
         );
         bench.run(format!("attribute_ratio_rank/{objects}"), || {
-            driven.session.candidates::<GObj>(driven.ids.0, driven.ids.1)
+            driven
+                .session
+                .candidates::<GObj>(driven.ids.0, driven.ids.1)
         });
         // Matcher suggestion sweep over all attribute pairs.
         let mut session = Session::new();

@@ -24,8 +24,7 @@ fn roundtrip(service: &Arc<Service>, gate: &Arc<Gate>) -> usize {
     let (client_end, server_end) = sim_pair();
     let service_for_conn = Arc::clone(service);
     let gate = Arc::clone(gate);
-    let server =
-        std::thread::spawn(move || serve_connection(server_end, &service_for_conn, &gate));
+    let server = std::thread::spawn(move || serve_connection(server_end, &service_for_conn, &gate));
     let mut conn = client_end;
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 1024];
@@ -138,9 +137,7 @@ fn main() {
         let mut span = tracer.span("fill");
         span.set_arg("i", i.to_string());
     }
-    bench.run("chrome_export/4096_events", || {
-        tracer.export_chrome().len()
-    });
+    bench.run("chrome_export/4096_events", || tracer.export_chrome().len());
 
     gate.drain();
     bench.finish().expect("write BENCH_obs.json");

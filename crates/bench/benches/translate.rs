@@ -27,10 +27,7 @@ fn hierarchy(records: usize) -> HierSchema {
     h.record(RecordType::root("r0").seq_field("r0_id", "int"));
     for i in 1..records {
         let parent = format!("r{}", (i - 1) / 2);
-        h.record(
-            RecordType::child(format!("r{i}"), parent)
-                .seq_field(format!("r{i}_id"), "int"),
-        );
+        h.record(RecordType::child(format!("r{i}"), parent).seq_field(format!("r{i}_id"), "int"));
     }
     h
 }

@@ -65,7 +65,8 @@ fn print_figure(which: &str) {
                 .unwrap();
             let student = s.object_named("sc1", "Student").unwrap();
             let grad = s.object_named("sc2", "Grad_student").unwrap();
-            s.assert_objects(student, grad, Assertion::Contains).unwrap();
+            s.assert_objects(student, grad, Assertion::Contains)
+                .unwrap();
             print_before_after(&s, sa, sb);
         }
         "2c" => {
@@ -141,7 +142,8 @@ fn paper_session() -> Session {
         ("Department", "Dname", "Department", "Dname"),
         ("Majors", "Since", "Majors", "Since"),
     ] {
-        s.declare_equivalent_named("sc1", o1, a1, "sc2", o2, a2).unwrap();
+        s.declare_equivalent_named("sc1", o1, a1, "sc2", o2, a2)
+            .unwrap();
     }
     let at = |s: &Session, n: &str, o: &str| s.object_named(n, o).unwrap();
     let d1 = at(&s, "sc1", "Department");
@@ -150,7 +152,8 @@ fn paper_session() -> Session {
     let grad = at(&s, "sc2", "Grad_student");
     let faculty = at(&s, "sc2", "Faculty");
     s.assert_objects(d1, d2, Assertion::Equal).unwrap();
-    s.assert_objects(student, grad, Assertion::Contains).unwrap();
+    s.assert_objects(student, grad, Assertion::Contains)
+        .unwrap();
     s.assert_objects(student, faculty, Assertion::DisjointIntegrable)
         .unwrap();
     let m1 = s.named::<GRel>("sc1", "Majors").unwrap();

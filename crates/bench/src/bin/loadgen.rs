@@ -220,7 +220,10 @@ fn main() {
     }
 
     println!("\n## bench server ({clients} clients, {total} requests)\n");
-    println!("{}", table(&["verb", "count", "min", "median", "p95"], &rows));
+    println!(
+        "{}",
+        table(&["verb", "count", "min", "median", "p95"], &rows)
+    );
     println!(
         "throughput : {rps:.0} requests/sec ({total} requests in {elapsed:.3}s)\np95 overall: {}",
         fmt_ns(percentile(&overall, 19, 20))

@@ -103,7 +103,10 @@ impl Report {
         let mut out = String::from("{\n");
         for (i, s) in self.sections.iter().enumerate() {
             let strings = |xs: &[String]| {
-                xs.iter().map(|x| json_string(x)).collect::<Vec<_>>().join(", ")
+                xs.iter()
+                    .map(|x| json_string(x))
+                    .collect::<Vec<_>>()
+                    .join(", ")
             };
             out.push_str(&format!(
                 "  {}: {{\n    \"title\": {},\n    \"headers\": [{}],\n    \"rows\": [\n",
@@ -163,7 +166,13 @@ fn b1_question_count(report: &mut Report) {
     report.section(
         "B1",
         "DDA question count by strategy (phase 3 object questions)",
-        &["objects/schema", "true pairs", "all-pairs", "ranked", "ranked+closure"],
+        &[
+            "objects/schema",
+            "true pairs",
+            "all-pairs",
+            "ranked",
+            "ranked+closure",
+        ],
         rows,
         Some("shape check: all-pairs >> ranked >= ranked+closure"),
     );
@@ -208,7 +217,9 @@ fn b2_heuristic_quality(report: &mut Report) {
             Phase2Strategy::MatcherSuggested { threshold: 0.55 },
             Phase3Strategy::Ranked,
         );
-        let ranked2 = driven2.session.candidates::<GObj>(driven2.ids.0, driven2.ids.1);
+        let ranked2 = driven2
+            .session
+            .candidates::<GObj>(driven2.ids.0, driven2.ids.1);
         let q_matcher = ranking_quality(&driven2.session, &ranked2, &pair.truth);
         for (strategy, q) in [
             ("random order", q_rand),
@@ -261,7 +272,12 @@ fn b3_closure_cost(report: &mut Report) {
     report.section(
         "B3",
         "transitive derivation cost (chain of contained-in assertions)",
-        &["chain length", "assert+derive time", "pinned pairs", "conflict check"],
+        &[
+            "chain length",
+            "assert+derive time",
+            "pinned pairs",
+            "conflict check",
+        ],
         rows,
         None,
     );
@@ -304,7 +320,13 @@ fn b4_integration_cost(report: &mut Report) {
     report.section(
         "B4",
         "integration pipeline cost (drive phases 2-3, then integrate)",
-        &["objects/schema", "overlap", "phases 2-3", "phase 4", "integrated objects"],
+        &[
+            "objects/schema",
+            "overlap",
+            "phases 2-3",
+            "phase 4",
+            "integrated objects",
+        ],
         rows,
         None,
     );
@@ -471,12 +493,22 @@ fn run_fold(family: &sit_datagen::SchemaFamily, order: &[usize]) -> FoldOutcome 
         let acc_objs: Vec<(sit_core::catalog::GObj, String)> = session
             .catalog()
             .objects_of(acc)
-            .map(|g| (g, session.catalog().schema(acc).object(g.object).name.clone()))
+            .map(|g| {
+                (
+                    g,
+                    session.catalog().schema(acc).object(g.object).name.clone(),
+                )
+            })
             .collect();
         let next_objs: Vec<(sit_core::catalog::GObj, String)> = session
             .catalog()
             .objects_of(next)
-            .map(|g| (g, session.catalog().schema(next).object(g.object).name.clone()))
+            .map(|g| {
+                (
+                    g,
+                    session.catalog().schema(next).object(g.object).name.clone(),
+                )
+            })
             .collect();
         for (ga, na) in &acc_objs {
             for (gb, nb) in &next_objs {
@@ -510,7 +542,9 @@ fn run_fold(family: &sit_datagen::SchemaFamily, order: &[usize]) -> FoldOutcome 
             schema_name: Some(format!("acc_{step}")),
             ..Default::default()
         };
-        let integrated = session.integrate(acc, next, &options).expect("fold integrates");
+        let integrated = session
+            .integrate(acc, next, &options)
+            .expect("fold integrates");
         final_objects = integrated.schema.object_count();
         // Update provenance map for the new schema's objects.
         let catalog_names: Vec<(String, Vec<String>)> = integrated
@@ -520,7 +554,12 @@ fn run_fold(family: &sit_datagen::SchemaFamily, order: &[usize]) -> FoldOutcome 
                 let members = integrated.object_origin[oid.index()].members();
                 let mut names = Vec::new();
                 for m in members {
-                    let mname = session.catalog().schema(m.schema).object(m.object).name.clone();
+                    let mname = session
+                        .catalog()
+                        .schema(m.schema)
+                        .object(m.object)
+                        .name
+                        .clone();
                     match orig.get(&mname) {
                         Some(os) => names.extend(os.clone()),
                         None => names.push(mname),
@@ -586,7 +625,12 @@ fn make_relational(tables: usize) -> RelSchema {
             .col_pk(format!("t{i}_id"), "int")
             .col(format!("t{i}_data"), "char");
         if i > 0 {
-            t = t.col_fk(format!("t{}_ref", i - 1), "int", format!("t{}", i - 1), format!("t{}_id", i - 1));
+            t = t.col_fk(
+                format!("t{}_ref", i - 1),
+                "int",
+                format!("t{}", i - 1),
+                format!("t{}_id", i - 1),
+            );
         }
         r.table(t);
     }

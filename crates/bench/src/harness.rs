@@ -110,7 +110,10 @@ impl Bench {
     /// sorted by label for stable diffs). Returns the JSON path.
     pub fn finish(mut self) -> std::io::Result<std::path::PathBuf> {
         self.results.sort_by(|a, b| a.label.cmp(&b.label));
-        println!("\n## bench {} ({} samples/label)\n", self.name, self.samples);
+        println!(
+            "\n## bench {} ({} samples/label)\n",
+            self.name, self.samples
+        );
         let rows: Vec<Vec<String>> = self
             .results
             .iter()
@@ -124,7 +127,10 @@ impl Bench {
                 ]
             })
             .collect();
-        println!("{}", crate::table(&["label", "min", "median", "p95", "mean"], &rows));
+        println!(
+            "{}",
+            crate::table(&["label", "min", "median", "p95", "mean"], &rows)
+        );
         let path = std::path::PathBuf::from(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json())?;
         println!("wrote {}", path.display());

@@ -131,8 +131,7 @@ pub fn drive_session(
         let (oa, aa) = owner_attr(&session, ga);
         let (ob, ab) = owner_attr(&session, gb);
         stats.attr_questions += 1;
-        if oracle.attrs_equivalent(&oa, &aa, &ob, &ab)
-            && session.declare_equivalent(ga, gb).is_ok()
+        if oracle.attrs_equivalent(&oa, &aa, &ob, &ab) && session.declare_equivalent(ga, gb).is_ok()
         {
             // recorded
         }
@@ -159,8 +158,18 @@ pub fn drive_session(
         {
             continue; // already pinned by derivation: no question needed
         }
-        let name_a = session.catalog().schema(a.schema).object(a.object).name.clone();
-        let name_b = session.catalog().schema(b.schema).object(b.object).name.clone();
+        let name_a = session
+            .catalog()
+            .schema(a.schema)
+            .object(a.object)
+            .name
+            .clone();
+        let name_b = session
+            .catalog()
+            .schema(b.schema)
+            .object(b.object)
+            .name
+            .clone();
         stats.object_questions += 1;
         if let Some(assertion) = oracle.object_assertion(&name_a, &name_b) {
             match session.assert_objects(a, b, assertion) {
@@ -233,7 +242,11 @@ pub fn ranking_quality(
         }
     }
     RankingQuality {
-        precision_at_k: if k == 0 { 0.0 } else { hits_at_k as f64 / k as f64 },
+        precision_at_k: if k == 0 {
+            0.0
+        } else {
+            hits_at_k as f64 / k as f64
+        },
         recall: hits_total as f64 / total_true as f64,
         mrr: if seen == 0 { 0.0 } else { mrr / seen as f64 },
     }
@@ -241,7 +254,12 @@ pub fn ranking_quality(
 
 /// A random-order baseline for the ranking comparison: the same candidate
 /// universe (all cross pairs), shuffled deterministically.
-pub fn random_pairs(session: &Session, sa: SchemaId, sb: SchemaId, seed: u64) -> Vec<CandidatePair<GObj>> {
+pub fn random_pairs(
+    session: &Session,
+    sa: SchemaId,
+    sb: SchemaId,
+    seed: u64,
+) -> Vec<CandidatePair<GObj>> {
     let catalog = session.catalog();
     let mut out: Vec<CandidatePair<GObj>> = catalog
         .objects_of(sa)

@@ -456,8 +456,7 @@ mod tests {
                     let r = relate(a, b);
                     let s = relate(b, c);
                     let t = relate(a, c);
-                    let possible =
-                        Rel5Set::only(r).compose(Rel5Set::only(s));
+                    let possible = Rel5Set::only(r).compose(Rel5Set::only(s));
                     assert!(
                         possible.contains(t),
                         "witness ({a:04b},{b:04b},{c:04b}): {r} ∘ {s} must allow {t}, got {possible}"
@@ -499,8 +498,7 @@ mod tests {
         for r in Rel5::ALL {
             for s in Rel5::ALL {
                 assert_eq!(
-                    COMPOSE[r as usize][s as usize],
-                    witnessed[r as usize][s as usize],
+                    COMPOSE[r as usize][s as usize], witnessed[r as usize][s as usize],
                     "table entry ({r},{s}) is not tight"
                 );
             }
@@ -538,13 +536,19 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(Rel5::Pp));
         assert!(!s.contains(Rel5::Eq));
-        assert_eq!(s.intersect(Rel5Set::only(Rel5::Dr)), Rel5Set::only(Rel5::Dr));
+        assert_eq!(
+            s.intersect(Rel5Set::only(Rel5::Dr)),
+            Rel5Set::only(Rel5::Dr)
+        );
         assert!(s.singleton().is_none());
         assert_eq!(Rel5Set::only(Rel5::Po).singleton(), Some(Rel5::Po));
         assert!(Rel5Set::EMPTY.is_empty());
         assert!(Rel5Set::ALL.is_universal());
         assert_eq!(format!("{s}"), "{PP,DR}");
-        assert_eq!(s.converse(), Rel5Set::only(Rel5::Ppi).union(Rel5Set::only(Rel5::Dr)));
+        assert_eq!(
+            s.converse(),
+            Rel5Set::only(Rel5::Ppi).union(Rel5Set::only(Rel5::Dr))
+        );
     }
 
     #[test]

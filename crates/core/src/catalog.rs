@@ -207,7 +207,9 @@ impl Catalog {
     pub fn attr(&self, a: GAttr) -> Result<&Attribute> {
         self.try_schema(a.schema)
             .and_then(|s| s.attr_of(a.owner, a.attr))
-            .ok_or_else(|| CoreError::UnknownElement(format!("{}.{:?}.{}", a.schema, a.owner, a.attr)))
+            .ok_or_else(|| {
+                CoreError::UnknownElement(format!("{}.{:?}.{}", a.schema, a.owner, a.attr))
+            })
     }
 
     /// Dotted display name `schema.Name` of an object class or

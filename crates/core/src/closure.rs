@@ -539,7 +539,14 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         rel: Rel5,
         name: impl Fn(N) -> String,
     ) -> Result<Vec<DerivedFact<N>>, ConflictReport> {
-        self.apply(a, b, Rel5Set::only(rel), None, FactSource::IntraSchema, &name)
+        self.apply(
+            a,
+            b,
+            Rel5Set::only(rel),
+            None,
+            FactSource::IntraSchema,
+            &name,
+        )
     }
 
     /// Record a DDA assertion for a pair. On success, returns the facts the
@@ -790,11 +797,7 @@ where
     nodes.sort_unstable();
     nodes.dedup();
     let mut cons: HashMap<(N, N), Rel5Set> = HashMap::new();
-    fn get<N: Copy + Eq + Ord + Hash>(
-        cons: &HashMap<(N, N), Rel5Set>,
-        a: N,
-        b: N,
-    ) -> Rel5Set {
+    fn get<N: Copy + Eq + Ord + Hash>(cons: &HashMap<(N, N), Rel5Set>, a: N, b: N) -> Rel5Set {
         if a == b {
             return Rel5Set::only(Rel5::Eq);
         }
@@ -953,7 +956,8 @@ mod tests {
         assert_eq!(e.known(1, 2), Some(Rel5::Pp), "other fact survives");
         assert!(!e.retract(0, 1), "nothing left to retract");
         // Now the previously conflicting assertion is accepted.
-        e.assert(0, 2, Assertion::DisjointNonIntegrable, nm).unwrap();
+        e.assert(0, 2, Assertion::DisjointNonIntegrable, nm)
+            .unwrap();
         assert_eq!(e.known(0, 2), Some(Rel5::Dr));
     }
 
@@ -987,7 +991,8 @@ mod tests {
         assert!(e.is_integrable_dr(0, 1));
         assert!(e.is_integrable_dr(1, 0));
         assert_eq!(e.effective(0, 1), Some(Assertion::DisjointIntegrable));
-        e.assert(2, 3, Assertion::DisjointNonIntegrable, nm).unwrap();
+        e.assert(2, 3, Assertion::DisjointNonIntegrable, nm)
+            .unwrap();
         assert_eq!(e.effective(2, 3), Some(Assertion::DisjointNonIntegrable));
     }
 
@@ -1020,9 +1025,7 @@ mod tests {
             e.assert(i, i + 1, Assertion::ContainedIn, nm).unwrap();
         }
         assert_eq!(e.known(0, 10), Some(Rel5::Pp));
-        let err = e
-            .assert(10, 0, Assertion::ContainedIn, nm)
-            .unwrap_err();
+        let err = e.assert(10, 0, Assertion::ContainedIn, nm).unwrap_err();
         assert_eq!(err.existing, Rel5Set::only(Rel5::Ppi));
     }
 
@@ -1084,7 +1087,8 @@ mod tests {
     fn retract_preserves_earlier_integrability_mark() {
         let mut e = E::new();
         e.assert(0, 1, Assertion::DisjointIntegrable, nm).unwrap();
-        e.assert(0, 1, Assertion::DisjointNonIntegrable, nm).unwrap();
+        e.assert(0, 1, Assertion::DisjointNonIntegrable, nm)
+            .unwrap();
         // Retract the later (non-integrable) assertion: the earlier
         // integrable intent must survive the rebuild.
         assert!(e.retract(0, 1));

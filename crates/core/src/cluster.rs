@@ -190,7 +190,8 @@ mod tests {
     #[test]
     fn disjoint_non_integrable_does_not_connect() {
         let mut e = AssertionEngine::<u32>::new();
-        e.assert(0, 1, Assertion::DisjointNonIntegrable, nm).unwrap();
+        e.assert(0, 1, Assertion::DisjointNonIntegrable, nm)
+            .unwrap();
         let cl = clusters(&e.view(&[0, 1]), &[0, 1]);
         assert_eq!(cl.len(), 2, "kept separate");
         assert!(!connects(&e.view(&[0, 1]), 0, 1));

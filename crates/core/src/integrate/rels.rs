@@ -174,9 +174,9 @@ fn merge_legs(catalog: &Catalog, assembled: &Assembled, members: &[GRel]) -> Res
                 .enumerate()
                 .position(|(i, l)| !used[i] && l.object == obj);
             let slot = exact.or_else(|| {
-                legs.iter().enumerate().position(|(i, l)| {
-                    !used[i] && comparable(ancestors, l.object, obj).is_some()
-                })
+                legs.iter()
+                    .enumerate()
+                    .position(|(i, l)| !used[i] && comparable(ancestors, l.object, obj).is_some())
             });
             match slot {
                 Some(i) => {

@@ -80,7 +80,12 @@ impl Query {
     }
 
     /// Attach a filter.
-    pub fn filtered(mut self, attr: impl Into<String>, op: CmpOp, value: impl Into<String>) -> Self {
+    pub fn filtered(
+        mut self,
+        attr: impl Into<String>,
+        op: CmpOp,
+        value: impl Into<String>,
+    ) -> Self {
         self.filter = Some(Filter {
             attr: attr.into(),
             op,
@@ -214,7 +219,10 @@ mod tests {
     #[test]
     fn query_display() {
         let q = Query::select("Student", &["Name", "GPA"]).filtered("GPA", CmpOp::Gt, "3.5");
-        assert_eq!(q.to_string(), "select Name, GPA from Student where GPA > 3.5");
+        assert_eq!(
+            q.to_string(),
+            "select Name, GPA from Student where GPA > 3.5"
+        );
     }
 
     #[test]
@@ -254,11 +262,16 @@ mod tests {
 
     #[test]
     fn parse_accepts_keyword_case_and_spacing() {
-        let q: Query = "SELECT Name , GPA FROM Student WHERE GPA <= 4".parse().unwrap();
+        let q: Query = "SELECT Name , GPA FROM Student WHERE GPA <= 4"
+            .parse()
+            .unwrap();
         assert_eq!(q.project, vec!["Name", "GPA"]);
         assert_eq!(q.object, "Student");
         let f = q.filter.unwrap();
-        assert_eq!((f.attr.as_str(), f.op, f.value.as_str()), ("GPA", CmpOp::Le, "4"));
+        assert_eq!(
+            (f.attr.as_str(), f.op, f.value.as_str()),
+            ("GPA", CmpOp::Le, "4")
+        );
     }
 
     #[test]

@@ -51,7 +51,10 @@ pub fn fold_integrate(
     options: &IntegrationOptions,
     setup: &mut PairSetup<'_>,
 ) -> Result<Vec<FoldStep>> {
-    assert!(order.len() >= 2, "n-ary integration needs at least two schemas");
+    assert!(
+        order.len() >= 2,
+        "n-ary integration needs at least two schemas"
+    );
     let mut steps = Vec::new();
     let mut acc = order[0];
     for (i, &next) in order.iter().enumerate().skip(1) {
@@ -155,8 +158,12 @@ mod tests {
             let oy_name = sess.catalog().schema(y).object(oy).name.clone();
             // The accumulated schema's key may have been renamed to D_SSN
             // by a previous merge; resolve the actual attribute name.
-            let ax_name = sess.catalog().schema(x).object(ox).attributes[0].name.clone();
-            let ay_name = sess.catalog().schema(y).object(oy).attributes[0].name.clone();
+            let ax_name = sess.catalog().schema(x).object(ox).attributes[0]
+                .name
+                .clone();
+            let ay_name = sess.catalog().schema(y).object(oy).attributes[0]
+                .name
+                .clone();
             sess.declare_equivalent_named(&cx, &ox_name, &ax_name, &cy, &oy_name, &ay_name)?;
             assert_named(sess, &cx, &ox_name, &cy, &oy_name, Assertion::Contains)
         };

@@ -167,16 +167,17 @@ pub fn parse_keyword(s: &str) -> Option<Assertion> {
     Assertion::MENU.into_iter().find(|a| keyword(*a) == s)
 }
 
-fn parse_assertion_line<'a>(
-    rest: &'a str,
-    line: &str,
-) -> Result<(&'a str, Assertion, &'a str)> {
+fn parse_assertion_line<'a>(rest: &'a str, line: &str) -> Result<(&'a str, Assertion, &'a str)> {
     let mut parts = rest.split_whitespace();
-    let a = parts.next().ok_or_else(|| bad_line("missing operand", line))?;
+    let a = parts
+        .next()
+        .ok_or_else(|| bad_line("missing operand", line))?;
     let kw = parts
         .next()
         .ok_or_else(|| bad_line("missing assertion keyword", line))?;
-    let b = parts.next().ok_or_else(|| bad_line("missing operand", line))?;
+    let b = parts
+        .next()
+        .ok_or_else(|| bad_line("missing operand", line))?;
     if parts.next().is_some() {
         return Err(bad_line("trailing tokens", line));
     }
@@ -313,10 +314,7 @@ mod tests {
         // Assertions produce the same pinned relations.
         let d1 = loaded.object_named("sc1", "Department").unwrap();
         let d2 = loaded.object_named("sc2", "Department").unwrap();
-        assert_eq!(
-            loaded.effective_assertion(d1, d2),
-            Some(Assertion::Equal)
-        );
+        assert_eq!(loaded.effective_assertion(d1, d2), Some(Assertion::Equal));
         // And the integration results match.
         let s1 = original.catalog().by_name("sc1").unwrap();
         let s2 = original.catalog().by_name("sc2").unwrap();
@@ -358,8 +356,14 @@ assert a.Person equals b.Human;
             .unwrap();
         let script = save(&s);
         let loaded = load(&script).unwrap();
-        let a = loaded.catalog().attr_named("sc2", "Grad_student", "Name").unwrap();
-        let b = loaded.catalog().attr_named("sc2", "Faculty", "Name").unwrap();
+        let a = loaded
+            .catalog()
+            .attr_named("sc2", "Grad_student", "Name")
+            .unwrap();
+        let b = loaded
+            .catalog()
+            .attr_named("sc2", "Faculty", "Name")
+            .unwrap();
         assert!(loaded.equivalences().equivalent(a, b));
     }
 

@@ -26,7 +26,8 @@ fn transitive_reduction_keeps_only_hasse_edges() {
         "schema a { entity Top { id: int key; } }",
         "schema b { entity Mid { id: int key; } category Low of Mid { extra: char; } }",
     );
-    s.declare_equivalent_named("a", "Top", "id", "b", "Mid", "id").unwrap();
+    s.declare_equivalent_named("a", "Top", "id", "b", "Mid", "id")
+        .unwrap();
     let top = s.object_named("a", "Top").unwrap();
     let mid = s.object_named("b", "Mid").unwrap();
     let low = s.object_named("b", "Low").unwrap();
@@ -65,7 +66,10 @@ fn multi_parent_categories_survive_integration() {
         .iter()
         .map(|&p| schema.object(p).name.as_str())
         .collect();
-    assert!(names.contains(&"Student") && names.contains(&"Employee"), "{names:?}");
+    assert!(
+        names.contains(&"Student") && names.contains(&"Employee"),
+        "{names:?}"
+    );
 }
 
 #[test]
@@ -78,7 +82,8 @@ fn derived_class_over_a_merged_node() {
         "schema a { entity Person { id: int key; } }",
         "schema b { entity Human { id: int key; } }",
     );
-    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id").unwrap();
+    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id")
+        .unwrap();
     let person = s.object_named("a", "Person").unwrap();
     let human = s.object_named("b", "Human").unwrap();
     s.assert_objects(person, human, Assertion::Equal).unwrap();
@@ -90,14 +95,20 @@ fn derived_class_over_a_merged_node() {
     let merged_name = s.catalog().schema(merged_id).name().to_owned();
     let merged_obj = s.object_named(&merged_name, "E_Pers_Huma").unwrap();
     let cyborg = s.object_named("c", "Cyborg").unwrap();
-    s.assert_objects(merged_obj, cyborg, Assertion::MayBe).unwrap();
-    let result = s.integrate(merged_id, c, &IntegrationOptions::default()).unwrap();
+    s.assert_objects(merged_obj, cyborg, Assertion::MayBe)
+        .unwrap();
+    let result = s
+        .integrate(merged_id, c, &IntegrationOptions::default())
+        .unwrap();
     let schema = &result.schema;
     // Derived name strips the E_ prefix of the merged child.
     let derived = schema.object_by_name("D_Pers_Cybo").unwrap_or_else(|| {
         panic!(
             "derived class missing; objects: {:?}",
-            schema.objects().map(|(_, o)| o.name.clone()).collect::<Vec<_>>()
+            schema
+                .objects()
+                .map(|(_, o)| o.name.clone())
+                .collect::<Vec<_>>()
         )
     });
     let children: Vec<&str> = schema
@@ -118,18 +129,21 @@ fn overlap_with_sibling_of_merge_is_rejected() {
         "schema a { entity Person { id: int key; } entity Android { serial: char key; } }",
         "schema b { entity Human { id: int key; } }",
     );
-    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id").unwrap();
+    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id")
+        .unwrap();
     let person = s.object_named("a", "Person").unwrap();
     let human = s.object_named("b", "Human").unwrap();
     let android = s.object_named("a", "Android").unwrap();
     s.assert_objects(person, human, Assertion::Equal).unwrap();
-    let err = s.assert_objects(android, human, Assertion::MayBe).unwrap_err();
+    let err = s
+        .assert_objects(android, human, Assertion::MayBe)
+        .unwrap_err();
     match err {
         sit_core::error::CoreError::Conflict(report) => {
-            assert!(report
-                .supports
-                .iter()
-                .any(|sup| !sup.from_user), "structural seed cited: {report}");
+            assert!(
+                report.supports.iter().any(|sup| !sup.from_user),
+                "structural seed cited: {report}"
+            );
         }
         other => panic!("expected conflict, got {other}"),
     }
@@ -162,7 +176,8 @@ fn rename_overrides_apply_before_uniquification() {
         "schema a { entity Person { id: int key; } }",
         "schema b { entity Human { id: int key; } }",
     );
-    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id").unwrap();
+    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id")
+        .unwrap();
     let person = s.object_named("a", "Person").unwrap();
     let human = s.object_named("b", "Human").unwrap();
     s.assert_objects(person, human, Assertion::Equal).unwrap();
@@ -191,7 +206,8 @@ fn equals_chain_of_three_views_collapses_through_nary() {
     let b = s
         .add_schema(ddl::parse("schema b { entity Town { name: char key; } }").unwrap())
         .unwrap();
-    s.declare_equivalent_named("a", "City", "name", "b", "Town", "name").unwrap();
+    s.declare_equivalent_named("a", "City", "name", "b", "Town", "name")
+        .unwrap();
     let city = s.object_named("a", "City").unwrap();
     let town = s.object_named("b", "Town").unwrap();
     s.assert_objects(city, town, Assertion::Equal).unwrap();
@@ -202,12 +218,21 @@ fn equals_chain_of_three_views_collapses_through_nary() {
         .unwrap();
     let merged_name = s.catalog().schema(merged_id).name().to_owned();
     // The merged key is D_name; equate it with c's key.
-    s.declare_equivalent_named(&merged_name, "E_City_Town", "D_name", "c", "Municipality", "name")
-        .unwrap();
+    s.declare_equivalent_named(
+        &merged_name,
+        "E_City_Town",
+        "D_name",
+        "c",
+        "Municipality",
+        "name",
+    )
+    .unwrap();
     let m = s.object_named(&merged_name, "E_City_Town").unwrap();
     let muni = s.object_named("c", "Municipality").unwrap();
     s.assert_objects(m, muni, Assertion::Equal).unwrap();
-    let second = s.integrate(merged_id, c, &IntegrationOptions::default()).unwrap();
+    let second = s
+        .integrate(merged_id, c, &IntegrationOptions::default())
+        .unwrap();
     assert_eq!(second.schema.object_count(), 1);
     // The name stays a single E_ merge, not E_E_...
     let name = &second.schema.object(sit_ecr::ObjectId::new(0)).name;
@@ -221,7 +246,8 @@ fn assertion_matrix_reports_user_and_derived_entries() {
     let sb = s.add_schema(sit_ecr::fixtures::sc4()).unwrap();
     let inst = s.object_named("sc3", "Instructor").unwrap();
     let grad = s.object_named("sc4", "Grad_student").unwrap();
-    s.assert_objects(inst, grad, Assertion::ContainedIn).unwrap();
+    s.assert_objects(inst, grad, Assertion::ContainedIn)
+        .unwrap();
     let m = s.assertion_matrix(sa, sb);
     // sc3 has 1 object; sc4 has Student, Grad_student.
     assert_eq!(m.len(), 1);
@@ -239,7 +265,11 @@ fn assertion_matrix_reports_user_and_derived_entries() {
         .unwrap()
         .index();
     assert_eq!(m[0][grad_col], Some(Assertion::ContainedIn), "user entry");
-    assert_eq!(m[0][student_col], Some(Assertion::ContainedIn), "derived entry");
+    assert_eq!(
+        m[0][student_col],
+        Some(Assertion::ContainedIn),
+        "derived entry"
+    );
 }
 
 #[test]
@@ -248,7 +278,9 @@ fn self_integration_is_rejected() {
         "schema a { entity X { id: int key; } }",
         "schema b { entity Y { id: int key; } }",
     );
-    let err = s.integrate(sa, sa, &IntegrationOptions::default()).unwrap_err();
+    let err = s
+        .integrate(sa, sa, &IntegrationOptions::default())
+        .unwrap_err();
     assert!(err.to_string().contains("itself"), "{err}");
 }
 
@@ -287,8 +319,10 @@ fn an_attribute_held_by_two_ancestors_is_absorbed_by_the_nearest() {
         "schema a { entity P1 { name: char key; } category X of P1 { xname: char; } }",
         "schema b { entity P2 { name: char key; } }",
     );
-    s.declare_equivalent_named("a", "P1", "name", "b", "P2", "name").unwrap();
-    s.declare_equivalent_named("a", "X", "xname", "b", "P2", "name").unwrap();
+    s.declare_equivalent_named("a", "P1", "name", "b", "P2", "name")
+        .unwrap();
+    s.declare_equivalent_named("a", "X", "xname", "b", "P2", "name")
+        .unwrap();
     let x = s.object_named("a", "X").unwrap();
     let p2 = s.object_named("b", "P2").unwrap();
     s.assert_objects(p2, x, Assertion::Contains).unwrap();

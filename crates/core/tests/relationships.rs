@@ -27,7 +27,8 @@ fn contained_relationship_builds_a_lattice_edge() {
         "schema b { entity Human { id: int key; } relationship Advises {
             Human (0,n) role advisor; Human (0,n) role advisee; } }",
     );
-    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id").unwrap();
+    s.declare_equivalent_named("a", "Person", "id", "b", "Human", "id")
+        .unwrap();
     let person = s.object_named("a", "Person").unwrap();
     let human = s.object_named("b", "Human").unwrap();
     s.assert_objects(person, human, Assertion::Equal).unwrap();
@@ -68,14 +69,17 @@ fn disjoint_integrable_relationships_produce_a_derived_union() {
         "schema b { entity Teacher { id: int key; } entity GCourse { no: int key; }
          relationship TeachesG { Teacher (0,2); GCourse (1,1); } }",
     );
-    s.declare_equivalent_named("a", "Prof", "id", "b", "Teacher", "id").unwrap();
-    s.declare_equivalent_named("a", "UCourse", "no", "b", "GCourse", "no").unwrap();
+    s.declare_equivalent_named("a", "Prof", "id", "b", "Teacher", "id")
+        .unwrap();
+    s.declare_equivalent_named("a", "UCourse", "no", "b", "GCourse", "no")
+        .unwrap();
     let prof = s.object_named("a", "Prof").unwrap();
     let teacher = s.object_named("b", "Teacher").unwrap();
     s.assert_objects(prof, teacher, Assertion::Equal).unwrap();
     let uc = s.object_named("a", "UCourse").unwrap();
     let gc = s.object_named("b", "GCourse").unwrap();
-    s.assert_objects(uc, gc, Assertion::DisjointIntegrable).unwrap();
+    s.assert_objects(uc, gc, Assertion::DisjointIntegrable)
+        .unwrap();
     let tu = s.named::<GRel>("a", "TeachesU").unwrap();
     let tg = s.named::<GRel>("b", "TeachesG").unwrap();
     s.assert(tu, tg, Assertion::DisjointIntegrable).unwrap();
@@ -123,12 +127,14 @@ fn merged_relationship_widens_constraints_and_merges_attrs() {
          relationship S { P (0,3); Q (2,n); load: real; } }",
     );
     for (o1, o2) in [("X", "P"), ("Y", "Q")] {
-        s.declare_equivalent_named("a", o1, "id", "b", o2, "id").unwrap();
+        s.declare_equivalent_named("a", o1, "id", "b", o2, "id")
+            .unwrap();
         let a = s.object_named("a", o1).unwrap();
         let b = s.object_named("b", o2).unwrap();
         s.assert_objects(a, b, Assertion::Equal).unwrap();
     }
-    s.declare_equivalent_named("a", "R", "weight", "b", "S", "load").unwrap();
+    s.declare_equivalent_named("a", "R", "weight", "b", "S", "load")
+        .unwrap();
     let r = s.named::<GRel>("a", "R").unwrap();
     let srel = s.named::<GRel>("b", "S").unwrap();
     s.assert(r, srel, Assertion::Equal).unwrap();
@@ -160,14 +166,17 @@ fn leg_mismatch_is_reported() {
         "schema b { entity P { id: int key; }
          relationship S { P (0,n); P (0,n); } }",
     );
-    s.declare_equivalent_named("a", "X", "id", "b", "P", "id").unwrap();
+    s.declare_equivalent_named("a", "X", "id", "b", "P", "id")
+        .unwrap();
     let x = s.object_named("a", "X").unwrap();
     let p = s.object_named("b", "P").unwrap();
     s.assert_objects(x, p, Assertion::Equal).unwrap();
     let r = s.named::<GRel>("a", "R").unwrap();
     let srel = s.named::<GRel>("b", "S").unwrap();
     s.assert(r, srel, Assertion::Equal).unwrap();
-    let err = s.integrate(sa, sb, &IntegrationOptions::default()).unwrap_err();
+    let err = s
+        .integrate(sa, sb, &IntegrationOptions::default())
+        .unwrap_err();
     assert!(matches!(err, CoreError::RelLegMismatch { .. }), "{err}");
 }
 
@@ -180,12 +189,14 @@ fn pull_up_moves_common_rel_attrs_to_the_union() {
          relationship S { P (0,n); Q (0,n); begun: date; } }",
     );
     for (o1, o2) in [("X", "P"), ("Y", "Q")] {
-        s.declare_equivalent_named("a", o1, "id", "b", o2, "id").unwrap();
+        s.declare_equivalent_named("a", o1, "id", "b", o2, "id")
+            .unwrap();
         let a = s.object_named("a", o1).unwrap();
         let b = s.object_named("b", o2).unwrap();
         s.assert_objects(a, b, Assertion::Equal).unwrap();
     }
-    s.declare_equivalent_named("a", "R", "started", "b", "S", "begun").unwrap();
+    s.declare_equivalent_named("a", "R", "started", "b", "S", "begun")
+        .unwrap();
     let r = s.named::<GRel>("a", "R").unwrap();
     let srel = s.named::<GRel>("b", "S").unwrap();
     s.assert(r, srel, Assertion::DisjointIntegrable).unwrap();
@@ -256,7 +267,10 @@ fn rel_mappings_translate_view_queries() {
     assert_eq!(up.project, vec!["D_Since".to_owned()]);
     // Down: the merged relationship is answerable from either component.
     let down = mappings
-        .to_components(&sit_core::mapping::Query::select("E_Stud_Majo", &["D_Since"]))
+        .to_components(&sit_core::mapping::Query::select(
+            "E_Stud_Majo",
+            &["D_Since"],
+        ))
         .unwrap();
     assert!(down.equivalent);
     assert_eq!(down.branches.len(), 2);

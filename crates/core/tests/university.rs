@@ -38,7 +38,8 @@ fn paper_session() -> (Session, sit_ecr::SchemaId, sit_ecr::SchemaId) {
     // Screen 8's entered codes: 1 (equals), 3 (contains), 4 (disjoint but
     // integrable).
     s.assert_objects(dept1, dept2, Assertion::Equal).unwrap();
-    s.assert_objects(student, grad, Assertion::Contains).unwrap();
+    s.assert_objects(student, grad, Assertion::Contains)
+        .unwrap();
     s.assert_objects(student, faculty, Assertion::DisjointIntegrable)
         .unwrap();
 
@@ -73,17 +74,15 @@ fn screen8_candidate_rows() {
         "sc2.Grad_student".into(),
         "0.5000".into()
     )));
-    assert!(rows.contains(&(
-        "sc1.Student".into(),
-        "sc2.Faculty".into(),
-        "0.3333".into()
-    )));
+    assert!(rows.contains(&("sc1.Student".into(), "sc2.Faculty".into(), "0.3333".into())));
 }
 
 #[test]
 fn figure5_integrated_schema() {
     let (s, sc1, sc2) = paper_session();
-    let result = s.integrate(sc1, sc2, &IntegrationOptions::default()).unwrap();
+    let result = s
+        .integrate(sc1, sc2, &IntegrationOptions::default())
+        .unwrap();
     let schema = &result.schema;
 
     // Screen 10: Entities(2): E_Department, D_Stud_Facu;
@@ -91,7 +90,10 @@ fn figure5_integrated_schema() {
     // Relationships(2): E_Stud_Majo, Works.
     let entities: Vec<&str> = schema.entity_sets().map(|(_, o)| o.name.as_str()).collect();
     let categories: Vec<&str> = schema.categories().map(|(_, o)| o.name.as_str()).collect();
-    let rels: Vec<&str> = schema.relationships().map(|(_, r)| r.name.as_str()).collect();
+    let rels: Vec<&str> = schema
+        .relationships()
+        .map(|(_, r)| r.name.as_str())
+        .collect();
     assert_eq!(entities.len(), 2, "{entities:?}");
     assert!(entities.contains(&"E_Department"), "{entities:?}");
     assert!(entities.contains(&"D_Stud_Facu"), "{entities:?}");
@@ -122,7 +124,9 @@ fn figure5_integrated_schema() {
 #[test]
 fn screen12_component_attributes() {
     let (s, sc1, sc2) = paper_session();
-    let result = s.integrate(sc1, sc2, &IntegrationOptions::default()).unwrap();
+    let result = s
+        .integrate(sc1, sc2, &IntegrationOptions::default())
+        .unwrap();
     let schema = &result.schema;
 
     // Student carries D_Name with two components: sc1.Student.Name (E) and
@@ -173,7 +177,9 @@ fn screen12_component_attributes() {
 #[test]
 fn merged_relationship_binds_to_general_class() {
     let (s, sc1, sc2) = paper_session();
-    let result = s.integrate(sc1, sc2, &IntegrationOptions::default()).unwrap();
+    let result = s
+        .integrate(sc1, sc2, &IntegrationOptions::default())
+        .unwrap();
     let schema = &result.schema;
     let rid = schema.rel_by_name("E_Stud_Majo").unwrap();
     let rel = schema.relationship(rid);
@@ -238,16 +244,24 @@ fn pull_up_ablation_moves_name_to_derived_class() {
 #[test]
 fn mappings_translate_both_directions() {
     let (s, sc1, sc2) = paper_session();
-    let result = s.integrate(sc1, sc2, &IntegrationOptions::default()).unwrap();
+    let result = s
+        .integrate(sc1, sc2, &IntegrationOptions::default())
+        .unwrap();
     let mappings = Mappings::new(s.catalog(), &result);
 
     // Logical design: a view request against sc2.Grad_student rewrites to
     // the integrated schema — Name was absorbed into Student.D_Name.
-    let view_q = Query::select("Grad_student", &["Name", "Support_type"])
-        .filtered("Name", CmpOp::Eq, "'Smith'");
+    let view_q = Query::select("Grad_student", &["Name", "Support_type"]).filtered(
+        "Name",
+        CmpOp::Eq,
+        "'Smith'",
+    );
     let up = mappings.to_integrated("sc2", &view_q).unwrap();
     assert_eq!(up.object, "Grad_student");
-    assert_eq!(up.project, vec!["D_Name".to_owned(), "Support_type".to_owned()]);
+    assert_eq!(
+        up.project,
+        vec!["D_Name".to_owned(), "Support_type".to_owned()]
+    );
     assert_eq!(up.filter.as_ref().unwrap().attr, "D_Name");
 
     // Global design: a request against the derived D_Stud_Facu fans out to
@@ -283,10 +297,18 @@ fn figure2_cases() {
     s.assert_objects(d1, d2, Assertion::Equal).unwrap();
     let r = s.integrate(sa, sb, &Default::default()).unwrap();
     assert_eq!(r.schema.object_count(), 1);
-    assert_eq!(r.schema.object(sit_ecr::ObjectId::new(0)).name, "E_Department");
+    assert_eq!(
+        r.schema.object(sit_ecr::ObjectId::new(0)).name,
+        "E_Department"
+    );
     // Both Budget and Location survive alongside the merged key.
-    let attrs: Vec<&str> = r.schema.object(sit_ecr::ObjectId::new(0))
-        .attributes.iter().map(|x| x.name.as_str()).collect();
+    let attrs: Vec<&str> = r
+        .schema
+        .object(sit_ecr::ObjectId::new(0))
+        .attributes
+        .iter()
+        .map(|x| x.name.as_str())
+        .collect();
     assert!(attrs.contains(&"D_Dname"), "{attrs:?}");
     assert!(attrs.contains(&"Budget"), "{attrs:?}");
     assert!(attrs.contains(&"Location"), "{attrs:?}");
@@ -300,7 +322,8 @@ fn figure2_cases() {
         .unwrap();
     let student = s.object_named("sc1", "Student").unwrap();
     let grad = s.object_named("sc2", "Grad_student").unwrap();
-    s.assert_objects(student, grad, Assertion::Contains).unwrap();
+    s.assert_objects(student, grad, Assertion::Contains)
+        .unwrap();
     let r = s.integrate(sa, sb, &Default::default()).unwrap();
     let student_i = r.schema.object_by_name("Student").unwrap();
     let grad_i = r.schema.object_by_name("Grad_student").unwrap();
@@ -318,8 +341,14 @@ fn figure2_cases() {
     let inst = s.object_named("sc2", "Instructor").unwrap();
     s.assert_objects(grad, inst, Assertion::MayBe).unwrap();
     let r = s.integrate(sa, sb, &Default::default()).unwrap();
-    let d = r.schema.object_by_name("D_Grad_Inst").expect("derived class");
-    assert!(!r.schema.object(d).kind.is_category(), "derived root is an entity set");
+    let d = r
+        .schema
+        .object_by_name("D_Grad_Inst")
+        .expect("derived class");
+    assert!(
+        !r.schema.object(d).kind.is_category(),
+        "derived root is an entity set"
+    );
     assert_eq!(r.schema.children_of(d).count(), 2);
 
     // 2d: disjoint integrable → D_Secr_Engi.
@@ -329,7 +358,8 @@ fn figure2_cases() {
     let sb = s.add_schema(b).unwrap();
     let secr = s.object_named("sc1", "Secretary").unwrap();
     let engi = s.object_named("sc2", "Engineer").unwrap();
-    s.assert_objects(secr, engi, Assertion::DisjointIntegrable).unwrap();
+    s.assert_objects(secr, engi, Assertion::DisjointIntegrable)
+        .unwrap();
     let r = s.integrate(sa, sb, &Default::default()).unwrap();
     assert!(r.schema.object_by_name("D_Secr_Engi").is_some());
     assert_eq!(r.schema.object_count(), 3);
@@ -341,7 +371,8 @@ fn figure2_cases() {
     let sb = s.add_schema(b).unwrap();
     let ugs = s.object_named("sc1", "Under_Grad_Student").unwrap();
     let prof = s.object_named("sc2", "Full_Professor").unwrap();
-    s.assert_objects(ugs, prof, Assertion::DisjointNonIntegrable).unwrap();
+    s.assert_objects(ugs, prof, Assertion::DisjointNonIntegrable)
+        .unwrap();
     let r = s.integrate(sa, sb, &Default::default()).unwrap();
     assert_eq!(r.schema.object_count(), 2);
     assert!(r.schema.object_by_name("Under_Grad_Student").is_some());
@@ -354,7 +385,9 @@ fn integration_result_can_be_reintegrated() {
     // "A result of integration of two schemas can be integrated with
     // another schema."
     let (mut s, sc1, sc2) = paper_session();
-    let result = s.integrate(sc1, sc2, &IntegrationOptions::default()).unwrap();
+    let result = s
+        .integrate(sc1, sc2, &IntegrationOptions::default())
+        .unwrap();
     let merged_id = s.add_schema(result.schema).unwrap();
     let sc3 = s.add_schema(fixtures::sc3()).unwrap();
     // Assert Instructor overlaps the integrated Faculty.

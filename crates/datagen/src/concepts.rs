@@ -67,129 +67,225 @@ impl ConceptPool {
         use Domain::*;
         let a = ConceptAttr::new;
         let concepts = vec![
-            Concept::new("Student", &["Pupil", "Learner"], vec![
-                a("student_id", &["sid", "student_no"], Int, true),
-                a("name", &["full_name", "student_name"], Char, false),
-                a("gpa", &["grade_point_avg"], Real, false),
-                a("birth_date", &["dob"], Date, false),
-            ]),
-            Concept::new("Faculty", &["Instructor", "Professor", "Teacher"], vec![
-                a("faculty_id", &["fid", "teacher_no"], Int, true),
-                a("name", &["full_name"], Char, false),
-                a("rank", &["title"], Char, false),
-                a("salary", &["wage", "pay"], Real, false),
-            ]),
-            Concept::new("Department", &["Dept", "Division"], vec![
-                a("dept_no", &["dno", "department_number"], Int, true),
-                a("dname", &["dept_name", "department_name"], Char, false),
-                a("budget", &["funds"], Real, false),
-            ]),
-            Concept::new("Course", &["Class", "Subject"], vec![
-                a("course_no", &["cno", "course_number"], Int, true),
-                a("title", &["course_title", "name"], Char, false),
-                a("credits", &["credit_hours"], Int, false),
-            ]),
-            Concept::new("Employee", &["Worker", "Staff"], vec![
-                a("ssn", &["emp_id", "employee_no"], Int, true),
-                a("name", &["emp_name"], Char, false),
-                a("salary", &["wage"], Real, false),
-                a("hire_date", &["start_date"], Date, false),
-            ]),
-            Concept::new("Project", &["Proj", "Venture"], vec![
-                a("proj_no", &["pno", "project_number"], Int, true),
-                a("pname", &["proj_name", "project_name"], Char, false),
-                a("deadline", &["due_date"], Date, false),
-            ]),
-            Concept::new("Building", &["Facility"], vec![
-                a("building_no", &["bno"], Int, true),
-                a("address", &["location"], Char, false),
-                a("floors", &["storeys"], Int, false),
-            ]),
-            Concept::new("Library", &["Archive"], vec![
-                a("library_id", &["lib_no"], Int, true),
-                a("name", &["lib_name"], Char, false),
-                a("volumes", &["book_count"], Int, false),
-            ]),
-            Concept::new("Book", &["Volume", "Publication"], vec![
-                a("isbn", &["book_no"], Char, true),
-                a("title", &["book_title"], Char, false),
-                a("year", &["pub_year"], Int, false),
-            ]),
-            Concept::new("Laboratory", &["Lab"], vec![
-                a("lab_id", &["lab_no"], Int, true),
-                a("name", &["lab_name"], Char, false),
-                a("capacity", &["seats"], Int, false),
-            ]),
-            Concept::new("Grant", &["Award", "Funding"], vec![
-                a("grant_no", &["award_no"], Int, true),
-                a("amount", &["total"], Real, false),
-                a("sponsor", &["agency"], Char, false),
-            ]),
-            Concept::new("Customer", &["Client", "Patron"], vec![
-                a("customer_no", &["cust_id", "client_no"], Int, true),
-                a("name", &["cust_name"], Char, false),
-                a("phone", &["telephone", "tel"], Char, false),
-            ]),
-            Concept::new("Order", &["Purchase"], vec![
-                a("order_no", &["ord_id"], Int, true),
-                a("placed", &["order_date"], Date, false),
-                a("total", &["amount"], Real, false),
-            ]),
-            Concept::new("Product", &["Item", "Article"], vec![
-                a("product_no", &["prod_id", "item_no"], Int, true),
-                a("description", &["desc"], Char, false),
-                a("price", &["unit_price", "cost"], Real, false),
-            ]),
-            Concept::new("Supplier", &["Vendor", "Provider"], vec![
-                a("supplier_no", &["vendor_id"], Int, true),
-                a("name", &["vendor_name"], Char, false),
-                a("city", &["location"], Char, false),
-            ]),
-            Concept::new("Warehouse", &["Depot", "Storehouse"], vec![
-                a("warehouse_no", &["wh_id"], Int, true),
-                a("address", &["location"], Char, false),
-                a("capacity", &["volume"], Int, false),
-            ]),
-            Concept::new("Vehicle", &["Car", "Automobile"], vec![
-                a("vin", &["vehicle_no"], Char, true),
-                a("model", &["make_model"], Char, false),
-                a("year", &["model_year"], Int, false),
-            ]),
-            Concept::new("Patient", &["Case"], vec![
-                a("patient_id", &["pat_no"], Int, true),
-                a("name", &["patient_name"], Char, false),
-                a("admitted", &["admission_date"], Date, false),
-            ]),
-            Concept::new("Doctor", &["Physician", "Clinician"], vec![
-                a("doctor_id", &["doc_no"], Int, true),
-                a("name", &["doctor_name"], Char, false),
-                a("specialty", &["speciality", "field"], Char, false),
-            ]),
-            Concept::new("Ward", &["Unit"], vec![
-                a("ward_no", &["unit_no"], Int, true),
-                a("name", &["ward_name"], Char, false),
-                a("beds", &["bed_count"], Int, false),
-            ]),
-            Concept::new("Flight", &["Trip"], vec![
-                a("flight_no", &["flt_no"], Char, true),
-                a("origin", &["from_airport"], Char, false),
-                a("destination", &["to_airport"], Char, false),
-            ]),
-            Concept::new("Passenger", &["Traveler"], vec![
-                a("passenger_id", &["pax_no"], Int, true),
-                a("name", &["passenger_name"], Char, false),
-                a("frequent_flyer", &["ff_no"], Char, false),
-            ]),
-            Concept::new("Account", &["Ledger"], vec![
-                a("account_no", &["acct_id"], Int, true),
-                a("balance", &["current_balance"], Real, false),
-                a("opened", &["open_date"], Date, false),
-            ]),
-            Concept::new("Branch", &["Office", "Outlet"], vec![
-                a("branch_no", &["office_id"], Int, true),
-                a("city", &["location"], Char, false),
-                a("manager", &["mgr_name"], Char, false),
-            ]),
+            Concept::new(
+                "Student",
+                &["Pupil", "Learner"],
+                vec![
+                    a("student_id", &["sid", "student_no"], Int, true),
+                    a("name", &["full_name", "student_name"], Char, false),
+                    a("gpa", &["grade_point_avg"], Real, false),
+                    a("birth_date", &["dob"], Date, false),
+                ],
+            ),
+            Concept::new(
+                "Faculty",
+                &["Instructor", "Professor", "Teacher"],
+                vec![
+                    a("faculty_id", &["fid", "teacher_no"], Int, true),
+                    a("name", &["full_name"], Char, false),
+                    a("rank", &["title"], Char, false),
+                    a("salary", &["wage", "pay"], Real, false),
+                ],
+            ),
+            Concept::new(
+                "Department",
+                &["Dept", "Division"],
+                vec![
+                    a("dept_no", &["dno", "department_number"], Int, true),
+                    a("dname", &["dept_name", "department_name"], Char, false),
+                    a("budget", &["funds"], Real, false),
+                ],
+            ),
+            Concept::new(
+                "Course",
+                &["Class", "Subject"],
+                vec![
+                    a("course_no", &["cno", "course_number"], Int, true),
+                    a("title", &["course_title", "name"], Char, false),
+                    a("credits", &["credit_hours"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Employee",
+                &["Worker", "Staff"],
+                vec![
+                    a("ssn", &["emp_id", "employee_no"], Int, true),
+                    a("name", &["emp_name"], Char, false),
+                    a("salary", &["wage"], Real, false),
+                    a("hire_date", &["start_date"], Date, false),
+                ],
+            ),
+            Concept::new(
+                "Project",
+                &["Proj", "Venture"],
+                vec![
+                    a("proj_no", &["pno", "project_number"], Int, true),
+                    a("pname", &["proj_name", "project_name"], Char, false),
+                    a("deadline", &["due_date"], Date, false),
+                ],
+            ),
+            Concept::new(
+                "Building",
+                &["Facility"],
+                vec![
+                    a("building_no", &["bno"], Int, true),
+                    a("address", &["location"], Char, false),
+                    a("floors", &["storeys"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Library",
+                &["Archive"],
+                vec![
+                    a("library_id", &["lib_no"], Int, true),
+                    a("name", &["lib_name"], Char, false),
+                    a("volumes", &["book_count"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Book",
+                &["Volume", "Publication"],
+                vec![
+                    a("isbn", &["book_no"], Char, true),
+                    a("title", &["book_title"], Char, false),
+                    a("year", &["pub_year"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Laboratory",
+                &["Lab"],
+                vec![
+                    a("lab_id", &["lab_no"], Int, true),
+                    a("name", &["lab_name"], Char, false),
+                    a("capacity", &["seats"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Grant",
+                &["Award", "Funding"],
+                vec![
+                    a("grant_no", &["award_no"], Int, true),
+                    a("amount", &["total"], Real, false),
+                    a("sponsor", &["agency"], Char, false),
+                ],
+            ),
+            Concept::new(
+                "Customer",
+                &["Client", "Patron"],
+                vec![
+                    a("customer_no", &["cust_id", "client_no"], Int, true),
+                    a("name", &["cust_name"], Char, false),
+                    a("phone", &["telephone", "tel"], Char, false),
+                ],
+            ),
+            Concept::new(
+                "Order",
+                &["Purchase"],
+                vec![
+                    a("order_no", &["ord_id"], Int, true),
+                    a("placed", &["order_date"], Date, false),
+                    a("total", &["amount"], Real, false),
+                ],
+            ),
+            Concept::new(
+                "Product",
+                &["Item", "Article"],
+                vec![
+                    a("product_no", &["prod_id", "item_no"], Int, true),
+                    a("description", &["desc"], Char, false),
+                    a("price", &["unit_price", "cost"], Real, false),
+                ],
+            ),
+            Concept::new(
+                "Supplier",
+                &["Vendor", "Provider"],
+                vec![
+                    a("supplier_no", &["vendor_id"], Int, true),
+                    a("name", &["vendor_name"], Char, false),
+                    a("city", &["location"], Char, false),
+                ],
+            ),
+            Concept::new(
+                "Warehouse",
+                &["Depot", "Storehouse"],
+                vec![
+                    a("warehouse_no", &["wh_id"], Int, true),
+                    a("address", &["location"], Char, false),
+                    a("capacity", &["volume"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Vehicle",
+                &["Car", "Automobile"],
+                vec![
+                    a("vin", &["vehicle_no"], Char, true),
+                    a("model", &["make_model"], Char, false),
+                    a("year", &["model_year"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Patient",
+                &["Case"],
+                vec![
+                    a("patient_id", &["pat_no"], Int, true),
+                    a("name", &["patient_name"], Char, false),
+                    a("admitted", &["admission_date"], Date, false),
+                ],
+            ),
+            Concept::new(
+                "Doctor",
+                &["Physician", "Clinician"],
+                vec![
+                    a("doctor_id", &["doc_no"], Int, true),
+                    a("name", &["doctor_name"], Char, false),
+                    a("specialty", &["speciality", "field"], Char, false),
+                ],
+            ),
+            Concept::new(
+                "Ward",
+                &["Unit"],
+                vec![
+                    a("ward_no", &["unit_no"], Int, true),
+                    a("name", &["ward_name"], Char, false),
+                    a("beds", &["bed_count"], Int, false),
+                ],
+            ),
+            Concept::new(
+                "Flight",
+                &["Trip"],
+                vec![
+                    a("flight_no", &["flt_no"], Char, true),
+                    a("origin", &["from_airport"], Char, false),
+                    a("destination", &["to_airport"], Char, false),
+                ],
+            ),
+            Concept::new(
+                "Passenger",
+                &["Traveler"],
+                vec![
+                    a("passenger_id", &["pax_no"], Int, true),
+                    a("name", &["passenger_name"], Char, false),
+                    a("frequent_flyer", &["ff_no"], Char, false),
+                ],
+            ),
+            Concept::new(
+                "Account",
+                &["Ledger"],
+                vec![
+                    a("account_no", &["acct_id"], Int, true),
+                    a("balance", &["current_balance"], Real, false),
+                    a("opened", &["open_date"], Date, false),
+                ],
+            ),
+            Concept::new(
+                "Branch",
+                &["Office", "Outlet"],
+                vec![
+                    a("branch_no", &["office_id"], Int, true),
+                    a("city", &["location"], Char, false),
+                    a("manager", &["mgr_name"], Char, false),
+                ],
+            ),
         ];
         Self { concepts }
     }
@@ -242,12 +338,7 @@ impl ConceptPool {
                     Real,
                     false,
                 ),
-                ConceptAttr::new(
-                    &format!("c{i}_when"),
-                    &[&format!("c{i}_date")],
-                    Date,
-                    false,
-                ),
+                ConceptAttr::new(&format!("c{i}_when"), &[&format!("c{i}_date")], Date, false),
             ];
             self.concepts.push(Concept {
                 name,

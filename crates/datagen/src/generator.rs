@@ -141,7 +141,10 @@ impl GeneratorConfig {
                         Assertion::MayBe,
                     )
                 } else {
-                    (self.perturber.render(pool.get(ci), &mut rng), Assertion::Equal)
+                    (
+                        self.perturber.render(pool.get(ci), &mut rng),
+                        Assertion::Equal,
+                    )
                 };
                 renderings_b.push(rendering);
                 relations.push(Some(assertion));
@@ -506,7 +509,11 @@ mod tests {
             .iter()
             .all(|t| t.assertion == Assertion::Contains));
         // Specializations carry the Senior_ prefix.
-        assert!(p.truth.assertions.iter().all(|t| t.b.starts_with("Senior_")));
+        assert!(p
+            .truth
+            .assertions
+            .iter()
+            .all(|t| t.b.starts_with("Senior_")));
     }
 
     #[test]

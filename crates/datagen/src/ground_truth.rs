@@ -75,8 +75,14 @@ mod tests {
                 "full_name".into(),
             )],
         };
-        assert_eq!(gt.assertion_for("Student", "Grad"), Some(Assertion::Contains));
-        assert_eq!(gt.assertion_for("Grad", "Student"), Some(Assertion::ContainedIn));
+        assert_eq!(
+            gt.assertion_for("Student", "Grad"),
+            Some(Assertion::Contains)
+        );
+        assert_eq!(
+            gt.assertion_for("Grad", "Student"),
+            Some(Assertion::ContainedIn)
+        );
         assert_eq!(gt.assertion_for("Student", "Ghost"), None);
         assert!(gt.attrs_equivalent("Student", "name", "Grad", "full_name"));
         assert!(gt.attrs_equivalent("Grad", "full_name", "Student", "name"));

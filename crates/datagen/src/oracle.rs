@@ -37,7 +37,10 @@ pub struct GroundTruthOracle<'a> {
 impl<'a> GroundTruthOracle<'a> {
     /// Oracle over the given truth.
     pub fn new(truth: &'a GroundTruth) -> Self {
-        Self { truth, questions: 0 }
+        Self {
+            truth,
+            questions: 0,
+        }
     }
 }
 
@@ -116,18 +119,15 @@ pub struct ScriptedOracle {
 impl ScriptedOracle {
     /// Add an equivalence answer.
     pub fn equate(mut self, oa: &str, aa: &str, ob: &str, ab: &str) -> Self {
-        self.equivalences.push((
-            oa.to_owned(),
-            aa.to_owned(),
-            ob.to_owned(),
-            ab.to_owned(),
-        ));
+        self.equivalences
+            .push((oa.to_owned(), aa.to_owned(), ob.to_owned(), ab.to_owned()));
         self
     }
 
     /// Add an assertion answer.
     pub fn assert_pair(mut self, a: &str, b: &str, assertion: Assertion) -> Self {
-        self.assertions.push((a.to_owned(), b.to_owned(), assertion));
+        self.assertions
+            .push((a.to_owned(), b.to_owned(), assertion));
         self
     }
 }
@@ -204,7 +204,10 @@ mod tests {
             .assert_pair("Student", "Grad", Assertion::Contains);
         assert!(o.attrs_equivalent("Pupil", "full_name", "Student", "name"));
         assert!(!o.attrs_equivalent("Student", "gpa", "Pupil", "grade"));
-        assert_eq!(o.object_assertion("Grad", "Student"), Some(Assertion::ContainedIn));
+        assert_eq!(
+            o.object_assertion("Grad", "Student"),
+            Some(Assertion::ContainedIn)
+        );
         assert_eq!(o.object_assertion("X", "Y"), None);
     }
 }

@@ -65,10 +65,7 @@ impl Perturber {
             let extra_no: u32 = rng.gen_range(0u32..1000);
             attrs.push(RenderedAttr {
                 proto: None,
-                attr: sit_ecr::Attribute::new(
-                    format!("note_{extra_no}"),
-                    sit_ecr::Domain::Char,
-                ),
+                attr: sit_ecr::Attribute::new(format!("note_{extra_no}"), sit_ecr::Domain::Char),
             });
         }
         Rendering { name, attrs }
@@ -129,7 +126,7 @@ impl Perturber {
 mod tests {
     use super::*;
     use crate::concepts::ConceptPool;
-    
+
     #[test]
     fn render_keeps_keys_and_tracks_prototypes() {
         let pool = ConceptPool::builtin();
@@ -193,7 +190,10 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let r = p.render_specialization(pool.get(0), "Senior", &mut rng);
         assert!(r.name.starts_with("Senior_"));
-        assert!(r.attrs.iter().any(|a| a.proto.is_none()), "subset-specific attr");
+        assert!(
+            r.attrs.iter().any(|a| a.proto.is_none()),
+            "subset-specific attr"
+        );
         assert!(r.attrs.iter().any(|a| a.attr.is_key()));
     }
 

@@ -72,7 +72,10 @@ mod tests {
             .attr_key("SSN", Domain::Int)
             .attr("Name", Domain::Char)
             .finish();
-        let city = b.entity_set("City").attr_key("Cname", Domain::Char).finish();
+        let city = b
+            .entity_set("City")
+            .attr_key("Cname", Domain::Char)
+            .finish();
         b.category("Adult", vec![person])
             .attr("Age", Domain::Int)
             .finish();

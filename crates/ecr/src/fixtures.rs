@@ -23,7 +23,8 @@ fn must(src: &str) -> Schema {
 /// `Department(Dname key)`, `Majors(Student, Department)` with one
 /// relationship attribute (Screen 3 lists `Majors ... # of attributes: 1`).
 pub fn sc1() -> Schema {
-    must(r#"
+    must(
+        r#"
     schema sc1 {
       entity Student {
         Name: char key;
@@ -38,7 +39,8 @@ pub fn sc1() -> Schema {
         Since: date;
       }
     }
-    "#)
+    "#,
+    )
 }
 
 /// Figure 4 — input schema `sc2`: `Grad_student(Name key, GPA,
@@ -47,7 +49,8 @@ pub fn sc1() -> Schema {
 /// `Works(Faculty, Department)` (both appear in Figure 5's integrated
 /// schema as `E_Stud_Majo` and `Works`).
 pub fn sc2() -> Schema {
-    must(r#"
+    must(
+        r#"
     schema sc2 {
       entity Grad_student {
         Name: char key;
@@ -71,19 +74,22 @@ pub fn sc2() -> Schema {
         Department (0,n);
       }
     }
-    "#)
+    "#,
+    )
 }
 
 /// Screen 9's schema `sc3`: an `Instructor` entity set.
 pub fn sc3() -> Schema {
-    must(r#"
+    must(
+        r#"
     schema sc3 {
       entity Instructor {
         Name: char key;
         Office: char;
       }
     }
-    "#)
+    "#,
+    )
 }
 
 /// Screen 9's schema `sc4`: `Student` with a `Grad_student` category —
@@ -91,7 +97,8 @@ pub fn sc3() -> Schema {
 /// line 4 of the Assertion Conflict Resolution Screen comes from this
 /// category structure.
 pub fn sc4() -> Schema {
-    must(r#"
+    must(
+        r#"
     schema sc4 {
       entity Student {
         Name: char key;
@@ -101,39 +108,48 @@ pub fn sc4() -> Schema {
         Support_type: char;
       }
     }
-    "#)
+    "#,
+    )
 }
 
 /// Figure 2a — two schemas each with a `Department` whose domains are
 /// identical ("equals" assertion; integration merges them into
 /// `E_Department`).
 pub fn fig2a() -> (Schema, Schema) {
-    let a = must(r#"
+    let a = must(
+        r#"
     schema sc1 {
       entity Department { Dname: char key; Budget: real; }
     }
-    "#);
-    let b = must(r#"
+    "#,
+    );
+    let b = must(
+        r#"
     schema sc2 {
       entity Department { Dname: char key; Location: char; }
     }
-    "#);
+    "#,
+    );
     (a, b)
 }
 
 /// Figure 2b — `Student` (sc1) contains `Grad_student` (sc2); after
 /// integration `Grad_student` becomes a category of `Student`.
 pub fn fig2b() -> (Schema, Schema) {
-    let a = must(r#"
+    let a = must(
+        r#"
     schema sc1 {
       entity Student { Name: char key; GPA: real; }
     }
-    "#);
-    let b = must(r#"
+    "#,
+    );
+    let b = must(
+        r#"
     schema sc2 {
       entity Grad_student { Name: char key; Support_type: char; }
     }
-    "#);
+    "#,
+    );
     (a, b)
 }
 
@@ -141,48 +157,60 @@ pub fn fig2b() -> (Schema, Schema) {
 /// assertion); integration creates the derived entity set `D_Grad_Inst`
 /// with both as categories.
 pub fn fig2c() -> (Schema, Schema) {
-    let a = must(r#"
+    let a = must(
+        r#"
     schema sc1 {
       entity Grad_student { Name: char key; Support_type: char; }
     }
-    "#);
-    let b = must(r#"
+    "#,
+    );
+    let b = must(
+        r#"
     schema sc2 {
       entity Instructor { Name: char key; Course: char; }
     }
-    "#);
+    "#,
+    );
     (a, b)
 }
 
 /// Figure 2d — `Secretary` and `Engineer` are disjoint but integrable;
 /// integration creates `D_Secr_Engi` (the concept of employee).
 pub fn fig2d() -> (Schema, Schema) {
-    let a = must(r#"
+    let a = must(
+        r#"
     schema sc1 {
       entity Secretary { Name: char key; Typing_speed: int; }
     }
-    "#);
-    let b = must(r#"
+    "#,
+    );
+    let b = must(
+        r#"
     schema sc2 {
       entity Engineer { Name: char key; Discipline: char; }
     }
-    "#);
+    "#,
+    );
     (a, b)
 }
 
 /// Figure 2e — `Under_Grad_Student` and `Full_Professor` are disjoint and
 /// non-integrable; integration keeps them separate.
 pub fn fig2e() -> (Schema, Schema) {
-    let a = must(r#"
+    let a = must(
+        r#"
     schema sc1 {
       entity Under_Grad_Student { Name: char key; Class_year: int; }
     }
-    "#);
-    let b = must(r#"
+    "#,
+    );
+    let b = must(
+        r#"
     schema sc2 {
       entity Full_Professor { Name: char key; Chair: char; }
     }
-    "#);
+    "#,
+    );
     (a, b)
 }
 

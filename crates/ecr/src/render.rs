@@ -51,13 +51,7 @@ pub fn render(schema: &Schema) -> String {
     out
 }
 
-fn render_object(
-    schema: &Schema,
-    graph: &IsaGraph,
-    o: ObjectId,
-    depth: usize,
-    out: &mut String,
-) {
+fn render_object(schema: &Schema, graph: &IsaGraph, o: ObjectId, depth: usize, out: &mut String) {
     let obj = schema.object(o);
     let pad = "  ".repeat(depth);
     let tag = if obj.kind.is_category() {
@@ -112,7 +106,11 @@ pub fn to_dot(schema: &Schema) -> String {
         } else {
             format!("<<b>{}</b><br/>{}>", obj.name, attrs.join("<br/>"))
         };
-        let _ = writeln!(out, "  o{} [shape={shape}{style}, label={label}];", id.index());
+        let _ = writeln!(
+            out,
+            "  o{} [shape={shape}{style}, label={label}];",
+            id.index()
+        );
     }
     for (id, obj) in schema.objects() {
         for &p in obj.parents() {

@@ -447,7 +447,9 @@ mod tests {
     fn attr_owner_access() {
         let s = sample();
         let student = s.object_by_name("Student").unwrap();
-        let a = s.attr_of(AttrOwner::Object(student), AttrId::new(0)).unwrap();
+        let a = s
+            .attr_of(AttrOwner::Object(student), AttrId::new(0))
+            .unwrap();
         assert_eq!(a.name, "Name");
         assert!(a.is_key());
         let majors = s.rel_by_name("Majors").unwrap();
@@ -465,7 +467,10 @@ mod tests {
         b.entity_set("X").finish();
         assert!(matches!(
             b.build(),
-            Err(EcrError::DuplicateName { kind: "object class", .. })
+            Err(EcrError::DuplicateName {
+                kind: "object class",
+                ..
+            })
         ));
     }
 
@@ -484,7 +489,10 @@ mod tests {
             .finish();
         assert!(matches!(
             b.build(),
-            Err(EcrError::DuplicateName { kind: "relationship set", .. })
+            Err(EcrError::DuplicateName {
+                kind: "relationship set",
+                ..
+            })
         ));
     }
 

@@ -135,7 +135,11 @@ pub fn validate(schema: &Schema) -> Vec<Violation> {
         if obj.name.trim().is_empty() {
             out.push(Violation::EmptyName);
         }
-        check_dup_attrs(&obj.name, obj.attributes.iter().map(|a| a.name.as_str()), &mut out);
+        check_dup_attrs(
+            &obj.name,
+            obj.attributes.iter().map(|a| a.name.as_str()),
+            &mut out,
+        );
     }
 
     // Category structure (range checks must precede graph construction).
@@ -212,7 +216,11 @@ fn check_relationship(
             });
         }
     }
-    check_dup_attrs(&rel.name, rel.attributes.iter().map(|a| a.name.as_str()), out);
+    check_dup_attrs(
+        &rel.name,
+        rel.attributes.iter().map(|a| a.name.as_str()),
+        out,
+    );
 }
 
 fn check_dup_attrs<'a>(
@@ -293,7 +301,9 @@ mod tests {
     fn under_degree_relationship_detected() {
         let mut b = SchemaBuilder::new("bad");
         let x = b.entity_set("X").finish();
-        b.relationship("R").participant(x, Cardinality::MANY).finish();
+        b.relationship("R")
+            .participant(x, Cardinality::MANY)
+            .finish();
         let err = b.build().unwrap_err().to_string();
         assert!(err.contains("degree 1"), "{err}");
     }

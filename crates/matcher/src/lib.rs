@@ -33,8 +33,10 @@ pub mod synonyms;
 pub mod weighted;
 
 pub use cross_construct::{cross_construct_candidates, CrossConstructCandidate};
-pub use schema_resemblance::{schema_resemblance, best_integration_order};
-pub use string_sim::{is_abbreviation, jaccard_trigrams, levenshtein, name_similarity, normalized_levenshtein};
+pub use schema_resemblance::{best_integration_order, schema_resemblance};
+pub use string_sim::{
+    is_abbreviation, jaccard_trigrams, levenshtein, name_similarity, normalized_levenshtein,
+};
 pub use suggest::{suggest_equivalences, Suggestion};
 pub use synonyms::SynonymDictionary;
 pub use weighted::{AttrPairFeatures, ResemblanceWeights, WeightedResemblance};

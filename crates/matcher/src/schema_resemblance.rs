@@ -71,10 +71,7 @@ pub fn best_integration_order(w: &WeightedResemblance, schemas: &[&Schema]) -> V
             .iter()
             .enumerate()
             .map(|(pos, &k)| {
-                let attach = order
-                    .iter()
-                    .map(|&o| sim[o][k])
-                    .fold(f64::MIN, f64::max);
+                let attach = order.iter().map(|&o| sim[o][k]).fold(f64::MIN, f64::max);
                 (pos, attach)
             })
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
@@ -128,7 +125,10 @@ mod tests {
         let order = best_integration_order(&w, &[&a, &c, &b]);
         // The two university schemas (indexes 0 and 2) come first.
         assert_eq!(order.len(), 3);
-        assert!(order[..2].contains(&0) && order[..2].contains(&2), "{order:?}");
+        assert!(
+            order[..2].contains(&0) && order[..2].contains(&2),
+            "{order:?}"
+        );
         assert_eq!(order[2], 1);
     }
 

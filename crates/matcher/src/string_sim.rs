@@ -16,7 +16,11 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     if b.is_empty() {
         return a.len();
     }
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+    let (short, long) = if a.len() <= b.len() {
+        (&a, &b)
+    } else {
+        (&b, &a)
+    };
     let mut prev: Vec<usize> = (0..=short.len()).collect();
     let mut cur = vec![0usize; short.len() + 1];
     for (i, &lc) in long.iter().enumerate() {
@@ -62,10 +66,7 @@ fn trigrams(s: &str) -> Vec<[char; 3]> {
         .chain(s.chars())
         .chain(std::iter::once('$'))
         .collect();
-    let mut out: Vec<[char; 3]> = padded
-        .windows(3)
-        .map(|w| [w[0], w[1], w[2]])
-        .collect();
+    let mut out: Vec<[char; 3]> = padded.windows(3).map(|w| [w[0], w[1], w[2]]).collect();
     out.sort_unstable();
     out.dedup();
     out
@@ -161,7 +162,10 @@ mod tests {
         assert_eq!(levenshtein("kitten", "sitting"), 3);
         assert_eq!(levenshtein("same", "same"), 0);
         // Symmetric.
-        assert_eq!(levenshtein("abcdef", "azced"), levenshtein("azced", "abcdef"));
+        assert_eq!(
+            levenshtein("abcdef", "azced"),
+            levenshtein("azced", "abcdef")
+        );
     }
 
     #[test]

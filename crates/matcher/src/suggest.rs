@@ -46,7 +46,11 @@ pub fn suggest_equivalences(
             }
             let score = w.attr_score(a, b);
             if score >= threshold {
-                out.push(Suggestion { a: ga, b: gb, score });
+                out.push(Suggestion {
+                    a: ga,
+                    b: gb,
+                    score,
+                });
             }
         }
     }
@@ -80,15 +84,9 @@ mod tests {
             .iter()
             .map(|sg| (display(sg.a), display(sg.b)))
             .collect();
-        assert!(rendered.contains(&(
-            "sc1.Student.Name".into(),
-            "sc2.Grad_student.Name".into()
-        )));
+        assert!(rendered.contains(&("sc1.Student.Name".into(), "sc2.Grad_student.Name".into())));
         assert!(rendered.contains(&("sc1.Student.GPA".into(), "sc2.Grad_student.GPA".into())));
-        assert!(rendered.contains(&(
-            "sc1.Department.Dname".into(),
-            "sc2.Department.Dname".into()
-        )));
+        assert!(rendered.contains(&("sc1.Department.Dname".into(), "sc2.Department.Dname".into())));
         // Sorted descending.
         for w in suggestions.windows(2) {
             assert!(w[0].score >= w[1].score);
@@ -104,7 +102,10 @@ mod tests {
         // Even with a zero threshold, Name(char) vs GPA(real) is omitted.
         let suggestions = suggest_equivalences(s.catalog(), &w, sc1, sc2, 0.0);
         let name = s.catalog().attr_named("sc1", "Student", "Name").unwrap();
-        let gpa = s.catalog().attr_named("sc2", "Grad_student", "GPA").unwrap();
+        let gpa = s
+            .catalog()
+            .attr_named("sc2", "Grad_student", "GPA")
+            .unwrap();
         assert!(!suggestions.iter().any(|sg| sg.a == name && sg.b == gpa));
     }
 

@@ -84,7 +84,11 @@ impl WeightedResemblance {
         AttrPairFeatures {
             name: name_similarity(&a.name, &b.name),
             synonym: self.dictionary.name_score(&a.name, &b.name),
-            domain: if a.domain.compatible(&b.domain) { 1.0 } else { 0.0 },
+            domain: if a.domain.compatible(&b.domain) {
+                1.0
+            } else {
+                0.0
+            },
             key: if a.is_key() == b.is_key() { 1.0 } else { 0.0 },
         }
     }
@@ -131,8 +135,8 @@ impl WeightedResemblance {
                 .sum::<f64>()
                 / small.len() as f64
         };
-        let name_part = name_similarity(name_a, name_b)
-            .max(self.dictionary.name_score(name_a, name_b));
+        let name_part =
+            name_similarity(name_a, name_b).max(self.dictionary.name_score(name_a, name_b));
         let w = &self.weights;
         let attr_weight = w.name + w.synonym + w.domain + w.key;
         let total = attr_weight + w.object_name;
@@ -204,8 +208,14 @@ mod tests {
     #[test]
     fn object_score_blends_names_and_attributes() {
         let w = WeightedResemblance::default();
-        let dept_a = [attr("dname", Domain::Char, true), attr("budget", Domain::Real, false)];
-        let dept_b = [attr("dept_name", Domain::Char, true), attr("budget", Domain::Real, false)];
+        let dept_a = [
+            attr("dname", Domain::Char, true),
+            attr("budget", Domain::Real, false),
+        ];
+        let dept_b = [
+            attr("dept_name", Domain::Char, true),
+            attr("budget", Domain::Real, false),
+        ];
         let project = [attr("pname", Domain::Char, true)];
         let s_match = w.object_score("Department", &dept_a, "Dept", &dept_b);
         let s_miss = w.object_score("Department", &dept_a, "Project", &project);

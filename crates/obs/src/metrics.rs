@@ -287,7 +287,10 @@ mod tests {
         // (511, 1023]: quantiles answer the bucket upper bound.
         assert_eq!(h.quantile(1, 2), 511);
         assert_eq!(h.quantile(19, 20), 1023);
-        assert_eq!(h.quantile(0, 1), Histogram::bucket_bound(Histogram::bucket_index(10)));
+        assert_eq!(
+            h.quantile(0, 1),
+            Histogram::bucket_bound(Histogram::bucket_index(10))
+        );
     }
 
     #[test]

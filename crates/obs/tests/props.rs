@@ -12,7 +12,11 @@ fn draw_value(rng: &mut sit_prng::Xoshiro256pp) -> u64 {
         0
     } else {
         let lo = if bits == 1 { 1 } else { 1u64 << (bits - 1) };
-        let hi = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        let hi = if bits == 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
         lo + rng.gen_range(0u64..(hi - lo + 1).max(1))
     }
 }
@@ -37,8 +41,12 @@ fn bucket_membership_invariant() {
 #[test]
 fn merge_equals_union() {
     prop::check("merge(a, b) == histogram(a ∪ b)", |rng| {
-        let a: Vec<u64> = (0..rng.gen_range(0usize..80)).map(|_| draw_value(rng)).collect();
-        let b: Vec<u64> = (0..rng.gen_range(0usize..80)).map(|_| draw_value(rng)).collect();
+        let a: Vec<u64> = (0..rng.gen_range(0usize..80))
+            .map(|_| draw_value(rng))
+            .collect();
+        let b: Vec<u64> = (0..rng.gen_range(0usize..80))
+            .map(|_| draw_value(rng))
+            .collect();
         let (ha, hb, hu) = (Histogram::new(), Histogram::new(), Histogram::new());
         for &v in &a {
             ha.record(v);
@@ -62,22 +70,26 @@ fn merge_equals_union() {
 
 #[test]
 fn quantile_matches_nearest_rank_sample() {
-    prop::check("quantile = bucket bound of the nearest-rank sample", |rng| {
-        let mut samples: Vec<u64> =
-            (0..rng.gen_range(1usize..120)).map(|_| draw_value(rng)).collect();
-        let h = Histogram::new();
-        for &v in &samples {
-            h.record(v);
-        }
-        samples.sort_unstable();
-        let n = samples.len();
-        for (num, den) in [(1u32, 2u32), (19, 20), (1, 100), (1, 1)] {
-            let rank = ((n * num as usize).div_ceil(den as usize)).max(1);
-            let expected = Histogram::bucket_bound(Histogram::bucket_index(samples[rank - 1]));
-            prop_assert_eq!(h.quantile(num, den), expected);
-        }
-        prop_assert_eq!(h.min(), samples[0]);
-        prop_assert_eq!(h.max(), samples[n - 1]);
-        Ok(())
-    });
+    prop::check(
+        "quantile = bucket bound of the nearest-rank sample",
+        |rng| {
+            let mut samples: Vec<u64> = (0..rng.gen_range(1usize..120))
+                .map(|_| draw_value(rng))
+                .collect();
+            let h = Histogram::new();
+            for &v in &samples {
+                h.record(v);
+            }
+            samples.sort_unstable();
+            let n = samples.len();
+            for (num, den) in [(1u32, 2u32), (19, 20), (1, 100), (1, 1)] {
+                let rank = ((n * num as usize).div_ceil(den as usize)).max(1);
+                let expected = Histogram::bucket_bound(Histogram::bucket_index(samples[rank - 1]));
+                prop_assert_eq!(h.quantile(num, den), expected);
+            }
+            prop_assert_eq!(h.min(), samples[0]);
+            prop_assert_eq!(h.max(), samples[n - 1]);
+            Ok(())
+        },
+    );
 }

@@ -42,11 +42,7 @@ pub fn check(name: &str, property: impl FnMut(&mut Xoshiro256pp) -> CaseResult) 
 }
 
 /// [`check`] with an explicit case count (for expensive properties).
-pub fn check_cases(
-    name: &str,
-    cases: u64,
-    property: impl FnMut(&mut Xoshiro256pp) -> CaseResult,
-) {
+pub fn check_cases(name: &str, cases: u64, property: impl FnMut(&mut Xoshiro256pp) -> CaseResult) {
     check_with(name, cases, DEFAULT_BASE_SEED, property);
 }
 
@@ -175,7 +171,9 @@ mod tests {
         });
         let mut seeds = SplitMix64::new(DEFAULT_BASE_SEED);
         let case_seed = seeds.next_u64();
-        let replayed = replay(case_seed, |rng| Ok(assert_eq!(Some(rng.next_u64()), first_seed)));
+        let replayed = replay(case_seed, |rng| {
+            Ok(assert_eq!(Some(rng.next_u64()), first_seed))
+        });
         assert!(replayed.is_ok());
     }
 

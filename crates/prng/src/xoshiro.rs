@@ -29,7 +29,10 @@ impl Xoshiro256pp {
     /// Generator from raw state. The state must not be all zero (the only
     /// fixed point of the underlying linear engine).
     pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256++ state must be non-zero");
+        assert!(
+            s.iter().any(|&w| w != 0),
+            "xoshiro256++ state must be non-zero"
+        );
         Self { s }
     }
 
@@ -258,7 +261,10 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, sorted, "50 elements virtually never shuffle to identity");
+        assert_ne!(
+            xs, sorted,
+            "50 elements virtually never shuffle to identity"
+        );
         // Same seed, same permutation.
         let mut rng2 = Xoshiro256pp::seed_from_u64(14);
         let mut ys: Vec<u32> = (0..50).collect();

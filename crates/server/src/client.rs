@@ -128,7 +128,10 @@ impl Client {
             }
         }
         Err(last_err.unwrap_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "no addresses to connect to")
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "no addresses to connect to",
+            )
         }))
     }
 

@@ -211,7 +211,12 @@ impl EventLog {
         lock_recover(&self.events)
             .iter()
             .rev()
-            .find(|e| matches!(e, FaultEvent::ReadDrop { .. } | FaultEvent::WriteDrop { .. }))
+            .find(|e| {
+                matches!(
+                    e,
+                    FaultEvent::ReadDrop { .. } | FaultEvent::WriteDrop { .. }
+                )
+            })
             .cloned()
     }
 }
@@ -417,7 +422,10 @@ impl<T: Transport> Transport for FaultedTransport<T> {
                     ms: delay_ms,
                 });
             } else {
-                self.log.push(FaultEvent::ReadSplit { conn: self.conn, at });
+                self.log.push(FaultEvent::ReadSplit {
+                    conn: self.conn,
+                    at,
+                });
             }
         }
         Ok(n)
@@ -465,7 +473,10 @@ impl<T: Transport> Transport for FaultedTransport<T> {
                 // Only record a split when the caller actually observed a
                 // short write; a boundary landing exactly on the frame
                 // edge perturbs nothing.
-                self.log.push(FaultEvent::WriteSplit { conn: self.conn, at });
+                self.log.push(FaultEvent::WriteSplit {
+                    conn: self.conn,
+                    at,
+                });
             }
         }
         self.inner.write_all(&buf[..allowed])?;
@@ -688,8 +699,7 @@ mod tests {
             drop(tx);
             let log = EventLog::new();
             let plan = FaultPlan::new(7, FaultConfig::default());
-            let mut faulted =
-                FaultedTransport::new(rx, 1, plan, log.clone(), VirtualClock::new());
+            let mut faulted = FaultedTransport::new(rx, 1, plan, log.clone(), VirtualClock::new());
             let mut got = Vec::new();
             let mut buf = vec![0u8; chunk];
             loop {

@@ -82,8 +82,8 @@ pub use proto::{ErrorCode, Request, ServerError};
 pub use server::{
     serve_connection, serve_stdio, Gate, PersistOptions, Server, ServerConfig, ServerHandle,
 };
-pub use storage::{DirStorage, MemStorage, Storage};
-pub use transport::{sim_pair, SimConn, TcpTransport, Transport};
 pub use service::Service;
+pub use storage::{DirStorage, MemStorage, Storage};
 pub use store::{SessionStore, StoreConfig};
+pub use transport::{sim_pair, SimConn, TcpTransport, Transport};
 pub use wire::Json;

@@ -81,8 +81,10 @@ impl Metrics {
         names.extend(EXTRA_OPS);
         names.sort_unstable();
         names.dedup();
-        let verbs: Vec<(&'static str, VerbMeters)> =
-            names.into_iter().map(|n| (n, VerbMeters::default())).collect();
+        let verbs: Vec<(&'static str, VerbMeters)> = names
+            .into_iter()
+            .map(|n| (n, VerbMeters::default()))
+            .collect();
         let other_idx = verbs
             .binary_search_by(|(n, _)| n.cmp(&"_other"))
             .expect("_other is preregistered");
@@ -265,10 +267,7 @@ mod tests {
         let all = m.summaries();
         let (_, ping) = all.iter().find(|(op, _)| *op == "ping").unwrap();
         assert_eq!(ping.count, WRITERS as u64 * PER_WRITER);
-        assert_eq!(
-            ping.errors,
-            WRITERS as u64 * PER_WRITER.div_ceil(7)
-        );
+        assert_eq!(ping.errors, WRITERS as u64 * PER_WRITER.div_ceil(7));
     }
 
     #[test]

@@ -358,14 +358,22 @@ impl Request {
         Ok(match op {
             "ping" => Request::Ping,
             "open" => Request::Open,
-            "close" => Request::Close { session: s("session")? },
-            "load" => Request::Load { script: s("script")? },
-            "save" => Request::Save { session: s("session")? },
+            "close" => Request::Close {
+                session: s("session")?,
+            },
+            "load" => Request::Load {
+                script: s("script")?,
+            },
+            "save" => Request::Save {
+                session: s("session")?,
+            },
             "add_schema" => Request::AddSchema {
                 session: s("session")?,
                 ddl: s("ddl")?,
             },
-            "list_schemas" => Request::ListSchemas { session: s("session")? },
+            "list_schemas" => Request::ListSchemas {
+                session: s("session")?,
+            },
             "render" => Request::Render {
                 session: s("session")?,
                 schema: s("schema")?,
@@ -648,23 +656,45 @@ mod tests {
         let reqs = vec![
             Request::Ping,
             Request::Open,
-            Request::Close { session: "1".into() },
-            Request::Load { script: "# sit session v1\n".into() },
-            Request::Save { session: "1".into() },
+            Request::Close {
+                session: "1".into(),
+            },
+            Request::Load {
+                script: "# sit session v1\n".into(),
+            },
+            Request::Save {
+                session: "1".into(),
+            },
             Request::AddSchema {
                 session: "1".into(),
                 ddl: "schema s { entity E { x: int key; } }".into(),
             },
-            Request::ListSchemas { session: "1".into() },
-            Request::Render { session: "1".into(), schema: "s".into() },
+            Request::ListSchemas {
+                session: "1".into(),
+            },
+            Request::Render {
+                session: "1".into(),
+                schema: "s".into(),
+            },
             Request::Equiv {
                 session: "1".into(),
                 a: "s.E.x".into(),
                 b: "t.F.y".into(),
             },
-            Request::Unequiv { session: "1".into(), a: "s.E.x".into() },
-            Request::Candidates { session: "1".into(), a: "s".into(), b: "t".into() },
-            Request::RelCandidates { session: "1".into(), a: "s".into(), b: "t".into() },
+            Request::Unequiv {
+                session: "1".into(),
+                a: "s.E.x".into(),
+            },
+            Request::Candidates {
+                session: "1".into(),
+                a: "s".into(),
+                b: "t".into(),
+            },
+            Request::RelCandidates {
+                session: "1".into(),
+                a: "s".into(),
+                b: "t".into(),
+            },
             Request::Assert {
                 session: "1".into(),
                 a: "s.E".into(),
@@ -677,9 +707,21 @@ mod tests {
                 b: "t.S".into(),
                 assertion: Assertion::ContainedIn,
             },
-            Request::Retract { session: "1".into(), a: "s.E".into(), b: "t.F".into() },
-            Request::RelRetract { session: "1".into(), a: "s.R".into(), b: "t.S".into() },
-            Request::Matrix { session: "1".into(), a: "s".into(), b: "t".into() },
+            Request::Retract {
+                session: "1".into(),
+                a: "s.E".into(),
+                b: "t.F".into(),
+            },
+            Request::RelRetract {
+                session: "1".into(),
+                a: "s.R".into(),
+                b: "t.S".into(),
+            },
+            Request::Matrix {
+                session: "1".into(),
+                a: "s".into(),
+                b: "t".into(),
+            },
             Request::Integrate {
                 session: "1".into(),
                 a: "s".into(),
@@ -720,7 +762,10 @@ mod tests {
         let e = ServerError::unknown_session("9");
         let r = e.to_response();
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
-        let code = r.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+        let code = r
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str);
         assert_eq!(code, Some("unknown_session"));
     }
 }

@@ -254,10 +254,7 @@ mod tests {
         drop(b);
         let mut buf = [0u8; 4];
         assert_eq!(a.read(&mut buf).unwrap(), 0, "EOF after peer drop");
-        assert_eq!(
-            a.write(b"x").unwrap_err().kind(),
-            io::ErrorKind::BrokenPipe
-        );
+        assert_eq!(a.write(b"x").unwrap_err().kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]

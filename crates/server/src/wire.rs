@@ -462,8 +462,7 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else if (0xDC00..0xE000).contains(&hi) {
@@ -571,7 +570,11 @@ mod tests {
     fn depth_limit_enforced() {
         let deep_ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&deep_ok).is_ok());
-        let deep_bad = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let deep_bad = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
         assert!(Json::parse(&deep_bad).is_err());
     }
 
@@ -584,7 +587,9 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1.2.3", "\"\x01\"", "{}x", "nul"] {
+        for bad in [
+            "", "{", "[1,", "{\"a\"}", "tru", "1.2.3", "\"\x01\"", "{}x", "nul",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
     }

@@ -29,7 +29,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sit_prng::Xoshiro256pp;
-use sit_server::fault::{EventLog, FaultConfig, FaultEvent, FaultPlan, FaultedTransport, VirtualClock};
+use sit_server::fault::{
+    EventLog, FaultConfig, FaultEvent, FaultPlan, FaultedTransport, VirtualClock,
+};
 use sit_server::server::{serve_connection, Gate};
 use sit_server::service::Service;
 use sit_server::store::StoreConfig;
@@ -38,8 +40,8 @@ use sit_server::wire::{FrameBuffer, Framed, Json, MAX_LINE};
 
 /// The fixed seed list (also the list `scripts/verify.sh chaos` pins).
 const SCENARIO_SEEDS: [u64; 24] = [
-    101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116, 117, 118,
-    119, 120, 121, 122, 123, 124,
+    101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116, 117, 118, 119,
+    120, 121, 122, 123, 124,
 ];
 
 const STORE_CAP: usize = 3;
@@ -280,15 +282,10 @@ impl ChaosClient {
 }
 
 fn last_drop_for_conn(log: &EventLog, conn: u32) -> Option<FaultEvent> {
-    log.snapshot()
-        .into_iter()
-        .rev()
-        .find(|e| match *e {
-            FaultEvent::ReadDrop { conn: c, .. } | FaultEvent::WriteDrop { conn: c, .. } => {
-                c == conn
-            }
-            _ => false,
-        })
+    log.snapshot().into_iter().rev().find(|e| match *e {
+        FaultEvent::ReadDrop { conn: c, .. } | FaultEvent::WriteDrop { conn: c, .. } => c == conn,
+        _ => false,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +326,10 @@ fn check_frame(seed: u64, step: usize, frame: &str) -> Json {
 }
 
 fn err_code(value: &Json) -> Option<&str> {
-    value.get("error").and_then(|e| e.get("code")).and_then(Json::as_str)
+    value
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str)
 }
 
 fn is_ok(value: &Json) -> bool {
@@ -424,7 +424,9 @@ fn run_scenario(seed: u64) -> Vec<String> {
     let log = EventLog::with_tracer(service.tracer().clone());
 
     let mut clients: Vec<ChaosClient> = Vec::new();
-    let mut trace = vec![format!("scenario seed={seed} clients={n_clients} mode={mode}")];
+    let mut trace = vec![format!(
+        "scenario seed={seed} clients={n_clients} mode={mode}"
+    )];
     for k in 0..n_clients {
         let cfg = fault_config_for(&mut rng, mode);
         trace.push(format!(
@@ -509,8 +511,14 @@ fn run_scenario(seed: u64) -> Vec<String> {
         assert!(len <= STORE_CAP, "seed={seed} s{step}: capacity exceeded");
         assert_eq!(len, model.live.len(), "seed={seed} s{step}: live-set drift");
         let (lru, ttl_ev) = service.store().evictions();
-        assert_eq!(lru, model.evicted_lru, "seed={seed} s{step}: lru counter drift");
-        assert_eq!(ttl_ev, model.evicted_ttl, "seed={seed} s{step}: ttl counter drift");
+        assert_eq!(
+            lru, model.evicted_lru,
+            "seed={seed} s{step}: lru counter drift"
+        );
+        assert_eq!(
+            ttl_ev, model.evicted_ttl,
+            "seed={seed} s{step}: ttl counter drift"
+        );
     }
 
     // Teardown: hang up every client, join every serve thread — a panic
@@ -569,7 +577,8 @@ fn chaos_scenarios_are_deterministic_and_hold_invariants() {
         let second = run_scenario(seed);
         for (i, (a, b)) in first.iter().zip(second.iter()).enumerate() {
             assert_eq!(
-                a, b,
+                a,
+                b,
                 "seed={seed}: trace diverges at line {i} (of {}/{})",
                 first.len(),
                 second.len()

@@ -65,8 +65,7 @@ fn oracle_integrate(pair: &GeneratedPair) -> String {
         let _ = session.declare_equivalent_named(&na, oa, aa, &nb, ob, ab);
     }
     for (a, b, assertion) in &s.asserts {
-        let (Ok(ga), Ok(gb)) = (session.object_named(&na, a), session.object_named(&nb, b))
-        else {
+        let (Ok(ga), Ok(gb)) = (session.object_named(&na, a), session.object_named(&nb, b)) else {
             panic!("ground truth names a missing object: {a} / {b}");
         };
         let _ = session.assert_objects(ga, gb, *assertion);
@@ -80,9 +79,7 @@ fn oracle_integrate(pair: &GeneratedPair) -> String {
 /// Wire path: replay the same workload through a connected client.
 fn wire_integrate(client: &mut Client, pair: &GeneratedPair) -> String {
     let s = steps(pair);
-    let opened = client
-        .call(&Request::Open)
-        .expect("open response");
+    let opened = client.call(&Request::Open).expect("open response");
     let sid = opened
         .get("session")
         .and_then(Json::as_str)

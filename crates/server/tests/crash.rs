@@ -238,8 +238,7 @@ fn transient_short_writes_are_repaired_and_lose_nothing() {
         for frame in &acked_frames {
             assert!(acked(&oracle.handle_line(frame).frame));
         }
-        let recovered =
-            durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
+        let recovered = durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
         for sid in &live_sessions(&acked_frames) {
             assert_eq!(
                 save_frame(&oracle, sid),
@@ -303,7 +302,9 @@ fn power_loss_recovers_a_prefix(fsync: FsyncPolicy) {
     for sid in &live_sessions(&acked_frames) {
         let got = save_frame(&recovered, sid);
         assert!(
-            prefixes.get(sid).is_some_and(|states| states.contains(&got)),
+            prefixes
+                .get(sid)
+                .is_some_and(|states| states.contains(&got)),
             "{fsync}: session {sid} recovered to a state that was never \
              a prefix of its acknowledged history: {got}"
         );
@@ -342,8 +343,7 @@ fn the_fault_schedule_is_deterministic() {
         let acked_frames = drive(&service, &workload());
         drop(service);
         let events: Vec<String> = log.snapshot().iter().map(|e| e.to_string()).collect();
-        let recovered =
-            durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
+        let recovered = durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
         let saves = live_sessions(&acked_frames)
             .iter()
             .map(|sid| save_frame(&recovered, sid))
@@ -376,13 +376,15 @@ fn the_sweep_exercises_torn_tails_and_replay_errors() {
         let crashing = durable_service(faulted as Arc<dyn Storage>, FsyncPolicy::Always);
         drive(&crashing, &workload());
         drop(crashing);
-        let recovered =
-            durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
+        let recovered = durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
         let m = recovered.persistence().unwrap().metrics();
         truncated += m.recover_truncated_bytes.get();
         replay_errors += m.replay_errors.get();
     }
-    assert!(truncated > 0, "no crash offset produced a torn journal tail");
+    assert!(
+        truncated > 0,
+        "no crash offset produced a torn journal tail"
+    );
     assert!(
         replay_errors > 0,
         "no crash offset replayed the journaled apply-time failure"

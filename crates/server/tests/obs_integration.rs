@@ -49,7 +49,10 @@ fn drive_demo(service: &Service) {
         service,
         r#"{"op":"equiv","session":"1","a":"sc1.Department.Dname","b":"sc2.Department.Dname"}"#,
     );
-    ok_frame(service, r#"{"op":"candidates","session":"1","a":"sc1","b":"sc2"}"#);
+    ok_frame(
+        service,
+        r#"{"op":"candidates","session":"1","a":"sc1","b":"sc2"}"#,
+    );
     ok_frame(
         service,
         r#"{"op":"assert","session":"1","a":"sc1.Department","b":"sc2.Department","assertion":"equals"}"#,
@@ -73,7 +76,10 @@ fn metrics_text_is_golden_under_a_manual_clock() {
     ok_frame(&service, r#"{"op":"ping"}"#);
     ok_frame(&service, r#"{"op":"open"}"#);
     let value = ok_frame(&service, r#"{"op":"metrics_text"}"#);
-    let text = value.get("text").and_then(Json::as_str).expect("text field");
+    let text = value
+        .get("text")
+        .and_then(Json::as_str)
+        .expect("text field");
     let expected = "\
 # TYPE sit_uptime_ms gauge
 sit_uptime_ms 0
@@ -114,7 +120,10 @@ fn chrome_trace_round_trips_through_the_wire_parser() {
     drive_demo(&service);
 
     let value = ok_frame(&service, r#"{"op":"trace_dump"}"#);
-    let trace = value.get("trace").and_then(Json::as_str).expect("trace field");
+    let trace = value
+        .get("trace")
+        .and_then(Json::as_str)
+        .expect("trace field");
     let chrome = Json::parse(trace).expect("exported trace is valid JSON");
     let events = chrome
         .get("traceEvents")
@@ -149,7 +158,10 @@ fn chrome_trace_round_trips_through_the_wire_parser() {
         "integrate.assemble",
         "integrate.rels",
     ] {
-        assert!(names.contains(&expected), "missing span `{expected}` in {names:?}");
+        assert!(
+            names.contains(&expected),
+            "missing span `{expected}` in {names:?}"
+        );
     }
 
     // Engine spans nest under their request: every `integrate` span has
@@ -215,13 +227,7 @@ fn fault_events_join_the_span_stream() {
         read_drop_at: None,
         write_drop_at: None,
     };
-    let faulted = FaultedTransport::new(
-        server_end,
-        0,
-        FaultPlan::new(7, cfg),
-        log.clone(),
-        clock,
-    );
+    let faulted = FaultedTransport::new(server_end, 0, FaultPlan::new(7, cfg), log.clone(), clock);
     let svc = Arc::clone(&service);
     let gt = Arc::clone(&gate);
     let handle: JoinHandle<()> = std::thread::spawn(move || serve_connection(faulted, &svc, &gt));

@@ -135,7 +135,11 @@ fn mutated_valid_journals_never_panic_the_parser() {
             2 => {
                 // Rewrite a length field to something absurd.
                 let at = rng.gen_range(0..journal.len().saturating_sub(4).max(1));
-                let lie = if rng.gen_bool(0.5) { u32::MAX } else { rng.gen_range(0u32..1 << 24) };
+                let lie = if rng.gen_bool(0.5) {
+                    u32::MAX
+                } else {
+                    rng.gen_range(0u32..1 << 24)
+                };
                 journal[at..at + 4].copy_from_slice(&lie.to_le_bytes());
             }
             _ => {

@@ -56,8 +56,12 @@ impl MockServer {
         std::thread::spawn(move || {
             let mut idx = 0;
             while idx < script.len() {
-                let Ok((stream, _)) = listener.accept() else { return };
-                let Ok(clone) = stream.try_clone() else { return };
+                let Ok((stream, _)) = listener.accept() else {
+                    return;
+                };
+                let Ok(clone) = stream.try_clone() else {
+                    return;
+                };
                 let mut reader = BufReader::new(clone);
                 let mut writer = stream;
                 loop {
@@ -115,14 +119,20 @@ fn fast_config(retries: u32) -> ClientConfig {
 fn idempotent_call_retries_through_overloaded_and_succeeds() {
     let mock = MockServer::start(vec![Play::Overloaded, Play::Overloaded, Play::Ok]);
     let mut client = Client::connect_with(mock.addr, fast_config(5)).expect("connect");
-    let response = client.call_retrying(&Request::Ping).expect("retried to success");
+    let response = client
+        .call_retrying(&Request::Ping)
+        .expect("retried to success");
     assert_eq!(
         response.get("pong").and_then(sit_server::Json::as_bool),
         Some(true),
         "final response is the ok frame: {}",
         response.encode()
     );
-    assert_eq!(mock.requests(), 3, "two overloaded rejections then one success");
+    assert_eq!(
+        mock.requests(),
+        3,
+        "two overloaded rejections then one success"
+    );
 }
 
 #[test]
@@ -134,14 +144,20 @@ fn idempotent_call_reconnects_after_server_drops_the_connection() {
         response.get("pong").and_then(sit_server::Json::as_bool),
         Some(true)
     );
-    assert_eq!(mock.requests(), 3, "request resent once per fresh connection");
+    assert_eq!(
+        mock.requests(),
+        3,
+        "request resent once per fresh connection"
+    );
 }
 
 #[test]
 fn retry_budget_is_bounded() {
     let mock = MockServer::start(vec![Play::Overloaded; 4]);
     let mut client = Client::connect_with(mock.addr, fast_config(2)).expect("connect");
-    let response = client.call_retrying(&Request::Ping).expect("last frame returned");
+    let response = client
+        .call_retrying(&Request::Ping)
+        .expect("last frame returned");
     assert_eq!(
         error_code(&response),
         Some("overloaded"),
@@ -274,7 +290,9 @@ fn retry_against_the_real_server_saturated_pool() {
         },
     };
     let mut client = Client::connect_with(addr, config).expect("connect");
-    let response = client.call_retrying(&Request::Ping).expect("pong eventually");
+    let response = client
+        .call_retrying(&Request::Ping)
+        .expect("pong eventually");
     assert_eq!(
         response.get("pong").and_then(sit_server::Json::as_bool),
         Some(true)

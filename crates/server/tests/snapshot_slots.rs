@@ -68,7 +68,11 @@ fn call(service: &Service, line: &str) -> Json {
 
 fn open(service: &Service) -> String {
     let opened = call(service, r#"{"op":"open"}"#);
-    opened.get("session").and_then(Json::as_str).unwrap().to_owned()
+    opened
+        .get("session")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_owned()
 }
 
 fn add_schema(service: &Service, sid: &str, k: usize) {
@@ -163,7 +167,9 @@ fn a_corrupt_newer_slot_falls_back_and_is_overwritten_next() {
     drop(first);
 
     let slots = [format!("{sid}.snap.0"), format!("{sid}.snap.1")];
-    let seqs = slots.clone().map(|s| slot_seq(&storage, &s).expect("slot decodes"));
+    let seqs = slots
+        .clone()
+        .map(|s| slot_seq(&storage, &s).expect("slot decodes"));
     let (newer, older) = if seqs[0] > seqs[1] { (0, 1) } else { (1, 0) };
     let mut bytes = storage.read(&slots[newer]).unwrap();
     let mid = bytes.len() / 2;

@@ -124,7 +124,12 @@ fn gen_value(rng: &mut Xoshiro256pp, depth: usize) -> Json {
             let n = rng.gen_range(0usize..4);
             Json::Obj(
                 (0..n)
-                    .map(|i| (format!("k{i}_{}", gen_string(rng)), gen_value(rng, depth + 1)))
+                    .map(|i| {
+                        (
+                            format!("k{i}_{}", gen_string(rng)),
+                            gen_value(rng, depth + 1),
+                        )
+                    })
                     .collect(),
             )
         }
@@ -176,9 +181,7 @@ fn decoder_never_panics_on_random_bytes() {
             // Bias toward JSON-ish structural bytes so the parser gets
             // deep before failing.
             let b = match rng.gen_range(0u32..4) {
-                0 => *rng
-                    .choose(b"{}[]\",:truefalsnl0123456789.-+eE\\u")
-                    .unwrap(),
+                0 => *rng.choose(b"{}[]\",:truefalsnl0123456789.-+eE\\u").unwrap(),
                 1 => rng.gen_range(0u32..128) as u8,
                 _ => rng.gen_range(0u32..256) as u8,
             };

@@ -356,13 +356,7 @@ mod tests {
     #[test]
     fn classification_follows_key_structure() {
         let r = company();
-        let kind = |n: &str| {
-            r.tables()
-                .iter()
-                .find(|t| t.name == n)
-                .unwrap()
-                .classify()
-        };
+        let kind = |n: &str| r.tables().iter().find(|t| t.name == n).unwrap().classify();
         assert_eq!(kind("employee"), TableKind::Entity);
         assert_eq!(kind("department"), TableKind::Entity);
         assert_eq!(kind("manager"), TableKind::Subset);
@@ -390,7 +384,10 @@ mod tests {
         assert_eq!(works.attributes[0].name, "hours");
         // Implicit many-to-one from the dept_no FK.
         let implicit = ecr.relationship(ecr.rel_by_name("employee_department").unwrap());
-        assert_eq!(implicit.participants[0].cardinality, Cardinality::AT_MOST_ONE);
+        assert_eq!(
+            implicit.participants[0].cardinality,
+            Cardinality::AT_MOST_ONE
+        );
         assert_eq!(implicit.participants[1].cardinality, Cardinality::MANY);
         // The FK column itself is not an employee attribute.
         assert!(ecr.object(emp).attr_by_name("dept_no").is_none());

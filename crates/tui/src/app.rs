@@ -122,22 +122,60 @@ enum State {
     AskRelLeg,
     AskAttr,
     // ---- Tasks 2 / 4: equivalence ----
-    EqSchemaSelect { rels: bool },
-    EqObjectSelect { rels: bool },
-    EqClasses { rels: bool },
-    AskEqAdd { rels: bool },
-    AskEqDel { rels: bool },
+    EqSchemaSelect {
+        rels: bool,
+    },
+    EqObjectSelect {
+        rels: bool,
+    },
+    EqClasses {
+        rels: bool,
+    },
+    AskEqAdd {
+        rels: bool,
+    },
+    AskEqDel {
+        rels: bool,
+    },
     // ---- Tasks 3 / 5: assertions ----
-    Assertions { rels: bool, idx: usize },
-    Conflict { rels: bool, idx: usize, rows: Vec<ConflictRow> },
-    AskConflictChange { rels: bool, idx: usize },
+    Assertions {
+        rels: bool,
+        idx: usize,
+    },
+    Conflict {
+        rels: bool,
+        idx: usize,
+        rows: Vec<ConflictRow>,
+    },
+    AskConflictChange {
+        rels: bool,
+        idx: usize,
+    },
     // ---- Task 6: viewer ----
-    ViewObjects { selected: Option<String> },
-    ViewElement { name: String, is_rel: bool },
-    ViewAttrs { name: String, is_rel: bool },
-    ViewComponent { name: String, is_rel: bool, attr: usize, comp: usize },
-    ViewEquivalent { name: String, is_rel: bool },
-    ViewParticipating { name: String },
+    ViewObjects {
+        selected: Option<String>,
+    },
+    ViewElement {
+        name: String,
+        is_rel: bool,
+    },
+    ViewAttrs {
+        name: String,
+        is_rel: bool,
+    },
+    ViewComponent {
+        name: String,
+        is_rel: bool,
+        attr: usize,
+        comp: usize,
+    },
+    ViewEquivalent {
+        name: String,
+        is_rel: bool,
+    },
+    ViewParticipating {
+        name: String,
+    },
 }
 
 /// The interactive tool.
@@ -220,9 +258,12 @@ impl App {
             State::ViewObjects { selected } => self.view_objects(event, selected),
             State::ViewElement { name, is_rel } => self.view_element(event, name, is_rel),
             State::ViewAttrs { name, is_rel } => self.view_attrs(event, name, is_rel),
-            State::ViewComponent { name, is_rel, attr, comp } => {
-                self.view_component(event, name, is_rel, attr, comp)
-            }
+            State::ViewComponent {
+                name,
+                is_rel,
+                attr,
+                comp,
+            } => self.view_component(event, name, is_rel, attr, comp),
             State::ViewEquivalent { name, is_rel } => {
                 let _ = (name, is_rel, event);
                 self.state = State::ViewObjects { selected: None };
@@ -300,9 +341,10 @@ impl App {
             Some('e') => {
                 // Commit the pending schema to the session.
                 if let Some(p) = self.pending.take() {
-                    match p.build().and_then(|s| {
-                        self.session.add_schema(s).map_err(|e| e.to_string())
-                    }) {
+                    match p
+                        .build()
+                        .and_then(|s| self.session.add_schema(s).map_err(|e| e.to_string()))
+                    {
                         Ok(_) => self.status = Some(format!("schema `{}` defined", p.name)),
                         Err(e) => {
                             self.status = Some(format!("error: {e}"));
@@ -581,10 +623,12 @@ impl App {
         let row_count = self.rows.len();
         match event.key() {
             Some('e') => self.state = State::MainMenu,
-            Some('s')
-                if row_count > 0 => {
-                    self.state = State::Assertions { rels, idx: (idx + 1) % row_count };
-                }
+            Some('s') if row_count > 0 => {
+                self.state = State::Assertions {
+                    rels,
+                    idx: (idx + 1) % row_count,
+                };
+            }
             Some(c) if c.is_ascii_digit() => {
                 let Some(assertion) = Assertion::from_code(c as u8 - b'0') else {
                     self.status = Some("codes are 0-5".into());
@@ -661,11 +705,7 @@ impl App {
             self.status = Some("enter: <schema.Object> <schema.Object> <code>".into());
             return;
         }
-        let Some(assertion) = parts[2]
-            .parse::<u8>()
-            .ok()
-            .and_then(Assertion::from_code)
-        else {
+        let Some(assertion) = parts[2].parse::<u8>().ok().and_then(Assertion::from_code) else {
             self.status = Some("bad assertion code".into());
             return;
         };
@@ -701,7 +741,10 @@ impl App {
             self.status = Some("run tasks 2-5 first".into());
             return;
         };
-        match self.session.integrate(sa, sb, &IntegrationOptions::default()) {
+        match self
+            .session
+            .integrate(sa, sb, &IntegrationOptions::default())
+        {
             Ok(integrated) => {
                 self.integrated = Some(integrated);
                 self.state = State::ViewObjects { selected: None };
@@ -727,7 +770,9 @@ impl App {
                     self.status = Some("type an object class name first".into());
                     return;
                 };
-                let Some(integrated) = &self.integrated else { return };
+                let Some(integrated) = &self.integrated else {
+                    return;
+                };
                 let is_rel = integrated.schema.rel_by_name(&name).is_some();
                 let is_obj = integrated.schema.object_by_name(&name).is_some();
                 match k {
@@ -735,14 +780,19 @@ impl App {
                         self.state = State::ViewAttrs { name, is_rel };
                     }
                     'e' | 'c' if is_obj => {
-                        self.state = State::ViewElement { name, is_rel: false };
+                        self.state = State::ViewElement {
+                            name,
+                            is_rel: false,
+                        };
                     }
                     'r' if is_rel => {
                         self.state = State::ViewElement { name, is_rel: true };
                     }
                     _ => {
                         self.status = Some(format!("`{name}` does not support that view"));
-                        self.state = State::ViewObjects { selected: Some(name) };
+                        self.state = State::ViewObjects {
+                            selected: Some(name),
+                        };
                     }
                 }
             }
@@ -794,11 +844,14 @@ impl App {
         }
         // Any key: advance to the next component, cycling back to the
         // attribute screen after the last (Screens 12a → 12b → back).
-        let total = self
-            .component_count(&name, is_rel, attr)
-            .unwrap_or(0);
+        let total = self.component_count(&name, is_rel, attr).unwrap_or(0);
         if comp + 1 < total {
-            self.state = State::ViewComponent { name, is_rel, attr, comp: comp + 1 };
+            self.state = State::ViewComponent {
+                name,
+                is_rel,
+                attr,
+                comp: comp + 1,
+            };
         } else {
             self.state = State::ViewAttrs { name, is_rel };
         }
@@ -806,7 +859,10 @@ impl App {
 
     fn component_count(&self, name: &str, is_rel: bool, attr: usize) -> Option<usize> {
         let (integrated, owner) = self.viewed(name, is_rel)?;
-        integrated.attr_prov(owner)?.get(attr).map(|p| p.components.len())
+        integrated
+            .attr_prov(owner)?
+            .get(attr)
+            .map(|p| p.components.len())
     }
 
     /// The integrated object class (or, with `is_rel`, relationship set)
@@ -890,18 +946,14 @@ impl App {
                     Some("Attribute `name domain [key]` (empty line ends) =>"),
                 )
             }
-            State::EqSchemaSelect { .. } => {
-                screens::schema_select(&self.schema_names_list(), None)
-            }
+            State::EqSchemaSelect { .. } => screens::schema_select(&self.schema_names_list(), None),
             State::EqObjectSelect { rels } => self.render_object_select(*rels),
             State::EqClasses { .. } => self.render_eq_classes(None),
-            State::AskEqAdd { .. } => {
-                self.render_eq_classes(Some("Add: left# right# =>"))
+            State::AskEqAdd { .. } => self.render_eq_classes(Some("Add: left# right# =>")),
+            State::AskEqDel { .. } => self.render_eq_classes(Some("Delete: side(1/2) attr# =>")),
+            State::Assertions { rels, idx } => {
+                screens::assertion_collection(&self.rows, *idx, *rels)
             }
-            State::AskEqDel { .. } => {
-                self.render_eq_classes(Some("Delete: side(1/2) attr# =>"))
-            }
-            State::Assertions { rels, idx } => screens::assertion_collection(&self.rows, *idx, *rels),
             State::Conflict { rows, .. } => screens::conflict_resolution(rows),
             State::AskConflictChange { .. } => {
                 let mut f = screens::conflict_resolution(&[]);
@@ -911,9 +963,12 @@ impl App {
             State::ViewObjects { .. } => self.render_object_class(),
             State::ViewElement { name, is_rel } => self.render_element(name, *is_rel),
             State::ViewAttrs { name, is_rel } => self.render_attr_view(name, *is_rel),
-            State::ViewComponent { name, is_rel, attr, comp } => {
-                self.render_component(name, *is_rel, *attr, *comp)
-            }
+            State::ViewComponent {
+                name,
+                is_rel,
+                attr,
+                comp,
+            } => self.render_component(name, *is_rel, *attr, *comp),
             State::ViewEquivalent { name, is_rel } => self.render_equivalent(name, *is_rel),
             State::ViewParticipating { name } => self.render_participating(name),
         }
@@ -1009,14 +1064,8 @@ impl App {
             return screens::object_class(&[], &[], &[]);
         };
         let schema = &integrated.schema;
-        let entities: Vec<String> = schema
-            .entity_sets()
-            .map(|(_, o)| o.name.clone())
-            .collect();
-        let categories: Vec<String> = schema
-            .categories()
-            .map(|(_, o)| o.name.clone())
-            .collect();
+        let entities: Vec<String> = schema.entity_sets().map(|(_, o)| o.name.clone()).collect();
+        let categories: Vec<String> = schema.categories().map(|(_, o)| o.name.clone()).collect();
         let relationships: Vec<String> = schema
             .relationships()
             .map(|(_, r)| r.name.clone())
@@ -1052,7 +1101,11 @@ impl App {
                 return screens::element_view("Category", name, &[], &[]);
             };
             let obj = schema.object(oid);
-            let kind_label = if obj.kind.is_category() { "Category" } else { "Entity" };
+            let kind_label = if obj.kind.is_category() {
+                "Category"
+            } else {
+                "Entity"
+            };
             let tag = |k: &ObjectKind| if k.is_category() { 'C' } else { 'E' };
             let parents: Vec<(String, char)> = obj
                 .parents()
@@ -1181,7 +1234,11 @@ fn origin_names<E: Element, Id: Copy>(
 ) -> Vec<String> {
     match origin {
         Origin::DerivedSuper { children } => children.iter().map(|&c| child(c)).collect(),
-        _ => origin.members().iter().map(|&g| catalog.display(g)).collect(),
+        _ => origin
+            .members()
+            .iter()
+            .map(|&g| catalog.display(g))
+            .collect(),
     }
 }
 
@@ -1298,7 +1355,11 @@ mod tests {
         feed(&mut app, keys("e"));
         feed(
             &mut app,
-            vec![Event::text("Name char key"), Event::text("GPA real"), Event::text("")],
+            vec![
+                Event::text("Name char key"),
+                Event::text("GPA real"),
+                Event::text(""),
+            ],
         );
         let f = app.render();
         assert!(f.contains("SCHEMA NAME: sc1"), "{f}");

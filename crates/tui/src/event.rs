@@ -57,9 +57,6 @@ mod tests {
 
     #[test]
     fn keys_shorthand() {
-        assert_eq!(
-            keys("1e"),
-            vec![Event::Key('1'), Event::Key('e')]
-        );
+        assert_eq!(keys("1e"), vec![Event::Key('1'), Event::Key('e')]);
     }
 }

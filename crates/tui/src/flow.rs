@@ -115,7 +115,9 @@ mod tests {
         assert!(targets.contains(&ScreenId::RelationshipView));
         assert!(targets.contains(&ScreenId::AttributeView));
         // Nothing flows INTO the root.
-        assert!(viewer_flow().iter().all(|(_, _, t)| *t != ScreenId::ObjectClass));
+        assert!(viewer_flow()
+            .iter()
+            .all(|(_, _, t)| *t != ScreenId::ObjectClass));
     }
 
     #[test]

@@ -53,10 +53,7 @@ pub fn schema_name(names: &[String], pending: Option<&str>) -> Frame {
     }
     match pending {
         Some(question) => prompt(&mut f, question),
-        None => prompt(
-            &mut f,
-            "Choose: (A)dd (D)elete (U)pdate (E)xit =>",
-        ),
+        None => prompt(&mut f, "Choose: (A)dd (D)elete (U)pdate (E)xit =>"),
     }
     f
 }
@@ -79,9 +76,16 @@ pub fn structure_info(
     win: &ListWindow,
     pending: Option<&str>,
 ) -> Frame {
-    let mut f = chrome("SCHEMA COLLECTION", "Structure Information Collection Screen");
+    let mut f = chrome(
+        "SCHEMA COLLECTION",
+        "Structure Information Collection Screen",
+    );
     f.put(4, 4, &format!("SCHEMA NAME: {schema}"));
-    f.columns(6, &[4, 30, 48], &["Object Name", "Type (E/C/R)", "# of attributes"]);
+    f.columns(
+        6,
+        &[4, 30, 48],
+        &["Object Name", "Type (E/C/R)", "# of attributes"],
+    );
     f.hline(7);
     for (line, i) in win.visible(rows.len()).enumerate() {
         let r = &rows[i];
@@ -97,10 +101,7 @@ pub fn structure_info(
     }
     match pending {
         Some(q) => prompt(&mut f, q),
-        None => prompt(
-            &mut f,
-            "Choose: (S)croll (A)dd (D)elete (U)pdate (E)xit =>",
-        ),
+        None => prompt(&mut f, "Choose: (S)croll (A)dd (D)elete (U)pdate (E)xit =>"),
     }
     f
 }
@@ -116,8 +117,16 @@ pub fn relationship_info(
         "SCHEMA COLLECTION",
         "Relationship Information Collection Screen",
     );
-    f.put(4, 4, &format!("SCHEMA NAME: {schema}   RELATIONSHIP NAME: {rel}"));
-    f.columns(6, &[4, 40], &["Participating Object", "Cardinality (min,max)"]);
+    f.put(
+        4,
+        4,
+        &format!("SCHEMA NAME: {schema}   RELATIONSHIP NAME: {rel}"),
+    );
+    f.columns(
+        6,
+        &[4, 40],
+        &["Participating Object", "Cardinality (min,max)"],
+    );
     f.hline(7);
     for (i, (obj, card)) in legs.iter().enumerate().take(10) {
         f.columns(8 + i, &[4, 40], &[&format!("{}> {obj}", i + 1), card]);
@@ -137,7 +146,10 @@ pub fn attribute_info(
     rows: &[(String, String, char)],
     pending: Option<&str>,
 ) -> Frame {
-    let mut f = chrome("SCHEMA COLLECTION", "Attribute Information Collection Screen");
+    let mut f = chrome(
+        "SCHEMA COLLECTION",
+        "Attribute Information Collection Screen",
+    );
     f.put(
         4,
         4,
@@ -160,9 +172,21 @@ pub fn attribute_info(
 }
 
 /// Category Information Collection (for structures of type `c`).
-pub fn category_info(schema: &str, category: &str, parents: &[String], pending: Option<&str>) -> Frame {
-    let mut f = chrome("SCHEMA COLLECTION", "Category Information Collection Screen");
-    f.put(4, 4, &format!("SCHEMA NAME: {schema}   CATEGORY NAME: {category}"));
+pub fn category_info(
+    schema: &str,
+    category: &str,
+    parents: &[String],
+    pending: Option<&str>,
+) -> Frame {
+    let mut f = chrome(
+        "SCHEMA COLLECTION",
+        "Category Information Collection Screen",
+    );
+    f.put(
+        4,
+        4,
+        &format!("SCHEMA NAME: {schema}   CATEGORY NAME: {category}"),
+    );
     f.put(6, 4, "Connected entities and categories:");
     f.hline(7);
     for (i, p) in parents.iter().enumerate().take(10) {
@@ -197,8 +221,15 @@ pub fn object_select(
     objs2: &[(String, char)],
     pending: Option<&str>,
 ) -> Frame {
-    let mut f = chrome("EQUIVALENCE SPECIFICATION", "Entity/Category Name Selection Screen");
-    f.columns(5, &[6, 42], &[&format!("schema: {s1}"), &format!("schema: {s2}")]);
+    let mut f = chrome(
+        "EQUIVALENCE SPECIFICATION",
+        "Entity/Category Name Selection Screen",
+    );
+    f.columns(
+        5,
+        &[6, 42],
+        &[&format!("schema: {s1}"), &format!("schema: {s2}")],
+    );
     f.hline(6);
     let rows = objs1.len().max(objs2.len()).min(12);
     for i in 0..rows {
@@ -211,7 +242,10 @@ pub fn object_select(
     }
     match pending {
         Some(q) => prompt(&mut f, q),
-        None => prompt(&mut f, "Pick one object from each schema (name name), or (E)xit =>"),
+        None => prompt(
+            &mut f,
+            "Pick one object from each schema (name name), or (E)xit =>",
+        ),
     }
     f
 }
@@ -229,8 +263,24 @@ pub fn equivalence(
         "EQUIVALENCE SPECIFICATION",
         "Equivalence Class Creation and Deletion Screen",
     );
-    f.columns(4, &[4, 42], &[&format!("(schema.object1) {o1}"), &format!("(schema.object2) {o2}")]);
-    f.columns(6, &[4, 24, 42, 62], &["Attribute Name", "Eq_class #", "Attribute Name", "Eq_class #"]);
+    f.columns(
+        4,
+        &[4, 42],
+        &[
+            &format!("(schema.object1) {o1}"),
+            &format!("(schema.object2) {o2}"),
+        ],
+    );
+    f.columns(
+        6,
+        &[4, 24, 42, 62],
+        &[
+            "Attribute Name",
+            "Eq_class #",
+            "Attribute Name",
+            "Eq_class #",
+        ],
+    );
     f.hline(7);
     let rows = rows1.len().max(rows2.len()).min(10);
     for i in 0..rows {
@@ -289,7 +339,11 @@ fn assertion_legend(f: &mut Frame, start_row: usize) {
 
 /// Screen 8 — Assertion Collection For Object Pairs.
 pub fn assertion_collection(rows: &[AssertionRow], current: usize, rels: bool) -> Frame {
-    let what = if rels { "Relationship Pairs" } else { "Object Pairs" };
+    let what = if rels {
+        "Relationship Pairs"
+    } else {
+        "Object Pairs"
+    };
     let mut f = chrome(
         "ASSERTION SPECIFICATION",
         &format!("Assertion Collection For {what} Screen"),
@@ -297,7 +351,12 @@ pub fn assertion_collection(rows: &[AssertionRow], current: usize, rels: bool) -
     f.columns(
         5,
         &[2, 26, 50, 62],
-        &["Schema_Name1.Obj_Class1", "Schema_Name2.Obj_Class2", "ATTRIBUTE", "ENTER"],
+        &[
+            "Schema_Name1.Obj_Class1",
+            "Schema_Name2.Obj_Class2",
+            "ATTRIBUTE",
+            "ENTER",
+        ],
     );
     f.columns(6, &[50, 62], &["RATIO", "ASSERTION"]);
     f.hline(7);
@@ -316,7 +375,10 @@ pub fn assertion_collection(rows: &[AssertionRow], current: usize, rels: bool) -
         );
     }
     assertion_legend(&mut f, 15);
-    prompt(&mut f, "Enter an assertion code (1,2,3,4,5,0), (S)kip or (E)xit =>");
+    prompt(
+        &mut f,
+        "Enter an assertion code (1,2,3,4,5,0), (S)kip or (E)xit =>",
+    );
     f
 }
 
@@ -335,11 +397,19 @@ pub struct ConflictRow {
 
 /// Screen 9 — Assertion Conflict Resolution.
 pub fn conflict_resolution(rows: &[ConflictRow]) -> Frame {
-    let mut f = chrome("ASSERTION SPECIFICATION", "Assertion Conflict Resolution Screen");
+    let mut f = chrome(
+        "ASSERTION SPECIFICATION",
+        "Assertion Conflict Resolution Screen",
+    );
     f.columns(
         5,
         &[2, 26, 48, 56],
-        &["SCHEMA_NAME1.OBJ_CLASS1", "SCHEMA_NAME2.OBJ_CLASS2", "CURRENT", "NEW"],
+        &[
+            "SCHEMA_NAME1.OBJ_CLASS1",
+            "SCHEMA_NAME2.OBJ_CLASS2",
+            "CURRENT",
+            "NEW",
+        ],
     );
     f.columns(6, &[48, 56], &["ASSERTION", "ASSERTION"]);
     f.hline(7);
@@ -351,16 +421,15 @@ pub fn conflict_resolution(rows: &[ConflictRow]) -> Frame {
         );
     }
     assertion_legend(&mut f, 15);
-    prompt(&mut f, "(C)hange an earlier assertion, or any key to revise the new one =>");
+    prompt(
+        &mut f,
+        "(C)hange an earlier assertion, or any key to revise the new one =>",
+    );
     f
 }
 
 /// Screen 10 — Object Class Screen.
-pub fn object_class(
-    entities: &[String],
-    categories: &[String],
-    relationships: &[String],
-) -> Frame {
+pub fn object_class(entities: &[String], categories: &[String], relationships: &[String]) -> Frame {
     let mut f = chrome("INTEGRATED SCHEMA", "Object Class Screen");
     f.columns(
         5,
@@ -372,7 +441,11 @@ pub fn object_class(
         ],
     );
     f.hline(6);
-    let rows = entities.len().max(categories.len()).max(relationships.len()).min(9);
+    let rows = entities
+        .len()
+        .max(categories.len())
+        .max(relationships.len())
+        .min(9);
     for i in 0..rows {
         if let Some(n) = entities.get(i) {
             f.put(7 + i, 4, n);
@@ -442,7 +515,11 @@ pub fn attribute_view(
 ) -> Frame {
     let mut f = chrome("INTEGRATED SCHEMA", "Attribute Screen");
     f.put_centered(4, &format!("< {owner} : {owner_kind} >"));
-    f.columns(6, &[4, 34, 52, 62], &["Attribute Name", "Domain", "Key", "Derived?"]);
+    f.columns(
+        6,
+        &[4, 34, 52, 62],
+        &["Attribute Name", "Domain", "Key", "Derived?"],
+    );
     f.hline(7);
     for (i, (name, domain, key, derived)) in rows.iter().enumerate().take(10) {
         f.columns(
@@ -559,9 +636,21 @@ mod tests {
     #[test]
     fn screen3_layout_matches_paper_example() {
         let rows = vec![
-            StructureRow { name: "Student".into(), kind: 'e', attrs: 2 },
-            StructureRow { name: "Department".into(), kind: 'e', attrs: 1 },
-            StructureRow { name: "Majors".into(), kind: 'r', attrs: 1 },
+            StructureRow {
+                name: "Student".into(),
+                kind: 'e',
+                attrs: 2,
+            },
+            StructureRow {
+                name: "Department".into(),
+                kind: 'e',
+                attrs: 1,
+            },
+            StructureRow {
+                name: "Majors".into(),
+                kind: 'r',
+                attrs: 1,
+            },
         ];
         let f = structure_info("sc1", &rows, &ListWindow::new(10), None);
         assert!(f.contains("SCHEMA NAME: sc1"));
@@ -576,7 +665,11 @@ mod tests {
             "sc1.Student",
             &[("Name".into(), 1), ("GPA".into(), 2)],
             "sc2.Grad_student",
-            &[("Name".into(), 1), ("GPA".into(), 6), ("Support_type".into(), 7)],
+            &[
+                ("Name".into(), 1),
+                ("GPA".into(), 6),
+                ("Support_type".into(), 7),
+            ],
             None,
         );
         assert!(f.contains("sc1.Student"));

@@ -117,8 +117,16 @@ fn relationship_equivalence_screens_list_rel_sets() {
     feed(&mut app, vec![Event::text("1 1")]);
     assert!(app.render().contains("equivalence recorded"));
     // The session recorded it.
-    let since1 = app.session().catalog().attr_named("sc1", "Majors", "Since").unwrap();
-    let since2 = app.session().catalog().attr_named("sc2", "Majors", "Since").unwrap();
+    let since1 = app
+        .session()
+        .catalog()
+        .attr_named("sc1", "Majors", "Since")
+        .unwrap();
+    let since2 = app
+        .session()
+        .catalog()
+        .attr_named("sc2", "Majors", "Since")
+        .unwrap();
     assert!(app.session().equivalences().equivalent(since1, since2));
 }
 
@@ -142,7 +150,7 @@ fn bad_inputs_surface_statuses_not_crashes() {
     assert!(app.render().contains("out of range"));
     feed(&mut app, keys("a"));
     feed(&mut app, vec![Event::text("2 2")]); // GPA real vs Name? no: 2=GPA/2=GPA ok
-    // Incompatible domains: Name (char) vs GPA (real).
+                                              // Incompatible domains: Name (char) vs GPA (real).
     feed(&mut app, keys("a"));
     feed(&mut app, vec![Event::text("1 2")]);
     // The full message is clipped by the 78-column frame; match the stem.
@@ -226,15 +234,23 @@ fn relationship_conflict_is_repaired_like_an_object_conflict() {
                 .unwrap(),
         )
         .unwrap();
-    session.declare_equivalent_named("a", "R1", "x", "b", "S", "x").unwrap();
-    session.declare_equivalent_named("a", "R2", "x", "b", "S", "x").unwrap();
+    session
+        .declare_equivalent_named("a", "R1", "x", "b", "S", "x")
+        .unwrap();
+    session
+        .declare_equivalent_named("a", "R2", "x", "b", "S", "x")
+        .unwrap();
     let mut app = App::with_session(session);
     // Task 4 picks the schema pair; task 5 lists a.R1/b.S, then a.R2/b.S.
     feed(&mut app, keys("4"));
     feed(&mut app, vec![Event::text("a b")]);
     feed(&mut app, keys("e"));
     feed(&mut app, keys("5"));
-    assert!(app.render().contains("Relationship Pairs"), "{}", app.render());
+    assert!(
+        app.render().contains("Relationship Pairs"),
+        "{}",
+        app.render()
+    );
     // R1 = S, then R2 = S contradicts the seeded R1 / R2 disjointness.
     feed(&mut app, keys("11"));
     let f = app.render();
@@ -242,7 +258,11 @@ fn relationship_conflict_is_repaired_like_an_object_conflict() {
     // Repair: change R1 = S to "may be"; R2 = S is then accepted.
     feed(&mut app, keys("c"));
     feed(&mut app, vec![Event::text("a.R1 b.S 5")]);
-    assert!(app.render().contains("assertion changed"), "{}", app.render());
+    assert!(
+        app.render().contains("assertion changed"),
+        "{}",
+        app.render()
+    );
     let catalog = app.session().catalog();
     let rel = |schema: &str, name: &str| {
         let sid = catalog.by_name(schema).unwrap();

@@ -89,7 +89,10 @@ fn screen8_ranked_rows_and_entry() {
     feed(&mut app, keys("3"));
     let f = app.render();
     assert!(f.contains("Assertion Collection"), "{f}");
-    assert!(f.contains("sc1.Department") && f.contains("sc2.Department"), "{f}");
+    assert!(
+        f.contains("sc1.Department") && f.contains("sc2.Department"),
+        "{f}"
+    );
     assert!(f.contains("0.5000"), "{f}");
     assert!(f.contains("0.3333"), "{f}");
     assert!(f.contains("'equals'"), "legend shown");
@@ -203,7 +206,10 @@ fn screen9_conflict_and_repair() {
     assert!(f.contains("Assertion Conflict Resolution"), "{f}");
     assert!(f.contains("<derived>(CONFLICT)"), "{f}");
     assert!(f.contains("<new>(CONFLICT)"), "{f}");
-    assert!(f.contains("sc4.Grad_student"), "supporting fact listed: {f}");
+    assert!(
+        f.contains("sc4.Grad_student"),
+        "supporting fact listed: {f}"
+    );
 
     // Repair by changing the earlier assertion (Instructor contained-in
     // Grad_student). The paper suggests "0" or "5"; our closure is
@@ -215,7 +221,10 @@ fn screen9_conflict_and_repair() {
         &mut app,
         vec![Event::text("sc3.Instructor sc4.Grad_student 0")],
     );
-    assert!(app.render().contains("Assertion Collection"), "back on Screen 8");
+    assert!(
+        app.render().contains("Assertion Collection"),
+        "back on Screen 8"
+    );
     // The repaired pair now accepts the disjoint assertion.
     feed(&mut app, keys("0"));
     let f = app.render();

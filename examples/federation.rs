@@ -68,12 +68,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p = session.add_schema(personnel_ecr)?;
     let q = session.add_schema(projects_ecr)?;
 
-    session.declare_equivalent_named("personnel", "employee", "emp_no", "projects", "worker", "worker_no")?;
-    session.declare_equivalent_named("personnel", "employee", "full_name", "projects", "worker", "name")?;
-    session.declare_equivalent_named("personnel", "employee", "salary", "projects", "worker", "wage")?;
-    session.declare_equivalent_named("personnel", "department", "dept_no", "projects", "division", "div_no")?;
     session.declare_equivalent_named(
-        "personnel", "department", "dept_name", "projects", "division", "division_name",
+        "personnel",
+        "employee",
+        "emp_no",
+        "projects",
+        "worker",
+        "worker_no",
+    )?;
+    session.declare_equivalent_named(
+        "personnel",
+        "employee",
+        "full_name",
+        "projects",
+        "worker",
+        "name",
+    )?;
+    session.declare_equivalent_named(
+        "personnel",
+        "employee",
+        "salary",
+        "projects",
+        "worker",
+        "wage",
+    )?;
+    session.declare_equivalent_named(
+        "personnel",
+        "department",
+        "dept_no",
+        "projects",
+        "division",
+        "div_no",
+    )?;
+    session.declare_equivalent_named(
+        "personnel",
+        "department",
+        "dept_name",
+        "projects",
+        "division",
+        "division_name",
     )?;
 
     println!("\nranked candidates:");
@@ -112,6 +145,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // absorbed attribute.
     let view = Query::select("employee", &["full_name"]);
     println!("\nview request  : [personnel] {view}");
-    println!("against global: {}", mappings.to_integrated("personnel", &view)?);
+    println!(
+        "against global: {}",
+        mappings.to_integrated("personnel", &view)?
+    );
     Ok(())
 }

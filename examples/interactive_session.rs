@@ -49,7 +49,10 @@ fn main() {
     quiet(&mut app, keys("a"));
     quiet(&mut app, vec![Event::text("Department")]);
     quiet(&mut app, keys("e"));
-    quiet(&mut app, vec![Event::text("Dname char key"), Event::text("")]);
+    quiet(
+        &mut app,
+        vec![Event::text("Dname char key"), Event::text("")],
+    );
     quiet(&mut app, keys("a"));
     quiet(&mut app, vec![Event::text("Majors")]);
     quiet(&mut app, keys("r"));
@@ -71,7 +74,11 @@ fn main() {
     quiet(&mut app, keys("a"));
     quiet(&mut app, vec![Event::text("sc2")]);
     for (name, kind, fields) in [
-        ("Grad_student", "e", vec!["Name char key", "GPA real", "Support_type char"]),
+        (
+            "Grad_student",
+            "e",
+            vec!["Name char key", "GPA real", "Support_type char"],
+        ),
         ("Faculty", "e", vec!["Name char key", "Rank char"]),
         ("Department", "e", vec!["Dname char key"]),
     ] {

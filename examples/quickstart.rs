@@ -69,8 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Logical-design direction: a view request against sc2 rewritten to
     // the integrated schema.
-    let view_query = Query::select("Grad_student", &["Name", "Support_type"])
-        .filtered("Name", CmpOp::Eq, "'Smith'");
+    let view_query = Query::select("Grad_student", &["Name", "Support_type"]).filtered(
+        "Name",
+        CmpOp::Eq,
+        "'Smith'",
+    );
     println!("\nview request   : [sc2] {view_query}");
     println!(
         "against global : {}",
@@ -81,6 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // out to the component databases.
     let global_query = Query::select("D_Stud_Facu", &["D_Name"]);
     println!("\nglobal request : {global_query}");
-    println!("fan-out plan   :\n{}", mappings.to_components(&global_query)?);
+    println!(
+        "fan-out plan   :\n{}",
+        mappings.to_components(&global_query)?
+    );
     Ok(())
 }

@@ -37,7 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nOCS matrix (rows sc1 objects, columns sc2 objects):");
     let m = ocs_matrix(catalog, session.equivalences(), sc1, sc2);
     for (i, row) in m.iter().enumerate() {
-        let name = &catalog.schema(sc1).object(sit::ecr::ObjectId::new(i as u32)).name;
+        let name = &catalog
+            .schema(sc1)
+            .object(sit::ecr::ObjectId::new(i as u32))
+            .name;
         println!("  {name:<12} {row:?}");
     }
 

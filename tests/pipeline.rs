@@ -79,8 +79,14 @@ fn mapping_dictionary_lists_all_correspondences() {
     session.assert_objects(d1, d2, Assertion::Equal).unwrap();
     let integrated = session.integrate(a, b, &Default::default()).unwrap();
     let dict = Mappings::new(session.catalog(), &integrated).describe();
-    assert!(dict.contains("object sc1.Department -> E_Department"), "{dict}");
-    assert!(dict.contains("object sc2.Department -> E_Department"), "{dict}");
+    assert!(
+        dict.contains("object sc1.Department -> E_Department"),
+        "{dict}"
+    );
+    assert!(
+        dict.contains("object sc2.Department -> E_Department"),
+        "{dict}"
+    );
     assert!(
         dict.contains("attr   sc1.Department.Dname -> E_Department.D_Dname"),
         "{dict}"
@@ -281,8 +287,7 @@ fn oracle_driven_workload_reproduces_ground_truth_assertions() {
     let attrs_b = session.catalog().attrs_of(sb);
     for &ga in &attrs_a {
         for &gb in &attrs_b {
-            let (Ok(da), Ok(db)) = (session.catalog().attr(ga), session.catalog().attr(gb))
-            else {
+            let (Ok(da), Ok(db)) = (session.catalog().attr(ga), session.catalog().attr(gb)) else {
                 continue;
             };
             if !da.domain.compatible(&db.domain) {
