@@ -1,9 +1,10 @@
-//! B5 — ACS→OCS matrix derivation cost.
+//! B5 — ACS→OCS derivation cost: the dense matrix and the ranked
+//! candidate list, both from one walk over the equivalence classes.
 
 use sit_bench::harness::Bench;
 use sit_bench::{drive_session, Phase2Strategy, Phase3Strategy};
 use sit_core::catalog::GObj;
-use sit_core::resemblance::{ocs_matrix, ocs_sparse};
+use sit_core::resemblance::ocs_matrix;
 use sit_datagen::oracle::GroundTruthOracle;
 use sit_datagen::GeneratorConfig;
 
@@ -32,11 +33,6 @@ fn main() {
                 sa,
                 sb,
             )
-        });
-        // Ablation: class-walk accumulation instead of the dense
-        // object-pair scan.
-        bench.run(format!("derive_sparse/{objects}"), || {
-            ocs_sparse(driven.session.equivalences(), sa, sb)
         });
         bench.run(format!("ranked_pairs/{objects}"), || {
             driven.session.candidates::<GObj>(sa, sb)

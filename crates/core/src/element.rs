@@ -34,6 +34,10 @@ pub trait Element: Copy + Eq + Ord + Hash + fmt::Debug + fmt::Display {
     /// The element as the owner of its attributes.
     fn owner(self) -> AttrOwner;
 
+    /// The element of this kind owning attributes as `owner` in `schema`,
+    /// if `owner` is of this kind (the inverse of [`Element::owner`]).
+    fn from_owner(schema: SchemaId, owner: AttrOwner) -> Option<Self>;
+
     /// This kind's elements of one schema, in definition order.
     fn members(catalog: &Catalog, schema: SchemaId) -> impl Iterator<Item = Self> + '_;
 
@@ -73,6 +77,13 @@ impl Element for GObj {
         AttrOwner::Object(self.object)
     }
 
+    fn from_owner(schema: SchemaId, owner: AttrOwner) -> Option<Self> {
+        let AttrOwner::Object(o) = owner else {
+            return None;
+        };
+        Some(GObj::new(schema, o))
+    }
+
     fn members(catalog: &Catalog, schema: SchemaId) -> impl Iterator<Item = Self> + '_ {
         catalog.objects_of(schema)
     }
@@ -108,6 +119,13 @@ impl Element for GRel {
 
     fn owner(self) -> AttrOwner {
         AttrOwner::Rel(self.rel)
+    }
+
+    fn from_owner(schema: SchemaId, owner: AttrOwner) -> Option<Self> {
+        let AttrOwner::Rel(r) = owner else {
+            return None;
+        };
+        Some(GRel::new(schema, r))
     }
 
     fn members(catalog: &Catalog, schema: SchemaId) -> impl Iterator<Item = Self> + '_ {

@@ -143,28 +143,21 @@ impl EquivalenceRegistry {
         self.index.get(&a).map(|&i| self.class_no_of_index(i))
     }
 
-    /// All members of the attribute's class, in registration order.
-    pub fn class_members(&self, a: GAttr) -> Vec<GAttr> {
-        let Some(&i) = self.index.get(&a) else {
-            return Vec::new();
-        };
-        let rep = self.class_of[i];
-        let mut idxs = self.members.get(&rep).cloned().unwrap_or_default();
-        idxs.sort_unstable();
-        idxs.into_iter().map(|m| self.attrs[m]).collect()
+    /// Every non-singleton class's members, read in place: no clone and
+    /// no sort, so classes and members come in no particular order.
+    pub fn class_walk(&self) -> impl Iterator<Item = impl Iterator<Item = GAttr> + '_> {
+        self.class_lists()
+            .map(|(_, ms)| ms.iter().map(|&m| self.attrs[m]))
     }
 
     /// Every non-singleton class, each as a sorted member list; classes
     /// ordered by their displayed number.
     pub fn classes(&self) -> Vec<(ClassNo, Vec<GAttr>)> {
         let mut out: Vec<(ClassNo, Vec<GAttr>)> = self
-            .members
-            .iter()
-            .filter(|(_, ms)| ms.len() > 1)
-            .map(|(_, ms)| {
-                let mut idxs = ms.clone();
+            .class_lists()
+            .map(|(no, ms)| {
+                let mut idxs = ms.to_vec();
                 idxs.sort_unstable();
-                let no = (idxs[0] + 1) as ClassNo;
                 (no, idxs.into_iter().map(|m| self.attrs[m]).collect())
             })
             .collect();
@@ -206,6 +199,15 @@ impl EquivalenceRegistry {
             .get_mut(&keep)
             .expect("class exists")
             .extend(moved);
+    }
+
+    /// The non-singleton classes in place: each one's displayed number
+    /// (its representative is its smallest member) and member indexes.
+    fn class_lists(&self) -> impl Iterator<Item = (ClassNo, &[usize])> {
+        self.members
+            .iter()
+            .filter(|(_, ms)| ms.len() > 1)
+            .map(|(&rep, ms)| ((rep + 1) as ClassNo, ms.as_slice()))
     }
 
     fn class_no_of_index(&self, i: usize) -> ClassNo {
@@ -274,11 +276,10 @@ mod tests {
         r.declare_equivalent(&c, s_name, g_name).unwrap();
         r.declare_equivalent(&c, s_name, f_name).unwrap();
         assert!(r.equivalent(g_name, f_name), "transitivity through merge");
-        let members = r.class_members(g_name);
-        assert_eq!(members.len(), 3);
         let classes = r.classes();
         assert_eq!(classes.len(), 1);
-        assert_eq!(classes[0].0, 1);
+        assert_eq!(classes[0], (1, vec![s_name, g_name, f_name]));
+        assert_eq!(r.class_walk().count(), 1);
     }
 
     #[test]

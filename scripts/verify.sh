@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the workspace must build, test, and resolve its
-# dependency graph fully offline (no registry crates at all), and the
-# session server must come up, answer a scripted session, and shut down
-# cleanly.
+# Tier-1 verification: the workspace must be rustfmt-clean, build, test,
+# and resolve its dependency graph fully offline (no registry crates at
+# all), and the session server must come up, answer a scripted session,
+# and shut down cleanly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+
+echo "== cargo fmt --check (root workspace; perfbench is its own) =="
+cargo fmt --all -- --check
 
 echo "== cargo build --release (offline) =="
 cargo build --release --workspace --all-targets
