@@ -3,12 +3,12 @@
 use crate::error::{EcrError, Result};
 
 /// Kinds of token the DDL grammar uses.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TokenKind {
-    /// Identifier or keyword (`schema`, `entity`, names, ...). Keywords are
-    /// distinguished by the parser so names like `key` can still appear as
-    /// identifiers where unambiguous.
-    Ident(String),
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TokenKind<'a> {
+    /// Identifier or keyword (`schema`, `entity`, names, ...), borrowed
+    /// from the source. Keywords are distinguished by the parser so names
+    /// like `key` can still appear as identifiers where unambiguous.
+    Ident(&'a str),
     /// Unsigned integer literal (used in cardinalities).
     Num(u32),
     /// `{`
@@ -29,7 +29,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -48,10 +48,10 @@ impl TokenKind {
 }
 
 /// A token with its source position (1-based line and column).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line.
     pub line: usize,
     /// 1-based column.
@@ -60,6 +60,7 @@ pub struct Token {
 
 /// Hand-rolled single-pass lexer.
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -70,6 +71,7 @@ impl<'a> Lexer<'a> {
     /// Lex over `src`.
     pub fn new(src: &'a str) -> Self {
         Self {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -79,8 +81,10 @@ impl<'a> Lexer<'a> {
 
     /// Tokenize the whole input (the final token is always
     /// [`TokenKind::Eof`]).
-    pub fn tokenize(mut self) -> Result<Vec<Token>> {
-        let mut out = Vec::new();
+    pub fn tokenize(mut self) -> Result<Vec<Token<'a>>> {
+        // About one token per four source bytes in practice: one
+        // allocation instead of a doubling series.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
             let tok = self.next_token()?;
             let done = tok.kind == TokenKind::Eof;
@@ -124,7 +128,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Token> {
+    fn next_token(&mut self) -> Result<Token<'a>> {
         self.skip_trivia();
         let (line, col) = (self.line, self.col);
         let mk = |kind| Token { kind, line, col };
@@ -188,10 +192,9 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                 }
-                let s = std::str::from_utf8(&self.src[start..self.pos])
-                    .expect("ASCII ident")
-                    .to_owned();
-                TokenKind::Ident(s)
+                // Identifier bytes are ASCII, so both ends are char
+                // boundaries.
+                TokenKind::Ident(&self.text[start..self.pos])
             }
             other => {
                 return Err(EcrError::Parse {
@@ -209,7 +212,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src)
             .tokenize()
             .unwrap()
@@ -223,8 +226,8 @@ mod tests {
         assert_eq!(
             kinds("schema sc1 { }"),
             vec![
-                TokenKind::Ident("schema".into()),
-                TokenKind::Ident("sc1".into()),
+                TokenKind::Ident("schema"),
+                TokenKind::Ident("sc1"),
                 TokenKind::LBrace,
                 TokenKind::RBrace,
                 TokenKind::Eof,
@@ -250,7 +253,7 @@ mod tests {
     #[test]
     fn skips_comments_and_tracks_positions() {
         let toks = Lexer::new("# header\n  x").tokenize().unwrap();
-        assert_eq!(toks[0].kind, TokenKind::Ident("x".into()));
+        assert_eq!(toks[0].kind, TokenKind::Ident("x"));
         assert_eq!((toks[0].line, toks[0].col), (2, 3));
     }
 

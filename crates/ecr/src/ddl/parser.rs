@@ -30,13 +30,13 @@ pub fn parse_many(src: &str) -> Result<Vec<Schema>> {
     Ok(out)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     at: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.at.min(self.tokens.len() - 1)]
     }
 
@@ -44,8 +44,8 @@ impl Parser {
         self.peek().kind == TokenKind::Eof
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = *self.peek();
         if self.at < self.tokens.len() - 1 {
             self.at += 1;
         }
@@ -61,7 +61,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
+    fn expect(&mut self, kind: &TokenKind) -> Result<Token<'a>> {
         if &self.peek().kind == kind {
             Ok(self.bump())
         } else {
@@ -73,10 +73,9 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match &self.peek().kind {
+    fn ident(&mut self, what: &str) -> Result<&'a str> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -85,7 +84,7 @@ impl Parser {
     }
 
     fn keyword(&mut self, kw: &str) -> Result<()> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Ident(s) if s == kw => {
                 self.bump();
                 Ok(())
@@ -95,7 +94,7 @@ impl Parser {
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw)
+        matches!(self.peek().kind, TokenKind::Ident(s) if s == kw)
     }
 
     fn schema(&mut self) -> Result<Schema> {
@@ -149,8 +148,7 @@ impl Parser {
             parents.push(self.ident("parent name")?);
         }
         self.expect(&TokenKind::LBrace)?;
-        let parent_refs: Vec<&str> = parents.iter().map(String::as_str).collect();
-        let mut ob = b.category_of(name, &parent_refs)?;
+        let mut ob = b.category_of(name, &parents)?;
         while self.peek().kind != TokenKind::RBrace {
             let (aname, domain, key) = self.attr()?;
             ob = if key {
@@ -169,9 +167,9 @@ impl Parser {
         let name = self.ident("relationship name")?;
         self.expect(&TokenKind::LBrace)?;
         // Collect members first so the builder borrow stays simple.
-        enum Member {
-            Leg(String, Cardinality, Option<String>),
-            Attr(String, Domain, bool),
+        enum Member<'a> {
+            Leg(&'a str, Cardinality, Option<&'a str>),
+            Attr(&'a str, Domain, bool),
         }
         let mut members = Vec::new();
         while self.peek().kind != TokenKind::RBrace {
@@ -213,7 +211,7 @@ impl Parser {
         for m in members {
             rb = match m {
                 Member::Leg(oname, card, role) => {
-                    let oid = rb_lookup(rb.b(), &oname)?;
+                    let oid = rb_lookup(rb.b(), oname)?;
                     match role {
                         Some(r) => rb.participant_role(oid, card, r),
                         None => rb.participant(oid, card),
@@ -231,13 +229,12 @@ impl Parser {
         self.expect(&TokenKind::LParen)?;
         let min = self.num("minimum cardinality")?;
         self.expect(&TokenKind::Comma)?;
-        let max = match &self.peek().kind {
+        let max = match self.peek().kind {
             TokenKind::Num(n) => {
-                let n = *n;
                 self.bump();
                 Some(n)
             }
-            TokenKind::Ident(s) if s == "n" || s == "N" => {
+            TokenKind::Ident("n" | "N") => {
                 self.bump();
                 None
             }
@@ -258,7 +255,7 @@ impl Parser {
                 self.bump();
                 Ok(n)
             }
-            ref other => Err(self.error(format!("expected {what}, found {}", other.describe()))),
+            other => Err(self.error(format!("expected {what}, found {}", other.describe()))),
         }
     }
 
@@ -266,10 +263,10 @@ impl Parser {
         let name = self.ident("domain")?;
         if name == "enum" {
             self.expect(&TokenKind::LBrace)?;
-            let mut vals = vec![self.ident("enum value")?];
+            let mut vals = vec![self.ident("enum value")?.to_owned()];
             while self.peek().kind == TokenKind::Comma {
                 self.bump();
-                vals.push(self.ident("enum value")?);
+                vals.push(self.ident("enum value")?.to_owned());
             }
             self.expect(&TokenKind::RBrace)?;
             Ok(Domain::Enum(vals))
@@ -278,7 +275,7 @@ impl Parser {
         }
     }
 
-    fn attr(&mut self) -> Result<(String, Domain, bool)> {
+    fn attr(&mut self) -> Result<(&'a str, Domain, bool)> {
         let name = self.ident("attribute name")?;
         self.expect(&TokenKind::Colon)?;
         let domain = self.domain()?;

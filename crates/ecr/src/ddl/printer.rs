@@ -27,7 +27,7 @@ pub fn print(schema: &Schema) -> String {
         }
         for a in &obj.attributes {
             let key = if a.is_key() { " key" } else { "" };
-            let _ = writeln!(out, "    {}: {}{};", a.name, a.domain.tag(), key);
+            let _ = writeln!(out, "    {}: {}{};", a.name, a.domain, key);
         }
         let _ = writeln!(out, "  }}");
     }
@@ -48,7 +48,7 @@ pub fn print(schema: &Schema) -> String {
         }
         for a in &rel.attributes {
             let key = if a.is_key() { " key" } else { "" };
-            let _ = writeln!(out, "    {}: {}{};", a.name, a.domain.tag(), key);
+            let _ = writeln!(out, "    {}: {}{};", a.name, a.domain, key);
         }
         let _ = writeln!(out, "  }}");
     }

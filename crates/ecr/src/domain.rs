@@ -52,17 +52,11 @@ impl Domain {
         }
     }
 
-    /// Short display tag matching the paper's screens (`char`, `real`, ...).
+    /// Short display tag matching the paper's screens (`char`, `real`,
+    /// ...); the [`fmt::Display`] form, which writes it without
+    /// allocating.
     pub fn tag(&self) -> String {
-        match self {
-            Domain::Char => "char".to_owned(),
-            Domain::Int => "int".to_owned(),
-            Domain::Real => "real".to_owned(),
-            Domain::Bool => "bool".to_owned(),
-            Domain::Date => "date".to_owned(),
-            Domain::Enum(vals) => format!("enum{{{}}}", vals.join(",")),
-            Domain::Named(n) => n.clone(),
-        }
+        self.to_string()
     }
 
     /// Least general domain covering both, used when merging equivalent
@@ -90,7 +84,24 @@ impl Domain {
 
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.tag())
+        match self {
+            Domain::Char => f.write_str("char"),
+            Domain::Int => f.write_str("int"),
+            Domain::Real => f.write_str("real"),
+            Domain::Bool => f.write_str("bool"),
+            Domain::Date => f.write_str("date"),
+            Domain::Enum(vals) => {
+                f.write_str("enum{")?;
+                for (i, v) in vals.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    f.write_str(v)?;
+                }
+                f.write_str("}")
+            }
+            Domain::Named(n) => f.write_str(n),
+        }
     }
 }
 

@@ -9,17 +9,21 @@
 
 use std::fmt::Write as _;
 
+use crate::attribute::Attribute;
 use crate::graph::IsaGraph;
 use crate::ids::ObjectId;
 use crate::schema::Schema;
 
 /// Render the schema as an indented text diagram.
+///
+/// Everything is written straight into the output buffer: no string is
+/// built per attribute, leg or indentation level.
 pub fn render(schema: &Schema) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "schema {}", schema.name());
     let graph = IsaGraph::of(schema);
 
-    let _ = writeln!(out, "  object classes:");
+    out.push_str("  object classes:\n");
     let mut roots = graph.roots();
     roots.sort_by_key(|o| o.index());
     for root in roots {
@@ -27,47 +31,52 @@ pub fn render(schema: &Schema) -> String {
     }
 
     if schema.relationship_count() > 0 {
-        let _ = writeln!(out, "  relationship sets:");
+        out.push_str("  relationship sets:\n");
         for (_, rel) in schema.relationships() {
-            let legs: Vec<String> = rel
-                .participants
-                .iter()
-                .map(|p| {
-                    let role = p
-                        .role
-                        .as_deref()
-                        .map(|r| format!(" as {r}"))
-                        .unwrap_or_default();
-                    format!("{} {}{}", schema.object(p.object).name, p.cardinality, role)
-                })
-                .collect();
-            let _ = writeln!(out, "    <{}> -- {}", rel.name, legs.join(" -- "));
+            let _ = write!(out, "    <{}> -- ", rel.name);
+            for (i, p) in rel.participants.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(" -- ");
+                }
+                let _ = write!(out, "{} {}", schema.object(p.object).name, p.cardinality);
+                if let Some(role) = &p.role {
+                    let _ = write!(out, " as {role}");
+                }
+            }
+            out.push('\n');
             for a in &rel.attributes {
-                let key = if a.is_key() { " [key]" } else { "" };
-                let _ = writeln!(out, "        . {}: {}{}", a.name, a.domain.tag(), key);
+                out.push_str("        ");
+                render_attr(a, &mut out);
             }
         }
     }
     out
 }
 
+/// `. name: domain` with ` [key]` on keys, and a newline.
+fn render_attr(a: &Attribute, out: &mut String) {
+    let key = if a.is_key() { " [key]" } else { "" };
+    let _ = writeln!(out, ". {}: {}{}", a.name, a.domain, key);
+}
+
 fn render_object(schema: &Schema, graph: &IsaGraph, o: ObjectId, depth: usize, out: &mut String) {
     let obj = schema.object(o);
-    let pad = "  ".repeat(depth);
+    let pad = |out: &mut String| (0..depth).for_each(|_| out.push_str("  "));
     let tag = if obj.kind.is_category() {
         "category"
     } else {
         "entity"
     };
-    let _ = writeln!(out, "{pad}[{}] ({tag})", obj.name);
+    pad(out);
+    let _ = writeln!(out, "[{}] ({tag})", obj.name);
     for a in &obj.attributes {
-        let key = if a.is_key() { " [key]" } else { "" };
-        let _ = writeln!(out, "{pad}    . {}: {}{}", a.name, a.domain.tag(), key);
+        pad(out);
+        out.push_str("    ");
+        render_attr(a, out);
     }
-    let mut kids: Vec<ObjectId> = graph.children(o).to_vec();
-    kids.sort_by_key(|c| c.index());
-    for child in kids {
-        // A multi-parent category renders under each parent; mark repeats.
+    // Children are recorded in ascending id order. A multi-parent
+    // category renders under each parent.
+    for &child in graph.children(o) {
         render_object(schema, graph, child, depth + 1, out);
     }
 }

@@ -7,8 +7,6 @@
 //! *integrated schema* produced by phase 4 — `sit-core` emits a plain
 //! [`Schema`] plus mapping metadata.
 
-use std::collections::HashMap;
-
 use crate::attribute::Attribute;
 use crate::domain::Domain;
 use crate::error::{EcrError, Result};
@@ -34,8 +32,10 @@ pub struct Schema {
     name: String,
     objects: Vec<ObjectClass>,
     relationships: Vec<RelationshipSet>,
-    object_index: HashMap<String, ObjectId>,
-    rel_index: HashMap<String, RelId>,
+    /// Object indexes sorted by name, for lookup by binary search.
+    object_index: Vec<u32>,
+    /// Relationship indexes sorted by name.
+    rel_index: Vec<u32>,
 }
 
 impl Schema {
@@ -76,12 +76,12 @@ impl Schema {
 
     /// Look up an object class by name.
     pub fn object_by_name(&self, name: &str) -> Option<ObjectId> {
-        self.object_index.get(name).copied()
+        lookup(&self.object_index, name, |i| &self.objects[i].name).map(ObjectId::new)
     }
 
     /// Look up a relationship set by name.
     pub fn rel_by_name(&self, name: &str) -> Option<RelId> {
-        self.rel_index.get(name).copied()
+        lookup(&self.rel_index, name, |i| &self.relationships[i].name).map(RelId::new)
     }
 
     /// All object ids in definition order.
@@ -263,30 +263,17 @@ impl SchemaBuilder {
 
     /// Validate and freeze.
     pub fn build(self) -> Result<Schema> {
-        let mut object_index = HashMap::with_capacity(self.objects.len());
-        for (i, o) in self.objects.iter().enumerate() {
-            if object_index
-                .insert(o.name.clone(), ObjectId::new(i as u32))
-                .is_some()
-            {
-                return Err(EcrError::DuplicateName {
-                    name: o.name.clone(),
-                    kind: "object class",
-                });
+        let object_index =
+            name_index(&self.objects, |o| &o.name).map_err(|name| EcrError::DuplicateName {
+                name: name.to_owned(),
+                kind: "object class",
+            })?;
+        let rel_index = name_index(&self.relationships, |r| &r.name).map_err(|name| {
+            EcrError::DuplicateName {
+                name: name.to_owned(),
+                kind: "relationship set",
             }
-        }
-        let mut rel_index = HashMap::with_capacity(self.relationships.len());
-        for (i, r) in self.relationships.iter().enumerate() {
-            if rel_index
-                .insert(r.name.clone(), RelId::new(i as u32))
-                .is_some()
-            {
-                return Err(EcrError::DuplicateName {
-                    name: r.name.clone(),
-                    kind: "relationship set",
-                });
-            }
-        }
+        })?;
         let schema = Schema {
             name: self.name,
             objects: self.objects,
@@ -301,6 +288,32 @@ impl SchemaBuilder {
             Err(EcrError::Invalid(violations))
         }
     }
+}
+
+/// The indexes of `items` sorted by name, or the first name repeated in
+/// definition order.
+fn name_index<T>(items: &[T], name: impl Fn(&T) -> &str) -> std::result::Result<Vec<u32>, &str> {
+    let mut index: Vec<u32> = (0..items.len() as u32).collect();
+    // Stable: equal names keep definition order, so in each run of equal
+    // names the second is that name's first repeat.
+    index.sort_by(|&a, &b| name(&items[a as usize]).cmp(name(&items[b as usize])));
+    let first_repeat = index
+        .windows(2)
+        .filter(|w| name(&items[w[0] as usize]) == name(&items[w[1] as usize]))
+        .map(|w| w[1])
+        .min();
+    match first_repeat {
+        Some(i) => Err(name(&items[i as usize])),
+        None => Ok(index),
+    }
+}
+
+/// Binary search of a [`name_index`] for `target`.
+fn lookup<'s>(index: &[u32], target: &str, name: impl Fn(usize) -> &'s String) -> Option<u32> {
+    index
+        .binary_search_by(|&i| name(i as usize).as_str().cmp(target))
+        .ok()
+        .map(|k| index[k])
 }
 
 /// Fluent attribute addition for the object class under construction.
@@ -472,6 +485,32 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn duplicates_report_the_first_repeat_in_definition_order() {
+        // `Z` sorts last but repeats first; `A` repeats later, twice.
+        let mut b = SchemaBuilder::new("bad");
+        for name in ["Z", "A", "Z", "A", "A"] {
+            b.entity_set(name).finish();
+        }
+        assert!(matches!(
+            b.build(),
+            Err(EcrError::DuplicateName { name, .. }) if name == "Z"
+        ));
+
+        // Without repeats, every name resolves to its definition index.
+        let mut b = SchemaBuilder::new("ok");
+        let names = ["m", "B", "a", "Zz", "b", "_"];
+        for name in names {
+            b.entity_set(name).finish();
+        }
+        let s = b.build().unwrap();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(s.object_by_name(name), Some(ObjectId::new(i as u32)));
+        }
+        assert_eq!(s.object_by_name("c"), None);
+        assert_eq!(s.rel_by_name("m"), None);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
+use crate::attribute::Attribute;
 use crate::graph::IsaGraph;
 use crate::ids::ObjectId;
 use crate::relationship::RelationshipSet;
@@ -135,11 +136,7 @@ pub fn validate(schema: &Schema) -> Vec<Violation> {
         if obj.name.trim().is_empty() {
             out.push(Violation::EmptyName);
         }
-        check_dup_attrs(
-            &obj.name,
-            obj.attributes.iter().map(|a| a.name.as_str()),
-            &mut out,
-        );
+        check_dup_attrs(&obj.name, &obj.attributes, &mut out);
     }
 
     // Category structure (range checks must precede graph construction).
@@ -216,24 +213,27 @@ fn check_relationship(
             });
         }
     }
-    check_dup_attrs(
-        &rel.name,
-        rel.attributes.iter().map(|a| a.name.as_str()),
-        out,
-    );
+    check_dup_attrs(&rel.name, &rel.attributes, out);
 }
 
-fn check_dup_attrs<'a>(
-    owner: &str,
-    names: impl Iterator<Item = &'a str>,
-    out: &mut Vec<Violation>,
-) {
+/// Attribute lists up to this long are checked pairwise, with no
+/// allocation; longer ones through a set, so a huge list stays linear.
+const PAIRWISE_ATTRS: usize = 32;
+
+/// Report every attribute whose name an earlier one of the same owner
+/// already has, in definition order.
+fn check_dup_attrs(owner: &str, attrs: &[Attribute], out: &mut Vec<Violation>) {
     let mut seen = HashSet::new();
-    for name in names {
-        if !seen.insert(name) {
+    for (i, a) in attrs.iter().enumerate() {
+        let repeat = if attrs.len() <= PAIRWISE_ATTRS {
+            attrs[..i].iter().any(|b| b.name == a.name)
+        } else {
+            !seen.insert(a.name.as_str())
+        };
+        if repeat {
             out.push(Violation::DuplicateAttribute {
                 owner: owner.to_owned(),
-                attr: name.to_owned(),
+                attr: a.name.clone(),
             });
         }
     }
@@ -265,6 +265,34 @@ mod tests {
     use crate::domain::Domain;
     use crate::relationship::{Cardinality, Participant};
     use crate::schema::SchemaBuilder;
+
+    #[test]
+    fn every_repeated_attribute_is_reported_in_order_short_or_long() {
+        for len in [6, PAIRWISE_ATTRS + 8] {
+            let mut b = SchemaBuilder::new("s");
+            let mut ob = b.entity_set("E");
+            for i in 0..len {
+                // Positions 3 and len-1 repeat position 1.
+                let name = if i == 3 || i == len - 1 { 1 } else { i };
+                ob = ob.attr(format!("a{name}"), Domain::Int);
+            }
+            ob.finish();
+            let violations = match b.build() {
+                Err(crate::error::EcrError::Invalid(v)) => v,
+                other => panic!("expected violations, got {other:?}"),
+            };
+            let repeats: Vec<&str> = violations
+                .iter()
+                .filter_map(|v| match v {
+                    Violation::DuplicateAttribute { owner, attr } if owner == "E" => {
+                        Some(attr.as_str())
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(repeats, ["a1", "a1"], "{len} attributes");
+        }
+    }
 
     #[test]
     fn valid_schema_has_no_violations() {

@@ -183,6 +183,35 @@ impl Tracer {
         if !self.is_enabled() {
             return;
         }
+        let now = self.inner.clock.now_ns();
+        self.record_finished(name, Phase::Instant, now, 0, args);
+    }
+
+    /// Record a complete span whose time was measured by the caller:
+    /// work that ran in several pieces (one session's share of a log
+    /// scan) and so could not sit under one [`Span`] guard. `dur_ns` is
+    /// the sum of the pieces, `start_ns` when the first began.
+    pub fn complete(
+        &self,
+        name: &'static str,
+        start_ns: u64,
+        dur_ns: u64,
+        args: Vec<(&'static str, String)>,
+    ) {
+        self.record_finished(name, Phase::Complete, start_ns, dur_ns, args);
+    }
+
+    fn record_finished(
+        &self,
+        name: &'static str,
+        phase: Phase,
+        start_ns: u64,
+        dur_ns: u64,
+        args: Vec<(&'static str, String)>,
+    ) {
+        if !self.is_enabled() {
+            return;
+        }
         let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
         let tracer_id = self.inner.tracer_id;
         let parent = SPAN_STACK.with(|s| {
@@ -192,14 +221,13 @@ impl Tracer {
                 .find(|&&(t, _)| t == tracer_id)
                 .map(|&(_, sp)| sp)
         });
-        let now = self.inner.clock.now_ns();
         self.record(TraceEvent {
             id,
             parent,
             name,
-            phase: Phase::Instant,
-            start_ns: now,
-            dur_ns: 0,
+            phase,
+            start_ns,
+            dur_ns,
             tid: current_tid(),
             args,
         });
@@ -349,6 +377,14 @@ pub fn span(name: &'static str) -> Span {
 pub fn instant(name: &'static str) {
     if let Some(t) = current() {
         t.instant(name);
+    }
+}
+
+/// Record a caller-timed complete span on the current tracer, if any
+/// (see [`Tracer::complete`]).
+pub fn complete(name: &'static str, start_ns: u64, dur_ns: u64, args: Vec<(&'static str, String)>) {
+    if let Some(t) = current() {
+        t.complete(name, start_ns, dur_ns, args);
     }
 }
 

@@ -506,8 +506,8 @@ pub struct StorageFaultConfig {
     /// untouched (rename never happened).
     pub atomic_tear: bool,
     /// Probability (0–100) that an append persists only a seeded prefix
-    /// and errors *without* crashing — the transient short write the
-    /// repair path must clean up.
+    /// and errors *without* crashing — the transient short write after
+    /// which the log seals its segment and continues in a new one.
     pub short_write_percent: u32,
     /// Seed for the short-write schedule.
     pub seed: u64,
@@ -628,6 +628,11 @@ impl Storage for FaultedStorage {
         self.inner.sync(name)
     }
 
+    fn sync_dir(&self) -> io::Result<()> {
+        self.check_alive()?;
+        self.inner.sync_dir()
+    }
+
     fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
         self.check_alive()?;
         if let Some(keep) = self.tear_point(data.len()) {
@@ -657,6 +662,11 @@ impl Storage for FaultedStorage {
         self.inner.read(name)
     }
 
+    fn reader(&self, name: &str) -> io::Result<Box<dyn io::Read + Send>> {
+        self.check_alive()?;
+        self.inner.reader(name)
+    }
+
     fn remove(&self, name: &str) -> io::Result<()> {
         self.check_alive()?;
         self.inner.remove(name)
@@ -665,10 +675,6 @@ impl Storage for FaultedStorage {
     fn list(&self) -> io::Result<Vec<String>> {
         self.check_alive()?;
         self.inner.list()
-    }
-
-    fn release(&self, name: &str) {
-        self.inner.release(name);
     }
 }
 

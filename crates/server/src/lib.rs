@@ -17,11 +17,13 @@
 //!   persistence layer: a real directory ([`storage::DirStorage`],
 //!   fsync + atomic-rename discipline) and an in-memory simulation
 //!   ([`storage::MemStorage`]) with an explicit durability watermark;
-//! * [`persist`] — durable sessions: per-session write-ahead journal
-//!   (length-prefixed CRC-32 records, `always`/`every-n`/`never` fsync
-//!   policies), periodic snapshots with journal compaction, and crash
-//!   recovery that replays records through the service's own dispatch
-//!   (`--data-dir`);
+//! * [`persist`] — durable sessions: one server-wide write-ahead log of
+//!   session-tagged, length-prefixed CRC-32 records
+//!   (`always`/`every-n`/`never` fsync policies, group commit), two
+//!   snapshot slots per session, and crash recovery that replays
+//!   records through the service's own dispatch (`--data-dir`);
+//! * [`wal`] — the log's segments, group commit, and the collection
+//!   and copy-forward of segments no longer needed;
 //! * [`metrics`] — lock-free per-verb counters and base-2 latency
 //!   histograms (`sit-obs`), served by `stats` and, as Prometheus
 //!   text, by `metrics_text`;
@@ -74,6 +76,7 @@ pub mod service;
 pub mod storage;
 pub mod store;
 pub mod transport;
+pub mod wal;
 pub mod wire;
 
 pub use client::{error_code, Client, ClientConfig, RetryPolicy};

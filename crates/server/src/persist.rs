@@ -1,69 +1,87 @@
-//! Durable sessions: a per-session write-ahead journal, periodic
-//! snapshots, and crash recovery over any [`Storage`].
+//! Durable sessions: one server-wide write-ahead log, two snapshot
+//! slots per session, and crash recovery over any [`Storage`].
 //!
 //! ## On-disk layout (one flat directory)
 //!
-//! * `<id>.journal` — append-only records, one per *attempted*
-//!   mutating verb, journaled **before** the verb touches the
-//!   in-memory session (write-ahead). A verb that failed live (e.g. a
-//!   conflicting assert) stays in the journal and fails identically on
-//!   replay — dispatch is deterministic, so the journal needs no
-//!   outcome bit.
+//! * `log.<number>.<generation>` — the log's segments (see
+//!   [`crate::wal`]). Every session-addressed event is one record,
+//!   tagged with its session: an *open* record when `open` or `load`
+//!   creates the session (a `load` carries its frame), one record per
+//!   *attempted* mutating verb, journaled **before** the verb touches
+//!   the in-memory session (write-ahead), and a *close* record when
+//!   `close` ends it. A verb that failed live (e.g. a conflicting
+//!   assert) stays in the log and fails identically on replay —
+//!   dispatch is deterministic, so a record needs no outcome bit.
 //! * `<id>.snap.0`, `<id>.snap.1` — two snapshot slots, each one record
 //!   whose payload is the [`script::save`] text and whose sequence field
-//!   is the last journal sequence it covers (the higher is the newer).
+//!   is the last session sequence it covers (the higher is the newer).
 //!
-//! The names follow from the id, so finding a session's files needs no
-//! listing. Any other `<id>.snap.*` is the old numbered layout: recovery
-//! fails on it with `InvalidData` rather than replay a compacted journal
-//! without its snapshot.
+//! A session that never snapshots has no file of its own: `open` and
+//! `close` each cost one append. Any `<id>.journal` (the per-session
+//! journals of the old layout) or other `<id>.snap.*` (the numbered
+//! snapshots before that) fails recovery with `InvalidData`, naming the
+//! file, rather than start without the history it holds.
 //!
-//! ## Record container
+//! ## Record containers
+//!
+//! A log record and a snapshot slot record:
 //!
 //! ```text
-//! | len: u32 le | crc: u32 le | seq: u64 le | payload (len bytes) |
+//! | len: u32 le | crc: u32 le | session: u64 le | seq: u64 le | kind: u8 | payload |
+//! | len: u32 le | crc: u32 le | seq: u64 le | payload |
 //! ```
 //!
-//! `crc` is CRC-32 (IEEE) over the seq bytes plus the payload, so a
-//! torn tail, a bit flip, or a stale length all fail closed. Decoding
-//! stops at the first bad record; recovery truncates the tail and
-//! keeps going ("acknowledged ⇒ recovered" never depends on bytes
-//! after a corruption).
+//! `crc` is CRC-32 (IEEE) over everything after it, so a torn tail, a
+//! bit flip, or a stale length all fail closed. Decoding a segment
+//! stops at its first bad record; the segments after it are still read
+//! ("acknowledged ⇒ recovered" never depends on bytes after a
+//! corruption, and a segment sealed after a failed append ends in a
+//! torn record by design).
 //!
-//! ## Snapshots and compaction
+//! `seq` numbers one session's records from 1 (its open record).
+//! Recovery applies a session's record only if it is the next one the
+//! session expects, so a duplicate left by an interrupted copy-forward
+//! applies once only, and records past a gap (lost to power loss under
+//! a weak fsync policy) never apply out of order.
 //!
-//! Every [`PersistConfig::snapshot_every`] journaled records the
+//! ## Snapshots and collection
+//!
+//! Every [`PersistConfig::snapshot_every`] journaled mutations the
 //! session is snapshotted: `write_atomic` the slot that does *not* hold
-//! the newest valid snapshot, then rewrite the journal keeping only
-//! records after the *other* slot's sequence. The overwrite is the
-//! retention: the previous snapshot survives one more cycle, so a
-//! corrupt newest slot (torn by a crash mid-write) falls back to the
-//! other with no acknowledged record lost. Replay skips records at or
-//! below the recovered snapshot's sequence, so crashing between
-//! snapshot and compaction is also safe.
+//! the newest valid snapshot. The overwrite is the retention: the
+//! previous snapshot survives one more cycle, and the log keeps every
+//! record the *older* slot does not cover, so a corrupt newest slot
+//! falls back to the other with no acknowledged record lost. Records the
+//! older slot covers, and all records of closed sessions, are no longer
+//! needed; [`crate::wal`] deletes segments holding nothing else, and
+//! copies the needed records of old segments forward.
 //!
 //! ## Durability contract
 //!
-//! With `fsync=always`, a mutating verb is acknowledged only after its
-//! journal record is fsynced: acknowledged ⇒ recovered, byte-for-byte
-//! (the crash suite in `tests/crash.rs` sweeps every byte offset).
-//! `every-n` and `never` trade the tail of un-fsynced acknowledgements
-//! for throughput — after power loss the recovered state is a prefix
-//! of the acknowledged history, never a divergent state.
+//! With `fsync=always`, a verb is acknowledged only after its record is
+//! fsynced (group commit: one fsync covers every record appended before
+//! it): acknowledged ⇒ recovered, byte-for-byte (the crash suite in
+//! `tests/crash.rs` sweeps every byte offset). `every-n` and `never`
+//! trade the tail of un-fsynced acknowledgements for throughput — after
+//! power loss the recovered state of each session is a prefix of its
+//! acknowledged history, never a divergent state. Every snapshot
+//! commits the log before its slot is written, under every policy.
+//! `close` makes its record durable before it removes slot files, and
+//! syncs the directory once after, except under `never`.
 //!
 //! ## Ownership
 //!
-//! [`Persistence`] keeps no per-session state. A session's bookkeeping
-//! is its [`Journal`], owned by the session's store entry: `append` and
-//! `maybe_snapshot` take it, `recover` returns one per session, and
-//! eviction or `close` drops it with the session, releasing the
-//! storage's append handle. `close` marks the journal closed before it
-//! deletes the files, so no later append can re-create them.
+//! [`Persistence`] owns the log; the log alone knows which sessions are
+//! open on disk, so an append for a closed session fails whoever still
+//! holds it. A session's [`Journal`] — its sequence and snapshot
+//! cadence — is owned by the session's store entry: `append` and
+//! `maybe_snapshot` take it, [`Persistence::open`] returns one per
+//! recovered session, and eviction drops it with the session. An
+//! evicted session stays open in the log.
 
-use std::cmp::Reverse;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 use std::sync::Arc;
 
 use sit_core::script;
@@ -74,19 +92,25 @@ use sit_obs::trace;
 
 use crate::proto::{ErrorCode, Request, ServerError};
 use crate::storage::Storage;
+use crate::wal::{self, Appended, LiveSession, Segment, Wal};
 use crate::wire::Json;
 
-/// Bytes of fixed header before each record's payload.
+/// Bytes of fixed header before each snapshot record's payload.
 pub const RECORD_HEADER: usize = 16;
 
-/// Largest journal record payload accepted by the decoder (a journal
-/// payload is one request frame, bounded by the wire's 1 MiB line
-/// limit — anything larger is corruption, not data).
+/// Bytes of fixed header before each log record's payload.
+pub const LOG_RECORD_HEADER: usize = 25;
+
+/// Largest log record payload accepted by the decoder (a payload is one
+/// request frame, bounded by the wire's 1 MiB line limit — anything
+/// larger is corruption, not data).
 pub const MAX_JOURNAL_PAYLOAD: usize = 2 * 1024 * 1024;
 
 /// Largest snapshot payload accepted (session scripts dwarf single
 /// frames but still bound the decoder against absurd length fields).
 pub const MAX_SNAPSHOT_PAYLOAD: usize = 256 * 1024 * 1024;
+
+pub use crate::wal::SEGMENT_BYTES;
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
@@ -156,7 +180,7 @@ pub fn record_crc(seq: u64, payload: &[u8]) -> u32 {
 // ---------------------------------------------------------------------
 // Record codec
 
-/// Encode one record in the journal/snapshot container format.
+/// Encode one record in the snapshot container format.
 pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -166,13 +190,13 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The result of scanning a journal byte string.
+/// The result of scanning a byte string of snapshot-container records.
 pub struct JournalScan {
     /// Every intact `(seq, payload)` record, in file order.
     pub records: Vec<(u64, Vec<u8>)>,
     /// Bytes covered by those records — a torn tail starts here.
     pub consumed: usize,
-    /// Bytes after `consumed` (0 on a clean journal).
+    /// Bytes after `consumed` (0 on clean input).
     pub trailing: usize,
 }
 
@@ -213,6 +237,199 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
 }
 
 // ---------------------------------------------------------------------
+// Log record codec
+
+/// What a log record does to its session.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecordKind {
+    /// The session begins; the payload is empty (`open`) or the `load`
+    /// frame that seeds it.
+    Open,
+    /// One attempted mutating verb: the request frame as received.
+    Frame,
+    /// The session ends (`close`); no payload.
+    Close,
+}
+
+impl RecordKind {
+    fn byte(self) -> u8 {
+        match self {
+            RecordKind::Open => 1,
+            RecordKind::Frame => 2,
+            RecordKind::Close => 3,
+        }
+    }
+
+    fn from_byte(b: u8) -> Option<RecordKind> {
+        match b {
+            1 => Some(RecordKind::Open),
+            2 => Some(RecordKind::Frame),
+            3 => Some(RecordKind::Close),
+            _ => None,
+        }
+    }
+}
+
+/// The log record header after `len` and `crc`: session, seq, kind.
+fn log_header_tail(session: u64, seq: u64, kind: RecordKind) -> [u8; 17] {
+    let mut tail = [0u8; 17];
+    tail[..8].copy_from_slice(&session.to_le_bytes());
+    tail[8..16].copy_from_slice(&seq.to_le_bytes());
+    tail[16] = kind.byte();
+    tail
+}
+
+/// CRC-32 of a log record's session, seq and kind bytes followed by its
+/// payload.
+pub fn log_record_crc(session: u64, seq: u64, kind: RecordKind, payload: &[u8]) -> u32 {
+    let state = crc32_update(0xFFFF_FFFF, &log_header_tail(session, seq, kind));
+    crc32_update(state, payload) ^ 0xFFFF_FFFF
+}
+
+/// Encode one log record.
+pub fn encode_log_record(session: u64, seq: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(LOG_RECORD_HEADER + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&log_record_crc(session, seq, kind, payload).to_le_bytes());
+    out.extend_from_slice(&log_header_tail(session, seq, kind));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// One decoded log record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LogRecord {
+    /// The session it belongs to.
+    pub session: u64,
+    /// Its place in the session's sequence.
+    pub seq: u64,
+    /// What it does.
+    pub kind: RecordKind,
+    /// The frame (empty for close and plain open records).
+    pub payload: Vec<u8>,
+}
+
+/// Streaming decoder over one segment: yields intact records until the
+/// bytes run out or a record fails its length bound, kind or checksum.
+/// Holds one record at a time, never the segment.
+pub struct LogReader<R> {
+    inner: R,
+    consumed: u64,
+    trailing: u64,
+    done: bool,
+}
+
+/// Read until `buf` is full or the input ends; the bytes read.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+impl<R: Read> LogReader<R> {
+    /// A decoder at the start of `inner`.
+    pub fn new(inner: R) -> LogReader<R> {
+        LogReader {
+            inner,
+            consumed: 0,
+            trailing: 0,
+            done: false,
+        }
+    }
+
+    /// The next intact record; `None` once the input ends or a bad
+    /// record is met (everything from it on is the tail). Errors only
+    /// when reading the input fails.
+    pub fn next_record(&mut self) -> io::Result<Option<LogRecord>> {
+        if self.done {
+            return Ok(None);
+        }
+        let mut header = [0u8; LOG_RECORD_HEADER];
+        let got = read_full(&mut self.inner, &mut header)?;
+        if got < LOG_RECORD_HEADER {
+            return Ok(self.stop(got));
+        }
+        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        let session = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        let seq = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+        let Some(kind) = RecordKind::from_byte(header[24]) else {
+            return Ok(self.stop(LOG_RECORD_HEADER));
+        };
+        if len > MAX_JOURNAL_PAYLOAD {
+            return Ok(self.stop(LOG_RECORD_HEADER)); // absurd length
+        }
+        let mut payload = Vec::with_capacity(len.min(64 * 1024));
+        (&mut self.inner)
+            .take(len as u64)
+            .read_to_end(&mut payload)?;
+        if payload.len() < len || log_record_crc(session, seq, kind, &payload) != crc {
+            // Torn tail or corrupt record: everything after is suspect.
+            return Ok(self.stop(LOG_RECORD_HEADER + payload.len()));
+        }
+        self.consumed += (LOG_RECORD_HEADER + len) as u64;
+        Ok(Some(LogRecord {
+            session,
+            seq,
+            kind,
+            payload,
+        }))
+    }
+
+    fn stop(&mut self, read: usize) -> Option<LogRecord> {
+        self.done = true;
+        self.trailing += read as u64;
+        None
+    }
+
+    /// Bytes covered by the records returned so far.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
+    }
+
+    /// Bytes after the last intact record, reading the rest of the input
+    /// to count them (0 on a clean segment).
+    pub fn finish(mut self) -> io::Result<u64> {
+        while self.next_record()?.is_some() {}
+        Ok(self.trailing + io::copy(&mut self.inner, &mut io::sink())?)
+    }
+}
+
+/// The result of decoding a whole log segment held in memory.
+pub struct LogScan {
+    /// Every intact record, in order.
+    pub records: Vec<LogRecord>,
+    /// Bytes covered by those records — a torn tail starts here.
+    pub consumed: usize,
+    /// Bytes after `consumed` (0 on a clean segment).
+    pub trailing: usize,
+}
+
+/// Decode a segment's bytes with [`LogReader`]. Never panics on
+/// arbitrary input.
+pub fn decode_log_records(bytes: &[u8]) -> LogScan {
+    let mut reader = LogReader::new(bytes);
+    let mut records = Vec::new();
+    while let Some(record) = reader.next_record().expect("reading a slice cannot fail") {
+        records.push(record);
+    }
+    let consumed = reader.consumed() as usize;
+    let trailing = reader.finish().expect("reading a slice cannot fail") as usize;
+    LogScan {
+        records,
+        consumed,
+        trailing,
+    }
+}
+
+// ---------------------------------------------------------------------
 // Configuration
 
 /// When journal appends are made durable.
@@ -223,7 +440,9 @@ pub enum FsyncPolicy {
     /// fsync after every N records — bounded acknowledged-but-volatile
     /// tail.
     EveryN(u32),
-    /// Never fsync explicitly — durability rides on the OS cache.
+    /// Never fsync a record for its own sake — durability rides on the
+    /// OS cache, and on snapshots, each of which makes the log durable
+    /// up to it.
     Never,
 }
 
@@ -278,27 +497,33 @@ impl Default for PersistConfig {
 /// the `persist_stats` verb.
 #[derive(Default)]
 pub struct PersistMetrics {
-    /// Journal records written (acknowledged appends).
+    /// Log records written (acknowledged appends: open, mutation and
+    /// close records).
     pub journal_records: Counter,
-    /// Journal bytes written.
+    /// Log bytes written by those appends.
     pub journal_bytes: Counter,
     /// Per-record encoded size.
     pub record_bytes: Histogram,
-    /// Explicit fsyncs issued.
+    /// Group commits: each syncs the log for every record appended
+    /// before it.
     pub fsyncs: Counter,
-    /// fsync latency.
+    /// Group commit latency.
     pub fsync_ns: Histogram,
     /// Snapshots written.
     pub snapshots: Counter,
-    /// Journal compactions completed.
+    /// Copy-forwards completed.
     pub compactions: Counter,
-    /// Storage failures surfaced (append, fsync, snapshot, repair).
+    /// Records copied forward.
+    pub copied_records: Counter,
+    /// Log segments removed.
+    pub segments_removed: Counter,
+    /// Storage failures surfaced (append, fsync, snapshot, collection).
     pub errors: Counter,
     /// Sessions recovered at startup.
     pub recovered_sessions: Counter,
-    /// Journal records replayed at startup.
+    /// Log records replayed at startup.
     pub recovered_records: Counter,
-    /// Torn/corrupt tail bytes truncated at startup.
+    /// Torn/corrupt segment tail bytes passed over at startup.
     pub recover_truncated_bytes: Counter,
     /// Torn, corrupt or unloadable snapshot slots passed over at recovery.
     pub recover_skipped_snapshots: Counter,
@@ -313,12 +538,14 @@ pub struct PersistMetrics {
 impl PersistMetrics {
     /// Append the `sit_persist_*` / `sit_recover_*` Prometheus series.
     pub fn prometheus(&self, out: &mut String) {
-        let counters: [(&str, &Counter); 11] = [
+        let counters: [(&str, &Counter); 13] = [
             ("sit_persist_journal_records_total", &self.journal_records),
             ("sit_persist_journal_bytes_total", &self.journal_bytes),
             ("sit_persist_fsync_total", &self.fsyncs),
             ("sit_persist_snapshots_total", &self.snapshots),
             ("sit_persist_compactions_total", &self.compactions),
+            ("sit_persist_copied_records_total", &self.copied_records),
+            ("sit_persist_segments_removed_total", &self.segments_removed),
             ("sit_persist_errors_total", &self.errors),
             ("sit_recover_sessions_total", &self.recovered_sessions),
             ("sit_recover_records_total", &self.recovered_records),
@@ -354,65 +581,30 @@ impl PersistMetrics {
 // ---------------------------------------------------------------------
 // The persistence manager
 
-/// One session's journal and snapshot bookkeeping. The session's store
-/// entry owns it, so eviction and `close` drop it with the session;
-/// dropping it releases the storage's cached handle for the journal.
+/// One session's sequence and snapshot bookkeeping. The session's store
+/// entry owns it, so eviction and `close` drop it with the session.
 pub struct Journal {
-    storage: Arc<dyn Storage>,
     id: u64,
-    /// `<id>.journal`, named once here.
-    name: String,
-    /// Last sequence number assigned (journaled or covered by a
-    /// snapshot).
+    /// Last sequence number used (the open record is 1).
     seq: u64,
-    /// Known-good journal length in bytes — the repair truncation
-    /// point after a failed append.
-    good_len: u64,
-    /// Records journaled since the last snapshot.
+    /// Mutations journaled since the last snapshot.
     since_snapshot: u64,
-    /// Records appended since the last fsync (`every-n` bookkeeping).
-    unsynced: u32,
     /// Slot of the newest valid snapshot; the next one overwrites the
     /// other (1 before any, so the first lands in slot 0).
     slot: usize,
-    /// The latest snapshot's covered sequence.
-    snap_last_seq: u64,
-    /// Set when storage failed in a way repair could not undo; all
-    /// further mutations on this session are refused rather than
-    /// silently diverging from disk.
-    broken: bool,
-    /// Set by `close` before it deletes the files: a later append would
-    /// re-create the journal and bring the closed session back.
-    closed: bool,
+    /// The sequence each slot covers (0: none).
+    slot_seq: [u64; 2],
 }
 
 impl Journal {
-    fn new(storage: Arc<dyn Storage>, id: u64) -> Journal {
+    fn new(id: u64) -> Journal {
         Journal {
-            storage,
             id,
-            name: format!("{id}.journal"),
             seq: 0,
-            good_len: 0,
             since_snapshot: 0,
-            unsynced: 0,
             slot: 1,
-            snap_last_seq: 0,
-            broken: false,
-            closed: false,
+            slot_seq: [0, 0],
         }
-    }
-
-    /// Refuse every later append and snapshot (wire `close`, before
-    /// the files go).
-    pub fn close(&mut self) {
-        self.closed = true;
-    }
-}
-
-impl Drop for Journal {
-    fn drop(&mut self) {
-        self.storage.release(&self.name);
     }
 }
 
@@ -420,29 +612,62 @@ fn snap_name(id: u64, slot: usize) -> String {
     format!("{id}.snap.{slot}")
 }
 
-/// The journal/snapshot engine for one data directory. It holds no
-/// per-session state: each call takes the session's [`Journal`].
+/// Sessions rebuilt by [`Persistence::open`].
+pub struct Recovery {
+    /// Every open session, ascending by id, with its journal.
+    pub sessions: Vec<(u64, Session, Journal)>,
+    /// The highest session id the log or a slot names, closed sessions
+    /// included: fresh ids go above it, so no id is ever reused while a
+    /// record of its earlier session remains.
+    pub highest_id: u64,
+}
+
+/// The log and snapshot engine for one data directory.
 pub struct Persistence {
     storage: Arc<dyn Storage>,
     config: PersistConfig,
     clock: Arc<dyn Clock>,
     metrics: PersistMetrics,
+    wal: Wal,
+}
+
+/// One session's state while the log is scanned.
+struct Replaying {
+    session: Session,
+    journal: Journal,
+    /// It has slot files (valid or not), which `close` must remove.
+    slotted: bool,
+    /// When its first piece of recovery started, and the time spent.
+    started_ns: u64,
+    spent_ns: u64,
 }
 
 impl Persistence {
-    /// A manager over `storage`; call [`Persistence::recover`] before
-    /// serving.
-    pub fn new(
+    /// Recover every session in `storage` and open its log for appends,
+    /// sealing segments at `segment_bytes` ([`SEGMENT_BYTES`] in the
+    /// server; simulations pass a few hundred bytes so that a short
+    /// workload crosses segment boundaries and exercises copy-forward).
+    /// Errors only on storage failures recovery cannot work around and
+    /// on a directory of an older layout (corrupt *records* never error
+    /// — they are skipped and counted in the metrics).
+    pub fn open(
         storage: Arc<dyn Storage>,
         config: PersistConfig,
         clock: Arc<dyn Clock>,
-    ) -> Persistence {
-        Persistence {
+        segment_bytes: u64,
+    ) -> io::Result<(Persistence, Recovery)> {
+        let metrics = PersistMetrics::default();
+        let (recovered, recovery) = recover(&*storage, &config, &*clock, &metrics)?;
+        let wal = Wal::new(Arc::clone(&storage), config.fsync, segment_bytes, recovered);
+        wal.collect(&metrics);
+        let persistence = Persistence {
             storage,
             config,
             clock,
-            metrics: PersistMetrics::default(),
-        }
+            metrics,
+            wal,
+        };
+        Ok((persistence, recovery))
     }
 
     /// The configured policies.
@@ -455,279 +680,370 @@ impl Persistence {
         &self.metrics
     }
 
-    /// Create the journal for a fresh session (`open`/`load`), durable
-    /// per the fsync policy.
-    pub fn create_journal(&self, id: u64) -> Result<Journal, ServerError> {
-        let journal = Journal::new(Arc::clone(&self.storage), id);
-        self.storage
-            .append(&journal.name, &[])
-            .map_err(|e| persist_io("journal create", &e))?;
-        if self.config.fsync == FsyncPolicy::Always {
-            self.storage
-                .sync(&journal.name)
-                .map_err(|e| persist_io("journal create fsync", &e))?;
-        }
+    /// Start a fresh session (`open`/`load`): its open record, carrying
+    /// `first` (the `load` frame) if any, durable per the fsync policy.
+    pub fn open_session(&self, id: u64, first: Option<&[u8]>) -> Result<Journal, ServerError> {
+        let mut journal = Journal::new(id);
+        self.log(id, 1, RecordKind::Open, first.unwrap_or_default())?;
+        journal.seq = 1;
+        journal.since_snapshot = u64::from(first.is_some());
         Ok(journal)
     }
 
-    /// Write-ahead append: journal one request frame (and fsync per
-    /// policy) *before* the verb is applied. On failure nothing is
-    /// acknowledged: the journal is repaired back to its known-good
-    /// length, or the session is marked broken if even that fails.
+    /// Write-ahead append: log one request frame (and fsync per policy)
+    /// *before* the verb is applied. On failure nothing is
+    /// acknowledged; a session closed meanwhile is unknown.
     pub fn append(&self, j: &mut Journal, payload: &[u8]) -> Result<(), ServerError> {
-        if j.closed {
+        let seq = j.seq + 1;
+        if self.log(j.id, seq, RecordKind::Frame, payload)?.is_none() {
             return Err(ServerError::unknown_session(&j.id.to_string()));
         }
-        if j.broken {
-            return Err(persist_error(
-                "session persistence disabled after an unrecoverable storage failure",
-            ));
-        }
-        let seq = j.seq + 1;
-        let record = encode_record(seq, payload);
-        {
-            let _span = trace::span("persist.append");
-            if let Err(e) = self.storage.append(&j.name, &record) {
-                self.repair(j);
-                return Err(persist_io("journal append", &e));
-            }
-        }
-        j.unsynced += 1;
-        let sync_now = match self.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => j.unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if sync_now {
-            let _span = trace::span("persist.fsync");
-            let t0 = self.clock.now_ns();
-            if let Err(e) = self.storage.sync(&j.name) {
-                self.repair(j);
-                return Err(persist_io("journal fsync", &e));
-            }
-            self.metrics.fsyncs.inc();
-            self.metrics
-                .fsync_ns
-                .record(self.clock.now_ns().saturating_sub(t0));
-            j.unsynced = 0;
-        }
         j.seq = seq;
-        j.good_len += record.len() as u64;
         j.since_snapshot += 1;
-        self.metrics.journal_records.inc();
-        self.metrics.journal_bytes.add(record.len() as u64);
-        self.metrics.record_bytes.record(record.len() as u64);
         Ok(())
     }
 
-    /// Count a failed append/fsync and truncate the journal back to the
-    /// last acknowledged byte, so the file never carries a torn record
-    /// into the *next* append. If the truncation itself fails the
-    /// session is marked broken.
-    fn repair(&self, j: &mut Journal) {
-        self.metrics.errors.inc();
-        let result = (|| -> io::Result<()> {
-            let data = self.storage.read(&j.name)?;
-            let good = usize::try_from(j.good_len).unwrap_or(usize::MAX);
-            if data.len() > good {
-                self.storage.write_atomic(&j.name, &data[..good])?;
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            j.broken = true;
+    /// Append one record, commit it per the policy, and collect after a
+    /// roll. `None` if the session is not open in the log.
+    fn log(
+        &self,
+        id: u64,
+        seq: u64,
+        kind: RecordKind,
+        payload: &[u8],
+    ) -> Result<Option<u64>, ServerError> {
+        let appended = self.wal.append(id, seq, kind, payload).map_err(|e| {
             self.metrics.errors.inc();
+            persist_io("log append", &e)
+        })?;
+        let Appended::Written {
+            lsn,
+            commit,
+            rolled,
+        } = appended
+        else {
+            return Ok(None);
+        };
+        if commit {
+            self.wal
+                .commit(lsn, &self.metrics, &*self.clock)
+                .map_err(|e| persist_io("log fsync", &e))?;
         }
+        let len = (LOG_RECORD_HEADER + payload.len()) as u64;
+        self.metrics.journal_records.inc();
+        self.metrics.journal_bytes.add(len);
+        self.metrics.record_bytes.record(len);
+        if rolled {
+            self.wal.collect(&self.metrics);
+        }
+        Ok(Some(lsn))
     }
 
-    /// Snapshot + compact if the session has accumulated
-    /// `snapshot_every` records. Never fails the triggering request —
-    /// its record is already durable in the journal — but records
-    /// failures in the metrics.
+    /// Snapshot if the session has journaled `snapshot_every` mutations
+    /// since the last one. Never fails the triggering request — its
+    /// record is already durable in the log — but records failures in
+    /// the metrics.
     pub fn maybe_snapshot(&self, j: &mut Journal, session: &Session) {
-        if self.config.snapshot_every == 0
-            || j.broken
-            || j.closed
-            || j.since_snapshot < self.config.snapshot_every
-        {
+        if self.config.snapshot_every == 0 || j.since_snapshot < self.config.snapshot_every {
             return;
         }
         let _span = trace::span("persist.snapshot");
+        // A snapshot is a durability point for the whole log, under
+        // every policy: no slot gets ahead of the records before it.
+        if self.wal.commit_all(&self.metrics, &*self.clock).is_err() {
+            return;
+        }
         let text = script::save(session);
         let slot = 1 - j.slot;
-        let snap = encode_record(j.seq, text.as_bytes());
+        let name = snap_name(j.id, slot);
         if self
             .storage
-            .write_atomic(&snap_name(j.id, slot), &snap)
+            .write_atomic(&name, &encode_record(j.seq, text.as_bytes()))
             .is_err()
         {
             self.metrics.errors.inc();
             return;
         }
-        // The snapshot is durable; the journal now only *needs* records
-        // after the other slot's (kept so a torn newer snapshot can fall
-        // back to it without losing anything).
-        let keep_above = j.snap_last_seq;
         j.slot = slot;
-        j.snap_last_seq = j.seq;
+        j.slot_seq[slot] = j.seq;
         j.since_snapshot = 0;
         self.metrics.snapshots.inc();
-        let compacted = (|| -> io::Result<()> {
-            let bytes = read_or_empty(&*self.storage, &j.name)?;
-            let mut out = Vec::new();
-            for (seq, payload) in decode_records(&bytes, MAX_JOURNAL_PAYLOAD).records {
-                if seq > keep_above {
-                    out.extend_from_slice(&encode_record(seq, &payload));
-                }
-            }
-            self.storage.write_atomic(&j.name, &out)?;
-            j.good_len = out.len() as u64;
-            j.unsynced = 0;
-            Ok(())
-        })();
-        match compacted {
-            Ok(()) => self.metrics.compactions.inc(),
-            // Journal unchanged (write_atomic is all-or-nothing):
-            // state stays consistent, only compaction was skipped.
-            Err(_) => self.metrics.errors.inc(),
+        // The log now needs only what the *other* slot does not cover.
+        if !self.wal.snapshot_taken(j.id, j.slot_seq[1 - slot])
+            && self.storage.remove(&name).is_err()
+        {
+            // Closed meanwhile, and the slot just written stays.
+            self.metrics.errors.inc();
         }
     }
 
-    /// Remove every file belonging to `id` (wire `close`). A live
-    /// session's journal must be closed first. An error leaves files
-    /// behind; the close may be retried, and only a close acknowledged
-    /// means the files are gone. The journal goes first, so a crash part
-    /// way never leaves a compacted journal without its snapshot.
-    pub fn remove_session(&self, id: u64) -> Result<(), ServerError> {
-        for name in [format!("{id}.journal"), snap_name(id, 0), snap_name(id, 1)] {
-            self.storage
-                .remove(&name)
-                .map_err(|e| persist_io("remove session file", &e))?;
+    /// End session `id` (wire `close`): a close record, durable before
+    /// any file goes, then the session's slot files if it has any, and
+    /// one directory sync after them except under `never`. Closing a
+    /// session the log does not hold open does nothing. An error leaves
+    /// the slot files behind and the close may be retried; only an
+    /// acknowledged close means the session does not come back.
+    pub fn close_session(&self, id: u64) -> Result<(), ServerError> {
+        let lsn = self.log(id, 0, RecordKind::Close, &[])?;
+        if !self.wal.has_closing_slots(id) {
+            return Ok(());
         }
+        let syncs = self.config.fsync != FsyncPolicy::Never;
+        if let (Some(lsn), true) = (lsn, syncs) {
+            self.wal
+                .commit(lsn, &self.metrics, &*self.clock)
+                .map_err(|e| persist_io("log fsync", &e))?;
+        }
+        for slot in 0..2 {
+            self.storage
+                .remove(&snap_name(id, slot))
+                .map_err(|e| persist_io("remove snapshot slot", &e))?;
+        }
+        if syncs {
+            self.storage
+                .sync_dir()
+                .map_err(|e| persist_io("directory sync", &e))?;
+        }
+        self.wal.slots_removed(id);
         Ok(())
     }
+}
 
-    /// Rebuild every session on the storage, ascending by id. The one
-    /// directory listing only learns the ids; `recover_one` reads each
-    /// session from its fixed names.
-    pub fn recover(&self) -> io::Result<Vec<(u64, Session, Journal)>> {
-        let _span = trace::span("recover");
-        let mut ids = BTreeSet::new();
-        for name in self.storage.list()? {
-            let Some((id, rest)) = name.split_once('.') else {
-                continue;
-            };
-            let Ok(id) = id.parse::<u64>() else { continue };
-            match rest {
-                "journal" | "snap.0" | "snap.1" => {
-                    ids.insert(id);
-                }
-                _ if rest.starts_with("snap.") => {
-                    let msg = format!("`{name}`: old numbered snapshot layout, not a slot");
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-                }
-                _ => {}
-            }
+/// Rebuild every session: list the directory once, load the snapshot
+/// slots, then read the segments in order, replaying each session's
+/// records through the service's own dispatch.
+fn recover(
+    storage: &dyn Storage,
+    config: &PersistConfig,
+    clock: &dyn Clock,
+    metrics: &PersistMetrics,
+) -> io::Result<(wal::Recovered, Recovery)> {
+    let _span = trace::span("recover");
+    let mut segments = Vec::new();
+    let mut slotted = BTreeSet::new();
+    let mut old_journal = None;
+    for name in storage.list()? {
+        if let Some((number, generation)) = wal::parse_segment_name(&name) {
+            segments.push((number, generation, name));
+            continue;
         }
-        ids.into_iter()
-            .map(|id| self.recover_one(id).map(|(s, j)| (id, s, j)))
-            .collect()
-    }
-
-    /// Rebuild session `id` from its three names: the newest snapshot
-    /// slot that decodes and loads (the other slot if it does not),
-    /// then journal replay through the service's own dispatch,
-    /// truncating any torn tail.
-    pub(crate) fn recover_one(&self, id: u64) -> io::Result<(Session, Journal)> {
-        let t0 = self.clock.now_ns();
-        let mut span = trace::span("recover.session");
-        span.set_arg("session", id.to_string());
-        let mut journal = Journal::new(Arc::clone(&self.storage), id);
-        let mut slots = Vec::new();
-        for slot in 0..2 {
-            match self.storage.read(&snap_name(id, slot)) {
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                read => match read.ok().and_then(|bytes| decode_snapshot(&bytes)) {
-                    Some((last_seq, payload)) => slots.push((last_seq, slot, payload)),
-                    None => self.metrics.recover_skipped_snapshots.inc(),
-                },
-            }
-        }
-        slots.sort_unstable_by_key(|&(last_seq, ..)| Reverse(last_seq));
-        let mut session = Session::new();
-        for (last_seq, slot, payload) in slots {
-            let loaded = String::from_utf8(payload)
-                .ok()
-                .and_then(|text| script::load(&text).ok());
-            match loaded {
-                Some(s) => {
-                    session = s;
-                    journal.slot = slot;
-                    journal.snap_last_seq = last_seq;
-                    break;
-                }
-                None => self.metrics.recover_skipped_snapshots.inc(),
-            }
-        }
-        // Journal scan: truncate a torn tail, replay the rest.
-        let bytes = read_or_empty(&*self.storage, &journal.name)?;
-        let scan = decode_records(&bytes, MAX_JOURNAL_PAYLOAD);
-        if scan.trailing > 0 {
-            self.metrics
-                .recover_truncated_bytes
-                .add(scan.trailing as u64);
-            self.storage
-                .write_atomic(&journal.name, &bytes[..scan.consumed])?;
-        }
-        journal.seq = journal.snap_last_seq;
-        for (rseq, payload) in &scan.records {
-            journal.seq = journal.seq.max(*rseq);
-            if *rseq <= journal.snap_last_seq {
-                continue; // already covered by the snapshot
-            }
-            journal.since_snapshot += 1;
-            self.metrics.recovered_records.inc();
-            self.replay(&mut session, payload);
-        }
-        journal.good_len = scan.consumed as u64;
-        drop(span);
-        self.metrics
-            .recover_ns
-            .record(self.clock.now_ns().saturating_sub(t0));
-        self.metrics.recovered_sessions.inc();
-        Ok((session, journal))
-    }
-
-    /// Apply one journaled frame to the recovering session through the
-    /// same dispatch live requests use. Errors are expected (a verb
-    /// that failed live fails identically here) and never abort
-    /// recovery.
-    fn replay(&self, session: &mut Session, payload: &[u8]) {
-        let request = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| Json::parse(text).ok())
-            .and_then(|v| Request::from_json(&v).ok());
-        let Some(request) = request else {
-            self.metrics.replay_errors.inc();
-            return;
+        let Some((id, rest)) = name.split_once('.') else {
+            continue;
         };
-        let outcome = match &request {
-            // `load` seeds the session wholesale — it is the first
-            // record of a script-loaded session.
-            Request::Load { script } => match script::load(script) {
-                Ok(s) => {
-                    *session = s;
-                    Ok(())
-                }
-                Err(_) => Err(()),
+        let Ok(id) = id.parse::<u64>() else { continue };
+        match rest {
+            "snap.0" | "snap.1" => {
+                slotted.insert(id);
+            }
+            "journal" => {
+                old_journal.get_or_insert(name);
+            }
+            _ if rest.starts_with("snap.") => {
+                let msg = format!("`{name}`: old numbered snapshot layout, not a slot");
+                return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+            }
+            _ => {}
+        }
+    }
+    if let Some(name) = old_journal {
+        let msg = format!("`{name}`: per-session journal of an older layout, not a log segment");
+        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    }
+    segments.sort();
+
+    let mut highest_id = 0;
+    let mut open: BTreeMap<u64, Replaying> = BTreeMap::new();
+    for &id in &slotted {
+        highest_id = highest_id.max(id);
+        let started_ns = clock.now_ns();
+        let (session, journal) = load_slots(storage, id, metrics);
+        open.insert(
+            id,
+            Replaying {
+                session,
+                journal,
+                slotted: true,
+                started_ns,
+                spent_ns: clock.now_ns().saturating_sub(started_ns),
             },
-            other => crate::service::apply_session_request(session, other)
-                .map(|_| ())
-                .map_err(|_| ()),
-        };
-        if outcome.is_err() {
-            self.metrics.replay_errors.inc();
+        );
+    }
+
+    let mut closed_slotted = Vec::new();
+    let mut sealed: Vec<Segment> = Vec::new();
+    for (number, generation, name) in segments {
+        let mut reader = LogReader::new(storage.reader(&name)?);
+        let mut seg = Segment::recovered(number, generation);
+        while let Some(r) = reader.next_record()? {
+            highest_id = highest_id.max(r.session);
+            match r.kind {
+                RecordKind::Open => {
+                    let started_ns = clock.now_ns();
+                    let s = open.entry(r.session).or_insert_with(|| Replaying {
+                        session: Session::new(),
+                        journal: Journal::new(r.session),
+                        slotted: false,
+                        started_ns,
+                        spent_ns: 0,
+                    });
+                    // Otherwise a duplicate, or covered by a snapshot.
+                    if s.journal.seq == 0 {
+                        s.journal.seq = 1;
+                        if !r.payload.is_empty() {
+                            replay(&mut s.session, &r.payload, metrics);
+                            s.journal.since_snapshot = 1;
+                            metrics.recovered_records.inc();
+                        }
+                        s.spent_ns += clock.now_ns().saturating_sub(started_ns);
+                    }
+                }
+                RecordKind::Frame => {
+                    if let Some(s) = open.get_mut(&r.session) {
+                        // Only the next record applies: an earlier one
+                        // is a duplicate, a later one lies past a gap.
+                        if r.seq == s.journal.seq + 1 {
+                            let t0 = clock.now_ns();
+                            replay(&mut s.session, &r.payload, metrics);
+                            s.spent_ns += clock.now_ns().saturating_sub(t0);
+                            s.journal.seq = r.seq;
+                            s.journal.since_snapshot += 1;
+                            metrics.recovered_records.inc();
+                        }
+                    }
+                }
+                RecordKind::Close => {
+                    if open.remove(&r.session).is_some_and(|s| s.slotted) {
+                        closed_slotted.push(r.session);
+                    }
+                }
+            }
+            // Records of sessions the scan does not hold open are dead.
+            if r.kind == RecordKind::Close || open.contains_key(&r.session) {
+                seg.note(r.session, r.seq, r.kind);
+            }
         }
+        let consumed = reader.consumed();
+        let trailing = reader.finish()?;
+        metrics.recover_truncated_bytes.add(trailing);
+        seg.set_bytes(consumed + trailing);
+        sealed.push(seg);
+    }
+
+    // Finish closes a crash interrupted between the close record and
+    // the slot removal.
+    let mut closing = HashSet::new();
+    for &id in &closed_slotted {
+        let removed = (0..2).try_for_each(|slot| storage.remove(&snap_name(id, slot)));
+        if removed.is_err() {
+            metrics.errors.inc();
+            closing.insert(id);
+        }
+    }
+    if !closed_slotted.is_empty()
+        && config.fsync != FsyncPolicy::Never
+        && storage.sync_dir().is_err()
+    {
+        metrics.errors.inc();
+    }
+
+    let mut live = HashMap::new();
+    let mut sessions = Vec::with_capacity(open.len());
+    for (id, s) in open {
+        let j = &s.journal;
+        live.insert(
+            id,
+            LiveSession {
+                floor: j.slot_seq[1 - j.slot],
+                slotted: s.slotted,
+            },
+        );
+        trace::complete(
+            "recover.session",
+            s.started_ns,
+            s.spent_ns,
+            vec![("session", id.to_string())],
+        );
+        metrics.recover_ns.record(s.spent_ns);
+        metrics.recovered_sessions.inc();
+        sessions.push((id, s.session, s.journal));
+    }
+    Ok((
+        wal::Recovered {
+            sealed,
+            live,
+            closing,
+        },
+        Recovery {
+            sessions,
+            highest_id,
+        },
+    ))
+}
+
+/// Session `id` from the newest of its two slots that decodes and
+/// loads (the other slot if it does not), with the journal positioned
+/// after it.
+fn load_slots(storage: &dyn Storage, id: u64, metrics: &PersistMetrics) -> (Session, Journal) {
+    let mut journal = Journal::new(id);
+    let mut slots = Vec::new();
+    for slot in 0..2 {
+        match storage.read(&snap_name(id, slot)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            read => match read.ok().and_then(|bytes| decode_snapshot(&bytes)) {
+                Some((last_seq, payload)) => slots.push((last_seq, slot, payload)),
+                None => metrics.recover_skipped_snapshots.inc(),
+            },
+        }
+    }
+    slots.sort_unstable_by_key(|&(last_seq, ..)| std::cmp::Reverse(last_seq));
+    let mut loaded = None;
+    for (last_seq, slot, payload) in &slots {
+        let session = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| script::load(text).ok());
+        match session {
+            Some(s) if loaded.is_none() => {
+                journal.slot = *slot;
+                journal.seq = *last_seq;
+                journal.slot_seq[*slot] = *last_seq;
+                loaded = Some(s);
+            }
+            // The older slot still bounds what the log must keep.
+            Some(_) => journal.slot_seq[*slot] = *last_seq,
+            None => metrics.recover_skipped_snapshots.inc(),
+        }
+    }
+    (loaded.unwrap_or_default(), journal)
+}
+
+/// Apply one journaled frame to a recovering session through the same
+/// dispatch live requests use. Errors are expected (a verb that failed
+/// live fails identically here) and never abort recovery.
+fn replay(session: &mut Session, payload: &[u8], metrics: &PersistMetrics) {
+    let request = std::str::from_utf8(payload)
+        .ok()
+        .and_then(|text| Json::parse(text).ok())
+        .and_then(|v| Request::from_json(&v).ok());
+    let Some(request) = request else {
+        metrics.replay_errors.inc();
+        return;
+    };
+    let outcome = match &request {
+        // `load` seeds the session wholesale — it is the payload of a
+        // script-loaded session's open record.
+        Request::Load { script } => match script::load(script) {
+            Ok(s) => {
+                *session = s;
+                Ok(())
+            }
+            Err(_) => Err(()),
+        },
+        other => crate::service::apply_session_request(session, other)
+            .map(|_| ())
+            .map_err(|_| ()),
+    };
+    if outcome.is_err() {
+        metrics.replay_errors.inc();
     }
 }
 
@@ -741,14 +1057,6 @@ pub(crate) fn persist_error(message: impl Into<String>) -> ServerError {
 
 fn persist_io(what: &str, e: &io::Error) -> ServerError {
     persist_error(format!("{what}: {e}"))
-}
-
-/// Read `name`, treating a missing file as empty.
-fn read_or_empty(storage: &dyn Storage, name: &str) -> io::Result<Vec<u8>> {
-    match storage.read(name) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-        other => other,
-    }
 }
 
 #[cfg(test)]
@@ -793,6 +1101,41 @@ mod tests {
     }
 
     #[test]
+    fn log_records_round_trip_and_every_cut_is_a_clean_prefix() {
+        let kinds = [RecordKind::Open, RecordKind::Frame, RecordKind::Close];
+        let mut segment = Vec::new();
+        let mut want = Vec::new();
+        for i in 0..6u64 {
+            let kind = kinds[i as usize % 3];
+            let payload = format!("frame-{i}").into_bytes();
+            segment.extend_from_slice(&encode_log_record(i % 2 + 1, i, kind, &payload));
+            want.push(LogRecord {
+                session: i % 2 + 1,
+                seq: i,
+                kind,
+                payload,
+            });
+        }
+        let scan = decode_log_records(&segment);
+        assert_eq!(scan.records, want);
+        assert_eq!((scan.consumed, scan.trailing), (segment.len(), 0));
+        for cut in 0..segment.len() {
+            let scan = decode_log_records(&segment[..cut]);
+            assert_eq!(scan.records[..], want[..scan.records.len()]);
+            assert_eq!(scan.consumed + scan.trailing, cut);
+        }
+        // A kind byte outside the enum, or a flipped session bit, ends
+        // the scan at that record.
+        for at in [24, 9] {
+            let mut bad = segment.clone();
+            bad[at] ^= 0x10;
+            let scan = decode_log_records(&bad);
+            assert!(scan.records.is_empty(), "byte {at}");
+            assert_eq!(scan.trailing, segment.len());
+        }
+    }
+
+    #[test]
     fn snapshot_decode_requires_exactly_one_clean_record() {
         let snap = encode_record(42, b"# sit session v1\n");
         assert_eq!(
@@ -825,12 +1168,18 @@ mod tests {
     fn append_then_recover_round_trips_one_session() {
         let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let p = Persistence::new(
-            Arc::clone(&storage),
-            PersistConfig::default(),
-            Arc::clone(&clock),
-        );
-        let mut journal = p.create_journal(7).unwrap();
+        let open = || {
+            Persistence::open(
+                Arc::clone(&storage),
+                PersistConfig::default(),
+                Arc::clone(&clock),
+                SEGMENT_BYTES,
+            )
+            .unwrap()
+        };
+        let (p, recovery) = open();
+        assert!(recovery.sessions.is_empty());
+        let mut journal = p.open_session(7, None).unwrap();
         let frame = Request::AddSchema {
             session: "7".into(),
             ddl: "schema s { entity E { x: int key; } }".into(),
@@ -838,13 +1187,27 @@ mod tests {
         .to_json()
         .encode();
         p.append(&mut journal, frame.as_bytes()).unwrap();
+        assert_eq!(p.metrics().journal_records.get(), 2);
+        assert_eq!(p.metrics().fsyncs.get(), 2);
+        drop(p);
 
-        let p2 = Persistence::new(storage, PersistConfig::default(), clock);
-        let sessions = p2.recover().unwrap();
-        assert_eq!(sessions.len(), 1);
-        let (id, session, _) = &sessions[0];
+        let (p2, recovery) = open();
+        assert_eq!(recovery.highest_id, 7);
+        assert_eq!(recovery.sessions.len(), 1);
+        let (id, session, _) = &recovery.sessions[0];
         assert_eq!(*id, 7);
         assert_eq!(session.catalog().schemas().count(), 1);
         assert_eq!(p2.metrics().recovered_records.get(), 1);
+
+        // Closed, it is gone after the next recovery, and so is every
+        // segment: nothing in them is needed.
+        p2.close_session(7).unwrap();
+        let mut stale = journal;
+        assert!(p2.append(&mut stale, frame.as_bytes()).is_err());
+        drop(p2);
+        let (_, recovery) = open();
+        assert!(recovery.sessions.is_empty());
+        assert_eq!(recovery.highest_id, 7);
+        assert_eq!(storage.list().unwrap(), Vec::<String>::new());
     }
 }

@@ -35,10 +35,10 @@ use sit_obs::sync::lock_recover;
 use sit_obs::trace::{self, Tracer};
 
 use crate::metrics::Metrics;
-use crate::persist::{PersistConfig, Persistence};
+use crate::persist::{PersistConfig, Persistence, SEGMENT_BYTES};
 use crate::proto::{ok_response, Request, ServerError};
 use crate::storage::Storage;
-use crate::store::{Entry, SessionStore, StoreConfig};
+use crate::store::{SessionStore, StoreConfig};
 use crate::wire::Json;
 
 /// Finished trace events the service retains (oldest overwritten).
@@ -91,24 +91,43 @@ impl Service {
     }
 
     /// Durable service: recover every session found in `storage`, pin
-    /// them back to their journaled ids, and journal all future
+    /// them back to their logged ids, and log all future sessions and
     /// mutations per `persist_config`. Errors only on storage failures
-    /// recovery cannot work around (corrupt *records* never error —
-    /// they are truncated or skipped and counted in the metrics).
+    /// recovery cannot work around and on a data directory of an older
+    /// layout (corrupt *records* never error — they are skipped and
+    /// counted in the metrics).
     pub fn with_persistence(
         store_config: StoreConfig,
         clock: Arc<dyn Clock>,
         storage: Arc<dyn Storage>,
         persist_config: PersistConfig,
     ) -> io::Result<Service> {
+        Service::with_segmented_persistence(
+            store_config,
+            clock,
+            storage,
+            persist_config,
+            SEGMENT_BYTES,
+        )
+    }
+
+    /// [`Service::with_persistence`] with log segments sealed at
+    /// `segment_bytes` (see [`Persistence::open`]).
+    pub fn with_segmented_persistence(
+        store_config: StoreConfig,
+        clock: Arc<dyn Clock>,
+        storage: Arc<dyn Storage>,
+        persist_config: PersistConfig,
+        segment_bytes: u64,
+    ) -> io::Result<Service> {
         let mut service = Service::with_clock(store_config, Arc::clone(&clock));
-        let persistence = Persistence::new(storage, persist_config, clock);
-        let recovered = {
+        let (persistence, recovery) = {
             // Recovery spans land on this service's tracer.
             let _current = trace::set_current(&service.tracer);
-            persistence.recover()?
+            Persistence::open(storage, persist_config, clock, segment_bytes)?
         };
-        for (id, session, journal) in recovered {
+        service.store.reserve_through(recovery.highest_id);
+        for (id, session, journal) in recovery.sessions {
             service.store.insert(id, session, Some(journal));
         }
         service.persist = Some(Arc::new(persistence));
@@ -255,24 +274,14 @@ impl Service {
             }
             Request::Close { session } => {
                 let entry = self.store.remove(&session);
-                if let Some(p) = &self.persist {
-                    if let Some(Entry {
-                        session: live,
-                        journal: Some(journal),
-                        ..
-                    }) = &entry
-                    {
-                        // Wait out a request in flight, then seal the
-                        // journal so no record lands after the files go.
-                        let _in_flight = lock_recover(live);
-                        lock_recover(journal).close();
-                    }
-                    if let Ok(key) = session.parse::<u64>() {
-                        // An acknowledged close means the session does not
-                        // resurrect on restart. This also clears files of
-                        // already-evicted ids.
-                        p.remove_session(key)?;
-                    }
+                if let (Some(p), Ok(key)) = (&self.persist, session.parse::<u64>()) {
+                    // Wait out a request in flight, so its record and
+                    // snapshot land before the close record; any later
+                    // append finds the session closed in the log.
+                    let _in_flight = entry.as_ref().map(|e| lock_recover(&e.session));
+                    // An acknowledged close means the session does not
+                    // resurrect on restart, evicted or not.
+                    p.close_session(key)?;
                 }
                 Ok(ok_response(vec![("closed", Json::Bool(entry.is_some()))]))
             }
@@ -283,7 +292,7 @@ impl Service {
                     .schemas()
                     .map(|(_, sch)| Json::str(sch.name()))
                     .collect();
-                // The frame as received is the session's first journal
+                // The frame as received rides in the session's open
                 // record; replay re-runs `script::load` on it.
                 let id = self.open(session, Some(raw))?;
                 Ok(ok_response(vec![
@@ -367,19 +376,20 @@ impl Service {
         }
     }
 
-    /// Insert a fresh session. On a durable service its journal, with
-    /// `first` as its first record, is written before the entry exists,
-    /// so a failure leaves nothing to undo.
+    /// Insert a fresh session. On a durable service its open record,
+    /// carrying `first`, is logged before the entry exists, so a failure
+    /// leaves nothing to undo.
     fn open(&self, session: Session, first: Option<&str>) -> Result<String, ServerError> {
         let id = self.store.reserve_id();
         let journal = match &self.persist {
-            Some(p) => {
-                let mut journal = p.create_journal(id)?;
-                if let Some(first) = first {
-                    p.append(&mut journal, first.as_bytes())?;
+            Some(p) => match p.open_session(id, first.map(str::as_bytes)) {
+                Ok(journal) => Some(journal),
+                Err(e) => {
+                    // Nothing was acknowledged: the id is not spent.
+                    self.store.release_id(id);
+                    return Err(e);
                 }
-                Some(journal)
-            }
+            },
             None => None,
         };
         self.store.insert(id, session, journal);

@@ -1,28 +1,31 @@
 //! The storage abstraction under the persistence layer.
 //!
 //! [`Storage`] is a tiny flat-namespace file API — append, fsync,
-//! atomic replace, read, remove, list — which is everything the
-//! journal/snapshot code in [`crate::persist`] needs. Two
-//! implementations ship:
+//! directory sync, atomic replace, read, remove, list — which is
+//! everything the log and snapshot code in [`crate::persist`] needs.
+//! Two implementations ship:
 //!
-//! * [`DirStorage`] — one real directory. Appends go through cached
-//!   file handles, `sync` is `fsync` on the file *and* the directory
-//!   (so newly created names survive power loss too), and
+//! * [`DirStorage`] — one real directory. Appends go through one cached
+//!   file handle (the log appends to its head segment only), `sync` is
+//!   `fdatasync` on the file, `sync_dir` is `fsync` on the directory
+//!   (so created and removed names survive power loss too), and
 //!   `write_atomic` is the classic temp-file + `fsync` + `rename` +
 //!   directory-`fsync` sequence.
 //! * [`MemStorage`] — an in-memory directory for tests. Each file
-//!   tracks a `synced` watermark: bytes past it were accepted but
-//!   never fsynced, and [`MemStorage::lose_unsynced`] drops them —
-//!   the power-loss model that distinguishes the fsync policies. A
-//!   plain process crash (kill -9) loses nothing that was appended,
-//!   which is exactly how the deterministic crash suite uses it.
+//!   tracks a `synced` watermark, and the directory tracks which names
+//!   are durable: [`MemStorage::lose_unsynced`] drops bytes past each
+//!   watermark and reverts every create and remove made since the last
+//!   directory sync — the power-loss model that distinguishes the fsync
+//!   policies. A plain process crash (kill -9) loses nothing that was
+//!   appended, which is exactly how the deterministic crash suite uses
+//!   it.
 //!
 //! The seeded fault decorator over any `Storage` lives in
 //! [`crate::fault::FaultedStorage`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, BufReader, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -31,35 +34,38 @@ use sit_obs::sync::lock_recover;
 /// A flat namespace of byte files, with explicit durability points.
 ///
 /// All methods take `&self`; implementations are internally
-/// synchronized so the per-session persistence states can do I/O
+/// synchronized so appends, commits and snapshots can do I/O
 /// concurrently.
 pub trait Storage: Send + Sync {
     /// Append `data` to `name`, creating the file if missing. Appending
     /// an empty slice creates an empty file. Not durable until
-    /// [`Storage::sync`].
+    /// [`Storage::sync`], and a created name not until
+    /// [`Storage::sync_dir`].
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()>;
 
-    /// Make `name`'s current contents (and its directory entry)
-    /// durable.
+    /// Make `name`'s current contents durable (not its directory entry).
     fn sync(&self, name: &str) -> io::Result<()>;
 
+    /// Make every create and remove so far durable.
+    fn sync_dir(&self) -> io::Result<()>;
+
     /// Atomically replace `name` with `data`: on success the new
-    /// contents are durable and readers never observe a partial file.
+    /// contents and every directory change so far are durable, and
+    /// readers never observe a partial file.
     fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()>;
 
     /// Read the whole file. `ErrorKind::NotFound` if it does not exist.
     fn read(&self, name: &str) -> io::Result<Vec<u8>>;
 
-    /// Remove the file; removing a missing file is not an error and
-    /// makes nothing durable (there is nothing to sync).
+    /// Stream the file from its start, for files too large to hold.
+    fn reader(&self, name: &str) -> io::Result<Box<dyn Read + Send>>;
+
+    /// Remove the file; removing a missing file is not an error. Not
+    /// durable until [`Storage::sync_dir`].
     fn remove(&self, name: &str) -> io::Result<()>;
 
     /// All file names, sorted.
     fn list(&self) -> io::Result<Vec<String>>;
-
-    /// Drop any resource cached for `name` (an open append handle); the
-    /// file itself stays. Called when the file's owner goes away.
-    fn release(&self, _name: &str) {}
 }
 
 fn check_name(name: &str) -> io::Result<()> {
@@ -79,14 +85,18 @@ fn check_name(name: &str) -> io::Result<()> {
 
 const TMP_PREFIX: &str = ".tmp.";
 
+/// Read buffer of [`DirStorage::reader`].
+const READ_BUFFER: usize = 64 * 1024;
+
 /// [`Storage`] over one real directory.
 pub struct DirStorage {
     root: PathBuf,
-    /// Cached append handles; invalidated by `write_atomic`/`remove`
-    /// (the rename swaps the inode out from under an open descriptor)
-    /// and dropped by `release`. The lock is never held across I/O, so
-    /// one session's fsync does not stall another's append.
-    handles: Mutex<HashMap<String, Arc<File>>>,
+    /// The append handle of the last file appended to; replaced when
+    /// another name is appended to, dropped by `write_atomic`/`remove`
+    /// of its name (the rename swaps the inode out from under an open
+    /// descriptor). The lock is never held across I/O, so one fsync
+    /// does not stall an append.
+    appender: Mutex<Option<(String, Arc<File>)>>,
 }
 
 impl DirStorage {
@@ -96,26 +106,35 @@ impl DirStorage {
         std::fs::create_dir_all(&root)?;
         Ok(DirStorage {
             root,
-            handles: Mutex::new(HashMap::new()),
+            appender: Mutex::new(None),
         })
     }
 
-    fn sync_dir(&self) -> io::Result<()> {
-        // fsync the directory so creates/renames/removes are durable.
-        File::open(&self.root)?.sync_all()
+    /// The cached handle, if it is `name`'s.
+    fn cached(&self, name: &str) -> Option<Arc<File>> {
+        match &*lock_recover(&self.appender) {
+            Some((cached, file)) if cached == name => Some(Arc::clone(file)),
+            _ => None,
+        }
+    }
+
+    fn forget(&self, name: &str) {
+        let mut appender = lock_recover(&self.appender);
+        if appender.as_ref().is_some_and(|(cached, _)| cached == name) {
+            *appender = None;
+        }
     }
 }
 
 impl Storage for DirStorage {
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
         check_name(name)?;
-        let cached = lock_recover(&self.handles).get(name).cloned();
-        let file = match cached {
+        let file = match self.cached(name) {
             Some(file) => file,
             None => {
                 let path = self.root.join(name);
                 let file = Arc::new(OpenOptions::new().append(true).create(true).open(path)?);
-                lock_recover(&self.handles).insert(name.to_owned(), Arc::clone(&file));
+                *lock_recover(&self.appender) = Some((name.to_owned(), Arc::clone(&file)));
                 file
             }
         };
@@ -124,12 +143,14 @@ impl Storage for DirStorage {
 
     fn sync(&self, name: &str) -> io::Result<()> {
         check_name(name)?;
-        let cached = lock_recover(&self.handles).get(name).cloned();
-        match cached {
-            Some(file) => file.sync_all()?,
-            None => File::open(self.root.join(name))?.sync_all()?,
+        match self.cached(name) {
+            Some(file) => file.sync_data(),
+            None => File::open(self.root.join(name))?.sync_data(),
         }
-        self.sync_dir()
+    }
+
+    fn sync_dir(&self) -> io::Result<()> {
+        File::open(&self.root)?.sync_all()
     }
 
     fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
@@ -142,7 +163,7 @@ impl Storage for DirStorage {
         std::fs::rename(&tmp, self.root.join(name))?;
         // The rename replaced the inode; a cached append handle would
         // keep writing to the unlinked old file.
-        lock_recover(&self.handles).remove(name);
+        self.forget(name);
         self.sync_dir()
     }
 
@@ -153,13 +174,18 @@ impl Storage for DirStorage {
         Ok(out)
     }
 
+    fn reader(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
+        check_name(name)?;
+        let file = File::open(self.root.join(name))?;
+        Ok(Box::new(BufReader::with_capacity(READ_BUFFER, file)))
+    }
+
     fn remove(&self, name: &str) -> io::Result<()> {
         check_name(name)?;
-        lock_recover(&self.handles).remove(name);
+        self.forget(name);
         match std::fs::remove_file(self.root.join(name)) {
-            Ok(()) => self.sync_dir(),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
         }
     }
 
@@ -181,10 +207,6 @@ impl Storage for DirStorage {
         names.sort();
         Ok(names)
     }
-
-    fn release(&self, name: &str) {
-        lock_recover(&self.handles).remove(name);
-    }
 }
 
 struct MemFile {
@@ -194,11 +216,29 @@ struct MemFile {
     synced: usize,
 }
 
+#[derive(Default)]
+struct MemDir {
+    files: HashMap<String, MemFile>,
+    /// Names whose directory entry is durable.
+    durable: HashSet<String>,
+    /// Durable files removed since the last directory sync: power loss
+    /// brings them back.
+    removed: HashMap<String, MemFile>,
+}
+
+impl MemDir {
+    fn sync_dir(&mut self) {
+        self.durable = self.files.keys().cloned().collect();
+        self.removed.clear();
+    }
+}
+
 /// In-memory [`Storage`] with an explicit durability watermark per
-/// file — the simulation substrate of the crash suite.
+/// file and per directory entry — the simulation substrate of the crash
+/// suite.
 #[derive(Default)]
 pub struct MemStorage {
-    files: Mutex<HashMap<String, MemFile>>,
+    dir: Mutex<MemDir>,
 }
 
 impl MemStorage {
@@ -207,11 +247,19 @@ impl MemStorage {
         MemStorage::default()
     }
 
-    /// Model power loss: every file keeps only its fsynced prefix.
-    /// (A plain process crash keeps everything — do not call this.)
+    /// Model power loss: every create and remove since the last
+    /// directory sync is undone, and every file keeps only its fsynced
+    /// prefix. (A plain process crash keeps everything — do not call
+    /// this.)
     pub fn lose_unsynced(&self) {
-        let mut files = lock_recover(&self.files);
-        for file in files.values_mut() {
+        let mut dir = lock_recover(&self.dir);
+        let dir = &mut *dir;
+        for (name, file) in dir.removed.drain() {
+            dir.files.insert(name, file);
+        }
+        let durable = &dir.durable;
+        dir.files.retain(|name, _| durable.contains(name));
+        for file in dir.files.values_mut() {
             file.data.truncate(file.synced);
         }
     }
@@ -220,8 +268,8 @@ impl MemStorage {
 impl Storage for MemStorage {
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
         check_name(name)?;
-        let mut files = lock_recover(&self.files);
-        let file = files.entry(name.to_owned()).or_insert(MemFile {
+        let mut dir = lock_recover(&self.dir);
+        let file = dir.files.entry(name.to_owned()).or_insert(MemFile {
             data: Vec::new(),
             synced: 0,
         });
@@ -231,43 +279,60 @@ impl Storage for MemStorage {
 
     fn sync(&self, name: &str) -> io::Result<()> {
         check_name(name)?;
-        let mut files = lock_recover(&self.files);
-        let file = files
+        let mut dir = lock_recover(&self.dir);
+        let file = dir
+            .files
             .get_mut(name)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))?;
         file.synced = file.data.len();
         Ok(())
     }
 
+    fn sync_dir(&self) -> io::Result<()> {
+        lock_recover(&self.dir).sync_dir();
+        Ok(())
+    }
+
     fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
         check_name(name)?;
-        let mut files = lock_recover(&self.files);
-        files.insert(
+        let mut dir = lock_recover(&self.dir);
+        dir.files.insert(
             name.to_owned(),
             MemFile {
                 data: data.to_vec(),
                 synced: data.len(),
             },
         );
+        dir.sync_dir();
         Ok(())
     }
 
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
         check_name(name)?;
-        lock_recover(&self.files)
+        lock_recover(&self.dir)
+            .files
             .get(name)
             .map(|f| f.data.clone())
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))
     }
 
+    fn reader(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
+        Ok(Box::new(io::Cursor::new(self.read(name)?)))
+    }
+
     fn remove(&self, name: &str) -> io::Result<()> {
         check_name(name)?;
-        lock_recover(&self.files).remove(name);
+        let mut dir = lock_recover(&self.dir);
+        if let Some(file) = dir.files.remove(name) {
+            if dir.durable.contains(name) && !dir.removed.contains_key(name) {
+                dir.removed.insert(name.to_owned(), file);
+            }
+        }
         Ok(())
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
-        let mut names: Vec<String> = lock_recover(&self.files).keys().cloned().collect();
+        let mut names: Vec<String> = lock_recover(&self.dir).files.keys().cloned().collect();
         names.sort();
         Ok(names)
     }
@@ -289,6 +354,14 @@ mod tests {
         storage.write_atomic("a.journal", b"compacted|").unwrap();
         storage.append("a.journal", b"tail").unwrap();
         assert_eq!(storage.read("a.journal").unwrap(), b"compacted|tail");
+        let mut streamed = Vec::new();
+        storage
+            .reader("a.journal")
+            .unwrap()
+            .read_to_end(&mut streamed)
+            .unwrap();
+        assert_eq!(streamed, b"compacted|tail");
+        storage.sync_dir().unwrap();
         assert_eq!(
             storage.list().unwrap(),
             vec!["a.journal".to_owned(), "a.snap.1".to_owned()]
@@ -325,6 +398,32 @@ mod tests {
         m.lose_unsynced();
         assert_eq!(m.read("j").unwrap(), b"durable");
         assert_eq!(m.read("s").unwrap(), b"atomic-is-durable");
+    }
+
+    #[test]
+    fn mem_storage_power_loss_reverts_unsynced_creates_and_removes() {
+        let m = MemStorage::new();
+        m.append("kept", b"k").unwrap();
+        m.sync("kept").unwrap();
+        m.append("gone", b"g").unwrap();
+        m.sync_dir().unwrap();
+        // After the directory sync: a fully synced file that was never
+        // named durably, and a durable one removed without a sync.
+        m.append("fresh", b"f").unwrap();
+        m.sync("fresh").unwrap();
+        m.remove("gone").unwrap();
+        m.lose_unsynced();
+        assert_eq!(
+            m.list().unwrap(),
+            vec!["gone".to_owned(), "kept".to_owned()]
+        );
+        assert_eq!(m.read("kept").unwrap(), b"k");
+        assert_eq!(m.read("gone").unwrap(), b"", "only its synced prefix");
+
+        m.remove("gone").unwrap();
+        m.sync_dir().unwrap();
+        m.lose_unsynced();
+        assert_eq!(m.list().unwrap(), vec!["kept".to_owned()]);
     }
 
     #[test]

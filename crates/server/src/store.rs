@@ -15,9 +15,9 @@
 //! the now-anonymous session).
 //!
 //! On a durable service an [`Entry`] also holds the session's
-//! [`Journal`]. The entry is the only per-session registry: when LRU,
-//! TTL or `close` drops it, the session, its journal bookkeeping and the
-//! storage's append handle go with it.
+//! [`Journal`] (its log sequence and snapshot cadence). When LRU, TTL or
+//! `close` drops the entry, the session and its journal go with it; an
+//! evicted session stays open in the log until `close`.
 //!
 //! The registry lock is taken poison-recovering: a request that panics
 //! while holding it unwinds only its own connection thread, and the
@@ -105,11 +105,27 @@ impl SessionStore {
     }
 
     /// Hand out a fresh id without inserting anything yet, so a durable
-    /// open can create the journal before the entry exists.
+    /// open can log the session before the entry exists.
     pub fn reserve_id(&self) -> u64 {
         let mut reg = lock_recover(&self.registry);
         reg.next_id += 1;
         reg.next_id - 1
+    }
+
+    /// Give back `id` from [`SessionStore::reserve_id`] when the open it
+    /// was for failed, unless a later id is already out.
+    pub fn release_id(&self, id: u64) {
+        let mut reg = lock_recover(&self.registry);
+        if reg.next_id == id + 1 {
+            reg.next_id = id;
+        }
+    }
+
+    /// Keep future server-assigned ids above `id` (a closed session's
+    /// id that the log still names).
+    pub fn reserve_through(&self, id: u64) {
+        let mut reg = lock_recover(&self.registry);
+        reg.next_id = reg.next_id.max(id.saturating_add(1));
     }
 
     /// Insert a session (and its journal) under `id`: a reserved id, or

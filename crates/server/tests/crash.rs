@@ -19,11 +19,15 @@
 //!    to the oracle's.
 //!
 //! The sweep runs with both `atomic_tear` settings, so torn snapshots
-//! and torn compactions (rename-promoted partial temp files) are
-//! covered as well as torn journal appends. Separate tests cover
-//! transient short writes (the repair path), power loss under each
-//! fsync policy (`MemStorage::lose_unsynced`), and determinism of the
-//! whole fault schedule.
+//! (rename-promoted partial temp files) are covered as well as torn log
+//! appends. The service seals log segments at [`SEGMENT_BYTES`], tiny
+//! on purpose: the workload rolls many segments and runs a
+//! copy-forward, so the sweep also tears segment creation, the copy and
+//! the removals after it. Separate tests cover transient short writes
+//! (the seal-and-roll path), power loss under each fsync policy
+//! (`MemStorage::lose_unsynced`, which also reverts unsynced creates and
+//! removes of directory entries), and determinism of the whole fault
+//! schedule.
 
 use std::sync::Arc;
 
@@ -78,12 +82,16 @@ fn persist_config(fsync: FsyncPolicy) -> PersistConfig {
     }
 }
 
+/// Log segment size of the simulated server: a few records each.
+const SEGMENT_BYTES: u64 = 192;
+
 fn durable_service(storage: Arc<dyn Storage>, fsync: FsyncPolicy) -> Service {
-    Service::with_persistence(
+    Service::with_segmented_persistence(
         StoreConfig::default(),
         Arc::new(MonotonicClock::new()),
         storage,
         persist_config(fsync),
+        SEGMENT_BYTES,
     )
     .expect("recovery must not error")
 }
@@ -197,8 +205,25 @@ fn byte_budget() -> u64 {
         "fault-free workload must ack everything except the two designed apply failures"
     );
     let budget = probe.bytes_written();
-    assert!(budget > 0, "workload must write journal bytes");
+    assert!(budget > 0, "workload must write log bytes");
     budget
+}
+
+/// The sweep covers the whole log life cycle: the fault-free workload
+/// rolls segments, removes unneeded ones, and copies needed records
+/// forward at least once.
+#[test]
+fn the_workload_rolls_segments_and_copies_forward() {
+    let mem = Arc::new(MemStorage::new());
+    let service = durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
+    drive(&service, &workload());
+    let m = service.persistence().unwrap().metrics();
+    assert!(m.segments_removed.get() > 0, "no segment was removed");
+    assert!(m.compactions.get() >= 1, "no copy-forward ran");
+    assert!(
+        m.copied_records.get() > 0,
+        "the copy-forward copied nothing"
+    );
 }
 
 #[test]
@@ -267,6 +292,41 @@ fn power_loss_under_fsync_always_keeps_every_acknowledged_mutation() {
             save_frame(&oracle, sid),
             save_frame(&recovered, sid),
             "fsync=always must survive power loss byte-for-byte"
+        );
+    }
+}
+
+/// Power loss right after any acknowledgement under `always`: every
+/// acknowledged mutation survives, including one in a segment rolled
+/// just before it (its name must be durable first), and an acknowledged
+/// close — session 2 is closed after a snapshot — never comes back.
+#[test]
+fn power_loss_after_every_acknowledgement_under_fsync_always() {
+    let frames = workload();
+    for k in 1..=frames.len() {
+        let mem = Arc::new(MemStorage::new());
+        let service = durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
+        let acked_frames = drive(&service, &frames[..k]);
+        drop(service);
+        mem.lose_unsynced();
+
+        let oracle = Service::new(StoreConfig::default());
+        for frame in &acked_frames {
+            assert!(acked(&oracle.handle_line(frame).frame));
+        }
+        let recovered = durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
+        let live = live_sessions(&acked_frames);
+        for sid in &live {
+            assert_eq!(
+                save_frame(&oracle, sid),
+                save_frame(&recovered, sid),
+                "session {sid} lost acknowledged state to power loss after frame {k}"
+            );
+        }
+        assert_eq!(
+            recovered.store().len(),
+            live.len(),
+            "power loss after frame {k} resurrected a closed session"
         );
     }
 }

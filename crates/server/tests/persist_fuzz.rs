@@ -1,7 +1,7 @@
-//! Fuzz the journal/snapshot record parser: `decode_records` and
-//! `decode_snapshot` take bytes straight off disk after a crash, so
-//! arbitrary garbage must decode to a clean prefix — reject, truncate,
-//! never panic.
+//! Fuzz the log and snapshot record parsers: `decode_log_records` (the
+//! log segment reader), `decode_records` and `decode_snapshot` take
+//! bytes straight off disk after a crash, so arbitrary garbage must
+//! decode to a clean prefix — reject, truncate, never panic.
 //!
 //! Same harness discipline as the wire fuzz (`wire_props.rs`): the
 //! committed corpus at `tests/corpus/persist/` (hex-encoded, one blob
@@ -16,7 +16,8 @@ use std::path::PathBuf;
 
 use sit_prng::Xoshiro256pp;
 use sit_server::persist::{
-    decode_records, decode_snapshot, encode_record, record_crc, MAX_JOURNAL_PAYLOAD,
+    decode_log_records, decode_records, decode_snapshot, encode_log_record, encode_record,
+    record_crc, RecordKind, MAX_JOURNAL_PAYLOAD,
 };
 
 fn corpus_dir() -> PathBuf {
@@ -54,6 +55,15 @@ fn decode_case(bytes: &[u8]) {
     assert_eq!(&bytes[..scan.consumed], &rebuilt[..]);
     let _ = decode_records(bytes, 24);
     let _ = decode_snapshot(bytes);
+
+    // The same contract for the log segment reader.
+    let scan = decode_log_records(bytes);
+    let mut rebuilt = Vec::new();
+    for r in &scan.records {
+        rebuilt.extend_from_slice(&encode_log_record(r.session, r.seq, r.kind, &r.payload));
+    }
+    assert_eq!(&bytes[..scan.consumed], &rebuilt[..]);
+    assert_eq!(scan.consumed + scan.trailing, bytes.len());
 }
 
 fn check_case_persisting(bytes: &[u8]) {
@@ -108,18 +118,31 @@ fn random_byte_soup_never_panics_the_parser() {
 }
 
 /// Far nastier than uniform noise: start from *valid* journals and
-/// mutate them — truncations, bit flips, length-field edits, splices.
+/// log segments and mutate them — truncations, bit flips, length-field
+/// edits, splices.
 #[test]
 fn mutated_valid_journals_never_panic_the_parser() {
     replay_corpus(); // regressions first, randomness second
     let mut rng = Xoshiro256pp::seed_from_u64(0x5EED_5002);
-    for _ in 0..2000 {
+    let kinds = [RecordKind::Open, RecordKind::Frame, RecordKind::Close];
+    for round in 0..4000 {
         let records = rng.gen_range(1usize..5);
         let mut journal = Vec::new();
         for seq in 0..records {
             let plen = rng.gen_range(0usize..40);
             let payload: Vec<u8> = (0..plen).map(|_| rng.gen_range(32u32..127) as u8).collect();
-            journal.extend_from_slice(&encode_record(seq as u64 + 1, &payload));
+            if round % 2 == 0 {
+                journal.extend_from_slice(&encode_record(seq as u64 + 1, &payload));
+            } else {
+                let session = rng.gen_range(1u64..4);
+                let kind = kinds[rng.gen_range(0usize..3)];
+                journal.extend_from_slice(&encode_log_record(
+                    session,
+                    seq as u64 + 1,
+                    kind,
+                    &payload,
+                ));
+            }
         }
         match rng.gen_range(0u32..4) {
             0 => {
@@ -197,4 +220,28 @@ fn record_crc_matches_the_ieee_check_value() {
     let scan = decode_records(&rec, MAX_JOURNAL_PAYLOAD);
     assert_eq!(scan.records, vec![(42u64, b"123456789".to_vec())]);
     assert_ne!(record_crc(42, b"123456789"), record_crc(43, b"123456789"));
+}
+
+/// The committed log seed was encoded independently of this crate
+/// (CRC-32/IEEE over session, seq, kind and payload), so decoding it
+/// pins the record format itself.
+#[test]
+fn the_committed_log_seed_decodes_to_its_three_records() {
+    let text = std::fs::read_to_string(corpus_dir().join("log-open-frame-close.hex"))
+        .expect("read the log seed");
+    let scan = decode_log_records(&from_hex(&text));
+    let got: Vec<(u64, u64, RecordKind, usize)> = scan
+        .records
+        .iter()
+        .map(|r| (r.session, r.seq, r.kind, r.payload.len()))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (1, 1, RecordKind::Open, 0),
+            (1, 2, RecordKind::Frame, 28),
+            (1, 0, RecordKind::Close, 0),
+        ]
+    );
+    assert_eq!(scan.trailing, 0);
 }

@@ -1,7 +1,7 @@
-//! Two fixed snapshot slots per session: a session's files are
-//! `<id>.journal`, `<id>.snap.0` and `<id>.snap.1`, so `close` deletes
-//! them by name without a directory listing, and recovery falls back to
-//! the other slot when the newer one is corrupt.
+//! Two fixed snapshot slots per session: a session's own files are
+//! `<id>.snap.0` and `<id>.snap.1` (its records live in the shared log),
+//! so `close` deletes them by name without a directory listing, and
+//! recovery falls back to the other slot when the newer one is corrupt.
 
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,11 +25,17 @@ impl Storage for CountingStorage {
     fn sync(&self, name: &str) -> io::Result<()> {
         self.inner.sync(name)
     }
+    fn sync_dir(&self) -> io::Result<()> {
+        self.inner.sync_dir()
+    }
     fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
         self.inner.write_atomic(name, data)
     }
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
         self.inner.read(name)
+    }
+    fn reader(&self, name: &str) -> io::Result<Box<dyn io::Read + Send>> {
+        self.inner.reader(name)
     }
     fn remove(&self, name: &str) -> io::Result<()> {
         self.inner.remove(name)
@@ -105,16 +111,10 @@ fn slot_seq(storage: &MemStorage, name: &str) -> Option<u64> {
 }
 
 #[test]
-fn a_session_owns_three_fixed_names_and_close_lists_nothing() {
+fn a_session_owns_two_fixed_names_and_close_lists_nothing() {
     let storage = Arc::new(CountingStorage::default());
     let service = durable(Arc::clone(&storage) as Arc<dyn Storage>, 1).unwrap();
-    let fixed = |sid: &str| {
-        [
-            format!("{sid}.journal"),
-            format!("{sid}.snap.0"),
-            format!("{sid}.snap.1"),
-        ]
-    };
+    let fixed = |sid: &str| [format!("{sid}.snap.0"), format!("{sid}.snap.1")];
 
     // Eight mutations at `snapshot_every: 2`: four snapshots, so both
     // slots are overwritten at least once.
@@ -159,7 +159,7 @@ fn a_corrupt_newer_slot_falls_back_and_is_overwritten_next() {
     let first = durable(Arc::clone(&storage) as Arc<dyn Storage>, 8).unwrap();
     let sid = open(&first);
     // Five mutations: snapshots after the second and the fourth fill
-    // both slots, and the fifth stays in the journal only.
+    // both slots, and the fifth stays in the log only.
     for k in 0..5 {
         add_schema(&first, &sid, k);
     }

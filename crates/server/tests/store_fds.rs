@@ -1,8 +1,7 @@
-//! An evicted durable session releases everything it held. The store
-//! entry owns the session's journal, and dropping the journal releases
-//! `DirStorage`'s cached append handle, so the process's open file
-//! descriptors stay bounded by the live sessions, not by every session
-//! ever opened.
+//! Durable sessions hold no file descriptor of their own: every session
+//! appends to the one log, and `DirStorage` caches a single append
+//! handle, so the process's open file descriptors stay bounded no
+//! matter how many sessions are opened and evicted.
 //!
 //! This file holds one test on purpose: it counts the whole process's
 //! descriptors, which other tests running beside it would disturb.
@@ -25,7 +24,7 @@ fn call(service: &Service, line: &str) -> Json {
 }
 
 #[test]
-fn evicted_durable_sessions_release_their_journal_handles() {
+fn evicted_durable_sessions_leave_no_descriptor_behind() {
     let fd_dir = Path::new("/proc/self/fd");
     if !fd_dir.is_dir() {
         return; // no procfs to count descriptors with

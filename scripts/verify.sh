@@ -286,22 +286,36 @@ echo "$after" | grep -q '"enabled":true' \
   || { echo "FAIL: persist_stats does not report persistence enabled" >&2; exit 1; }
 echo "$after" | grep -q '"closed":true' \
   || { echo "FAIL: close of the recovered session not acknowledged" >&2; exit 1; }
-# A closed session's files are its three fixed names; none may remain.
+# A closed session's own files are its two snapshot slots; none may
+# remain (its records live in the shared log).
 left="$(cd "$persist_dir" && ls -A | grep '^1\.' || true)"
 if [ -n "$left" ]; then
   echo "FAIL: files of closed session 1 remain: $left" >&2
   exit 1
 fi
-for _ in $(seq 1 50); do
-  kill -0 "$crash_pid" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$crash_pid" 2>/dev/null; then
-  echo "FAIL: recovered server still running after shutdown request" >&2
-  exit 1
-fi
-wait "$crash_pid" 2>/dev/null || true
-crash_pid=""
-echo "ok: acknowledged state survived kill -9 byte-for-byte; close removed every file"
+wait_exit() {
+  for _ in $(seq 1 50); do
+    kill -0 "$crash_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$crash_pid" 2>/dev/null; then
+    echo "FAIL: recovered server still running after shutdown request" >&2
+    exit 1
+  fi
+  wait "$crash_pid" 2>/dev/null || true
+  crash_pid=""
+}
+wait_exit
+
+# Restart once more: the acknowledged close must hold across recovery.
+start_durable
+reopened="$(printf '%s\n' \
+  '{"op":"save","session":"1"}' \
+  '{"op":"shutdown"}' \
+  | ./target/release/sit client "127.0.0.1:$crash_port" 2>/dev/null || true)"
+echo "$reopened" | head -n 1 | grep -q '"code":"unknown_session"' \
+  || { echo "FAIL: closed session 1 came back after restart: $reopened" >&2; exit 1; }
+wait_exit
+echo "ok: acknowledged state survived kill -9 byte-for-byte; close removed every file and held across a restart"
 
 echo "== verify OK =="
