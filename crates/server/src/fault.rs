@@ -500,11 +500,6 @@ pub struct StorageFaultConfig {
     /// later fsync succeeds), one byte more tears it at the boundary.
     /// `None` never crashes.
     pub crash_after_bytes: Option<u64>,
-    /// When a `write_atomic` crosses the crash budget: `true` promotes
-    /// the torn prefix to the real name (a filesystem that renamed a
-    /// partially-written temp file), `false` leaves the old contents
-    /// untouched (rename never happened).
-    pub atomic_tear: bool,
     /// Probability (0–100) that an append persists only a seeded prefix
     /// and errors *without* crashing — the transient short write after
     /// which the log seals its segment and continues in a new one.
@@ -631,35 +626,6 @@ impl Storage for FaultedStorage {
     fn sync_dir(&self) -> io::Result<()> {
         self.check_alive()?;
         self.inner.sync_dir()
-    }
-
-    fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.check_alive()?;
-        if let Some(keep) = self.tear_point(data.len()) {
-            if self.cfg.atomic_tear {
-                // Model a torn temp file that still got renamed into
-                // place: the partial contents are visible at recovery.
-                self.inner.write_atomic(name, &data[..keep])?;
-                self.written.fetch_add(keep as u64, Ordering::SeqCst);
-                self.log.push(FaultEvent::StorageTorn {
-                    file: name.to_owned(),
-                    at: self.written.load(Ordering::SeqCst),
-                });
-            }
-            self.crashed.store(true, Ordering::SeqCst);
-            self.log.push(FaultEvent::StorageCrash {
-                at: self.written.load(Ordering::SeqCst),
-            });
-            return Err(Self::dead());
-        }
-        self.inner.write_atomic(name, data)?;
-        self.written.fetch_add(data.len() as u64, Ordering::SeqCst);
-        Ok(())
-    }
-
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        self.check_alive()?;
-        self.inner.read(name)
     }
 
     fn reader(&self, name: &str) -> io::Result<Box<dyn io::Read + Send>> {
@@ -827,29 +793,6 @@ mod tests {
         assert_eq!(inner.read("j").unwrap(), b"abc", "prefix up to the budget");
         let events: Vec<String> = log.snapshot().iter().map(ToString::to_string).collect();
         assert_eq!(events, vec!["storage.torn@3 j", "storage.crash@3"]);
-    }
-
-    #[test]
-    fn atomic_tear_flag_controls_torn_snapshot_visibility() {
-        use crate::storage::MemStorage;
-        for tear in [false, true] {
-            let inner = Arc::new(MemStorage::new());
-            inner.write_atomic("s", b"old").unwrap();
-            let cfg = StorageFaultConfig {
-                crash_after_bytes: Some(4),
-                atomic_tear: tear,
-                ..StorageFaultConfig::default()
-            };
-            let faulted =
-                FaultedStorage::new(inner.clone() as Arc<dyn Storage>, cfg, EventLog::new());
-            assert!(faulted.write_atomic("s", b"new-contents").is_err());
-            let got = inner.read("s").unwrap();
-            if tear {
-                assert_eq!(got, b"new-", "torn prefix promoted to the real name");
-            } else {
-                assert_eq!(got, b"old", "rename never happened");
-            }
-        }
     }
 
     #[test]

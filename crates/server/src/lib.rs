@@ -14,14 +14,15 @@
 //! * [`store`] — a bounded [`store::SessionStore`] with LRU + TTL
 //!   eviction and per-session locking;
 //! * [`storage`] — the flat-file storage abstraction under the
-//!   persistence layer: a real directory ([`storage::DirStorage`],
-//!   fsync + atomic-rename discipline) and an in-memory simulation
-//!   ([`storage::MemStorage`]) with an explicit durability watermark;
+//!   persistence layer, append-only: a real directory
+//!   ([`storage::DirStorage`], file and directory fsync) and an
+//!   in-memory simulation ([`storage::MemStorage`]) with an explicit
+//!   durability watermark;
 //! * [`persist`] — durable sessions: one server-wide write-ahead log of
-//!   session-tagged, length-prefixed CRC-32 records
-//!   (`always`/`every-n`/`never` fsync policies, group commit), two
-//!   snapshot slots per session, and crash recovery that replays
-//!   records through the service's own dispatch (`--data-dir`);
+//!   session-tagged, length-prefixed CRC-32 records, snapshots included
+//!   (`always`/`every-n`/`never` fsync policies, group commit), and
+//!   crash recovery that replays records through the service's own
+//!   dispatch (`--data-dir`);
 //! * [`wal`] — the log's segments, group commit, and the collection
 //!   and copy-forward of segments no longer needed;
 //! * [`metrics`] — lock-free per-verb counters and base-2 latency

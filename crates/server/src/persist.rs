@@ -1,60 +1,61 @@
-//! Durable sessions: one server-wide write-ahead log, two snapshot
-//! slots per session, and crash recovery over any [`Storage`].
+//! Durable sessions: one server-wide write-ahead log holding every
+//! session's records and snapshots, and crash recovery over any
+//! [`Storage`].
 //!
 //! ## On-disk layout (one flat directory)
 //!
-//! * `log.<number>.<generation>` — the log's segments (see
-//!   [`crate::wal`]). Every session-addressed event is one record,
-//!   tagged with its session: an *open* record when `open` or `load`
-//!   creates the session (a `load` carries its frame), one record per
-//!   *attempted* mutating verb, journaled **before** the verb touches
-//!   the in-memory session (write-ahead), and a *close* record when
-//!   `close` ends it. A verb that failed live (e.g. a conflicting
-//!   assert) stays in the log and fails identically on replay —
-//!   dispatch is deterministic, so a record needs no outcome bit.
-//! * `<id>.snap.0`, `<id>.snap.1` — two snapshot slots, each one record
-//!   whose payload is the [`script::save`] text and whose sequence field
-//!   is the last session sequence it covers (the higher is the newer).
+//! The directory holds nothing but the log's segments,
+//! `log.<number>.<generation>` (see [`crate::wal`]). Every
+//! session-addressed event is one record, tagged with its session: an
+//! *open* record when `open` or `load` creates the session (a `load`
+//! carries its frame), one record per *attempted* mutating verb,
+//! journaled **before** the verb touches the in-memory session
+//! (write-ahead), a *snapshot* record every
+//! [`PersistConfig::snapshot_every`] mutations, and a *close* record
+//! when `close` ends it. A verb that failed live (e.g. a conflicting
+//! assert) stays in the log and fails identically on replay — dispatch
+//! is deterministic, so a record needs no outcome bit.
 //!
-//! A session that never snapshots has no file of its own: `open` and
-//! `close` each cost one append. Any `<id>.journal` (the per-session
-//! journals of the old layout) or other `<id>.snap.*` (the numbered
-//! snapshots before that) fails recovery with `InvalidData`, naming the
+//! A session owns no file: `open`, a snapshot and `close` each cost one
+//! append. Any `<id>.journal` or `<id>.snap.*` (the per-session files
+//! of older layouts) fails recovery with `InvalidData`, naming the
 //! file, rather than start without the history it holds.
 //!
-//! ## Record containers
-//!
-//! A log record and a snapshot slot record:
+//! ## Records
 //!
 //! ```text
 //! | len: u32 le | crc: u32 le | session: u64 le | seq: u64 le | kind: u8 | payload |
-//! | len: u32 le | crc: u32 le | seq: u64 le | payload |
 //! ```
 //!
 //! `crc` is CRC-32 (IEEE) over everything after it, so a torn tail, a
-//! bit flip, or a stale length all fail closed. Decoding a segment
-//! stops at its first bad record; the segments after it are still read
+//! bit flip, or a stale length all fail closed. `len` is bounded by the
+//! kind: [`MAX_JOURNAL_PAYLOAD`] for open, mutation and close records,
+//! [`MAX_SNAPSHOT_PAYLOAD`] for snapshots. Decoding a segment stops at
+//! its first bad record; the segments after it are still read
 //! ("acknowledged ⇒ recovered" never depends on bytes after a
 //! corruption, and a segment sealed after a failed append ends in a
 //! torn record by design).
 //!
-//! `seq` numbers one session's records from 1 (its open record).
-//! Recovery applies a session's record only if it is the next one the
-//! session expects, so a duplicate left by an interrupted copy-forward
-//! applies once only, and records past a gap (lost to power loss under
-//! a weak fsync policy) never apply out of order.
+//! `seq` numbers one session's records from 1 (its open record); a
+//! snapshot record carries the sequence of the last record it covers,
+//! so the records after it keep their numbers. Recovery applies a
+//! session's record only if it is the next one the session expects, so
+//! a duplicate left by an interrupted copy-forward applies once only,
+//! and records past a gap (lost to power loss under a weak fsync
+//! policy) never apply out of order.
 //!
 //! ## Snapshots and collection
 //!
-//! Every [`PersistConfig::snapshot_every`] journaled mutations the
-//! session is snapshotted: `write_atomic` the slot that does *not* hold
-//! the newest valid snapshot. The overwrite is the retention: the
-//! previous snapshot survives one more cycle, and the log keeps every
-//! record the *older* slot does not cover, so a corrupt newest slot
-//! falls back to the other with no acknowledged record lost. Records the
-//! older slot covers, and all records of closed sessions, are no longer
-//! needed; [`crate::wal`] deletes segments holding nothing else, and
-//! copies the needed records of old segments forward.
+//! A snapshot record's payload is the [`script::save`] text of the
+//! session. Recovery replaces the session with it whenever it covers at
+//! least everything applied so far, so the result is the newest
+//! snapshot plus the records after it, whatever collection has or has
+//! not removed. Retention is by one: a session's previous snapshot
+//! record and every record after it stay needed, so a corrupt newest
+//! snapshot falls back to the previous one plus the log. Older records,
+//! and all records of closed sessions, are no longer needed;
+//! [`crate::wal`] deletes segments holding nothing else, and copies the
+//! needed records of old segments forward.
 //!
 //! ## Durability contract
 //!
@@ -64,10 +65,9 @@
 //! `tests/crash.rs` sweeps every byte offset). `every-n` and `never`
 //! trade the tail of un-fsynced acknowledgements for throughput — after
 //! power loss the recovered state of each session is a prefix of its
-//! acknowledged history, never a divergent state. Every snapshot
-//! commits the log before its slot is written, under every policy.
-//! `close` makes its record durable before it removes slot files, and
-//! syncs the directory once after, except under `never`.
+//! acknowledged history, never a divergent state. Every snapshot is a
+//! durability point under every policy: the log is committed through
+//! the snapshot record before the session's previous records may go.
 //!
 //! ## Ownership
 //!
@@ -79,7 +79,7 @@
 //! recovered session, and eviction drops it with the session. An
 //! evicted session stays open in the log.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{self, Read};
 use std::sync::Arc;
@@ -92,22 +92,20 @@ use sit_obs::trace;
 
 use crate::proto::{ErrorCode, Request, ServerError};
 use crate::storage::Storage;
-use crate::wal::{self, Appended, LiveSession, Segment, Wal};
+use crate::wal::{self, Appended, Segment, Wal};
 use crate::wire::Json;
-
-/// Bytes of fixed header before each snapshot record's payload.
-pub const RECORD_HEADER: usize = 16;
 
 /// Bytes of fixed header before each log record's payload.
 pub const LOG_RECORD_HEADER: usize = 25;
 
-/// Largest log record payload accepted by the decoder (a payload is one
-/// request frame, bounded by the wire's 1 MiB line limit — anything
-/// larger is corruption, not data).
+/// Largest open, mutation or close record payload accepted by the
+/// decoder (a payload is one request frame, bounded by the wire's 1 MiB
+/// line limit — anything larger is corruption, not data).
 pub const MAX_JOURNAL_PAYLOAD: usize = 2 * 1024 * 1024;
 
-/// Largest snapshot payload accepted (session scripts dwarf single
-/// frames but still bound the decoder against absurd length fields).
+/// Largest snapshot record payload accepted (session scripts dwarf
+/// single frames but still bound the decoder against absurd length
+/// fields); a larger snapshot is not written.
 pub const MAX_SNAPSHOT_PAYLOAD: usize = 256 * 1024 * 1024;
 
 pub use crate::wal::SEGMENT_BYTES;
@@ -170,72 +168,6 @@ fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
     state
 }
 
-/// CRC-32 of `seq` (little-endian) followed by `payload` — the checksum
-/// each record carries.
-pub fn record_crc(seq: u64, payload: &[u8]) -> u32 {
-    let state = crc32_update(0xFFFF_FFFF, &seq.to_le_bytes());
-    crc32_update(state, payload) ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------
-// Record codec
-
-/// Encode one record in the snapshot container format.
-pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record_crc(seq, payload).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// The result of scanning a byte string of snapshot-container records.
-pub struct JournalScan {
-    /// Every intact `(seq, payload)` record, in file order.
-    pub records: Vec<(u64, Vec<u8>)>,
-    /// Bytes covered by those records — a torn tail starts here.
-    pub consumed: usize,
-    /// Bytes after `consumed` (0 on clean input).
-    pub trailing: usize,
-}
-
-/// Decode records until the bytes run out or a record fails its
-/// length bound or checksum. Never panics on arbitrary input.
-pub fn decode_records(bytes: &[u8], max_payload: usize) -> JournalScan {
-    let mut records = Vec::new();
-    let mut at = 0usize;
-    while bytes.len() - at >= RECORD_HEADER {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
-        if len > max_payload || bytes.len() - at - RECORD_HEADER < len {
-            break; // absurd length or torn tail
-        }
-        let payload = &bytes[at + RECORD_HEADER..at + RECORD_HEADER + len];
-        if record_crc(seq, payload) != crc {
-            break; // corrupt record: stop, everything after is suspect
-        }
-        records.push((seq, payload.to_vec()));
-        at += RECORD_HEADER + len;
-    }
-    JournalScan {
-        records,
-        consumed: at,
-        trailing: bytes.len() - at,
-    }
-}
-
-/// Decode a snapshot file: exactly one intact record spanning the whole
-/// file. `None` means the snapshot is torn or corrupt.
-pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
-    let scan = decode_records(bytes, MAX_SNAPSHOT_PAYLOAD);
-    if scan.trailing != 0 || scan.records.len() != 1 {
-        return None;
-    }
-    scan.records.into_iter().next()
-}
-
 // ---------------------------------------------------------------------
 // Log record codec
 
@@ -249,6 +181,8 @@ pub enum RecordKind {
     Frame,
     /// The session ends (`close`); no payload.
     Close,
+    /// The session as of its `seq`: the [`script::save`] text.
+    Snapshot,
 }
 
 impl RecordKind {
@@ -257,6 +191,15 @@ impl RecordKind {
             RecordKind::Open => 1,
             RecordKind::Frame => 2,
             RecordKind::Close => 3,
+            RecordKind::Snapshot => 4,
+        }
+    }
+
+    /// Largest payload a record of this kind may carry.
+    fn max_payload(self) -> usize {
+        match self {
+            RecordKind::Snapshot => MAX_SNAPSHOT_PAYLOAD,
+            _ => MAX_JOURNAL_PAYLOAD,
         }
     }
 
@@ -265,6 +208,7 @@ impl RecordKind {
             1 => Some(RecordKind::Open),
             2 => Some(RecordKind::Frame),
             3 => Some(RecordKind::Close),
+            4 => Some(RecordKind::Snapshot),
             _ => None,
         }
     }
@@ -305,12 +249,14 @@ pub struct LogRecord {
     pub seq: u64,
     /// What it does.
     pub kind: RecordKind,
-    /// The frame (empty for close and plain open records).
+    /// The frame or session script (empty for close and plain open
+    /// records).
     pub payload: Vec<u8>,
 }
 
 /// Streaming decoder over one segment: yields intact records until the
-/// bytes run out or a record fails its length bound, kind or checksum.
+/// bytes run out or a record fails its kind, its kind's length bound or
+/// its checksum.
 /// Holds one record at a time, never the segment.
 pub struct LogReader<R> {
     inner: R,
@@ -363,7 +309,7 @@ impl<R: Read> LogReader<R> {
         let Some(kind) = RecordKind::from_byte(header[24]) else {
             return Ok(self.stop(LOG_RECORD_HEADER));
         };
-        if len > MAX_JOURNAL_PAYLOAD {
+        if len > kind.max_payload() {
             return Ok(self.stop(LOG_RECORD_HEADER)); // absurd length
         }
         let mut payload = Vec::with_capacity(len.min(64 * 1024));
@@ -509,7 +455,7 @@ pub struct PersistMetrics {
     pub fsyncs: Counter,
     /// Group commit latency.
     pub fsync_ns: Histogram,
-    /// Snapshots written.
+    /// Snapshot records written (not counted in `journal_records`).
     pub snapshots: Counter,
     /// Copy-forwards completed.
     pub compactions: Counter,
@@ -525,7 +471,8 @@ pub struct PersistMetrics {
     pub recovered_records: Counter,
     /// Torn/corrupt segment tail bytes passed over at startup.
     pub recover_truncated_bytes: Counter,
-    /// Torn, corrupt or unloadable snapshot slots passed over at recovery.
+    /// Intact snapshot records that did not load, passed over at
+    /// recovery (a corrupt one ends its segment's scan instead).
     pub recover_skipped_snapshots: Counter,
     /// Replayed records whose verb returned an error (a verb that
     /// failed live fails identically on replay — this counts those,
@@ -589,11 +536,8 @@ pub struct Journal {
     seq: u64,
     /// Mutations journaled since the last snapshot.
     since_snapshot: u64,
-    /// Slot of the newest valid snapshot; the next one overwrites the
-    /// other (1 before any, so the first lands in slot 0).
-    slot: usize,
-    /// The sequence each slot covers (0: none).
-    slot_seq: [u64; 2],
+    /// The sequence the newest snapshot record covers (0: none).
+    snapshot: u64,
 }
 
 impl Journal {
@@ -602,29 +546,23 @@ impl Journal {
             id,
             seq: 0,
             since_snapshot: 0,
-            slot: 1,
-            slot_seq: [0, 0],
+            snapshot: 0,
         }
     }
-}
-
-fn snap_name(id: u64, slot: usize) -> String {
-    format!("{id}.snap.{slot}")
 }
 
 /// Sessions rebuilt by [`Persistence::open`].
 pub struct Recovery {
     /// Every open session, ascending by id, with its journal.
     pub sessions: Vec<(u64, Session, Journal)>,
-    /// The highest session id the log or a slot names, closed sessions
-    /// included: fresh ids go above it, so no id is ever reused while a
-    /// record of its earlier session remains.
+    /// The highest session id the log names, closed sessions included:
+    /// fresh ids go above it, so no id is ever reused while a record of
+    /// its earlier session remains.
     pub highest_id: u64,
 }
 
 /// The log and snapshot engine for one data directory.
 pub struct Persistence {
-    storage: Arc<dyn Storage>,
     config: PersistConfig,
     clock: Arc<dyn Clock>,
     metrics: PersistMetrics,
@@ -635,11 +573,24 @@ pub struct Persistence {
 struct Replaying {
     session: Session,
     journal: Journal,
-    /// It has slot files (valid or not), which `close` must remove.
-    slotted: bool,
+    /// The sequence of the snapshot before the newest (0: none): the
+    /// collection floor handed to the log.
+    floor: u64,
     /// When its first piece of recovery started, and the time spent.
     started_ns: u64,
     spent_ns: u64,
+}
+
+impl Replaying {
+    fn new(id: u64, started_ns: u64) -> Replaying {
+        Replaying {
+            session: Session::new(),
+            journal: Journal::new(id),
+            floor: 0,
+            started_ns,
+            spent_ns: 0,
+        }
+    }
 }
 
 impl Persistence {
@@ -657,11 +608,10 @@ impl Persistence {
         segment_bytes: u64,
     ) -> io::Result<(Persistence, Recovery)> {
         let metrics = PersistMetrics::default();
-        let (recovered, recovery) = recover(&*storage, &config, &*clock, &metrics)?;
-        let wal = Wal::new(Arc::clone(&storage), config.fsync, segment_bytes, recovered);
+        let (recovered, recovery) = recover(&*storage, &*clock, &metrics)?;
+        let wal = Wal::new(storage, config.fsync, segment_bytes, recovered);
         wal.collect(&metrics);
         let persistence = Persistence {
-            storage,
             config,
             clock,
             metrics,
@@ -695,7 +645,7 @@ impl Persistence {
     /// acknowledged; a session closed meanwhile is unknown.
     pub fn append(&self, j: &mut Journal, payload: &[u8]) -> Result<(), ServerError> {
         let seq = j.seq + 1;
-        if self.log(j.id, seq, RecordKind::Frame, payload)?.is_none() {
+        if !self.log(j.id, seq, RecordKind::Frame, payload)? {
             return Err(ServerError::unknown_session(&j.id.to_string()));
         }
         j.seq = seq;
@@ -703,15 +653,16 @@ impl Persistence {
         Ok(())
     }
 
-    /// Append one record, commit it per the policy, and collect after a
-    /// roll. `None` if the session is not open in the log.
+    /// Append one record, commit it per the policy, and collect if it
+    /// may have freed a segment. `false` if the session is not open in
+    /// the log.
     fn log(
         &self,
         id: u64,
         seq: u64,
         kind: RecordKind,
         payload: &[u8],
-    ) -> Result<Option<u64>, ServerError> {
+    ) -> Result<bool, ServerError> {
         let appended = self.wal.append(id, seq, kind, payload).map_err(|e| {
             self.metrics.errors.inc();
             persist_io("log append", &e)
@@ -719,173 +670,109 @@ impl Persistence {
         let Appended::Written {
             lsn,
             commit,
-            rolled,
+            collect,
         } = appended
         else {
-            return Ok(None);
+            return Ok(false);
         };
-        if commit {
+        // A snapshot is a durability point under every policy: the log
+        // is committed through it before the session's previous records
+        // may go.
+        if commit || kind == RecordKind::Snapshot {
             self.wal
                 .commit(lsn, &self.metrics, &*self.clock)
                 .map_err(|e| persist_io("log fsync", &e))?;
         }
-        let len = (LOG_RECORD_HEADER + payload.len()) as u64;
-        self.metrics.journal_records.inc();
-        self.metrics.journal_bytes.add(len);
-        self.metrics.record_bytes.record(len);
-        if rolled {
+        if kind == RecordKind::Snapshot {
+            self.metrics.snapshots.inc();
+        } else {
+            let len = (LOG_RECORD_HEADER + payload.len()) as u64;
+            self.metrics.journal_records.inc();
+            self.metrics.journal_bytes.add(len);
+            self.metrics.record_bytes.record(len);
+        }
+        if collect {
             self.wal.collect(&self.metrics);
         }
-        Ok(Some(lsn))
+        Ok(true)
     }
 
     /// Snapshot if the session has journaled `snapshot_every` mutations
-    /// since the last one. Never fails the triggering request — its
-    /// record is already durable in the log — but records failures in
-    /// the metrics.
+    /// since the last one: one snapshot record in the log. Never fails
+    /// the triggering request — its record is already durable in the
+    /// log — but records failures in the metrics.
     pub fn maybe_snapshot(&self, j: &mut Journal, session: &Session) {
         if self.config.snapshot_every == 0 || j.since_snapshot < self.config.snapshot_every {
             return;
         }
         let _span = trace::span("persist.snapshot");
-        // A snapshot is a durability point for the whole log, under
-        // every policy: no slot gets ahead of the records before it.
-        if self.wal.commit_all(&self.metrics, &*self.clock).is_err() {
-            return;
-        }
         let text = script::save(session);
-        let slot = 1 - j.slot;
-        let name = snap_name(j.id, slot);
-        if self
-            .storage
-            .write_atomic(&name, &encode_record(j.seq, text.as_bytes()))
-            .is_err()
-        {
+        if text.len() > MAX_SNAPSHOT_PAYLOAD {
             self.metrics.errors.inc();
             return;
         }
-        j.slot = slot;
-        j.slot_seq[slot] = j.seq;
+        if !matches!(
+            self.log(j.id, j.seq, RecordKind::Snapshot, text.as_bytes()),
+            Ok(true)
+        ) {
+            return; // failed (counted), or closed meanwhile
+        }
         j.since_snapshot = 0;
-        self.metrics.snapshots.inc();
-        // The log now needs only what the *other* slot does not cover.
-        if !self.wal.snapshot_taken(j.id, j.slot_seq[1 - slot])
-            && self.storage.remove(&name).is_err()
-        {
-            // Closed meanwhile, and the slot just written stays.
-            self.metrics.errors.inc();
+        // Retention by one: the log now needs the previous snapshot
+        // record and what follows it.
+        let floor = std::mem::replace(&mut j.snapshot, j.seq);
+        if self.wal.snapshot_taken(j.id, floor) {
+            self.wal.collect(&self.metrics);
         }
     }
 
-    /// End session `id` (wire `close`): a close record, durable before
-    /// any file goes, then the session's slot files if it has any, and
-    /// one directory sync after them except under `never`. Closing a
-    /// session the log does not hold open does nothing. An error leaves
-    /// the slot files behind and the close may be retried; only an
-    /// acknowledged close means the session does not come back.
+    /// End session `id` (wire `close`): one close record, durable per
+    /// the fsync policy. Closing a session the log does not hold open
+    /// does nothing. Only an acknowledged close means the session does
+    /// not come back.
     pub fn close_session(&self, id: u64) -> Result<(), ServerError> {
-        let lsn = self.log(id, 0, RecordKind::Close, &[])?;
-        if !self.wal.has_closing_slots(id) {
-            return Ok(());
-        }
-        let syncs = self.config.fsync != FsyncPolicy::Never;
-        if let (Some(lsn), true) = (lsn, syncs) {
-            self.wal
-                .commit(lsn, &self.metrics, &*self.clock)
-                .map_err(|e| persist_io("log fsync", &e))?;
-        }
-        for slot in 0..2 {
-            self.storage
-                .remove(&snap_name(id, slot))
-                .map_err(|e| persist_io("remove snapshot slot", &e))?;
-        }
-        if syncs {
-            self.storage
-                .sync_dir()
-                .map_err(|e| persist_io("directory sync", &e))?;
-        }
-        self.wal.slots_removed(id);
-        Ok(())
+        self.log(id, 0, RecordKind::Close, &[]).map(drop)
     }
 }
 
-/// Rebuild every session: list the directory once, load the snapshot
-/// slots, then read the segments in order, replaying each session's
-/// records through the service's own dispatch.
+/// Rebuild every session in one ordered pass over the segments,
+/// replaying each session's records through the service's own dispatch.
 fn recover(
     storage: &dyn Storage,
-    config: &PersistConfig,
     clock: &dyn Clock,
     metrics: &PersistMetrics,
 ) -> io::Result<(wal::Recovered, Recovery)> {
     let _span = trace::span("recover");
     let mut segments = Vec::new();
-    let mut slotted = BTreeSet::new();
-    let mut old_journal = None;
     for name in storage.list()? {
         if let Some((number, generation)) = wal::parse_segment_name(&name) {
             segments.push((number, generation, name));
             continue;
         }
-        let Some((id, rest)) = name.split_once('.') else {
-            continue;
-        };
-        let Ok(id) = id.parse::<u64>() else { continue };
-        match rest {
-            "snap.0" | "snap.1" => {
-                slotted.insert(id);
-            }
-            "journal" => {
-                old_journal.get_or_insert(name);
-            }
-            _ if rest.starts_with("snap.") => {
-                let msg = format!("`{name}`: old numbered snapshot layout, not a slot");
-                return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-            }
-            _ => {}
+        let old = name.split_once('.').is_some_and(|(id, rest)| {
+            id.parse::<u64>().is_ok() && (rest == "journal" || rest.starts_with("snap."))
+        });
+        if old {
+            let msg = format!("`{name}`: session file of an older layout, not a log segment");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }
-    }
-    if let Some(name) = old_journal {
-        let msg = format!("`{name}`: per-session journal of an older layout, not a log segment");
-        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
     }
     segments.sort();
 
     let mut highest_id = 0;
     let mut open: BTreeMap<u64, Replaying> = BTreeMap::new();
-    for &id in &slotted {
-        highest_id = highest_id.max(id);
-        let started_ns = clock.now_ns();
-        let (session, journal) = load_slots(storage, id, metrics);
-        open.insert(
-            id,
-            Replaying {
-                session,
-                journal,
-                slotted: true,
-                started_ns,
-                spent_ns: clock.now_ns().saturating_sub(started_ns),
-            },
-        );
-    }
-
-    let mut closed_slotted = Vec::new();
     let mut sealed: Vec<Segment> = Vec::new();
     for (number, generation, name) in segments {
         let mut reader = LogReader::new(storage.reader(&name)?);
         let mut seg = Segment::recovered(number, generation);
         while let Some(r) = reader.next_record()? {
             highest_id = highest_id.max(r.session);
+            let t0 = clock.now_ns();
             match r.kind {
                 RecordKind::Open => {
-                    let started_ns = clock.now_ns();
-                    let s = open.entry(r.session).or_insert_with(|| Replaying {
-                        session: Session::new(),
-                        journal: Journal::new(r.session),
-                        slotted: false,
-                        started_ns,
-                        spent_ns: 0,
-                    });
+                    let s = open
+                        .entry(r.session)
+                        .or_insert_with(|| Replaying::new(r.session, t0));
                     // Otherwise a duplicate, or covered by a snapshot.
                     if s.journal.seq == 0 {
                         s.journal.seq = 1;
@@ -894,7 +781,7 @@ fn recover(
                             s.journal.since_snapshot = 1;
                             metrics.recovered_records.inc();
                         }
-                        s.spent_ns += clock.now_ns().saturating_sub(started_ns);
+                        s.spent_ns += clock.now_ns().saturating_sub(t0);
                     }
                 }
                 RecordKind::Frame => {
@@ -902,7 +789,6 @@ fn recover(
                         // Only the next record applies: an earlier one
                         // is a duplicate, a later one lies past a gap.
                         if r.seq == s.journal.seq + 1 {
-                            let t0 = clock.now_ns();
                             replay(&mut s.session, &r.payload, metrics);
                             s.spent_ns += clock.now_ns().saturating_sub(t0);
                             s.journal.seq = r.seq;
@@ -911,10 +797,32 @@ fn recover(
                         }
                     }
                 }
-                RecordKind::Close => {
-                    if open.remove(&r.session).is_some_and(|s| s.slotted) {
-                        closed_slotted.push(r.session);
+                RecordKind::Snapshot => {
+                    // It replaces the session if it covers everything
+                    // applied so far (a session whose earlier records
+                    // were collected starts here).
+                    let covers = open.get(&r.session).is_none_or(|s| r.seq >= s.journal.seq);
+                    if covers {
+                        match load_snapshot(&r.payload) {
+                            Some(session) => {
+                                let s = open
+                                    .entry(r.session)
+                                    .or_insert_with(|| Replaying::new(r.session, t0));
+                                s.session = session;
+                                if r.seq > s.journal.snapshot {
+                                    s.floor = s.journal.snapshot;
+                                    s.journal.snapshot = r.seq;
+                                }
+                                s.journal.seq = r.seq;
+                                s.journal.since_snapshot = 0;
+                                s.spent_ns += clock.now_ns().saturating_sub(t0);
+                            }
+                            None => metrics.recover_skipped_snapshots.inc(),
+                        }
                     }
+                }
+                RecordKind::Close => {
+                    open.remove(&r.session);
                 }
             }
             // Records of sessions the scan does not hold open are dead.
@@ -929,34 +837,10 @@ fn recover(
         sealed.push(seg);
     }
 
-    // Finish closes a crash interrupted between the close record and
-    // the slot removal.
-    let mut closing = HashSet::new();
-    for &id in &closed_slotted {
-        let removed = (0..2).try_for_each(|slot| storage.remove(&snap_name(id, slot)));
-        if removed.is_err() {
-            metrics.errors.inc();
-            closing.insert(id);
-        }
-    }
-    if !closed_slotted.is_empty()
-        && config.fsync != FsyncPolicy::Never
-        && storage.sync_dir().is_err()
-    {
-        metrics.errors.inc();
-    }
-
     let mut live = HashMap::new();
     let mut sessions = Vec::with_capacity(open.len());
     for (id, s) in open {
-        let j = &s.journal;
-        live.insert(
-            id,
-            LiveSession {
-                floor: j.slot_seq[1 - j.slot],
-                slotted: s.slotted,
-            },
-        );
+        live.insert(id, s.floor);
         trace::complete(
             "recover.session",
             s.started_ns,
@@ -968,11 +852,7 @@ fn recover(
         sessions.push((id, s.session, s.journal));
     }
     Ok((
-        wal::Recovered {
-            sealed,
-            live,
-            closing,
-        },
+        wal::Recovered { sealed, live },
         Recovery {
             sessions,
             highest_id,
@@ -980,40 +860,10 @@ fn recover(
     ))
 }
 
-/// Session `id` from the newest of its two slots that decodes and
-/// loads (the other slot if it does not), with the journal positioned
-/// after it.
-fn load_slots(storage: &dyn Storage, id: u64, metrics: &PersistMetrics) -> (Session, Journal) {
-    let mut journal = Journal::new(id);
-    let mut slots = Vec::new();
-    for slot in 0..2 {
-        match storage.read(&snap_name(id, slot)) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            read => match read.ok().and_then(|bytes| decode_snapshot(&bytes)) {
-                Some((last_seq, payload)) => slots.push((last_seq, slot, payload)),
-                None => metrics.recover_skipped_snapshots.inc(),
-            },
-        }
-    }
-    slots.sort_unstable_by_key(|&(last_seq, ..)| std::cmp::Reverse(last_seq));
-    let mut loaded = None;
-    for (last_seq, slot, payload) in &slots {
-        let session = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| script::load(text).ok());
-        match session {
-            Some(s) if loaded.is_none() => {
-                journal.slot = *slot;
-                journal.seq = *last_seq;
-                journal.slot_seq[*slot] = *last_seq;
-                loaded = Some(s);
-            }
-            // The older slot still bounds what the log must keep.
-            Some(_) => journal.slot_seq[*slot] = *last_seq,
-            None => metrics.recover_skipped_snapshots.inc(),
-        }
-    }
-    (loaded.unwrap_or_default(), journal)
+/// The session a snapshot record's payload holds, `None` if it does not
+/// load.
+fn load_snapshot(payload: &[u8]) -> Option<Session> {
+    script::load(std::str::from_utf8(payload).ok()?).ok()
 }
 
 /// Apply one journaled frame to a recovering session through the same
@@ -1068,45 +918,23 @@ mod tests {
     #[test]
     fn crc_known_answer() {
         // CRC-32("123456789") = 0xCBF43926 (IEEE check value); our
-        // record CRC prepends the seq bytes, so check the raw helper.
+        // record CRC prepends header bytes, so check the raw helper.
         let crc = crc32_update(0xFFFF_FFFF, b"123456789") ^ 0xFFFF_FFFF;
         assert_eq!(crc, 0xCBF4_3926);
     }
 
     #[test]
-    fn records_round_trip_and_detect_corruption() {
-        let mut journal = Vec::new();
-        for seq in 1..=5u64 {
-            journal.extend_from_slice(&encode_record(seq, format!("payload-{seq}").as_bytes()));
-        }
-        let scan = decode_records(&journal, MAX_JOURNAL_PAYLOAD);
-        assert_eq!(scan.records.len(), 5);
-        assert_eq!(scan.trailing, 0);
-        assert_eq!(scan.records[2], (3, b"payload-3".to_vec()));
-
-        // Flip one payload byte in record 4: decoding keeps 1–3 only.
-        let mut corrupt = journal.clone();
-        let offset = 3 * (RECORD_HEADER + 9) + RECORD_HEADER + 2;
-        corrupt[offset] ^= 0x40;
-        let scan = decode_records(&corrupt, MAX_JOURNAL_PAYLOAD);
-        assert_eq!(scan.records.len(), 3);
-        assert!(scan.trailing > 0);
-
-        // Torn tail: every strict prefix decodes to a record prefix.
-        for cut in 0..journal.len() {
-            let scan = decode_records(&journal[..cut], MAX_JOURNAL_PAYLOAD);
-            assert!(scan.records.len() <= 5);
-            assert_eq!(scan.consumed + scan.trailing, cut);
-        }
-    }
-
-    #[test]
     fn log_records_round_trip_and_every_cut_is_a_clean_prefix() {
-        let kinds = [RecordKind::Open, RecordKind::Frame, RecordKind::Close];
+        let kinds = [
+            RecordKind::Open,
+            RecordKind::Frame,
+            RecordKind::Snapshot,
+            RecordKind::Close,
+        ];
         let mut segment = Vec::new();
         let mut want = Vec::new();
-        for i in 0..6u64 {
-            let kind = kinds[i as usize % 3];
+        for i in 0..8u64 {
+            let kind = kinds[i as usize % 4];
             let payload = format!("frame-{i}").into_bytes();
             segment.extend_from_slice(&encode_log_record(i % 2 + 1, i, kind, &payload));
             want.push(LogRecord {
@@ -1136,17 +964,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_decode_requires_exactly_one_clean_record() {
-        let snap = encode_record(42, b"# sit session v1\n");
-        assert_eq!(
-            decode_snapshot(&snap),
-            Some((42, b"# sit session v1\n".to_vec()))
-        );
-        assert_eq!(decode_snapshot(&snap[..snap.len() - 1]), None);
-        let mut two = snap.clone();
-        two.extend_from_slice(&encode_record(43, b"x"));
-        assert_eq!(decode_snapshot(&two), None);
-        assert_eq!(decode_snapshot(b""), None);
+    fn a_record_length_is_bounded_by_its_kind() {
+        // Between the two bounds: a snapshot decodes, a frame is
+        // corruption and ends the scan.
+        let payload = vec![b'x'; MAX_JOURNAL_PAYLOAD + 1];
+        let snapshot = encode_log_record(1, 9, RecordKind::Snapshot, &payload);
+        let scan = decode_log_records(&snapshot);
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records[0].kind, RecordKind::Snapshot);
+        assert_eq!(scan.trailing, 0);
+        let frame = encode_log_record(1, 9, RecordKind::Frame, &payload);
+        let scan = decode_log_records(&frame);
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.trailing, frame.len());
+        // Past the snapshot bound the header alone is refused.
+        let mut header = encode_log_record(1, 9, RecordKind::Snapshot, b"");
+        let len = (MAX_SNAPSHOT_PAYLOAD + 1) as u32;
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        let scan = decode_log_records(&header);
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.trailing, header.len());
     }
 
     #[test]

@@ -47,9 +47,10 @@ use crate::wire::{FrameBuffer, Framed};
 /// Where and how the server persists sessions.
 #[derive(Clone, Debug)]
 pub struct PersistOptions {
-    /// Directory holding journals and snapshots (created if missing).
+    /// Directory holding the log's segments, snapshots included
+    /// (created if missing).
     pub data_dir: PathBuf,
-    /// Journal/snapshot policies.
+    /// Fsync and snapshot policies.
     pub config: PersistConfig,
 }
 

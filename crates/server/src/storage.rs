@@ -1,16 +1,15 @@
 //! The storage abstraction under the persistence layer.
 //!
 //! [`Storage`] is a tiny flat-namespace file API — append, fsync,
-//! directory sync, atomic replace, read, remove, list — which is
-//! everything the log and snapshot code in [`crate::persist`] needs.
+//! directory sync, streaming read, remove, list — which is everything
+//! the log in [`crate::wal`] needs: snapshots are log records too, so
+//! nothing is ever written except by appending.
 //! Two implementations ship:
 //!
 //! * [`DirStorage`] — one real directory. Appends go through one cached
 //!   file handle (the log appends to its head segment only), `sync` is
-//!   `fdatasync` on the file, `sync_dir` is `fsync` on the directory
-//!   (so created and removed names survive power loss too), and
-//!   `write_atomic` is the classic temp-file + `fsync` + `rename` +
-//!   directory-`fsync` sequence.
+//!   `fdatasync` on the file, and `sync_dir` is `fsync` on the directory
+//!   (so created and removed names survive power loss too).
 //! * [`MemStorage`] — an in-memory directory for tests. Each file
 //!   tracks a `synced` watermark, and the directory tracks which names
 //!   are durable: [`MemStorage::lose_unsynced`] drops bytes past each
@@ -34,7 +33,7 @@ use sit_obs::sync::lock_recover;
 /// A flat namespace of byte files, with explicit durability points.
 ///
 /// All methods take `&self`; implementations are internally
-/// synchronized so appends, commits and snapshots can do I/O
+/// synchronized so appends, commits and collection can do I/O
 /// concurrently.
 pub trait Storage: Send + Sync {
     /// Append `data` to `name`, creating the file if missing. Appending
@@ -49,15 +48,8 @@ pub trait Storage: Send + Sync {
     /// Make every create and remove so far durable.
     fn sync_dir(&self) -> io::Result<()>;
 
-    /// Atomically replace `name` with `data`: on success the new
-    /// contents and every directory change so far are durable, and
-    /// readers never observe a partial file.
-    fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()>;
-
-    /// Read the whole file. `ErrorKind::NotFound` if it does not exist.
-    fn read(&self, name: &str) -> io::Result<Vec<u8>>;
-
-    /// Stream the file from its start, for files too large to hold.
+    /// Stream the file from its start. `ErrorKind::NotFound` if it does
+    /// not exist.
     fn reader(&self, name: &str) -> io::Result<Box<dyn Read + Send>>;
 
     /// Remove the file; removing a missing file is not an error. Not
@@ -69,12 +61,7 @@ pub trait Storage: Send + Sync {
 }
 
 fn check_name(name: &str) -> io::Result<()> {
-    if name.is_empty()
-        || name.contains('/')
-        || name.contains('\\')
-        || name.contains("..")
-        || name.starts_with(TMP_PREFIX)
-    {
+    if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("invalid storage name `{name}`"),
@@ -83,8 +70,6 @@ fn check_name(name: &str) -> io::Result<()> {
     Ok(())
 }
 
-const TMP_PREFIX: &str = ".tmp.";
-
 /// Read buffer of [`DirStorage::reader`].
 const READ_BUFFER: usize = 64 * 1024;
 
@@ -92,10 +77,10 @@ const READ_BUFFER: usize = 64 * 1024;
 pub struct DirStorage {
     root: PathBuf,
     /// The append handle of the last file appended to; replaced when
-    /// another name is appended to, dropped by `write_atomic`/`remove`
-    /// of its name (the rename swaps the inode out from under an open
-    /// descriptor). The lock is never held across I/O, so one fsync
-    /// does not stall an append.
+    /// another name is appended to, dropped by `remove` of its name (a
+    /// later append to that name must create a new file, not write to
+    /// the unlinked one). The lock is never held across I/O, so one
+    /// fsync does not stall an append.
     appender: Mutex<Option<(String, Arc<File>)>>,
 }
 
@@ -115,13 +100,6 @@ impl DirStorage {
         match &*lock_recover(&self.appender) {
             Some((cached, file)) if cached == name => Some(Arc::clone(file)),
             _ => None,
-        }
-    }
-
-    fn forget(&self, name: &str) {
-        let mut appender = lock_recover(&self.appender);
-        if appender.as_ref().is_some_and(|(cached, _)| cached == name) {
-            *appender = None;
         }
     }
 }
@@ -153,27 +131,6 @@ impl Storage for DirStorage {
         File::open(&self.root)?.sync_all()
     }
 
-    fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        check_name(name)?;
-        let tmp = self.root.join(format!("{TMP_PREFIX}{name}"));
-        let mut file = File::create(&tmp)?;
-        file.write_all(data)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, self.root.join(name))?;
-        // The rename replaced the inode; a cached append handle would
-        // keep writing to the unlinked old file.
-        self.forget(name);
-        self.sync_dir()
-    }
-
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        check_name(name)?;
-        let mut out = Vec::new();
-        File::open(self.root.join(name))?.read_to_end(&mut out)?;
-        Ok(out)
-    }
-
     fn reader(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
         check_name(name)?;
         let file = File::open(self.root.join(name))?;
@@ -182,7 +139,11 @@ impl Storage for DirStorage {
 
     fn remove(&self, name: &str) -> io::Result<()> {
         check_name(name)?;
-        self.forget(name);
+        let mut appender = lock_recover(&self.appender);
+        if appender.as_ref().is_some_and(|(cached, _)| cached == name) {
+            *appender = None;
+        }
+        drop(appender);
         match std::fs::remove_file(self.root.join(name)) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
             _ => Ok(()),
@@ -196,13 +157,9 @@ impl Storage for DirStorage {
             if !entry.file_type()?.is_file() {
                 continue;
             }
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
-            if name.starts_with(TMP_PREFIX) {
-                continue;
+            if let Ok(name) = entry.file_name().into_string() {
+                names.push(name);
             }
-            names.push(name);
         }
         names.sort();
         Ok(names)
@@ -212,7 +169,7 @@ impl Storage for DirStorage {
 struct MemFile {
     data: Vec<u8>,
     /// Bytes durable so far; appends grow `data` without moving this,
-    /// `sync`/`write_atomic` advance it.
+    /// `sync` advances it.
     synced: usize,
 }
 
@@ -224,13 +181,6 @@ struct MemDir {
     /// Durable files removed since the last directory sync: power loss
     /// brings them back.
     removed: HashMap<String, MemFile>,
-}
-
-impl MemDir {
-    fn sync_dir(&mut self) {
-        self.durable = self.files.keys().cloned().collect();
-        self.removed.clear();
-    }
 }
 
 /// In-memory [`Storage`] with an explicit durability watermark per
@@ -263,6 +213,16 @@ impl MemStorage {
             file.data.truncate(file.synced);
         }
     }
+
+    /// The whole file. `ErrorKind::NotFound` if it does not exist.
+    pub fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        check_name(name)?;
+        lock_recover(&self.dir)
+            .files
+            .get(name)
+            .map(|f| f.data.clone())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))
+    }
 }
 
 impl Storage for MemStorage {
@@ -289,31 +249,10 @@ impl Storage for MemStorage {
     }
 
     fn sync_dir(&self) -> io::Result<()> {
-        lock_recover(&self.dir).sync_dir();
-        Ok(())
-    }
-
-    fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        check_name(name)?;
         let mut dir = lock_recover(&self.dir);
-        dir.files.insert(
-            name.to_owned(),
-            MemFile {
-                data: data.to_vec(),
-                synced: data.len(),
-            },
-        );
-        dir.sync_dir();
+        dir.durable = dir.files.keys().cloned().collect();
+        dir.removed.clear();
         Ok(())
-    }
-
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        check_name(name)?;
-        lock_recover(&self.dir)
-            .files
-            .get(name)
-            .map(|f| f.data.clone())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))
     }
 
     fn reader(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
@@ -342,37 +281,34 @@ impl Storage for MemStorage {
 mod tests {
     use super::*;
 
+    fn read(storage: &dyn Storage, name: &str) -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        storage.reader(name)?.read_to_end(&mut out)?;
+        Ok(out)
+    }
+
     fn exercise(storage: &dyn Storage) {
-        storage.append("a.journal", b"one").unwrap();
-        storage.append("a.journal", b"two").unwrap();
-        storage.sync("a.journal").unwrap();
-        assert_eq!(storage.read("a.journal").unwrap(), b"onetwo");
-        storage.write_atomic("a.snap.1", b"snapshot").unwrap();
-        assert_eq!(storage.read("a.snap.1").unwrap(), b"snapshot");
-        // Atomic replace of a file that has a live append handle: later
-        // appends must land in the *new* file.
-        storage.write_atomic("a.journal", b"compacted|").unwrap();
-        storage.append("a.journal", b"tail").unwrap();
-        assert_eq!(storage.read("a.journal").unwrap(), b"compacted|tail");
-        let mut streamed = Vec::new();
-        storage
-            .reader("a.journal")
-            .unwrap()
-            .read_to_end(&mut streamed)
-            .unwrap();
-        assert_eq!(streamed, b"compacted|tail");
+        storage.append("a.log", b"one").unwrap();
+        storage.append("a.log", b"two").unwrap();
+        storage.sync("a.log").unwrap();
+        assert_eq!(read(storage, "a.log").unwrap(), b"onetwo");
+        storage.append("b.log", b"other").unwrap();
         storage.sync_dir().unwrap();
         assert_eq!(
             storage.list().unwrap(),
-            vec!["a.journal".to_owned(), "a.snap.1".to_owned()]
+            vec!["a.log".to_owned(), "b.log".to_owned()]
         );
-        storage.remove("a.snap.1").unwrap();
-        storage.remove("a.snap.1").unwrap(); // idempotent
+        // Removing the file behind the cached append handle: a later
+        // append to the same name must create a new file.
+        storage.remove("b.log").unwrap();
+        storage.remove("b.log").unwrap(); // idempotent
         assert!(matches!(
-            storage.read("a.snap.1").map(|_| ()).unwrap_err().kind(),
+            read(storage, "b.log").map(|_| ()).unwrap_err().kind(),
             io::ErrorKind::NotFound
         ));
-        assert_eq!(storage.list().unwrap(), vec!["a.journal".to_owned()]);
+        assert_eq!(storage.list().unwrap(), vec!["a.log".to_owned()]);
+        storage.append("b.log", b"fresh").unwrap();
+        assert_eq!(read(storage, "b.log").unwrap(), b"fresh");
     }
 
     #[test]
@@ -394,10 +330,9 @@ mod tests {
         m.append("j", b"durable").unwrap();
         m.sync("j").unwrap();
         m.append("j", b"-volatile").unwrap();
-        m.write_atomic("s", b"atomic-is-durable").unwrap();
+        m.sync_dir().unwrap();
         m.lose_unsynced();
         assert_eq!(m.read("j").unwrap(), b"durable");
-        assert_eq!(m.read("s").unwrap(), b"atomic-is-durable");
     }
 
     #[test]
@@ -429,7 +364,7 @@ mod tests {
     #[test]
     fn names_are_validated() {
         let m = MemStorage::new();
-        for bad in ["", "../x", "a/b", ".tmp.j"] {
+        for bad in ["", "../x", "a/b"] {
             assert!(m.append(bad, b"x").is_err(), "{bad}");
         }
     }

@@ -2,10 +2,11 @@
 //! session-tagged records, split into numbered segment files.
 //!
 //! [`crate::persist::Persistence`] owns one [`Wal`]. Every session's
-//! `open`, mutations and `close` become records here (see
+//! `open`, mutations, snapshots and `close` become records here (see
 //! [`crate::persist`] for the record format and the recovery rules);
 //! this module keeps the segments, the group commit and the collection
-//! of segments nobody needs any more.
+//! of segments nobody needs any more. The segments are the only files
+//! a data directory holds.
 //!
 //! ## Segments
 //!
@@ -32,10 +33,12 @@
 //!
 //! ## Collection
 //!
-//! A record is needed while its session is open and the session's older
-//! snapshot slot does not cover it; a close record is needed while an
-//! older segment still holds records of its session, or the session's
-//! slot files are not yet removed. After each roll the log
+//! One rule ([`needed`]) decides what stays: an open session's previous
+//! snapshot record and every record after it (all of its records until
+//! it has two snapshots), and a close record while an older segment
+//! still holds records of its session. After a roll, and after a close
+//! or snapshot record of a session with records in a sealed segment,
+//! the log
 //!
 //! 1. removes every sealed segment holding no needed record, syncing the
 //!    directory after each removal, so removals become durable in
@@ -51,7 +54,7 @@
 //! once only. Copy-forward streams records; no segment is held in
 //! memory.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -88,6 +91,33 @@ pub fn parse_segment_name(name: &str) -> Option<(u64, u32)> {
     Some((number.parse().ok()?, generation.parse().ok()?))
 }
 
+/// The collection rule for one record of `session`. An open session's
+/// `floor` is the sequence of its previous snapshot (0 before it has
+/// two): that snapshot record and every record after it are needed, so
+/// the newest snapshot can fail and recovery still has the previous
+/// one plus the log. A close record is needed while `older_records` of
+/// its session remain. Anything else is not needed.
+fn needed(
+    live: &HashMap<u64, u64>,
+    session: u64,
+    seq: u64,
+    kind: RecordKind,
+    older_records: impl FnOnce() -> bool,
+) -> bool {
+    match kind {
+        RecordKind::Close => older_records(),
+        _ => live
+            .get(&session)
+            .is_some_and(|&floor| place(seq, kind) >= (floor, true)),
+    }
+}
+
+/// A record's place in its session's history: by sequence, and a
+/// snapshot after the record whose sequence it carries.
+fn place(seq: u64, kind: RecordKind) -> (u64, bool) {
+    (seq, kind == RecordKind::Snapshot)
+}
+
 /// What the log knows about one segment file.
 pub(crate) struct Segment {
     number: u64,
@@ -99,9 +129,9 @@ pub(crate) struct Segment {
     last_lsn: u64,
     /// Whether the segment's directory entry is known durable.
     name_durable: bool,
-    /// Sessions with open or mutation records here, with the highest
-    /// such sequence.
-    sessions: HashMap<u64, u64>,
+    /// Sessions with open, mutation or snapshot records here, with the
+    /// latest such record's sequence and kind.
+    sessions: HashMap<u64, (u64, RecordKind)>,
     /// Sessions closed by a record here.
     closes: Vec<u64>,
 }
@@ -133,24 +163,15 @@ impl Segment {
 
     /// Account one record of `session`.
     pub(crate) fn note(&mut self, session: u64, seq: u64, kind: RecordKind) {
-        match kind {
-            RecordKind::Open | RecordKind::Frame => {
-                let max = self.sessions.entry(session).or_insert(seq);
-                *max = (*max).max(seq);
-            }
-            RecordKind::Close => self.closes.push(session),
+        if kind == RecordKind::Close {
+            self.closes.push(session);
+            return;
+        }
+        let latest = self.sessions.entry(session).or_insert((seq, kind));
+        if place(seq, kind) > place(latest.0, latest.1) {
+            *latest = (seq, kind);
         }
     }
-}
-
-/// Collection bookkeeping of one open session.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct LiveSession {
-    /// Records at or below this sequence are covered by the session's
-    /// older snapshot slot and no longer needed.
-    pub floor: u64,
-    /// The session has snapshot slot files.
-    pub slotted: bool,
 }
 
 /// Outcome of an append.
@@ -160,8 +181,10 @@ pub(crate) enum Appended {
         lsn: u64,
         /// The fsync policy wants the record durable before the ack.
         commit: bool,
-        /// A segment was sealed: collection may have work.
-        rolled: bool,
+        /// A segment was sealed, or a close record was written for a
+        /// session with records in a sealed one: collection may have
+        /// work.
+        collect: bool,
     },
     /// The session is not open in the log (closed, or never opened).
     NotOpen,
@@ -175,10 +198,8 @@ struct LogState {
     lsn: u64,
     /// Records since the last `every-n` commit.
     unsynced: u32,
-    live: HashMap<u64, LiveSession>,
-    /// Closed sessions whose slot files are not yet removed: their
-    /// close records stay needed.
-    closing: HashSet<u64>,
+    /// Open sessions, with their collection floor (see [`needed`]).
+    live: HashMap<u64, u64>,
     /// An fsync failed: durability of the tail is unknown.
     failed: bool,
 }
@@ -202,10 +223,8 @@ pub(crate) struct Wal {
 pub(crate) struct Recovered {
     /// Every segment on disk, oldest first.
     pub sealed: Vec<Segment>,
-    /// Open sessions.
-    pub live: HashMap<u64, LiveSession>,
-    /// Closed sessions whose slot files could not be removed.
-    pub closing: HashSet<u64>,
+    /// Open sessions, with their collection floor.
+    pub live: HashMap<u64, u64>,
 }
 
 fn failed_error() -> io::Error {
@@ -232,7 +251,6 @@ impl Wal {
                 lsn: 0,
                 unsynced: 0,
                 live: recovered.live,
-                closing: recovered.closing,
                 failed: false,
             }),
             commit: Mutex::new(()),
@@ -242,7 +260,7 @@ impl Wal {
     }
 
     /// Append one record. An open record requires the session not open
-    /// yet; mutation and close records require it open.
+    /// yet; every other record requires it open.
     pub(crate) fn append(
         &self,
         session: u64,
@@ -263,7 +281,9 @@ impl Wal {
                     format!("session {session} is already open in the log"),
                 ))
             }
-            RecordKind::Frame | RecordKind::Close if !open => return Ok(Appended::NotOpen),
+            RecordKind::Frame | RecordKind::Snapshot | RecordKind::Close if !open => {
+                return Ok(Appended::NotOpen)
+            }
             _ => {}
         }
         let len = record.len() as u64;
@@ -297,15 +317,15 @@ impl Wal {
         head.bytes += len;
         head.last_lsn = lsn;
         head.note(session, seq, kind);
+        let mut collect = full;
         match kind {
             RecordKind::Open => {
-                st.live.insert(session, LiveSession::default());
+                st.live.insert(session, 0);
             }
-            RecordKind::Frame => {}
+            RecordKind::Frame | RecordKind::Snapshot => {}
             RecordKind::Close => {
-                if st.live.remove(&session).is_some_and(|s| s.slotted) {
-                    st.closing.insert(session);
-                }
+                st.live.remove(&session);
+                collect |= st.holds_sealed(session);
             }
         }
         let commit = match self.fsync {
@@ -323,7 +343,7 @@ impl Wal {
         Ok(Appended::Written {
             lsn,
             commit,
-            rolled: full,
+            collect,
         })
     }
 
@@ -395,35 +415,19 @@ impl Wal {
             .any(|s| s.name == name)
     }
 
-    /// Make every record appended so far durable.
-    pub(crate) fn commit_all(&self, metrics: &PersistMetrics, clock: &dyn Clock) -> io::Result<()> {
-        let lsn = lock_recover(&self.state).lsn;
-        self.commit(lsn, metrics, clock)
-    }
-
-    /// The session wrote a snapshot slot; records at or below `floor`
-    /// are no longer needed. `false` if the session was closed in the
-    /// meantime (the caller removes the slot it just wrote).
+    /// The session's snapshot record is durable, and its previous
+    /// snapshot covers `floor`: records before that one are no longer
+    /// needed. Whether collection may have work (the session has a
+    /// record in a sealed segment).
     pub(crate) fn snapshot_taken(&self, session: u64, floor: u64) -> bool {
         let mut st = lock_recover(&self.state);
         match st.live.get_mut(&session) {
-            Some(s) => {
-                s.floor = s.floor.max(floor);
-                s.slotted = true;
-                true
+            Some(f) => {
+                *f = (*f).max(floor);
+                st.holds_sealed(session)
             }
             None => false,
         }
-    }
-
-    /// Whether `session` is closed with slot files still to remove.
-    pub(crate) fn has_closing_slots(&self, session: u64) -> bool {
-        lock_recover(&self.state).closing.contains(&session)
-    }
-
-    /// A closed session's slot files are gone.
-    pub(crate) fn slots_removed(&self, session: u64) {
-        lock_recover(&self.state).closing.remove(&session);
     }
 
     /// Remove the segments nobody needs, and copy forward when too many
@@ -448,8 +452,8 @@ impl Wal {
             // Off the books before the file goes, so no commit syncs it.
             let victim = {
                 let mut st = lock_recover(&self.state);
-                let i =
-                    (0..st.sealed.len()).find(|&i| self.settled(&st.sealed[i]) && !needed(&st, i));
+                let i = (0..st.sealed.len())
+                    .find(|&i| self.settled(&st.sealed[i]) && !st.segment_needed(i));
                 i.map(|i| st.sealed.remove(i))
             };
             let Some(seg) = victim else {
@@ -472,7 +476,7 @@ impl Wal {
     }
 
     fn copy_forward(&self, metrics: &PersistMetrics) -> io::Result<()> {
-        let (inputs, live, closing, out_key) = {
+        let (inputs, live, out_key) = {
             let st = lock_recover(&self.state);
             let settled = st.sealed.iter().take_while(|s| self.settled(s)).count();
             if settled <= MERGE_AFTER {
@@ -485,18 +489,13 @@ impl Wal {
             let last = &st.sealed[settled - 1];
             // Liveness only shrinks and floors only rise while the copy
             // runs, so this view keeps a superset of what is needed.
-            (
-                inputs,
-                st.live.clone(),
-                st.closing.clone(),
-                (last.number, last.generation + 1),
-            )
+            (inputs, st.live.clone(), (last.number, last.generation + 1))
         };
         let mut out = Segment::new(out_key.0, out_key.1, false);
         // A copy an earlier failed attempt left behind must not prefix
         // this one.
         self.storage.remove(&out.name)?;
-        match self.write_copy(&inputs, &live, &closing, &mut out) {
+        match self.write_copy(&inputs, &live, &mut out) {
             Ok(copied) => metrics.copied_records.add(copied),
             Err(e) => {
                 let _ = self.storage.remove(&out.name);
@@ -525,8 +524,7 @@ impl Wal {
     fn write_copy(
         &self,
         inputs: &[String],
-        live: &HashMap<u64, LiveSession>,
-        closing: &HashSet<u64>,
+        live: &HashMap<u64, u64>,
         out: &mut Segment,
     ) -> io::Result<u64> {
         let mut buf = Vec::with_capacity(COPY_CHUNK);
@@ -534,13 +532,10 @@ impl Wal {
         for name in inputs {
             let mut reader = LogReader::new(self.storage.reader(name)?);
             while let Some(r) = reader.next_record()? {
-                let keep = match r.kind {
-                    RecordKind::Open | RecordKind::Frame => {
-                        live.get(&r.session).is_some_and(|s| r.seq > s.floor)
-                    }
-                    RecordKind::Close => closing.contains(&r.session),
-                };
-                if !keep {
+                // The inputs are the oldest segments, and no record of a
+                // closed session in them is copied: no close record is
+                // needed after them.
+                if !needed(live, r.session, r.seq, r.kind, || false) {
                     continue;
                 }
                 buf.extend_from_slice(&encode_log_record(r.session, r.seq, r.kind, &r.payload));
@@ -569,17 +564,26 @@ impl Wal {
     }
 }
 
-/// Whether sealed segment `i` holds a record anybody still needs.
-fn needed(st: &LogState, i: usize) -> bool {
-    let seg = &st.sealed[i];
-    let record_needed = seg
-        .sessions
-        .iter()
-        .any(|(id, &max)| st.live.get(id).is_some_and(|s| max > s.floor));
-    record_needed
-        || seg.closes.iter().any(|id| {
-            st.closing.contains(id) || st.sealed[..i].iter().any(|s| s.sessions.contains_key(id))
-        })
+impl LogState {
+    /// Whether sealed segment `i` holds a record anybody still needs.
+    fn segment_needed(&self, i: usize) -> bool {
+        let seg = &self.sealed[i];
+        let older = |id: &u64| self.sealed[..i].iter().any(|s| s.sessions.contains_key(id));
+        seg.sessions
+            .iter()
+            .any(|(&id, &(seq, kind))| needed(&self.live, id, seq, kind, || false))
+            || seg
+                .closes
+                .iter()
+                .any(|&id| needed(&self.live, id, 0, RecordKind::Close, || older(&id)))
+    }
+
+    /// Whether a sealed segment holds a record of `session`.
+    fn holds_sealed(&self, session: u64) -> bool {
+        self.sealed
+            .iter()
+            .any(|s| s.sessions.contains_key(&session))
+    }
 }
 
 #[cfg(test)]
@@ -604,5 +608,25 @@ mod tests {
         ] {
             assert_eq!(parse_segment_name(bad), None, "{bad}");
         }
+    }
+
+    #[test]
+    fn a_session_needs_its_previous_snapshot_record_and_what_follows() {
+        // Session 1's previous snapshot covers sequence 5.
+        let live = HashMap::from([(1, 5), (2, 0)]);
+        let need = |session, seq, kind| needed(&live, session, seq, kind, || false);
+        assert!(need(1, 5, RecordKind::Snapshot), "the previous snapshot");
+        assert!(need(1, 6, RecordKind::Frame));
+        assert!(need(1, 9, RecordKind::Snapshot));
+        assert!(!need(1, 5, RecordKind::Frame), "covered by it");
+        assert!(!need(1, 3, RecordKind::Snapshot), "older than it");
+        assert!(!need(1, 1, RecordKind::Open));
+        // Before its second snapshot a session needs every record.
+        assert!(need(2, 1, RecordKind::Open));
+        // A closed session needs nothing but a close record with older
+        // records of it still around.
+        assert!(!needed(&live, 3, 9, RecordKind::Frame, || true));
+        assert!(needed(&live, 3, 0, RecordKind::Close, || true));
+        assert!(!needed(&live, 3, 0, RecordKind::Close, || false));
     }
 }

@@ -18,10 +18,9 @@
 //!    surviving session's `script::save` output is **byte-identical**
 //!    to the oracle's.
 //!
-//! The sweep runs with both `atomic_tear` settings, so torn snapshots
-//! (rename-promoted partial temp files) are covered as well as torn log
-//! appends. The service seals log segments at [`SEGMENT_BYTES`], tiny
-//! on purpose: the workload rolls many segments and runs a
+//! Snapshots are log records, so the sweep tears snapshot appends as
+//! well as open, mutation and close records. The service seals log
+//! segments at [`SEGMENT_BYTES`], tiny on purpose: the workload rolls many segments and runs a
 //! copy-forward, so the sweep also tears segment creation, the copy and
 //! the removals after it. Separate tests cover transient short writes
 //! (the seal-and-roll path), power loss under each fsync policy
@@ -46,8 +45,8 @@ const DDL_B: &str = "schema sb { entity P2 { N: char key; } }";
 /// The fixed workload, as raw wire frames. Session ids are assigned
 /// deterministically ("1", "2", "3" in open order). The workload
 /// crosses every persistence path: journal appends, an apply-time
-/// failure that still hits the journal (the bogus equiv), snapshots +
-/// compaction (snapshot_every=2) through both snapshot slots, and
+/// failure that still hits the journal (the bogus equiv), snapshot
+/// records (snapshot_every=2) and the collection they allow, and
 /// `close`.
 fn workload() -> Vec<String> {
     let f = |s: &str| s.to_owned();
@@ -142,13 +141,12 @@ fn save_frame(service: &Service, sid: &str) -> String {
 }
 
 /// The whole contract, for one crash offset: recovered == oracle.
-fn check_crash_point(c: u64, atomic_tear: bool) {
+fn check_crash_point(c: u64) {
     let mem = Arc::new(MemStorage::new());
     let faulted = Arc::new(FaultedStorage::new(
         Arc::clone(&mem) as Arc<dyn Storage>,
         StorageFaultConfig {
             crash_after_bytes: Some(c),
-            atomic_tear,
             ..Default::default()
         },
         EventLog::new(),
@@ -174,13 +172,13 @@ fn check_crash_point(c: u64, atomic_tear: bool) {
         assert_eq!(
             save_frame(&oracle, sid),
             save_frame(&recovered, sid),
-            "session {sid} diverged after crash at byte {c} (atomic_tear={atomic_tear})"
+            "session {sid} diverged after crash at byte {c}"
         );
     }
     assert_eq!(
         recovered.store().len(),
         live.len(),
-        "recovery resurrected or lost sessions at byte {c} (atomic_tear={atomic_tear})"
+        "recovery resurrected or lost sessions at byte {c}"
     );
 }
 
@@ -210,14 +208,15 @@ fn byte_budget() -> u64 {
 }
 
 /// The sweep covers the whole log life cycle: the fault-free workload
-/// rolls segments, removes unneeded ones, and copies needed records
-/// forward at least once.
+/// writes snapshot records, rolls segments, removes unneeded ones, and
+/// copies needed records forward at least once.
 #[test]
 fn the_workload_rolls_segments_and_copies_forward() {
     let mem = Arc::new(MemStorage::new());
     let service = durable_service(Arc::clone(&mem) as Arc<dyn Storage>, FsyncPolicy::Always);
     drive(&service, &workload());
     let m = service.persistence().unwrap().metrics();
+    assert!(m.snapshots.get() > 0, "no snapshot record was written");
     assert!(m.segments_removed.get() > 0, "no segment was removed");
     assert!(m.compactions.get() >= 1, "no copy-forward ran");
     assert!(
@@ -230,15 +229,7 @@ fn the_workload_rolls_segments_and_copies_forward() {
 fn every_crash_offset_recovers_the_acknowledged_state() {
     let budget = byte_budget();
     for c in 0..=budget {
-        check_crash_point(c, false);
-    }
-}
-
-#[test]
-fn every_crash_offset_recovers_with_torn_atomic_renames() {
-    let budget = byte_budget();
-    for c in 0..=budget {
-        check_crash_point(c, true);
+        check_crash_point(c);
     }
 }
 
@@ -393,7 +384,6 @@ fn the_fault_schedule_is_deterministic() {
             Arc::clone(&mem) as Arc<dyn Storage>,
             StorageFaultConfig {
                 crash_after_bytes: Some(crash),
-                atomic_tear: true,
                 short_write_percent: 20,
                 seed: 7,
             },
@@ -428,7 +418,6 @@ fn the_sweep_exercises_torn_tails_and_replay_errors() {
             Arc::clone(&mem) as Arc<dyn Storage>,
             StorageFaultConfig {
                 crash_after_bytes: Some(c),
-                atomic_tear: true,
                 ..Default::default()
             },
             EventLog::new(),

@@ -1,6 +1,7 @@
 //! The server-wide log from the outside: concurrent writers share
-//! fsyncs (group commit) without losing an acknowledged write, and a
-//! session that never snapshots costs no file of its own.
+//! fsyncs (group commit) without losing an acknowledged write, a
+//! session costs no file of its own, and closing the last sessions
+//! collects the segments they leave behind.
 
 use std::collections::HashSet;
 use std::io;
@@ -46,13 +47,6 @@ impl Storage for CountingStorage {
     }
     fn sync_dir(&self) -> io::Result<()> {
         self.inner.sync_dir()
-    }
-    fn write_atomic(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.created(name);
-        self.inner.write_atomic(name, data)
-    }
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        self.inner.read(name)
     }
     fn reader(&self, name: &str) -> io::Result<Box<dyn io::Read + Send>> {
         self.inner.reader(name)
@@ -243,4 +237,43 @@ fn a_close_record_outlives_the_older_records_of_its_session() {
         restarted.store().get(&b).is_none(),
         "closed session `{b}` came back"
     );
+}
+
+/// Collection runs after a close whose session has records in a sealed
+/// segment, not only when a segment rolls: once every session spread
+/// across the rolls is closed, only the head segment remains.
+#[test]
+fn closing_the_last_sessions_leaves_only_the_head_segment() {
+    let storage = Arc::new(MemStorage::new());
+    let service = Service::with_segmented_persistence(
+        StoreConfig::default(),
+        Arc::new(MonotonicClock::new()),
+        Arc::clone(&storage) as Arc<dyn Storage>,
+        PersistConfig::default(),
+        512,
+    )
+    .expect("recovery over MemStorage cannot fail");
+    let sessions: Vec<String> = (0..3).map(|_| open(&service)).collect();
+    for k in 0..4 {
+        for sid in &sessions {
+            call(
+                &service,
+                &format!(
+                    r#"{{"op":"add_schema","session":"{sid}","ddl":"schema s{k} {{ entity E{k} {{ k: int key; }} }}"}}"#
+                ),
+            );
+        }
+    }
+    assert!(storage.list().unwrap().len() > 2, "the workload must roll");
+    let rolled = storage.list().unwrap();
+    for sid in &sessions {
+        call(&service, &format!(r#"{{"op":"close","session":"{sid}"}}"#));
+    }
+    let left = storage.list().unwrap();
+    assert_eq!(
+        left.len(),
+        1,
+        "closed sessions' segments remain: {left:?} (before the closes: {rolled:?})"
+    );
+    assert!(rolled.contains(&left[0]), "the closes rolled a new segment");
 }

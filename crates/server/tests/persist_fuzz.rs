@@ -1,7 +1,7 @@
-//! Fuzz the log and snapshot record parsers: `decode_log_records` (the
-//! log segment reader), `decode_records` and `decode_snapshot` take
-//! bytes straight off disk after a crash, so arbitrary garbage must
-//! decode to a clean prefix — reject, truncate, never panic.
+//! Fuzz the log record parser: `decode_log_records` (the log segment
+//! reader, snapshots included) takes bytes straight off disk after a
+//! crash, so arbitrary garbage must decode to a clean prefix — reject,
+//! truncate, never panic.
 //!
 //! Same harness discipline as the wire fuzz (`wire_props.rs`): the
 //! committed corpus at `tests/corpus/persist/` (hex-encoded, one blob
@@ -16,9 +16,17 @@ use std::path::PathBuf;
 
 use sit_prng::Xoshiro256pp;
 use sit_server::persist::{
-    decode_log_records, decode_records, decode_snapshot, encode_log_record, encode_record,
-    record_crc, RecordKind, MAX_JOURNAL_PAYLOAD,
+    decode_log_records, encode_log_record, log_record_crc, RecordKind, MAX_JOURNAL_PAYLOAD,
+    MAX_SNAPSHOT_PAYLOAD,
 };
+
+/// Every record kind.
+const KINDS: [RecordKind; 4] = [
+    RecordKind::Open,
+    RecordKind::Frame,
+    RecordKind::Snapshot,
+    RecordKind::Close,
+];
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/persist")
@@ -36,28 +44,12 @@ fn to_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// One fuzz input through both parser entry points, with a tight
-/// `max_payload` variant so the length-limit branch runs too. Outcome
-/// is free; panicking is the only failure.
+/// One fuzz input through the log segment reader. Outcome is free,
+/// within its contract: whatever survived is internally consistent.
 fn decode_case(bytes: &[u8]) {
-    let scan = decode_records(bytes, MAX_JOURNAL_PAYLOAD);
-    // Whatever survived must be internally consistent: the consumed
-    // prefix re-encodes to exactly the bytes it was decoded from.
-    let mut rebuilt = Vec::new();
-    for (seq, payload) in &scan.records {
-        rebuilt.extend_from_slice(&encode_record(*seq, payload));
-    }
-    assert_eq!(
-        rebuilt.len(),
-        scan.consumed,
-        "decoded records must re-encode to the consumed prefix"
-    );
-    assert_eq!(&bytes[..scan.consumed], &rebuilt[..]);
-    let _ = decode_records(bytes, 24);
-    let _ = decode_snapshot(bytes);
-
-    // The same contract for the log segment reader.
     let scan = decode_log_records(bytes);
+    // The consumed prefix re-encodes to exactly the bytes it was
+    // decoded from, and the rest is the tail.
     let mut rebuilt = Vec::new();
     for r in &scan.records {
         rebuilt.extend_from_slice(&encode_log_record(r.session, r.seq, r.kind, &r.payload));
@@ -117,109 +109,159 @@ fn random_byte_soup_never_panics_the_parser() {
     }
 }
 
-/// Far nastier than uniform noise: start from *valid* journals and
-/// log segments and mutate them — truncations, bit flips, length-field
-/// edits, splices.
+/// Far nastier than uniform noise: start from *valid* log segments and
+/// mutate them — truncations, bit flips, length-field edits, splices.
 #[test]
-fn mutated_valid_journals_never_panic_the_parser() {
+fn mutated_valid_segments_never_panic_the_parser() {
     replay_corpus(); // regressions first, randomness second
     let mut rng = Xoshiro256pp::seed_from_u64(0x5EED_5002);
-    let kinds = [RecordKind::Open, RecordKind::Frame, RecordKind::Close];
-    for round in 0..4000 {
+    for _ in 0..4000 {
         let records = rng.gen_range(1usize..5);
-        let mut journal = Vec::new();
+        let mut segment = Vec::new();
         for seq in 0..records {
             let plen = rng.gen_range(0usize..40);
             let payload: Vec<u8> = (0..plen).map(|_| rng.gen_range(32u32..127) as u8).collect();
-            if round % 2 == 0 {
-                journal.extend_from_slice(&encode_record(seq as u64 + 1, &payload));
-            } else {
-                let session = rng.gen_range(1u64..4);
-                let kind = kinds[rng.gen_range(0usize..3)];
-                journal.extend_from_slice(&encode_log_record(
-                    session,
-                    seq as u64 + 1,
-                    kind,
-                    &payload,
-                ));
-            }
+            let session = rng.gen_range(1u64..4);
+            let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
+            segment.extend_from_slice(&encode_log_record(session, seq as u64 + 1, kind, &payload));
         }
         match rng.gen_range(0u32..4) {
             0 => {
                 // Torn tail.
-                let keep = rng.gen_range(0..journal.len() + 1);
-                journal.truncate(keep);
+                let keep = rng.gen_range(0..segment.len() + 1);
+                segment.truncate(keep);
             }
             1 => {
                 // Single bit flip anywhere (header, crc, or payload).
-                let at = rng.gen_range(0..journal.len());
-                journal[at] ^= 1 << rng.gen_range(0u32..8);
+                let at = rng.gen_range(0..segment.len());
+                segment[at] ^= 1 << rng.gen_range(0u32..8);
             }
             2 => {
                 // Rewrite a length field to something absurd.
-                let at = rng.gen_range(0..journal.len().saturating_sub(4).max(1));
+                let at = rng.gen_range(0..segment.len().saturating_sub(4).max(1));
                 let lie = if rng.gen_bool(0.5) {
                     u32::MAX
                 } else {
                     rng.gen_range(0u32..1 << 24)
                 };
-                journal[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                segment[at..at + 4].copy_from_slice(&lie.to_le_bytes());
             }
             _ => {
-                // Splice two journals mid-record.
-                let cut = rng.gen_range(0..journal.len() + 1);
-                let extra = encode_record(99, b"{\"op\":\"close\"}");
+                // Splice two segments mid-record.
+                let cut = rng.gen_range(0..segment.len() + 1);
+                let extra = encode_log_record(99, 1, RecordKind::Frame, b"{\"op\":\"close\"}");
                 let graft = rng.gen_range(0..extra.len());
-                journal.truncate(cut);
-                journal.extend_from_slice(&extra[graft..]);
+                segment.truncate(cut);
+                segment.extend_from_slice(&extra[graft..]);
             }
         }
-        check_case_persisting(&journal);
+        check_case_persisting(&segment);
     }
 }
 
 /// The decoder's contract on *clean* input, so the fuzz has a floor:
-/// every encoded journal decodes to exactly its records, and a torn
+/// every encoded segment decodes to exactly its records, and a torn
 /// tail yields the intact prefix plus the torn byte count.
 #[test]
-fn clean_and_torn_journals_decode_to_the_intact_prefix() {
+fn clean_and_torn_segments_decode_to_the_intact_prefix() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x5EED_5003);
     for _ in 0..200 {
         let count = rng.gen_range(1usize..6);
-        let mut journal = Vec::new();
+        let mut segment = Vec::new();
         let mut expect = Vec::new();
         for seq in 0..count {
             let plen = rng.gen_range(0usize..64);
             let payload: Vec<u8> = (0..plen).map(|_| rng.gen_range(0u32..256) as u8).collect();
-            journal.extend_from_slice(&encode_record(seq as u64, &payload));
-            expect.push((seq as u64, payload));
+            let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
+            let record = encode_log_record(7, seq as u64, kind, &payload);
+            segment.extend_from_slice(&record);
+            expect.push((record.len(), seq as u64, kind, payload));
         }
-        let scan = decode_records(&journal, MAX_JOURNAL_PAYLOAD);
-        assert_eq!(scan.records, expect);
-        assert_eq!(scan.consumed, journal.len());
-        assert_eq!(scan.trailing, 0);
+        let decoded = |bytes: &[u8]| {
+            let scan = decode_log_records(bytes);
+            let records: Vec<(u64, RecordKind, Vec<u8>)> = scan
+                .records
+                .into_iter()
+                .map(|r| (r.seq, r.kind, r.payload))
+                .collect();
+            (records, scan.consumed, scan.trailing)
+        };
+        let want: Vec<(u64, RecordKind, Vec<u8>)> = expect
+            .iter()
+            .map(|(_, seq, kind, payload)| (*seq, *kind, payload.clone()))
+            .collect();
+        assert_eq!(decoded(&segment), (want.clone(), segment.len(), 0));
 
-        // Tear off 1..=header+payload-1 bytes: the last record dies,
+        // Tear off 1..=header+payload bytes: the last record dies,
         // everything before it survives, trailing counts the stump.
-        let last_len = encode_record(expect[count - 1].0, &expect[count - 1].1).len();
+        let last_len = expect[count - 1].0;
         let tear = rng.gen_range(1..last_len + 1);
-        let torn = &journal[..journal.len() - tear];
-        let scan = decode_records(torn, MAX_JOURNAL_PAYLOAD);
-        assert_eq!(scan.records[..], expect[..count - 1]);
-        assert_eq!(scan.trailing, last_len - tear);
+        let torn = &segment[..segment.len() - tear];
+        let (records, consumed, trailing) = decoded(torn);
+        assert_eq!(records[..], want[..count - 1]);
+        assert_eq!(consumed, segment.len() - last_len);
+        assert_eq!(trailing, last_len - tear);
     }
 }
 
-/// CRC math the container leans on, pinned independently of the
-/// implementation table.
+/// The checksum covers every header field after it, not only the
+/// payload: a record moved to another session, sequence or kind fails.
 #[test]
-fn record_crc_matches_the_ieee_check_value() {
-    // CRC-32/IEEE("123456789") — seq contributes too, so fold it in by
-    // checking a record whose payload round-trips through decode.
-    let rec = encode_record(42, b"123456789");
-    let scan = decode_records(&rec, MAX_JOURNAL_PAYLOAD);
-    assert_eq!(scan.records, vec![(42u64, b"123456789".to_vec())]);
-    assert_ne!(record_crc(42, b"123456789"), record_crc(43, b"123456789"));
+fn the_record_checksum_covers_session_seq_and_kind() {
+    let crc = log_record_crc(1, 42, RecordKind::Frame, b"123456789");
+    assert_ne!(crc, log_record_crc(2, 42, RecordKind::Frame, b"123456789"));
+    assert_ne!(crc, log_record_crc(1, 43, RecordKind::Frame, b"123456789"));
+    assert_ne!(
+        crc,
+        log_record_crc(1, 42, RecordKind::Snapshot, b"123456789")
+    );
+}
+
+/// The committed snapshot seeds pin the length bound by kind: a valid
+/// snapshot record decodes, and a length past the snapshot bound, or a
+/// frame's past the frame bound, ends the scan at that header (the
+/// unit tests in `persist.rs` check the bound with full payloads).
+#[test]
+fn the_committed_snapshot_seeds_decode_by_their_kinds_bound() {
+    let seed = |name: &str| {
+        let text = std::fs::read_to_string(corpus_dir().join(name)).expect("read the seed");
+        from_hex(&text)
+    };
+    let scan = decode_log_records(&seed("log-snapshot.hex"));
+    let got: Vec<(u64, u64, RecordKind)> = scan
+        .records
+        .iter()
+        .map(|r| (r.session, r.seq, r.kind))
+        .collect();
+    assert_eq!(got, vec![(1, 3, RecordKind::Snapshot)]);
+    assert!(scan.records[0].payload.starts_with(b"# sit session"));
+    assert_eq!(scan.trailing, 0);
+
+    for (name, kind, bound) in [
+        (
+            "log-snapshot-over-bound.hex",
+            RecordKind::Snapshot,
+            MAX_SNAPSHOT_PAYLOAD,
+        ),
+        (
+            "log-frame-between-bounds.hex",
+            RecordKind::Frame,
+            MAX_JOURNAL_PAYLOAD,
+        ),
+    ] {
+        let bytes = seed(name);
+        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        assert!(len > bound && len <= MAX_SNAPSHOT_PAYLOAD + 1, "{name}");
+        assert_eq!(bytes[24], kind_byte(kind), "{name}");
+        let scan = decode_log_records(&bytes);
+        assert!(scan.records.is_empty(), "{name}");
+        assert_eq!(scan.trailing, bytes.len(), "{name}");
+    }
+}
+
+/// The kind byte of the record format.
+fn kind_byte(kind: RecordKind) -> u8 {
+    encode_log_record(0, 0, kind, b"")[24]
 }
 
 /// The committed log seed was encoded independently of this crate

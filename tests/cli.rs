@@ -173,7 +173,7 @@ fn serve_names_the_address_only_for_listener_errors() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("5.snap.3"), b"").unwrap();
     let data_dir = dir.to_str().unwrap();
-    let want = "sit: `5.snap.3`: old numbered snapshot layout, not a slot\n";
+    let want = "sit: `5.snap.3`: session file of an older layout, not a log segment\n";
     let (_, stderr, ok) = run(&["serve", "--addr", "127.0.0.1:0", "--data-dir", data_dir]);
     assert!(!ok);
     assert_eq!(stderr, want);
