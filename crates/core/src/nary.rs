@@ -57,7 +57,7 @@ pub fn fold_integrate(
     );
     let mut steps = Vec::new();
     let mut acc = order[0];
-    for (i, &next) in order.iter().enumerate().skip(1) {
+    for &next in &order[1..] {
         setup(session, acc, next)?;
         let mut step_options = options.clone();
         if step_options.schema_name.is_none() && order.len() > 2 {
@@ -70,17 +70,12 @@ pub fn fold_integrate(
         }
         let integrated = session.integrate(acc, next, &step_options)?;
         let result = session.add_schema(integrated.schema.clone())?;
-        // Carry pinned relations forward: every object of the new schema
-        // relates to the remaining component schemas only through future
-        // `setup` calls; nothing to copy automatically (provenance links
-        // are kept in the step record instead).
         steps.push(FoldStep {
             inputs: (acc, next),
             result,
             integrated,
         });
         acc = result;
-        let _ = i;
     }
     Ok(steps)
 }

@@ -435,7 +435,7 @@ mod tests {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for b in text.bytes() {
             hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x1_0000_0001_b3);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
         }
         assert_eq!(
             hash, 15_024_438_975_518_843_854,

@@ -172,7 +172,8 @@ mod tests {
         let mut seeds = SplitMix64::new(DEFAULT_BASE_SEED);
         let case_seed = seeds.next_u64();
         let replayed = replay(case_seed, |rng| {
-            Ok(assert_eq!(Some(rng.next_u64()), first_seed))
+            assert_eq!(Some(rng.next_u64()), first_seed);
+            Ok(())
         });
         assert!(replayed.is_ok());
     }

@@ -71,13 +71,15 @@
 //!
 //! ## Ownership
 //!
-//! [`Persistence`] owns the log; the log alone knows which sessions are
-//! open on disk, so an append for a closed session fails whoever still
-//! holds it. A session's [`Journal`] — its sequence and snapshot
-//! cadence — is owned by the session's store entry: `append` and
-//! `maybe_snapshot` take it, [`Persistence::open`] returns one per
-//! recovered session, and eviction drops it with the session. An
-//! evicted session stays open in the log.
+//! [`Persistence`] owns the log, and the log owns each session's place
+//! in it: which sessions are open, each one's last sequence number,
+//! mutations since its newest snapshot, that snapshot's sequence and
+//! its collection floor (one [`crate::wal`] entry per open session,
+//! from its open record to its close record). So `append` and
+//! [`Persistence::snapshot`] take only a session id, an append for a
+//! closed session fails whoever still holds it, and eviction from the
+//! store drops the in-memory session but not its place in the log.
+//! Recovery fills those entries and hands back bare sessions.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -92,7 +94,7 @@ use sit_obs::trace;
 
 use crate::proto::{ErrorCode, Request, ServerError};
 use crate::storage::Storage;
-use crate::wal::{self, Appended, Segment, Wal};
+use crate::wal::{self, Appended, Live, Segment, Wal};
 use crate::wire::Json;
 
 /// Bytes of fixed header before each log record's payload.
@@ -528,33 +530,10 @@ impl PersistMetrics {
 // ---------------------------------------------------------------------
 // The persistence manager
 
-/// One session's sequence and snapshot bookkeeping. The session's store
-/// entry owns it, so eviction and `close` drop it with the session.
-pub struct Journal {
-    id: u64,
-    /// Last sequence number used (the open record is 1).
-    seq: u64,
-    /// Mutations journaled since the last snapshot.
-    since_snapshot: u64,
-    /// The sequence the newest snapshot record covers (0: none).
-    snapshot: u64,
-}
-
-impl Journal {
-    fn new(id: u64) -> Journal {
-        Journal {
-            id,
-            seq: 0,
-            since_snapshot: 0,
-            snapshot: 0,
-        }
-    }
-}
-
 /// Sessions rebuilt by [`Persistence::open`].
 pub struct Recovery {
-    /// Every open session, ascending by id, with its journal.
-    pub sessions: Vec<(u64, Session, Journal)>,
+    /// Every open session, ascending by id.
+    pub sessions: Vec<(u64, Session)>,
     /// The highest session id the log names, closed sessions included:
     /// fresh ids go above it, so no id is ever reused while a record of
     /// its earlier session remains.
@@ -572,21 +551,18 @@ pub struct Persistence {
 /// One session's state while the log is scanned.
 struct Replaying {
     session: Session,
-    journal: Journal,
-    /// The sequence of the snapshot before the newest (0: none): the
-    /// collection floor handed to the log.
-    floor: u64,
+    /// Its entry in the log, as the records so far leave it.
+    live: Live,
     /// When its first piece of recovery started, and the time spent.
     started_ns: u64,
     spent_ns: u64,
 }
 
 impl Replaying {
-    fn new(id: u64, started_ns: u64) -> Replaying {
+    fn new(started_ns: u64) -> Replaying {
         Replaying {
             session: Session::new(),
-            journal: Journal::new(id),
-            floor: 0,
+            live: Live::default(),
             started_ns,
             spent_ns: 0,
         }
@@ -632,48 +608,40 @@ impl Persistence {
 
     /// Start a fresh session (`open`/`load`): its open record, carrying
     /// `first` (the `load` frame) if any, durable per the fsync policy.
-    pub fn open_session(&self, id: u64, first: Option<&[u8]>) -> Result<Journal, ServerError> {
-        let mut journal = Journal::new(id);
-        self.log(id, 1, RecordKind::Open, first.unwrap_or_default())?;
-        journal.seq = 1;
-        journal.since_snapshot = u64::from(first.is_some());
-        Ok(journal)
+    pub fn open_session(&self, id: u64, first: Option<&[u8]>) -> Result<(), ServerError> {
+        self.log(id, RecordKind::Open, first.unwrap_or_default())
+            .map(drop)
     }
 
     /// Write-ahead append: log one request frame (and fsync per policy)
     /// *before* the verb is applied. On failure nothing is
-    /// acknowledged; a session closed meanwhile is unknown.
-    pub fn append(&self, j: &mut Journal, payload: &[u8]) -> Result<(), ServerError> {
-        let seq = j.seq + 1;
-        if !self.log(j.id, seq, RecordKind::Frame, payload)? {
-            return Err(ServerError::unknown_session(&j.id.to_string()));
-        }
-        j.seq = seq;
-        j.since_snapshot += 1;
-        Ok(())
+    /// acknowledged; a session closed meanwhile is unknown. Returns
+    /// whether the session is due a [`Persistence::snapshot`] once the
+    /// verb has run.
+    pub fn append(&self, id: u64, payload: &[u8]) -> Result<bool, ServerError> {
+        let live = self
+            .log(id, RecordKind::Frame, payload)?
+            .ok_or_else(|| ServerError::unknown_session(&id.to_string()))?;
+        let every = self.config.snapshot_every;
+        Ok(every != 0 && live.since_snapshot >= every)
     }
 
     /// Append one record, commit it per the policy, and collect if it
-    /// may have freed a segment. `false` if the session is not open in
-    /// the log.
-    fn log(
-        &self,
-        id: u64,
-        seq: u64,
-        kind: RecordKind,
-        payload: &[u8],
-    ) -> Result<bool, ServerError> {
-        let appended = self.wal.append(id, seq, kind, payload).map_err(|e| {
+    /// may have freed a segment. The session's entry after it; `None`
+    /// if the session is not open in the log.
+    fn log(&self, id: u64, kind: RecordKind, payload: &[u8]) -> Result<Option<Live>, ServerError> {
+        let appended = self.wal.append(id, kind, payload).map_err(|e| {
             self.metrics.errors.inc();
             persist_io("log append", &e)
         })?;
         let Appended::Written {
             lsn,
+            live,
             commit,
             collect,
         } = appended
         else {
-            return Ok(false);
+            return Ok(None);
         };
         // A snapshot is a durability point under every policy: the log
         // is committed through it before the session's previous records
@@ -694,34 +662,27 @@ impl Persistence {
         if collect {
             self.wal.collect(&self.metrics);
         }
-        Ok(true)
+        Ok(Some(live))
     }
 
-    /// Snapshot if the session has journaled `snapshot_every` mutations
-    /// since the last one: one snapshot record in the log. Never fails
-    /// the triggering request — its record is already durable in the
-    /// log — but records failures in the metrics.
-    pub fn maybe_snapshot(&self, j: &mut Journal, session: &Session) {
-        if self.config.snapshot_every == 0 || j.since_snapshot < self.config.snapshot_every {
-            return;
-        }
+    /// Write one snapshot record of `session`, whose last append said
+    /// one is due. Never fails the triggering request — its record is
+    /// already durable in the log — but records failures in the
+    /// metrics.
+    pub fn snapshot(&self, id: u64, session: &Session) {
         let _span = trace::span("persist.snapshot");
         let text = script::save(session);
         if text.len() > MAX_SNAPSHOT_PAYLOAD {
             self.metrics.errors.inc();
             return;
         }
-        if !matches!(
-            self.log(j.id, j.seq, RecordKind::Snapshot, text.as_bytes()),
-            Ok(true)
-        ) {
-            return; // failed (counted), or closed meanwhile
-        }
-        j.since_snapshot = 0;
+        // Failed (counted), or closed meanwhile: the cadence stands.
+        let Ok(Some(live)) = self.log(id, RecordKind::Snapshot, text.as_bytes()) else {
+            return;
+        };
         // Retention by one: the log now needs the previous snapshot
         // record and what follows it.
-        let floor = std::mem::replace(&mut j.snapshot, j.seq);
-        if self.wal.snapshot_taken(j.id, floor) {
+        if self.wal.snapshot_taken(id, live.seq) {
             self.wal.collect(&self.metrics);
         }
     }
@@ -731,7 +692,7 @@ impl Persistence {
     /// does nothing. Only an acknowledged close means the session does
     /// not come back.
     pub fn close_session(&self, id: u64) -> Result<(), ServerError> {
-        self.log(id, 0, RecordKind::Close, &[]).map(drop)
+        self.log(id, RecordKind::Close, &[]).map(drop)
     }
 }
 
@@ -770,15 +731,12 @@ fn recover(
             let t0 = clock.now_ns();
             match r.kind {
                 RecordKind::Open => {
-                    let s = open
-                        .entry(r.session)
-                        .or_insert_with(|| Replaying::new(r.session, t0));
+                    let s = open.entry(r.session).or_insert_with(|| Replaying::new(t0));
                     // Otherwise a duplicate, or covered by a snapshot.
-                    if s.journal.seq == 0 {
-                        s.journal.seq = 1;
+                    if s.live.seq == 0 {
+                        s.live = Live::opened(&r.payload);
                         if !r.payload.is_empty() {
                             replay(&mut s.session, &r.payload, metrics);
-                            s.journal.since_snapshot = 1;
                             metrics.recovered_records.inc();
                         }
                         s.spent_ns += clock.now_ns().saturating_sub(t0);
@@ -788,11 +746,11 @@ fn recover(
                     if let Some(s) = open.get_mut(&r.session) {
                         // Only the next record applies: an earlier one
                         // is a duplicate, a later one lies past a gap.
-                        if r.seq == s.journal.seq + 1 {
+                        let next = s.live.framed();
+                        if r.seq == next.seq {
                             replay(&mut s.session, &r.payload, metrics);
                             s.spent_ns += clock.now_ns().saturating_sub(t0);
-                            s.journal.seq = r.seq;
-                            s.journal.since_snapshot += 1;
+                            s.live = next;
                             metrics.recovered_records.inc();
                         }
                     }
@@ -801,20 +759,13 @@ fn recover(
                     // It replaces the session if it covers everything
                     // applied so far (a session whose earlier records
                     // were collected starts here).
-                    let covers = open.get(&r.session).is_none_or(|s| r.seq >= s.journal.seq);
+                    let covers = open.get(&r.session).is_none_or(|s| r.seq >= s.live.seq);
                     if covers {
                         match load_snapshot(&r.payload) {
                             Some(session) => {
-                                let s = open
-                                    .entry(r.session)
-                                    .or_insert_with(|| Replaying::new(r.session, t0));
+                                let s = open.entry(r.session).or_insert_with(|| Replaying::new(t0));
                                 s.session = session;
-                                if r.seq > s.journal.snapshot {
-                                    s.floor = s.journal.snapshot;
-                                    s.journal.snapshot = r.seq;
-                                }
-                                s.journal.seq = r.seq;
-                                s.journal.since_snapshot = 0;
+                                s.live.snapshotted(r.seq);
                                 s.spent_ns += clock.now_ns().saturating_sub(t0);
                             }
                             None => metrics.recover_skipped_snapshots.inc(),
@@ -840,7 +791,7 @@ fn recover(
     let mut live = HashMap::new();
     let mut sessions = Vec::with_capacity(open.len());
     for (id, s) in open {
-        live.insert(id, s.floor);
+        live.insert(id, s.live);
         trace::complete(
             "recover.session",
             s.started_ns,
@@ -849,7 +800,7 @@ fn recover(
         );
         metrics.recover_ns.record(s.spent_ns);
         metrics.recovered_sessions.inc();
-        sessions.push((id, s.session, s.journal));
+        sessions.push((id, s.session));
     }
     Ok((
         wal::Recovered { sealed, live },
@@ -1016,14 +967,14 @@ mod tests {
         };
         let (p, recovery) = open();
         assert!(recovery.sessions.is_empty());
-        let mut journal = p.open_session(7, None).unwrap();
+        p.open_session(7, None).unwrap();
         let frame = Request::AddSchema {
             session: "7".into(),
             ddl: "schema s { entity E { x: int key; } }".into(),
         }
         .to_json()
         .encode();
-        p.append(&mut journal, frame.as_bytes()).unwrap();
+        assert!(!p.append(7, frame.as_bytes()).unwrap(), "no snapshot due");
         assert_eq!(p.metrics().journal_records.get(), 2);
         assert_eq!(p.metrics().fsyncs.get(), 2);
         drop(p);
@@ -1031,7 +982,7 @@ mod tests {
         let (p2, recovery) = open();
         assert_eq!(recovery.highest_id, 7);
         assert_eq!(recovery.sessions.len(), 1);
-        let (id, session, _) = &recovery.sessions[0];
+        let (id, session) = &recovery.sessions[0];
         assert_eq!(*id, 7);
         assert_eq!(session.catalog().schemas().count(), 1);
         assert_eq!(p2.metrics().recovered_records.get(), 1);
@@ -1039,8 +990,7 @@ mod tests {
         // Closed, it is gone after the next recovery, and so is every
         // segment: nothing in them is needed.
         p2.close_session(7).unwrap();
-        let mut stale = journal;
-        assert!(p2.append(&mut stale, frame.as_bytes()).is_err());
+        assert!(p2.append(7, frame.as_bytes()).is_err());
         drop(p2);
         let (_, recovery) = open();
         assert!(recovery.sessions.is_empty());

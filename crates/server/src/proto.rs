@@ -296,10 +296,10 @@ impl Request {
     }
 
     /// Whether this verb changes the addressed session's state — the
-    /// set the write-ahead journal records. `integrate` is read-only
-    /// (it derives an integrated schema without touching the session);
-    /// lifecycle verbs (`open`/`load`/`close`) manage journal *files*
-    /// rather than appending records.
+    /// verbs whose frames the write-ahead log records. `integrate` is
+    /// read-only (it derives an integrated schema without touching the
+    /// session); lifecycle verbs are not in it: `open`/`load` append the
+    /// session's open record and `close` its close record.
     pub fn is_mutating(&self) -> bool {
         matches!(
             self,

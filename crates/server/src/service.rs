@@ -127,8 +127,8 @@ impl Service {
             Persistence::open(storage, persist_config, clock, segment_bytes)?
         };
         service.store.reserve_through(recovery.highest_id);
-        for (id, session, journal) in recovery.sessions {
-            service.store.insert(id, session, Some(journal));
+        for (id, session) in recovery.sessions {
+            service.store.insert(id, session);
         }
         service.persist = Some(Arc::new(persistence));
         Ok(service)
@@ -278,7 +278,7 @@ impl Service {
                     // Wait out a request in flight, so its record and
                     // snapshot land before the close record; any later
                     // append finds the session closed in the log.
-                    let _in_flight = entry.as_ref().map(|e| lock_recover(&e.session));
+                    let _in_flight = entry.as_ref().map(|s| lock_recover(s));
                     // An acknowledged close means the session does not
                     // resurrect on restart, evicted or not.
                     p.close_session(key)?;
@@ -381,49 +381,46 @@ impl Service {
     /// leaves nothing to undo.
     fn open(&self, session: Session, first: Option<&str>) -> Result<String, ServerError> {
         let id = self.store.reserve_id();
-        let journal = match &self.persist {
-            Some(p) => match p.open_session(id, first.map(str::as_bytes)) {
-                Ok(journal) => Some(journal),
-                Err(e) => {
-                    // Nothing was acknowledged: the id is not spent.
-                    self.store.release_id(id);
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        self.store.insert(id, session, journal);
+        if let Some(p) = &self.persist {
+            if let Err(e) = p.open_session(id, first.map(str::as_bytes)) {
+                // Nothing was acknowledged: the id is not spent.
+                self.store.release_id(id);
+                return Err(e);
+            }
+        }
+        self.store.insert(id, session);
         Ok(id.to_string())
     }
 
-    /// One session-addressed request: look up the session, journal the
+    /// One session-addressed request: look up the session, log the
     /// frame first if it mutates (write-ahead: an acknowledged mutation
     /// is durable *before* it is visible), then apply through
     /// [`apply_session_request`] — the same function recovery replays
     /// records through.
     fn dispatch_session(&self, request: &Request, raw: &str) -> Result<Json, ServerError> {
         let id = request.session_id().expect("caller checked session_id");
-        let entry = self
+        let shared = self
             .store
-            .entry(id)
+            .get(id)
             .ok_or_else(|| ServerError::unknown_session(id))?;
-        let mut session = lock_recover(&entry.session);
-        let mut journal = match (&self.persist, &entry.journal) {
-            (Some(p), Some(j)) if request.is_mutating() => Some((p, lock_recover(j))),
-            _ => None,
-        };
-        if let Some((p, j)) = &mut journal {
-            // The journal stores the wire frame as received — replay
+        let mut session = lock_recover(&shared);
+        let mut snapshot = None;
+        if let (Some(p), true) = (&self.persist, request.is_mutating()) {
+            // The store found it, so the id parses.
+            let key: u64 = id.parse().expect("a live session id");
+            // The log stores the wire frame as received — replay
             // re-parses it through the same `Request::from_json` the
             // live path used, so no re-encoding happens per mutation.
-            p.append(j, raw.as_bytes())?;
+            if p.append(key, raw.as_bytes())? {
+                snapshot = Some((p, key));
+            }
         }
         let result = apply_session_request(&mut session, request);
-        if let Some((p, j)) = &mut journal {
+        if let Some((p, key)) = snapshot {
             // The record is durable whatever `result` was (a failed
             // verb replays to the same failure); snapshot cadence
             // counts attempts.
-            p.maybe_snapshot(j, &session);
+            p.snapshot(key, &session);
         }
         result
     }

@@ -14,10 +14,11 @@
 //! request (the in-flight request keeps its `Arc` and completes against
 //! the now-anonymous session).
 //!
-//! On a durable service an [`Entry`] also holds the session's
-//! [`Journal`] (its log sequence and snapshot cadence). When LRU, TTL or
-//! `close` drops the entry, the session and its journal go with it; an
-//! evicted session stays open in the log until `close`.
+//! The store holds sessions and nothing else. On a durable service a
+//! session's sequence and snapshot cadence belong to the log
+//! ([`crate::wal`]), which keeps them from the session's open record to
+//! its close record: LRU or TTL eviction drops only the in-memory
+//! session, and an evicted session stays open in the log until `close`.
 //!
 //! The registry lock is taken poison-recovering: a request that panics
 //! while holding it unwinds only its own connection thread, and the
@@ -30,8 +31,6 @@ use std::time::{Duration, Instant};
 
 use sit_core::session::Session;
 use sit_obs::sync::lock_recover;
-
-use crate::persist::Journal;
 
 /// Store limits.
 #[derive(Clone, Copy, Debug)]
@@ -55,24 +54,10 @@ impl Default for StoreConfig {
 /// Shared handle to one session.
 pub type SharedSession = Arc<Mutex<Session>>;
 
-/// Shared handle to one durable session's journal.
-pub type SharedJournal = Arc<Mutex<Journal>>;
-
-/// One live session: the session and, on a durable service, its
-/// journal. The store holds the only long-lived copy, so dropping it
-/// (LRU, TTL or `close`) releases both once in-flight requests finish.
-#[derive(Clone)]
-pub struct Entry {
-    /// The session itself.
-    pub session: SharedSession,
-    /// Its journal bookkeeping; `None` on a service without persistence.
-    pub journal: Option<SharedJournal>,
-    last_used: Instant,
-}
-
 struct Registry {
     next_id: u64,
-    entries: HashMap<u64, Entry>,
+    /// Each live session with its last use.
+    entries: HashMap<u64, (SharedSession, Instant)>,
     evicted_lru: u64,
     evicted_ttl: u64,
 }
@@ -100,7 +85,7 @@ impl SessionStore {
     /// Insert a session and return its assigned id.
     pub fn open(&self, session: Session) -> String {
         let id = self.reserve_id();
-        self.insert(id, session, None);
+        self.insert(id, session);
         id.to_string()
     }
 
@@ -128,14 +113,14 @@ impl SessionStore {
         reg.next_id = reg.next_id.max(id.saturating_add(1));
     }
 
-    /// Insert a session (and its journal) under `id`: a reserved id, or
-    /// a journaled one that crash recovery pins back. Future
-    /// server-assigned ids stay above it.
-    pub fn insert(&self, id: u64, session: Session, journal: Option<Journal>) {
+    /// Insert a session under `id`: a reserved id, or a logged one that
+    /// crash recovery pins back. Future server-assigned ids stay above
+    /// it.
+    pub fn insert(&self, id: u64, session: Session) {
         let mut reg = self.registry();
         while reg.entries.len() >= self.config.max_sessions.max(1) {
             // Evict the least-recently-used entry to make room.
-            if let Some((&victim, _)) = reg.entries.iter().min_by_key(|(_, e)| e.last_used) {
+            if let Some((&victim, _)) = reg.entries.iter().min_by_key(|(_, (_, used))| *used) {
                 reg.entries.remove(&victim);
                 reg.evicted_lru += 1;
             } else {
@@ -143,29 +128,18 @@ impl SessionStore {
             }
         }
         reg.next_id = reg.next_id.max(id + 1);
-        reg.entries.insert(
-            id,
-            Entry {
-                session: Arc::new(Mutex::new(session)),
-                journal: journal.map(|j| Arc::new(Mutex::new(j))),
-                last_used: Instant::now(),
-            },
-        );
+        reg.entries
+            .insert(id, (Arc::new(Mutex::new(session)), Instant::now()));
     }
 
     /// Fetch a session handle by id, refreshing its LRU stamp. `None` if
     /// the id is unknown, closed, expired, or evicted.
     pub fn get(&self, id: &str) -> Option<SharedSession> {
-        self.entry(id).map(|e| e.session)
-    }
-
-    /// Fetch a session with its journal, refreshing its LRU stamp.
-    pub fn entry(&self, id: &str) -> Option<Entry> {
         let key: u64 = id.parse().ok()?;
         let mut reg = self.registry();
-        let entry = reg.entries.get_mut(&key)?;
-        entry.last_used = Instant::now();
-        Some(entry.clone())
+        let (session, last_used) = reg.entries.get_mut(&key)?;
+        *last_used = Instant::now();
+        Some(Arc::clone(session))
     }
 
     /// Remove a session; `true` if it was live.
@@ -173,10 +147,13 @@ impl SessionStore {
         self.remove(id).is_some()
     }
 
-    /// Remove a session and hand back its entry, if it was live.
-    pub fn remove(&self, id: &str) -> Option<Entry> {
+    /// Remove a session and hand it back, if it was live.
+    pub fn remove(&self, id: &str) -> Option<SharedSession> {
         let key: u64 = id.parse().ok()?;
-        self.registry().entries.remove(&key)
+        self.registry()
+            .entries
+            .remove(&key)
+            .map(|(session, _)| session)
     }
 
     /// Live session count.
@@ -202,7 +179,7 @@ impl SessionStore {
             let now = Instant::now();
             let before = reg.entries.len();
             reg.entries
-                .retain(|_, e| now.duration_since(e.last_used) < ttl);
+                .retain(|_, (_, used)| now.duration_since(*used) < ttl);
             reg.evicted_ttl += (before - reg.entries.len()) as u64;
         }
         reg
@@ -261,7 +238,7 @@ mod tests {
     #[test]
     fn insert_pins_recovered_ids_and_bumps_the_counter() {
         let s = store(4, None);
-        s.insert(7, Session::new(), None);
+        s.insert(7, Session::new());
         assert!(s.get("7").is_some());
         let next = s.open(Session::new());
         assert_eq!(next, "8", "fresh ids never collide with recovered ones");

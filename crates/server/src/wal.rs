@@ -4,9 +4,11 @@
 //! [`crate::persist::Persistence`] owns one [`Wal`]. Every session's
 //! `open`, mutations, snapshots and `close` become records here (see
 //! [`crate::persist`] for the record format and the recovery rules);
-//! this module keeps the segments, the group commit and the collection
-//! of segments nobody needs any more. The segments are the only files
-//! a data directory holds.
+//! this module keeps the segments, each open session's place in the
+//! log ([`Live`]: the log numbers every record and keeps the snapshot
+//! cadence), the group commit and the collection of segments nobody
+//! needs any more. The segments are the only files a data directory
+//! holds.
 //!
 //! ## Segments
 //!
@@ -98,7 +100,7 @@ pub fn parse_segment_name(name: &str) -> Option<(u64, u32)> {
 /// one plus the log. A close record is needed while `older_records` of
 /// its session remain. Anything else is not needed.
 fn needed(
-    live: &HashMap<u64, u64>,
+    live: &impl Floors,
     session: u64,
     seq: u64,
     kind: RecordKind,
@@ -107,8 +109,76 @@ fn needed(
     match kind {
         RecordKind::Close => older_records(),
         _ => live
-            .get(&session)
-            .is_some_and(|&floor| place(seq, kind) >= (floor, true)),
+            .floor(session)
+            .is_some_and(|floor| place(seq, kind) >= (floor, true)),
+    }
+}
+
+/// Open sessions with their collection floors: the log's own [`Live`]
+/// entries, or the floors alone as copy-forward takes them.
+trait Floors {
+    /// `session`'s floor; `None` if it is not open.
+    fn floor(&self, session: u64) -> Option<u64>;
+}
+
+impl Floors for HashMap<u64, u64> {
+    fn floor(&self, session: u64) -> Option<u64> {
+        self.get(&session).copied()
+    }
+}
+
+impl Floors for HashMap<u64, Live> {
+    fn floor(&self, session: u64) -> Option<u64> {
+        self.get(&session).map(|l| l.floor)
+    }
+}
+
+/// One open session's place in the log: the log assigns its records'
+/// sequence numbers and keeps its snapshot cadence, from its open
+/// record to its close record, whether or not the session is resident.
+/// Appends and recovery move it by the same three steps.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Live {
+    /// Last sequence number used (the open record is 1).
+    pub(crate) seq: u64,
+    /// Mutations logged since the newest snapshot.
+    pub(crate) since_snapshot: u64,
+    /// The sequence the newest snapshot record covers (0: none).
+    snapshot: u64,
+    /// The sequence of the snapshot before the newest (0: none): the
+    /// collection floor (see [`needed`]).
+    floor: u64,
+}
+
+impl Live {
+    /// After the open record; a `load` carries its frame, which counts
+    /// as a mutation.
+    pub(crate) fn opened(payload: &[u8]) -> Live {
+        Live {
+            seq: 1,
+            since_snapshot: u64::from(!payload.is_empty()),
+            ..Live::default()
+        }
+    }
+
+    /// After the next frame record.
+    pub(crate) fn framed(self) -> Live {
+        Live {
+            seq: self.seq + 1,
+            since_snapshot: self.since_snapshot + 1,
+            ..self
+        }
+    }
+
+    /// A snapshot record covering `seq` is durable: the cadence starts
+    /// over, and the newest snapshot before it becomes the floor.
+    pub(crate) fn snapshotted(&mut self, seq: u64) {
+        self.seq = seq;
+        self.since_snapshot = 0;
+        if seq > self.snapshot {
+            self.floor = self.snapshot;
+            self.snapshot = seq;
+        }
     }
 }
 
@@ -179,6 +249,9 @@ pub(crate) enum Appended {
     /// Written with this log sequence number.
     Written {
         lsn: u64,
+        /// The session's entry after the record (before it, for a close
+        /// record); a snapshot record carries `live.seq`.
+        live: Live,
         /// The fsync policy wants the record durable before the ack.
         commit: bool,
         /// A segment was sealed, or a close record was written for a
@@ -198,8 +271,8 @@ struct LogState {
     lsn: u64,
     /// Records since the last `every-n` commit.
     unsynced: u32,
-    /// Open sessions, with their collection floor (see [`needed`]).
-    live: HashMap<u64, u64>,
+    /// Open sessions.
+    live: HashMap<u64, Live>,
     /// An fsync failed: durability of the tail is unknown.
     failed: bool,
 }
@@ -223,8 +296,8 @@ pub(crate) struct Wal {
 pub(crate) struct Recovered {
     /// Every segment on disk, oldest first.
     pub sealed: Vec<Segment>,
-    /// Open sessions, with their collection floor.
-    pub live: HashMap<u64, u64>,
+    /// Open sessions.
+    pub live: HashMap<u64, Live>,
 }
 
 fn failed_error() -> io::Error {
@@ -259,33 +332,37 @@ impl Wal {
         }
     }
 
-    /// Append one record. An open record requires the session not open
-    /// yet; every other record requires it open.
+    /// Append one record of `kind`, numbered by the session's entry: an
+    /// open record is 1, a frame the next number, a snapshot the number
+    /// of the last record it covers, a close 0. An open record requires
+    /// the session not open yet; every other record requires it open.
     pub(crate) fn append(
         &self,
         session: u64,
-        seq: u64,
         kind: RecordKind,
         payload: &[u8],
     ) -> io::Result<Appended> {
-        let record = encode_log_record(session, seq, kind, payload);
         let mut st = lock_recover(&self.state);
         if st.failed {
             return Err(failed_error());
         }
-        let open = st.live.contains_key(&session);
-        match kind {
-            RecordKind::Open if open => {
+        let live = match (kind, st.live.get(&session)) {
+            (RecordKind::Open, Some(_)) => {
                 return Err(io::Error::new(
                     io::ErrorKind::AlreadyExists,
                     format!("session {session} is already open in the log"),
                 ))
             }
-            RecordKind::Frame | RecordKind::Snapshot | RecordKind::Close if !open => {
-                return Ok(Appended::NotOpen)
-            }
-            _ => {}
-        }
+            (RecordKind::Open, None) => Live::opened(payload),
+            (_, None) => return Ok(Appended::NotOpen),
+            (RecordKind::Frame, Some(&l)) => l.framed(),
+            (_, Some(&l)) => l,
+        };
+        let seq = match kind {
+            RecordKind::Close => 0,
+            _ => live.seq,
+        };
+        let record = encode_log_record(session, seq, kind, payload);
         let len = record.len() as u64;
         let full = st
             .head
@@ -318,15 +395,11 @@ impl Wal {
         head.last_lsn = lsn;
         head.note(session, seq, kind);
         let mut collect = full;
-        match kind {
-            RecordKind::Open => {
-                st.live.insert(session, 0);
-            }
-            RecordKind::Frame | RecordKind::Snapshot => {}
-            RecordKind::Close => {
-                st.live.remove(&session);
-                collect |= st.holds_sealed(session);
-            }
+        if kind == RecordKind::Close {
+            st.live.remove(&session);
+            collect |= st.holds_sealed(session);
+        } else {
+            st.live.insert(session, live);
         }
         let commit = match self.fsync {
             FsyncPolicy::Always => true,
@@ -342,6 +415,7 @@ impl Wal {
         };
         Ok(Appended::Written {
             lsn,
+            live,
             commit,
             collect,
         })
@@ -415,15 +489,14 @@ impl Wal {
             .any(|s| s.name == name)
     }
 
-    /// The session's snapshot record is durable, and its previous
-    /// snapshot covers `floor`: records before that one are no longer
-    /// needed. Whether collection may have work (the session has a
-    /// record in a sealed segment).
-    pub(crate) fn snapshot_taken(&self, session: u64, floor: u64) -> bool {
+    /// The session's snapshot record covering `seq` is durable (see
+    /// [`Live::snapshotted`]). Whether collection may have work (the
+    /// session has a record in a sealed segment).
+    pub(crate) fn snapshot_taken(&self, session: u64, seq: u64) -> bool {
         let mut st = lock_recover(&self.state);
         match st.live.get_mut(&session) {
-            Some(f) => {
-                *f = (*f).max(floor);
+            Some(live) => {
+                live.snapshotted(seq);
                 st.holds_sealed(session)
             }
             None => false,
@@ -476,7 +549,7 @@ impl Wal {
     }
 
     fn copy_forward(&self, metrics: &PersistMetrics) -> io::Result<()> {
-        let (inputs, live, out_key) = {
+        let (inputs, floors, out_key) = {
             let st = lock_recover(&self.state);
             let settled = st.sealed.iter().take_while(|s| self.settled(s)).count();
             if settled <= MERGE_AFTER {
@@ -489,13 +562,14 @@ impl Wal {
             let last = &st.sealed[settled - 1];
             // Liveness only shrinks and floors only rise while the copy
             // runs, so this view keeps a superset of what is needed.
-            (inputs, st.live.clone(), (last.number, last.generation + 1))
+            let floors: HashMap<u64, u64> = st.live.iter().map(|(&id, l)| (id, l.floor)).collect();
+            (inputs, floors, (last.number, last.generation + 1))
         };
         let mut out = Segment::new(out_key.0, out_key.1, false);
         // A copy an earlier failed attempt left behind must not prefix
         // this one.
         self.storage.remove(&out.name)?;
-        match self.write_copy(&inputs, &live, &mut out) {
+        match self.write_copy(&inputs, &floors, &mut out) {
             Ok(copied) => metrics.copied_records.add(copied),
             Err(e) => {
                 let _ = self.storage.remove(&out.name);
@@ -524,7 +598,7 @@ impl Wal {
     fn write_copy(
         &self,
         inputs: &[String],
-        live: &HashMap<u64, u64>,
+        floors: &HashMap<u64, u64>,
         out: &mut Segment,
     ) -> io::Result<u64> {
         let mut buf = Vec::with_capacity(COPY_CHUNK);
@@ -535,7 +609,7 @@ impl Wal {
                 // The inputs are the oldest segments, and no record of a
                 // closed session in them is copied: no close record is
                 // needed after them.
-                if !needed(live, r.session, r.seq, r.kind, || false) {
+                if !needed(floors, r.session, r.seq, r.kind, || false) {
                     continue;
                 }
                 buf.extend_from_slice(&encode_log_record(r.session, r.seq, r.kind, &r.payload));

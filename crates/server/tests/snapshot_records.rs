@@ -204,3 +204,83 @@ fn a_session_file_of_an_older_layout_fails_recovery_by_name() {
         );
     }
 }
+
+/// The `snapshots` count `persist_stats` reports.
+fn snapshots(service: &Service) -> f64 {
+    call(service, r#"{"op":"persist_stats"}"#)
+        .get("snapshots")
+        .and_then(Json::as_num)
+        .unwrap()
+}
+
+#[test]
+fn sequence_and_snapshot_cadence_carry_across_two_restarts() {
+    // Two sessions, `1` and `2`, six mutations each, one of which fails
+    // (a duplicate schema): a failed verb is logged and counts towards
+    // the cadence like any other.
+    let mutations = |sid: &str| -> Vec<String> {
+        let add = |k: usize| {
+            format!(
+                r#"{{"op":"add_schema","session":"{sid}","ddl":"schema s{k} {{ entity E{k} {{ key{k}: int key; }} }}"}}"#
+            )
+        };
+        vec![
+            add(0),
+            add(1),
+            format!(r#"{{"op":"equiv","session":"{sid}","a":"s0.E0.key0","b":"s1.E1.key1"}}"#),
+            add(0),
+            format!(
+                r#"{{"op":"assert","session":"{sid}","a":"s0.E0","b":"s1.E1","assertion":"equals"}}"#
+            ),
+            add(2),
+        ]
+    };
+    let (a, b) = (mutations("1"), mutations("2"));
+    // Odd and even counts in every process, across snapshot boundaries.
+    let phases = [[&a[..3], &b[..2]], [&a[3..5], &b[2..5]], [&a[5..], &b[5..]]];
+    let feed = |service: &Service, phase: &[&[String]; 2]| -> Vec<String> {
+        let mut replies = Vec::new();
+        for line in phase.iter().flat_map(|frames| frames.iter()) {
+            replies.push(service.handle_line(line).frame);
+        }
+        replies
+    };
+
+    let reference = durable(Arc::new(MemStorage::new()), 8, 256).unwrap();
+    assert_eq!(open(&reference), "1");
+    assert_eq!(open(&reference), "2");
+    let mut want = Vec::new();
+    for phase in &phases {
+        want.extend(feed(&reference, phase));
+    }
+
+    // Three processes over one storage, each driving one phase; a
+    // fourth only recovers.
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let mut got = Vec::new();
+    let mut snapshot_total = 0.0;
+    for (i, phase) in phases.iter().enumerate() {
+        let service = durable(Arc::clone(&storage), 8, 256).unwrap();
+        if i == 0 {
+            assert_eq!(open(&service), "1");
+            assert_eq!(open(&service), "2");
+        } else {
+            assert_eq!(service.store().len(), 2, "both sessions recovered");
+        }
+        got.extend(feed(&service, phase));
+        snapshot_total += snapshots(&service);
+    }
+    assert_eq!(got, want, "every reply matches the uninterrupted service");
+    let failed = want.iter().filter(|r| r.starts_with(r#"{"ok":false"#));
+    assert_eq!(failed.count(), 2, "the duplicate schema fails: {want:?}");
+    assert_eq!(snapshots(&reference), 6.0);
+    assert_eq!(snapshot_total, snapshots(&reference));
+    let recovered = durable(storage, 8, 256).unwrap();
+    for sid in ["1", "2"] {
+        assert_eq!(
+            save(&recovered, sid),
+            save(&reference, sid),
+            "session {sid}"
+        );
+    }
+}

@@ -17,8 +17,8 @@ cargo build --release --workspace --all-targets
 echo "== cargo test -q (offline) =="
 cargo test -q --workspace
 
-echo "== cargo clippy on the server, core and obs crates (warnings are errors) =="
-cargo clippy --offline -p sit-server -p sit-core -p sit-obs --all-targets -- -D warnings
+echo "== cargo clippy on the whole workspace, every target (warnings are errors) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== benchmark's own tests (perfbench correctness gate) =="
 # perfbench is a workspace of its own, so the step above does not reach

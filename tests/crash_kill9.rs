@@ -9,7 +9,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -74,7 +73,7 @@ fn connect(addr: &str) -> TcpStream {
 
 #[test]
 fn sigkill_mid_session_recovers_acknowledged_state_byte_for_byte() {
-    let dir = PathBuf::from(std::env::temp_dir()).join(format!("sit_kill9_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sit_kill9_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create data dir");
 
