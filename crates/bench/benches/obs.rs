@@ -5,6 +5,7 @@
 //! round trip sits alongside the fault decorator's ~3% (B8): both
 //! decorators together must stay cheap enough to leave on.
 
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 use sit_bench::harness::Bench;
@@ -14,7 +15,7 @@ use sit_obs::MonotonicClock;
 use sit_server::server::{Gate, Server, ServerConfig};
 use sit_server::store::StoreConfig;
 use sit_server::wire::{FrameBuffer, Framed};
-use sit_server::{serve_connection, sim_pair, Client, Service, Transport};
+use sit_server::{serve_connection, sim_pair, Client, Service};
 
 const PINGS: usize = 32;
 

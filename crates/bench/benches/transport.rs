@@ -4,14 +4,15 @@
 //! chaos-suite wall-times can be read as scenario work rather than
 //! harness overhead.
 
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 use sit_bench::harness::Bench;
-use sit_server::fault::{EventLog, FaultConfig, FaultPlan, FaultedTransport, VirtualClock};
+use sit_server::fault::{EventLog, FaultConfig, FaultPlan, FaultedTransport};
 use sit_server::server::Gate;
 use sit_server::store::StoreConfig;
 use sit_server::wire::{FrameBuffer, Framed};
-use sit_server::{serve_connection, sim_pair, Service, Transport};
+use sit_server::{serve_connection, sim_pair, Service};
 
 const PINGS: usize = 32;
 
@@ -34,7 +35,7 @@ fn roundtrip(service: &Arc<Service>, gate: &Arc<Gate>, fault_seed: Option<u64>) 
                 0,
                 FaultPlan::new(seed, cfg),
                 EventLog::new(),
-                VirtualClock::new(),
+                Arc::default(),
             );
             serve_connection(faulted, &service, &gate);
         }

@@ -71,13 +71,6 @@ pub struct DriveStats {
     pub conflicts: usize,
 }
 
-impl DriveStats {
-    /// Total questions the DDA had to answer.
-    pub fn total_questions(&self) -> usize {
-        self.attr_questions + self.object_questions
-    }
-}
-
 /// The outcome of [`drive_session`].
 pub struct Driven {
     /// The populated session (ready for `integrate`).

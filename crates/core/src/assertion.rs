@@ -336,22 +336,6 @@ impl Assertion {
             other => other,
         }
     }
-
-    /// Menu wording as printed on Screen 8.
-    pub fn menu_label(self) -> &'static str {
-        match self {
-            Assertion::Equal => "OB_CL_name_1 'equals' OB_CL_name_2",
-            Assertion::ContainedIn => "OB_CL_name_1 'contained in' OB_CL_name_2",
-            Assertion::Contains => "OB_CL_name_1 'contains' OB_CL_name_2",
-            Assertion::DisjointIntegrable => {
-                "OB_CL_name_1 and OB_CL_name_2 are disjoint but integratable"
-            }
-            Assertion::MayBe => "OB_CL_name_1 and OB_CL_name_2 may be integratable",
-            Assertion::DisjointNonIntegrable => {
-                "OB_CL_name_1 and OB_CL_name_2 are disjoint & non-integratable"
-            }
-        }
-    }
 }
 
 impl fmt::Display for Assertion {

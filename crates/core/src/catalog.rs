@@ -129,11 +129,6 @@ impl Catalog {
             .map(|i| SchemaId::new(i as u32))
     }
 
-    /// All schema ids in registration order.
-    pub fn schema_ids(&self) -> impl Iterator<Item = SchemaId> {
-        (0..self.schemas.len() as u32).map(SchemaId::new)
-    }
-
     /// Iterate `(id, schema)` pairs.
     pub fn schemas(&self) -> impl Iterator<Item = (SchemaId, &Schema)> {
         self.schemas

@@ -203,15 +203,6 @@ impl IntegratedSchema {
             .filter(|(_, o)| matches!(o, NodeOrigin::DerivedSuper { .. }))
             .map(|(i, _)| ObjectId::new(i as u32))
     }
-
-    /// Objects whose origin is an `E_` merge.
-    pub fn equivalent_objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.object_origin
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o, NodeOrigin::Merged(_)))
-            .map(|(i, _)| ObjectId::new(i as u32))
-    }
 }
 
 /// Value of `key` in a table sorted by key.

@@ -2,11 +2,11 @@
 //!
 //! Everything in this crate reads time through the [`Clock`] trait so a
 //! caller can decide what "now" means: wall-clock monotonic nanoseconds
-//! in production ([`MonotonicClock`]), a hand-cranked counter in tests
-//! ([`ManualClock`]), or the fault layer's virtual clock under chaos
-//! schedules — which is the point: timing fields rendered through an
-//! injected clock are a pure function of the schedule, not of the host,
-//! so byte-traced workloads can include them.
+//! in production ([`MonotonicClock`]), or a hand-cranked counter in
+//! tests ([`ManualClock`]), which a fault layer's injected delays can
+//! advance under chaos schedules — which is the point: timing fields
+//! rendered through an injected clock are a pure function of the
+//! schedule, not of the host, so byte-traced workloads can include them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

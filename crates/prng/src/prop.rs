@@ -3,7 +3,7 @@
 //!
 //! A property is a closure from a fresh [`Xoshiro256pp`] to
 //! `Result<(), String>`; the closure draws whatever inputs it needs and
-//! fails by returning an `Err` (usually via [`prop_assert!`] /
+//! fails by returning an `Err` (usually via [`prop_assert!`](crate::prop_assert) /
 //! [`prop_assert_eq!`](crate::prop_assert_eq)). The runner derives one
 //! seed per case from a fixed base seed through [`SplitMix64`], so:
 //!

@@ -9,13 +9,16 @@
 //!
 //! * every socket read/write carries a configurable timeout
 //!   ([`ClientConfig::timeout`]);
+//! * a call that fails on I/O (a timeout, a reset, EOF) drops its
+//!   connection, and the next call dials afresh: a late or torn reply
+//!   left in the old socket can never answer a later request;
 //! * [`Client::call_retrying`] retries transport failures and
 //!   `overloaded` rejections with jittered exponential backoff
-//!   ([`RetryPolicy`]), reconnecting when the connection died — but
-//!   **only for idempotent verbs** ([`Request::is_idempotent`]). A
-//!   non-idempotent request (`open`, `assert`, `integrate`, ...) that
-//!   fails mid-flight may or may not have executed; replaying it could
-//!   double-apply, so the error is surfaced to the caller instead.
+//!   ([`RetryPolicy`]) — but **only for idempotent verbs**
+//!   ([`Request::is_idempotent`]). A non-idempotent request (`open`,
+//!   `assert`, `integrate`, ...) that fails mid-flight may or may not
+//!   have executed; replaying it could double-apply, so the error is
+//!   surfaced to the caller instead.
 //!
 //! The jittered delay never exceeds [`RetryPolicy::cap`]: jitter is
 //! *subtracted* from the capped exponential step, spreading retries out
@@ -97,8 +100,9 @@ impl Default for ClientConfig {
 
 /// A connected client.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// The connection; `None` after an I/O error, until the next call
+    /// dials again.
+    conn: Option<BufReader<TcpStream>>,
     addr: SocketAddr,
     config: ClientConfig,
     jitter_rng: Xoshiro256pp,
@@ -115,10 +119,9 @@ impl Client {
         let mut last_err = None;
         for candidate in addr.to_socket_addrs()? {
             match open_stream(candidate, &config) {
-                Ok((reader, writer)) => {
+                Ok(conn) => {
                     return Ok(Client {
-                        reader,
-                        writer,
+                        conn: Some(conn),
                         addr: candidate,
                         config,
                         jitter_rng: Xoshiro256pp::seed_from_u64(config.retry.seed),
@@ -140,20 +143,26 @@ impl Client {
         &self.config
     }
 
-    /// Drop the current connection and dial the same address again.
-    pub fn reconnect(&mut self) -> std::io::Result<()> {
-        let (reader, writer) = open_stream(self.addr, &self.config)?;
-        self.reader = reader;
-        self.writer = writer;
-        Ok(())
+    /// Send one raw frame and read the raw response line, dialing first
+    /// if an earlier call dropped the connection. Any I/O error drops it.
+    pub fn call_raw(&mut self, frame: &str) -> std::io::Result<String> {
+        let outcome = self.exchange(frame);
+        if outcome.is_err() {
+            self.conn = None;
+        }
+        outcome
     }
 
-    /// Send one raw frame and read the raw response line.
-    pub fn call_raw(&mut self, frame: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{frame}")?;
-        self.writer.flush()?;
+    fn exchange(&mut self, frame: &str) -> std::io::Result<String> {
+        let conn = match &mut self.conn {
+            Some(conn) => conn,
+            None => self.conn.insert(open_stream(self.addr, &self.config)?),
+        };
+        let stream = conn.get_mut();
+        writeln!(stream, "{frame}")?;
+        stream.flush()?;
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        let n = conn.read_line(&mut line)?;
         if n == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -177,7 +186,7 @@ impl Client {
     /// [`Client::call`] with bounded retry for idempotent verbs.
     ///
     /// Retried conditions: transport errors (timeout, reset, EOF — the
-    /// connection is re-dialed first) and the server's `overloaded`
+    /// retry dials a fresh connection) and the server's `overloaded`
     /// backpressure rejection. Each retry waits
     /// [`RetryPolicy::delay`]; attempts stop after
     /// [`RetryPolicy::retries`] and the last outcome is returned.
@@ -203,17 +212,6 @@ impl Client {
             }
             let delay = self.config.retry.delay(attempt, &mut self.jitter_rng);
             std::thread::sleep(delay);
-            if outcome.is_err() {
-                // The connection is likely dead (EOF poisons the reader's
-                // buffer position anyway); re-dial before retrying. If
-                // the server is still down this errors and we keep
-                // retrying until the budget runs out.
-                if let Err(e) = self.reconnect() {
-                    if attempt + 1 >= budget {
-                        return Err(e);
-                    }
-                }
-            }
             attempt += 1;
         }
     }
@@ -233,10 +231,8 @@ impl Client {
     }
 }
 
-fn open_stream(
-    addr: SocketAddr,
-    config: &ClientConfig,
-) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+/// Dial `addr`; requests are written through the reader's inner stream.
+fn open_stream(addr: SocketAddr, config: &ClientConfig) -> std::io::Result<BufReader<TcpStream>> {
     let stream = match config.timeout {
         Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
         None => TcpStream::connect(addr)?,
@@ -244,8 +240,7 @@ fn open_stream(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(config.timeout)?;
     stream.set_write_timeout(config.timeout)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok((reader, stream))
+    Ok(BufReader::new(stream))
 }
 
 /// The typed error code of a response frame, if it is an error.

@@ -1,8 +1,8 @@
-//! Seeded fault injection over any [`Transport`].
+//! Seeded fault injection over any byte stream and any [`Storage`].
 //!
-//! [`FaultedTransport`] wraps a transport and perturbs the byte streams
-//! crossing it: reads are split at planned offsets, truncated, or cut
-//! dead; writes are shortened, stalled, or dropped mid-frame. Every
+//! [`FaultedTransport`] wraps a [`Read`] + [`Write`] stream and perturbs
+//! the bytes crossing it: reads are split at planned offsets, truncated,
+//! or cut dead; writes are shortened, stalled, or dropped mid-frame. Every
 //! decision comes from a [`FaultPlan`] — two forked `sit_prng` streams
 //! (one per direction) that draw *segment boundaries in the byte stream*,
 //! never per-call randomness. A read of 7 bytes in one call or seven
@@ -10,10 +10,13 @@
 //! event trace is a pure function of `(seed, bytes transferred)`: the
 //! property `scripts/verify.sh chaos` checks by diffing two runs.
 //!
-//! Time is virtual: a "delay" advances a shared [`VirtualClock`] and is
+//! Time is virtual: a "delay" advances a shared [`ManualClock`] and is
 //! recorded in the [`EventLog`]; nothing sleeps. Frozen time makes
 //! thousand-event schedules replay in microseconds and keeps wall-clock
-//! jitter out of the trace.
+//! jitter out of the trace. Build the [`crate::Service::with_clock`]
+//! under test over the same clock and every timing field (span
+//! timestamps, latencies, `stats` uptime) and every session TTL becomes
+//! a pure function of the schedule.
 //!
 //! Connection drops are cooperative: the plan carries an optional drop
 //! offset per direction, and on reaching it the transport invokes a
@@ -21,51 +24,19 @@
 //! cut immediately — no thread is ever left blocked on a half-dead pipe.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use sit_obs::clock::ManualClock;
 use sit_obs::sync::lock_recover;
 use sit_obs::trace::Tracer;
 use sit_prng::Xoshiro256pp;
 
 use crate::storage::Storage;
-use crate::transport::{Interrupter, Transport};
 
-/// Milliseconds of simulated time, advanced only by injected delays.
-///
-/// Clones share the clock. Starts frozen at zero.
-#[derive(Clone, Default)]
-pub struct VirtualClock(Arc<AtomicU64>);
-
-impl VirtualClock {
-    /// A clock frozen at t=0.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// Current simulated time in ms.
-    pub fn now_ms(&self) -> u64 {
-        self.0.load(Ordering::SeqCst)
-    }
-
-    /// Advance simulated time.
-    pub fn advance_ms(&self, ms: u64) {
-        self.0.fetch_add(ms, Ordering::SeqCst);
-    }
-}
-
-/// Virtual time as a trace/metrics clock: build a
-/// [`crate::Service::with_clock`] over the same clock the fault plans
-/// advance, and every timing field (span timestamps, latencies,
-/// `stats` uptime) becomes a pure function of the schedule — which is
-/// what lets byte-traced chaos workloads include `stats` and
-/// `trace_dump`.
-impl sit_obs::clock::Clock for VirtualClock {
-    fn now_ns(&self) -> u64 {
-        self.now_ms().saturating_mul(1_000_000)
-    }
-}
+/// Nanoseconds in one of the fault plans' virtual milliseconds.
+const NS_PER_MS: u64 = 1_000_000;
 
 /// One injected perturbation, tagged with the connection label and the
 /// byte offset (per direction) where it fired.
@@ -341,28 +312,28 @@ impl FaultPlan {
     }
 }
 
-/// A [`Transport`] decorator that applies a [`FaultPlan`] to the byte
-/// streams of an inner transport, recording every injected event.
-pub struct FaultedTransport<T: Transport> {
+/// A byte-stream decorator that applies a [`FaultPlan`] to the reads and
+/// writes of an inner stream, recording every injected event.
+pub struct FaultedTransport<T> {
     inner: T,
     conn: u32,
     plan: FaultPlan,
     log: EventLog,
-    clock: VirtualClock,
+    clock: Arc<ManualClock>,
     /// Invoked once when either direction is cut, so the peer observes
     /// the drop instead of blocking on a half-dead pipe.
     kill: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
-impl<T: Transport> FaultedTransport<T> {
+impl<T> FaultedTransport<T> {
     /// Wrap `inner` with the given plan. `conn` labels this connection
-    /// in the shared log.
+    /// in the shared log; injected delays advance `clock`.
     pub fn new(
         inner: T,
         conn: u32,
         plan: FaultPlan,
         log: EventLog,
-        clock: VirtualClock,
+        clock: Arc<ManualClock>,
     ) -> FaultedTransport<T> {
         FaultedTransport {
             inner,
@@ -387,7 +358,7 @@ impl<T: Transport> FaultedTransport<T> {
     }
 }
 
-impl<T: Transport> Transport for FaultedTransport<T> {
+impl<T: Read> Read for FaultedTransport<T> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.plan.read.dropped {
             return Ok(0);
@@ -415,7 +386,7 @@ impl<T: Transport> Transport for FaultedTransport<T> {
         if let Some(delay_ms) = self.plan.read.advance(n) {
             let at = self.plan.read.offset;
             if delay_ms > 0 {
-                self.clock.advance_ms(delay_ms);
+                self.clock.advance_ns(delay_ms * NS_PER_MS);
                 self.log.push(FaultEvent::ReadDelay {
                     conn: self.conn,
                     at,
@@ -430,7 +401,9 @@ impl<T: Transport> Transport for FaultedTransport<T> {
         }
         Ok(n)
     }
+}
 
+impl<T: Write> Write for FaultedTransport<T> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if self.plan.write.dropped {
             return Err(io::Error::new(
@@ -463,7 +436,7 @@ impl<T: Transport> Transport for FaultedTransport<T> {
         if let Some(delay_ms) = self.plan.write.advance(allowed) {
             let at = self.plan.write.offset;
             if delay_ms > 0 {
-                self.clock.advance_ms(delay_ms);
+                self.clock.advance_ns(delay_ms * NS_PER_MS);
                 self.log.push(FaultEvent::WriteDelay {
                     conn: self.conn,
                     at,
@@ -485,10 +458,6 @@ impl<T: Transport> Transport for FaultedTransport<T> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-
-    fn interrupter(&self) -> Interrupter {
-        self.inner.interrupter()
     }
 }
 
@@ -648,8 +617,9 @@ impl Storage for FaultedStorage {
 mod tests {
     use super::*;
     use crate::transport::sim_pair;
+    use sit_obs::clock::Clock;
 
-    fn drain(t: &mut impl Transport) -> Vec<u8> {
+    fn drain(t: &mut impl Read) -> Vec<u8> {
         let mut out = Vec::new();
         let mut buf = [0u8; 64];
         loop {
@@ -671,7 +641,7 @@ mod tests {
             drop(tx);
             let log = EventLog::new();
             let plan = FaultPlan::new(7, FaultConfig::default());
-            let mut faulted = FaultedTransport::new(rx, 1, plan, log.clone(), VirtualClock::new());
+            let mut faulted = FaultedTransport::new(rx, 1, plan, log.clone(), Arc::default());
             let mut got = Vec::new();
             let mut buf = vec![0u8; chunk];
             loop {
@@ -703,13 +673,8 @@ mod tests {
             ..FaultConfig::default()
         };
         let log = EventLog::new();
-        let mut faulted = FaultedTransport::new(
-            rx,
-            2,
-            FaultPlan::new(1, cfg),
-            log.clone(),
-            VirtualClock::new(),
-        );
+        let mut faulted =
+            FaultedTransport::new(rx, 2, FaultPlan::new(1, cfg), log.clone(), Arc::default());
         let got = drain(&mut faulted);
         assert_eq!(got, b"0123", "exactly drop_at bytes delivered");
         assert_eq!(
@@ -736,7 +701,7 @@ mod tests {
             3,
             FaultPlan::new(1, cfg),
             log.clone(),
-            VirtualClock::new(),
+            Arc::default(),
         )
         .on_kill(move || {
             killed2.fetch_add(1, Ordering::SeqCst);
@@ -820,7 +785,7 @@ mod tests {
 
     #[test]
     fn delays_advance_virtual_time_only() {
-        let clock = VirtualClock::new();
+        let clock = Arc::new(ManualClock::new());
         let (mut tx, rx) = sim_pair();
         let payload = vec![b'x'; 4096];
         tx.write_all(&payload).unwrap();
@@ -833,8 +798,13 @@ mod tests {
             ..FaultConfig::default()
         };
         let log = EventLog::new();
-        let mut faulted =
-            FaultedTransport::new(rx, 4, FaultPlan::new(9, cfg), log.clone(), clock.clone());
+        let mut faulted = FaultedTransport::new(
+            rx,
+            4,
+            FaultPlan::new(9, cfg),
+            log.clone(),
+            Arc::clone(&clock),
+        );
         let wall = std::time::Instant::now();
         let got = drain(&mut faulted);
         assert_eq!(got.len(), payload.len());
@@ -847,7 +817,11 @@ mod tests {
             })
             .sum();
         assert!(advanced > 0, "100% delay chance must inject delays");
-        assert_eq!(clock.now_ms(), advanced, "clock tracks injected delays");
+        assert_eq!(
+            clock.now_ns(),
+            advanced * NS_PER_MS,
+            "clock tracks injected delays"
+        );
         assert!(
             wall.elapsed() < std::time::Duration::from_millis(advanced),
             "virtual delays must not sleep for real"

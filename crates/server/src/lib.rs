@@ -11,8 +11,9 @@
 //! * [`proto`] — the request/response vocabulary: 23 verbs covering the
 //!   whole session façade plus observability (`stats`, `metrics_text`,
 //!   `trace_dump`, `persist_stats`), typed error codes;
-//! * [`store`] — a bounded [`store::SessionStore`] with LRU + TTL
-//!   eviction and per-session locking;
+//! * [`store`] — a bounded [`store::SessionStore`] with per-session
+//!   locking, evicting by use order (LRU) and by idle time on the
+//!   service's clock (TTL);
 //! * [`storage`] — the flat-file storage abstraction under the
 //!   persistence layer, append-only: a real directory
 //!   ([`storage::DirStorage`], file and directory fsync) and an
@@ -32,17 +33,19 @@
 //!   malformed input), traced per request (`request` →
 //!   `parse`/`dispatch`/`encode` spans plus engine spans) into a
 //!   bounded ring served by `trace_dump` as Chrome trace JSON;
-//! * [`transport`] — the byte-stream abstraction the serving loop runs
-//!   on: real TCP and an in-memory simulated connection;
-//! * [`fault`] — seeded, deterministic fault injection over any
-//!   transport (torn frames, stalls, drops, virtual time) and any
-//!   storage (torn writes, short writes, byte-offset crash points),
-//!   the engine of the chaos test suites;
+//! * [`transport`] — an in-memory simulated connection, a
+//!   `std::io::Read + Write` stream like the TCP sockets it stands in
+//!   for;
+//! * [`fault`] — seeded, deterministic fault injection over any byte
+//!   stream (torn frames, stalls, drops, virtual time on a shared
+//!   `sit_obs::clock::ManualClock`) and any storage (torn writes, short
+//!   writes, byte-offset crash points), the engine of the chaos test
+//!   suites;
 //! * [`server`] — TCP (`sit serve`) and stdio (`sit serve --stdio`)
-//!   serving with graceful draining shutdown, generic over [`transport`]:
-//!   each TCP connection runs its requests on its own thread behind a
-//!   bounded admission [`server::Gate`] that answers `overloaded` when
-//!   its slots and queue are full, instead of blocking;
+//!   serving with graceful draining shutdown over any `Read + Write`
+//!   stream: each TCP connection runs its requests on its own thread
+//!   behind a bounded admission [`server::Gate`] that answers
+//!   `overloaded` when its slots and queue are full, instead of blocking;
 //! * [`client`] — the blocking client used by `sit client`, the tests,
 //!   and the `loadgen` bench, with configurable timeouts and bounded
 //!   jittered retry for idempotent verbs.
@@ -89,5 +92,5 @@ pub use server::{
 pub use service::Service;
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use store::{SessionStore, StoreConfig};
-pub use transport::{sim_pair, SimConn, TcpTransport, Transport};
+pub use transport::{sim_pair, SimConn};
 pub use wire::Json;

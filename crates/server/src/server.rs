@@ -10,7 +10,8 @@
 //! `queue_cap` more wait for a slot, and a request beyond that is
 //! answered with the typed `overloaded` error immediately.
 //!
-//! The server keeps one read interrupter per *live* connection; a
+//! Accepted sockets run with Nagle off. The server keeps a second handle
+//! on each *live* connection's socket, to shut its read side at drain; a
 //! connection removes its own entry when its thread ends, so sockets and
 //! thread handles are released as clients hang up, not at shutdown.
 //!
@@ -28,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -41,7 +42,6 @@ use crate::proto::{ErrorCode, ServerError};
 use crate::service::Service;
 use crate::storage::{DirStorage, Storage};
 use crate::store::StoreConfig;
-use crate::transport::{Interrupter, TcpTransport, Transport};
 use crate::wire::{FrameBuffer, Framed};
 
 /// Where and how the server persists sessions.
@@ -152,15 +152,19 @@ impl Server {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            let transport = TcpTransport::new(stream);
-            let registration = Registration::new(&live, id, transport.interrupter());
+            // A connection drain could not unblock would wedge it, so
+            // one without a second handle is not served.
+            let Ok(second) = accepted(&stream) else {
+                continue;
+            };
+            let registration = Registration::new(&live, id, second);
             let service = Arc::clone(&service);
             let gate = Arc::clone(&gate);
             let handle = std::thread::Builder::new()
                 .name("sit-conn".into())
                 .spawn(move || {
                     let _registration = registration;
-                    serve_connection(transport, &service, &gate);
+                    serve_connection(stream, &service, &gate);
                 })
                 .expect("spawn connection thread");
             // Let go of connections that have ended, so the handles
@@ -173,8 +177,8 @@ impl Server {
         // are written by the connection threads)...
         gate.drain();
         // ...then unblock any reader still waiting for a next request.
-        for interrupter in lock_recover(&live).values() {
-            interrupter.interrupt();
+        for socket in lock_recover(&live).values() {
+            let _ = socket.shutdown(Shutdown::Read);
         }
         for handle in conn_threads {
             let _ = handle.join();
@@ -228,22 +232,33 @@ impl ServerHandle {
     }
 }
 
-/// The read interrupters of the server's live connections, by accept
+/// Ready an accepted socket to serve, and return a second handle on it,
+/// whose read-shutdown unblocks the connection's reader at drain.
+///
+/// Nagle goes off: one small response frame per request means waiting
+/// to coalesce (Nagle + delayed ACK) would add ~40ms to every round
+/// trip.
+fn accepted(stream: &TcpStream) -> std::io::Result<TcpStream> {
+    let _ = stream.set_nodelay(true);
+    stream.try_clone()
+}
+
+/// Second handles on the server's live connections' sockets, by accept
 /// order.
-type LiveConnections = Mutex<HashMap<usize, Interrupter>>;
+type LiveConnections = Mutex<HashMap<usize, TcpStream>>;
 
 /// One connection's entry in [`LiveConnections`]. Dropping it (when the
 /// connection's thread ends, by return or by unwinding) removes the
-/// entry and with it the interrupter's handle on the socket, so the
-/// server holds sockets only for connections that are still open.
+/// entry and with it the second handle on the socket, so the server
+/// holds sockets only for connections that are still open.
 struct Registration {
     live: Arc<LiveConnections>,
     id: usize,
 }
 
 impl Registration {
-    fn new(live: &Arc<LiveConnections>, id: usize, interrupter: Interrupter) -> Registration {
-        lock_recover(live).insert(id, interrupter);
+    fn new(live: &Arc<LiveConnections>, id: usize, socket: TcpStream) -> Registration {
+        lock_recover(live).insert(id, socket);
         Registration {
             live: Arc::clone(live),
             id,
@@ -358,18 +373,19 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Serve one connection over any [`Transport`] until the peer hangs up
-/// (EOF), a write fails, or an unrecoverable frame arrives.
+/// Serve one connection over any [`Read`] + [`Write`] byte stream until
+/// the peer hangs up (EOF), a read or write fails, or an unrecoverable
+/// frame arrives.
 ///
 /// This is the loop both the TCP acceptor and the simulated/chaos
-/// transports run: bytes are reassembled into newline-delimited frames by
+/// connections run: bytes are reassembled into newline-delimited frames by
 /// a [`FrameBuffer`] (so torn and coalesced reads behave identically on
-/// every transport), each frame executes on the calling thread once
+/// every stream), each frame executes on the calling thread once
 /// `gate` admits it, and the response is written back in request order.
 /// A frame that exceeds [`crate::wire::MAX_LINE`] without a newline gets
 /// a typed `parse` error and the connection is closed — there is no way
 /// to resynchronize a stream mid-flood.
-pub fn serve_connection<T: Transport>(mut transport: T, service: &Service, gate: &Gate) {
+pub fn serve_connection(mut conn: impl Read + Write, service: &Service, gate: &Gate) {
     let tracer = service.tracer().clone();
     tracer.instant("accept");
     let mut frames = FrameBuffer::new();
@@ -379,7 +395,7 @@ pub fn serve_connection<T: Transport>(mut transport: T, service: &Service, gate:
             let line = match framed {
                 Framed::Line(line) => line,
                 Framed::Overflow => {
-                    let _ = write_frame(&mut transport, &overflow_frame());
+                    let _ = write_frame(&mut conn, &overflow_frame());
                     return;
                 }
             };
@@ -396,13 +412,13 @@ pub fn serve_connection<T: Transport>(mut transport: T, service: &Service, gate:
             };
             let written = {
                 let _write = tracer.span("write");
-                write_frame(&mut transport, &response)
+                write_frame(&mut conn, &response)
             };
             if written.is_err() {
                 return;
             }
         }
-        match transport.read(&mut chunk) {
+        match conn.read(&mut chunk) {
             Ok(0) | Err(_) => return, // disconnect (or drain unblocked us)
             Ok(n) => frames.push(&chunk[..n]),
         }
@@ -410,12 +426,12 @@ pub fn serve_connection<T: Transport>(mut transport: T, service: &Service, gate:
 }
 
 /// Write one response frame (payload + newline) and flush it.
-fn write_frame<T: Transport>(transport: &mut T, frame: &str) -> std::io::Result<()> {
+fn write_frame(conn: &mut impl Write, frame: &str) -> std::io::Result<()> {
     let mut out = Vec::with_capacity(frame.len() + 1);
     out.extend_from_slice(frame.as_bytes());
     out.push(b'\n');
-    transport.write_all(&out)?;
-    transport.flush()
+    conn.write_all(&out)?;
+    conn.flush()
 }
 
 /// The typed `parse` error answering a frame that reached
@@ -643,6 +659,16 @@ mod tests {
         drop(gate.enter().expect("the slot came back"));
         // And the drain does not wedge waiting for the lost request.
         gate.drain();
+    }
+
+    #[test]
+    fn accepted_sockets_run_without_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let handle = accepted(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
+        assert!(handle.nodelay().unwrap(), "one socket behind both handles");
     }
 
     #[test]

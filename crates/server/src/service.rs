@@ -12,11 +12,12 @@
 //! the scoped current tracer, whatever engine spans the dispatched
 //! verb emits — `ocs.*`, `closure.assert`, `integrate`, ...). A
 //! client-supplied `trace_id` on the frame is attached to the request
-//! span. All timing — spans, latency metrics, `stats` uptime — reads
-//! one injected [`Clock`], so a service built over a virtual clock
-//! ([`Service::with_clock`]) produces byte-deterministic timing fields
-//! under deterministic schedules; this is what lets the chaos suite
-//! keep `stats` in byte-traced workloads.
+//! span. All timing — spans, latency metrics, `stats` uptime, session
+//! TTLs, the log — reads one injected [`Clock`], so a service built over
+//! a hand-advanced clock ([`Service::with_clock`]) produces
+//! byte-deterministic timing fields and expiries under deterministic
+//! schedules; this is what lets the chaos suite keep `stats` in
+//! byte-traced workloads and expire sessions without sleeping.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,12 +76,13 @@ impl Service {
         Service::with_clock(store_config, Arc::new(MonotonicClock::new()))
     }
 
-    /// Service whose spans, latencies, and uptime all read `clock` —
-    /// inject [`crate::fault::VirtualClock`] for deterministic timing
-    /// fields under chaos schedules.
+    /// Service whose spans, latencies, uptime and session TTLs all read
+    /// `clock` — inject a [`sit_obs::clock::ManualClock`], shared with
+    /// the fault layer's delays, for deterministic timing fields and
+    /// expiries under chaos schedules.
     pub fn with_clock(store_config: StoreConfig, clock: Arc<dyn Clock>) -> Service {
         Service {
-            store: SessionStore::new(store_config),
+            store: SessionStore::new(store_config, Arc::clone(&clock)),
             metrics: Metrics::with_clock(Arc::clone(&clock)),
             tracer: Tracer::new(Arc::clone(&clock), TRACE_CAPACITY),
             clock,

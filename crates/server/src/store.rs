@@ -2,12 +2,15 @@
 //!
 //! Sessions are keyed by a server-assigned numeric id. The store holds at
 //! most [`StoreConfig::max_sessions`] entries; opening one more evicts the
-//! least-recently-used session. Entries idle longer than
-//! [`StoreConfig::ttl`] are expired lazily (on any store operation that
-//! takes the registry lock).
+//! least-recently-used session. Use order is a counter the store bumps on
+//! every insert and successful `get`, so the victim is exact however
+//! coarse the clock. Entries idle longer than [`StoreConfig::ttl`] are
+//! expired lazily (on any store operation that takes the registry lock);
+//! idle time is measured on the service's [`Clock`], the one its spans,
+//! latencies and log read, and the clock is read only when a TTL is set.
 //!
 //! Locking is two-level so sessions do not serialize each other: the
-//! registry mutex guards only id→entry bookkeeping (lookup, LRU stamps,
+//! registry mutex guards only id→entry bookkeeping (lookup, use stamps,
 //! eviction), while each session lives behind its own `Arc<Mutex<_>>` —
 //! two requests to *different* sessions run fully in parallel on their
 //! connection threads, and an eviction never blocks on a long-running
@@ -22,14 +25,15 @@
 //!
 //! The registry lock is taken poison-recovering: a request that panics
 //! while holding it unwinds only its own connection thread, and the
-//! bookkeeping it guards (ids, LRU stamps, counters) stays usable for
+//! bookkeeping it guards (ids, use stamps, counters) stays usable for
 //! every later request.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sit_core::session::Session;
+use sit_obs::clock::Clock;
 use sit_obs::sync::lock_recover;
 
 /// Store limits.
@@ -54,27 +58,51 @@ impl Default for StoreConfig {
 /// Shared handle to one session.
 pub type SharedSession = Arc<Mutex<Session>>;
 
+/// A session's last use: its place in use order, and the clock reading
+/// at that use (0 when no TTL is set).
+#[derive(Clone, Copy)]
+struct Used {
+    seq: u64,
+    at_ns: u64,
+}
+
 struct Registry {
     next_id: u64,
+    /// Uses so far; the next use is number `uses + 1`.
+    uses: u64,
     /// Each live session with its last use.
-    entries: HashMap<u64, (SharedSession, Instant)>,
+    entries: HashMap<u64, (SharedSession, Used)>,
     evicted_lru: u64,
     evicted_ttl: u64,
+}
+
+impl Registry {
+    /// Stamp the next use, made at clock reading `at_ns`.
+    fn next_use(&mut self, at_ns: u64) -> Used {
+        self.uses += 1;
+        Used {
+            seq: self.uses,
+            at_ns,
+        }
+    }
 }
 
 /// Bounded, concurrently shared collection of sessions.
 pub struct SessionStore {
     config: StoreConfig,
+    clock: Arc<dyn Clock>,
     registry: Mutex<Registry>,
 }
 
 impl SessionStore {
-    /// Empty store with the given limits.
-    pub fn new(config: StoreConfig) -> SessionStore {
+    /// Empty store with the given limits, measuring idle time on `clock`.
+    pub fn new(config: StoreConfig, clock: Arc<dyn Clock>) -> SessionStore {
         SessionStore {
             config,
+            clock,
             registry: Mutex::new(Registry {
                 next_id: 1,
+                uses: 0,
                 entries: HashMap::new(),
                 evicted_lru: 0,
                 evicted_ttl: 0,
@@ -117,10 +145,10 @@ impl SessionStore {
     /// crash recovery pins back. Future server-assigned ids stay above
     /// it.
     pub fn insert(&self, id: u64, session: Session) {
-        let mut reg = self.registry();
+        let (mut reg, now) = self.registry();
         while reg.entries.len() >= self.config.max_sessions.max(1) {
             // Evict the least-recently-used entry to make room.
-            if let Some((&victim, _)) = reg.entries.iter().min_by_key(|(_, (_, used))| *used) {
+            if let Some((&victim, _)) = reg.entries.iter().min_by_key(|(_, (_, used))| used.seq) {
                 reg.entries.remove(&victim);
                 reg.evicted_lru += 1;
             } else {
@@ -128,17 +156,19 @@ impl SessionStore {
             }
         }
         reg.next_id = reg.next_id.max(id + 1);
+        let used = reg.next_use(now);
         reg.entries
-            .insert(id, (Arc::new(Mutex::new(session)), Instant::now()));
+            .insert(id, (Arc::new(Mutex::new(session)), used));
     }
 
-    /// Fetch a session handle by id, refreshing its LRU stamp. `None` if
-    /// the id is unknown, closed, expired, or evicted.
+    /// Fetch a session handle by id, making it the most recently used.
+    /// `None` if the id is unknown, closed, expired, or evicted.
     pub fn get(&self, id: &str) -> Option<SharedSession> {
         let key: u64 = id.parse().ok()?;
-        let mut reg = self.registry();
+        let (mut reg, now) = self.registry();
+        let used = reg.next_use(now);
         let (session, last_used) = reg.entries.get_mut(&key)?;
-        *last_used = Instant::now();
+        *last_used = used;
         Some(Arc::clone(session))
     }
 
@@ -151,6 +181,7 @@ impl SessionStore {
     pub fn remove(&self, id: &str) -> Option<SharedSession> {
         let key: u64 = id.parse().ok()?;
         self.registry()
+            .0
             .entries
             .remove(&key)
             .map(|(session, _)| session)
@@ -158,7 +189,7 @@ impl SessionStore {
 
     /// Live session count.
     pub fn len(&self) -> usize {
-        self.registry().entries.len()
+        self.registry().0.entries.len()
     }
 
     /// Is the store empty?
@@ -172,29 +203,40 @@ impl SessionStore {
         (reg.evicted_lru, reg.evicted_ttl)
     }
 
-    /// The registry, locked, with idle entries expired.
-    fn registry(&self) -> MutexGuard<'_, Registry> {
+    /// The registry, locked, with idle entries expired, and the clock
+    /// reading the expiry used (0 without a TTL: the clock is not read).
+    fn registry(&self) -> (MutexGuard<'_, Registry>, u64) {
         let mut reg = lock_recover(&self.registry);
-        if let Some(ttl) = self.config.ttl {
-            let now = Instant::now();
-            let before = reg.entries.len();
-            reg.entries
-                .retain(|_, (_, used)| now.duration_since(*used) < ttl);
-            reg.evicted_ttl += (before - reg.entries.len()) as u64;
-        }
-        reg
+        let Some(ttl) = self.config.ttl else {
+            return (reg, 0);
+        };
+        let ttl = u64::try_from(ttl.as_nanos()).unwrap_or(u64::MAX);
+        let now = self.clock.now_ns();
+        let before = reg.entries.len();
+        reg.entries
+            .retain(|_, (_, used)| now.saturating_sub(used.at_ns) < ttl);
+        reg.evicted_ttl += (before - reg.entries.len()) as u64;
+        (reg, now)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sit_obs::clock::ManualClock;
 
     fn store(max: usize, ttl: Option<Duration>) -> SessionStore {
-        SessionStore::new(StoreConfig {
-            max_sessions: max,
-            ttl,
-        })
+        store_on(max, ttl, Arc::new(ManualClock::new()))
+    }
+
+    fn store_on(max: usize, ttl: Option<Duration>, clock: Arc<ManualClock>) -> SessionStore {
+        SessionStore::new(
+            StoreConfig {
+                max_sessions: max,
+                ttl,
+            },
+            clock,
+        )
     }
 
     #[test]
@@ -215,7 +257,6 @@ mod tests {
         let a = s.open(Session::new());
         let b = s.open(Session::new());
         // Touch `a` so `b` becomes the LRU victim.
-        std::thread::sleep(Duration::from_millis(2));
         assert!(s.get(&a).is_some());
         let c = s.open(Session::new());
         assert_eq!(s.len(), 2);
@@ -227,10 +268,13 @@ mod tests {
 
     #[test]
     fn ttl_expiry_is_lazy_but_effective() {
-        let s = store(8, Some(Duration::from_millis(5)));
+        let clock = Arc::new(ManualClock::new());
+        let s = store_on(8, Some(Duration::from_millis(5)), Arc::clone(&clock));
         let id = s.open(Session::new());
-        assert!(s.get(&id).is_some());
-        std::thread::sleep(Duration::from_millis(10));
+        clock.advance_ns(4_999_999);
+        assert!(s.get(&id).is_some(), "alive just inside the ttl");
+        clock.advance_ns(5_000_000);
+        assert_eq!(s.evictions().1, 0, "expiry waits for a store operation");
         assert!(s.get(&id).is_none(), "expired after idle ttl");
         assert_eq!(s.evictions().1, 1);
     }

@@ -1,120 +1,18 @@
-//! The transport abstraction: byte streams the serving loop speaks over.
+//! An in-memory duplex connection for the serving loop.
 //!
-//! PR 2 welded the connection loop to [`std::net::TcpStream`]; every test
-//! of degraded behavior therefore needed a real socket and real timing —
-//! unrepeatable by construction. This module splits the byte stream away
-//! from the protocol:
-//!
-//! * [`Transport`] — the minimal surface the serving loop needs: `read`,
-//!   `write` (which may be *short*), `flush`, and an [`Interrupter`] that
-//!   can unblock a pending read from another thread (graceful drain).
-//! * [`TcpTransport`] — the production implementation over a
-//!   [`TcpStream`] (read-shutdown as the interrupt).
-//! * [`SimConn`] / [`sim_pair`] — a fully in-memory duplex connection:
-//!   two byte pipes guarded by mutex+condvar. Deterministic, instant, and
-//!   composable with the fault layer ([`crate::fault`]), it is what the
-//!   chaos suite runs the real serving loop against.
+//! [`crate::server::serve_connection`] serves any byte stream that is
+//! [`Read`] + [`Write`]: an accepted [`std::net::TcpStream`] in
+//! production, and in tests a [`SimConn`] from [`sim_pair`] — two byte
+//! pipes guarded by mutex+condvar. Deterministic, instant, and
+//! composable with the fault layer ([`crate::fault`]), it is what the
+//! chaos suite runs the real serving loop against.
 //!
 //! The same [`crate::wire::FrameBuffer`] handles line reassembly on every
-//! transport, so torn frames behave identically on TCP and in simulation.
+//! stream, so torn frames behave identically on TCP and in simulation.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// A bidirectional byte stream the serving loop can drive.
-///
-/// Semantics follow `std::io`: `read` blocks until at least one byte is
-/// available, returns `Ok(0)` at end-of-stream, and `write` may accept
-/// fewer bytes than offered (use [`Transport::write_all`]).
-pub trait Transport: Send + 'static {
-    /// Read up to `buf.len()` bytes; `Ok(0)` means the peer is gone.
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-
-    /// Write up to `buf.len()` bytes, returning how many were accepted.
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize>;
-
-    /// Flush buffered writes to the peer.
-    fn flush(&mut self) -> io::Result<()>;
-
-    /// A handle that can unblock a read pending on this transport from
-    /// another thread (the server drain path).
-    fn interrupter(&self) -> Interrupter;
-
-    /// Write the whole buffer, looping over short writes.
-    fn write_all(&mut self, mut buf: &[u8]) -> io::Result<()> {
-        while !buf.is_empty() {
-            let n = self.write(buf)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "transport accepted zero bytes",
-                ));
-            }
-            buf = &buf[n..];
-        }
-        Ok(())
-    }
-}
-
-/// Unblocks a transport's pending read from another thread.
-pub struct Interrupter(Box<dyn Fn() + Send + Sync>);
-
-impl Interrupter {
-    /// Interrupter from a closure.
-    pub fn new(f: impl Fn() + Send + Sync + 'static) -> Interrupter {
-        Interrupter(Box::new(f))
-    }
-
-    /// An interrupter that does nothing (transport cannot be unblocked).
-    pub fn noop() -> Interrupter {
-        Interrupter(Box::new(|| {}))
-    }
-
-    /// Fire: any read blocked on the transport returns (EOF or error).
-    pub fn interrupt(&self) {
-        (self.0)()
-    }
-}
-
-/// The production transport: a connected TCP stream.
-pub struct TcpTransport {
-    stream: TcpStream,
-}
-
-impl TcpTransport {
-    /// Wrap a connected stream. Disables Nagle: one small response frame
-    /// per request means waiting to coalesce (Nagle + delayed ACK) would
-    /// add ~40ms to every round trip.
-    pub fn new(stream: TcpStream) -> TcpTransport {
-        let _ = stream.set_nodelay(true);
-        TcpTransport { stream }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.stream.read(buf)
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.stream.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.stream.flush()
-    }
-
-    fn interrupter(&self) -> Interrupter {
-        match self.stream.try_clone() {
-            Ok(clone) => Interrupter::new(move || {
-                let _ = clone.shutdown(Shutdown::Read);
-            }),
-            Err(_) => Interrupter::noop(),
-        }
-    }
-}
 
 /// One direction of a simulated connection.
 struct Pipe {
@@ -146,12 +44,13 @@ impl Channel {
 
 /// One end of an in-memory duplex connection (see [`sim_pair`]).
 ///
-/// Reads block (condvar) until bytes arrive or the peer closes; writes
-/// are atomic — a `write` appends the whole buffer under one lock, so a
-/// frame written in one call is never observed half-arrived unless a
-/// fault layer tears it deliberately. Dropping an end closes both
-/// directions: the peer's pending read returns the remaining bytes then
-/// EOF, and the peer's writes fail with `BrokenPipe`.
+/// Reads block (condvar) until bytes arrive or the connection closes;
+/// writes are atomic — a `write` appends the whole buffer under one
+/// lock, so a frame written in one call is never observed half-arrived
+/// unless a fault layer tears it deliberately. Dropping an end, or
+/// calling its [`SimConn::closer`], closes both directions: a pending
+/// read on either end returns the remaining bytes then EOF, and later
+/// writes fail with `BrokenPipe`.
 pub struct SimConn {
     incoming: Arc<Channel>,
     outgoing: Arc<Channel>,
@@ -175,20 +74,27 @@ pub fn sim_pair() -> (SimConn, SimConn) {
 }
 
 impl SimConn {
-    /// Close both directions without dropping the handle.
-    pub fn close(&self) {
-        self.incoming.close();
-        self.outgoing.close();
+    /// A handle that closes both directions from any thread, unblocking
+    /// reads pending on either end — the hook for
+    /// [`crate::fault::FaultedTransport::on_kill`].
+    pub fn closer(&self) -> impl Fn() + Send + Sync + 'static {
+        let incoming = Arc::clone(&self.incoming);
+        let outgoing = Arc::clone(&self.outgoing);
+        move || {
+            incoming.close();
+            outgoing.close();
+        }
     }
 }
 
 impl Drop for SimConn {
     fn drop(&mut self) {
-        self.close();
+        self.incoming.close();
+        self.outgoing.close();
     }
 }
 
-impl Transport for SimConn {
+impl Read for SimConn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
@@ -208,7 +114,9 @@ impl Transport for SimConn {
             pipe = self.incoming.ready.wait(pipe).expect("sim pipe lock");
         }
     }
+}
 
+impl Write for SimConn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let mut pipe = self.outgoing.pipe.lock().expect("sim pipe lock");
         if pipe.closed {
@@ -224,11 +132,6 @@ impl Transport for SimConn {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-
-    fn interrupter(&self) -> Interrupter {
-        let incoming = Arc::clone(&self.incoming);
-        Interrupter::new(move || incoming.close())
     }
 }
 
@@ -269,38 +172,19 @@ mod tests {
     }
 
     #[test]
-    fn interrupter_unblocks_a_pending_read() {
-        let (mut a, _b_keepalive) = sim_pair();
-        let interrupt = a.interrupter();
-        let reader = std::thread::spawn(move || {
-            let mut buf = [0u8; 4];
-            a.read(&mut buf)
-        });
-        // Give the reader a moment to block, then interrupt.
+    fn closer_unblocks_pending_reads_on_both_ends() {
+        let (mut a, mut b) = sim_pair();
+        let close = a.closer();
+        let readers = [
+            std::thread::spawn(move || a.read(&mut [0u8; 4])),
+            std::thread::spawn(move || b.read(&mut [0u8; 4])),
+        ];
+        // Give the readers a moment to block, then close.
         std::thread::sleep(std::time::Duration::from_millis(10));
-        interrupt.interrupt();
-        let result = reader.join().expect("reader thread");
-        assert_eq!(result.unwrap(), 0, "interrupted read reports EOF");
-    }
-
-    #[test]
-    fn tcp_transport_round_trips_over_loopback() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = TcpTransport::new(stream);
-            let mut buf = [0u8; 16];
-            let n = t.read(&mut buf).unwrap();
-            t.write_all(&buf[..n]).unwrap();
-            t.flush().unwrap();
-        });
-        let mut client = TcpTransport::new(TcpStream::connect(addr).unwrap());
-        client.write_all(b"echo?").unwrap();
-        client.flush().unwrap();
-        let mut buf = [0u8; 16];
-        let n = client.read(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"echo?");
-        server.join().unwrap();
+        close();
+        for reader in readers {
+            let result = reader.join().expect("reader thread");
+            assert_eq!(result.unwrap(), 0, "closed read reports EOF");
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! The server-wide write-ahead log: one append-only stream of
 //! session-tagged records, split into numbered segment files.
 //!
-//! [`crate::persist::Persistence`] owns one [`Wal`]. Every session's
+//! [`crate::persist::Persistence`] owns one `Wal`. Every session's
 //! `open`, mutations, snapshots and `close` become records here (see
 //! [`crate::persist`] for the record format and the recovery rules);
 //! this module keeps the segments, each open session's place in the
-//! log ([`Live`]: the log numbers every record and keeps the snapshot
+//! log (`Live`: the log numbers every record and keeps the snapshot
 //! cadence), the group commit and the collection of segments nobody
 //! needs any more. The segments are the only files a data directory
 //! holds.
@@ -35,7 +35,7 @@
 //!
 //! ## Collection
 //!
-//! One rule ([`needed`]) decides what stays: an open session's previous
+//! One rule (`needed`) decides what stays: an open session's previous
 //! snapshot record and every record after it (all of its records until
 //! it has two snapshots), and a close record while an older segment
 //! still holds records of its session. After a roll, and after a close

@@ -24,18 +24,18 @@
 //! Set `SIT_CHAOS_TRACE=<path>` to dump all traces to a file —
 //! `scripts/verify.sh` runs the suite twice and diffs the dumps.
 
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use sit_obs::clock::{Clock, ManualClock};
 use sit_prng::Xoshiro256pp;
-use sit_server::fault::{
-    EventLog, FaultConfig, FaultEvent, FaultPlan, FaultedTransport, VirtualClock,
-};
+use sit_server::fault::{EventLog, FaultConfig, FaultEvent, FaultPlan, FaultedTransport};
 use sit_server::server::{serve_connection, Gate};
 use sit_server::service::Service;
 use sit_server::store::StoreConfig;
-use sit_server::transport::{sim_pair, SimConn, Transport};
+use sit_server::transport::{sim_pair, SimConn};
 use sit_server::wire::{FrameBuffer, Framed, Json, MAX_LINE};
 
 /// The fixed seed list (also the list `scripts/verify.sh chaos` pins).
@@ -120,7 +120,7 @@ impl Model {
 // ---------------------------------------------------------------------------
 
 /// Scenario verbs. `stats` joins the byte-traced workload because the
-/// scenario's service runs on its [`VirtualClock`]: uptime and every
+/// scenario's service runs on its [`ManualClock`]: uptime and every
 /// latency are functions of virtual time, which advances only on
 /// planned transport faults — never mid-dispatch in a lockstep
 /// scenario — so the response bytes are a pure function of the seed
@@ -212,7 +212,7 @@ fn fault_config_for(rng: &mut Xoshiro256pp, mode: u64) -> FaultConfig {
             write_drop_at: Some(rng.gen_range(60u64..900)),
         },
         // TTL mode: gentle faults so the expiry semantics stay center
-        // stage (the scenario sleeps past the store TTL once).
+        // stage (the scenario advances the clock past the store TTL once).
         3 => FaultConfig {
             min_segment: 4,
             max_segment: 64,
@@ -405,20 +405,22 @@ fn run_scenario(seed: u64) -> Vec<String> {
     let mode = seed % 5;
     let ttl_mode = mode == 3;
     let ttl = if ttl_mode {
-        Duration::from_millis(350)
+        // Virtual time: longer than all of any scenario's injected
+        // delays (at most a few seconds), so only the TTL step expires.
+        Duration::from_secs(60)
     } else {
         Duration::from_secs(600)
     };
 
     // The service shares the scenario's virtual clock, so the timing
     // fields in `stats` responses are deterministic (see [`Op`]).
-    let clock = VirtualClock::new();
+    let clock = Arc::new(ManualClock::new());
     let service = Arc::new(Service::with_clock(
         StoreConfig {
             max_sessions: STORE_CAP,
             ttl: Some(ttl),
         },
-        Arc::new(clock.clone()),
+        clock.clone(),
     ));
     let gate = Arc::new(Gate::new(2, 16));
     let log = EventLog::with_tracer(service.tracer().clone());
@@ -439,16 +441,12 @@ fn run_scenario(seed: u64) -> Vec<String> {
             cfg.write_drop_at
         ));
         let (client_end, server_end) = sim_pair();
-        let closer = server_end.interrupter();
-        let pair_closer = client_end.interrupter();
+        // The closer cuts both directions so neither side blocks on the
+        // half-dead pipe.
+        let closer = server_end.closer();
         let plan = FaultPlan::new(seed.wrapping_mul(31).wrapping_add(k as u64), cfg);
         let faulted = FaultedTransport::new(server_end, k as u32, plan, log.clone(), clock.clone())
-            .on_kill(move || {
-                // Cut both directions so neither side blocks on the
-                // half-dead pipe.
-                closer.interrupt();
-                pair_closer.interrupt();
-            });
+            .on_kill(closer);
         let svc = Arc::clone(&service);
         let gt = Arc::clone(&gate);
         let handle = std::thread::Builder::new()
@@ -466,13 +464,14 @@ fn run_scenario(seed: u64) -> Vec<String> {
     let mut model = Model::new(STORE_CAP);
     for step in 0..STEPS {
         if ttl_mode && step == STEPS / 2 {
-            // Sleep past the TTL, then force the lazy expiry via a
-            // registry op so model and store agree from here on.
-            std::thread::sleep(Duration::from_millis(900));
+            // Advance virtual time by the TTL, then force the lazy
+            // expiry via a registry op so model and store agree from
+            // here on.
+            clock.advance_ns(ttl.as_nanos() as u64);
             model.expire_all();
             let len = service.store().len();
             assert_eq!(len, 0, "seed={seed}: all sessions idle past ttl");
-            trace.push(format!("s{step} ttl-sleep expired all"));
+            trace.push(format!("s{step} ttl-advance expired all"));
         }
         let k = step % n_clients;
         if clients[k].dead {
@@ -554,7 +553,7 @@ fn run_scenario(seed: u64) -> Vec<String> {
             }
         }
     }
-    trace.push(format!("clock {}ms", clock.now_ms()));
+    trace.push(format!("clock {}ms", clock.now_ns() / 1_000_000));
     let (lru, ttl_ev) = service.store().evictions();
     trace.push(format!(
         "store len={} evicted_lru={lru} evicted_ttl={ttl_ev}",
@@ -635,21 +634,17 @@ fn saturated_pool_answers_overloaded_then_recovers() {
     let value = Json::parse(&resp).unwrap();
     assert_eq!(err_code(&value), Some("overloaded"), "{resp}");
 
-    // Release the slot; the same connection recovers.
+    // Release the slot; once the queued entrant has come and gone the
+    // gate is empty, so the same connection's next request runs.
     drop(held);
     queued.join().unwrap();
-    let mut recovered = false;
-    for _ in 0..200 {
-        match client.call(r#"{"op":"ping"}"#) {
-            Outcome::Response(resp) if resp.contains("\"pong\":true") => {
-                recovered = true;
-                break;
-            }
-            Outcome::Response(_) => std::thread::sleep(Duration::from_millis(2)),
-            Outcome::Dead { .. } => panic!("connection died during recovery"),
-        }
-    }
-    assert!(recovered, "connection must recover after the gate frees up");
+    let Outcome::Response(resp) = client.call(r#"{"op":"ping"}"#) else {
+        panic!("connection died during recovery");
+    };
+    assert!(
+        resp.contains("\"pong\":true"),
+        "connection must recover after the gate frees up: {resp}"
+    );
 
     drop(client.conn);
     client.handle.join().unwrap();
@@ -736,7 +731,7 @@ fn stats_under_torn_frames_is_well_formed() {
         0,
         FaultPlan::new(42, cfg),
         log.clone(),
-        VirtualClock::new(),
+        Arc::default(),
     );
     let svc = Arc::clone(&service);
     let gt = Arc::clone(&gate);

@@ -3,16 +3,17 @@
 //! workspace's own wire parser, client `trace_id`s land in the span
 //! ring, and fault-injection events share the span stream.
 
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use sit_obs::clock::ManualClock;
 use sit_obs::trace::Phase;
-use sit_server::fault::{EventLog, FaultConfig, FaultPlan, FaultedTransport, VirtualClock};
+use sit_server::fault::{EventLog, FaultConfig, FaultPlan, FaultedTransport};
 use sit_server::server::{serve_connection, Gate};
 use sit_server::service::Service;
 use sit_server::store::StoreConfig;
-use sit_server::transport::{sim_pair, Transport};
+use sit_server::transport::sim_pair;
 use sit_server::wire::{FrameBuffer, Framed, Json};
 
 const DDL1: &str = "schema sc1 { entity Student { Name: char key; GPA: real; } entity Department { Dname: char key; } relationship Majors { Student (0,1); Department (0,n); } }";
@@ -211,11 +212,8 @@ fn client_trace_ids_propagate_into_request_spans() {
 /// timeline shows both what the transport did and what the service did.
 #[test]
 fn fault_events_join_the_span_stream() {
-    let clock = VirtualClock::new();
-    let service = Arc::new(Service::with_clock(
-        StoreConfig::default(),
-        Arc::new(clock.clone()),
-    ));
+    let clock = Arc::new(ManualClock::new());
+    let service = Arc::new(Service::with_clock(StoreConfig::default(), clock.clone()));
     let gate = Arc::new(Gate::new(2, 8));
     let (mut client_end, server_end) = sim_pair();
     let log = EventLog::with_tracer(service.tracer().clone());

@@ -10,7 +10,8 @@
 //! * non-idempotent verbs are NEVER retried — the mock proves the
 //!   request arrived exactly once;
 //! * read timeouts turn a stalled server into an error instead of a
-//!   hang;
+//!   hang, and a reply that arrives after the timeout never answers the
+//!   next request;
 //! * the backoff schedule is capped and deterministic (unit-tested in
 //!   `client.rs`; re-checked here end to end by timing a retry run).
 
@@ -34,7 +35,18 @@ enum Play {
     Hangup,
     /// Read the request but never reply (forces a client read timeout).
     Stall,
+    /// Reply with the `overloaded` frame only after `LATE` — past the
+    /// client's read timeout.
+    LateOverloaded,
 }
+
+/// How long a [`Play::LateOverloaded`] reply waits.
+const LATE: Duration = Duration::from_millis(300);
+
+const OVERLOADED_FRAME: &str = concat!(
+    r#"{"ok":false,"error":"#,
+    r#"{"code":"overloaded","message":"queue full"}}"#
+);
 
 /// A scripted TCP server: request number `i` (across reconnects) gets
 /// `script[i]`. Connections persist until the script says `Hangup` or
@@ -45,6 +57,7 @@ enum Play {
 struct MockServer {
     addr: std::net::SocketAddr,
     requests: Arc<AtomicUsize>,
+    replies: Arc<AtomicUsize>,
 }
 
 impl MockServer {
@@ -53,6 +66,8 @@ impl MockServer {
         let addr = listener.local_addr().expect("mock addr");
         let requests = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&requests);
+        let replies = Arc::new(AtomicUsize::new(0));
+        let replied = Arc::clone(&replies);
         std::thread::spawn(move || {
             let mut idx = 0;
             while idx < script.len() {
@@ -75,30 +90,42 @@ impl MockServer {
                     counter.fetch_add(1, Ordering::SeqCst);
                     match script[idx] {
                         Play::Overloaded => {
-                            let frame = concat!(
-                                r#"{"ok":false,"error":"#,
-                                r#"{"code":"overloaded","message":"queue full"}}"#
-                            );
-                            let _ = writeln!(writer, "{frame}");
+                            let _ = writeln!(writer, "{OVERLOADED_FRAME}");
+                            replied.fetch_add(1, Ordering::SeqCst);
                         }
                         Play::Ok => {
                             let _ = writeln!(writer, r#"{{"ok":true,"pong":true}}"#);
+                            replied.fetch_add(1, Ordering::SeqCst);
                         }
                         Play::Hangup => {
                             idx += 1;
                             break; // drop the connection without replying
                         }
                         Play::Stall => std::thread::sleep(Duration::from_millis(400)),
+                        Play::LateOverloaded => {
+                            std::thread::sleep(LATE);
+                            let _ = writeln!(writer, "{OVERLOADED_FRAME}");
+                            replied.fetch_add(1, Ordering::SeqCst);
+                        }
                     }
                     idx += 1;
                 }
             }
         });
-        MockServer { addr, requests }
+        MockServer {
+            addr,
+            requests,
+            replies,
+        }
     }
 
     fn requests(&self) -> usize {
         self.requests.load(Ordering::SeqCst)
+    }
+
+    /// Reply frames written so far.
+    fn replies(&self) -> usize {
+        self.replies.load(Ordering::SeqCst)
     }
 }
 
@@ -223,6 +250,29 @@ fn read_timeout_fires_instead_of_hanging() {
         elapsed < Duration::from_millis(380),
         "returned before the stall ended ({elapsed:?})"
     );
+}
+
+#[test]
+fn a_reply_after_the_timeout_never_answers_the_next_call() {
+    let mock = MockServer::start(vec![Play::LateOverloaded, Play::Ok]);
+    let config = ClientConfig {
+        timeout: Some(Duration::from_millis(100)),
+        ..fast_config(0)
+    };
+    let mut client = Client::connect_with(mock.addr, config).expect("connect");
+    client.call(&Request::Ping).expect_err("timed out");
+    // Let the late `overloaded` frame reach the first connection.
+    while mock.replies() < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let response = client.call(&Request::Ping).expect("second call answered");
+    assert_eq!(
+        response.get("pong").and_then(sit_server::Json::as_bool),
+        Some(true),
+        "the second call got the first call's late reply: {}",
+        response.encode()
+    );
+    assert_eq!(mock.requests(), 2);
 }
 
 #[test]

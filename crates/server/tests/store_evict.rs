@@ -1,16 +1,26 @@
 //! Eviction boundary behavior of the [`SessionStore`]: exact-LRU victim
 //! selection at capacity, lazy TTL expiry racing concurrent `get`s, and
 //! the protocol-level guarantee that an evicted session answers
-//! `unknown_session` — never `conflict` — when addressed again.
+//! `unknown_session` — never `conflict` — when addressed again. Idle time
+//! runs on a [`ManualClock`]: nothing here sleeps.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use sit_core::session::Session;
+use sit_obs::clock::ManualClock;
 use sit_server::store::{SessionStore, StoreConfig};
 use sit_server::{Json, Service};
 
+const MS: u64 = 1_000_000;
+
 fn store(max_sessions: usize, ttl: Option<Duration>) -> SessionStore {
-    SessionStore::new(StoreConfig { max_sessions, ttl })
+    store_on(max_sessions, ttl, Arc::new(ManualClock::new()))
+}
+
+fn store_on(max_sessions: usize, ttl: Option<Duration>, clock: Arc<ManualClock>) -> SessionStore {
+    SessionStore::new(StoreConfig { max_sessions, ttl }, clock)
 }
 
 #[test]
@@ -49,6 +59,23 @@ fn repeated_touching_rotates_the_victim_order() {
 }
 
 #[test]
+fn on_a_frozen_clock_evictions_follow_use_order_exactly() {
+    // Every use happens at the same clock reading, so only the use
+    // order can tell the sessions apart.
+    let store = store(3, Some(Duration::from_secs(60)));
+    let ids: Vec<String> = (0..3).map(|_| store.open(Session::new())).collect();
+    for id in [&ids[2], &ids[0], &ids[1], &ids[2]] {
+        assert!(store.get(id).is_some());
+    }
+    // Use order, least recent first: 0, 1, 2.
+    for (round, victim) in ids.iter().enumerate() {
+        store.open(Session::new());
+        assert!(store.get(victim).is_none(), "round {round}: wrong victim");
+        assert_eq!(store.evictions(), (round as u64 + 1, 0));
+    }
+}
+
+#[test]
 fn failed_gets_do_not_refresh_and_close_is_not_a_touch() {
     let store = store(2, None);
     let a = store.open(Session::new());
@@ -68,13 +95,14 @@ fn failed_gets_do_not_refresh_and_close_is_not_a_touch() {
 
 #[test]
 fn ttl_expiry_is_lazy_and_counts_separately_from_lru() {
-    let store = store(8, Some(Duration::from_millis(80)));
+    let clock = Arc::new(ManualClock::new());
+    let store = store_on(8, Some(Duration::from_millis(80)), Arc::clone(&clock));
     let a = store.open(Session::new());
     let b = store.open(Session::new());
-    std::thread::sleep(Duration::from_millis(50));
+    clock.advance_ns(50 * MS);
     // Refresh `a` midway: only `b` crosses the TTL.
     assert!(store.get(&a).is_some());
-    std::thread::sleep(Duration::from_millis(50));
+    clock.advance_ns(50 * MS);
     assert!(store.get(&b).is_none(), "idle session survived its TTL");
     assert!(store.get(&a).is_some(), "refreshed session expired early");
     assert_eq!(store.evictions(), (0, 1));
@@ -82,44 +110,57 @@ fn ttl_expiry_is_lazy_and_counts_separately_from_lru() {
 
 #[test]
 fn concurrent_gets_racing_ttl_expiry_never_panic_or_resurrect() {
-    // Hammer `get` from many threads across the expiry boundary. The
-    // lazy expiry path runs under the same registry lock as the gets,
-    // so every get either refreshes the session (keeping it alive) or
-    // finds it gone — never a torn state, never a panic, and once a
-    // get has seen `None` no later get may see the session again.
-    let store = std::sync::Arc::new(store(4, Some(Duration::from_millis(40))));
+    // Hammer `get` from many threads while another advances the clock
+    // across the expiry boundary. The lazy expiry path runs under the
+    // same registry lock as the gets, so every get either refreshes the
+    // session (keeping it alive) or finds it gone — never a torn state,
+    // never a panic, and once a get has seen `None` no later get may
+    // see the session again.
+    let clock = Arc::new(ManualClock::new());
+    let store = Arc::new(store_on(
+        4,
+        Some(Duration::from_millis(40)),
+        Arc::clone(&clock),
+    ));
     let id = store.open(Session::new());
-    let vanished = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let vanished = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
     let mut workers = Vec::new();
-    for k in 0..4u64 {
-        let store = std::sync::Arc::clone(&store);
-        let vanished = std::sync::Arc::clone(&vanished);
+    for _ in 0..4 {
+        let store = Arc::clone(&store);
+        let vanished = Arc::clone(&vanished);
+        let done = Arc::clone(&done);
         let id = id.clone();
         workers.push(std::thread::spawn(move || {
-            for i in 0..40u64 {
+            while !done.load(Ordering::SeqCst) {
+                // Read the flag before the get: a get that started
+                // before another saw `None` may still have seen the
+                // session.
+                let gone = vanished.load(Ordering::SeqCst);
                 let hit = store.get(&id).is_some();
                 if hit {
-                    assert!(
-                        !vanished.load(std::sync::atomic::Ordering::SeqCst),
-                        "session resurrected after expiry was observed"
-                    );
+                    assert!(!gone, "session resurrected after expiry was observed");
                 } else {
-                    vanished.store(true, std::sync::atomic::Ordering::SeqCst);
+                    vanished.store(true, Ordering::SeqCst);
                 }
-                // Threads 0/1 poll fast (keeping the session hot at
-                // first); 2/3 back off past the TTL so expiry does
-                // eventually win the race.
-                std::thread::sleep(Duration::from_millis(1 + (k % 2) * 25 + i / 20 * 25));
             }
         }));
     }
+    // Steps of a quarter TTL keep the session alive while gets land
+    // between them; a step past the TTL expires it unless a get wins
+    // the race to the registry lock first.
+    for step in 0..200u64 {
+        clock.advance_ns(if step % 50 == 49 { 41 * MS } else { 10 * MS });
+        std::thread::yield_now();
+    }
+    done.store(true, Ordering::SeqCst);
     for w in workers {
         w.join().expect("no panics under the race");
     }
-    // Leave the session idle past the TTL: it must end up expired.
-    std::thread::sleep(Duration::from_millis(60));
+    // Leave the session idle past the TTL: it must end up expired, once.
+    clock.advance_ns(41 * MS);
     assert!(store.get(&id).is_none());
-    assert_eq!(store.evictions().0, 0, "no LRU pressure in this test");
+    assert_eq!(store.evictions(), (0, 1), "one TTL expiry, no LRU pressure");
 }
 
 #[test]

@@ -20,6 +20,11 @@ cargo test -q --workspace
 echo "== cargo clippy on the whole workspace, every target (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc on the whole workspace (rustdoc warnings are errors) =="
+# A stale intra-doc link (a renamed or deleted item, a link to a private
+# one) fails here instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== benchmark's own tests (perfbench correctness gate) =="
 # perfbench is a workspace of its own, so the step above does not reach
 # it. Its tests run tiny passes of every workload through the benchmark's
