@@ -615,20 +615,6 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         out
     }
 
-    /// Pinned pairs that were *not* directly asserted (purely derived).
-    pub fn derived_only(&self) -> Vec<DerivedFact<N>> {
-        let direct: HashSet<(N, N)> = self
-            .facts
-            .iter()
-            .filter(|f| f.active)
-            .map(|f| norm(f.a, f.b).0)
-            .collect();
-        self.pinned()
-            .into_iter()
-            .filter(|d| !direct.contains(&norm(d.a, d.b).0))
-            .collect()
-    }
-
     /// Matrix index of `n`, interning it on first mention.
     fn intern(&mut self, n: N) -> Ix {
         if let Some(&i) = self.index.get(&n) {
@@ -997,16 +983,15 @@ mod tests {
     }
 
     #[test]
-    fn derived_only_excludes_direct_assertions() {
+    fn pinned_derived_facts_record_their_premises() {
         let mut e = E::new();
         e.assert(0, 1, Assertion::ContainedIn, nm).unwrap();
         e.assert(1, 2, Assertion::ContainedIn, nm).unwrap();
-        let d = e.derived_only();
-        assert_eq!(d.len(), 1);
-        assert_eq!((d[0].a, d[0].b, d[0].rel), (0, 2, Rel5::Pp));
-        assert_eq!(d[0].roots.len(), 2, "both premises recorded");
         let pinned = e.pinned();
         assert_eq!(pinned.len(), 3);
+        let d = &pinned[1];
+        assert_eq!((d.a, d.b, d.rel), (0, 2, Rel5::Pp));
+        assert_eq!(d.roots.len(), 2, "both premises recorded");
     }
 
     #[test]

@@ -72,17 +72,9 @@ pub struct Clusters<N> {
     /// Each cluster as a sorted member list; clusters ordered by smallest
     /// member.
     pub groups: Vec<Vec<N>>,
-    /// Every node with its cluster index, sorted by node.
-    by_node: Vec<(N, usize)>,
 }
 
-impl<N: Copy + Ord> Clusters<N> {
-    /// Which cluster a node belongs to (index into `groups`).
-    pub fn cluster_of(&self, n: N) -> Option<usize> {
-        let at = self.by_node.binary_search_by_key(&n, |&(m, _)| m).ok()?;
-        Some(self.by_node[at].1)
-    }
-
+impl<N> Clusters<N> {
     /// Number of clusters.
     pub fn len(&self) -> usize {
         self.groups.len()
@@ -102,9 +94,8 @@ impl<N: Copy + Ord> Clusters<N> {
 /// Partition a sorted `universe` into clusters using the pinned relations
 /// among it, which `view` holds.
 pub(crate) fn clusters<N: Copy + Ord>(view: &ConstraintView<'_>, universe: &[N]) -> Clusters<N> {
-    let (groups, group_of) = partition(universe, |i, j| connects(view, i, j));
-    let by_node = universe.iter().copied().zip(group_of).collect();
-    Clusters { groups, by_node }
+    let (groups, _) = partition(universe, |i, j| connects(view, i, j));
+    Clusters { groups }
 }
 
 /// The connected components of a sorted `universe` under `linked`, which
@@ -183,7 +174,6 @@ mod tests {
         assert_eq!(cl.len(), 2);
         assert_eq!(cl.groups[0], vec![0, 2, 3]);
         assert_eq!(cl.groups[1], vec![1, 4]);
-        assert_eq!(cl.cluster_of(3), Some(0));
         assert_eq!(cl.non_trivial().count(), 2);
     }
 
@@ -216,6 +206,5 @@ mod tests {
         let cl = clusters(&e.view(&[7, 8, 9]), &[7, 8, 9]);
         assert_eq!(cl.len(), 3);
         assert!(cl.non_trivial().next().is_none());
-        assert!(cl.cluster_of(42).is_none());
     }
 }

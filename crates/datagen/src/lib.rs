@@ -34,5 +34,5 @@ pub mod perturb;
 pub use concepts::{Concept, ConceptAttr, ConceptPool};
 pub use generator::{GeneratedPair, GeneratorConfig, SchemaFamily};
 pub use ground_truth::{GroundTruth, TrueAssertion};
-pub use oracle::{DdaOracle, GroundTruthOracle, NoisyOracle, ScriptedOracle};
+pub use oracle::{DdaOracle, GroundTruthOracle, NoisyOracle};
 pub use perturb::Perturber;

@@ -106,53 +106,6 @@ impl DdaOracle for NoisyOracle<'_> {
     }
 }
 
-/// Fixed-script oracle for tests and TUI sessions: explicit answer lists,
-/// everything else negative.
-#[derive(Clone, Debug, Default)]
-pub struct ScriptedOracle {
-    /// Attribute pairs to confirm: `(object_a, attr_a, object_b, attr_b)`.
-    pub equivalences: Vec<(String, String, String, String)>,
-    /// Object assertions to give: `(a, b, assertion)`.
-    pub assertions: Vec<(String, String, Assertion)>,
-}
-
-impl ScriptedOracle {
-    /// Add an equivalence answer.
-    pub fn equate(mut self, oa: &str, aa: &str, ob: &str, ab: &str) -> Self {
-        self.equivalences
-            .push((oa.to_owned(), aa.to_owned(), ob.to_owned(), ab.to_owned()));
-        self
-    }
-
-    /// Add an assertion answer.
-    pub fn assert_pair(mut self, a: &str, b: &str, assertion: Assertion) -> Self {
-        self.assertions
-            .push((a.to_owned(), b.to_owned(), assertion));
-        self
-    }
-}
-
-impl DdaOracle for ScriptedOracle {
-    fn attrs_equivalent(&mut self, oa: &str, aa: &str, ob: &str, ab: &str) -> bool {
-        self.equivalences.iter().any(|(o1, a1, o2, a2)| {
-            (o1 == oa && a1 == aa && o2 == ob && a2 == ab)
-                || (o1 == ob && a1 == ab && o2 == oa && a2 == aa)
-        })
-    }
-
-    fn object_assertion(&mut self, a: &str, b: &str) -> Option<Assertion> {
-        self.assertions.iter().find_map(|(x, y, assertion)| {
-            if x == a && y == b {
-                Some(*assertion)
-            } else if x == b && y == a {
-                Some(assertion.converse())
-            } else {
-                None
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +148,5 @@ mod tests {
         // Attribute answers flip rather than vanish.
         let (oa, aa, ob, ab) = pair.truth.attr_pairs[0].clone();
         assert!(!noisy.attrs_equivalent(&oa, &aa, &ob, &ab));
-    }
-
-    #[test]
-    fn scripted_oracle_answers_in_both_orientations() {
-        let mut o = ScriptedOracle::default()
-            .equate("Student", "name", "Pupil", "full_name")
-            .assert_pair("Student", "Grad", Assertion::Contains);
-        assert!(o.attrs_equivalent("Pupil", "full_name", "Student", "name"));
-        assert!(!o.attrs_equivalent("Student", "gpa", "Pupil", "grade"));
-        assert_eq!(
-            o.object_assertion("Grad", "Student"),
-            Some(Assertion::ContainedIn)
-        );
-        assert_eq!(o.object_assertion("X", "Y"), None);
     }
 }

@@ -223,11 +223,11 @@ mod tests {
         let s = sc1();
         // Screen 3: Student e 2, Department e 1, Majors r 1.
         let student = s.object(s.object_by_name("Student").unwrap());
-        assert_eq!(student.attr_count(), 2);
+        assert_eq!(student.attributes.len(), 2);
         let dept = s.object(s.object_by_name("Department").unwrap());
-        assert_eq!(dept.attr_count(), 1);
+        assert_eq!(dept.attributes.len(), 1);
         let majors = s.relationship(s.rel_by_name("Majors").unwrap());
-        assert_eq!(majors.attr_count(), 1);
+        assert_eq!(majors.attributes.len(), 1);
         // Screen 5: Name char key, GPA real non-key.
         assert!(student.attributes[0].is_key());
         assert_eq!(student.attributes[0].name, "Name");

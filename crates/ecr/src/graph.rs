@@ -4,11 +4,10 @@
 //! `child -> parent` exists when `child` is a category defined over
 //! `parent`. This module materializes that graph once and answers the
 //! queries the integration engine and the viewer screens need: ancestors,
-//! descendants, inherited attributes, roots, and topological order.
+//! descendants, roots, and topological order.
 
 use std::collections::VecDeque;
 
-use crate::attribute::Attribute;
 use crate::ids::ObjectId;
 use crate::schema::Schema;
 
@@ -87,34 +86,12 @@ impl IsaGraph {
         out
     }
 
-    /// `true` when `a` is `b` or a descendant of `b` (i.e. domain of `a`
-    /// is contained in the domain of `b` by the schema's own structure).
-    pub fn is_subclass_of(&self, a: ObjectId, b: ObjectId) -> bool {
-        a == b || self.ancestors(a).contains(&b)
-    }
-
     /// Root object classes (entity sets).
     pub fn roots(&self) -> Vec<ObjectId> {
         (0..self.len() as u32)
             .map(ObjectId::new)
             .filter(|o| self.parents[o.index()].is_empty())
             .collect()
-    }
-
-    /// The root entity set(s) an object ultimately specializes. Entity sets
-    /// return themselves.
-    pub fn root_ancestors(&self, o: ObjectId) -> Vec<ObjectId> {
-        if self.parents[o.index()].is_empty() {
-            return vec![o];
-        }
-        let mut roots: Vec<ObjectId> = self
-            .ancestors(o)
-            .into_iter()
-            .filter(|a| self.parents[a.index()].is_empty())
-            .collect();
-        roots.sort_unstable();
-        roots.dedup();
-        roots
     }
 
     /// Detect a cycle; returns one offending object if the "graph" is not
@@ -170,30 +147,6 @@ impl IsaGraph {
     }
 }
 
-/// All attributes visible on `o`: its local attributes plus those inherited
-/// from every ancestor ("a category inherits the attributes of the object
-/// class over which it is defined"). Inherited attributes whose names clash
-/// with a local attribute are shadowed by the local one; among ancestors,
-/// the nearest definition wins (breadth-first order).
-pub fn visible_attributes(schema: &Schema, o: ObjectId) -> Vec<(ObjectId, Attribute)> {
-    let graph = IsaGraph::of(schema);
-    let mut out: Vec<(ObjectId, Attribute)> = schema
-        .object(o)
-        .attributes
-        .iter()
-        .cloned()
-        .map(|a| (o, a))
-        .collect();
-    for anc in graph.ancestors(o) {
-        for a in &schema.object(anc).attributes {
-            if !out.iter().any(|(_, have)| have.name == a.name) {
-                out.push((anc, a.clone()));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +180,6 @@ mod tests {
         let s = diamond();
         let g = IsaGraph::of(&s);
         let person = s.object_by_name("Person").unwrap();
-        let student = s.object_by_name("Student").unwrap();
         let ws = s.object_by_name("WorkingStudent").unwrap();
 
         assert!(g.parents(person).is_empty());
@@ -241,21 +193,14 @@ mod tests {
         let desc = g.descendants(person);
         assert_eq!(desc.len(), 3);
         assert!(desc.contains(&ws));
-
-        assert!(g.is_subclass_of(ws, person));
-        assert!(g.is_subclass_of(student, student));
-        assert!(!g.is_subclass_of(person, ws));
     }
 
     #[test]
-    fn roots_and_root_ancestors() {
+    fn roots_are_the_entity_sets() {
         let s = diamond();
         let g = IsaGraph::of(&s);
         let person = s.object_by_name("Person").unwrap();
-        let ws = s.object_by_name("WorkingStudent").unwrap();
         assert_eq!(g.roots(), vec![person]);
-        assert_eq!(g.root_ancestors(ws), vec![person]);
-        assert_eq!(g.root_ancestors(person), vec![person]);
     }
 
     #[test]
@@ -271,34 +216,5 @@ mod tests {
         assert!(pos("Student") < pos("WorkingStudent"));
         assert!(pos("Employee") < pos("WorkingStudent"));
         assert!(g.find_cycle().is_none());
-    }
-
-    #[test]
-    fn inherited_attributes_resolve_through_diamond_once() {
-        let s = diamond();
-        let ws = s.object_by_name("WorkingStudent").unwrap();
-        let attrs = visible_attributes(&s, ws);
-        let names: Vec<&str> = attrs.iter().map(|(_, a)| a.name.as_str()).collect();
-        // Local first, then inherited; Person's attrs appear once despite
-        // the diamond.
-        assert_eq!(names, vec!["Hours", "GPA", "Salary", "SSN", "Name"]);
-    }
-
-    #[test]
-    fn shadowing_prefers_local_attribute() {
-        // The shadow uses a compatible domain (enum over char) so the
-        // schema still validates; validation flags incompatible shadows.
-        let shadow = Domain::Enum(vec!["Bob".into(), "Rob".into()]);
-        let mut b = SchemaBuilder::new("sh");
-        let person = b.entity_set("Person").attr("Name", Domain::Char).finish();
-        b.category("Nicknamed", vec![person])
-            .attr("Name", shadow.clone())
-            .finish();
-        let s = b.build().unwrap();
-        let nick = s.object_by_name("Nicknamed").unwrap();
-        let attrs = visible_attributes(&s, nick);
-        assert_eq!(attrs.len(), 1);
-        assert_eq!(attrs[0].1.domain, shadow);
-        assert_eq!(attrs[0].0, nick, "owner is the shadowing class");
     }
 }

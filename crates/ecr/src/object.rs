@@ -95,17 +95,6 @@ impl ObjectClass {
         self.attributes.get(id.index())
     }
 
-    /// Ids of all local attributes.
-    pub fn attr_ids(&self) -> impl Iterator<Item = AttrId> + '_ {
-        (0..self.attributes.len() as u32).map(AttrId::new)
-    }
-
-    /// Number of local attributes (the `# of attributes` column of
-    /// Screen 3).
-    pub fn attr_count(&self) -> usize {
-        self.attributes.len()
-    }
-
     /// Local key attributes.
     pub fn key_attrs(&self) -> impl Iterator<Item = (AttrId, &Attribute)> {
         self.attributes
@@ -147,8 +136,6 @@ mod tests {
         assert_eq!(a.domain, Domain::Real);
         assert!(o.attr_by_name("Nope").is_none());
         assert_eq!(o.attr(AttrId::new(0)).unwrap().name, "Name");
-        assert_eq!(o.attr_count(), 2);
         assert_eq!(o.key_attrs().count(), 1);
-        assert_eq!(o.attr_ids().count(), 2);
     }
 }

@@ -150,11 +150,6 @@ impl RelationshipSet {
         self.participants.len()
     }
 
-    /// `true` when `object` participates in this relationship set.
-    pub fn involves(&self, object: ObjectId) -> bool {
-        self.participants.iter().any(|p| p.object == object)
-    }
-
     /// Find a local attribute by name.
     pub fn attr_by_name(&self, name: &str) -> Option<(AttrId, &Attribute)> {
         self.attributes
@@ -167,11 +162,6 @@ impl RelationshipSet {
     /// Local attribute lookup by id.
     pub fn attr(&self, id: AttrId) -> Option<&Attribute> {
         self.attributes.get(id.index())
-    }
-
-    /// Number of local attributes.
-    pub fn attr_count(&self) -> usize {
-        self.attributes.len()
     }
 }
 
@@ -225,11 +215,8 @@ mod tests {
         ));
         r.attributes.push(Attribute::new("Since", Domain::Date));
         assert_eq!(r.degree(), 2);
-        assert!(r.involves(ObjectId::new(1)));
-        assert!(!r.involves(ObjectId::new(9)));
         assert!(r.attr_by_name("Since").is_some());
         assert_eq!(r.attr(AttrId::new(0)).unwrap().name, "Since");
-        assert_eq!(r.attr_count(), 1);
         assert_eq!(r.participants[1].role.as_deref(), Some("major_dept"));
     }
 }

@@ -157,17 +157,6 @@ pub fn to_dot(schema: &Schema) -> String {
     out
 }
 
-/// One-line summary used by list screens: `Name (e, 3 attrs)`.
-pub fn summary_line(schema: &Schema, o: ObjectId) -> String {
-    let obj = schema.object(o);
-    format!(
-        "{} ({}, {} attrs)",
-        obj.name,
-        obj.kind.tag(),
-        obj.attr_count()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,17 +221,5 @@ mod tests {
         let dot4 = to_dot(&s4);
         assert!(dot4.contains("label=\"isa\""), "{dot4}");
         assert!(dot4.contains("style=rounded"), "{dot4}");
-    }
-
-    #[test]
-    fn summary_line_format() {
-        let mut b = SchemaBuilder::new("x");
-        let e = b
-            .entity_set("Student")
-            .attr("Name", Domain::Char)
-            .attr("GPA", Domain::Real)
-            .finish();
-        let s = b.build().unwrap();
-        assert_eq!(summary_line(&s, e), "Student (e, 2 attrs)");
     }
 }

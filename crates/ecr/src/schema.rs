@@ -145,13 +145,6 @@ impl Schema {
         }
     }
 
-    /// Relationship sets that `object` participates in.
-    pub fn relationships_of(&self, object: ObjectId) -> impl Iterator<Item = RelId> + '_ {
-        self.relationships()
-            .filter(move |(_, r)| r.involves(object))
-            .map(|(id, _)| id)
-    }
-
     /// Direct children of `object` in the IS-A graph — the categories
     /// defined (partly) over it.
     pub fn children_of(&self, object: ObjectId) -> impl Iterator<Item = ObjectId> + '_ {
@@ -177,16 +170,6 @@ impl Schema {
         b.objects = objects;
         b.relationships = relationships;
         b.build()
-    }
-
-    /// Total number of attributes in the schema (objects + relationships),
-    /// a size measure used by the benchmarks.
-    pub fn total_attr_count(&self) -> usize {
-        self.objects
-            .iter()
-            .map(ObjectClass::attr_count)
-            .chain(self.relationships.iter().map(RelationshipSet::attr_count))
-            .sum()
     }
 }
 
@@ -440,7 +423,6 @@ mod tests {
         assert_eq!(s.relationship_count(), 1);
         assert_eq!(s.entity_sets().count(), 2);
         assert_eq!(s.categories().count(), 1);
-        assert_eq!(s.total_attr_count(), 5);
     }
 
     #[test]
@@ -451,7 +433,6 @@ mod tests {
         assert!(s.object_by_name("Nope").is_none());
         let majors = s.rel_by_name("Majors").unwrap();
         assert_eq!(s.relationship(majors).degree(), 2);
-        assert_eq!(s.relationships_of(student).count(), 1);
         let honors = s.object_by_name("Honors").unwrap();
         assert_eq!(s.children_of(student).collect::<Vec<_>>(), vec![honors]);
     }

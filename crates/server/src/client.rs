@@ -15,9 +15,10 @@
 //! * [`Client::call_retrying`] retries transport failures and
 //!   `overloaded` rejections with jittered exponential backoff
 //!   ([`RetryPolicy`]) — but **only for idempotent verbs**
-//!   ([`Request::is_idempotent`]). A non-idempotent request (`open`,
-//!   `assert`, `integrate`, ...) that fails mid-flight may or may not
-//!   have executed; replaying it could double-apply, so the error is
+//!   ([`Request::is_idempotent`]: the `observe` and `read` classes,
+//!   `integrate` among them). A lifecycle or write request (`open`,
+//!   `close`, `assert`, ...) that fails mid-flight may or may not have
+//!   executed; replaying it could double-apply, so the error is
 //!   surfaced to the caller instead.
 //!
 //! The jittered delay never exceeds [`RetryPolicy::cap`]: jitter is

@@ -6,31 +6,36 @@
 //! whole [`sit_core::Session`] façade (phases 1–4) plus service
 //! housekeeping (`ping`, `stats`, `shutdown`).
 //!
-//! | op | arguments | success payload |
-//! |----|-----------|-----------------|
-//! | `ping` | — | `pong` |
-//! | `open` | — | `session` |
-//! | `close` | `session` | `closed` |
-//! | `load` | `script` | `session`, `schemas` |
-//! | `save` | `session` | `script` |
-//! | `add_schema` | `session`, `ddl` | `schemas` |
-//! | `list_schemas` | `session` | `schemas` (objects/relationship counts) |
-//! | `render` | `session`, `schema` | `text` |
-//! | `equiv` | `session`, `a`, `b` (`schema.Owner.attr`) | `classes` |
-//! | `unequiv` | `session`, `a` | `removed` |
-//! | `candidates` | `session`, `a`, `b` (schema names) | `pairs` |
-//! | `rel_candidates` | `session`, `a`, `b` | `pairs` |
-//! | `assert` | `session`, `a`, `b` (`schema.Object`), `assertion` | `derived` |
-//! | `rel_assert` | `session`, `a`, `b`, `assertion` | `derived` |
-//! | `retract` | `session`, `a`, `b` | `retracted` |
-//! | `rel_retract` | `session`, `a`, `b` | `retracted` |
-//! | `matrix` | `session`, `a`, `b` | `rows`, `cols`, `cells` |
-//! | `integrate` | `session`, `a`, `b`, `pull_up?`, `mappings?` | `schema`, `objects`, `relationships`, `mappings?` |
-//! | `stats` | — | `uptime_ms`, `sessions`, `evicted`, `verbs` |
-//! | `metrics_text` | — | `text` (Prometheus exposition) |
-//! | `trace_dump` | `limit?` | `events`, `dropped`, `trace` (Chrome JSON) |
-//! | `persist_stats` | — | `enabled`, journal/snapshot/recovery counters |
-//! | `shutdown` | — | `draining` |
+//! | op | class | arguments | success payload |
+//! |----|-------|-----------|-----------------|
+//! | `ping` | observe | — | `pong` |
+//! | `open` | lifecycle | — | `session` |
+//! | `close` | lifecycle | `session` | `closed` |
+//! | `load` | lifecycle | `script` | `session`, `schemas` |
+//! | `save` | read | `session` | `script` |
+//! | `add_schema` | write | `session`, `ddl` | `schemas` |
+//! | `list_schemas` | read | `session` | `schemas` (objects/relationship counts) |
+//! | `render` | read | `session`, `schema` | `text` |
+//! | `equiv` | write | `session`, `a`, `b` (`schema.Owner.attr`) | `classes` |
+//! | `unequiv` | write | `session`, `a` | `removed` |
+//! | `candidates` | read | `session`, `a`, `b` (schema names) | `pairs` |
+//! | `rel_candidates` | read | `session`, `a`, `b` | `pairs` |
+//! | `assert` | write | `session`, `a`, `b` (`schema.Object`), `assertion` | `derived` |
+//! | `rel_assert` | write | `session`, `a`, `b`, `assertion` | `derived` |
+//! | `retract` | write | `session`, `a`, `b` | `retracted` |
+//! | `rel_retract` | write | `session`, `a`, `b` | `retracted` |
+//! | `matrix` | read | `session`, `a`, `b` | `rows`, `cols`, `cells` |
+//! | `integrate` | read | `session`, `a`, `b`, `pull_up?`, `mappings?` | `schema`, `objects`, `relationships`, `mappings?` |
+//! | `stats` | observe | — | `uptime_ms`, `sessions`, `evicted`, `verbs` |
+//! | `metrics_text` | observe | — | `text` (Prometheus exposition) |
+//! | `trace_dump` | observe | `limit?` | `events`, `dropped`, `trace` (Chrome JSON) |
+//! | `persist_stats` | observe | — | `enabled`, journal/snapshot/recovery counters |
+//! | `shutdown` | lifecycle | — | `draining` |
+//!
+//! A verb's [`Class`] decides how it is served: only `observe` verbs
+//! are answered while the server drains, `read` and `write` verbs are
+//! dispatched to their session, only `write` frames are logged, and the
+//! client retries only `observe` and `read` verbs.
 //!
 //! Assertion keywords are the session-script spellings
 //! ([`sit_core::script::keyword`]): `equals`, `contained-in`, `contains`,
@@ -55,116 +60,245 @@ use sit_core::script;
 
 use crate::wire::Json;
 
-/// Every protocol verb, in fixture order.
-pub const VERBS: [&str; 23] = [
-    "ping",
-    "open",
-    "close",
-    "load",
-    "save",
-    "add_schema",
-    "list_schemas",
-    "render",
-    "equiv",
-    "unequiv",
-    "candidates",
-    "rel_candidates",
-    "assert",
-    "rel_assert",
-    "retract",
-    "rel_retract",
-    "matrix",
-    "integrate",
-    "stats",
-    "metrics_text",
-    "trace_dump",
-    "persist_stats",
-    "shutdown",
-];
+/// What a verb does, which decides how the service and the client
+/// treat it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// Service housekeeping: touches no session, is still served while
+    /// the server drains, and is safe to retry.
+    Observe,
+    /// Creates or drops a session, or stops the server: refused while
+    /// draining, never retried.
+    Lifecycle,
+    /// Reads one session without changing it: dispatched to that
+    /// session, never logged, safe to retry.
+    Read,
+    /// Changes one session: dispatched to that session and logged
+    /// before it applies, never retried.
+    Write,
+}
 
-/// One decoded request — the wire image of the [`sit_core::Session`]
-/// façade.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+/// The wire codec of one request field; a field's key is its name.
+trait Arg: Sized {
+    /// Read the field from a request frame.
+    fn decode(frame: &Json, key: &str) -> Result<Self, ServerError>;
+    /// Append the field to a frame's pairs.
+    fn encode(&self, key: &'static str, pairs: &mut Vec<(&'static str, Json)>);
+}
+
+/// A required string.
+impl Arg for String {
+    fn decode(frame: &Json, key: &str) -> Result<String, ServerError> {
+        frame
+            .get(key)
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| ServerError::bad_request(format!("missing string `{key}`")))
+    }
+
+    fn encode(&self, key: &'static str, pairs: &mut Vec<(&'static str, Json)>) {
+        pairs.push((key, Json::str(self)));
+    }
+}
+
+/// A flag; absent means `false`.
+impl Arg for bool {
+    fn decode(frame: &Json, key: &str) -> Result<bool, ServerError> {
+        Ok(frame.get(key).and_then(Json::as_bool).unwrap_or(false))
+    }
+
+    fn encode(&self, key: &'static str, pairs: &mut Vec<(&'static str, Json)>) {
+        pairs.push((key, Json::Bool(*self)));
+    }
+}
+
+/// A required assertion keyword ([`script::keyword`]).
+impl Arg for Assertion {
+    fn decode(frame: &Json, key: &str) -> Result<Assertion, ServerError> {
+        let kw = String::decode(frame, key)?;
+        script::parse_keyword(&kw)
+            .ok_or_else(|| ServerError::bad_request(format!("unknown assertion `{kw}`")))
+    }
+
+    fn encode(&self, key: &'static str, pairs: &mut Vec<(&'static str, Json)>) {
+        pairs.push((key, Json::str(script::keyword(*self))));
+    }
+}
+
+/// An optional count; `None` is left out of the frame.
+impl Arg for Option<u64> {
+    fn decode(frame: &Json, key: &str) -> Result<Option<u64>, ServerError> {
+        Ok(frame.get(key).and_then(Json::as_num).map(|n| n as u64))
+    }
+
+    fn encode(&self, key: &'static str, pairs: &mut Vec<(&'static str, Json)>) {
+        if let Some(n) = self {
+            pairs.push((key, Json::num(*n)));
+        }
+    }
+}
+
+/// Declares the protocol from one row per verb, in wire order: the
+/// verb's doc, its [`Request`] variant, its op string, its [`Class`]
+/// and its fields (none makes a unit variant). A field's wire key is
+/// its name, its codec its type's [`Arg`] impl, and a field named
+/// `session` is the id [`Request::session_id`] returns.
+macro_rules! verbs {
+    (@session) => { None };
+    (@session session $s:ident $($rest:ident)*) => { Some($s.as_str()) };
+    (@session $other:ident $o:ident $($rest:ident)*) => { verbs!(@session $($rest)*) };
+    ($(
+        $(#[$doc:meta])*
+        $name:ident = $op:literal, $class:ident $({
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty,)*
+        })?;
+    )*) => {
+        /// Every protocol verb, in fixture order.
+        pub const VERBS: [&str; [$($op),*].len()] = [$($op),*];
+
+        /// One decoded request — the wire image of the
+        /// [`sit_core::Session`] façade.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Request {
+            $($(#[$doc])* $name $({ $($(#[$fdoc])* $field: $ty,)* })?,)*
+        }
+
+        impl Request {
+            /// The verb string of this request.
+            pub fn op(&self) -> &'static str {
+                match self {
+                    $(Request::$name { .. } => $op,)*
+                }
+            }
+
+            /// The verb's class.
+            pub fn class(&self) -> Class {
+                match self {
+                    $(Request::$name { .. } => Class::$class,)*
+                }
+            }
+
+            /// The session id this request addresses, if any.
+            #[allow(unused_variables)]
+            pub fn session_id(&self) -> Option<&str> {
+                match self {
+                    $(Request::$name { $($($field,)*)? } => {
+                        verbs!(@session $($($field $field)*)?)
+                    })*
+                }
+            }
+
+            /// Decode a request from its parsed JSON frame.
+            pub fn from_json(v: &Json) -> Result<Request, ServerError> {
+                let op = v
+                    .get("op")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| ServerError::bad_request("missing `op`"))?;
+                Ok(match op {
+                    $($op => Request::$name $({
+                        $($field: Arg::decode(v, stringify!($field))?,)*
+                    })?,)*
+                    other => {
+                        return Err(ServerError::bad_request(format!("unknown op `{other}`")));
+                    }
+                })
+            }
+
+            /// Encode to the wire frame the server parses (used by the
+            /// client).
+            pub fn to_json(&self) -> Json {
+                let mut pairs = vec![("op", Json::str(self.op()))];
+                match self {
+                    $(Request::$name { $($($field,)*)? } => {
+                        $($(Arg::encode($field, stringify!($field), &mut pairs);)*)?
+                    })*
+                }
+                Json::obj(pairs)
+            }
+        }
+    };
+}
+
+verbs! {
     /// Liveness check.
-    Ping,
+    Ping = "ping", Observe;
     /// Create a fresh session; responds with its id.
-    Open,
+    Open = "open", Lifecycle;
     /// Drop a session.
-    Close {
+    Close = "close", Lifecycle {
         /// Session id.
         session: String,
-    },
+    };
     /// Create a session preloaded from a session script
     /// ([`sit_core::script`]).
-    Load {
+    Load = "load", Lifecycle {
         /// Script text (DDL blocks + directives).
         script: String,
-    },
+    };
     /// Serialize a session back to a script.
-    Save {
+    Save = "save", Read {
         /// Session id.
         session: String,
-    },
+    };
     /// Phase 1: register a component schema from DDL text.
-    AddSchema {
+    AddSchema = "add_schema", Write {
         /// Session id.
         session: String,
         /// One or more `schema name { ... }` blocks.
         ddl: String,
-    },
+    };
     /// List registered schemas with their sizes.
-    ListSchemas {
+    ListSchemas = "list_schemas", Read {
         /// Session id.
         session: String,
-    },
+    };
     /// Render one registered schema as text.
-    Render {
+    Render = "render", Read {
         /// Session id.
         session: String,
         /// Schema name.
         schema: String,
-    },
+    };
     /// Phase 2: declare two attributes equivalent
     /// (`schema.Owner.attr` paths).
-    Equiv {
+    Equiv = "equiv", Write {
         /// Session id.
         session: String,
         /// First attribute path.
         a: String,
         /// Second attribute path.
         b: String,
-    },
+    };
     /// Phase 2: remove an attribute from its equivalence class
     /// (Screen 7 delete).
-    Unequiv {
+    Unequiv = "unequiv", Write {
         /// Session id.
         session: String,
         /// Attribute path.
         a: String,
-    },
+    };
     /// Ranked object-pair candidates between two schemas (by name).
-    Candidates {
+    Candidates = "candidates", Read {
         /// Session id.
         session: String,
         /// First schema name.
         a: String,
         /// Second schema name.
         b: String,
-    },
+    };
     /// Ranked relationship-pair candidates.
-    RelCandidates {
+    RelCandidates = "rel_candidates", Read {
         /// Session id.
         session: String,
         /// First schema name.
         a: String,
         /// Second schema name.
         b: String,
-    },
+    };
     /// Phase 3: assert one of the five relationships between object
     /// classes (`schema.Object` paths); the response carries the derived
     /// facts, a conflict comes back as a `conflict` error.
-    Assert {
+    Assert = "assert", Write {
         /// Session id.
         session: String,
         /// First object path.
@@ -173,9 +307,9 @@ pub enum Request {
         b: String,
         /// The asserted relationship.
         assertion: Assertion,
-    },
+    };
     /// Phase 3: assert between relationship sets.
-    RelAssert {
+    RelAssert = "rel_assert", Write {
         /// Session id.
         session: String,
         /// First relationship path.
@@ -184,37 +318,37 @@ pub enum Request {
         b: String,
         /// The asserted relationship.
         assertion: Assertion,
-    },
+    };
     /// Retract the latest user assertion for an object pair.
-    Retract {
+    Retract = "retract", Write {
         /// Session id.
         session: String,
         /// First object path.
         a: String,
         /// Second object path.
         b: String,
-    },
+    };
     /// Retract the latest user assertion for a relationship pair.
-    RelRetract {
+    RelRetract = "rel_retract", Write {
         /// Session id.
         session: String,
         /// First relationship path.
         a: String,
         /// Second relationship path.
         b: String,
-    },
+    };
     /// The Entity Assertion matrix between two schemas.
-    Matrix {
+    Matrix = "matrix", Read {
         /// Session id.
         session: String,
         /// First schema name.
         a: String,
         /// Second schema name.
         b: String,
-    },
+    };
     /// Phase 4: integrate two schemas; optionally pull up common
     /// attributes and return the request mappings.
-    Integrate {
+    Integrate = "integrate", Read {
         /// Session id.
         session: String,
         /// First schema name.
@@ -225,299 +359,43 @@ pub enum Request {
         pull_up: bool,
         /// Also return the mapping description.
         mappings: bool,
-    },
+    };
     /// Service metrics.
-    Stats,
+    Stats = "stats", Observe;
     /// Service metrics as Prometheus text exposition.
-    MetricsText,
+    MetricsText = "metrics_text", Observe;
     /// The service's retained trace ring as Chrome `trace_event` JSON.
-    TraceDump {
+    TraceDump = "trace_dump", Observe {
         /// Keep only the newest `limit` events (default 512, so the
         /// response frame stays well under the wire limits).
         limit: Option<u64>,
-    },
+    };
     /// Persistence counters (journal, snapshots, recovery); reports
     /// `enabled:false` when the server runs without `--data-dir`.
-    PersistStats,
+    PersistStats = "persist_stats", Observe;
     /// Graceful shutdown: drain in-flight requests, then stop.
-    Shutdown,
+    Shutdown = "shutdown", Lifecycle;
 }
 
 impl Request {
-    /// The verb string of this request.
-    pub fn op(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Open => "open",
-            Request::Close { .. } => "close",
-            Request::Load { .. } => "load",
-            Request::Save { .. } => "save",
-            Request::AddSchema { .. } => "add_schema",
-            Request::ListSchemas { .. } => "list_schemas",
-            Request::Render { .. } => "render",
-            Request::Equiv { .. } => "equiv",
-            Request::Unequiv { .. } => "unequiv",
-            Request::Candidates { .. } => "candidates",
-            Request::RelCandidates { .. } => "rel_candidates",
-            Request::Assert { .. } => "assert",
-            Request::RelAssert { .. } => "rel_assert",
-            Request::Retract { .. } => "retract",
-            Request::RelRetract { .. } => "rel_retract",
-            Request::Matrix { .. } => "matrix",
-            Request::Integrate { .. } => "integrate",
-            Request::Stats => "stats",
-            Request::MetricsText => "metrics_text",
-            Request::TraceDump { .. } => "trace_dump",
-            Request::PersistStats => "persist_stats",
-            Request::Shutdown => "shutdown",
-        }
-    }
-
-    /// The session id this request addresses, if any.
-    pub fn session_id(&self) -> Option<&str> {
-        match self {
-            Request::Close { session }
-            | Request::Save { session }
-            | Request::AddSchema { session, .. }
-            | Request::ListSchemas { session }
-            | Request::Render { session, .. }
-            | Request::Equiv { session, .. }
-            | Request::Unequiv { session, .. }
-            | Request::Candidates { session, .. }
-            | Request::RelCandidates { session, .. }
-            | Request::Assert { session, .. }
-            | Request::RelAssert { session, .. }
-            | Request::Retract { session, .. }
-            | Request::RelRetract { session, .. }
-            | Request::Matrix { session, .. }
-            | Request::Integrate { session, .. } => Some(session),
-            _ => None,
-        }
-    }
-
-    /// Whether this verb changes the addressed session's state — the
-    /// verbs whose frames the write-ahead log records. `integrate` is
-    /// read-only (it derives an integrated schema without touching the
-    /// session); lifecycle verbs are not in it: `open`/`load` append the
-    /// session's open record and `close` its close record.
+    /// Whether this verb changes the addressed session's state
+    /// ([`Class::Write`]) — the verbs whose frames the write-ahead log
+    /// records. `integrate` is read-only (it derives an integrated
+    /// schema without touching the session); lifecycle verbs are not
+    /// in it: `open`/`load` append the session's open record and
+    /// `close` its close record.
     pub fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            Request::AddSchema { .. }
-                | Request::Equiv { .. }
-                | Request::Unequiv { .. }
-                | Request::Assert { .. }
-                | Request::RelAssert { .. }
-                | Request::Retract { .. }
-                | Request::RelRetract { .. }
-        )
+        self.class() == Class::Write
     }
 
     /// Whether replaying this request after an ambiguous failure is
-    /// safe. True only for verbs whose server-side effect is at most a
-    /// session LRU refresh (reads, `ping`, `stats`, `save` — writing
-    /// the same bytes twice is harmless). Mutations (`open`, `assert`,
-    /// `integrate`, ...) and lifecycle verbs (`close`, `shutdown`)
+    /// safe ([`Class::Observe`] and [`Class::Read`]): its server-side
+    /// effect is at most a session LRU refresh. Writes (`assert`,
+    /// `equiv`, ...) and lifecycle verbs (`open`, `close`, `shutdown`)
     /// could double-apply if the response was lost, so the client must
     /// never retry them automatically.
     pub fn is_idempotent(&self) -> bool {
-        matches!(
-            self,
-            Request::Ping
-                | Request::Stats
-                | Request::MetricsText
-                | Request::TraceDump { .. }
-                | Request::PersistStats
-                | Request::Save { .. }
-                | Request::ListSchemas { .. }
-                | Request::Render { .. }
-                | Request::Candidates { .. }
-                | Request::RelCandidates { .. }
-                | Request::Matrix { .. }
-        )
-    }
-
-    /// Decode a request from its parsed JSON frame.
-    pub fn from_json(v: &Json) -> Result<Request, ServerError> {
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServerError::bad_request("missing `op`"))?;
-        let s = |key: &str| -> Result<String, ServerError> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| ServerError::bad_request(format!("missing string `{key}`")))
-        };
-        let flag = |key: &str| v.get(key).and_then(Json::as_bool).unwrap_or(false);
-        let assertion = || -> Result<Assertion, ServerError> {
-            let kw = s("assertion")?;
-            script::parse_keyword(&kw)
-                .ok_or_else(|| ServerError::bad_request(format!("unknown assertion `{kw}`")))
-        };
-        Ok(match op {
-            "ping" => Request::Ping,
-            "open" => Request::Open,
-            "close" => Request::Close {
-                session: s("session")?,
-            },
-            "load" => Request::Load {
-                script: s("script")?,
-            },
-            "save" => Request::Save {
-                session: s("session")?,
-            },
-            "add_schema" => Request::AddSchema {
-                session: s("session")?,
-                ddl: s("ddl")?,
-            },
-            "list_schemas" => Request::ListSchemas {
-                session: s("session")?,
-            },
-            "render" => Request::Render {
-                session: s("session")?,
-                schema: s("schema")?,
-            },
-            "equiv" => Request::Equiv {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-            },
-            "unequiv" => Request::Unequiv {
-                session: s("session")?,
-                a: s("a")?,
-            },
-            "candidates" => Request::Candidates {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-            },
-            "rel_candidates" => Request::RelCandidates {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-            },
-            "assert" => Request::Assert {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-                assertion: assertion()?,
-            },
-            "rel_assert" => Request::RelAssert {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-                assertion: assertion()?,
-            },
-            "retract" => Request::Retract {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-            },
-            "rel_retract" => Request::RelRetract {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-            },
-            "matrix" => Request::Matrix {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-            },
-            "integrate" => Request::Integrate {
-                session: s("session")?,
-                a: s("a")?,
-                b: s("b")?,
-                pull_up: flag("pull_up"),
-                mappings: flag("mappings"),
-            },
-            "stats" => Request::Stats,
-            "metrics_text" => Request::MetricsText,
-            "trace_dump" => Request::TraceDump {
-                limit: v.get("limit").and_then(Json::as_num).map(|n| n as u64),
-            },
-            "persist_stats" => Request::PersistStats,
-            "shutdown" => Request::Shutdown,
-            other => {
-                return Err(ServerError::bad_request(format!("unknown op `{other}`")));
-            }
-        })
-    }
-
-    /// Encode to the wire frame the server parses (used by the client).
-    pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(&str, Json)> = vec![("op", Json::str(self.op()))];
-        let mut push = |k: &'static str, v: &str| pairs.push((k, Json::str(v)));
-        match self {
-            Request::Ping
-            | Request::Open
-            | Request::Stats
-            | Request::MetricsText
-            | Request::PersistStats
-            | Request::Shutdown => {}
-            Request::TraceDump { limit } => {
-                if let Some(limit) = limit {
-                    pairs.push(("limit", Json::num(*limit)));
-                }
-            }
-            Request::Close { session }
-            | Request::Save { session }
-            | Request::ListSchemas { session } => push("session", session),
-            Request::Load { script } => push("script", script),
-            Request::AddSchema { session, ddl } => {
-                push("session", session);
-                push("ddl", ddl);
-            }
-            Request::Render { session, schema } => {
-                push("session", session);
-                push("schema", schema);
-            }
-            Request::Equiv { session, a, b }
-            | Request::Candidates { session, a, b }
-            | Request::RelCandidates { session, a, b }
-            | Request::Retract { session, a, b }
-            | Request::RelRetract { session, a, b }
-            | Request::Matrix { session, a, b } => {
-                push("session", session);
-                push("a", a);
-                push("b", b);
-            }
-            Request::Unequiv { session, a } => {
-                push("session", session);
-                push("a", a);
-            }
-            Request::Assert {
-                session,
-                a,
-                b,
-                assertion,
-            }
-            | Request::RelAssert {
-                session,
-                a,
-                b,
-                assertion,
-            } => {
-                push("session", session);
-                push("a", a);
-                push("b", b);
-                push("assertion", script::keyword(*assertion));
-            }
-            Request::Integrate {
-                session,
-                a,
-                b,
-                pull_up,
-                mappings,
-            } => {
-                push("session", session);
-                push("a", a);
-                push("b", b);
-                pairs.push(("pull_up", Json::Bool(*pull_up)));
-                pairs.push(("mappings", Json::Bool(*mappings)));
-            }
-        }
-        Json::obj(pairs)
+        matches!(self.class(), Class::Observe | Class::Read)
     }
 }
 
@@ -767,5 +645,47 @@ mod tests {
             .and_then(|e| e.get("code"))
             .and_then(Json::as_str);
         assert_eq!(code, Some("unknown_session"));
+    }
+
+    /// A frame carrying every field any verb reads.
+    fn frame_for(op: &str) -> Json {
+        Json::obj(vec![
+            ("op", Json::str(op)),
+            ("session", Json::str("1")),
+            ("script", Json::str("")),
+            ("ddl", Json::str("")),
+            ("schema", Json::str("s")),
+            ("a", Json::str("s.A")),
+            ("b", Json::str("t.B")),
+            ("assertion", Json::str("equals")),
+        ])
+    }
+
+    #[test]
+    fn the_doc_table_lists_every_verb_with_its_class() {
+        let rows: Vec<(&str, &str)> = include_str!("proto.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! | `"))
+            .map(|row| {
+                let (op, rest) = row.split_once("` | ").expect("op column");
+                (op, rest.split(" | ").next().expect("class column"))
+            })
+            .collect();
+        let ops: Vec<&str> = rows.iter().map(|(op, _)| *op).collect();
+        assert_eq!(ops, VERBS, "doc table ops, in order");
+        for (op, class) in rows {
+            let req = Request::from_json(&frame_for(op)).unwrap();
+            let want = format!("{:?}", req.class()).to_lowercase();
+            assert_eq!(class, want, "class of `{op}`");
+        }
+    }
+
+    #[test]
+    fn exactly_reads_writes_and_close_name_a_session() {
+        for op in VERBS {
+            let req = Request::from_json(&frame_for(op)).unwrap();
+            let addressed = matches!(req.class(), Class::Read | Class::Write) || op == "close";
+            assert_eq!(req.session_id(), addressed.then_some("1"), "{op}");
+        }
     }
 }

@@ -37,7 +37,7 @@ use sit_obs::trace::{self, Tracer};
 
 use crate::metrics::Metrics;
 use crate::persist::{PersistConfig, Persistence, SEGMENT_BYTES};
-use crate::proto::{ok_response, Request, ServerError};
+use crate::proto::{ok_response, Class, Request, ServerError};
 use crate::storage::Storage;
 use crate::store::{SessionStore, StoreConfig};
 use crate::wire::Json;
@@ -220,16 +220,7 @@ impl Service {
         };
         let op = request.op();
         req_span.set_arg("op", op);
-        if self.is_draining()
-            && !matches!(
-                request,
-                Request::Stats
-                    | Request::Ping
-                    | Request::MetricsText
-                    | Request::TraceDump { .. }
-                    | Request::PersistStats
-            )
-        {
+        if self.is_draining() && request.class() != Class::Observe {
             return self.finish(op, started_ns, Err(ServerError::shutting_down()), false);
         }
         let shutdown = matches!(request, Request::Shutdown);
@@ -262,10 +253,9 @@ impl Service {
     }
 
     fn dispatch(&self, request: Request, raw: &str) -> Result<Json, ServerError> {
-        // Session-addressed verbs (everything carrying a `session`
-        // except `close`, whose effect is on the store itself) share
-        // one path: resolve, journal if mutating, apply.
-        if request.session_id().is_some() && !matches!(request, Request::Close { .. }) {
+        // Reads and writes of one session share one path: resolve,
+        // journal if a write, apply.
+        if matches!(request.class(), Class::Read | Class::Write) {
             return self.dispatch_session(&request, raw);
         }
         match request {
@@ -400,7 +390,9 @@ impl Service {
     /// [`apply_session_request`] — the same function recovery replays
     /// records through.
     fn dispatch_session(&self, request: &Request, raw: &str) -> Result<Json, ServerError> {
-        let id = request.session_id().expect("caller checked session_id");
+        let id = request
+            .session_id()
+            .expect("reads and writes name a session");
         let shared = self
             .store
             .get(id)

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sit_core::assertion::Assertion;
 use sit_server::client::{error_code, Client, ClientConfig, RetryPolicy};
 use sit_server::proto::Request;
 
@@ -213,6 +214,24 @@ fn non_idempotent_verb_is_never_retried_on_disconnect() {
     let mock = MockServer::start(vec![Play::Hangup, Play::Ok]);
     let mut client = Client::connect_with(mock.addr, fast_config(5)).expect("connect");
     let err = client
+        .call_retrying(&Request::Assert {
+            session: "1".into(),
+            a: "sa.A".into(),
+            b: "sb.B".into(),
+            assertion: Assertion::Equal,
+        })
+        .expect_err("lost connection surfaces as io error");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert_eq!(mock.requests(), 1, "assert must not be replayed");
+}
+
+#[test]
+fn integrate_is_retried_through_overloaded() {
+    // `integrate` reads its session without changing it, so it retries
+    // like every other read.
+    let mock = MockServer::start(vec![Play::Overloaded, Play::Ok]);
+    let mut client = Client::connect_with(mock.addr, fast_config(5)).expect("connect");
+    let response = client
         .call_retrying(&Request::Integrate {
             session: "1".into(),
             a: "sa".into(),
@@ -220,9 +239,14 @@ fn non_idempotent_verb_is_never_retried_on_disconnect() {
             pull_up: false,
             mappings: false,
         })
-        .expect_err("lost connection surfaces as io error");
-    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    assert_eq!(mock.requests(), 1, "integrate must not be replayed");
+        .expect("retried to success");
+    assert_eq!(
+        response.get("ok").and_then(sit_server::Json::as_bool),
+        Some(true),
+        "final response is the ok frame: {}",
+        response.encode()
+    );
+    assert_eq!(mock.requests(), 2, "one overloaded rejection then success");
 }
 
 #[test]

@@ -19,8 +19,9 @@
 //!   lines (form fields).
 //! * [`app`] — the tool itself: a state machine over the thirteen screens
 //!   of the paper (main menu + Screens 2–12), driving a
-//!   [`sit_core::session::Session`] underneath.
-//! * [`flow`] — the screen control-flow graph of the paper's Figure 6.
+//!   [`sit_core::session::Session`] underneath. Its viewer follows the
+//!   screen control flow of the paper's Figure 6 (checked by the
+//!   `screen_flow_graph` test).
 //! * [`session`] — the scripted runner: feed a list of events, get every
 //!   rendered frame back, ready for golden-file comparison.
 //!
@@ -38,13 +39,11 @@
 
 pub mod app;
 pub mod event;
-pub mod flow;
 pub mod screen;
 pub mod screens;
 pub mod session;
 
 pub use app::App;
 pub use event::Event;
-pub use flow::{viewer_flow, ScreenId};
 pub use screen::Frame;
 pub use session::{run_script, Capture};

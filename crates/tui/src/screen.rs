@@ -173,11 +173,6 @@ impl ListWindow {
         let end = (start + self.page_size).min(total);
         start..end
     }
-
-    /// Whether a scroll affordance is needed.
-    pub fn needs_scroll(&self, total: usize) -> bool {
-        total > self.page_size
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +232,6 @@ mod tests {
     fn list_window_scrolls_and_wraps() {
         let mut w = ListWindow::new(3);
         assert_eq!(w.visible(8), 0..3);
-        assert!(w.needs_scroll(8));
         w.scroll(8);
         assert_eq!(w.visible(8), 3..6);
         w.scroll(8);
@@ -246,7 +240,6 @@ mod tests {
         assert_eq!(w.visible(8), 0..3, "wraps");
         // Short lists need no scrolling and never move.
         let mut w = ListWindow::new(5);
-        assert!(!w.needs_scroll(4));
         assert_eq!(w.visible(4), 0..4);
         w.scroll(0);
         assert_eq!(w.offset, 0);

@@ -34,11 +34,6 @@ pub fn run_script(app: &mut App, events: Vec<Event>) -> Vec<Capture> {
     out
 }
 
-/// The last frame of a capture list.
-pub fn final_frame(captures: &[Capture]) -> &Frame {
-    &captures.last().expect("captures never empty").frame
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,7 +46,6 @@ mod tests {
         assert_eq!(caps.len(), 2);
         assert!(caps[0].frame.contains("Main Menu"));
         assert!(caps[1].frame.contains("Schema Name Collection"));
-        assert!(final_frame(&caps).contains("Schema Name Collection"));
         assert_eq!(caps[1].event, Some(Event::Key('1')));
     }
 }

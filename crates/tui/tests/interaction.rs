@@ -2,7 +2,9 @@
 //! assertion skipping, the relationship-side screens (tasks 4/5), and
 //! error statuses — the paths the paper-session test doesn't exercise.
 
+use sit_core::assertion::Assertion;
 use sit_core::session::Session;
+use sit_core::GObj;
 use sit_ecr::{ddl, fixtures};
 use sit_tui::app::App;
 use sit_tui::event::{keys, Event};
@@ -272,5 +274,125 @@ fn relationship_conflict_is_repaired_like_an_object_conflict() {
     assert_eq!(
         app.session().rel_engine().effective(r1, s),
         Some(sit_core::assertion::Assertion::MayBe)
+    );
+}
+
+/// Figure 6's eight viewer screens, by the title each renders.
+const VIEWER_SCREENS: [&str; 8] = [
+    "Object Class Screen",
+    "Entity Screen",
+    "Category Screen",
+    "Relationship Screen",
+    "Attribute Screen",
+    "Component Attribute Screen",
+    "Equivalent Screen",
+    "Participating Objects In Relationship Screen",
+];
+
+/// The viewer screen `app` shows.
+fn viewer_screen(app: &App) -> &'static str {
+    let f = app.render().to_string();
+    if f.contains("COMPONENT ATTRIBUTE SCREEN") {
+        return "Component Attribute Screen";
+    }
+    VIEWER_SCREENS
+        .into_iter()
+        .find(|title| f.contains(&format!("< {title} >")))
+        .unwrap_or_else(|| panic!("not a viewer screen:\n{f}"))
+}
+
+/// The paper's sc1/sc2 pair with Figure 5's assertions, integrated by
+/// task 6: the tool is on the Object Class Screen.
+fn viewer_root() -> App {
+    let mut session = Session::new();
+    session.add_schema(fixtures::sc1()).unwrap();
+    session.add_schema(fixtures::sc2()).unwrap();
+    for (a, b, attr) in [
+        ("Student", "Grad_student", "Name"),
+        ("Student", "Faculty", "Name"),
+        ("Department", "Department", "Dname"),
+    ] {
+        session
+            .declare_equivalent_named("sc1", a, attr, "sc2", b, attr)
+            .unwrap();
+    }
+    for (a, b, assertion) in [
+        ("Department", "Department", Assertion::Equal),
+        ("Student", "Grad_student", Assertion::Contains),
+        ("Student", "Faculty", Assertion::DisjointIntegrable),
+    ] {
+        let ga: GObj = session.named("sc1", a).unwrap();
+        let gb: GObj = session.named("sc2", b).unwrap();
+        session.assert(ga, gb, assertion).unwrap();
+    }
+    let mut app = App::with_session(session);
+    feed(&mut app, keys("2"));
+    feed(&mut app, vec![Event::text("sc1 sc2")]);
+    feed(&mut app, keys("e6"));
+    assert_eq!(viewer_screen(&app), "Object Class Screen");
+    app
+}
+
+/// E13 (Figure 6): every menu arc of the viewer, driven through the tool
+/// from the Object Class Screen with a name typed in first. The arcs
+/// form the paper's eight-screen hierarchy.
+#[test]
+fn screen_flow_graph() {
+    // (name typed on the Object Class Screen, menu choices that follow)
+    let walks = [
+        ("E_Department", "eq"),
+        ("E_Department", "ea1"),
+        ("E_Department", "a1"),
+        ("Student", "cq"),
+        ("Student", "ca1"),
+        ("Works", "rq"),
+        ("Works", "rp"),
+        ("Works", "ra"),
+    ];
+    let mut arcs: Vec<(&str, char, &str)> = Vec::new();
+    for (name, choices) in walks {
+        let mut app = viewer_root();
+        feed(&mut app, vec![Event::text(name)]);
+        for key in choices.chars() {
+            let from = viewer_screen(&app);
+            app.handle(Event::Key(key));
+            arcs.push((from, key, viewer_screen(&app)));
+        }
+    }
+    arcs.sort_unstable();
+    arcs.dedup();
+
+    // `e` and `c` open one element view, titled by the object's kind.
+    let mut app = viewer_root();
+    feed(&mut app, vec![Event::text("Student")]);
+    feed(&mut app, keys("e"));
+    assert_eq!(viewer_screen(&app), "Category Screen");
+
+    let sources = |to: &str| -> Vec<&str> {
+        arcs.iter()
+            .filter(|(_, _, t)| *t == to)
+            .map(|(f, _, _)| *f)
+            .collect()
+    };
+    let mut screens: Vec<&str> = arcs.iter().flat_map(|(f, _, t)| [*f, *t]).collect();
+    screens.sort_unstable();
+    screens.dedup();
+    // "The result of schema integration can be viewed using the set of
+    // eight screens arranged in a hierarchy."
+    assert_eq!(screens.len(), 8, "{arcs:?}");
+    let roots: Vec<&str> = screens
+        .iter()
+        .copied()
+        .filter(|s| sources(s).is_empty())
+        .collect();
+    assert_eq!(roots, ["Object Class Screen"], "{arcs:?}");
+    assert_eq!(
+        sources("Component Attribute Screen"),
+        ["Attribute Screen"],
+        "only an attribute number on the Attribute Screen opens it"
+    );
+    assert_eq!(
+        sources("Equivalent Screen"),
+        ["Category Screen", "Entity Screen", "Relationship Screen"]
     );
 }

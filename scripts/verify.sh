@@ -30,8 +30,9 @@ echo "== benchmark's own tests (perfbench correctness gate) =="
 # it. Its tests run tiny passes of every workload through the benchmark's
 # correctness gate: assertion-matrix cells must match sit-datagen ground
 # truth, and `assert` on a cloned session must derive as many facts as
-# the service reported.
-CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml
+# the service reported. `--locked` fails the step instead of letting a
+# change to a crate the benchmark depends on rewrite perfbench/Cargo.lock.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== dependency graph is the workspace allowlist, nothing else =="
 # The resolved graph must be exactly the in-tree crates below: every
