@@ -25,13 +25,14 @@
 //! *subtracted* from the capped exponential step, spreading retries out
 //! in time without ever extending the worst case.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use sit_prng::Xoshiro256pp;
 
 use crate::proto::Request;
+use crate::server::write_frame;
 use crate::wire::Json;
 
 /// Bounded retry with capped, jittered exponential backoff.
@@ -159,18 +160,7 @@ impl Client {
             Some(conn) => conn,
             None => self.conn.insert(open_stream(self.addr, &self.config)?),
         };
-        let stream = conn.get_mut();
-        writeln!(stream, "{frame}")?;
-        stream.flush()?;
-        let mut line = String::new();
-        let n = conn.read_line(&mut line)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(line.trim_end().to_owned())
+        round_trip(conn, frame)
     }
 
     /// Send a typed request and parse the response.
@@ -232,6 +222,21 @@ impl Client {
     }
 }
 
+/// Send one frame, newline included, in a single write and read the
+/// reply line.
+fn round_trip(conn: &mut BufReader<impl Read + Write>, frame: &str) -> std::io::Result<String> {
+    write_frame(conn.get_mut(), frame)?;
+    let mut line = String::new();
+    let n = conn.read_line(&mut line)?;
+    if n == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        ));
+    }
+    Ok(line.trim_end().to_owned())
+}
+
 /// Dial `addr`; requests are written through the reader's inner stream.
 fn open_stream(addr: SocketAddr, config: &ClientConfig) -> std::io::Result<BufReader<TcpStream>> {
     let stream = match config.timeout {
@@ -259,6 +264,48 @@ pub fn error_code(response: &Json) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A stream that counts `write` calls and answers every read from
+    /// a canned reply.
+    struct CountingStream {
+        writes: usize,
+        sent: Vec<u8>,
+        reply: std::io::Cursor<&'static [u8]>,
+    }
+
+    impl Write for CountingStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.sent.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for CountingStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reply.read(buf)
+        }
+    }
+
+    #[test]
+    fn each_request_frame_is_one_write() {
+        let mut conn = BufReader::new(CountingStream {
+            writes: 0,
+            sent: Vec::new(),
+            reply: std::io::Cursor::new(b"{\"ok\":true,\"pong\":true}\n{\"ok\":true}\n"),
+        });
+        let first = round_trip(&mut conn, r#"{"op":"ping"}"#).unwrap();
+        let second = round_trip(&mut conn, r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(first, r#"{"ok":true,"pong":true}"#);
+        assert_eq!(second, r#"{"ok":true}"#);
+        let stream = conn.get_ref();
+        assert_eq!(stream.sent, b"{\"op\":\"ping\"}\n{\"op\":\"stats\"}\n");
+        assert_eq!(stream.writes, 2, "one write per frame, newline included");
+    }
 
     #[test]
     fn backoff_doubles_then_caps() {

@@ -101,10 +101,15 @@ impl Arg for String {
     }
 }
 
-/// A flag; absent means `false`.
+/// A flag; absent means `false`, any other type is a `bad_request`.
 impl Arg for bool {
     fn decode(frame: &Json, key: &str) -> Result<bool, ServerError> {
-        Ok(frame.get(key).and_then(Json::as_bool).unwrap_or(false))
+        match frame.get(key) {
+            None => Ok(false),
+            Some(v) => v
+                .as_bool()
+                .ok_or_else(|| ServerError::bad_request(format!("`{key}` must be a bool"))),
+        }
     }
 
     fn encode(&self, key: &'static str, pairs: &mut Vec<(&'static str, Json)>) {
@@ -125,10 +130,21 @@ impl Arg for Assertion {
     }
 }
 
-/// An optional count; `None` is left out of the frame.
+/// An optional count; `None` is left out of the frame. A present count
+/// must be a whole number from 0 to 2^53, the integers a JSON number
+/// (an f64) holds exactly.
 impl Arg for Option<u64> {
     fn decode(frame: &Json, key: &str) -> Result<Option<u64>, ServerError> {
-        Ok(frame.get(key).and_then(Json::as_num).map(|n| n as u64))
+        const MAX: f64 = (1u64 << 53) as f64;
+        let Some(v) = frame.get(key) else {
+            return Ok(None);
+        };
+        match v.as_num() {
+            Some(n) if (0.0..=MAX).contains(&n) && n.fract() == 0.0 => Ok(Some(n as u64)),
+            _ => Err(ServerError::bad_request(format!(
+                "`{key}` must be a whole number from 0 to 2^53"
+            ))),
+        }
     }
 
     fn encode(&self, key: &'static str, pairs: &mut Vec<(&'static str, Json)>) {
@@ -645,6 +661,43 @@ mod tests {
             .and_then(|e| e.get("code"))
             .and_then(Json::as_str);
         assert_eq!(code, Some("unknown_session"));
+    }
+
+    #[test]
+    fn optional_fields_default_when_absent_and_bound_when_present() {
+        let decode = |frame: &str| Request::from_json(&Json::parse(frame).unwrap());
+        let integrate = decode(r#"{"op":"integrate","session":"1","a":"s","b":"t"}"#).unwrap();
+        assert!(matches!(
+            integrate,
+            Request::Integrate {
+                pull_up: false,
+                mappings: false,
+                ..
+            }
+        ));
+        assert_eq!(
+            decode(r#"{"op":"trace_dump"}"#).unwrap(),
+            Request::TraceDump { limit: None }
+        );
+        for (n, want) in [("0", 0), ("7", 7), ("9007199254740992", 1 << 53)] {
+            let frame = format!(r#"{{"op":"trace_dump","limit":{n}}}"#);
+            assert_eq!(
+                decode(&frame).unwrap(),
+                Request::TraceDump { limit: Some(want) }
+            );
+        }
+        for bad in ["null", "true", "\"1\"", "-1", "0.5", "1e300", "[1]"] {
+            let frame = format!(r#"{{"op":"trace_dump","limit":{bad}}}"#);
+            let err = decode(&frame).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{frame}");
+            assert!(err.message.starts_with("`limit`"), "{frame}: {err}");
+        }
+        for bad in ["null", "0", "\"true\"", "{}"] {
+            let frame =
+                format!(r#"{{"op":"integrate","session":"1","a":"s","b":"t","pull_up":{bad}}}"#);
+            let err = decode(&frame).unwrap_err();
+            assert_eq!(err.message, "`pull_up` must be a bool", "{frame}");
+        }
     }
 
     /// A frame carrying every field any verb reads.

@@ -425,8 +425,9 @@ pub fn serve_connection(mut conn: impl Read + Write, service: &Service, gate: &G
     }
 }
 
-/// Write one response frame (payload + newline) and flush it.
-fn write_frame(conn: &mut impl Write, frame: &str) -> std::io::Result<()> {
+/// Write one frame (payload + newline) in a single `write_all` and flush
+/// it; the server writes responses and the client requests through it.
+pub(crate) fn write_frame(conn: &mut impl Write, frame: &str) -> std::io::Result<()> {
     let mut out = Vec::with_capacity(frame.len() + 1);
     out.extend_from_slice(frame.as_bytes());
     out.push(b'\n');

@@ -7,6 +7,11 @@
 //! are byte-stable — golden fixtures and `BENCH_*.json` diffs rely on
 //! that.
 //!
+//! Decoding and encoding are linear in frame size. Both halves find
+//! the next byte a string must escape with one scan that tests eight
+//! bytes per step, and copy each run between two such bytes whole, so
+//! [`MAX_FRAME`] bounds the work of any frame as well as its memory.
+//!
 //! ```
 //! use sit_server::wire::Json;
 //!
@@ -71,7 +76,11 @@ impl Json {
             });
         }
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -214,18 +223,18 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-/// Quote and escape `s`: runs of bytes that need no escape are copied
-/// whole. Every byte that needs one is ASCII, so run boundaries fall on
-/// character boundaries.
+/// Quote and escape `s`: each run of bytes that needs no escape
+/// ([`plain_run`]) is copied whole.
 fn write_str(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
-            continue;
-        }
-        out.push_str(&s[run..i]);
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    loop {
+        let run = plain_run(&bytes[i..]);
+        out.push_str(&s[i..i + run]);
+        i += run;
+        let Some(&b) = bytes.get(i) else { break };
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
@@ -238,10 +247,41 @@ fn write_str(s: &str, out: &mut String) {
                 out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
         }
-        run = i + 1;
+        i += 1;
     }
-    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// The index of the first byte in `bytes` that a JSON string must
+/// escape (`"`, `\` or a control byte below 0x20), or `bytes.len()` if
+/// there is none. Every such byte is ASCII, so the index is always a
+/// character boundary of the `str` the bytes came from.
+///
+/// Eight bytes are tested per step as one little-endian `u64`. For a
+/// word `x`, `(x - n * LO) & !x & HI` flags each byte below `n`
+/// (`n <= 0x80`); a byte equal to `c` is a zero byte of `x ^ c * LO`.
+/// A borrow can flag a byte above a true hit, never below one, so the
+/// lowest flag is exact.
+fn plain_run(bytes: &[u8]) -> usize {
+    const LO: u64 = u64::from_le_bytes([0x01; 8]);
+    const HI: u64 = u64::from_le_bytes([0x80; 8]);
+    const QUOTE: u64 = LO * b'"' as u64;
+    const BACKSLASH: u64 = LO * b'\\' as u64;
+    let below = |x: u64, n: u64| x.wrapping_sub(n * LO) & !x;
+    let mut words = bytes.chunks_exact(8);
+    for (k, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        let hits = (below(x, 0x20) | below(x ^ QUOTE, 1) | below(x ^ BACKSLASH, 1)) & HI;
+        if hits != 0 {
+            return k * 8 + (hits.trailing_zeros() / 8) as usize;
+        }
+    }
+    let tail = words.remainder();
+    let done = bytes.len() - tail.len();
+    done + tail
+        .iter()
+        .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+        .unwrap_or(tail.len())
 }
 
 /// Largest newline-terminated line the framing layer will buffer before
@@ -315,6 +355,7 @@ impl FrameBuffer {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -427,6 +468,9 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = plain_run(&self.bytes[self.pos..]);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -477,16 +521,8 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                // `plain_run` stops only at `"`, `\` and control bytes.
+                Some(_) => return Err(self.err("raw control byte in string")),
             }
         }
     }
@@ -660,6 +696,35 @@ mod tests {
                 }
             }
             assert_eq!(out, whole, "chunk size {step}");
+        }
+    }
+
+    #[test]
+    fn plain_run_finds_the_first_escape_in_every_lane_and_the_tail() {
+        // Fills sit next to the stop bytes in value, or above 0x7f where
+        // a borrow or a sign bit could fake a hit.
+        for fill in [
+            b'a', b' ', b'!', b'#', b'[', b']', 0x7f, 0x80, 0xa2, 0xdc, 0xff,
+        ] {
+            for len in 0..=24 {
+                let plain = vec![fill; len];
+                assert_eq!(plain_run(&plain), len, "fill {fill:#x}");
+                for at in 0..len {
+                    for stop in (0u8..=0xff).filter(|&b| b < 0x20 || b == b'"' || b == b'\\') {
+                        let mut bytes = plain.clone();
+                        bytes[at] = stop;
+                        // A second stop later must not mask the first.
+                        if at + 3 < len {
+                            bytes[at + 3] = b'"';
+                        }
+                        assert_eq!(
+                            plain_run(&bytes),
+                            at,
+                            "fill {fill:#x} stop {stop:#x} at {at}"
+                        );
+                    }
+                }
+            }
         }
     }
 

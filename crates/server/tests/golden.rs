@@ -221,6 +221,31 @@ fn golden_error_frames() {
             r#"{"op":"save","session":"41"}"#,
             r#"{"ok":false,"error":{"code":"unknown_session","message":"no session `41` (closed, evicted, or never opened)"}}"#,
         ),
+        // A present field of the wrong type is refused, not read as absent.
+        (
+            r#"{"op":"integrate","session":"41","a":"s1","b":"s2","mappings":"yes"}"#,
+            r#"{"ok":false,"error":{"code":"bad_request","message":"`mappings` must be a bool"}}"#,
+        ),
+        (
+            r#"{"op":"integrate","session":"41","a":"s1","b":"s2","pull_up":1}"#,
+            r#"{"ok":false,"error":{"code":"bad_request","message":"`pull_up` must be a bool"}}"#,
+        ),
+        (
+            r#"{"op":"trace_dump","limit":"1"}"#,
+            r#"{"ok":false,"error":{"code":"bad_request","message":"`limit` must be a whole number from 0 to 2^53"}}"#,
+        ),
+        (
+            r#"{"op":"trace_dump","limit":-1}"#,
+            r#"{"ok":false,"error":{"code":"bad_request","message":"`limit` must be a whole number from 0 to 2^53"}}"#,
+        ),
+        (
+            r#"{"op":"trace_dump","limit":2.5}"#,
+            r#"{"ok":false,"error":{"code":"bad_request","message":"`limit` must be a whole number from 0 to 2^53"}}"#,
+        ),
+        (
+            r#"{"op":"trace_dump","limit":1e16}"#,
+            r#"{"ok":false,"error":{"code":"bad_request","message":"`limit` must be a whole number from 0 to 2^53"}}"#,
+        ),
     ];
     for (request, expected) in cases {
         let got = service.handle_line(request).frame;

@@ -809,25 +809,42 @@ impl App {
         }
     }
 
+    /// The Attribute Screen: an attribute number, or `o` for the first
+    /// row, opens that row's components.
     fn view_attrs(&mut self, event: Event, name: String, is_rel: bool) {
-        match &event {
-            Event::Key(k) if k.eq_ignore_ascii_case(&'x') => {
+        let number = match event.key() {
+            Some('x') => {
                 self.state = State::ViewObjects { selected: None };
+                return;
             }
-            Event::Key(k) if k.is_ascii_digit() => {
-                let attr = (*k as u8 - b'0') as usize;
-                if attr == 0 {
-                    return;
-                }
-                self.state = State::ViewComponent {
-                    name,
-                    is_rel,
-                    attr: attr - 1,
-                    comp: 0,
-                };
-            }
-            _ => self.state = State::ViewAttrs { name, is_rel },
+            Some('o') => 1,
+            Some(k) if k.is_ascii_digit() => (k as u8 - b'0') as usize,
+            _ => return,
+        };
+        let rows = self.attr_rows(&name, is_rel);
+        if (1..=rows).contains(&number) {
+            self.state = State::ViewComponent {
+                name,
+                is_rel,
+                attr: number - 1,
+                comp: 0,
+            };
+        } else if rows == 0 {
+            self.status = Some(format!("`{name}` has no attributes"));
+        } else {
+            self.status = Some(format!("attribute number must be 1 to {rows}"));
         }
+    }
+
+    /// How many attribute rows the Attribute Screen of `name` shows.
+    fn attr_rows(&self, name: &str, is_rel: bool) -> usize {
+        self.viewed(name, is_rel).map_or(0, |(integrated, owner)| {
+            integrated
+                .schema
+                .owner_attrs(owner)
+                .len()
+                .min(screens::ATTRIBUTE_ROWS)
+        })
     }
 
     fn view_component(

@@ -506,8 +506,11 @@ pub fn element_view(
     f
 }
 
+/// How many attribute rows the Attribute Screen shows.
+pub const ATTRIBUTE_ROWS: usize = 10;
+
 /// Attribute Screen — all attributes of one object class or relationship
-/// set; derived attributes are marked.
+/// set (the first [`ATTRIBUTE_ROWS`]); derived attributes are marked.
 pub fn attribute_view(
     owner: &str,
     owner_kind: &str,
@@ -521,7 +524,7 @@ pub fn attribute_view(
         &["Attribute Name", "Domain", "Key", "Derived?"],
     );
     f.hline(7);
-    for (i, (name, domain, key, derived)) in rows.iter().enumerate().take(10) {
+    for (i, (name, domain, key, derived)) in rows.iter().enumerate().take(ATTRIBUTE_ROWS) {
         f.columns(
             8 + i,
             &[4, 34, 52, 62],

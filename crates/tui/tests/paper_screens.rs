@@ -169,6 +169,39 @@ fn screen11_and_12_viewer_drilldown() {
 }
 
 #[test]
+fn attribute_screen_checks_the_number_and_o_opens_components() {
+    let mut app = paper_app();
+    feed(&mut app, keys("3"));
+    feed(&mut app, keys("134e"));
+    feed(&mut app, keys("5"));
+    feed(&mut app, keys("1e"));
+    feed(&mut app, keys("6"));
+    feed(&mut app, vec![Event::text("E_Department")]);
+    feed(&mut app, keys("a"));
+    let f = app.render();
+    assert!(f.contains("< E_Department : entity >"), "{f}");
+    assert!(f.contains("1> D_Dname"), "{f}");
+    assert!(!f.contains("2> "), "one attribute row: {f}");
+
+    // Past the last row: stay on the screen and say why.
+    for key in ["9", "2", "0"] {
+        feed(&mut app, keys(key));
+        let f = app.render();
+        assert!(f.contains("< E_Department : entity >"), "{key}: {f}");
+        assert!(f.contains("attribute number must be 1 to 1"), "{key}: {f}");
+    }
+
+    // `o`, as the prompt's c<O>mponents offers, opens the first row.
+    feed(&mut app, keys("o"));
+    let f = app.render();
+    assert!(f.contains("COMPONENT ATTRIBUTE SCREEN"), "{f}");
+    assert!(f.contains("< D_Dname (1 of 2) >"), "{f}");
+    feed(&mut app, keys("q"));
+    feed(&mut app, keys("1"));
+    assert!(app.render().contains("< D_Dname (1 of 2) >"));
+}
+
+#[test]
 fn screen9_conflict_and_repair() {
     let mut session = Session::new();
     session.add_schema(fixtures::sc3()).unwrap();

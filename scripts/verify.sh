@@ -144,6 +144,31 @@ fi
 [ -s "$chaos_a" ] || { echo "FAIL: chaos trace dump is empty" >&2; exit 1; }
 echo "ok: $(wc -l <"$chaos_a") trace lines, byte-identical across independent runs"
 
+echo "== large-frame smoke (a ~900 KiB add_schema frame over --stdio) =="
+# Decoding and encoding are linear in frame size, so a frame close to
+# wire::MAX_FRAME is answered at once; a decoder quadratic in frame size
+# would hold it for minutes and trip the timeout.
+big_out="$(python3 - <<'EOF' | timeout 10 ./target/release/sit serve --stdio
+import json
+
+ddl = "schema big {\n"
+i = 0
+while len(ddl) < 900 * 1024:
+    attrs = " ".join(f"A{i}_{k}: char;" for k in range(600))
+    ddl += f"  entity E{i} {{ Name{i}: char key; {attrs} }}\n"
+    i += 1
+ddl += "}"
+for frame in ({"op": "open"}, {"op": "add_schema", "session": "1", "ddl": ddl}):
+    print(json.dumps(frame, separators=(",", ":")))
+EOF
+)" || { echo "FAIL: sit serve --stdio did not answer a ~900 KiB frame within 10 s" >&2; exit 1; }
+big_reply="$(echo "$big_out" | sed -n 2p)"
+case "$big_reply" in
+  '{"ok":true,'* | '{"ok":false,"error":{"code":"bad_request",'*) ;;
+  *) echo "FAIL: ~900 KiB add_schema frame got no typed reply: ${big_reply:0:200}" >&2; exit 1 ;;
+esac
+echo "ok: ~900 KiB add_schema frame answered: ${big_reply:0:60}"
+
 echo "== server smoke test (serve + scripted client session) =="
 serve_log="$(mktemp)"
 ./target/release/sit serve --addr 127.0.0.1:0 >"$serve_log" &
