@@ -39,26 +39,47 @@
 //! lists each node's neighbours, so a propagation step visits only the
 //! triangles that can tighten. Provenance stays sparse: a map from
 //! tightened pairs to their supporting fact ids, written only when a
-//! refinement actually tightens a pair.
+//! refinement actually tightens a pair; a pair resting on one fact keeps
+//! it inline. The node index, the provenance map and the integrability
+//! marks are keyed by the engine's own ids, so they hash with the
+//! in-crate Fx hasher instead of std's SipHash.
+//!
+//! A schema's structure is seeded in one pass
+//! ([`AssertionEngine::seed_structure`]): its facts are a contiguous run
+//! over nodes nothing constrains yet, whose closure is known in closed
+//! form — each category is a proper part of its ancestors, and
+//! everything under one root entity set is disjoint from everything
+//! under another — so the run's pinned pairs and their provenance are
+//! written straight into the matrix, in time linear in their number,
+//! instead of propagating each of the n²/2 disjointness facts of n
+//! roots. The rebuild behind `retract` and conflict rollback replays such
+//! a run the same way and propagates only the other facts, the user's
+//! assertions among them.
 //!
 //! Propagation is a FIFO worklist that visits a popped pair's neighbours
 //! in ascending index order. The derivation, provenance and conflict
 //! reports included, is therefore a function of the fact sequence alone:
 //! replaying the same fact sequence (another server, or a journal-only
-//! replay) gives byte-identical answers. A different sequence with the
-//! same active facts need not: a snapshot written by `script::save` keeps
-//! only the active user assertions and puts every schema's seeds first,
-//! so a session recovered from a snapshot can number its facts, intern
-//! its nodes and order its provenance differently.
+//! replay) gives byte-identical answers. One-pass seeding keeps this: it
+//! records the same facts, interns the same nodes in the same order and
+//! leaves the same closure and provenance as seeding the run fact by
+//! fact ([`AssertionEngine::seed`]), which `tests/seed_structure.rs`
+//! checks against random category forests. A different sequence with the
+//! same active facts need not give the same answers: a snapshot written
+//! by `script::save` keeps only the active user assertions and puts every
+//! schema's seeds first, so a session recovered from a snapshot can
+//! number its facts, intern its nodes and order its provenance
+//! differently.
 //!
 //! The engine itself does not bound n; `Session` limits the object
 //! classes and relationship sets one session may register.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 
 use crate::assertion::{Assertion, Rel5, Rel5Set};
+use crate::fxhash::{FxHashMap, FxHashSet};
 
 /// Index of a recorded fact (user assertion or structural seed).
 pub type FactId = usize;
@@ -175,6 +196,32 @@ fn pair(i: Ix, j: Ix) -> Pair {
     }
 }
 
+/// The input facts one tightened pair rests on, ascending and
+/// deduplicated. A pair resting on a single fact — every disjoint pair of
+/// root entity sets, every category and its parent — holds it inline.
+#[derive(Clone, Debug)]
+enum Roots {
+    One(FactId),
+    Many(Box<[FactId]>),
+}
+
+impl Roots {
+    fn as_slice(&self) -> &[FactId] {
+        match self {
+            Roots::One(id) => std::slice::from_ref(id),
+            Roots::Many(ids) => ids,
+        }
+    }
+
+    /// From ascending, deduplicated, non-empty ids.
+    fn from_sorted(ids: Vec<FactId>) -> Roots {
+        match *ids {
+            [id] => Roots::One(id),
+            _ => Roots::Many(ids.into_boxed_slice()),
+        }
+    }
+}
+
 /// Why a pair is being tightened.
 #[derive(Clone, Copy)]
 enum Support {
@@ -201,9 +248,9 @@ struct Network {
     /// that are not universal: the nodes the row's node is constrained
     /// against.
     live: Vec<u64>,
-    /// Input facts supporting each pair propagation has tightened,
-    /// ascending and deduplicated. Untouched pairs have no entry.
-    roots: HashMap<Pair, Vec<FactId>>,
+    /// Input facts supporting each pair propagation has tightened.
+    /// Untouched pairs have no entry.
+    roots: FxHashMap<Pair, Roots>,
 }
 
 impl Network {
@@ -219,7 +266,14 @@ impl Network {
 
     /// Input facts supporting pair `p`'s current constraint.
     fn roots(&self, p: Pair) -> &[FactId] {
-        self.roots.get(&p).map_or(&[], Vec::as_slice)
+        self.roots.get(&p).map_or(&[], Roots::as_slice)
+    }
+
+    /// Whether node `i` is constrained against no other node.
+    fn is_unconstrained(&self, i: Ix) -> bool {
+        let words = self.words();
+        let row = i as usize * words;
+        self.live[row..row + words].iter().all(|&w| w == 0)
     }
 
     /// Add a node unconstrained against every other, doubling the matrix
@@ -363,13 +417,143 @@ impl Network {
             Support::Compose(p, q) => (self.roots(p), self.roots(q)),
         };
         let own = self.roots(key);
-        let mut merged = Vec::with_capacity(own.len() + p.len() + q.len());
-        merged.extend_from_slice(own);
-        merged.extend_from_slice(p);
-        merged.extend_from_slice(q);
-        merged.sort_unstable();
-        merged.dedup();
-        self.roots.insert(key, merged);
+        let roots = match (own, p, q) {
+            ([], &[id], []) | ([], [], &[id]) => Roots::One(id),
+            _ => {
+                let mut merged = Vec::with_capacity(own.len() + p.len() + q.len());
+                merged.extend_from_slice(own);
+                merged.extend_from_slice(p);
+                merged.extend_from_slice(q);
+                merged.sort_unstable();
+                merged.dedup();
+                Roots::from_sorted(merged)
+            }
+        };
+        self.roots.insert(key, roots);
+    }
+
+    /// Pin `R(a, b)` to `rel`, a pair no constraint has touched yet,
+    /// resting on `roots`.
+    fn pin(&mut self, a: Ix, b: Ix, rel: Rel5, roots: Roots) {
+        let (ai, bi, cap) = (a as usize, b as usize, self.cap);
+        debug_assert!(self.cells[ai * cap + bi].is_universal(), "({a},{b}) fresh");
+        self.cells[ai * cap + bi] = Rel5Set::only(rel);
+        self.cells[bi * cap + ai] = Rel5Set::only(rel).converse();
+        let words = self.words();
+        self.live[ai * words + bi / 64] |= 1 << (bi % 64);
+        self.live[bi * words + ai / 64] |= 1 << (ai % 64);
+        self.roots.insert(pair(a, b), roots);
+    }
+
+    /// Write the closure of one structural block straight into the
+    /// matrix: what [`Network::constrain`] derives from the block's facts
+    /// in fact order, provenance included, without propagating.
+    ///
+    /// Every node of the block is unconstrained when it starts, so the
+    /// facts touch only pairs inside it. Its `PP` edges form a forest
+    /// and its `DR` facts relate distinct roots of that forest, and the
+    /// closure of such facts has exactly two kinds of pinned pair: a node
+    /// is `PP` each of its ancestors, resting on the edges of the path
+    /// between them; and two nodes under distinct disjoint roots are `DR`,
+    /// resting on both paths up to those roots and the roots' own `DR`
+    /// fact. Every other pair of the block stays universal (siblings,
+    /// cousins, two nodes under one root). Propagation pins each such pair
+    /// in one step from universal to the singleton, so its provenance is
+    /// that of the first derivation to reach it — and every derivation of
+    /// it rests on exactly those paths.
+    fn seed_block(&mut self, block: &SeedBlock) {
+        const NONE: u32 = u32::MAX;
+        let edges = block.edges.len();
+        // Parent and edge fact of each child, by matrix index.
+        let mut up: Vec<Option<(Ix, FactId)>> = vec![None; self.len];
+        // Position in `block.roots` of each disjoint root.
+        let mut root_pos = vec![NONE; self.len];
+        let mut nodes: Vec<Ix> = Vec::with_capacity(2 * edges + block.roots.len());
+        for (k, &(child, parent)) in block.edges.iter().enumerate() {
+            up[child as usize] = Some((parent, block.first + k));
+            nodes.extend([child, parent]);
+        }
+        for (t, &r) in block.roots.iter().enumerate() {
+            root_pos[r as usize] = t as u32;
+            nodes.push(r);
+        }
+        nodes.sort_unstable();
+        nodes.dedup();
+        // Each node pinned PP against its ancestors; under a disjoint
+        // root, it joins that root's members with its path's edges.
+        let mut members: Vec<Vec<(Ix, Box<[FactId]>)>> = vec![Vec::new(); block.roots.len()];
+        let mut path: Vec<FactId> = Vec::new();
+        for &x in &nodes {
+            path.clear();
+            let mut top = x;
+            while let Some((parent, fact)) = up[top as usize] {
+                path.push(fact);
+                top = parent;
+                let roots = match *path {
+                    [id] => Roots::One(id),
+                    _ => {
+                        let mut roots = path.clone();
+                        roots.sort_unstable();
+                        Roots::Many(roots.into_boxed_slice())
+                    }
+                };
+                self.pin(x, top, Rel5::Pp, roots);
+            }
+            if let Some(members) = members.get_mut(root_pos[top as usize] as usize) {
+                path.sort_unstable();
+                members.push((x, path.as_slice().into()));
+            }
+        }
+        // Distinct disjoint roots' subtrees are DR, pair by pair in the
+        // order their facts were recorded.
+        let under: usize = members.iter().map(Vec::len).sum();
+        let same_root: usize = members.iter().map(|m| m.len() * m.len()).sum();
+        self.roots.reserve((under * under - same_root) / 2);
+        let mut dr = block.first + edges;
+        for (i, under_i) in members.iter().enumerate() {
+            for under_j in &members[i + 1..] {
+                for (u, up_u) in under_i {
+                    for (v, up_v) in under_j {
+                        let roots = if up_u.is_empty() && up_v.is_empty() {
+                            Roots::One(dr)
+                        } else {
+                            // Edge facts precede the block's DR facts.
+                            let mut roots = Vec::with_capacity(up_u.len() + up_v.len() + 1);
+                            roots.extend_from_slice(up_u);
+                            roots.extend_from_slice(up_v);
+                            roots.sort_unstable();
+                            roots.push(dr);
+                            Roots::from_sorted(roots)
+                        };
+                        self.pin(*u, *v, Rel5::Dr, roots);
+                    }
+                }
+                dr += 1;
+            }
+        }
+    }
+}
+
+/// One schema's structural facts, recorded by
+/// [`AssertionEngine::seed_structure`] as one contiguous run: its `PP`
+/// edges in order, then a `DR` fact for every pair of distinct disjoint
+/// roots in index order. Replayed as a block by the rebuild.
+#[derive(Clone, Debug)]
+struct SeedBlock {
+    /// Fact id of the block's first fact.
+    first: FactId,
+    /// `(child, parent)` matrix indices of the `PP` edges.
+    edges: Vec<(Ix, Ix)>,
+    /// Matrix indices of the pairwise-disjoint roots; empty when fewer
+    /// than two (no `DR` fact then).
+    roots: Vec<Ix>,
+}
+
+impl SeedBlock {
+    /// Number of facts the block recorded.
+    fn fact_count(&self) -> usize {
+        let m = self.roots.len();
+        self.edges.len() + m * m.saturating_sub(1) / 2
     }
 }
 
@@ -423,12 +607,15 @@ impl ConstraintView<'_> {
 pub struct AssertionEngine<N> {
     facts: Vec<Fact<N>>,
     /// Node → matrix index, assigned in order of first mention.
-    index: HashMap<N, Ix>,
+    index: FxHashMap<N, Ix>,
     /// Matrix index → node.
     nodes: Vec<N>,
     network: Network,
     /// Pairs the DDA marked disjoint-but-integrable.
-    integrable_dr: HashSet<(N, N)>,
+    integrable_dr: FxHashSet<(N, N)>,
+    /// The runs of facts [`AssertionEngine::seed_structure`] recorded in
+    /// one pass, in fact order.
+    blocks: Vec<SeedBlock>,
 }
 
 impl<N: Copy + Eq + Ord + Hash + fmt::Debug> Default for AssertionEngine<N> {
@@ -442,10 +629,11 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
     pub fn new() -> Self {
         Self {
             facts: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             nodes: Vec::new(),
             network: Network::default(),
-            integrable_dr: HashSet::new(),
+            integrable_dr: FxHashSet::default(),
+            blocks: Vec::new(),
         }
     }
 
@@ -547,6 +735,119 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             FactSource::IntraSchema,
             &name,
         )
+    }
+
+    /// Seed one schema's structure in one pass: each `(child, parent)` of
+    /// `edges` is a proper part of its parent (`PP`), then every two
+    /// distinct nodes of `disjoint` are disjoint (`DR`), pair by pair in
+    /// index order. The engine ends exactly as [`AssertionEngine::seed`]
+    /// over those facts in that order would leave it — the same facts,
+    /// the same node interning order, the same closure and provenance —
+    /// but the closure is written straight into the matrix, in time
+    /// linear in the pairs it pins instead of a propagation per fact.
+    ///
+    /// That holds when the edges form a forest, the disjoint nodes are
+    /// distinct roots of it, and no node is constrained yet: the shape of
+    /// a fresh schema's single-parent categories and root entity sets (or
+    /// of its relationship sets, with no edges). Any other input is
+    /// seeded fact by fact through [`AssertionEngine::seed`], which also
+    /// reports its conflicts; the one-pass path cannot conflict.
+    pub fn seed_structure(
+        &mut self,
+        edges: &[(N, N)],
+        disjoint: &[N],
+        name: impl Fn(N) -> String,
+    ) -> Result<(), ConflictReport> {
+        // One disjoint node states no fact and mentions nothing.
+        let disjoint = if disjoint.len() < 2 { &[] } else { disjoint };
+        if !self.is_fresh_forest(edges, disjoint) {
+            for &(child, parent) in edges {
+                self.seed(child, parent, Rel5::Pp, &name)?;
+            }
+            for (i, &a) in disjoint.iter().enumerate() {
+                for &b in &disjoint[i + 1..] {
+                    self.seed(a, b, Rel5::Dr, &name)?;
+                }
+            }
+            return Ok(());
+        }
+        let first = self.facts.len();
+        let m = disjoint.len();
+        self.facts
+            .reserve(edges.len() + m * m.saturating_sub(1) / 2);
+        let fact = |a, b, rel| Fact {
+            a,
+            b,
+            set: Rel5Set::only(rel),
+            assertion: None,
+            source: FactSource::IntraSchema,
+            active: true,
+        };
+        self.facts.extend(
+            edges
+                .iter()
+                .map(|&(child, parent)| fact(child, parent, Rel5::Pp)),
+        );
+        for (i, &a) in disjoint.iter().enumerate() {
+            self.facts
+                .extend(disjoint[i + 1..].iter().map(|&b| fact(a, b, Rel5::Dr)));
+        }
+        // Intern in order of first mention, as fact-by-fact seeding does.
+        let edges: Vec<(Ix, Ix)> = edges
+            .iter()
+            .map(|&(child, parent)| (self.intern(child), self.intern(parent)))
+            .collect();
+        let roots: Vec<Ix> = disjoint.iter().map(|&r| self.intern(r)).collect();
+        let block = SeedBlock {
+            first,
+            edges,
+            roots,
+        };
+        self.network.seed_block(&block);
+        self.blocks.push(block);
+        Ok(())
+    }
+
+    /// Whether `edges` and `disjoint` have the shape
+    /// [`AssertionEngine::seed_structure`] seeds in one pass: each child
+    /// has one parent and no ancestor cycle, the disjoint nodes are
+    /// distinct and parentless, and every node is unconstrained so far.
+    fn is_fresh_forest(&self, edges: &[(N, N)], disjoint: &[N]) -> bool {
+        let mut up = edges.to_vec();
+        up.sort_unstable();
+        let parent = |n: &N| {
+            up.binary_search_by(|(child, _)| child.cmp(n))
+                .ok()
+                .map(|i| up[i].1)
+        };
+        let one_parent = up.windows(2).all(|w| w[0].0 != w[1].0);
+        // A walk up from any child ends within `edges.len()` steps unless
+        // it cycles.
+        let acyclic = edges.iter().all(|&(child, _)| {
+            let mut top = child;
+            (0..=edges.len()).any(|_| match parent(&top) {
+                Some(p) => {
+                    top = p;
+                    false
+                }
+                None => true,
+            })
+        });
+        let mut roots = disjoint.to_vec();
+        roots.sort_unstable();
+        let distinct_roots = roots.windows(2).all(|w| w[0] != w[1]);
+        let unconstrained = |n: &N| match self.index.get(n) {
+            Some(&i) => self.network.is_unconstrained(i),
+            None => true,
+        };
+        one_parent
+            && acyclic
+            && distinct_roots
+            && roots.iter().all(|r| parent(r).is_none())
+            && edges
+                .iter()
+                .all(|(c, p)| unconstrained(c) && unconstrained(p))
+            && roots.iter().all(unconstrained)
     }
 
     /// Record a DDA assertion for a pair. On success, returns the facts the
@@ -653,12 +954,22 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             .filter(|f| f.active && f.assertion == Some(Assertion::DisjointIntegrable))
             .map(|f| norm(f.a, f.b).0)
             .collect();
-        for (id, f) in self.facts.iter().enumerate() {
+        // Each structural block is written in one pass; only the facts
+        // outside them (user assertions, single seeds) propagate.
+        let mut blocks = self.blocks.iter().peekable();
+        let mut id = 0;
+        while let Some(f) = self.facts.get(id) {
+            if let Some(block) = blocks.next_if(|b| b.first == id) {
+                self.network.seed_block(block);
+                id += block.fact_count();
+                continue;
+            }
             if f.active {
                 let (i, j) = (self.index[&f.a], self.index[&f.b]);
                 // Re-applying previously consistent facts cannot conflict.
                 let _ = self.network.constrain(i, j, f.set, id, &mut Vec::new());
             }
+            id += 1;
         }
     }
 

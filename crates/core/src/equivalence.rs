@@ -17,7 +17,7 @@
 //! consumes); Screen 7 also supports removing an attribute from its class,
 //! implemented here as [`EquivalenceRegistry::remove_from_class`].
 
-use std::collections::HashMap;
+use sit_ecr::{AttrId, AttrOwner};
 
 use crate::catalog::{Catalog, GAttr};
 use crate::error::{CoreError, Result};
@@ -27,16 +27,34 @@ pub type ClassNo = u32;
 
 /// Registry of attribute equivalence classes over every attribute of every
 /// registered schema.
+///
+/// Everything is dense over the registration order: an attribute's index
+/// is its position in `attrs`, found from its schema's owner offsets, and
+/// a class is listed only once it has two or more members.
 #[derive(Clone, Debug, Default)]
 pub struct EquivalenceRegistry {
     /// Registration order; index+1 is the attribute's original number.
     attrs: Vec<GAttr>,
-    /// Attribute → its index in `attrs`.
-    index: HashMap<GAttr, usize>,
+    /// Per schema id, where its attributes sit in `attrs`.
+    schemas: Vec<Slots>,
     /// Attribute index → current class representative (an attribute index).
     class_of: Vec<usize>,
-    /// Class representative → members (attribute indexes).
-    members: HashMap<usize, Vec<usize>>,
+    /// Class representative → members (attribute indexes), for a class
+    /// of two or more; empty for singletons and non-representatives.
+    members: Vec<Vec<usize>>,
+}
+
+/// Where one registered schema's attributes sit in the registration
+/// order.
+#[derive(Clone, Debug, Default)]
+struct Slots {
+    /// Index of each owner's first attribute — object classes, then
+    /// relationship sets — and one past the schema's last. Empty while
+    /// the schema is not registered.
+    starts: Vec<usize>,
+    /// Number of object classes: relationship set `r` is owner
+    /// `objects + r`.
+    objects: usize,
 }
 
 impl EquivalenceRegistry {
@@ -46,25 +64,49 @@ impl EquivalenceRegistry {
     }
 
     /// Register every attribute of a schema (in the catalog's canonical
-    /// order), each in its own singleton class. Called once per schema as
-    /// it is added to the session.
+    /// order, see [`Catalog::attrs_of`]), each in its own singleton
+    /// class. Called once per schema as it is added to the session; a
+    /// second call for the same schema changes nothing.
     pub fn register_schema(&mut self, catalog: &Catalog, schema: sit_ecr::SchemaId) {
-        for a in catalog.attrs_of(schema) {
-            self.register(a);
+        if self.schemas.len() <= schema.index() {
+            self.schemas.resize_with(schema.index() + 1, Slots::default);
         }
+        if !self.schemas[schema.index()].starts.is_empty() {
+            return;
+        }
+        let s = catalog.schema(schema);
+        let owners = s
+            .object_ids()
+            .map(AttrOwner::Object)
+            .chain(s.rel_ids().map(AttrOwner::Rel));
+        let mut starts = Vec::with_capacity(s.object_count() + s.relationship_count() + 1);
+        for owner in owners {
+            starts.push(self.attrs.len());
+            let count = s.owner_attrs(owner).len() as u32;
+            self.attrs
+                .extend((0..count).map(|i| GAttr::new(schema, owner, AttrId::new(i))));
+        }
+        starts.push(self.attrs.len());
+        let n = self.attrs.len();
+        self.class_of.extend(self.class_of.len()..n);
+        self.members.resize_with(n, Vec::new);
+        self.schemas[schema.index()] = Slots {
+            starts,
+            objects: s.object_count(),
+        };
     }
 
-    /// Register a single attribute (idempotent).
-    pub fn register(&mut self, a: GAttr) -> ClassNo {
-        if let Some(&i) = self.index.get(&a) {
-            return self.class_no_of_index(i);
-        }
-        let i = self.attrs.len();
-        self.attrs.push(a);
-        self.index.insert(a, i);
-        self.class_of.push(i);
-        self.members.insert(i, vec![i]);
-        (i + 1) as ClassNo
+    /// Index of a registered attribute in the registration order.
+    fn index(&self, a: GAttr) -> Option<usize> {
+        let slots = self.schemas.get(a.schema.index())?;
+        let owner = match a.owner {
+            AttrOwner::Object(o) if o.index() < slots.objects => o.index(),
+            AttrOwner::Object(_) => return None,
+            AttrOwner::Rel(r) => slots.objects + r.index(),
+        };
+        let (&start, &end) = (slots.starts.get(owner)?, slots.starts.get(owner + 1)?);
+        let i = start + a.attr.index();
+        (i < end).then_some(i)
     }
 
     /// Number of registered attributes.
@@ -106,33 +148,33 @@ impl EquivalenceRegistry {
     /// Move an attribute out of its class back into a fresh singleton
     /// class (Screen 7's `(D)elete from equiv. class`).
     pub fn remove_from_class(&mut self, a: GAttr) -> bool {
-        let Some(&i) = self.index.get(&a) else {
+        let Some(i) = self.index(a) else {
             return false;
         };
         let rep = self.class_of[i];
-        let members = self.members.get_mut(&rep).expect("class exists");
-        if members.len() == 1 {
+        if self.members[rep].is_empty() {
             return false; // already a singleton
         }
-        members.retain(|&m| m != i);
-        // If the removed member was the representative, re-root the class.
-        if rep == i {
-            let rest = self.members.remove(&rep).expect("class exists");
-            let new_rep = *rest.iter().min().expect("non-empty");
-            for &m in &rest {
-                self.class_of[m] = new_rep;
-            }
-            self.members.insert(new_rep, rest);
-        }
+        let mut rest = std::mem::take(&mut self.members[rep]);
+        rest.retain(|&m| m != i);
         self.class_of[i] = i;
-        self.members.insert(i, vec![i]);
+        // The rest re-roots at its smallest member: `rep` itself, unless
+        // the removed member was the representative.
+        let new_rep = *rest.iter().min().expect("a class of two or more");
+        for &m in &rest {
+            self.class_of[m] = new_rep;
+        }
+        // A class left with one member is a singleton again.
+        if rest.len() > 1 {
+            self.members[new_rep] = rest;
+        }
         true
     }
 
     /// Are the two attributes in the same class?
     pub fn equivalent(&self, a: GAttr, b: GAttr) -> bool {
-        match (self.index.get(&a), self.index.get(&b)) {
-            (Some(&ia), Some(&ib)) => self.class_of[ia] == self.class_of[ib],
+        match (self.index(a), self.index(b)) {
+            (Some(ia), Some(ib)) => self.class_of[ia] == self.class_of[ib],
             _ => false,
         }
     }
@@ -140,11 +182,11 @@ impl EquivalenceRegistry {
     /// The displayed `Eq_class #` of an attribute — the smallest member
     /// number of its class (1-based), matching Screen 7's behaviour.
     pub fn class_no(&self, a: GAttr) -> Option<ClassNo> {
-        self.index.get(&a).map(|&i| self.class_no_of_index(i))
+        self.index(a).map(|i| self.class_no_of_index(i))
     }
 
     /// Every non-singleton class's members, read in place: no clone and
-    /// no sort, so classes and members come in no particular order.
+    /// no sort, so classes and members come in no promised order.
     pub fn class_walk(&self) -> impl Iterator<Item = impl Iterator<Item = GAttr> + '_> {
         self.class_lists()
             .map(|(_, ms)| ms.iter().map(|&m| self.attrs[m]))
@@ -171,9 +213,7 @@ impl EquivalenceRegistry {
     }
 
     fn require(&mut self, a: GAttr, catalog: &Catalog) -> Result<usize> {
-        self.index
-            .get(&a)
-            .copied()
+        self.index(a)
             .ok_or_else(|| CoreError::UnknownElement(catalog.attr_display(a)))
     }
 
@@ -191,14 +231,18 @@ impl EquivalenceRegistry {
         } else {
             (rb, ra)
         };
-        let moved = self.members.remove(&drop).expect("class exists");
+        let mut moved = std::mem::take(&mut self.members[drop]);
+        if moved.is_empty() {
+            moved.push(drop);
+        }
         for &m in &moved {
             self.class_of[m] = keep;
         }
-        self.members
-            .get_mut(&keep)
-            .expect("class exists")
-            .extend(moved);
+        let members = &mut self.members[keep];
+        if members.is_empty() {
+            members.push(keep);
+        }
+        members.extend(moved);
     }
 
     /// The non-singleton classes in place: each one's displayed number
@@ -206,8 +250,9 @@ impl EquivalenceRegistry {
     fn class_lists(&self) -> impl Iterator<Item = (ClassNo, &[usize])> {
         self.members
             .iter()
-            .filter(|(_, ms)| ms.len() > 1)
-            .map(|(&rep, ms)| ((rep + 1) as ClassNo, ms.as_slice()))
+            .enumerate()
+            .filter(|(_, ms)| !ms.is_empty())
+            .map(|(rep, ms)| ((rep + 1) as ClassNo, ms.as_slice()))
     }
 
     fn class_no_of_index(&self, i: usize) -> ClassNo {
@@ -216,7 +261,7 @@ impl EquivalenceRegistry {
         // class with the smaller number, and a removal re-roots the class
         // at its smallest remaining member.
         let rep = self.class_of[i];
-        debug_assert_eq!(self.members[&rep].iter().min(), Some(&rep));
+        debug_assert!(self.members[rep].iter().all(|&m| m >= rep));
         (rep + 1) as ClassNo
     }
 }
@@ -354,9 +399,39 @@ mod tests {
     fn register_is_idempotent() {
         let (c, mut r) = setup();
         let n = r.len();
-        let a = at(&c, "sc1", "Student", "Name");
-        assert_eq!(r.register(a), 1);
+        r.register_schema(&c, c.by_name("sc1").unwrap());
         assert_eq!(r.len(), n);
+        assert_eq!(r.class_no(at(&c, "sc1", "Student", "Name")), Some(1));
+        // Registration order is the catalog's canonical order.
+        let order: Vec<GAttr> = c.schemas().flat_map(|(s, _)| c.attrs_of(s)).collect();
+        assert_eq!(r.attrs(), order);
+        for (i, &a) in order.iter().enumerate() {
+            assert_eq!(r.class_no(a), Some(i as ClassNo + 1));
+        }
+    }
+
+    #[test]
+    fn unregistered_and_out_of_range_attributes_are_unknown() {
+        let (c, r) = setup();
+        let name = at(&c, "sc1", "Student", "Name");
+        let ghosts = [
+            GAttr::new(sit_ecr::SchemaId::new(7), name.owner, name.attr),
+            GAttr::new(name.schema, name.owner, AttrId::new(99)),
+            GAttr::new(
+                name.schema,
+                AttrOwner::Object(sit_ecr::ObjectId::new(99)),
+                name.attr,
+            ),
+            GAttr::new(
+                name.schema,
+                AttrOwner::Rel(sit_ecr::RelId::new(99)),
+                name.attr,
+            ),
+        ];
+        for ghost in ghosts {
+            assert_eq!(r.class_no(ghost), None, "{ghost:?}");
+            assert!(!r.equivalent(ghost, name));
+        }
     }
 
     #[test]

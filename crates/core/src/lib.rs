@@ -47,6 +47,7 @@ pub mod cluster;
 pub mod element;
 pub mod equivalence;
 pub mod error;
+mod fxhash;
 pub mod integrate;
 pub mod mapping;
 pub mod nary;

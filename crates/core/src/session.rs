@@ -11,11 +11,13 @@
 //! parent, and distinct *root* entity sets are pairwise disjoint (the ECR
 //! rule "a given entity can be a member of only one entity set"). Those
 //! seeds are what let Screen 9's conflict derivation cite
-//! `sc4.Grad_student ⊆ sc4.Student` without the DDA ever typing it.
+//! `sc4.Grad_student ⊆ sc4.Student` without the DDA ever typing it. Each
+//! kind's seeds enter its engine in one pass
+//! ([`AssertionEngine::seed_structure`]).
 
 use sit_ecr::{Schema, SchemaId};
 
-use crate::assertion::{Assertion, Rel5};
+use crate::assertion::Assertion;
 use crate::catalog::{Catalog, GAttr, GObj, GRel};
 use crate::closure::{AssertionEngine, DerivedFact};
 use crate::element::{Element, Engines};
@@ -35,8 +37,10 @@ pub struct Session {
 impl Session {
     /// Most object classes one session may hold. Each assertion engine
     /// keeps a dense matrix of n² one-byte cells over its nodes, and the
-    /// structural seeds of one schema grow with the square of its root
-    /// entity sets, so registration is where a session's size is bounded.
+    /// structural seeds of one schema — a disjointness fact per pair of
+    /// its root entity sets, each with its pinned pair — grow with the
+    /// square of its root entity sets (seeded in time linear in their
+    /// number), so registration is where a session's size is bounded.
     pub const MAX_OBJECTS: usize = 2048;
 
     /// Most relationship sets one session may hold (the relationship
@@ -94,38 +98,29 @@ impl Session {
 
     fn seed_structure(&mut self, sid: SchemaId) -> Result<()> {
         let schema = self.catalog.schema(sid);
-        // Categories: proper part of each parent (single- or multi-parent;
-        // a category over a union is still contained in each... only for
-        // single-parent categories is PP to the parent sound, so restrict).
-        let pp_edges: Vec<(GObj, GObj)> = schema
-            .objects()
-            .filter_map(|(oid, obj)| match obj.parents() {
-                &[parent] => Some((GObj::new(sid, oid), GObj::new(sid, parent))),
-                _ => None,
-            })
-            .collect();
-        // Root entity sets are pairwise disjoint.
-        let roots: Vec<GObj> = sit_ecr::IsaGraph::of(schema)
-            .roots()
-            .iter()
-            .map(|&o| GObj::new(sid, o))
-            .collect();
+        // A category is a proper part of its parent when it has just one
+        // (over a union of parents it is contained only in the union),
+        // and root entity sets are pairwise disjoint.
+        let (mut edges, mut roots) = (Vec::new(), Vec::new());
+        for (oid, obj) in schema.objects() {
+            match *obj.parents() {
+                [] => roots.push(GObj::new(sid, oid)),
+                [parent] => edges.push((GObj::new(sid, oid), GObj::new(sid, parent))),
+                _ => {}
+            }
+        }
         // Distinct relationship sets of one schema are distinct tuple
         // sets.
         let rels: Vec<GRel> = self.catalog.rels_of(sid).collect();
-        self.seed(pp_edges, Rel5::Pp)?;
-        self.seed(distinct_pairs(&roots), Rel5::Dr)?;
-        self.seed(distinct_pairs(&rels), Rel5::Dr)
+        self.seed(&edges, &roots)?;
+        self.seed(&[], &rels)
     }
 
-    fn seed<E: Element>(&mut self, pairs: Vec<(E, E)>, rel: Rel5) -> Result<()> {
+    fn seed<E: Element>(&mut self, edges: &[(E, E)], disjoint: &[E]) -> Result<()> {
         let (catalog, engine) = (&self.catalog, E::engine_mut(&mut self.engines));
-        for (a, b) in pairs {
-            engine
-                .seed(a, b, rel, |e| catalog.display(e))
-                .map_err(|r| CoreError::Conflict(Box::new(r)))?;
-        }
-        Ok(())
+        engine
+            .seed_structure(edges, disjoint, |e| catalog.display(e))
+            .map_err(|r| CoreError::Conflict(Box::new(r)))
     }
 
     /// The catalog of registered schemas.
@@ -305,17 +300,10 @@ impl Session {
     }
 }
 
-/// Every unordered pair of distinct elements, in index order.
-fn distinct_pairs<E: Copy>(xs: &[E]) -> Vec<(E, E)> {
-    xs.iter()
-        .enumerate()
-        .flat_map(|(i, &a)| xs[i + 1..].iter().map(move |&b| (a, b)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assertion::Rel5;
     use sit_ecr::fixtures;
 
     #[test]

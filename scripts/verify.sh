@@ -169,6 +169,42 @@ case "$big_reply" in
 esac
 echo "ok: ~900 KiB add_schema frame answered: ${big_reply:0:60}"
 
+echo "== many-root smoke (~1,500 root entity sets, then assert and retract) =="
+# A schema's root entity sets are pairwise disjoint: n²/2 structural
+# facts. Registration writes their closure in one pass, and a retract
+# rebuilds it the same way, so this session answers well inside the
+# timeout; propagating every disjointness fact on its own took about
+# 21 s for the add_schema frame alone.
+many_out="$(python3 - <<'EOF' | timeout 10 ./target/release/sit serve --stdio
+import json
+
+ddl = "schema many {\n"
+i = 0
+while len(ddl) < 900 * 1024:
+    attrs = " ".join(f"A{i}_{k}: char;" for k in range(38))
+    ddl += f"  entity E{i} {{ K{i}: char key; {attrs} }}\n"
+    i += 1
+ddl += "}"
+few = "schema few { entity F { K: char key; } entity G { K: char key; } }"
+pair = {"session": "1", "a": "many.E0", "b": "few.F"}
+for frame in (
+    {"op": "open"},
+    {"op": "add_schema", "session": "1", "ddl": ddl},
+    {"op": "add_schema", "session": "1", "ddl": few},
+    {"op": "assert", **pair, "assertion": "equals"},
+    {"op": "retract", **pair},
+):
+    print(json.dumps(frame, separators=(",", ":")))
+EOF
+)" || { echo "FAIL: sit serve --stdio did not answer the many-root session within 10 s" >&2; exit 1; }
+if [ "$(echo "$many_out" | grep -c '^{"ok":true,')" -ne 5 ] \
+  || ! echo "$many_out" | sed -n 5p | grep -q '"retracted":true'; then
+  echo "FAIL: the many-root session got an error or an unexpected reply:" >&2
+  echo "$many_out" | cut -c1-100 >&2
+  exit 1
+fi
+echo "ok: ~1,500-root add_schema, assert and retract answered"
+
 echo "== server smoke test (serve + scripted client session) =="
 serve_log="$(mktemp)"
 ./target/release/sit serve --addr 127.0.0.1:0 >"$serve_log" &
