@@ -7,7 +7,9 @@
 //! the retraction of one of them; and schemas of 100–400 root entity
 //! sets, seeded in one pass and, as an ablation, fact by fact (one
 //! propagation per disjointness fact, as registration did before), with
-//! the retraction of an assertion between two of them.
+//! the retraction of an assertion between two of them; and one category
+//! chain 250–1,000 deep, seeded, then contradicted on its deepest pair,
+//! whose conflict report cites every edge.
 
 use sit_bench::harness::Bench;
 use sit_core::assertion::{Assertion, Rel5, Rel5Set};
@@ -155,6 +157,18 @@ fn main() {
                 undo,
             );
         }
+    }
+    // A chain of n categories under one root: each is PP every ancestor,
+    // n²/2 pinned pairs, and the leaf's pair with the root rests on all n
+    // edges.
+    for n in [250u32, 500, 1000] {
+        let deep = [schema(0, 1, n)];
+        bench.run(format!("deep_chain/seed/{n}"), || seed(&deep));
+        let mut e = seed(&deep);
+        bench.run(format!("deep_chain/conflict/{n}"), || {
+            e.assert(n, 0, Assertion::DisjointNonIntegrable, name)
+                .unwrap_err()
+        });
     }
     for n in [25u32, 50, 100] {
         bench.run(format!("containment_chain/{n}"), || chain(n));

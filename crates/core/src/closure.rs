@@ -37,12 +37,19 @@
 //! constraints. The matrix doubles when it fills; it costs one byte per
 //! cell, n² bytes for n nodes. A per-row bitset of non-universal cells
 //! lists each node's neighbours, so a propagation step visits only the
-//! triangles that can tighten. Provenance stays sparse: a map from
-//! tightened pairs to their supporting fact ids, written only when a
-//! refinement actually tightens a pair; a pair resting on one fact keeps
-//! it inline. The node index, the provenance map and the integrability
-//! marks are keyed by the engine's own ids, so they hash with the
-//! in-crate Fx hasher instead of std's SipHash.
+//! triangles that can tighten.
+//!
+//! Provenance is an append-only support log: a refinement that tightens
+//! a pair appends one fixed-size entry (the stating fact, or the premise
+//! pairs' latest entries, plus the pair's previous one), and an array
+//! beside the matrix holds each pair's latest entry. A pair's provenance,
+//! the fact ids reachable from that entry, is walked only when a conflict
+//! report, [`DerivedFact::roots`] or [`AssertionEngine::pinned`] reads it.
+//! A relation set tightens at most five times, so a pair has at most five
+//! entries, where a stored fact list grows with its derivation: about
+//! n³/6 ids for a category chain of n. The node index and the
+//! integrability marks hash with the in-crate Fx hasher instead of std's
+//! SipHash.
 //!
 //! A schema's structure is seeded in one pass
 //! ([`AssertionEngine::seed_structure`]): its facts are a contiguous run
@@ -74,7 +81,7 @@
 //! The engine itself does not bound n; `Session` limits the object
 //! classes and relationship sets one session may register.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 
@@ -196,32 +203,6 @@ fn pair(i: Ix, j: Ix) -> Pair {
     }
 }
 
-/// The input facts one tightened pair rests on, ascending and
-/// deduplicated. A pair resting on a single fact — every disjoint pair of
-/// root entity sets, every category and its parent — holds it inline.
-#[derive(Clone, Debug)]
-enum Roots {
-    One(FactId),
-    Many(Box<[FactId]>),
-}
-
-impl Roots {
-    fn as_slice(&self) -> &[FactId] {
-        match self {
-            Roots::One(id) => std::slice::from_ref(id),
-            Roots::Many(ids) => ids,
-        }
-    }
-
-    /// From ascending, deduplicated, non-empty ids.
-    fn from_sorted(ids: Vec<FactId>) -> Roots {
-        match *ids {
-            [id] => Roots::One(id),
-            _ => Roots::Many(ids.into_boxed_slice()),
-        }
-    }
-}
-
 /// Why a pair is being tightened.
 #[derive(Clone, Copy)]
 enum Support {
@@ -231,9 +212,23 @@ enum Support {
     Compose(Pair, Pair),
 }
 
+/// No support-log entry: a universal pair's head, or a link left unset.
+const NONE: u32 = u32::MAX;
+
+/// One refinement of one pair; every link points at an earlier entry.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// The stating fact's id when `right` is [`NONE`]; else the first
+    /// premise pair's head entry when the refinement was made.
+    left: u32,
+    /// The second premise pair's head entry then, or [`NONE`].
+    right: u32,
+    /// The pair's previous head entry, or [`NONE`].
+    prev: u32,
+}
+
 /// The constraint network: a dense row-major `cap × cap` matrix of
-/// possible-relation sets over interned node indices, with sparse
-/// provenance.
+/// possible-relation sets over interned node indices, and its support log.
 #[derive(Clone, Debug, Default)]
 struct Network {
     /// Matrix side: a power of two, at least `len`.
@@ -248,9 +243,11 @@ struct Network {
     /// that are not universal: the nodes the row's node is constrained
     /// against.
     live: Vec<u64>,
-    /// Input facts supporting each pair propagation has tightened.
-    /// Untouched pairs have no entry.
-    roots: FxHashMap<Pair, Roots>,
+    /// `heads[j * cap + i]`, `i < j`: pair `(i, j)`'s latest log entry
+    /// ([`NONE`] while universal); a node's pairs with lower ones share a row.
+    heads: Vec<u32>,
+    /// Append-only support log, one entry per refinement.
+    log: Vec<Entry>,
 }
 
 impl Network {
@@ -264,9 +261,38 @@ impl Network {
         self.cells[i as usize * self.cap + j as usize]
     }
 
-    /// Input facts supporting pair `p`'s current constraint.
-    fn roots(&self, p: Pair) -> &[FactId] {
-        self.roots.get(&p).map_or(&[], Roots::as_slice)
+    /// The head entry of pair `p`.
+    fn head(&self, p: Pair) -> u32 {
+        self.heads[p.1 as usize * self.cap + p.0 as usize]
+    }
+
+    /// Input facts supporting pair `p`'s current constraint, ascending:
+    /// the fact ids reachable from its head. Links point at earlier
+    /// entries, so popping a max-heap reaches every link to an entry
+    /// before the entry itself, and the copies of one entry pop in a row.
+    fn roots(&self, p: Pair) -> Vec<FactId> {
+        let mut facts = Vec::new();
+        let mut todo = BinaryHeap::new();
+        let mut last = NONE;
+        let mut next = self.head(p);
+        while next != NONE {
+            if next != last {
+                last = next;
+                let Entry { left, right, prev } = self.log[next as usize];
+                if right == NONE {
+                    facts.push(left as FactId);
+                } else {
+                    todo.extend([left, right]);
+                }
+                if prev != NONE {
+                    todo.push(prev);
+                }
+            }
+            next = todo.pop().unwrap_or(NONE);
+        }
+        // A fact states one entry, so the ids are distinct.
+        facts.sort_unstable();
+        facts
     }
 
     /// Whether node `i` is constrained against no other node.
@@ -284,15 +310,18 @@ impl Network {
             let (words, old_words) = (cap.div_ceil(64), self.words());
             let mut cells = vec![Rel5Set::ALL; cap * cap];
             let mut live = vec![0u64; cap * words];
+            let mut heads = vec![NONE; cap * cap];
             for i in 0..self.len {
-                cells[i * cap..i * cap + self.len]
-                    .copy_from_slice(&self.cells[i * self.cap..i * self.cap + self.len]);
+                let (old, new) = (i * self.cap..i * self.cap + self.len, i * cap);
+                cells[new..new + self.len].copy_from_slice(&self.cells[old.clone()]);
+                heads[new..new + self.len].copy_from_slice(&self.heads[old]);
                 live[i * words..i * words + old_words]
                     .copy_from_slice(&self.live[i * old_words..(i + 1) * old_words]);
             }
             self.cap = cap;
             self.cells = cells;
             self.live = live;
+            self.heads = heads;
         }
         let i = self.len;
         self.cells[i * self.cap + i] = Rel5Set::only(Rel5::Eq);
@@ -307,7 +336,8 @@ impl Network {
             self.cells[i * self.cap + i] = Rel5Set::only(Rel5::Eq);
         }
         self.live.fill(0);
-        self.roots.clear();
+        self.heads.fill(NONE);
+        self.log.clear();
     }
 
     /// Intersect `R(a, b)` with `set`, as stated by input fact `fact`, and
@@ -382,67 +412,41 @@ impl Network {
                 Err((a, b))
             };
         }
-        let (ai, bi, cap) = (a as usize, b as usize, self.cap);
-        let current = self.cells[ai * cap + bi];
+        let current = self.get(a, b);
         let new = current.intersect(set);
         if new == current {
             return Ok(());
         }
-        self.cells[ai * cap + bi] = new;
-        self.cells[bi * cap + ai] = new.converse();
-        let key = pair(a, b);
-        self.add_roots(key, why);
+        let key = self.write(a, b, new, why);
         if new.is_empty() {
             return Err(key);
         }
         if new.singleton().is_some() {
             pinned.push(key);
         }
-        let words = self.words();
-        self.live[ai * words + bi / 64] |= 1 << (bi % 64);
-        self.live[bi * words + ai / 64] |= 1 << (ai % 64);
         queue.push_back(key);
         Ok(())
     }
 
-    /// The tightened pair `key` now also rests on `why`'s facts: its roots
-    /// become the union of its own and its premises' roots.
-    fn add_roots(&mut self, key: Pair, why: Support) {
-        let fact;
-        let (p, q): (&[FactId], &[FactId]) = match why {
-            Support::Fact(id) => {
-                fact = [id];
-                (&fact, &[])
-            }
-            Support::Compose(p, q) => (self.roots(p), self.roots(q)),
-        };
-        let own = self.roots(key);
-        let roots = match (own, p, q) {
-            ([], &[id], []) | ([], [], &[id]) => Roots::One(id),
-            _ => {
-                let mut merged = Vec::with_capacity(own.len() + p.len() + q.len());
-                merged.extend_from_slice(own);
-                merged.extend_from_slice(p);
-                merged.extend_from_slice(q);
-                merged.sort_unstable();
-                merged.dedup();
-                Roots::from_sorted(merged)
-            }
-        };
-        self.roots.insert(key, roots);
-    }
-
-    /// Pin `R(a, b)` to `rel`, a pair no constraint has touched yet,
-    /// resting on `roots`.
-    fn pin(&mut self, a: Ix, b: Ix, rel: Rel5, roots: Roots) {
+    /// Write `R(a, b) = set`, mark the pair live and append `why` to its
+    /// support; returns the pair.
+    fn write(&mut self, a: Ix, b: Ix, set: Rel5Set, why: Support) -> Pair {
         let (ai, bi, cap) = (a as usize, b as usize, self.cap);
-        debug_assert!(self.cells[ai * cap + bi].is_universal(), "({a},{b}) fresh");
-        self.cells[ai * cap + bi] = Rel5Set::only(rel);
-        self.cells[bi * cap + ai] = Rel5Set::only(rel).converse();
+        self.cells[ai * cap + bi] = set;
+        self.cells[bi * cap + ai] = set.converse();
         let words = self.words();
         self.live[ai * words + bi / 64] |= 1 << (bi % 64);
         self.live[bi * words + ai / 64] |= 1 << (ai % 64);
-        self.roots.insert(pair(a, b), roots);
+        let (left, right) = match why {
+            Support::Fact(id) => (u32::try_from(id).expect("fact id fits a log link"), NONE),
+            Support::Compose(p, q) => (self.head(p), self.head(q)),
+        };
+        let key = pair(a, b);
+        let entry = u32::try_from(self.log.len()).expect("support log fits its links");
+        let at = key.1 as usize * cap + key.0 as usize;
+        let prev = std::mem::replace(&mut self.heads[at], entry);
+        self.log.push(Entry { left, right, prev });
+        key
     }
 
     /// Write the closure of one structural block straight into the
@@ -461,75 +465,61 @@ impl Network {
     /// in one step from universal to the singleton, so its provenance is
     /// that of the first derivation to reach it — and every derivation of
     /// it rests on exactly those paths.
+    /// Nodes are visited by depth, so each pinned pair's one log entry
+    /// can compose through the node's parent, whose pairs come first.
     fn seed_block(&mut self, block: &SeedBlock) {
-        const NONE: u32 = u32::MAX;
-        let edges = block.edges.len();
         // Parent and edge fact of each child, by matrix index.
         let mut up: Vec<Option<(Ix, FactId)>> = vec![None; self.len];
-        // Position in `block.roots` of each disjoint root.
-        let mut root_pos = vec![NONE; self.len];
-        let mut nodes: Vec<Ix> = Vec::with_capacity(2 * edges + block.roots.len());
+        let mut nodes: Vec<Ix> = Vec::with_capacity(2 * block.edges.len() + block.roots.len());
         for (k, &(child, parent)) in block.edges.iter().enumerate() {
             up[child as usize] = Some((parent, block.first + k));
             nodes.extend([child, parent]);
         }
-        for (t, &r) in block.roots.iter().enumerate() {
-            root_pos[r as usize] = t as u32;
-            nodes.push(r);
-        }
+        nodes.extend(&block.roots);
         nodes.sort_unstable();
         nodes.dedup();
-        // Each node pinned PP against its ancestors; under a disjoint
-        // root, it joins that root's members with its path's edges.
-        let mut members: Vec<Vec<(Ix, Box<[FactId]>)>> = vec![Vec::new(); block.roots.len()];
-        let mut path: Vec<FactId> = Vec::new();
-        for &x in &nodes {
-            path.clear();
-            let mut top = x;
-            while let Some((parent, fact)) = up[top as usize] {
-                path.push(fact);
-                top = parent;
-                let roots = match *path {
-                    [id] => Roots::One(id),
-                    _ => {
-                        let mut roots = path.clone();
-                        roots.sort_unstable();
-                        Roots::Many(roots.into_boxed_slice())
-                    }
-                };
-                self.pin(x, top, Rel5::Pp, roots);
-            }
-            if let Some(members) = members.get_mut(root_pos[top as usize] as usize) {
-                path.sort_unstable();
-                members.push((x, path.as_slice().into()));
-            }
+        nodes.sort_by_cached_key(|&x| {
+            std::iter::successors(up[x as usize], |&(p, _)| up[p as usize]).count()
+        });
+        // Position in `block.roots` of the disjoint root each node is
+        // under, once visited.
+        let mut under = vec![NONE; self.len];
+        for (t, &r) in block.roots.iter().enumerate() {
+            under[r as usize] = t as u32;
         }
-        // Distinct disjoint roots' subtrees are DR, pair by pair in the
-        // order their facts were recorded.
-        let under: usize = members.iter().map(Vec::len).sum();
-        let same_root: usize = members.iter().map(|m| m.len() * m.len()).sum();
-        self.roots.reserve((under * under - same_root) / 2);
-        let mut dr = block.first + edges;
-        for (i, under_i) in members.iter().enumerate() {
-            for under_j in &members[i + 1..] {
-                for (u, up_u) in under_i {
-                    for (v, up_v) in under_j {
-                        let roots = if up_u.is_empty() && up_v.is_empty() {
-                            Roots::One(dr)
-                        } else {
-                            // Edge facts precede the block's DR facts.
-                            let mut roots = Vec::with_capacity(up_u.len() + up_v.len() + 1);
-                            roots.extend_from_slice(up_u);
-                            roots.extend_from_slice(up_v);
-                            roots.sort_unstable();
-                            roots.push(dr);
-                            Roots::from_sorted(roots)
-                        };
-                        self.pin(*u, *v, Rel5::Dr, roots);
-                    }
+        let (m, dr) = (block.roots.len(), block.first + block.edges.len());
+        let mut members: Vec<Vec<Ix>> = vec![Vec::new(); m];
+        for &x in &nodes {
+            if let Some((parent, fact)) = up[x as usize] {
+                self.write(x, parent, Rel5Set::only(Rel5::Pp), Support::Fact(fact));
+                let mut top = parent;
+                while let Some((k, _)) = up[top as usize] {
+                    let why = Support::Compose(pair(x, parent), pair(parent, k));
+                    self.write(x, k, Rel5Set::only(Rel5::Pp), why);
+                    top = k;
                 }
-                dr += 1;
+                under[x as usize] = under[parent as usize];
             }
+            let t = under[x as usize] as usize;
+            if t >= m {
+                // Under no disjoint root.
+                continue;
+            }
+            for (s, earlier) in members.iter().enumerate().filter(|&(s, _)| s != t) {
+                for &y in earlier {
+                    let why = match up[x as usize] {
+                        Some((parent, _)) => Support::Compose(pair(x, parent), pair(parent, y)),
+                        // Both are roots: their own fact, the DR facts
+                        // running over root pairs (i, j), i < j, row-major.
+                        None => {
+                            let (i, j) = (s.min(t), s.max(t));
+                            Support::Fact(dr + i * (2 * m - i - 1) / 2 + j - i - 1)
+                        }
+                    };
+                    self.write(x, y, Rel5Set::only(Rel5::Dr), why);
+                }
+            }
+            members[t].push(x);
         }
     }
 }
@@ -594,6 +584,25 @@ impl ConstraintView<'_> {
     pub fn is_integrable_dr(&self, i: usize, j: usize) -> bool {
         let pair = if i < j { (i, j) } else { (j, i) };
         self.integrable.binary_search(&pair).is_ok()
+    }
+
+    /// [`AssertionEngine::effective`] between positions `i` and `j`.
+    pub fn effective(&self, i: usize, j: usize) -> Option<Assertion> {
+        let rel = self.known(i, j)?;
+        Some(effective(rel, || self.is_integrable_dr(i, j)))
+    }
+}
+
+/// The assertion a pinned relation reads as; `integrable` is asked only
+/// of a disjoint pair.
+fn effective(rel: Rel5, integrable: impl FnOnce() -> bool) -> Assertion {
+    match rel {
+        Rel5::Eq => Assertion::Equal,
+        Rel5::Pp => Assertion::ContainedIn,
+        Rel5::Ppi => Assertion::Contains,
+        Rel5::Po => Assertion::MayBe,
+        Rel5::Dr if integrable() => Assertion::DisjointIntegrable,
+        Rel5::Dr => Assertion::DisjointNonIntegrable,
     }
 }
 
@@ -705,17 +714,8 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
     /// The *effective assertion* for a pair, combining the pinned relation
     /// with the integrability mark: `None` when the relation is not pinned.
     pub fn effective(&self, a: N, b: N) -> Option<Assertion> {
-        match self.known(a, b)? {
-            Rel5::Eq => Some(Assertion::Equal),
-            Rel5::Pp => Some(Assertion::ContainedIn),
-            Rel5::Ppi => Some(Assertion::Contains),
-            Rel5::Po => Some(Assertion::MayBe),
-            Rel5::Dr => Some(if self.is_integrable_dr(a, b) {
-                Assertion::DisjointIntegrable
-            } else {
-                Assertion::DisjointNonIntegrable
-            }),
-        }
+        let rel = self.known(a, b)?;
+        Some(effective(rel, || self.is_integrable_dr(a, b)))
     }
 
     /// Seed a structural (intra-schema) fact. Contradictory seeds indicate
@@ -906,11 +906,10 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
     /// Every pair whose relation is pinned to a singleton, with provenance
     /// — user-specified pairs included. Ordered by node pair.
     pub fn pinned(&self) -> Vec<DerivedFact<N>> {
-        let mut out: Vec<DerivedFact<N>> = self
-            .network
-            .roots
-            .keys()
-            .filter_map(|&p| self.pinned_fact(p))
+        let n = self.nodes.len() as Ix;
+        let mut out: Vec<DerivedFact<N>> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter_map(|p| self.pinned_fact(p))
             .collect();
         out.sort_by_key(|d| (d.a, d.b));
         out
@@ -939,7 +938,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             a: self.nodes[i as usize],
             b: self.nodes[j as usize],
             rel,
-            roots: self.network.roots(p).to_vec(),
+            roots: self.network.roots(p),
         })
     }
 
@@ -986,7 +985,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         if existing.intersect(set).is_empty() {
             // Contradiction: report without mutating.
             let roots = match (self.index.get(&a), self.index.get(&b)) {
-                (Some(&i), Some(&j)) => self.network.roots(pair(i, j)).to_vec(),
+                (Some(&i), Some(&j)) => self.network.roots(pair(i, j)),
                 _ => Vec::new(),
             };
             return Err(self.conflict_report(a, b, existing, assertion, roots, name));
@@ -1023,13 +1022,8 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
                 // excluded from the support list — Screen 9 shows it as
                 // the <new> row, not as a premise.
                 self.facts[fact_id].active = false;
-                let roots_of_conflict: Vec<FactId> = self
-                    .network
-                    .roots(p)
-                    .iter()
-                    .copied()
-                    .filter(|&id| id != fact_id)
-                    .collect();
+                let mut roots_of_conflict = self.network.roots(p);
+                roots_of_conflict.retain(|&id| id != fact_id);
                 self.rebuild();
                 let ((x, y), _) = norm(self.nodes[p.0 as usize], self.nodes[p.1 as usize]);
                 let existing = self.constraint(x, y);

@@ -36,10 +36,12 @@ pub struct Session {
 
 impl Session {
     /// Most object classes one session may hold. Each assertion engine
-    /// keeps a dense matrix of n² one-byte cells over its nodes, and the
-    /// structural seeds of one schema — a disjointness fact per pair of
-    /// its root entity sets, each with its pinned pair — grow with the
-    /// square of its root entity sets (seeded in time linear in their
+    /// keeps a dense matrix of n² one-byte cells over its nodes, a 4-byte
+    /// provenance head per cell, and a support log of at most five
+    /// 12-byte entries per pair (one per seeded pair). The structural
+    /// seeds of one schema — a disjointness fact per pair of its root
+    /// entity sets, a pinned pair per category and ancestor — grow with
+    /// the square of its object classes (seeded in time linear in their
     /// number), so registration is where a session's size is bounded.
     pub const MAX_OBJECTS: usize = 2048;
 
@@ -241,15 +243,21 @@ impl Session {
     /// matrix, where element (i,j) ... represents the assertion between
     /// object classes i and j". Rows index `sa`'s objects, columns `sb`'s;
     /// `None` where no relation is pinned (neither asserted nor
-    /// derivable).
+    /// derivable). Read through one constraint view of both schemas'
+    /// objects, so each row and column is looked up once.
     pub fn assertion_matrix(&self, sa: SchemaId, sb: SchemaId) -> Vec<Vec<Option<Assertion>>> {
         let rows: Vec<GObj> = self.catalog.objects_of(sa).collect();
         let cols: Vec<GObj> = self.catalog.objects_of(sb).collect();
+        let mut universe = [&rows[..], &cols[..]].concat();
+        universe.sort_unstable();
+        universe.dedup();
+        let view = self.object_engine().view(&universe);
+        let at = |o: &GObj| universe.binary_search(o).expect("in the universe");
+        let cols: Vec<usize> = cols.iter().map(at).collect();
         rows.iter()
-            .map(|&a| {
-                cols.iter()
-                    .map(|&b| self.object_engine().effective(a, b))
-                    .collect()
+            .map(|a| {
+                let i = at(a);
+                cols.iter().map(|&j| view.effective(i, j)).collect()
             })
             .collect()
     }

@@ -3,17 +3,19 @@
 //! `AssertionEngine::seed_structure` writes a schema's structural closure
 //! straight into the matrix; `AssertionEngine::seed`, one propagation per
 //! fact, is the reference. Over random category forests — several roots,
-//! multi-parent categories, chains three or more deep, edges in any order,
+//! multi-parent categories, a chain three deep (20–80 deep in the forest
+//! one case in sixteen contradicts), edges in any order,
 //! and other schemas seeded before and after — both must leave the same
 //! facts, node order, constraints and provenance, answer a conflicting
-//! assertion with the same report, and rebuild alike on `retract`. A
-//! last test bounds the time of seeding, asserting and retracting on two
-//! schemas of hundreds of root entity sets.
+//! assertion with the same report, and rebuild alike on `retract`. The
+//! last tests bound the time of seeding, asserting and retracting on two
+//! schemas of hundreds of root entity sets, and of seeding a
+//! `Session::MAX_OBJECTS`-deep chain and reading its deepest provenance.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use sit_core::assertion::{Assertion, Rel5};
+use sit_core::assertion::{Assertion, Rel5, Rel5Set};
 use sit_core::closure::AssertionEngine;
 use sit_core::Session;
 use sit_prng::{prop, prop_assert, prop_assert_eq, Xoshiro256pp};
@@ -32,19 +34,19 @@ struct Structure {
     roots: Vec<u32>,
 }
 
-/// A random category forest over the next ids of `ids`: 1–8 roots, a chain
-/// at least three deep under the first, categories over one or two earlier
-/// objects (those over two seed no edge), and sometimes the edges in a
-/// shuffled order.
-fn forest(rng: &mut Xoshiro256pp, ids: &mut impl Iterator<Item = u32>) -> Structure {
+/// A random category forest over the next ids of `ids`: 1–8 roots, a
+/// `chain` of categories under the first, more categories over one or two
+/// earlier objects (those over two seed no edge), and sometimes the edges
+/// in a shuffled order.
+fn forest(rng: &mut Xoshiro256pp, ids: &mut impl Iterator<Item = u32>, chain: usize) -> Structure {
     let roots = rng.gen_range(1usize..9);
-    let categories = rng.gen_range(3usize..12);
+    let categories = chain + rng.gen_range(0usize..9);
     // parents[o]: the objects `o` is a category of (empty for roots).
     let mut parents: Vec<Vec<usize>> = vec![Vec::new(); roots];
     for c in 0..categories {
         let o = parents.len();
-        let ps = if c < 3 {
-            // The first three form a chain under root 0: depth ≥ 3.
+        let ps = if c < chain {
+            // The first categories form a chain under root 0.
             vec![if c == 0 { 0 } else { o - 1 }]
         } else if rng.gen_bool(0.25) && o >= 2 {
             let a = rng.gen_range(0..o);
@@ -161,14 +163,19 @@ fn one_pass_seeding_equals_seeding_fact_by_fact() {
     prop::check_cases("seed_structure_equals_per_fact_seed", 400, |rng| {
         // Node ids in a shuffled order, so neither interning order nor a
         // pair's orientation follows the ids.
-        let mut pool: Vec<u32> = (0..200).collect();
+        let mut pool: Vec<u32> = (0..400).collect();
         rng.shuffle(&mut pool);
         let mut ids = pool.into_iter();
         let (mut bulk, mut reference) = (Engine::new(), Engine::new());
-        let earlier = forest(rng, &mut ids);
+        let deep = if rng.gen_bool(1.0 / 16.0) {
+            rng.gen_range(20usize..81)
+        } else {
+            3
+        };
+        let earlier = forest(rng, &mut ids, 3);
         let earlier_rels = rels(rng, &mut ids);
-        let this = forest(rng, &mut ids);
-        let later = forest(rng, &mut ids);
+        let this = forest(rng, &mut ids, deep);
+        let later = forest(rng, &mut ids, 3);
         let universe: Vec<u32> = [&earlier, &earlier_rels, &this, &later]
             .iter()
             .flat_map(|s| s.nodes.iter().copied())
@@ -320,4 +327,44 @@ fn many_root_schemas_seed_assert_and_retract_in_bounded_time() {
     assert_eq!(s.object_engine().known(f1, e1), Some(Rel5::Dr));
     let facts = s.object_engine().fact_count();
     assert_eq!(facts, 2 * (2 + ROOTS * (ROOTS - 1) / 2) + 1);
+}
+
+#[test]
+fn a_max_objects_deep_chain_seeds_and_reports_its_deepest_provenance() {
+    // A stored fact list per pinned pair would hold k ids for a node `PP`
+    // its k-th ancestor, ≈ n³/6 for this chain: about 11 GB. The support
+    // log holds one entry per pinned pair and builds a list only when a
+    // report cites it.
+    let n = Session::MAX_OBJECTS as u32;
+    let limit = Duration::from_secs(10);
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let start = Instant::now();
+        let mut e = Engine::new();
+        // Nodes 0..n: a chain of single-parent categories under root 0;
+        // node n stands for another schema's object class.
+        let edges: Vec<(u32, u32)> = (1..n).map(|c| (c, c - 1)).collect();
+        e.seed_structure(&edges, &[0], name).unwrap();
+        let derived = e.assert(n, n - 1, Assertion::Equal, name).unwrap();
+        let report = e
+            .assert(n, 0, Assertion::DisjointNonIntegrable, name)
+            .unwrap_err();
+        let _ = tx.send((start.elapsed(), derived.len(), report));
+    });
+    let (elapsed, derived, report) = rx.recv_timeout(limit).unwrap_or_else(|_| {
+        panic!("a {n}-node chain not seeded and contradicted within {limit:?}")
+    });
+    // n ≡ the leaf is `PP` every other chain node.
+    assert_eq!(derived, n as usize - 1, "derived in {elapsed:?}");
+    assert_eq!(report.existing, Rel5Set::only(Rel5::Pp));
+    // Every edge of the chain, then the user's `equals`.
+    assert_eq!(report.supports.len(), n as usize, "supports in {elapsed:?}");
+    let (user, seeds): (Vec<_>, Vec<_>) = report.supports.iter().partition(|s| s.from_user);
+    assert_eq!(user.len(), 1);
+    assert_eq!((user[0].a.as_str(), user[0].label.as_str()), ("n2048", "1"));
+    assert!(seeds.iter().all(|s| s.label == "PP"));
+    let mut edges: Vec<(&str, &str)> = seeds.iter().map(|s| (&s.a[..], &s.b[..])).collect();
+    edges.sort_unstable();
+    edges.dedup();
+    assert_eq!(edges.len(), n as usize - 1, "each edge once");
 }

@@ -205,6 +205,46 @@ if [ "$(echo "$many_out" | grep -c '^{"ok":true,')" -ne 5 ] \
 fi
 echo "ok: ~1,500-root add_schema, assert and retract answered"
 
+echo "== deep-chain smoke (a 2,046-deep category chain, then a conflict citing it) =="
+# A category is PP each of its ancestors, so a chain of n categories
+# pins n²/2 pairs, and its leaf's pair with its root rests on all n
+# edges. Provenance is a log of one entry per refinement, read only when
+# a report cites it; storing each pair's fact list took ~n³/6 ids, about
+# 11 GB for this chain. The chain's 2,047 object classes and the second
+# schema's one fill Session::MAX_OBJECTS. The conflict reply must cite
+# every edge plus the `equals`: 2,047 supports.
+deep_out="$(python3 - <<'EOF' | bash -c 'ulimit -v 1048576 && exec timeout 10 ./target/release/sit serve --stdio'
+import json
+
+n = 2046
+ddl = "schema deep {\n  entity C0 { K: char key; }\n"
+ddl += "".join(f"  category C{i} of C{i - 1} {{ }}\n" for i in range(1, n + 1))
+ddl += "}"
+few = "schema few { entity F { K: char key; } }"
+for frame in (
+    {"op": "open"},
+    {"op": "add_schema", "session": "1", "ddl": ddl},
+    {"op": "add_schema", "session": "1", "ddl": few},
+    {"op": "assert", "session": "1", "a": "few.F", "b": f"deep.C{n}", "assertion": "equals"},
+    {"op": "assert", "session": "1", "a": "few.F", "b": "deep.C0",
+     "assertion": "disjoint-non-integrable"},
+):
+    print(json.dumps(frame, separators=(",", ":")))
+EOF
+)" || { echo "FAIL: sit serve --stdio did not answer the deep-chain session within 10 s and 1 GiB" >&2; exit 1; }
+deep_supports="$(echo "$deep_out" | sed -n 5p | python3 -c '
+import json, sys
+error = json.loads(sys.stdin.read())["error"]
+print(error["message"].count("\n  ") if error["code"] == "conflict" else -1)
+' 2>/dev/null || echo -1)"
+if [ "$(echo "$deep_out" | sed -n 1,4p | grep -c '^{"ok":true,')" -ne 4 ] \
+  || [ "$deep_supports" -ne 2047 ]; then
+  echo "FAIL: the deep-chain session erred, or its conflict did not cite 2,047 supports ($deep_supports):" >&2
+  echo "$deep_out" | cut -c1-100 >&2
+  exit 1
+fi
+echo "ok: 2,046-deep chain seeded; its conflict cites all $deep_supports supports"
+
 echo "== server smoke test (serve + scripted client session) =="
 serve_log="$(mktemp)"
 ./target/release/sit serve --addr 127.0.0.1:0 >"$serve_log" &
