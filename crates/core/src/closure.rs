@@ -41,15 +41,16 @@
 //!
 //! Provenance is an append-only support log: a refinement that tightens
 //! a pair appends one fixed-size entry (the stating fact, or the premise
-//! pairs' latest entries, plus the pair's previous one), and an array
-//! beside the matrix holds each pair's latest entry. A pair's provenance,
-//! the fact ids reachable from that entry, is walked only when a conflict
-//! report, [`DerivedFact::roots`] or [`AssertionEngine::pinned`] reads it.
-//! A relation set tightens at most five times, so a pair has at most five
-//! entries, where a stored fact list grows with its derivation: about
-//! n³/6 ids for a category chain of n. The node index and the
-//! integrability marks hash with the in-crate Fx hasher instead of std's
-//! SipHash.
+//! pairs' latest entries, plus the pair's previous one), and a packed
+//! lower-triangular array beside the matrix holds each pair's latest
+//! entry, n(n-1)/2 of them. Provenance is a query: writing records the
+//! support and derives nothing from it, and a pair's provenance, the fact
+//! ids reachable from its latest entry, is walked only when a conflict
+//! report or [`AssertionEngine::support`] reads it. A relation set
+//! tightens at most five times, so a pair has at most five entries, where
+//! a stored fact list grows with its derivation: about n³/6 ids for a
+//! category chain of n. The node index and the integrability marks hash
+//! with the in-crate Fx hasher instead of std's SipHash.
 //!
 //! A schema's structure is seeded in one pass
 //! ([`AssertionEngine::seed_structure`]): its facts are a contiguous run
@@ -91,16 +92,6 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 /// Index of a recorded fact (user assertion or structural seed).
 pub type FactId = usize;
 
-/// Where a fact came from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FactSource {
-    /// Specified by the DDA (Screen 8 / menu option 3 or 5).
-    User,
-    /// Seeded from one schema's own structure (category edges, entity-set
-    /// disjointness).
-    IntraSchema,
-}
-
 /// One recorded input fact.
 #[derive(Clone, Debug)]
 pub struct Fact<N> {
@@ -108,17 +99,18 @@ pub struct Fact<N> {
     pub a: N,
     /// Second node of the ordered pair.
     pub b: N,
-    /// The constraint as stated (singleton for assertions).
-    pub set: Rel5Set,
-    /// The user-facing assertion, when the fact came from one.
+    /// The relation as stated.
+    pub rel: Rel5,
+    /// The user-facing assertion when the DDA specified the fact (Screen
+    /// 8 / menu option 3 or 5); `None` for a structural seed (category
+    /// edge, entity-set disjointness).
     pub assertion: Option<Assertion>,
-    /// Origin.
-    pub source: FactSource,
     /// Whether a later `retract` removed it.
     pub active: bool,
 }
 
-/// A consequence the engine derived and pinned to a single relation.
+/// A pair the engine pinned to a single relation. Its provenance is read
+/// by [`AssertionEngine::support`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DerivedFact<N> {
     /// First node.
@@ -127,8 +119,6 @@ pub struct DerivedFact<N> {
     pub b: N,
     /// The single derived relation `R(a,b)`.
     pub rel: Rel5,
-    /// Input facts the derivation rests on.
-    pub roots: Vec<FactId>,
 }
 
 /// Everything the Assertion Conflict Resolution Screen needs to display.
@@ -243,8 +233,9 @@ struct Network {
     /// that are not universal: the nodes the row's node is constrained
     /// against.
     live: Vec<u64>,
-    /// `heads[j * cap + i]`, `i < j`: pair `(i, j)`'s latest log entry
-    /// ([`NONE`] while universal); a node's pairs with lower ones share a row.
+    /// `heads[j * (j - 1) / 2 + i]`, `i < j`: pair `(i, j)`'s latest log
+    /// entry ([`NONE`] while universal), packed lower-triangular so that
+    /// interning node `j` appends its `j` pairs with lower nodes.
     heads: Vec<u32>,
     /// Append-only support log, one entry per refinement.
     log: Vec<Entry>,
@@ -261,9 +252,16 @@ impl Network {
         self.cells[i as usize * self.cap + j as usize]
     }
 
+    /// Position of pair `p` (`p.0 < p.1`) in `heads`.
+    fn tri(p: Pair) -> usize {
+        let (i, j) = (p.0 as usize, p.1 as usize);
+        debug_assert!(i < j, "a pair of distinct nodes, low first");
+        j * (j - 1) / 2 + i
+    }
+
     /// The head entry of pair `p`.
     fn head(&self, p: Pair) -> u32 {
-        self.heads[p.1 as usize * self.cap + p.0 as usize]
+        self.heads[Self::tri(p)]
     }
 
     /// Input facts supporting pair `p`'s current constraint, ascending:
@@ -310,21 +308,21 @@ impl Network {
             let (words, old_words) = (cap.div_ceil(64), self.words());
             let mut cells = vec![Rel5Set::ALL; cap * cap];
             let mut live = vec![0u64; cap * words];
-            let mut heads = vec![NONE; cap * cap];
             for i in 0..self.len {
-                let (old, new) = (i * self.cap..i * self.cap + self.len, i * cap);
-                cells[new..new + self.len].copy_from_slice(&self.cells[old.clone()]);
-                heads[new..new + self.len].copy_from_slice(&self.heads[old]);
+                let (old, new) = (i * self.cap, i * cap);
+                cells[new..new + self.len].copy_from_slice(&self.cells[old..old + self.len]);
                 live[i * words..i * words + old_words]
                     .copy_from_slice(&self.live[i * old_words..(i + 1) * old_words]);
             }
             self.cap = cap;
             self.cells = cells;
             self.live = live;
-            self.heads = heads;
+            self.heads
+                .reserve_exact(cap * (cap - 1) / 2 - self.heads.len());
         }
         let i = self.len;
         self.cells[i * self.cap + i] = Rel5Set::only(Rel5::Eq);
+        self.heads.resize(self.heads.len() + i, NONE);
         self.len += 1;
         Ix::try_from(i).expect("node count fits the matrix index type")
     }
@@ -443,8 +441,7 @@ impl Network {
         };
         let key = pair(a, b);
         let entry = u32::try_from(self.log.len()).expect("support log fits its links");
-        let at = key.1 as usize * cap + key.0 as usize;
-        let prev = std::mem::replace(&mut self.heads[at], entry);
+        let prev = std::mem::replace(&mut self.heads[Self::tri(key)], entry);
         self.log.push(Entry { left, right, prev });
         key
     }
@@ -727,14 +724,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         rel: Rel5,
         name: impl Fn(N) -> String,
     ) -> Result<Vec<DerivedFact<N>>, ConflictReport> {
-        self.apply(
-            a,
-            b,
-            Rel5Set::only(rel),
-            None,
-            FactSource::IntraSchema,
-            &name,
-        )
+        self.apply(a, b, rel, None, &name)
     }
 
     /// Seed one schema's structure in one pass: each `(child, parent)` of
@@ -778,9 +768,8 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         let fact = |a, b, rel| Fact {
             a,
             b,
-            set: Rel5Set::only(rel),
+            rel,
             assertion: None,
-            source: FactSource::IntraSchema,
             active: true,
         };
         self.facts.extend(
@@ -850,10 +839,11 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             && roots.iter().all(unconstrained)
     }
 
-    /// Record a DDA assertion for a pair. On success, returns the facts the
+    /// Record a DDA assertion for a pair. On success, returns the pairs the
     /// propagation *newly pinned to a singleton* (the derived assertions
-    /// the tool displays). On contradiction, nothing is changed and the
-    /// conflict report is returned.
+    /// the tool displays); [`AssertionEngine::support`] reads what each
+    /// rests on. On contradiction, nothing is changed and the conflict
+    /// report is returned.
     pub fn assert(
         &mut self,
         a: N,
@@ -862,14 +852,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         name: impl Fn(N) -> String,
     ) -> Result<Vec<DerivedFact<N>>, ConflictReport> {
         let _span = sit_obs::trace::span("closure.assert");
-        let result = self.apply(
-            a,
-            b,
-            Rel5Set::only(assertion.rel()),
-            Some(assertion),
-            FactSource::User,
-            &name,
-        )?;
+        let result = self.apply(a, b, assertion.rel(), Some(assertion), &name)?;
         if assertion == Assertion::DisjointIntegrable {
             let ((x, y), _) = norm(a, b);
             self.integrable_dr.insert((x, y));
@@ -888,7 +871,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             .facts
             .iter()
             .rposition(|f| {
-                f.active && f.source == FactSource::User && {
+                f.active && f.assertion.is_some() && {
                     let ((fx, fy), _) = norm(f.a, f.b);
                     (fx, fy) == (x, y)
                 }
@@ -903,8 +886,8 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         found
     }
 
-    /// Every pair whose relation is pinned to a singleton, with provenance
-    /// — user-specified pairs included. Ordered by node pair.
+    /// Every pair whose relation is pinned to a singleton — user-specified
+    /// pairs included. Ordered by node pair.
     pub fn pinned(&self) -> Vec<DerivedFact<N>> {
         let n = self.nodes.len() as Ix;
         let mut out: Vec<DerivedFact<N>> = (0..n)
@@ -926,8 +909,20 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         i
     }
 
+    /// Input facts supporting the current constraint between `a` and `b`,
+    /// ascending ids, the same for either orientation: the "relevant
+    /// assertions used in the derivation" of Screen 9. Empty for a pair
+    /// nothing constrains. Walks the support log from the pair's latest
+    /// entry, so it costs time in the size of the derivation.
+    pub fn support(&self, a: N, b: N) -> Vec<FactId> {
+        match (self.index.get(&a), self.index.get(&b)) {
+            (Some(&i), Some(&j)) if i != j => self.network.roots(pair(i, j)),
+            _ => Vec::new(),
+        }
+    }
+
     /// Pair `p` as nodes in normalized orientation (`a < b`), with its
-    /// relation and provenance when pinned.
+    /// relation when pinned.
     fn pinned_fact(&self, p: Pair) -> Option<DerivedFact<N>> {
         let (i, j) = if self.nodes[p.0 as usize] <= self.nodes[p.1 as usize] {
             p
@@ -938,7 +933,6 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             a: self.nodes[i as usize],
             b: self.nodes[j as usize],
             rel,
-            roots: self.network.roots(p),
         })
     }
 
@@ -966,7 +960,8 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             if f.active {
                 let (i, j) = (self.index[&f.a], self.index[&f.b]);
                 // Re-applying previously consistent facts cannot conflict.
-                let _ = self.network.constrain(i, j, f.set, id, &mut Vec::new());
+                let set = Rel5Set::only(f.rel);
+                let _ = self.network.constrain(i, j, set, id, &mut Vec::new());
             }
             id += 1;
         }
@@ -976,27 +971,22 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         &mut self,
         a: N,
         b: N,
-        set: Rel5Set,
+        rel: Rel5,
         assertion: Option<Assertion>,
-        source: FactSource,
         name: &impl Fn(N) -> String,
     ) -> Result<Vec<DerivedFact<N>>, ConflictReport> {
-        let existing = self.constraint(a, b);
+        let (existing, set) = (self.constraint(a, b), Rel5Set::only(rel));
         if existing.intersect(set).is_empty() {
             // Contradiction: report without mutating.
-            let roots = match (self.index.get(&a), self.index.get(&b)) {
-                (Some(&i), Some(&j)) => self.network.roots(pair(i, j)),
-                _ => Vec::new(),
-            };
+            let roots = self.support(a, b);
             return Err(self.conflict_report(a, b, existing, assertion, roots, name));
         }
         let fact_id = self.facts.len();
         self.facts.push(Fact {
             a,
             b,
-            set,
+            rel,
             assertion,
-            source,
             active: true,
         });
         let (i, j) = (self.intern(a), self.intern(b));
@@ -1004,10 +994,8 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         match self.network.constrain(i, j, set, fact_id, &mut pinned_now) {
             Ok(()) => {
                 // Newly pinned singletons (excluding the asserted pair),
-                // collected during propagation.
+                // collected during propagation; a pair is pinned once.
                 let target = pair(i, j);
-                pinned_now.sort_unstable();
-                pinned_now.dedup();
                 let mut derived: Vec<DerivedFact<N>> = pinned_now
                     .into_iter()
                     .filter(|&p| p != target)
@@ -1053,13 +1041,9 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
                 b: name(f.b),
                 label: match f.assertion {
                     Some(assertion) => assertion.code().to_string(),
-                    None => f
-                        .set
-                        .singleton()
-                        .map(|r| r.tag().to_owned())
-                        .unwrap_or_else(|| f.set.to_string()),
+                    None => f.rel.tag().to_owned(),
                 },
-                from_user: f.source == FactSource::User,
+                from_user: f.assertion.is_some(),
             })
             .collect();
         ConflictReport {
@@ -1296,7 +1280,9 @@ mod tests {
         assert_eq!(pinned.len(), 3);
         let d = &pinned[1];
         assert_eq!((d.a, d.b, d.rel), (0, 2, Rel5::Pp));
-        assert_eq!(d.roots.len(), 2, "both premises recorded");
+        assert_eq!(e.support(0, 2), [0, 1], "both premises recorded");
+        assert_eq!(e.support(2, 0), [0, 1], "either orientation");
+        assert!(e.support(0, 3).is_empty(), "unconstrained pair");
     }
 
     #[test]

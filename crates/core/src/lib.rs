@@ -57,7 +57,7 @@ pub mod session;
 
 pub use assertion::{Assertion, Rel5, Rel5Set};
 pub use catalog::{Catalog, GAttr, GObj, GRel};
-pub use closure::{AssertionEngine, ConflictReport, DerivedFact, FactId, FactSource};
+pub use closure::{AssertionEngine, ConflictReport, DerivedFact, FactId};
 pub use element::Element;
 pub use equivalence::{ClassNo, EquivalenceRegistry};
 pub use error::{CoreError, Result};

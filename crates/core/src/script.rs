@@ -30,7 +30,6 @@ use std::fmt::Write as _;
 
 use crate::assertion::Assertion;
 use crate::catalog::{GObj, GRel};
-use crate::closure::FactSource;
 use crate::element::Element;
 use crate::error::{CoreError, Result};
 use crate::session::Session;
@@ -78,10 +77,7 @@ pub fn save(session: &Session) -> String {
 /// The active user assertions of one kind, as directives in fact order.
 fn save_assertions<E: Element>(session: &Session, out: &mut String) {
     let catalog = session.catalog();
-    for fact in session.engine::<E>().facts() {
-        if !fact.active || fact.source != FactSource::User {
-            continue;
-        }
+    for fact in session.engine::<E>().facts().iter().filter(|f| f.active) {
         if let Some(assertion) = fact.assertion {
             let _ = writeln!(
                 out,
@@ -105,9 +101,7 @@ pub fn load(text: &str) -> Result<Session> {
     if !schemas_src.trim().is_empty() {
         let schemas = sit_ecr::ddl::parse_many(&schemas_src)
             .map_err(|e| CoreError::UnknownName(format!("DDL error: {e}")))?;
-        for s in schemas {
-            session.add_schema(s)?;
-        }
+        session.add_schemas(schemas)?;
     }
     // 2. Directives.
     for line in directives.lines() {

@@ -37,12 +37,13 @@ pub struct Session {
 impl Session {
     /// Most object classes one session may hold. Each assertion engine
     /// keeps a dense matrix of n² one-byte cells over its nodes, a 4-byte
-    /// provenance head per cell, and a support log of at most five
-    /// 12-byte entries per pair (one per seeded pair). The structural
-    /// seeds of one schema — a disjointness fact per pair of its root
-    /// entity sets, a pinned pair per category and ancestor — grow with
-    /// the square of its object classes (seeded in time linear in their
-    /// number), so registration is where a session's size is bounded.
+    /// provenance head per pair (n(n-1)/2 of them, about 8 MiB at this
+    /// limit), and a support log of at most five 12-byte entries per pair
+    /// (one per seeded pair). The structural seeds of one schema — a
+    /// disjointness fact per pair of its root entity sets, a pinned pair
+    /// per category and ancestor — grow with the square of its object
+    /// classes (seeded in time linear in their number), so registration
+    /// is where a session's size is bounded.
     pub const MAX_OBJECTS: usize = 2048;
 
     /// Most relationship sets one session may hold (the relationship
@@ -63,29 +64,46 @@ impl Session {
     /// push the session past [`Session::MAX_OBJECTS`] or
     /// [`Session::MAX_RELATIONSHIPS`] is rejected before anything changes.
     pub fn add_schema(&mut self, schema: Schema) -> Result<SchemaId> {
-        let _span = sit_obs::trace::span("session.add_schema");
-        self.check_capacity(&schema)?;
-        let sid = self.catalog.add(schema)?;
-        self.equiv.register_schema(&self.catalog, sid);
-        self.seed_structure(sid)?;
-        Ok(sid)
+        Ok(self.add_schemas(vec![schema])?[0])
     }
 
-    fn check_capacity(&self, schema: &Schema) -> Result<()> {
-        let (objects, rels) = self.catalog.schemas().fold((0, 0), |(o, r), (_, s)| {
+    /// [`Session::add_schema`] for several schemas, all or none: the
+    /// whole batch is checked first — each name new to the catalog and to
+    /// the batch, the session limits on the running counts — and only
+    /// then registered. The error is the one registering them one by one
+    /// would have met first, with nothing registered.
+    pub fn add_schemas(&mut self, schemas: Vec<Schema>) -> Result<Vec<SchemaId>> {
+        let mut counts = self.catalog.schemas().fold((0, 0), |(o, r), (_, s)| {
             (o + s.object_count(), r + s.relationship_count())
         });
+        for (k, schema) in schemas.iter().enumerate() {
+            counts = Self::check_capacity(counts, schema)?;
+            let name = schema.name();
+            if self.catalog.by_name(name).is_some() || schemas[..k].iter().any(|s| s.name() == name)
+            {
+                return Err(CoreError::DuplicateSchema(name.to_owned()));
+            }
+        }
+        schemas
+            .into_iter()
+            .map(|schema| {
+                let _span = sit_obs::trace::span("session.add_schema");
+                let sid = self.catalog.add(schema)?;
+                self.equiv.register_schema(&self.catalog, sid);
+                self.seed_structure(sid)?;
+                Ok(sid)
+            })
+            .collect()
+    }
+
+    /// `counts` (object classes, relationship sets) plus `schema`'s, or
+    /// the limit that adding it would break.
+    fn check_capacity(counts: (usize, usize), schema: &Schema) -> Result<(usize, usize)> {
+        let objects = counts.0 + schema.object_count();
+        let rels = counts.1 + schema.relationship_count();
         let limits = [
-            (
-                "object classes",
-                objects + schema.object_count(),
-                Self::MAX_OBJECTS,
-            ),
-            (
-                "relationship sets",
-                rels + schema.relationship_count(),
-                Self::MAX_RELATIONSHIPS,
-            ),
+            ("object classes", objects, Self::MAX_OBJECTS),
+            ("relationship sets", rels, Self::MAX_RELATIONSHIPS),
         ];
         match limits.into_iter().find(|&(_, count, limit)| count > limit) {
             Some((what, count, limit)) => Err(CoreError::SessionFull {
@@ -94,7 +112,7 @@ impl Session {
                 count,
                 limit,
             }),
-            None => Ok(()),
+            None => Ok((objects, rels)),
         }
     }
 

@@ -8,7 +8,7 @@
 //! the same `assert` with different conflict messages.
 
 use sit_core::assertion::Assertion;
-use sit_core::closure::AssertionEngine;
+use sit_core::closure::{AssertionEngine, DerivedFact};
 use sit_prng::{prop, prop_assert_eq, Xoshiro256pp};
 
 const NODES: u32 = 8;
@@ -31,21 +31,30 @@ fn script(rng: &mut Xoshiro256pp) -> Vec<(u32, u32, Assertion)> {
         .collect()
 }
 
+/// `pairs` with each one's provenance, as text.
+fn with_support(engine: &AssertionEngine<u32>, pairs: &[DerivedFact<u32>]) -> String {
+    let rows: Vec<_> = pairs
+        .iter()
+        .map(|d| (d, engine.support(d.a, d.b)))
+        .collect();
+    format!("{rows:?}")
+}
+
 /// Replay a script into a fresh engine; returns every step's outcome
-/// (derived facts or the conflict report, rendered in full) and the final
-/// pinned pairs with their provenance.
+/// (derived facts with their provenance, or the conflict report, rendered
+/// in full) and the final pinned pairs with their provenance.
 fn replay(steps: &[(u32, u32, Assertion)]) -> (Vec<String>, String) {
     let mut engine = AssertionEngine::<u32>::new();
     let outcomes = steps
         .iter()
         .map(
             |&(a, b, assertion)| match engine.assert(a, b, assertion, name) {
-                Ok(derived) => format!("ok {derived:?}"),
+                Ok(derived) => format!("ok {}", with_support(&engine, &derived)),
                 Err(report) => format!("conflict {report:?}\n{report}"),
             },
         )
         .collect();
-    (outcomes, format!("{:?}", engine.pinned()))
+    (outcomes, with_support(&engine, &engine.pinned()))
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! fresh engine fed only the surviving facts would be.
 
 use sit_core::assertion::{Assertion, Rel5, Rel5Set};
-use sit_core::closure::{naive_path_consistency, AssertionEngine, FactSource};
+use sit_core::closure::{naive_path_consistency, AssertionEngine};
 use sit_prng::{prop, prop_assert, prop_assert_eq, Xoshiro256pp};
 
 fn name(n: u32) -> String {
@@ -96,12 +96,9 @@ fn retract_equals_a_fresh_engine_on_the_surviving_facts() {
             engine.retract(a, b);
             let mut fresh = AssertionEngine::<u32>::new();
             for f in engine.facts().iter().filter(|f| f.active) {
-                let outcome = match (f.source, f.assertion) {
-                    (FactSource::User, Some(assertion)) => fresh.assert(f.a, f.b, assertion, name),
-                    _ => {
-                        let rel = f.set.singleton().expect("seeds are singletons");
-                        fresh.seed(f.a, f.b, rel, name)
-                    }
+                let outcome = match f.assertion {
+                    Some(assertion) => fresh.assert(f.a, f.b, assertion, name),
+                    None => fresh.seed(f.a, f.b, f.rel, name),
                 };
                 prop_assert!(outcome.is_ok(), "surviving fact {f:?} rejected");
             }

@@ -1,12 +1,14 @@
 //! Derivation provenance pinned byte for byte, one hash per case.
 //!
 //! Provenance — the input facts a pinned pair rests on — is what Screen 9
-//! cites and what `DerivedFact::roots` reports. How the engine stores it
-//! is free to change; what it answers is not. Each line of the golden
-//! file is the FNV-1a 64-bit hash of one case's every answer that carries
-//! provenance: each step's derived facts with their roots, each conflict
-//! report (its `Debug` form and its Screen-9 text), and `pinned()` with
-//! every pair's roots.
+//! cites and what `AssertionEngine::support` reports. How the engine
+//! stores it is free to change; what it answers is not. Each line of the
+//! golden file is the FNV-1a 64-bit hash of one case's every answer that
+//! carries provenance: each step's derived facts with their support, each
+//! conflict report (its `Debug` form and its Screen-9 text), and
+//! `pinned()` with every pair's support. The pairs are hashed through a
+//! local `DerivedFact` carrying a `roots` field, the form in which the
+//! file was first written.
 //!
 //! Two families of cases:
 //!
@@ -25,7 +27,7 @@
 use std::fmt::{self, Write as _};
 
 use sit_core::assertion::{Assertion, Rel5};
-use sit_core::closure::AssertionEngine;
+use sit_core::closure::{self, AssertionEngine, FactId};
 use sit_prng::{prop, SplitMix64, Xoshiro256pp};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/provenance.txt");
@@ -55,11 +57,33 @@ impl fmt::Write for Fnv {
     }
 }
 
+/// A pinned pair with its support, hashed in this `Debug` form.
+#[derive(Debug)]
+#[allow(dead_code)] // read through `Debug` only
+struct DerivedFact {
+    a: u32,
+    b: u32,
+    rel: Rel5,
+    roots: Vec<FactId>,
+}
+
+fn with_support(engine: &Engine, pairs: Vec<closure::DerivedFact<u32>>) -> Vec<DerivedFact> {
+    pairs
+        .into_iter()
+        .map(|d| DerivedFact {
+            roots: engine.support(d.a, d.b),
+            a: d.a,
+            b: d.b,
+            rel: d.rel,
+        })
+        .collect()
+}
+
 /// Hash one assert's outcome; returns whether it was accepted.
 fn outcome(h: &mut Fnv, engine: &mut Engine, (a, b, assertion): (u32, u32, Assertion)) -> bool {
     match engine.assert(a, b, assertion, name) {
         Ok(derived) => {
-            writeln!(h, "ok {derived:?}").unwrap();
+            writeln!(h, "ok {:?}", with_support(engine, derived)).unwrap();
             true
         }
         Err(report) => {
@@ -70,7 +94,7 @@ fn outcome(h: &mut Fnv, engine: &mut Engine, (a, b, assertion): (u32, u32, Asser
 }
 
 fn pinned(h: &mut Fnv, engine: &Engine) {
-    writeln!(h, "pinned {:?}", engine.pinned()).unwrap();
+    writeln!(h, "pinned {:?}", with_support(engine, engine.pinned())).unwrap();
 }
 
 /// The per-case seeds `prop::check_cases` derives.
@@ -196,7 +220,7 @@ fn forest_case(rng: &mut Xoshiro256pp) -> u64 {
         .pinned()
         .into_iter()
         .filter(|d| this.nodes.contains(&d.a))
-        .max_by_key(|d| d.roots.len());
+        .max_by_key(|d| engine.support(d.a, d.b).len());
     if let Some(d) = deepest {
         let contradicting = match d.rel {
             Rel5::Dr => Assertion::Equal,

@@ -463,12 +463,11 @@ pub(crate) fn apply_session_request(
             if schemas.is_empty() {
                 return Err(ServerError::bad_request("no `schema` blocks in ddl"));
             }
-            let mut names = Vec::new();
-            for schema in schemas {
-                let name = schema.name().to_owned();
-                s.add_schema(schema)?;
-                names.push(Json::Str(name));
-            }
+            let names = schemas
+                .iter()
+                .map(|schema| Json::str(schema.name()))
+                .collect();
+            s.add_schemas(schemas)?;
             Ok(ok_response(vec![("schemas", Json::Arr(names))]))
         }
         Request::ListSchemas { .. } => {
@@ -838,6 +837,71 @@ mod tests {
         .to_json()
         .encode();
         assert!(ok(&call(&service, &frame)));
+    }
+
+    /// A service with one open session, and that session's id.
+    fn one_session() -> (Service, String) {
+        let service = Service::new(StoreConfig::default());
+        let opened = call(&service, r#"{"op":"open"}"#);
+        let sid = opened.get("session").and_then(Json::as_str).unwrap();
+        let sid = sid.to_owned();
+        (service, sid)
+    }
+
+    fn add_schema(service: &Service, sid: &str, ddl: &str) -> Json {
+        let (session, ddl) = (sid.to_owned(), ddl.to_owned());
+        call(
+            service,
+            &Request::AddSchema { session, ddl }.to_json().encode(),
+        )
+    }
+
+    fn listed(service: &Service, sid: &str) -> usize {
+        let list = call(
+            service,
+            &format!(r#"{{"op":"list_schemas","session":"{sid}"}}"#),
+        );
+        list.get("schemas").and_then(Json::as_arr).unwrap().len()
+    }
+
+    #[test]
+    fn a_duplicate_block_leaves_its_whole_frame_unregistered() {
+        let (service, sid) = one_session();
+        let twice = "schema a { entity X { k: int key; } } schema a { entity Y { k: int key; } }";
+        // The second block repeats the first one's name: the reply is
+        // the duplicate error, and the first block is not left behind,
+        // so a retry meets the same error instead of a half-done frame.
+        for _ in 0..2 {
+            let r = add_schema(&service, &sid, twice);
+            assert_eq!(err_code(&r).as_deref(), Some("core"), "{r:?}");
+            let message = r.get("error").and_then(|e| e.get("message"));
+            assert_eq!(
+                message.and_then(Json::as_str),
+                Some("schema `a` already registered")
+            );
+            assert_eq!(listed(&service, &sid), 0);
+        }
+        let one = "schema a { entity X { k: int key; } }";
+        assert!(ok(&add_schema(&service, &sid, one)));
+        assert_eq!(listed(&service, &sid), 1);
+    }
+
+    #[test]
+    fn an_overflowing_block_leaves_its_whole_frame_unregistered() {
+        let (service, sid) = one_session();
+        // The first block fills the session's object limit; the second
+        // goes past it.
+        let mut ddl = String::from("schema big { entity R { k: int key; }\n");
+        for i in 1..Session::MAX_OBJECTS {
+            ddl.push_str(&format!("category C{i} of R {{}}\n"));
+        }
+        ddl.push('}');
+        let more = "schema more { entity M { k: int key; } }";
+        let r = add_schema(&service, &sid, &format!("{ddl} {more}"));
+        assert_eq!(err_code(&r).as_deref(), Some("bad_request"), "{r:?}");
+        assert_eq!(listed(&service, &sid), 0);
+        assert!(ok(&add_schema(&service, &sid, &ddl)));
+        assert_eq!(listed(&service, &sid), 1);
     }
 
     #[test]

@@ -245,6 +245,24 @@ if [ "$(echo "$deep_out" | sed -n 1,4p | grep -c '^{"ok":true,')" -ne 4 ] \
 fi
 echo "ok: 2,046-deep chain seeded; its conflict cites all $deep_supports supports"
 
+echo "== atomic add_schema smoke (a frame whose second block fails registers nothing) =="
+# An add_schema frame's blocks are checked as a batch before any is
+# registered, so an error leaves the session as it was and a retry of
+# the same frame meets the same error.
+atomic_out="$(printf '%s\n' \
+  '{"op":"open"}' \
+  '{"op":"add_schema","session":"1","ddl":"schema a { entity X { k: int key; } } schema a { entity Y { k: int key; } }"}' \
+  '{"op":"list_schemas","session":"1"}' \
+  | timeout 10 ./target/release/sit serve --stdio)" \
+  || { echo "FAIL: sit serve --stdio did not answer the add_schema batch" >&2; exit 1; }
+if ! echo "$atomic_out" | sed -n 2p | grep -q '^{"ok":false,"error":{"code":"core",' \
+  || ! echo "$atomic_out" | sed -n 3p | grep -q '"schemas":\[\]'; then
+  echo "FAIL: a failing add_schema block left earlier blocks registered:" >&2
+  echo "$atomic_out" >&2
+  exit 1
+fi
+echo "ok: the failing frame registered no schema"
+
 echo "== server smoke test (serve + scripted client session) =="
 serve_log="$(mktemp)"
 ./target/release/sit serve --addr 127.0.0.1:0 >"$serve_log" &
