@@ -14,11 +14,11 @@
 use crate::assertion::Rel5;
 use crate::closure::ConstraintView;
 
-/// Plain union–find with path compression and union by size.
+/// Plain union–find with path halving. A set's representative is its
+/// smallest member, so one array holds it all.
 #[derive(Clone, Debug)]
 pub struct Dsu {
     parent: Vec<usize>,
-    size: Vec<usize>,
 }
 
 impl Dsu {
@@ -26,37 +26,27 @@ impl Dsu {
     pub fn new(n: usize) -> Self {
         Self {
             parent: (0..n).collect(),
-            size: vec![1; n],
         }
     }
 
-    /// Representative of `x`'s set.
-    pub fn find(&mut self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
+    /// Representative of `x`'s set: its smallest member.
+    pub fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        let mut cur = x;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
-            cur = next;
-        }
-        root
+        x
     }
 
     /// Merge the sets of `a` and `b`; returns `true` when they were
     /// separate.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
+        let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
         }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra;
-        self.size[ra] += self.size[rb];
+        // Every link points to a smaller member.
+        self.parent[ra.max(rb)] = ra.min(rb);
         true
     }
 
@@ -92,43 +82,93 @@ impl<N> Clusters<N> {
 }
 
 /// Partition a sorted `universe` into clusters using the pinned relations
-/// among it, which `view` holds.
-pub(crate) fn clusters<N: Copy + Ord>(view: &ConstraintView<'_>, universe: &[N]) -> Clusters<N> {
-    let (groups, _) = partition(universe, |i, j| connects(view, i, j));
+/// among it, which `view` holds. `parts` lends its buffers.
+pub(crate) fn clusters<N: Copy + Ord>(
+    view: &ConstraintView<'_>,
+    universe: &[N],
+    parts: &mut Partition,
+) -> Clusters<N> {
+    parts.fill(universe.len(), |i, j| connects(view, i, j));
+    let groups = (0..parts.len())
+        .map(|g| parts.positions(g).iter().map(|&i| universe[i]).collect())
+        .collect();
     Clusters { groups }
 }
 
-/// The connected components of a sorted `universe` under `linked`, which
-/// relates positions in it: each sorted, ordered by smallest member, and
-/// the component of each position. Clusters and phase 4's
-/// equals-merging both partition this way.
-pub(crate) fn partition<N: Copy>(
-    universe: &[N],
-    linked: impl Fn(usize, usize) -> bool,
-) -> (Vec<Vec<N>>, Vec<usize>) {
-    let n = universe.len();
-    let mut dsu = Dsu::new(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            if linked(i, j) {
-                dsu.union(i, j);
+/// The connected components of positions `0..n` under a link relation,
+/// in three flat buffers: each component's positions ascending,
+/// components ordered by smallest position. Clusters and phase 4's
+/// equals-merging both partition this way, one after another in the
+/// same buffers.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Partition {
+    /// The component of each position.
+    pub group_of: Vec<usize>,
+    /// Component `g` is `at[start[g]..start[g + 1]]`.
+    start: Vec<usize>,
+    at: Vec<usize>,
+}
+
+impl Partition {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// The positions of component `g`, ascending.
+    pub fn positions(&self, g: usize) -> &[usize] {
+        &self.at[self.start[g]..self.start[g + 1]]
+    }
+
+    /// Repartition positions `0..n` into the components of `linked`,
+    /// which relates positions.
+    pub fn fill(&mut self, n: usize, linked: impl Fn(usize, usize) -> bool) {
+        let mut parent = std::mem::take(&mut self.group_of);
+        parent.clear();
+        parent.extend(0..n);
+        let mut dsu = Dsu { parent };
+        for i in 0..n {
+            for j in i + 1..n {
+                if linked(i, j) {
+                    dsu.union(i, j);
+                }
             }
         }
-    }
-    // A group opens at its smallest position and fills in position order.
-    let mut group_of_root = vec![usize::MAX; n];
-    let mut group_of = Vec::with_capacity(n);
-    let mut groups: Vec<Vec<N>> = Vec::new();
-    for (i, &node) in universe.iter().enumerate() {
-        let root = dsu.find(i);
-        if group_of_root[root] == usize::MAX {
-            group_of_root[root] = groups.len();
-            groups.push(Vec::new());
+        // Number the components in place, in order of smallest position:
+        // a representative opens the next number, and every other
+        // position links to a smaller one, numbered already.
+        let mut group_of = dsu.parent;
+        let mut m = 0;
+        for i in 0..n {
+            group_of[i] = if group_of[i] == i {
+                m += 1;
+                m - 1
+            } else {
+                group_of[group_of[i]]
+            };
         }
-        group_of.push(group_of_root[root]);
-        groups[group_of_root[root]].push(node);
+        // Counting sort by component. `start[g]` serves as component
+        // `g`'s cursor and ends at its successor's start, so it is
+        // shifted back after.
+        let start = &mut self.start;
+        start.clear();
+        start.resize(m + 1, 0);
+        for &g in &group_of {
+            start[g + 1] += 1;
+        }
+        for g in 0..m {
+            start[g + 1] += start[g];
+        }
+        self.at.clear();
+        self.at.resize(n, 0);
+        for (i, &g) in group_of.iter().enumerate() {
+            self.at[start[g]] = i;
+            start[g] += 1;
+        }
+        start.copy_within(0..m, 1);
+        start[0] = 0;
+        self.group_of = group_of;
     }
-    (groups, group_of)
 }
 
 /// Does the pinned relation between positions `i` and `j` connect them
@@ -164,13 +204,36 @@ mod tests {
     }
 
     #[test]
+    fn partition_refills_its_buffers() {
+        let mut parts = Partition::default();
+        // 0–3 and 3–4 link; 1 and 2 stay alone.
+        parts.fill(5, |i, j| matches!((i, j), (0, 3) | (3, 4)));
+        assert_eq!(parts.len(), 3);
+        assert_eq!(parts.positions(0), [0, 3, 4]);
+        assert_eq!(parts.positions(1), [1]);
+        assert_eq!(parts.positions(2), [2]);
+        assert_eq!(parts.group_of, [0, 1, 2, 0, 0]);
+        // A smaller universe reuses the buffers; nothing of the old one
+        // is left.
+        parts.fill(3, |i, j| (i, j) == (1, 2));
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts.positions(0), [0]);
+        assert_eq!(parts.positions(1), [1, 2]);
+        assert_eq!(parts.group_of, [0, 1, 1]);
+    }
+
+    #[test]
     fn university_clusters() {
         // 0=sc1.Student 1=sc1.Department 2=sc2.Grad 3=sc2.Faculty 4=sc2.Dept
         let mut e = AssertionEngine::<u32>::new();
         e.assert(1, 4, Assertion::Equal, nm).unwrap();
         e.assert(0, 2, Assertion::Contains, nm).unwrap();
         e.assert(0, 3, Assertion::DisjointIntegrable, nm).unwrap();
-        let cl = clusters(&e.view(&[0, 1, 2, 3, 4]), &[0, 1, 2, 3, 4]);
+        let cl = clusters(
+            &e.view(&[0, 1, 2, 3, 4]),
+            &[0, 1, 2, 3, 4],
+            &mut Partition::default(),
+        );
         assert_eq!(cl.len(), 2);
         assert_eq!(cl.groups[0], vec![0, 2, 3]);
         assert_eq!(cl.groups[1], vec![1, 4]);
@@ -182,7 +245,7 @@ mod tests {
         let mut e = AssertionEngine::<u32>::new();
         e.assert(0, 1, Assertion::DisjointNonIntegrable, nm)
             .unwrap();
-        let cl = clusters(&e.view(&[0, 1]), &[0, 1]);
+        let cl = clusters(&e.view(&[0, 1]), &[0, 1], &mut Partition::default());
         assert_eq!(cl.len(), 2, "kept separate");
         assert!(!connects(&e.view(&[0, 1]), 0, 1));
     }
@@ -195,7 +258,11 @@ mod tests {
         e.assert(0, 1, Assertion::ContainedIn, nm).unwrap();
         e.assert(1, 2, Assertion::ContainedIn, nm).unwrap();
         assert!(connects(&e.view(&[0, 1, 2]), 0, 2));
-        let cl = clusters(&e.view(&[0, 1, 2, 9]), &[0, 1, 2, 9]);
+        let cl = clusters(
+            &e.view(&[0, 1, 2, 9]),
+            &[0, 1, 2, 9],
+            &mut Partition::default(),
+        );
         assert_eq!(cl.len(), 2);
         assert_eq!(cl.groups[1], vec![9], "untouched node is a singleton");
     }
@@ -203,7 +270,7 @@ mod tests {
     #[test]
     fn unrelated_nodes_are_singletons() {
         let e = AssertionEngine::<u32>::new();
-        let cl = clusters(&e.view(&[7, 8, 9]), &[7, 8, 9]);
+        let cl = clusters(&e.view(&[7, 8, 9]), &[7, 8, 9], &mut Partition::default());
         assert_eq!(cl.len(), 3);
         assert!(cl.non_trivial().next().is_none());
     }

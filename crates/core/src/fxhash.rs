@@ -9,9 +9,9 @@
 //! It offers no protection against keys crafted to collide, so it is only
 //! for keys the program assigns itself (dense ids and pairs of them),
 //! never for keys a client chooses. Maps keyed by client-chosen strings —
-//! phase 4's `NamePool`, the `rename` map of
-//! [`crate::IntegrationOptions`], and by-name lookups such as
-//! `sit-matcher`'s synonym groups — keep std's keyed `RandomState`.
+//! the `rename` map of [`crate::IntegrationOptions`], and by-name lookups
+//! such as `sit-matcher`'s synonym groups — keep std's keyed
+//! `RandomState`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -25,10 +25,14 @@
 //! read through one [`crate::closure::AssertionEngine`] constraint view
 //! (an n×n grid of relation sets, by position), the lattices are bit rows
 //! over node indexes, and provenance records component attributes as
-//! [`GAttr`]s. Names appear only where output is written: the integrated
-//! schema's own element and attribute names when the builder receives
-//! them, and [`ComponentAttrInfo::resolve`] or
-//! [`crate::mapping::Mappings`] for component names.
+//! [`GAttr`]s. Temporaries are a few flat buffers per integration: node
+//! members are ranges of one partition, edges one sorted list, attribute
+//! slots one list with their components linked through another, and the
+//! relationship lattice reuses the object lattice's buffers. Names appear
+//! only where output is written, each once: the integrated schema's own
+//! element and attribute names when the builder receives them, and
+//! [`ComponentAttrInfo::resolve`] or [`crate::mapping::Mappings`] for
+//! component names.
 
 mod attrs;
 mod names;
@@ -38,7 +42,7 @@ mod rels;
 
 pub use names::{
     derived_object_name, derived_rel_name, equivalent_object_name, equivalent_rel_name,
-    merged_attr_name, trunc4, NamePool,
+    merged_attr_name, trunc4,
 };
 
 use std::collections::HashMap;
@@ -50,6 +54,8 @@ use crate::closure::AssertionEngine;
 use crate::cluster::{clusters, Clusters};
 use crate::equivalence::EquivalenceRegistry;
 use crate::error::Result;
+use attrs::Slots;
+use nodes::Nodes;
 
 /// Tunables for one integration run.
 #[derive(Clone, Debug, Default)]
@@ -184,6 +190,17 @@ impl IntegratedSchema {
         lookup(&self.rel_map, r)
     }
 
+    /// Component object → integrated object, sorted by component.
+    pub(crate) fn object_map(&self) -> &[(GObj, ObjectId)] {
+        &self.object_map
+    }
+
+    /// Component relationship set → integrated relationship set, sorted
+    /// by component.
+    pub(crate) fn rel_map(&self) -> &[(GRel, RelId)] {
+        &self.rel_map
+    }
+
     /// Provenance of each attribute of one integrated object class or
     /// relationship set.
     pub fn attr_prov(&self, owner: AttrOwner) -> Option<&[AttrProvenance]> {
@@ -237,31 +254,37 @@ pub fn integrate(
     }
     let universe = sorted(catalog.objects_of(sa).chain(catalog.objects_of(sb)));
     let view = obj_engine.view(&universe);
-    let object_clusters = clusters(&view, &universe);
+    // One set of node buffers serves the clusters, the object lattice
+    // and then the relationship lattice.
+    let mut nodes = Nodes::default();
+    let object_clusters = clusters(&view, &universe, &mut nodes.groups);
 
     // Object lattice (nodes, IS-A edges, names).
     let lattice = {
         let _span = sit_obs::trace::span("integrate.lattice");
-        objects::build_lattice(catalog, &view, &universe)?
+        objects::build_lattice(catalog, &view, &universe, nodes)?
     };
 
     // Attribute placement with absorption and provenance.
-    let placements = {
+    let mut slots = Slots::default();
+    {
         let _span = sit_obs::trace::span("integrate.attrs");
-        attrs::place_attributes(catalog, equiv, &lattice, options)
-    };
+        attrs::place_attributes(
+            catalog,
+            equiv,
+            &lattice,
+            options.pull_up_common_attrs,
+            &mut slots,
+        );
+    }
 
     // Assemble the object side of the schema.
-    let name = options.schema_name.clone().unwrap_or_else(|| {
-        format!(
-            "{}+{}",
-            catalog.schema(sa).name(),
-            catalog.schema(sb).name()
-        )
-    });
+    let (name_a, name_b) = (catalog.schema(sa).name(), catalog.schema(sb).name());
+    let name = options.schema_name.clone();
+    let name = name.unwrap_or_else(|| [name_a, "+", name_b].concat());
     let mut assembled = {
         let _span = sit_obs::trace::span("integrate.assemble");
-        objects::assemble(catalog, lattice, placements, &name, options)
+        objects::assemble(catalog, lattice, slots, name, options)
     };
 
     // Relationship lattice on top of the assembled objects.
@@ -296,10 +319,7 @@ pub fn integrate(
         object_map,
         rel_map,
         object_clusters,
-        sources: (
-            catalog.schema(sa).name().to_owned(),
-            catalog.schema(sb).name().to_owned(),
-        ),
+        sources: (name_a.to_owned(), name_b.to_owned()),
         source_ids: (sa, sb),
     })
 }

@@ -24,100 +24,151 @@ use super::Origin;
 use crate::assertion::{Rel5, Rel5Set};
 use crate::catalog::Catalog;
 use crate::closure::ConstraintView;
-use crate::cluster::partition;
+use crate::cluster::Partition;
 use crate::element::Element;
 use crate::error::{CoreError, Result};
 
-/// A node of an integrated lattice.
-#[derive(Clone, Debug)]
-pub(super) struct Node<E> {
-    /// Component elements merged into this node (empty for derived nodes).
-    pub members: Vec<E>,
-    /// Parent node indexes.
-    pub parents: Vec<usize>,
-    /// For derived nodes: the two child node indexes.
-    pub derived_children: Option<(usize, usize)>,
-    /// Display name within the integrated schema (assigned pre-assembly,
-    /// final uniquification happens at claim time).
-    pub name: String,
+/// The nodes of one lattice, in flat buffers that a later lattice
+/// reuses. Base nodes are the equals groups of a sorted universe, whose
+/// members are read by position; derived nodes follow them.
+#[derive(Debug, Default)]
+pub(super) struct Nodes {
+    /// Base node `x` holds the universe positions `groups.positions(x)`.
+    pub groups: Partition,
+    /// Derived node `base() + k` sits above the base nodes `derived[k]`.
+    pub derived: Vec<(usize, usize)>,
+    /// `(child, parent)` edges; once [`Nodes::sort_edges`] ran, sorted by
+    /// child, each child's parents in the order they were placed.
+    pub edges: Vec<(usize, usize)>,
+    /// Each node's name before uniquing: derived names are built from
+    /// their children's.
+    pub names: Vec<String>,
 }
 
-impl<E: Copy> Node<E> {
-    /// Where the node came from, given the integrated id of every node.
-    pub fn origin<Id: Copy>(&self, ids: &[Id]) -> Origin<E, Id> {
-        match (self.derived_children, self.members.as_slice()) {
-            (Some((x, y)), _) => Origin::DerivedSuper {
-                children: vec![ids[x], ids[y]],
+impl Nodes {
+    /// Number of base nodes.
+    pub fn base(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.base() + self.derived.len()
+    }
+
+    /// Universe positions of node `x`'s members (none for a derived node).
+    pub fn positions(&self, x: usize) -> &[usize] {
+        if x < self.base() {
+            self.groups.positions(x)
+        } else {
+            &[]
+        }
+    }
+
+    /// Members of node `x`, read from its `universe`.
+    pub fn members<'u, E: Copy>(
+        &self,
+        universe: &'u [E],
+        x: usize,
+    ) -> impl ExactSizeIterator<Item = E> + Clone + use<'_, 'u, E> {
+        self.positions(x).iter().map(move |&i| universe[i])
+    }
+
+    /// For a derived node, its two children.
+    pub fn derived_children(&self, x: usize) -> Option<(usize, usize)> {
+        x.checked_sub(self.base()).map(|k| self.derived[k])
+    }
+
+    /// Make each derived node a parent of both its children.
+    pub fn push_derived_edges(&mut self) {
+        let base = self.base();
+        for (k, &(x, y)) in self.derived.iter().enumerate() {
+            self.edges.push((x, base + k));
+            self.edges.push((y, base + k));
+        }
+    }
+
+    /// Group the edges by child; a stable sort keeps each child's
+    /// parents in placement order.
+    pub fn sort_edges(&mut self) {
+        self.edges.sort_by_key(|&(child, _)| child);
+    }
+
+    /// Parents of node `x`, in placement order (after `sort_edges`).
+    pub fn parents(&self, x: usize) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
+        let from = self.edges.partition_point(|&(c, _)| c < x);
+        let to = from + self.edges[from..].partition_point(|&(c, _)| c == x);
+        self.edges[from..to].iter().map(|&(_, p)| p)
+    }
+
+    /// Where node `x` came from, given its `universe` and the integrated
+    /// id of every node.
+    pub fn origin<E: Copy, Id>(
+        &self,
+        universe: &[E],
+        x: usize,
+        id: impl Fn(usize) -> Id,
+    ) -> Origin<E, Id> {
+        match self.derived_children(x) {
+            Some((a, b)) => Origin::DerivedSuper {
+                children: vec![id(a), id(b)],
             },
-            (None, &[only]) => Origin::Copied(only),
-            (None, members) => Origin::Merged(members.to_vec()),
+            None if self.positions(x).len() == 1 => Origin::Copied(universe[self.positions(x)[0]]),
+            None => Origin::Merged(self.members(universe, x).collect()),
+        }
+    }
+
+    /// Name every derived node after its children (`D_Stud_Facu`); base
+    /// nodes must already be named, in order.
+    pub fn name_derived(&mut self) {
+        self.names.reserve_exact(self.derived.len());
+        for &(x, y) in &self.derived {
+            let name = derived_object_name(&[self.names[x].as_str(), self.names[y].as_str()]);
+            self.names.push(name);
         }
     }
 }
 
-/// Equals-merged nodes and the relations pinned between them.
-pub(super) struct Merged<E> {
-    /// One node per equals group, ordered by smallest member.
-    pub nodes: Vec<Node<E>>,
-    /// The node of each universe position.
-    pub node_of: Vec<usize>,
-    /// `(child, parent)` node pairs pinned to proper containment, in pair
-    /// order.
-    pub contained: Vec<(usize, usize)>,
-    /// Node pairs that get a derived superset: overlapping, or disjoint
-    /// with the DDA's integrable mark.
-    pub derived: Vec<(usize, usize)>,
+/// Merge the sorted `universe`, whose constraints `view` holds, into
+/// equals groups: the base nodes of `nodes`, whose earlier contents are
+/// dropped.
+pub(super) fn merge_equal(nodes: &mut Nodes, view: &ConstraintView<'_>, n: usize) {
+    nodes
+        .groups
+        .fill(n, |i, j| view.known(i, j) == Some(Rel5::Eq));
+    nodes.derived.clear();
+    nodes.edges.clear();
+    nodes.names.clear();
 }
 
-/// Merge the sorted `universe`, whose constraints `view` holds, into
-/// equals groups and classify every pair of groups.
-pub(super) fn merge<E: Element>(
+/// Classify every pair of base nodes by the relation pinned between
+/// their members: an edge `(child, parent)` for each pair pinned to
+/// proper containment, in pair order, and a derived node for each pair
+/// overlapping, or disjoint with the DDA's integrable mark.
+pub(super) fn classify<E: Element>(
     catalog: &Catalog,
     view: &ConstraintView<'_>,
     universe: &[E],
-) -> Result<Merged<E>> {
-    let (groups, node_of) = partition(universe, |i, j| view.known(i, j) == Some(Rel5::Eq));
+    nodes: &mut Nodes,
+) -> Result<()> {
+    let Nodes {
+        groups,
+        derived,
+        edges,
+        ..
+    } = nodes;
     let m = groups.len();
-    let nodes: Vec<Node<E>> = groups
-        .into_iter()
-        .map(|members| Node {
-            members,
-            parents: Vec::new(),
-            derived_children: None,
-            name: String::new(),
-        })
-        .collect();
-
-    // Universe positions of node `x`: `at[start[x]..start[x + 1]]`.
-    let mut start = Vec::with_capacity(m + 1);
-    let mut at = Vec::with_capacity(universe.len());
-    for node in &nodes {
-        start.push(at.len());
-        at.extend(node.members.iter().map(|e| {
-            universe
-                .binary_search(e)
-                .expect("a member is in its universe")
-        }));
-    }
-    start.push(at.len());
-    let positions = |x: usize| &at[start[x]..start[x + 1]];
-
-    let mut contained = Vec::new();
-    let mut derived = Vec::new();
     for x in 0..m {
         for y in x + 1..m {
             // The node-level relation of `x` to `y`: the intersection over
             // member pairs.
-            let pairs = || {
-                positions(x)
-                    .iter()
-                    .flat_map(|&i| positions(y).iter().map(move |&j| (i, j)))
-            };
+            let (px, py) = (groups.positions(x), groups.positions(y));
+            let pairs = || px.iter().flat_map(|&i| py.iter().map(move |&j| (i, j)));
             let set = pairs().fold(Rel5Set::ALL, |set, (i, j)| set.intersect(view.get(i, j)));
             let names = || {
                 (
-                    catalog.display(nodes[x].members[0]),
-                    catalog.display(nodes[y].members[0]),
+                    catalog.display(universe[px[0]]),
+                    catalog.display(universe[py[0]]),
                 )
             };
             if set.is_empty() {
@@ -127,8 +178,8 @@ pub(super) fn merge<E: Element>(
                 )));
             }
             match set.singleton() {
-                Some(Rel5::Pp) => contained.push((x, y)),
-                Some(Rel5::Ppi) => contained.push((y, x)),
+                Some(Rel5::Pp) => edges.push((x, y)),
+                Some(Rel5::Ppi) => edges.push((y, x)),
                 Some(Rel5::Po) => derived.push((x, y)),
                 Some(Rel5::Dr) if pairs().any(|(i, j)| view.is_integrable_dr(i, j)) => {
                     derived.push((x, y))
@@ -143,37 +194,7 @@ pub(super) fn merge<E: Element>(
             }
         }
     }
-    Ok(Merged {
-        nodes,
-        node_of,
-        contained,
-        derived,
-    })
-}
-
-/// Append one derived node above each pair, as a parent of both.
-pub(super) fn add_derived<E>(nodes: &mut Vec<Node<E>>, pairs: &[(usize, usize)]) {
-    for &(x, y) in pairs {
-        let d = nodes.len();
-        nodes.push(Node {
-            members: Vec::new(),
-            parents: Vec::new(),
-            derived_children: Some((x, y)),
-            name: String::new(),
-        });
-        nodes[x].parents.push(d);
-        nodes[y].parents.push(d);
-    }
-}
-
-/// Name every derived node after its children (`D_Stud_Facu`); base
-/// nodes must already be named.
-pub(super) fn name_derived<E>(nodes: &mut [Node<E>]) {
-    for i in 0..nodes.len() {
-        if let Some((x, y)) = nodes[i].derived_children {
-            nodes[i].name = derived_object_name(&[nodes[x].name.as_str(), nodes[y].name.as_str()]);
-        }
-    }
+    Ok(())
 }
 
 /// A square bit matrix over node indexes: row `i` is a set of nodes.
@@ -237,14 +258,14 @@ impl BitRows {
 
     /// Ancestor rows of a graph whose `parents_of` lists come parents
     /// first in `order`: row `i` holds every node above `i`.
-    pub fn ancestors<'p>(
+    pub fn ancestors<P: IntoIterator<Item = usize>>(
         n: usize,
         order: impl Iterator<Item = usize>,
-        parents_of: impl Fn(usize) -> &'p [usize],
+        parents_of: impl Fn(usize) -> P,
     ) -> Self {
         let mut rows = Self::new(n);
         for i in order {
-            for &p in parents_of(i) {
+            for p in parents_of(i) {
                 rows.set(i, p);
                 rows.union_row(i, p);
             }

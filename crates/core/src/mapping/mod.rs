@@ -32,7 +32,7 @@ pub mod query;
 
 pub use query::{CmpOp, ComponentQuery, Filter, Query, UnionPlan};
 
-use sit_ecr::{AttrId, AttrOwner, SchemaId};
+use sit_ecr::{AttrId, AttrOwner, Schema, SchemaId};
 
 use crate::catalog::{Catalog, GAttr, GObj, GRel};
 use crate::element::Element;
@@ -55,17 +55,24 @@ impl<'a> Mappings<'a> {
     /// Build the mappings for an integration result. `catalog` must be the
     /// catalog the integration ran against.
     pub fn new(catalog: &'a Catalog, integrated: &'a IntegratedSchema) -> Mappings<'a> {
-        let schema = &integrated.schema;
-        let owners = schema
-            .object_ids()
-            .map(AttrOwner::Object)
-            .chain(schema.rel_ids().map(AttrOwner::Rel));
-        let mut attr_up = Vec::new();
-        for owner in owners {
-            let prov_row = integrated.attr_prov(owner).unwrap_or_default();
-            for (aid, prov) in prov_row.iter().enumerate() {
+        // Every integrated owner's provenance row: object classes, then
+        // relationship sets.
+        let rows = || {
+            let objects = integrated.schema.object_ids().map(AttrOwner::Object);
+            let rels = integrated.schema.rel_ids().map(AttrOwner::Rel);
+            objects
+                .chain(rels)
+                .map(|owner| (owner, integrated.attr_prov(owner).unwrap_or_default()))
+        };
+        let count = rows()
+            .flat_map(|(_, row)| row)
+            .map(|p| p.components.len())
+            .sum();
+        let mut attr_up = Vec::with_capacity(count);
+        for (owner, row) in rows() {
+            for (aid, p) in row.iter().enumerate() {
                 let target = (owner, AttrId::new(aid as u32));
-                attr_up.extend(prov.components.iter().map(|c| (c.attr, target)));
+                attr_up.extend(p.components.iter().map(|c| (c.attr, target)));
             }
         }
         // A component attribute pulled up into a derived relationship set
@@ -89,56 +96,161 @@ impl<'a> Mappings<'a> {
     /// Render the mappings as the plain-text "data dictionary" the
     /// paper's future-work section wants shared between design tools: one
     /// line per element correspondence, component side → integrated side.
+    ///
+    /// Lines come sorted: element lines, then attribute lines, each by
+    /// component schema, element (or owner and attribute) and target.
+    /// They are written in that order by walking each schema's name
+    /// indexes, so only one owner's attributes are ever sorted. The text
+    /// is measured from the correspondence tables first and written into
+    /// one allocation.
     pub fn describe(&self) -> String {
+        const HEADER: &str = "# mapping dictionary\n";
+        const ELEMENT: [&str; 4] = ["object ", ".", " -> ", "\n"];
+        const ATTR: [&str; 6] = ["attr   ", ".", ".", " -> ", ".", "\n"];
+        let fixed = |parts: &[&str]| parts.iter().map(|p| p.len()).sum::<usize>();
         let target = &self.integrated.schema;
-        let mut elements: Vec<(&str, &str, &str)> = Vec::new();
-        let mut attrs: Vec<(&str, &str, &str, &str, &str)> = Vec::new();
-        for sid in self.sources() {
+        let owner_name = |sid, owner| {
             let schema = self.catalog.schema(sid);
-            for (o, object) in schema.objects() {
-                if let Some(t) = self.integrated.node_of(GObj::new(sid, o)) {
-                    elements.push((schema.name(), &object.name, &target.object(t).name));
-                }
-            }
-            for (r, rel) in schema.relationships() {
-                if let Some(t) = self.integrated.rel_of(GRel::new(sid, r)) {
-                    elements.push((schema.name(), &rel.name, &target.relationship(t).name));
-                }
-            }
-            let owners = schema
-                .object_ids()
-                .map(AttrOwner::Object)
-                .chain(schema.rel_ids().map(AttrOwner::Rel));
-            for owner in owners {
-                let owner_name = schema.owner_name(owner).unwrap_or_default();
-                for (aid, attr) in schema.owner_attrs(owner).iter().enumerate() {
-                    let g = GAttr::new(sid, owner, AttrId::new(aid as u32));
-                    if let Some((towner, taid)) = self.up(g) {
-                        let tattr = &target.owner_attrs(towner)[taid.index()];
-                        let towner = target.owner_name(towner).unwrap_or_default();
-                        attrs.push((schema.name(), owner_name, &attr.name, towner, &tattr.name));
-                    }
-                }
-            }
-        }
-        elements.sort_unstable();
-        attrs.sort_unstable();
-        // Roughly one 40-byte line per correspondence.
-        let mut out = String::with_capacity(40 * (1 + elements.len() + attrs.len()));
-        out.push_str("# mapping dictionary\n");
-        for (schema, element, target) in elements {
-            for part in ["object ", schema, ".", element, " -> ", target, "\n"] {
-                out.push_str(part);
-            }
-        }
-        for (schema, owner, attr, tobj, tattr) in attrs {
-            for part in [
-                "attr   ", schema, ".", owner, ".", attr, " -> ", tobj, ".", tattr, "\n",
-            ] {
-                out.push_str(part);
+            schema.name().len() + schema.owner_name(owner).unwrap_or_default().len()
+        };
+        let element_len = |sid, owner, to| {
+            fixed(&ELEMENT)
+                + owner_name(sid, owner)
+                + target.owner_name(to).unwrap_or_default().len()
+        };
+        let objects = self.integrated.object_map().iter();
+        let rels = self.integrated.rel_map().iter();
+        let mut len = HEADER.len();
+        len += objects
+            .map(|&(g, o)| element_len(g.schema, g.owner(), AttrOwner::Object(o)))
+            .chain(rels.map(|&(g, r)| element_len(g.schema, g.owner(), AttrOwner::Rel(r))))
+            .sum::<usize>();
+        len += self
+            .attr_up
+            .iter()
+            .map(|&(g, (towner, taid))| {
+                let attr = self.catalog.attr(g).map_or(0, |a| a.name.len());
+                fixed(&ATTR)
+                    + owner_name(g.schema, g.owner)
+                    + attr
+                    + target.owner_name(towner).unwrap_or_default().len()
+                    + target.owner_attrs(towner)[taid.index()].name.len()
+            })
+            .sum::<usize>();
+
+        let mut sources = self.sources().map(|sid| (sid, self.catalog.schema(sid)));
+        sources.sort_by_key(|(_, schema)| schema.name());
+        let mut out = String::with_capacity(len);
+        out.push_str(HEADER);
+        let mut run = Vec::new();
+        for attrs in [false, true] {
+            for (sid, schema) in sources {
+                self.lines(sid, schema, attrs, &mut run, &mut out);
             }
         }
+        debug_assert_eq!(out.len(), len);
         out
+    }
+
+    /// Write the element lines (or, with `attrs`, attribute lines) of
+    /// schema `sid` in order. Object classes and relationship sets are
+    /// walked together in name order; an object class and a relationship
+    /// set of one name are one run, whose lines are ordered by the rest
+    /// of the line. `run` is scratch: `(owner, attribute, target owner,
+    /// target attribute)`.
+    fn lines(
+        &self,
+        sid: SchemaId,
+        schema: &Schema,
+        attrs: bool,
+        run: &mut Vec<(AttrOwner, AttrId, AttrOwner, AttrId)>,
+        out: &mut String,
+    ) {
+        let target = &self.integrated.schema;
+        let name = |owner| schema.owner_name(owner).unwrap_or_default();
+        let mut objects = schema
+            .object_ids_by_name()
+            .map(AttrOwner::Object)
+            .peekable();
+        let mut rels = schema.rel_ids_by_name().map(AttrOwner::Rel).peekable();
+        loop {
+            // The next run: the first owner by name, and a same-named
+            // owner of the other kind.
+            let owners = match (objects.peek(), rels.peek()) {
+                (None, None) => break,
+                (Some(&o), Some(&r)) if name(o) == name(r) => [objects.next(), rels.next()],
+                (Some(&o), Some(&r)) if name(r) < name(o) => [rels.next(), None],
+                (Some(_), _) => [objects.next(), None],
+                (None, Some(_)) => [rels.next(), None],
+            };
+            run.clear();
+            for owner in owners.into_iter().flatten() {
+                if attrs {
+                    // The owner's attributes are one range of the table.
+                    let first = GAttr::new(sid, owner, AttrId::new(0));
+                    let from = self.attr_up.partition_point(|&(g, _)| g < first);
+                    let mapped = self.attr_up[from..]
+                        .iter()
+                        .take_while(|(g, _)| g.schema == sid && g.owner == owner);
+                    run.extend(mapped.map(|&(g, (towner, taid))| (owner, g.attr, towner, taid)));
+                } else if let Some(to) = self.target(sid, owner) {
+                    run.push((owner, AttrId::new(0), to, AttrId::new(0)));
+                }
+            }
+            // Each line's parts past the run's name.
+            let parts = |&(owner, aid, towner, taid): &(AttrOwner, AttrId, AttrOwner, AttrId)| {
+                let towner_name = target.owner_name(towner).unwrap_or_default();
+                if attrs {
+                    [
+                        schema.owner_attrs(owner)[aid.index()].name.as_str(),
+                        towner_name,
+                        target.owner_attrs(towner)[taid.index()].name.as_str(),
+                    ]
+                } else {
+                    [towner_name, "", ""]
+                }
+            };
+            if run.len() > 1 {
+                run.sort_unstable_by(|x, y| parts(x).cmp(&parts(y)));
+            }
+            for entry in run.iter() {
+                let owner = name(entry.0);
+                let [a, b, c] = parts(entry);
+                let line: &[&str] = if attrs {
+                    &[
+                        "attr   ",
+                        schema.name(),
+                        ".",
+                        owner,
+                        ".",
+                        a,
+                        " -> ",
+                        b,
+                        ".",
+                        c,
+                        "\n",
+                    ]
+                } else {
+                    &["object ", schema.name(), ".", owner, " -> ", a, "\n"]
+                };
+                line.iter().for_each(|part| out.push_str(part));
+            }
+        }
+    }
+
+    /// The integrated element component element `owner` of schema `sid`
+    /// maps to.
+    fn target(&self, sid: SchemaId, owner: AttrOwner) -> Option<AttrOwner> {
+        match owner {
+            AttrOwner::Object(o) => self
+                .integrated
+                .node_of(GObj::new(sid, o))
+                .map(AttrOwner::Object),
+            AttrOwner::Rel(r) => self
+                .integrated
+                .rel_of(GRel::new(sid, r))
+                .map(AttrOwner::Rel),
+        }
     }
 
     /// Logical-design direction: rewrite a request against a component

@@ -7,78 +7,152 @@
 //! `figures` binary in `sit-bench` uses it to regenerate the paper's
 //! figures.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 use crate::attribute::Attribute;
-use crate::graph::IsaGraph;
 use crate::ids::ObjectId;
 use crate::schema::Schema;
 
 /// Render the schema as an indented text diagram.
 ///
-/// Everything is written straight into the output buffer: no string is
-/// built per attribute, leg or indentation level.
+/// The text is measured by a first pass through the same writer code,
+/// then written into one `String` of exactly that length. Each object
+/// class's children come from one flat buffer.
 pub fn render(schema: &Schema) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "schema {}", schema.name());
-    let graph = IsaGraph::of(schema);
-
-    out.push_str("  object classes:\n");
-    let mut roots = graph.roots();
-    roots.sort_by_key(|o| o.index());
-    for root in roots {
-        render_object(schema, &graph, root, 2, &mut out);
-    }
-
-    if schema.relationship_count() > 0 {
-        out.push_str("  relationship sets:\n");
-        for (_, rel) in schema.relationships() {
-            let _ = write!(out, "    <{}> -- ", rel.name);
-            for (i, p) in rel.participants.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" -- ");
-                }
-                let _ = write!(out, "{} {}", schema.object(p.object).name, p.cardinality);
-                if let Some(role) = &p.role {
-                    let _ = write!(out, " as {role}");
-                }
-            }
-            out.push('\n');
-            for a in &rel.attributes {
-                out.push_str("        ");
-                render_attr(a, &mut out);
-            }
-        }
-    }
+    let children = Children::of(schema);
+    let mut len = Measure(0);
+    let _ = write_schema(schema, &children, &mut len);
+    let mut out = String::with_capacity(len.0);
+    let _ = write_schema(schema, &children, &mut out);
+    debug_assert_eq!(out.len(), len.0);
     out
 }
 
-/// `. name: domain` with ` [key]` on keys, and a newline.
-fn render_attr(a: &Attribute, out: &mut String) {
-    let key = if a.is_key() { " [key]" } else { "" };
-    let _ = writeln!(out, ". {}: {}{}", a.name, a.domain, key);
+/// A [`Write`] that only counts the bytes written to it.
+struct Measure(usize);
+
+impl Write for Measure {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
 }
 
-fn render_object(schema: &Schema, graph: &IsaGraph, o: ObjectId, depth: usize, out: &mut String) {
+/// Every object class's direct children, ascending: object `o`'s are
+/// `ids[start[o]..start[o + 1]]`.
+struct Children {
+    start: Vec<usize>,
+    ids: Vec<ObjectId>,
+}
+
+impl Children {
+    fn of(schema: &Schema) -> Children {
+        let n = schema.object_count();
+        let mut start = vec![0; n + 1];
+        for (_, obj) in schema.objects() {
+            for p in obj.parents() {
+                start[p.index() + 1] += 1;
+            }
+        }
+        for o in 0..n {
+            start[o + 1] += start[o];
+        }
+        // `start[p]` is parent `p`'s cursor while filling, ending at its
+        // successor's start; shift back after.
+        let mut ids = vec![ObjectId::new(0); start[n]];
+        for (id, obj) in schema.objects() {
+            for p in obj.parents() {
+                ids[start[p.index()]] = id;
+                start[p.index()] += 1;
+            }
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        Children { start, ids }
+    }
+
+    fn of_object(&self, o: ObjectId) -> &[ObjectId] {
+        &self.ids[self.start[o.index()]..self.start[o.index() + 1]]
+    }
+}
+
+/// The diagram, written part by part: formatting runs only for domains
+/// and structural constraints.
+fn write_schema(schema: &Schema, children: &Children, out: &mut impl Write) -> fmt::Result {
+    for part in ["schema ", schema.name(), "\n", "  object classes:\n"] {
+        out.write_str(part)?;
+    }
+    for (root, obj) in schema.objects() {
+        if obj.parents().is_empty() {
+            write_object(schema, children, root, 2, out)?;
+        }
+    }
+
+    if schema.relationship_count() > 0 {
+        out.write_str("  relationship sets:\n")?;
+        for (_, rel) in schema.relationships() {
+            for part in ["    <", &rel.name, "> -- "] {
+                out.write_str(part)?;
+            }
+            for (i, p) in rel.participants.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(" -- ")?;
+                }
+                out.write_str(&schema.object(p.object).name)?;
+                write!(out, " {}", p.cardinality)?;
+                if let Some(role) = &p.role {
+                    out.write_str(" as ")?;
+                    out.write_str(role)?;
+                }
+            }
+            out.write_char('\n')?;
+            for a in &rel.attributes {
+                out.write_str("        ")?;
+                write_attr(a, out)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `. name: domain` with ` [key]` on keys, and a newline.
+fn write_attr(a: &Attribute, out: &mut impl Write) -> fmt::Result {
+    for part in [". ", &a.name, ": "] {
+        out.write_str(part)?;
+    }
+    write!(out, "{}", a.domain)?;
+    out.write_str(if a.is_key() { " [key]\n" } else { "\n" })
+}
+
+fn write_object(
+    schema: &Schema,
+    children: &Children,
+    o: ObjectId,
+    depth: usize,
+    out: &mut impl Write,
+) -> fmt::Result {
     let obj = schema.object(o);
-    let pad = |out: &mut String| (0..depth).for_each(|_| out.push_str("  "));
+    let pad = |out: &mut dyn Write| (0..depth).try_for_each(|_| out.write_str("  "));
     let tag = if obj.kind.is_category() {
-        "category"
+        "] (category)\n"
     } else {
-        "entity"
+        "] (entity)\n"
     };
-    pad(out);
-    let _ = writeln!(out, "[{}] ({tag})", obj.name);
+    pad(out)?;
+    for part in ["[", &obj.name, tag] {
+        out.write_str(part)?;
+    }
     for a in &obj.attributes {
-        pad(out);
-        out.push_str("    ");
-        render_attr(a, out);
+        pad(out)?;
+        out.write_str("    ")?;
+        write_attr(a, out)?;
     }
-    // Children are recorded in ascending id order. A multi-parent
-    // category renders under each parent.
-    for &child in graph.children(o) {
-        render_object(schema, graph, child, depth + 1, out);
+    // Children are listed in ascending id order. A multi-parent category
+    // renders under each parent.
+    for &child in children.of_object(o) {
+        write_object(schema, children, child, depth + 1, out)?;
     }
+    Ok(())
 }
 
 /// Render the schema as a Graphviz DOT graph — the "graphical interface

@@ -84,6 +84,16 @@ impl Schema {
         lookup(&self.rel_index, name, |i| &self.relationships[i].name).map(RelId::new)
     }
 
+    /// All object ids in name order.
+    pub fn object_ids_by_name(&self) -> impl ExactSizeIterator<Item = ObjectId> + Clone + '_ {
+        self.object_index.iter().map(|&i| ObjectId::new(i))
+    }
+
+    /// All relationship ids in name order.
+    pub fn rel_ids_by_name(&self) -> impl ExactSizeIterator<Item = RelId> + Clone + '_ {
+        self.rel_index.iter().map(|&i| RelId::new(i))
+    }
+
     /// All object ids in definition order.
     pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> {
         (0..self.objects.len() as u32).map(ObjectId::new)
@@ -230,10 +240,23 @@ impl SchemaBuilder {
         RelBuilder { b: self }
     }
 
+    /// Make room for `objects` more object classes and `relationships`
+    /// more relationship sets, so a builder told its final size up front
+    /// allocates each list once.
+    pub fn reserve(&mut self, objects: usize, relationships: usize) {
+        self.objects.reserve_exact(objects);
+        self.relationships.reserve_exact(relationships);
+    }
+
     /// The object classes added so far, in definition order (their index
     /// is the [`ObjectId`] they will carry after `build`).
     pub fn pending_objects(&self) -> &[ObjectClass] {
         &self.objects
+    }
+
+    /// The relationship sets added so far, in definition order.
+    pub fn pending_relationships(&self) -> &[RelationshipSet] {
+        &self.relationships
     }
 
     /// Resolve an already-added object class by name.
@@ -312,6 +335,17 @@ impl ObjectBuilder<'_> {
             .expect("ObjectBuilder exists only after a push")
     }
 
+    /// Make room for exactly `n` more attributes.
+    pub fn reserve_attrs(mut self, n: usize) -> Self {
+        self.current().attributes.reserve_exact(n);
+        self
+    }
+
+    /// The attributes added so far.
+    pub fn attributes(&self) -> &[Attribute] {
+        &self.b.objects[self.b.objects.len() - 1].attributes
+    }
+
     /// Add a non-key attribute.
     pub fn attr(mut self, name: impl Into<String>, domain: Domain) -> Self {
         self.current().attributes.push(Attribute::new(name, domain));
@@ -347,6 +381,23 @@ impl RelBuilder<'_> {
             .relationships
             .last_mut()
             .expect("RelBuilder exists only after a push")
+    }
+
+    /// Make room for exactly `n` more participants.
+    pub fn reserve_participants(mut self, n: usize) -> Self {
+        self.current().participants.reserve_exact(n);
+        self
+    }
+
+    /// Make room for exactly `n` more attributes.
+    pub fn reserve_attrs(mut self, n: usize) -> Self {
+        self.current().attributes.reserve_exact(n);
+        self
+    }
+
+    /// The attributes added so far.
+    pub fn attributes(&self) -> &[Attribute] {
+        &self.b.relationships[self.b.relationships.len() - 1].attributes
     }
 
     /// Add a participating object class with its structural constraint.
@@ -435,6 +486,12 @@ mod tests {
         assert_eq!(s.relationship(majors).degree(), 2);
         let honors = s.object_by_name("Honors").unwrap();
         assert_eq!(s.children_of(student).collect::<Vec<_>>(), vec![honors]);
+        let names: Vec<&str> = s
+            .object_ids_by_name()
+            .map(|o| s.object(o).name.as_str())
+            .collect();
+        assert_eq!(names, ["Department", "Honors", "Student"]);
+        assert_eq!(s.rel_ids_by_name().collect::<Vec<_>>(), vec![majors]);
     }
 
     #[test]

@@ -11,6 +11,29 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo fmt --check (root workspace; perfbench is its own) =="
 cargo fmt --all -- --check
 
+echo "== doc paths: every backticked crates/... path in the docs exists =="
+# A module that moves or is folded into another leaves its old path in
+# the design notes; this fails on such a path, naming doc and line. A
+# trailing `:line` or `::item` is stripped first, and `*` is a glob.
+python3 - README.md DESIGN.md ROADMAP.md EXPERIMENTS.md <<'EOF'
+import glob, os, re, sys
+
+stale = []
+for doc in sys.argv[1:]:
+    with open(doc) as fh:
+        for lineno, line in enumerate(fh, 1):
+            for path in re.findall(r"`(crates/[^`\s]*)`", line):
+                bare = re.sub(r"(::.*|:[0-9][0-9-]*)$", "", path)
+                if not (glob.glob(bare) if "*" in bare else os.path.exists(bare)):
+                    stale.append(f"{doc}:{lineno}: `{path}`")
+if stale:
+    print("FAIL: docs name paths that do not exist:", file=sys.stderr)
+    for entry in stale:
+        print(f"  {entry}", file=sys.stderr)
+    sys.exit(1)
+print("ok: every backticked crates/ path in the docs exists")
+EOF
+
 echo "== cargo build --release (offline) =="
 cargo build --release --workspace --all-targets
 
