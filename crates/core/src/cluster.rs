@@ -56,28 +56,36 @@ impl Dsu {
     }
 }
 
-/// The cluster partition of a node universe.
+/// The cluster partition of a node universe: every member in one
+/// buffer, each cluster a sorted run of it, clusters ordered by smallest
+/// member.
 #[derive(Clone, Debug)]
 pub struct Clusters<N> {
-    /// Each cluster as a sorted member list; clusters ordered by smallest
-    /// member.
-    pub groups: Vec<Vec<N>>,
+    members: Vec<N>,
+    /// Cluster `g` is `members[start[g]..start[g + 1]]`.
+    start: Vec<usize>,
 }
 
 impl<N> Clusters<N> {
     /// Number of clusters.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.groups().len()
     }
 
     /// `true` when there are no nodes.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.len() == 0
+    }
+
+    /// Each cluster's members, ascending; clusters ordered by smallest
+    /// member.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = &[N]> + '_ {
+        self.start.windows(2).map(|w| &self.members[w[0]..w[1]])
     }
 
     /// Clusters with more than one member (those that actually integrate).
-    pub fn non_trivial(&self) -> impl Iterator<Item = &Vec<N>> {
-        self.groups.iter().filter(|g| g.len() > 1)
+    pub fn non_trivial(&self) -> impl Iterator<Item = &[N]> + '_ {
+        self.groups().filter(|g| g.len() > 1)
     }
 }
 
@@ -89,10 +97,10 @@ pub(crate) fn clusters<N: Copy + Ord>(
     parts: &mut Partition,
 ) -> Clusters<N> {
     parts.fill(universe.len(), |i, j| connects(view, i, j));
-    let groups = (0..parts.len())
-        .map(|g| parts.positions(g).iter().map(|&i| universe[i]).collect())
-        .collect();
-    Clusters { groups }
+    Clusters {
+        members: parts.at.iter().map(|&i| universe[i]).collect(),
+        start: parts.start.clone(),
+    }
 }
 
 /// The connected components of positions `0..n` under a link relation,
@@ -235,8 +243,7 @@ mod tests {
             &mut Partition::default(),
         );
         assert_eq!(cl.len(), 2);
-        assert_eq!(cl.groups[0], vec![0, 2, 3]);
-        assert_eq!(cl.groups[1], vec![1, 4]);
+        assert_eq!(cl.groups().collect::<Vec<_>>(), [&[0, 2, 3][..], &[1, 4]]);
         assert_eq!(cl.non_trivial().count(), 2);
     }
 
@@ -264,7 +271,11 @@ mod tests {
             &mut Partition::default(),
         );
         assert_eq!(cl.len(), 2);
-        assert_eq!(cl.groups[1], vec![9], "untouched node is a singleton");
+        assert_eq!(
+            cl.groups().nth(1),
+            Some(&[9][..]),
+            "untouched node is a singleton"
+        );
     }
 
     #[test]

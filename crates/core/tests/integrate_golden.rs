@@ -175,7 +175,7 @@ fn record(
     out.push_str("--- render\n");
     out.push_str(&render::render(&integrated.schema));
     out.push_str("--- clusters\n");
-    for group in &integrated.object_clusters.groups {
+    for group in integrated.object_clusters.groups() {
         let names: Vec<String> = group.iter().map(|&g| s.catalog().display(g)).collect();
         let _ = writeln!(out, "{}", names.join(" "));
     }

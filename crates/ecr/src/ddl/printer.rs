@@ -1,7 +1,8 @@
 //! Pretty-printer: the inverse of [`crate::ddl::parse`].
 //!
-//! `parse(print(s)) == s` for every valid schema, which the property tests
-//! in the workspace `tests/` crate verify on generated schemas.
+//! `parse(print(s)) == s` for every valid schema: a category follows its
+//! parents, so each is defined before it is named. The property tests in
+//! the workspace `tests/` crate and in `crates/ecr/tests/` verify it.
 
 use std::fmt::Write as _;
 

@@ -15,23 +15,8 @@ pub enum EcrError {
         /// What kind of element clashed (`"object class"`, ...).
         kind: &'static str,
     },
-    /// An attribute name repeats within one owner.
-    DuplicateAttribute {
-        /// Owner (object class or relationship set) name.
-        owner: String,
-        /// The repeated attribute name.
-        attr: String,
-    },
-    /// A referenced object id is out of range.
-    UnknownObject(String),
     /// A referenced name could not be resolved.
     UnknownName(String),
-    /// A category's parent list is empty or cyclic.
-    BadCategory(String),
-    /// A relationship set has fewer than two participants.
-    BadRelationship(String),
-    /// An invalid `(min,max)` structural constraint.
-    BadCardinality(String),
     /// A domain string could not be parsed.
     BadDomain(String),
     /// DDL syntax error with line/column.
@@ -53,14 +38,7 @@ impl fmt::Display for EcrError {
             EcrError::DuplicateName { name, kind } => {
                 write!(f, "duplicate {kind} name `{name}`")
             }
-            EcrError::DuplicateAttribute { owner, attr } => {
-                write!(f, "duplicate attribute `{attr}` in `{owner}`")
-            }
-            EcrError::UnknownObject(what) => write!(f, "unknown object: {what}"),
             EcrError::UnknownName(name) => write!(f, "unknown name `{name}`"),
-            EcrError::BadCategory(msg) => write!(f, "bad category: {msg}"),
-            EcrError::BadRelationship(msg) => write!(f, "bad relationship: {msg}"),
-            EcrError::BadCardinality(msg) => write!(f, "bad cardinality: {msg}"),
             EcrError::BadDomain(s) => write!(f, "cannot parse domain `{s}`"),
             EcrError::Parse { line, col, msg } => {
                 write!(f, "parse error at {line}:{col}: {msg}")

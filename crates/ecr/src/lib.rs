@@ -20,7 +20,8 @@
 //! [`Schema`] is assembled through a [`SchemaBuilder`], validated, and then
 //! only read. All elements are addressed by small typed ids
 //! ([`ObjectId`], [`RelId`], [`AttrId`]) so the integration engine can use
-//! dense matrices.
+//! dense matrices. Object ids are also the IS-A order: a category's
+//! parents precede it, so walking ids upward visits parents first.
 //!
 //! ## Quick tour
 //!
@@ -55,7 +56,6 @@ pub mod ddl;
 pub mod domain;
 pub mod error;
 pub mod fixtures;
-pub mod graph;
 pub mod ids;
 pub mod object;
 pub mod relationship;
@@ -66,7 +66,6 @@ pub mod validate;
 pub use attribute::{Attribute, KeyStatus};
 pub use domain::Domain;
 pub use error::{EcrError, Result};
-pub use graph::IsaGraph;
 pub use ids::{AttrId, AttrRef, ObjectId, RelId, SchemaId};
 pub use object::{ObjectClass, ObjectKind};
 pub use relationship::{Cardinality, Participant, RelationshipSet};

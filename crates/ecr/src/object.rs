@@ -42,8 +42,11 @@ impl ObjectKind {
 }
 
 /// An entity set or category together with its *local* attributes
-/// (a category's inherited attributes are resolved through
-/// [`crate::graph::IsaGraph`], not stored).
+/// (a category's inherited attributes are its ancestors', not stored).
+///
+/// In a [`crate::Schema`] a category's parents precede it: every parent
+/// id is smaller than the category's own, so ids are the IS-A order and
+/// the IS-A graph has no cycle.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ObjectClass {
     /// Name, unique among the schema's object classes.

@@ -171,6 +171,9 @@ impl Schema {
     }
 
     /// Reassemble from parts; recomputes the name indexes and re-validates.
+    /// As in [`SchemaBuilder::category`], every category must follow its
+    /// parents in `objects`, or validation reports
+    /// [`crate::Violation::ParentNotBefore`].
     pub fn from_parts(
         name: String,
         objects: Vec<ObjectClass>,
@@ -208,7 +211,10 @@ impl SchemaBuilder {
         ObjectBuilder { b: self }
     }
 
-    /// Begin a category over already-defined parents.
+    /// Begin a category over already-defined parents: each parent's id
+    /// must be smaller than the category's, so a schema's object ids are
+    /// its IS-A order. `build` reports a later parent as
+    /// [`crate::Violation::ParentNotBefore`].
     pub fn category(
         &mut self,
         name: impl Into<String>,

@@ -3,13 +3,14 @@
 //! Validation runs automatically at [`crate::SchemaBuilder::build`] time and
 //! enforces the ECR well-formedness rules of the paper's section 2, so the
 //! rest of the system (integration engine, screens) can assume a sound
-//! model.
+//! model. As on the paper's Schema Collection screens, a category is
+//! defined over parents already entered: each parent precedes its
+//! category in id order, which also rules out IS-A cycles.
 
 use std::collections::HashSet;
 use std::fmt;
 
 use crate::attribute::Attribute;
-use crate::graph::IsaGraph;
 use crate::ids::ObjectId;
 use crate::relationship::RelationshipSet;
 use crate::schema::Schema;
@@ -36,10 +37,13 @@ pub enum Violation {
         /// The repeated parent name.
         parent: String,
     },
-    /// The IS-A graph has a cycle through this object.
-    IsaCycle {
-        /// An object on the cycle.
-        object: String,
+    /// A category's parent does not precede it in id order (a schema's
+    /// object ids are its IS-A order, parents first).
+    ParentNotBefore {
+        /// The category's name.
+        category: String,
+        /// The parent's name: the category itself or a later object.
+        parent: String,
     },
     /// A relationship set has fewer than two participants.
     UnderDegreeRelationship {
@@ -96,8 +100,8 @@ impl fmt::Display for Violation {
             Violation::DuplicateParent { category, parent } => {
                 write!(f, "category `{category}` lists parent `{parent}` twice")
             }
-            Violation::IsaCycle { object } => {
-                write!(f, "IS-A cycle through `{object}`")
+            Violation::ParentNotBefore { category, parent } => {
+                write!(f, "category `{category}` comes before its parent `{parent}`")
             }
             Violation::UnderDegreeRelationship { rel, degree } => {
                 write!(f, "relationship `{rel}` has degree {degree} (< 2)")
@@ -139,25 +143,36 @@ pub fn validate(schema: &Schema) -> Vec<Violation> {
         check_dup_attrs(&obj.name, &obj.attributes, &mut out);
     }
 
-    // Category structure (range checks must precede graph construction).
-    let mut ranges_ok = true;
-    for (_, obj) in schema.objects() {
+    // Category structure: every parent exists, precedes its category
+    // and is listed once. Parents first makes the IS-A graph acyclic.
+    let mut marks = Marks {
+        at: vec![0; n],
+        walk: 0,
+    };
+    let mut parents_first = true;
+    for (id, obj) in schema.objects() {
         let parents = obj.parents();
         if obj.kind.is_category() && parents.is_empty() {
             out.push(Violation::ParentlessCategory {
                 category: obj.name.clone(),
             });
         }
-        let mut seen = HashSet::new();
+        marks.clear();
         for &p in parents {
             if p.index() >= n {
-                ranges_ok = false;
+                parents_first = false;
                 out.push(Violation::DanglingParent {
                     category: obj.name.clone(),
                     parent: p,
                 });
-            } else if !seen.insert(p) {
+            } else if !marks.first_visit(p) {
                 out.push(Violation::DuplicateParent {
+                    category: obj.name.clone(),
+                    parent: schema.object(p).name.clone(),
+                });
+            } else if p >= id {
+                parents_first = false;
+                out.push(Violation::ParentNotBefore {
                     category: obj.name.clone(),
                     parent: schema.object(p).name.clone(),
                 });
@@ -165,15 +180,8 @@ pub fn validate(schema: &Schema) -> Vec<Violation> {
         }
     }
 
-    if ranges_ok {
-        let graph = IsaGraph::of(schema);
-        if let Some(o) = graph.find_cycle() {
-            out.push(Violation::IsaCycle {
-                object: schema.object(o).name.clone(),
-            });
-        } else {
-            check_shadows(schema, &graph, &mut out);
-        }
+    if parents_first {
+        check_shadows(schema, &mut marks, &mut out);
     }
 
     // Relationship sets.
@@ -185,6 +193,26 @@ pub fn validate(schema: &Schema) -> Vec<Violation> {
     }
 
     out
+}
+
+/// Visit marks over object ids that one counter step clears, so a
+/// validation allocates them once however many walks it makes.
+struct Marks {
+    /// The walk that last visited each object; walks count from 1.
+    at: Vec<usize>,
+    walk: usize,
+}
+
+impl Marks {
+    /// Start a new walk: nothing is visited.
+    fn clear(&mut self) {
+        self.walk += 1;
+    }
+
+    /// Mark `o` visited; `true` the first time in this walk.
+    fn first_visit(&mut self, o: ObjectId) -> bool {
+        std::mem::replace(&mut self.at[o.index()], self.walk) != self.walk
+    }
 }
 
 fn check_relationship(
@@ -239,13 +267,30 @@ fn check_dup_attrs(owner: &str, attrs: &[Attribute], out: &mut Vec<Violation>) {
     }
 }
 
-fn check_shadows(schema: &Schema, graph: &IsaGraph, out: &mut Vec<Violation>) {
-    for (id, obj) in schema.objects() {
-        if !obj.kind.is_category() {
+/// Report, for each attribute of each category, one violation per
+/// ancestor whose same-named attribute has an incompatible domain. Every
+/// parent precedes its category, so the walks end.
+fn check_shadows(schema: &Schema, marks: &mut Marks, out: &mut Vec<Violation>) {
+    // Each walk's ancestors in visit order; unvisited past `next`.
+    let mut ancestors: Vec<ObjectId> = Vec::with_capacity(schema.object_count());
+    for (_, obj) in schema.categories() {
+        if obj.attributes.is_empty() {
             continue;
         }
+        marks.clear();
+        ancestors.clear();
+        ancestors.extend(obj.parents().iter().filter(|&&p| marks.first_visit(p)));
+        let mut next = 0;
+        while let Some(&x) = ancestors.get(next) {
+            next += 1;
+            for &p in schema.object(x).parents() {
+                if marks.first_visit(p) {
+                    ancestors.push(p);
+                }
+            }
+        }
         for a in &obj.attributes {
-            for anc in graph.ancestors(id) {
+            for &anc in &ancestors {
                 if let Some((_, inherited)) = schema.object(anc).attr_by_name(&a.name) {
                     if !inherited.domain.compatible(&a.domain) {
                         out.push(Violation::SuspiciousShadow {
@@ -360,26 +405,39 @@ mod tests {
         assert!(err.contains("declares attribute `a` twice"), "{err}");
     }
 
+    /// The violations of `s` rebuilt with each `(category, parent)`
+    /// rewiring the category's first parent.
+    fn rewired(s: &Schema, rewires: &[(usize, u32)]) -> Vec<Violation> {
+        let (name, mut objs, rels) = s.clone().into_parts();
+        for &(c, p) in rewires {
+            if let crate::object::ObjectKind::Category { parents } = &mut objs[c].kind {
+                parents[0] = ObjectId::new(p);
+            }
+        }
+        match Schema::from_parts(name, objs, rels) {
+            Err(crate::error::EcrError::Invalid(v)) => v,
+            other => panic!("expected violations, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn isa_cycle_detected() {
-        // Construct a cycle by abusing raw parts: C0 over C1, C1 over C0.
-        let mut b = SchemaBuilder::new("cyc");
+    fn forward_parents_are_rejected() {
+        let mut b = SchemaBuilder::new("fwd");
         let e = b.entity_set("E").finish();
         b.category("C0", vec![e]).finish();
         b.category("C1", vec![e]).finish();
         let s = b.build().unwrap();
-        let (name, mut objs, rels) = s.into_parts();
-        // Rewire: C0's parent := C1, C1's parent := C0.
-        if let crate::object::ObjectKind::Category { parents } = &mut objs[1].kind {
-            parents[0] = ObjectId::new(2);
-        }
-        if let crate::object::ObjectKind::Category { parents } = &mut objs[2].kind {
-            parents[0] = ObjectId::new(1);
-        }
-        let err = crate::schema::Schema::from_parts(name, objs, rels)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("IS-A cycle"), "{err}");
+        let not_before = |category: &str, parent: &str| Violation::ParentNotBefore {
+            category: category.to_owned(),
+            parent: parent.to_owned(),
+        };
+        // A cycle, C0 over C1 and C1 over C0, has a forward edge.
+        assert_eq!(rewired(&s, &[(1, 2), (2, 1)]), [not_before("C0", "C1")]);
+        // Acyclic, but C0 over C1 is listed before C1 over E: printed DDL
+        // would name C1 before defining it.
+        assert_eq!(rewired(&s, &[(1, 2)]), [not_before("C0", "C1")]);
+        // A category over itself.
+        assert_eq!(rewired(&s, &[(2, 2)]), [not_before("C1", "C1")]);
     }
 
     #[test]

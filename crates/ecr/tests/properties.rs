@@ -1,9 +1,11 @@
 //! Property-based tests of the ECR substrate: the cardinality algebra and
-//! the IS-A graph invariants. Driven by the seeded in-tree runner
+//! the parents-first IS-A order. Driven by the seeded in-tree runner
 //! (`sit_prng::prop`), so every run executes the same cases and a failure
 //! reports its reproducing seed.
 
-use sit_ecr::{Cardinality, Domain, IsaGraph, SchemaBuilder};
+use sit_ecr::{
+    Cardinality, Domain, EcrError, ObjectId, ObjectKind, Schema, SchemaBuilder, Violation,
+};
 use sit_prng::{prop, prop_assert, prop_assert_eq, Xoshiro256pp};
 
 fn arb_card(rng: &mut Xoshiro256pp) -> Cardinality {
@@ -71,43 +73,55 @@ fn cardinality_roundtrips_through_ddl() {
     });
 }
 
-/// Chains of categories always topo-sort, and descendants/ancestors
-/// are inverse views.
+/// Random multi-parent category DAGs, each category named over parents
+/// defined before it, always build and round-trip through the DDL with
+/// the same objects, ids and parents. Rewiring a category's parent to the
+/// category itself or to a later object breaks the parents-first order,
+/// and validation names exactly that pair.
 #[test]
-fn isa_graph_invariants() {
-    prop::check("isa_graph_invariants", |rng| {
-        let depth = rng.gen_range(1usize..8);
-        let fanout = rng.gen_range(1usize..3);
-        let mut b = SchemaBuilder::new("g");
-        b.entity_set("Root").finish();
-        let mut prev = vec!["Root".to_owned()];
-        let mut all = vec!["Root".to_owned()];
-        for d in 0..depth {
-            let mut next = Vec::new();
-            for (i, parent) in prev.iter().enumerate() {
-                for f in 0..fanout {
-                    let name = format!("C{d}_{i}_{f}");
-                    b.category_of(name.clone(), &[parent]).unwrap().finish();
-                    next.push(name.clone());
-                    all.push(name);
+fn parents_first_dags() {
+    prop::check("parents_first_dags", |rng| {
+        let roots = rng.gen_range(1usize..4);
+        let n = roots + rng.gen_range(0usize..12);
+        let mut b = SchemaBuilder::new("dag");
+        let mut names: Vec<String> = Vec::with_capacity(n);
+        for i in 0..n {
+            let name = format!("O{i}");
+            let ob = if i < roots {
+                b.entity_set(name.clone())
+            } else {
+                let mut parents: Vec<&str> = Vec::new();
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let p = names[rng.gen_range(0..i)].as_str();
+                    if !parents.contains(&p) {
+                        parents.push(p);
+                    }
                 }
-            }
-            prev = next;
+                b.category_of(name.clone(), &parents).unwrap()
+            };
+            ob.attr(format!("a{i}"), Domain::Int).finish();
+            names.push(name);
         }
         let s = b.build().unwrap();
-        let g = IsaGraph::of(&s);
-        prop_assert!(g.find_cycle().is_none());
-        let order = g.topo_order().unwrap();
-        prop_assert_eq!(order.len(), all.len());
-        // Ancestor/descendant symmetry on a few pairs.
-        for name in &all {
-            let id = s.object_by_name(name).unwrap();
-            for anc in g.ancestors(id) {
-                prop_assert!(g.descendants(anc).contains(&id));
+        let back = sit_ecr::ddl::parse(&sit_ecr::ddl::print(&s)).unwrap();
+        prop_assert_eq!(&back, &s);
+
+        for (c, obj) in s.categories() {
+            let slot = rng.gen_range(0..obj.parents().len());
+            let to = rng.gen_range(c.index()..n);
+            let (name, mut objects, rels) = s.clone().into_parts();
+            if let ObjectKind::Category { parents } = &mut objects[c.index()].kind {
+                parents[slot] = ObjectId::new(to as u32);
             }
+            let want = Violation::ParentNotBefore {
+                category: names[c.index()].clone(),
+                parent: names[to].clone(),
+            };
+            prop_assert_eq!(
+                Schema::from_parts(name, objects, rels),
+                Err(EcrError::Invalid(vec![want]))
+            );
         }
-        // Roots are exactly the entity sets.
-        prop_assert_eq!(g.roots().len(), 1);
         Ok(())
     });
 }

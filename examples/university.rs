@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 4 with provenance.
     let result = session.integrate(sc1, sc2, &Default::default())?;
     println!("\nclusters:");
-    for (i, group) in result.object_clusters.groups.iter().enumerate() {
+    for (i, group) in result.object_clusters.groups().enumerate() {
         let names: Vec<String> = group
             .iter()
             .map(|&g| session.catalog().display(g))
