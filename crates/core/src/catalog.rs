@@ -2,11 +2,14 @@
 //! and globally qualified element references.
 //!
 //! Phase 1 of the methodology ("schema collection") ends with a set of named
-//! component schemas. The catalog owns them, assigns [`SchemaId`]s, and
+//! component schemas. The catalog holds them, assigns [`SchemaId`]s, and
 //! resolves the `schema.object.attribute` dotted names the tool's screens
-//! use.
+//! use. A schema is immutable once registered, so the catalog holds it
+//! behind an [`Arc`]: sessions over the same component schemas can share
+//! one copy, and cloning a catalog bumps reference counts.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sit_ecr::{AttrId, AttrOwner, Attribute, ObjectId, RelId, Schema, SchemaId};
 
@@ -83,7 +86,7 @@ impl GAttr {
 /// Ordered collection of the session's component schemas.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    schemas: Vec<Schema>,
+    schemas: Vec<Arc<Schema>>,
 }
 
 impl Catalog {
@@ -93,7 +96,8 @@ impl Catalog {
     }
 
     /// Register a schema; names must be unique across the session.
-    pub fn add(&mut self, schema: Schema) -> Result<SchemaId> {
+    pub fn add(&mut self, schema: impl Into<Arc<Schema>>) -> Result<SchemaId> {
+        let schema = schema.into();
         if self.by_name(schema.name()).is_some() {
             return Err(CoreError::DuplicateSchema(schema.name().to_owned()));
         }
@@ -118,7 +122,7 @@ impl Catalog {
 
     /// Schema by id, if present.
     pub fn try_schema(&self, id: SchemaId) -> Option<&Schema> {
-        self.schemas.get(id.index())
+        self.schemas.get(id.index()).map(|s| &**s)
     }
 
     /// Resolve a schema name.
@@ -134,7 +138,7 @@ impl Catalog {
         self.schemas
             .iter()
             .enumerate()
-            .map(|(i, s)| (SchemaId::new(i as u32), s))
+            .map(|(i, s)| (SchemaId::new(i as u32), &**s))
     }
 
     /// All object classes of one schema, globally qualified.

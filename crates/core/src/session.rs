@@ -15,6 +15,8 @@
 //! kind's seeds enter its engine in one pass
 //! ([`AssertionEngine::seed_structure`]).
 
+use std::sync::Arc;
+
 use sit_ecr::{Schema, SchemaId};
 
 use crate::assertion::Assertion;
@@ -63,8 +65,10 @@ impl Session {
     /// every attribute in its own equivalence class. A schema that would
     /// push the session past [`Session::MAX_OBJECTS`] or
     /// [`Session::MAX_RELATIONSHIPS`] is rejected before anything changes.
-    pub fn add_schema(&mut self, schema: Schema) -> Result<SchemaId> {
-        Ok(self.add_schemas(vec![schema])?[0])
+    /// An `Arc<Schema>` is registered as is, shared with its other
+    /// holders; a `Schema` is moved into a fresh one.
+    pub fn add_schema(&mut self, schema: impl Into<Arc<Schema>>) -> Result<SchemaId> {
+        Ok(self.add_schemas([schema])?[0])
     }
 
     /// [`Session::add_schema`] for several schemas, all or none: the
@@ -72,7 +76,11 @@ impl Session {
     /// the batch, the session limits on the running counts — and only
     /// then registered. The error is the one registering them one by one
     /// would have met first, with nothing registered.
-    pub fn add_schemas(&mut self, schemas: Vec<Schema>) -> Result<Vec<SchemaId>> {
+    pub fn add_schemas<S: Into<Arc<Schema>>>(
+        &mut self,
+        schemas: impl IntoIterator<Item = S>,
+    ) -> Result<Vec<SchemaId>> {
+        let schemas: Vec<Arc<Schema>> = schemas.into_iter().map(Into::into).collect();
         let mut counts = self.catalog.schemas().fold((0, 0), |(o, r), (_, s)| {
             (o + s.object_count(), r + s.relationship_count())
         });

@@ -196,12 +196,16 @@ impl<'a> Lexer<'a> {
                 // boundaries.
                 TokenKind::Ident(&self.text[start..self.pos])
             }
-            other => {
+            _ => {
+                // Every byte consumed so far closed an ASCII token or
+                // trivia run, so `pos` is a char boundary: name the whole
+                // character, not its first UTF-8 byte.
+                let other = self.text[self.pos..].chars().next().unwrap_or('?');
                 return Err(EcrError::Parse {
                     line,
                     col,
-                    msg: format!("unexpected character `{}`", other as char),
-                })
+                    msg: format!("unexpected character `{other}`"),
+                });
             }
         };
         Ok(mk(kind))
@@ -261,6 +265,20 @@ mod tests {
     fn rejects_stray_characters() {
         let err = Lexer::new("a @ b").tokenize().unwrap_err();
         assert!(err.to_string().contains("unexpected character `@`"));
+    }
+
+    #[test]
+    fn names_a_non_ascii_character_whole() {
+        let err = Lexer::new("entity Café").tokenize().unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected character `é`"),
+            "{err}"
+        );
+        let err = crate::ddl::parse("schema s { entity Café { x: char key; } }").unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected character `é`"),
+            "{err}"
+        );
     }
 
     #[test]

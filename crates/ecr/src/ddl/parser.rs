@@ -117,7 +117,9 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect(&TokenKind::RBrace)?;
-        b.build()
+        let mut schema = b.build()?;
+        schema.shrink_to_fit();
+        Ok(schema)
     }
 
     fn entity(&mut self, b: &mut SchemaBuilder) -> Result<()> {

@@ -11,6 +11,9 @@
 //! * [`proto`] — the request/response vocabulary: 23 verbs covering the
 //!   whole session façade plus observability (`stats`, `metrics_text`,
 //!   `trace_dump`, `persist_stats`), typed error codes;
+//! * [`intern`] — the service-wide [`intern::SchemaTable`]: each
+//!   `add_schema` DDL text is parsed once and its schemas shared by
+//!   every session that registers it, live or replayed;
 //! * [`store`] — a bounded [`store::SessionStore`] with per-session
 //!   locking, evicting by use order (LRU) and by idle time on the
 //!   service's clock (TTL);
@@ -72,6 +75,7 @@
 
 pub mod client;
 pub mod fault;
+pub mod intern;
 pub mod metrics;
 pub mod persist;
 pub mod proto;
@@ -84,6 +88,7 @@ pub mod wal;
 pub mod wire;
 
 pub use client::{error_code, Client, ClientConfig, RetryPolicy};
+pub use intern::SchemaTable;
 pub use persist::{FsyncPolicy, PersistConfig, Persistence};
 pub use proto::{ErrorCode, Request, ServerError};
 pub use server::{

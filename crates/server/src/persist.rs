@@ -92,6 +92,7 @@ use sit_obs::clock::Clock;
 use sit_obs::metrics::{prom_counter, prom_histogram, Counter, Histogram};
 use sit_obs::trace;
 
+use crate::intern::SchemaTable;
 use crate::proto::{ErrorCode, Request, ServerError};
 use crate::storage::Storage;
 use crate::wal::{self, Appended, Live, Segment, Wal};
@@ -582,9 +583,10 @@ impl Persistence {
         config: PersistConfig,
         clock: Arc<dyn Clock>,
         segment_bytes: u64,
+        schemas: &SchemaTable,
     ) -> io::Result<(Persistence, Recovery)> {
         let metrics = PersistMetrics::default();
-        let (recovered, recovery) = recover(&*storage, &*clock, &metrics)?;
+        let (recovered, recovery) = recover(&*storage, &*clock, &metrics, schemas)?;
         let wal = Wal::new(storage, config.fsync, segment_bytes, recovered);
         wal.collect(&metrics);
         let persistence = Persistence {
@@ -702,6 +704,7 @@ fn recover(
     storage: &dyn Storage,
     clock: &dyn Clock,
     metrics: &PersistMetrics,
+    schemas: &SchemaTable,
 ) -> io::Result<(wal::Recovered, Recovery)> {
     let _span = trace::span("recover");
     let mut segments = Vec::new();
@@ -736,7 +739,7 @@ fn recover(
                     if s.live.seq == 0 {
                         s.live = Live::opened(&r.payload);
                         if !r.payload.is_empty() {
-                            replay(&mut s.session, &r.payload, metrics);
+                            replay(&mut s.session, &r.payload, metrics, schemas);
                             metrics.recovered_records.inc();
                         }
                         s.spent_ns += clock.now_ns().saturating_sub(t0);
@@ -748,7 +751,7 @@ fn recover(
                         // is a duplicate, a later one lies past a gap.
                         let next = s.live.framed();
                         if r.seq == next.seq {
-                            replay(&mut s.session, &r.payload, metrics);
+                            replay(&mut s.session, &r.payload, metrics, schemas);
                             s.spent_ns += clock.now_ns().saturating_sub(t0);
                             s.live = next;
                             metrics.recovered_records.inc();
@@ -820,7 +823,7 @@ fn load_snapshot(payload: &[u8]) -> Option<Session> {
 /// Apply one journaled frame to a recovering session through the same
 /// dispatch live requests use. Errors are expected (a verb that failed
 /// live fails identically here) and never abort recovery.
-fn replay(session: &mut Session, payload: &[u8], metrics: &PersistMetrics) {
+fn replay(session: &mut Session, payload: &[u8], metrics: &PersistMetrics, schemas: &SchemaTable) {
     let request = std::str::from_utf8(payload)
         .ok()
         .and_then(|text| Json::parse(text).ok())
@@ -839,7 +842,7 @@ fn replay(session: &mut Session, payload: &[u8], metrics: &PersistMetrics) {
             }
             Err(_) => Err(()),
         },
-        other => crate::service::apply_session_request(session, other)
+        other => crate::service::apply_session_request(session, other, schemas)
             .map(|_| ())
             .map_err(|_| ()),
     };
@@ -956,12 +959,14 @@ mod tests {
     fn append_then_recover_round_trips_one_session() {
         let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+        let schemas = SchemaTable::new();
         let open = || {
             Persistence::open(
                 Arc::clone(&storage),
                 PersistConfig::default(),
                 Arc::clone(&clock),
                 SEGMENT_BYTES,
+                &schemas,
             )
             .unwrap()
         };

@@ -27,7 +27,7 @@
 //! | `matrix` | read | `session`, `a`, `b` | `rows`, `cols`, `cells` |
 //! | `integrate` | read | `session`, `a`, `b`, `pull_up?`, `mappings?` | `schema`, `objects`, `relationships`, `mappings?` |
 //! | `stats` | observe | — | `uptime_ms`, `sessions`, `evicted`, `verbs` |
-//! | `metrics_text` | observe | — | `text` (Prometheus exposition) |
+//! | `metrics_text` | observe | — | `text` (Prometheus exposition; `sit_schema_intern_hits_total`, `sit_schema_intern_misses_total`, `sit_schema_intern_entries`, `sit_schema_intern_bytes` among it) |
 //! | `trace_dump` | observe | `limit?` | `events`, `dropped`, `trace` (Chrome JSON) |
 //! | `persist_stats` | observe | — | `enabled`, journal/snapshot/recovery counters |
 //! | `shutdown` | lifecycle | — | `draining` |
@@ -40,6 +40,12 @@
 //! Assertion keywords are the session-script spellings
 //! ([`sit_core::script::keyword`]): `equals`, `contained-in`, `contains`,
 //! `disjoint-integrable`, `may-be-integrable`, `disjoint-non-integrable`.
+//!
+//! `add_schema` parses its `ddl` through the service's schema table
+//! ([`crate::intern::SchemaTable`]): a text any session of the service
+//! has registered before is a hit and is not parsed again. The reply is
+//! the same either way. `metrics_text` counts the table's hits and
+//! misses and shows how many texts it keeps and their charged bytes.
 //!
 //! A session holds at most [`sit_core::session::Session::MAX_OBJECTS`]
 //! object classes and [`sit_core::session::Session::MAX_RELATIONSHIPS`]

@@ -35,6 +35,7 @@ use sit_obs::metrics::prom_counter;
 use sit_obs::sync::lock_recover;
 use sit_obs::trace::{self, Tracer};
 
+use crate::intern::SchemaTable;
 use crate::metrics::Metrics;
 use crate::persist::{PersistConfig, Persistence, SEGMENT_BYTES};
 use crate::proto::{ok_response, Class, Request, ServerError};
@@ -62,6 +63,7 @@ pub struct Handled {
 /// Shared per-server state behind every connection.
 pub struct Service {
     store: SessionStore,
+    schemas: SchemaTable,
     metrics: Metrics,
     tracer: Tracer,
     clock: Arc<dyn Clock>,
@@ -83,6 +85,7 @@ impl Service {
     pub fn with_clock(store_config: StoreConfig, clock: Arc<dyn Clock>) -> Service {
         Service {
             store: SessionStore::new(store_config, Arc::clone(&clock)),
+            schemas: SchemaTable::new(),
             metrics: Metrics::with_clock(Arc::clone(&clock)),
             tracer: Tracer::new(Arc::clone(&clock), TRACE_CAPACITY),
             clock,
@@ -126,7 +129,13 @@ impl Service {
         let (persistence, recovery) = {
             // Recovery spans land on this service's tracer.
             let _current = trace::set_current(&service.tracer);
-            Persistence::open(storage, persist_config, clock, segment_bytes)?
+            Persistence::open(
+                storage,
+                persist_config,
+                clock,
+                segment_bytes,
+                &service.schemas,
+            )?
         };
         service.store.reserve_through(recovery.highest_id);
         for (id, session) in recovery.sessions {
@@ -180,6 +189,12 @@ impl Service {
     /// The metrics registry.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The schema table every `add_schema`, live or replayed, parses
+    /// through.
+    pub fn schemas(&self) -> &SchemaTable {
+        &self.schemas
     }
 
     /// Handle one request line; always produces exactly one response
@@ -409,7 +424,7 @@ impl Service {
                 snapshot = Some((p, key));
             }
         }
-        let result = apply_session_request(&mut session, request);
+        let result = apply_session_request(&mut session, request, &self.schemas);
         if let Some((p, key)) = snapshot {
             // The record is durable whatever `result` was (a failed
             // verb replays to the same failure); snapshot cadence
@@ -440,6 +455,7 @@ impl Service {
             "",
             self.tracer.dropped(),
         );
+        self.schemas.prometheus(&mut out);
         if let Some(p) = &self.persist {
             p.metrics().prometheus(&mut out);
         }
@@ -450,15 +466,19 @@ impl Service {
 
 /// Apply one session-addressed verb to a session. Pure with respect to
 /// the service: live dispatch and journal replay both come through
-/// here, which is what makes replay deterministic.
+/// here, which is what makes replay deterministic. `add_schema` parses
+/// its text through `schemas`, whose answer for a text is the same
+/// whether it held the text or not.
 pub(crate) fn apply_session_request(
     s: &mut Session,
     request: &Request,
+    schemas: &SchemaTable,
 ) -> Result<Json, ServerError> {
     match request {
         Request::Save { .. } => Ok(ok_response(vec![("script", Json::str(script::save(s)))])),
         Request::AddSchema { ddl, .. } => {
-            let schemas = sit_ecr::ddl::parse_many(ddl)
+            let schemas = schemas
+                .parse(ddl)
                 .map_err(|e| ServerError::bad_request(format!("DDL error: {e}")))?;
             if schemas.is_empty() {
                 return Err(ServerError::bad_request("no `schema` blocks in ddl"));
@@ -467,7 +487,7 @@ pub(crate) fn apply_session_request(
                 .iter()
                 .map(|schema| Json::str(schema.name()))
                 .collect();
-            s.add_schemas(schemas)?;
+            s.add_schemas(schemas.iter().cloned())?;
             Ok(ok_response(vec![("schemas", Json::Arr(names))]))
         }
         Request::ListSchemas { .. } => {

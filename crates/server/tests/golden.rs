@@ -175,6 +175,16 @@ fn transcript_matches_goldens() {
                 text.contains("sit_request_latency_ns_bucket{verb=\"integrate\",le="),
                 "{text}"
             );
+            // The transcript's two add_schema texts differ: two parses,
+            // two kept entries.
+            for series in [
+                "# TYPE sit_schema_intern_hits_total counter\nsit_schema_intern_hits_total 0\n",
+                "# TYPE sit_schema_intern_misses_total counter\nsit_schema_intern_misses_total 2\n",
+                "# TYPE sit_schema_intern_entries gauge\nsit_schema_intern_entries 2\n",
+                "# TYPE sit_schema_intern_bytes gauge\nsit_schema_intern_bytes ",
+            ] {
+                assert!(text.contains(series), "{series}: {text}");
+            }
             continue;
         }
         if *expected == "@trace" {

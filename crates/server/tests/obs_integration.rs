@@ -93,6 +93,14 @@ sit_sessions_evicted_total{kind=\"ttl\"} 0
 sit_trace_events 9
 # TYPE sit_trace_events_dropped_total counter
 sit_trace_events_dropped_total 0
+# TYPE sit_schema_intern_hits_total counter
+sit_schema_intern_hits_total 0
+# TYPE sit_schema_intern_misses_total counter
+sit_schema_intern_misses_total 0
+# TYPE sit_schema_intern_entries gauge
+sit_schema_intern_entries 0
+# TYPE sit_schema_intern_bytes gauge
+sit_schema_intern_bytes 0
 # TYPE sit_requests_total counter
 sit_requests_total{verb=\"open\"} 1
 sit_requests_total{verb=\"ping\"} 1

@@ -286,6 +286,33 @@ if ! echo "$atomic_out" | sed -n 2p | grep -q '^{"ok":false,"error":{"code":"cor
 fi
 echo "ok: the failing frame registered no schema"
 
+echo "== shared-schema smoke (two sessions, one DDL text, one parse) =="
+# Every add_schema text goes through one service-wide table: the second
+# session's copy of a text is a hit, and a text that does not parse is
+# not kept, so sending it again fails the same way.
+intern_ddl='schema s { entity E { k: int key; } entity F { m: char key; } }'
+intern_out="$(printf '%s\n' \
+  '{"op":"open"}' \
+  '{"op":"open"}' \
+  "{\"op\":\"add_schema\",\"session\":\"1\",\"ddl\":\"$intern_ddl\"}" \
+  "{\"op\":\"add_schema\",\"session\":\"2\",\"ddl\":\"$intern_ddl\"}" \
+  '{"op":"add_schema","session":"1","ddl":"schema t { entity Café { k: int key; } }"}' \
+  '{"op":"add_schema","session":"2","ddl":"schema t { entity Café { k: int key; } }"}' \
+  '{"op":"metrics_text"}' \
+  | timeout 10 ./target/release/sit serve --stdio)" \
+  || { echo "FAIL: sit serve --stdio did not answer the shared-schema session" >&2; exit 1; }
+bad_first="$(echo "$intern_out" | sed -n 5p)"
+if ! echo "$intern_out" | sed -n 3,4p | grep -c '^{"ok":true,"schemas":\["s"\]}$' | grep -qx 2 \
+  || ! echo "$bad_first" | grep -q '^{"ok":false,"error":{"code":"bad_request",' \
+  || [ "$bad_first" != "$(echo "$intern_out" | sed -n 6p)" ] \
+  || ! echo "$intern_out" | sed -n 7p | grep -qF 'sit_schema_intern_hits_total 1\n' \
+  || ! echo "$intern_out" | sed -n 7p | grep -qF 'sit_schema_intern_entries 1\n'; then
+  echo "FAIL: a repeated add_schema text was not one hit, or bad DDL answered differently twice:" >&2
+  echo "$intern_out" | cut -c1-200 >&2
+  exit 1
+fi
+echo "ok: the second session's text was a hit; bad DDL failed alike twice: ${bad_first:0:110}"
+
 echo "== server smoke test (serve + scripted client session) =="
 serve_log="$(mktemp)"
 ./target/release/sit serve --addr 127.0.0.1:0 >"$serve_log" &
