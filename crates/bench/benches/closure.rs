@@ -47,7 +47,7 @@ fn schema(base: u32, roots: u32, categories: u32) -> Structure {
 fn seed(schemas: &[Structure]) -> AssertionEngine<u32> {
     let mut e = AssertionEngine::new();
     for (edges, roots) in schemas {
-        e.seed_structure(edges, roots, name).unwrap();
+        e.seed_structure(edges, roots);
     }
     e
 }

@@ -101,8 +101,13 @@ impl Catalog {
         if self.by_name(schema.name()).is_some() {
             return Err(CoreError::DuplicateSchema(schema.name().to_owned()));
         }
+        Ok(self.push(schema))
+    }
+
+    /// Register a schema whose name the caller has checked is new.
+    pub(crate) fn push(&mut self, schema: Arc<Schema>) -> SchemaId {
         self.schemas.push(schema);
-        Ok(SchemaId::new((self.schemas.len() - 1) as u32))
+        SchemaId::new((self.schemas.len() - 1) as u32)
     }
 
     /// Number of registered schemas.

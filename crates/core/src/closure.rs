@@ -54,15 +54,16 @@
 //!
 //! A schema's structure is seeded in one pass
 //! ([`AssertionEngine::seed_structure`]): its facts are a contiguous run
-//! over nodes nothing constrains yet, whose closure is known in closed
+//! over nodes the engine has not seen, whose closure is known in closed
 //! form — each category is a proper part of its ancestors, and
 //! everything under one root entity set is disjoint from everything
 //! under another — so the run's pinned pairs and their provenance are
 //! written straight into the matrix, in time linear in their number,
 //! instead of propagating each of the n²/2 disjointness facts of n
-//! roots. The rebuild behind `retract` and conflict rollback replays such
-//! a run the same way and propagates only the other facts, the user's
-//! assertions among them.
+//! roots. Every structural fact `Session` states lies in such a block, one
+//! per schema and kind. The rebuild behind `retract` and conflict
+//! rollback replays each block the same way and propagates only the
+//! other facts, the user's assertions.
 //!
 //! Propagation is a FIFO worklist that visits a popped pair's neighbours
 //! in ascending index order. The derivation, provenance and conflict
@@ -71,13 +72,13 @@
 //! replay) gives byte-identical answers. One-pass seeding keeps this: it
 //! records the same facts, interns the same nodes in the same order and
 //! leaves the same closure and provenance as seeding the run fact by
-//! fact ([`AssertionEngine::seed`]), which `tests/seed_structure.rs`
-//! checks against random category forests. A different sequence with the
-//! same active facts need not give the same answers: a snapshot written
-//! by `script::save` keeps only the active user assertions and puts every
-//! schema's seeds first, so a session recovered from a snapshot can
-//! number its facts, intern its nodes and order its provenance
-//! differently.
+//! fact ([`AssertionEngine::seed`], kept as that reference), which
+//! `tests/seed_structure.rs` checks against random category forests and
+//! random sessions. A different sequence with the same active facts need
+//! not give the same answers: a snapshot written by `script::save` keeps
+//! only the active user assertions and puts every schema's seeds first,
+//! so a session recovered from a snapshot can number its facts, intern
+//! its nodes and order its provenance differently.
 //!
 //! The engine itself does not bound n; `Session` limits the object
 //! classes and relationship sets one session may register.
@@ -293,13 +294,6 @@ impl Network {
         facts
     }
 
-    /// Whether node `i` is constrained against no other node.
-    fn is_unconstrained(&self, i: Ix) -> bool {
-        let words = self.words();
-        let row = i as usize * words;
-        self.live[row..row + words].iter().all(|&w| w == 0)
-    }
-
     /// Add a node unconstrained against every other, doubling the matrix
     /// when it is full.
     fn push_node(&mut self) -> Ix {
@@ -450,8 +444,8 @@ impl Network {
     /// matrix: what [`Network::constrain`] derives from the block's facts
     /// in fact order, provenance included, without propagating.
     ///
-    /// Every node of the block is unconstrained when it starts, so the
-    /// facts touch only pairs inside it. Its `PP` edges form a forest
+    /// Every node of the block is new when it starts, so the facts touch
+    /// only pairs inside it. Its `PP` edges form a forest
     /// and its `DR` facts relate distinct roots of that forest, and the
     /// closure of such facts has exactly two kinds of pinned pair: a node
     /// is `PP` each of its ancestors, resting on the edges of the path
@@ -469,6 +463,7 @@ impl Network {
         let mut up: Vec<Option<(Ix, FactId)>> = vec![None; self.len];
         let mut nodes: Vec<Ix> = Vec::with_capacity(2 * block.edges.len() + block.roots.len());
         for (k, &(child, parent)) in block.edges.iter().enumerate() {
+            debug_assert!(up[child as usize].is_none(), "a child with a second parent");
             up[child as usize] = Some((parent, block.first + k));
             nodes.extend([child, parent]);
         }
@@ -482,6 +477,8 @@ impl Network {
         // under, once visited.
         let mut under = vec![NONE; self.len];
         for (t, &r) in block.roots.iter().enumerate() {
+            let (orphan, once) = (up[r as usize].is_none(), under[r as usize] == NONE);
+            debug_assert!(orphan && once, "disjoint roots are distinct and parentless");
             under[r as usize] = t as u32;
         }
         let (m, dr) = (block.roots.len(), block.first + block.edges.len());
@@ -715,8 +712,8 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         Some(effective(rel, || self.is_integrable_dr(a, b)))
     }
 
-    /// Seed a structural (intra-schema) fact. Contradictory seeds indicate
-    /// an invalid schema and are reported like assertion conflicts.
+    /// Seed one structural fact, propagated like an assertion: the
+    /// per-fact reference that [`AssertionEngine::seed_structure`] matches.
     pub fn seed(
         &mut self,
         a: N,
@@ -736,31 +733,14 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
     /// but the closure is written straight into the matrix, in time
     /// linear in the pairs it pins instead of a propagation per fact.
     ///
-    /// That holds when the edges form a forest, the disjoint nodes are
-    /// distinct roots of it, and no node is constrained yet: the shape of
-    /// a fresh schema's single-parent categories and root entity sets (or
-    /// of its relationship sets, with no edges). Any other input is
-    /// seeded fact by fact through [`AssertionEngine::seed`], which also
-    /// reports its conflicts; the one-pass path cannot conflict.
-    pub fn seed_structure(
-        &mut self,
-        edges: &[(N, N)],
-        disjoint: &[N],
-        name: impl Fn(N) -> String,
-    ) -> Result<(), ConflictReport> {
+    /// Precondition: the edges form a forest over nodes the engine has
+    /// not seen, and the disjoint nodes are distinct roots of it — the
+    /// shape of a validated schema's single-parent categories and root
+    /// entity sets, or of its relationship sets, which cannot conflict.
+    /// Debug builds check it as the pass goes; release builds trust it.
+    pub fn seed_structure(&mut self, edges: &[(N, N)], disjoint: &[N]) {
         // One disjoint node states no fact and mentions nothing.
         let disjoint = if disjoint.len() < 2 { &[] } else { disjoint };
-        if !self.is_fresh_forest(edges, disjoint) {
-            for &(child, parent) in edges {
-                self.seed(child, parent, Rel5::Pp, &name)?;
-            }
-            for (i, &a) in disjoint.iter().enumerate() {
-                for &b in &disjoint[i + 1..] {
-                    self.seed(a, b, Rel5::Dr, &name)?;
-                }
-            }
-            return Ok(());
-        }
         let first = self.facts.len();
         let m = disjoint.len();
         self.facts
@@ -782,11 +762,17 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
                 .extend(disjoint[i + 1..].iter().map(|&b| fact(a, b, Rel5::Dr)));
         }
         // Intern in order of first mention, as fact-by-fact seeding does.
+        let fresh = self.nodes.len();
+        let mut node = |n| {
+            let i = self.intern(n);
+            debug_assert!(i as usize >= fresh, "{n:?} was seen before its block");
+            i
+        };
         let edges: Vec<(Ix, Ix)> = edges
             .iter()
-            .map(|&(child, parent)| (self.intern(child), self.intern(parent)))
+            .map(|&(child, parent)| (node(child), node(parent)))
             .collect();
-        let roots: Vec<Ix> = disjoint.iter().map(|&r| self.intern(r)).collect();
+        let roots: Vec<Ix> = disjoint.iter().map(|&r| node(r)).collect();
         let block = SeedBlock {
             first,
             edges,
@@ -794,49 +780,6 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
         };
         self.network.seed_block(&block);
         self.blocks.push(block);
-        Ok(())
-    }
-
-    /// Whether `edges` and `disjoint` have the shape
-    /// [`AssertionEngine::seed_structure`] seeds in one pass: each child
-    /// has one parent and no ancestor cycle, the disjoint nodes are
-    /// distinct and parentless, and every node is unconstrained so far.
-    fn is_fresh_forest(&self, edges: &[(N, N)], disjoint: &[N]) -> bool {
-        let mut up = edges.to_vec();
-        up.sort_unstable();
-        let parent = |n: &N| {
-            up.binary_search_by(|(child, _)| child.cmp(n))
-                .ok()
-                .map(|i| up[i].1)
-        };
-        let one_parent = up.windows(2).all(|w| w[0].0 != w[1].0);
-        // A walk up from any child ends within `edges.len()` steps unless
-        // it cycles.
-        let acyclic = edges.iter().all(|&(child, _)| {
-            let mut top = child;
-            (0..=edges.len()).any(|_| match parent(&top) {
-                Some(p) => {
-                    top = p;
-                    false
-                }
-                None => true,
-            })
-        });
-        let mut roots = disjoint.to_vec();
-        roots.sort_unstable();
-        let distinct_roots = roots.windows(2).all(|w| w[0] != w[1]);
-        let unconstrained = |n: &N| match self.index.get(n) {
-            Some(&i) => self.network.is_unconstrained(i),
-            None => true,
-        };
-        one_parent
-            && acyclic
-            && distinct_roots
-            && roots.iter().all(|r| parent(r).is_none())
-            && edges
-                .iter()
-                .all(|(c, p)| unconstrained(c) && unconstrained(p))
-            && roots.iter().all(unconstrained)
     }
 
     /// Record a DDA assertion for a pair. On success, returns the pairs the
@@ -948,7 +891,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> AssertionEngine<N> {
             .map(|f| norm(f.a, f.b).0)
             .collect();
         // Each structural block is written in one pass; only the facts
-        // outside them (user assertions, single seeds) propagate.
+        // outside them (user assertions, per-fact seeds) propagate.
         let mut blocks = self.blocks.iter().peekable();
         let mut id = 0;
         while let Some(f) = self.facts.get(id) {

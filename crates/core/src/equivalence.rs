@@ -131,6 +131,12 @@ impl EquivalenceRegistry {
                 catalog.attr_display(b)
             )));
         }
+        self.join(catalog, a, b)
+    }
+
+    /// Merge two attributes' classes, checking domains but not schemas,
+    /// so a saved class left within one schema by a Screen 7 delete loads.
+    pub(crate) fn join(&mut self, catalog: &Catalog, a: GAttr, b: GAttr) -> Result<()> {
         let da = catalog.attr(a)?;
         let db = catalog.attr(b)?;
         if !da.domain.compatible(&db.domain) {

@@ -42,24 +42,17 @@ pub fn save(session: &Session) -> String {
         out.push_str(&sit_ecr::ddl::print(schema));
     }
     for (_, members) in session.equivalences().classes() {
-        // Emit the class as a spanning set of *cross-schema* edges
-        // (same-schema declarations are rejected on load): members from
-        // other schemas pair with the anchor; members sharing the
-        // anchor's schema pair with the first foreign member. A class may
-        // have *no* foreign member — Screen 7 deletes can strip a class
-        // down to attributes of one schema — and such a class cannot be
-        // expressed as loadable `equiv` directives at all, so it is
-        // skipped rather than panicking (it carries no cross-schema
-        // information to reconstruct).
+        // Emit the class as a spanning set of edges: members from other
+        // schemas pair with the anchor; members sharing the anchor's
+        // schema pair with the first foreign member, or with the anchor
+        // when a Screen 7 delete left the class within one schema (`load`
+        // restores such a line; a user declaration of it is rejected).
         let anchor = members[0];
         let foreign = members.iter().copied().find(|m| m.schema != anchor.schema);
         for &m in &members[1..] {
-            let partner = if m.schema != anchor.schema {
-                anchor
-            } else if let Some(foreign) = foreign {
-                foreign
-            } else {
-                continue;
+            let partner = match foreign {
+                Some(foreign) if m.schema == anchor.schema => foreign,
+                _ => anchor,
             };
             let _ = writeln!(
                 out,
@@ -116,7 +109,7 @@ pub fn load(text: &str) -> Result<Session> {
                 .ok_or_else(|| bad_line("equiv needs `a = b`", line))?;
             let a = parse_attr_path(&session, a.trim())?;
             let b = parse_attr_path(&session, b.trim())?;
-            session.declare_equivalent(a, b)?;
+            session.restore_equivalent(a, b)?;
         } else if let Some(rest) = directive::<GRel>(line) {
             load_assertion::<GRel>(&mut session, rest, line)?;
         } else if let Some(rest) = directive::<GObj>(line) {
@@ -260,10 +253,8 @@ mod tests {
     #[test]
     fn save_survives_class_with_no_foreign_member() {
         // Merge three attributes into one class, then delete the only
-        // sc2 member (a Screen 7 delete): the residue spans just sc1 and
-        // used to panic `save` via its foreign-partner expect. It cannot
-        // be expressed as cross-schema `equiv` directives, so saving
-        // simply skips it and the script stays loadable.
+        // sc2 member (a Screen 7 delete): the residue spans just sc1. It
+        // is saved as a same-schema `equiv` line, which `load` restores.
         let mut s = Session::new();
         s.add_schema(fixtures::sc1()).unwrap();
         s.add_schema(fixtures::sc2()).unwrap();
@@ -277,10 +268,23 @@ mod tests {
             .unwrap();
         assert!(s.remove_from_class(foreign));
         let script = save(&s);
+        assert!(script.contains("equiv sc1.Student.Name = sc1.Department.Dname;"));
         let reloaded = load(&script).unwrap();
         assert_eq!(reloaded.catalog().len(), 2);
-        // The inexpressible residue is dropped, not round-tripped.
-        assert!(reloaded.equivalences().classes().is_empty());
+        assert_eq!(
+            reloaded.equivalences().classes(),
+            s.equivalences().classes()
+        );
+        assert_eq!(save(&reloaded), script);
+        // A user still cannot declare a same-schema equivalence.
+        let (a, b) = (
+            s.equivalences().classes()[0].1[0],
+            s.equivalences().classes()[0].1[1],
+        );
+        assert!(matches!(
+            reloaded.clone().declare_equivalent(a, b),
+            Err(CoreError::SameSchemaEquivalence(_))
+        ));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! seeds are what let Screen 9's conflict derivation cite
 //! `sc4.Grad_student ⊆ sc4.Student` without the DDA ever typing it. Each
 //! kind's seeds enter its engine in one pass
-//! ([`AssertionEngine::seed_structure`]).
+//! ([`AssertionEngine::seed_structure`]), so registration cannot fail
+//! once [`Session::add_schemas`] has checked names and session limits.
 
 use std::sync::Arc;
 
@@ -92,16 +93,14 @@ impl Session {
                 return Err(CoreError::DuplicateSchema(name.to_owned()));
             }
         }
-        schemas
-            .into_iter()
-            .map(|schema| {
-                let _span = sit_obs::trace::span("session.add_schema");
-                let sid = self.catalog.add(schema)?;
-                self.equiv.register_schema(&self.catalog, sid);
-                self.seed_structure(sid)?;
-                Ok(sid)
-            })
-            .collect()
+        let register = |schema| {
+            let _span = sit_obs::trace::span("session.add_schema");
+            let sid = self.catalog.push(schema);
+            self.equiv.register_schema(&self.catalog, sid);
+            self.seed_structure(sid);
+            sid
+        };
+        Ok(schemas.into_iter().map(register).collect())
     }
 
     /// `counts` (object classes, relationship sets) plus `schema`'s, or
@@ -124,7 +123,9 @@ impl Session {
         }
     }
 
-    fn seed_structure(&mut self, sid: SchemaId) -> Result<()> {
+    /// Seed schema `sid`'s structure in the shape `seed_structure`
+    /// requires: object ids are the IS-A order, so the edges cannot cycle.
+    fn seed_structure(&mut self, sid: SchemaId) {
         let schema = self.catalog.schema(sid);
         // A category is a proper part of its parent when it has just one
         // (over a union of parents it is contained only in the union),
@@ -140,15 +141,8 @@ impl Session {
         // Distinct relationship sets of one schema are distinct tuple
         // sets.
         let rels: Vec<GRel> = self.catalog.rels_of(sid).collect();
-        self.seed(&edges, &roots)?;
-        self.seed(&[], &rels)
-    }
-
-    fn seed<E: Element>(&mut self, edges: &[(E, E)], disjoint: &[E]) -> Result<()> {
-        let (catalog, engine) = (&self.catalog, E::engine_mut(&mut self.engines));
-        engine
-            .seed_structure(edges, disjoint, |e| catalog.display(e))
-            .map_err(|r| CoreError::Conflict(Box::new(r)))
+        GObj::engine_mut(&mut self.engines).seed_structure(&edges, &roots);
+        GRel::engine_mut(&mut self.engines).seed_structure(&[], &rels);
     }
 
     /// The catalog of registered schemas.
@@ -173,6 +167,11 @@ impl Session {
     /// Declare two attributes equivalent (merging their classes).
     pub fn declare_equivalent(&mut self, a: GAttr, b: GAttr) -> Result<()> {
         self.equiv.declare_equivalent(&self.catalog, a, b)
+    }
+
+    /// Merge two classes, even within one schema: a saved `equiv` line.
+    pub(crate) fn restore_equivalent(&mut self, a: GAttr, b: GAttr) -> Result<()> {
+        self.equiv.join(&self.catalog, a, b)
     }
 
     /// Name-based convenience for [`Session::declare_equivalent`].

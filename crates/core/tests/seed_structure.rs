@@ -7,17 +7,23 @@
 //! one case in sixteen contradicts), edges in any order,
 //! and other schemas seeded before and after — both must leave the same
 //! facts, node order, constraints and provenance, answer a conflicting
-//! assertion with the same report, and rebuild alike on `retract`. The
-//! last tests bound the time of seeding, asserting and retracting on two
-//! schemas of hundreds of root entity sets, and of seeding a
-//! `Session::MAX_OBJECTS`-deep chain and reading its deepest provenance.
+//! assertion with the same report, and rebuild alike on `retract`. Over
+//! random validated schemas registered through `Session::add_schema`,
+//! both of the session's engines must equal engines seeded fact by fact
+//! with the facts the session states: registration only ever hands the
+//! one-pass seeder the shape it requires. The last tests bound the time
+//! of seeding, asserting and retracting on two schemas of hundreds of
+//! root entity sets, and of seeding a `Session::MAX_OBJECTS`-deep chain
+//! and reading its deepest provenance.
 
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use sit_core::assertion::{Assertion, Rel5, Rel5Set};
 use sit_core::closure::AssertionEngine;
-use sit_core::Session;
+use sit_core::{GObj, GRel, Session};
 use sit_prng::{prop, prop_assert, prop_assert_eq, Xoshiro256pp};
 
 type Engine = AssertionEngine<u32>;
@@ -89,22 +95,38 @@ fn rels(rng: &mut Xoshiro256pp, ids: &mut impl Iterator<Item = u32>) -> Structur
 }
 
 /// Seed `s` in one pass into `bulk` and fact by fact into `reference`.
-fn seed_both(bulk: &mut Engine, reference: &mut Engine, s: &Structure) -> Result<(), String> {
-    bulk.seed_structure(&s.edges, &s.roots, name)
-        .map_err(|r| format!("one-pass seeding conflicted: {r}"))?;
-    for &(child, parent) in &s.edges {
+fn seed_both(bulk: &mut Engine, reference: &mut Engine, s: &Structure) {
+    bulk.seed_structure(&s.edges, &s.roots);
+    seed_per_fact(reference, &s.edges, &s.roots);
+}
+
+/// Seed `edges` (`PP`) and then every pair of `roots` (`DR`) one fact at
+/// a time: the reference the one-pass seeder must match.
+fn seed_per_fact<N>(reference: &mut AssertionEngine<N>, edges: &[(N, N)], roots: &[N])
+where
+    N: Copy + Ord + Hash + Debug,
+{
+    let name = |n: N| format!("{n:?}");
+    for &(child, parent) in edges {
         reference.seed(child, parent, Rel5::Pp, name).unwrap();
     }
-    for (i, &a) in s.roots.iter().enumerate() {
-        for &b in &s.roots[i + 1..] {
+    for (i, &a) in roots.iter().enumerate() {
+        for &b in &roots[i + 1..] {
             reference.seed(a, b, Rel5::Dr, name).unwrap();
         }
     }
-    Ok(())
 }
 
 /// The two engines agree on everything they expose, over `universe`.
-fn same(bulk: &Engine, reference: &Engine, universe: &[u32], when: &str) -> Result<(), String> {
+fn same<N>(
+    bulk: &AssertionEngine<N>,
+    reference: &AssertionEngine<N>,
+    universe: &[N],
+    when: &str,
+) -> Result<(), String>
+where
+    N: Copy + Ord + Hash + Debug,
+{
     prop_assert_eq!(
         bulk.nodes().collect::<Vec<_>>(),
         reference.nodes().collect::<Vec<_>>(),
@@ -129,12 +151,12 @@ fn same(bulk: &Engine, reference: &Engine, universe: &[u32], when: &str) -> Resu
             prop_assert_eq!(
                 bulk.constraint(a, b),
                 reference.constraint(a, b),
-                "constraint ({a},{b}) {when}"
+                "constraint ({a:?},{b:?}) {when}"
             );
             prop_assert_eq!(
                 bulk.effective(a, b),
                 reference.effective(a, b),
-                "effective ({a},{b}) {when}"
+                "effective ({a:?},{b:?}) {when}"
             );
         }
     }
@@ -190,9 +212,9 @@ fn one_pass_seeding_equals_seeding_fact_by_fact() {
             .chain([ids.next().unwrap()])
             .collect();
 
-        seed_both(&mut bulk, &mut reference, &earlier)?;
-        seed_both(&mut bulk, &mut reference, &earlier_rels)?;
-        seed_both(&mut bulk, &mut reference, &this)?;
+        seed_both(&mut bulk, &mut reference, &earlier);
+        seed_both(&mut bulk, &mut reference, &earlier_rels);
+        seed_both(&mut bulk, &mut reference, &this);
         same(&bulk, &reference, &universe, "after seeding")?;
 
         // A conflicting assertion on a pair the seeds pinned: the report
@@ -219,7 +241,7 @@ fn one_pass_seeding_equals_seeding_fact_by_fact() {
                 asserted.push(step);
             }
         }
-        seed_both(&mut bulk, &mut reference, &later)?;
+        seed_both(&mut bulk, &mut reference, &later);
         same(&bulk, &reference, &universe, "after asserting")?;
         let step = (
             pick(rng, &later),
@@ -242,41 +264,93 @@ fn one_pass_seeding_equals_seeding_fact_by_fact() {
     });
 }
 
-#[test]
-fn inputs_outside_the_one_pass_shape_are_seeded_fact_by_fact() {
-    // A node already constrained, a child with two parents, an edge
-    // cycle, a disjoint node that has a parent: each takes the per-fact
-    // path and ends where per-fact seeding ends, conflicts included.
-    type Edges = &'static [(u32, u32)];
-    let cases: [(Edges, &[u32]); 5] = [
-        (&[(1, 0)], &[0, 9]),
-        (&[(1, 0), (1, 2)], &[0, 2]),
-        (&[(1, 0), (0, 1)], &[]),
-        (&[(1, 0)], &[1, 2]),
-        (&[(3, 2)], &[4, 4]),
-    ];
-    for (edges, disjoint) in cases {
-        let (mut bulk, mut reference) = (Engine::new(), Engine::new());
-        for e in [&mut bulk, &mut reference] {
-            e.seed(9, 8, Rel5::Pp, name).unwrap();
-        }
-        let got = bulk.seed_structure(edges, disjoint, name);
-        let mut want = Ok(());
-        for &(c, p) in edges {
-            want = want.and_then(|()| reference.seed(c, p, Rel5::Pp, name).map(drop));
-        }
-        for (i, &a) in disjoint.iter().enumerate() {
-            for &b in &disjoint[i + 1..] {
-                want = want.and_then(|()| reference.seed(a, b, Rel5::Dr, name).map(drop));
-            }
-        }
-        assert_eq!(
-            got.map_err(|r| r.to_string()),
-            want.map_err(|r| r.to_string()),
-            "{edges:?} {disjoint:?}"
-        );
-        same(&bulk, &reference, &(0..10).collect::<Vec<_>>(), "fallback").unwrap();
+/// One random validated schema: its DDL, each object's parents by
+/// position (declaration order, which is object id order) and its number
+/// of relationship sets. 1–6 root entity sets, then 0–10 categories, each
+/// over one earlier object or, a quarter of the time, two (categories
+/// over those sit under a multi-parent category), then 0–4 relationship
+/// sets over two or three distinct objects.
+fn random_schema(rng: &mut Xoshiro256pp, schema: &str) -> (String, Vec<Vec<usize>>, usize) {
+    let mut ddl = format!("schema {schema} {{\n");
+    let mut parents: Vec<Vec<usize>> = Vec::new();
+    for o in 0..rng.gen_range(1usize..7) {
+        ddl.push_str(&format!("  entity O{o} {{ K{o}: int key; }}\n"));
+        parents.push(Vec::new());
     }
+    for _ in 0..rng.gen_range(0usize..11) {
+        let o = parents.len();
+        let first = rng.gen_range(0..o);
+        let mut ps = vec![first];
+        if o >= 2 && rng.gen_bool(0.25) {
+            ps.push((first + rng.gen_range(1..o)) % o);
+        }
+        let of: Vec<String> = ps.iter().map(|p| format!("O{p}")).collect();
+        ddl.push_str(&format!("  category O{o} of {} {{ }}\n", of.join(", ")));
+        parents.push(ps);
+    }
+    let rels = if parents.len() >= 2 {
+        rng.gen_range(0usize..5)
+    } else {
+        0
+    };
+    for r in 0..rels {
+        let mut legs: Vec<usize> = (0..parents.len()).collect();
+        rng.shuffle(&mut legs);
+        ddl.push_str(&format!("  relationship R{r} {{"));
+        for o in &legs[..rng.gen_range(2..parents.len().min(3) + 1)] {
+            ddl.push_str(&format!(" O{o} (0,n);"));
+        }
+        ddl.push_str(" }\n");
+    }
+    ddl.push('}');
+    (ddl, parents, rels)
+}
+
+#[test]
+fn registration_seeds_what_seeding_fact_by_fact_gives() {
+    prop::check_cases("session_seeds_equal_per_fact_seed", 200, |rng| {
+        let mut session = Session::new();
+        let mut objects: AssertionEngine<GObj> = AssertionEngine::new();
+        let mut rels: AssertionEngine<GRel> = AssertionEngine::new();
+        let (mut all_objects, mut all_rels) = (Vec::new(), Vec::new());
+        for k in 0..rng.gen_range(1usize..5) {
+            let name = format!("s{k}");
+            let (ddl, parents, rel_count) = random_schema(rng, &name);
+            let schema = sit_ecr::ddl::parse(&ddl).map_err(|e| format!("{e}\n{ddl}"))?;
+            session.add_schema(schema).map_err(|e| e.to_string())?;
+            // The facts the session states: each single-parent category
+            // `PP` its parent, in id order; the root entity sets, and the
+            // relationship sets, pairwise `DR`.
+            let obj: Vec<GObj> = (0..parents.len())
+                .map(|o| session.named(&name, &format!("O{o}")).unwrap())
+                .collect();
+            let edges: Vec<(GObj, GObj)> = parents
+                .iter()
+                .enumerate()
+                .filter_map(|(o, ps)| match ps[..] {
+                    [p] => Some((obj[o], obj[p])),
+                    _ => None,
+                })
+                .collect();
+            let roots: Vec<GObj> = (0..parents.len())
+                .filter(|&o| parents[o].is_empty())
+                .map(|o| obj[o])
+                .collect();
+            let rel: Vec<GRel> = (0..rel_count)
+                .map(|r| session.named(&name, &format!("R{r}")).unwrap())
+                .collect();
+            seed_per_fact(&mut objects, &edges, &roots);
+            seed_per_fact(&mut rels, &[], &rel);
+            all_objects.extend(obj);
+            all_rels.extend(rel);
+            // Seeds pin every pair they constrain, so `same` compares
+            // every constraint and every non-empty support.
+            let when = format!("after registering {name}");
+            same(session.object_engine(), &objects, &all_objects, &when)?;
+            same(session.rel_engine(), &rels, &all_rels, &when)?;
+        }
+        Ok(())
+    });
 }
 
 /// DDL of one schema with `roots` entity sets, a category chain under
@@ -352,7 +426,7 @@ fn a_max_objects_deep_chain_seeds_and_reports_its_deepest_provenance() {
         // Nodes 0..n: a chain of single-parent categories under root 0;
         // node n stands for another schema's object class.
         let edges: Vec<(u32, u32)> = (1..n).map(|c| (c, c - 1)).collect();
-        e.seed_structure(&edges, &[0], name).unwrap();
+        e.seed_structure(&edges, &[0]);
         let derived = e.assert(n, n - 1, Assertion::Equal, name).unwrap();
         let report = e
             .assert(n, 0, Assertion::DisjointNonIntegrable, name)

@@ -8,6 +8,10 @@
 //! through an in-memory [`Service::handle_line`]: frame decode,
 //! dispatch, registration, reply. Counts are exact and the same in
 //! every process: the counter is per thread and the input is fixed.
+//!
+//! The repeated request made 82 allocations while structural seeding
+//! first copied and sorted its input to check its shape; it makes 80
+//! now that the one-pass seeder trusts the shape validation guarantees.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,7 +96,7 @@ fn a_repeated_paper_scale_add_schema_parses_nothing() {
     // When every request parsed its text, the repeated request made
     // 132 allocations, as many as the first; the table's hit lexes,
     // parses and validates nothing.
-    const BUDGET: u64 = 82;
+    const BUDGET: u64 = 80;
     assert!(
         repeated <= BUDGET,
         "{repeated} allocations for a repeated add_schema (the first took {first}), budget {BUDGET}"

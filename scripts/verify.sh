@@ -313,6 +313,43 @@ if ! echo "$intern_out" | sed -n 3,4p | grep -c '^{"ok":true,"schemas":\["s"\]}$
 fi
 echo "ok: the second session's text was a hit; bad DDL failed alike twice: ${bad_first:0:110}"
 
+echo "== restart smoke (a class left within one schema survives recovery) =="
+# `equiv x=y`, `equiv y=z`, `unequiv y` leaves {sc1.A.x, sc1.C.z}, a class
+# within one schema. Served durably in two processes split after the
+# unequiv, every write snapshotted, the last equiv, candidates and save
+# must answer byte for byte as one uninterrupted in-memory run does.
+restart_dir="$(mktemp -d)"
+restart_ddl='schema sc1 { entity A { x: char key; } entity C { z: char key; } } schema sc2 { entity B { y: char key; } entity D { w: char key; } }'
+restart_head=(
+  '{"op":"open"}'
+  "{\"op\":\"add_schema\",\"session\":\"1\",\"ddl\":\"$restart_ddl\"}"
+  '{"op":"equiv","session":"1","a":"sc1.A.x","b":"sc2.B.y"}'
+  '{"op":"equiv","session":"1","a":"sc2.B.y","b":"sc1.C.z"}'
+  '{"op":"unequiv","session":"1","a":"sc2.B.y"}'
+)
+restart_tail=(
+  '{"op":"equiv","session":"1","a":"sc1.A.x","b":"sc2.D.w"}'
+  '{"op":"candidates","session":"1","a":"sc1","b":"sc2"}'
+  '{"op":"save","session":"1"}'
+)
+durable_stdio() {
+  timeout 10 ./target/release/sit serve --stdio --data-dir "$restart_dir" --snapshot-every 1
+}
+restart_one="$(printf '%s\n' "${restart_head[@]}" "${restart_tail[@]}" \
+  | timeout 10 ./target/release/sit serve --stdio | tail -n 3)" \
+  && restart_first="$(printf '%s\n' "${restart_head[@]}" | durable_stdio)" \
+  && restart_two="$(printf '%s\n' "${restart_tail[@]}" | durable_stdio)" \
+  || { rm -rf "$restart_dir"; echo "FAIL: sit serve --stdio did not answer the restart session" >&2; exit 1; }
+rm -rf "$restart_dir"
+if echo "$restart_first" | grep -q '"ok":false' || [ "$restart_one" != "$restart_two" ]; then
+  echo "FAIL: a restart changed the replies after a same-schema class:" >&2
+  echo "  first run:     $restart_first" | cut -c1-300 >&2
+  echo "  uninterrupted: $restart_one" | cut -c1-300 >&2
+  echo "  restarted:     $restart_two" | cut -c1-300 >&2
+  exit 1
+fi
+echo "ok: the restarted session answered like the uninterrupted one"
+
 echo "== server smoke test (serve + scripted client session) =="
 serve_log="$(mktemp)"
 ./target/release/sit serve --addr 127.0.0.1:0 >"$serve_log" &
