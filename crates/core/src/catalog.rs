@@ -219,26 +219,81 @@ impl Catalog {
     /// Dotted display name `schema.Name` of an object class or
     /// relationship set.
     pub fn display<E: Element>(&self, e: E) -> String {
-        let named = self
-            .try_schema(e.schema())
-            .and_then(|s| Some((s.name(), s.owner_name(e.owner())?)));
-        match named {
-            Some((schema, name)) => format!("{schema}.{name}"),
-            None => e.to_string(),
-        }
+        self.dotted(e).to_string()
     }
 
     /// Dotted display name `schema.Owner.attr` of an attribute.
     pub fn attr_display(&self, a: GAttr) -> String {
-        let Some(s) = self.try_schema(a.schema) else {
-            return format!("{}.?", a.schema);
+        self.attr_dotted(a).to_string()
+    }
+
+    /// [`Catalog::display`]'s name as a [`fmt::Display`], so it can be
+    /// written where it goes without a `String` of its own.
+    pub fn dotted<E: Element>(&self, e: E) -> Dotted<'_, E> {
+        Dotted {
+            catalog: self,
+            element: e,
+        }
+    }
+
+    /// [`Catalog::attr_display`]'s name as a [`fmt::Display`].
+    pub fn attr_dotted(&self, a: GAttr) -> AttrDotted<'_> {
+        AttrDotted {
+            catalog: self,
+            attr: a,
+        }
+    }
+}
+
+/// An element's `schema.Name` ([`Catalog::dotted`]); an element the
+/// catalog does not hold shows its ids.
+#[derive(Clone, Copy)]
+pub struct Dotted<'a, E> {
+    catalog: &'a Catalog,
+    element: E,
+}
+
+impl<E: Element> fmt::Display for Dotted<'_, E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let e = self.element;
+        let named = self
+            .catalog
+            .try_schema(e.schema())
+            .and_then(|s| Some((s.name(), s.owner_name(e.owner())?)));
+        match named {
+            Some((schema, name)) => {
+                f.write_str(schema)?;
+                f.write_str(".")?;
+                f.write_str(name)
+            }
+            None => fmt::Display::fmt(&e, f),
+        }
+    }
+}
+
+/// An attribute's `schema.Owner.attr` ([`Catalog::attr_dotted`]), with
+/// `?` for a part the catalog does not hold.
+#[derive(Clone, Copy)]
+pub struct AttrDotted<'a> {
+    catalog: &'a Catalog,
+    attr: GAttr,
+}
+
+impl fmt::Display for AttrDotted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let a = self.attr;
+        let Some(s) = self.catalog.try_schema(a.schema) else {
+            return write!(f, "{}.?", a.schema);
         };
         let owner = s.owner_name(a.owner).unwrap_or("?");
         let attr = s
             .attr_of(a.owner, a.attr)
             .map(|x| x.name.as_str())
             .unwrap_or("?");
-        format!("{}.{owner}.{attr}", s.name())
+        for part in [s.name(), ".", owner, ".", attr] {
+            f.write_str(part)?;
+        }
+        Ok(())
     }
 }
 

@@ -32,12 +32,17 @@ pub mod query;
 
 pub use query::{CmpOp, ComponentQuery, Filter, Query, UnionPlan};
 
+use std::fmt;
+
 use sit_ecr::{AttrId, AttrOwner, Schema, SchemaId};
 
 use crate::catalog::{Catalog, GAttr, GObj, GRel};
 use crate::element::Element;
 use crate::error::{CoreError, Result};
 use crate::integrate::{IntegratedSchema, Origin};
+
+/// The first line of [`Mappings::describe`]'s text.
+const DESCRIBE_HEADER: &str = "# mapping dictionary\n";
 
 /// Bidirectional mappings between the component schemas and one
 /// integrated schema, read through the catalog and the integration
@@ -104,7 +109,31 @@ impl<'a> Mappings<'a> {
     /// is measured from the correspondence tables first and written into
     /// one allocation.
     pub fn describe(&self) -> String {
-        const HEADER: &str = "# mapping dictionary\n";
+        let len = self.described_len();
+        let mut out = String::with_capacity(len);
+        let _ = self.describe_into(&mut out);
+        debug_assert_eq!(out.len(), len);
+        out
+    }
+
+    /// Write [`Mappings::describe`]'s text to `out`, without measuring
+    /// it first.
+    pub fn describe_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let mut sources = self.sources().map(|sid| (sid, self.catalog.schema(sid)));
+        sources.sort_by_key(|(_, schema)| schema.name());
+        out.write_str(DESCRIBE_HEADER)?;
+        let mut run = Vec::new();
+        for attrs in [false, true] {
+            for (sid, schema) in sources {
+                self.lines(sid, schema, attrs, &mut run, out)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The length of [`Mappings::describe`]'s text, from the
+    /// correspondence tables.
+    fn described_len(&self) -> usize {
         const ELEMENT: [&str; 4] = ["object ", ".", " -> ", "\n"];
         const ATTR: [&str; 6] = ["attr   ", ".", ".", " -> ", ".", "\n"];
         let fixed = |parts: &[&str]| parts.iter().map(|p| p.len()).sum::<usize>();
@@ -120,7 +149,7 @@ impl<'a> Mappings<'a> {
         };
         let objects = self.integrated.object_map().iter();
         let rels = self.integrated.rel_map().iter();
-        let mut len = HEADER.len();
+        let mut len = DESCRIBE_HEADER.len();
         len += objects
             .map(|&(g, o)| element_len(g.schema, g.owner(), AttrOwner::Object(o)))
             .chain(rels.map(|&(g, r)| element_len(g.schema, g.owner(), AttrOwner::Rel(r))))
@@ -137,19 +166,7 @@ impl<'a> Mappings<'a> {
                     + target.owner_attrs(towner)[taid.index()].name.len()
             })
             .sum::<usize>();
-
-        let mut sources = self.sources().map(|sid| (sid, self.catalog.schema(sid)));
-        sources.sort_by_key(|(_, schema)| schema.name());
-        let mut out = String::with_capacity(len);
-        out.push_str(HEADER);
-        let mut run = Vec::new();
-        for attrs in [false, true] {
-            for (sid, schema) in sources {
-                self.lines(sid, schema, attrs, &mut run, &mut out);
-            }
-        }
-        debug_assert_eq!(out.len(), len);
-        out
+        len
     }
 
     /// Write the element lines (or, with `attrs`, attribute lines) of
@@ -164,8 +181,8 @@ impl<'a> Mappings<'a> {
         schema: &Schema,
         attrs: bool,
         run: &mut Vec<(AttrOwner, AttrId, AttrOwner, AttrId)>,
-        out: &mut String,
-    ) {
+        out: &mut impl fmt::Write,
+    ) -> fmt::Result {
         let target = &self.integrated.schema;
         let name = |owner| schema.owner_name(owner).unwrap_or_default();
         let mut objects = schema
@@ -233,9 +250,10 @@ impl<'a> Mappings<'a> {
                 } else {
                     &["object ", schema.name(), ".", owner, " -> ", a, "\n"]
                 };
-                line.iter().for_each(|part| out.push_str(part));
+                line.iter().try_for_each(|part| out.write_str(part))?;
             }
         }
+        Ok(())
     }
 
     /// The integrated element component element `owner` of schema `sid`

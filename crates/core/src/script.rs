@@ -26,7 +26,7 @@
 //! `contains`, `disjoint-integrable`, `may-be-integrable`,
 //! `disjoint-non-integrable`.
 
-use std::fmt::Write as _;
+use std::fmt;
 
 use crate::assertion::Assertion;
 use crate::catalog::{GObj, GRel};
@@ -37,9 +37,17 @@ use crate::session::Session;
 /// Serialize a session: schemas as DDL, then equivalences, then
 /// assertions in the order they were recorded.
 pub fn save(session: &Session) -> String {
-    let mut out = String::from("# sit session v1\n");
-    for (_, schema) in session.catalog().schemas() {
-        out.push_str(&sit_ecr::ddl::print(schema));
+    let mut out = String::new();
+    let _ = save_into(session, &mut out);
+    out
+}
+
+/// Write [`save`]'s text to `out`.
+pub fn save_into(session: &Session, out: &mut impl fmt::Write) -> fmt::Result {
+    let catalog = session.catalog();
+    out.write_str("# sit session v1\n")?;
+    for (_, schema) in catalog.schemas() {
+        sit_ecr::ddl::print_into(schema, out)?;
     }
     for (_, members) in session.equivalences().classes() {
         // Emit the class as a spanning set of edges: members from other
@@ -54,34 +62,34 @@ pub fn save(session: &Session) -> String {
                 Some(foreign) if m.schema == anchor.schema => foreign,
                 _ => anchor,
             };
-            let _ = writeln!(
+            writeln!(
                 out,
                 "equiv {} = {};",
-                session.catalog().attr_display(partner),
-                session.catalog().attr_display(m)
-            );
+                catalog.attr_dotted(partner),
+                catalog.attr_dotted(m)
+            )?;
         }
     }
-    save_assertions::<GObj>(session, &mut out);
-    save_assertions::<GRel>(session, &mut out);
-    out
+    save_assertions::<GObj>(session, out)?;
+    save_assertions::<GRel>(session, out)
 }
 
 /// The active user assertions of one kind, as directives in fact order.
-fn save_assertions<E: Element>(session: &Session, out: &mut String) {
+fn save_assertions<E: Element>(session: &Session, out: &mut impl fmt::Write) -> fmt::Result {
     let catalog = session.catalog();
     for fact in session.engine::<E>().facts().iter().filter(|f| f.active) {
         if let Some(assertion) = fact.assertion {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "{} {} {} {};",
                 E::DIRECTIVE,
-                catalog.display(fact.a),
+                catalog.dotted(fact.a),
                 keyword(assertion),
-                catalog.display(fact.b)
-            );
+                catalog.dotted(fact.b)
+            )?;
         }
     }
+    Ok(())
 }
 
 /// Reconstruct a session from a script produced by [`save`] (or written

@@ -44,4 +44,4 @@ mod printer;
 
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse, parse_many};
-pub use printer::print;
+pub use printer::{print, print_into};

@@ -4,57 +4,67 @@
 //! parents, so each is defined before it is named. The property tests in
 //! the workspace `tests/` crate and in `crates/ecr/tests/` verify it.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
+use crate::attribute::Attribute;
 use crate::object::ObjectKind;
 use crate::schema::Schema;
 
 /// Render a schema in DDL syntax.
 pub fn print(schema: &Schema) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "schema {} {{", schema.name());
+    let _ = print_into(schema, &mut out);
+    out
+}
+
+/// Write [`print()`]'s text to `out`.
+pub fn print_into(schema: &Schema, out: &mut impl Write) -> fmt::Result {
+    writeln!(out, "schema {} {{", schema.name())?;
     for (_, obj) in schema.objects() {
         match &obj.kind {
-            ObjectKind::EntitySet => {
-                let _ = writeln!(out, "  entity {} {{", obj.name);
-            }
+            ObjectKind::EntitySet => writeln!(out, "  entity {} {{", obj.name)?,
             ObjectKind::Category { parents } => {
-                let names: Vec<&str> = parents
-                    .iter()
-                    .map(|&p| schema.object(p).name.as_str())
-                    .collect();
-                let _ = writeln!(out, "  category {} of {} {{", obj.name, names.join(", "));
+                write!(out, "  category {} of ", obj.name)?;
+                for (i, &p) in parents.iter().enumerate() {
+                    if i > 0 {
+                        out.write_str(", ")?;
+                    }
+                    out.write_str(&schema.object(p).name)?;
+                }
+                out.write_str(" {\n")?;
             }
         }
         for a in &obj.attributes {
-            let key = if a.is_key() { " key" } else { "" };
-            let _ = writeln!(out, "    {}: {}{};", a.name, a.domain, key);
+            print_attr(a, out)?;
         }
-        let _ = writeln!(out, "  }}");
+        out.write_str("  }\n")?;
     }
     for (_, rel) in schema.relationships() {
-        let _ = writeln!(out, "  relationship {} {{", rel.name);
+        writeln!(out, "  relationship {} {{", rel.name)?;
         for p in &rel.participants {
-            let role = match &p.role {
-                Some(r) => format!(" role {r}"),
-                None => String::new(),
-            };
-            let _ = writeln!(
+            write!(
                 out,
-                "    {} {}{};",
+                "    {} {}",
                 schema.object(p.object).name,
-                p.cardinality,
-                role
-            );
+                p.cardinality
+            )?;
+            if let Some(r) = &p.role {
+                write!(out, " role {r}")?;
+            }
+            out.write_str(";\n")?;
         }
         for a in &rel.attributes {
-            let key = if a.is_key() { " key" } else { "" };
-            let _ = writeln!(out, "    {}: {}{};", a.name, a.domain, key);
+            print_attr(a, out)?;
         }
-        let _ = writeln!(out, "  }}");
+        out.write_str("  }\n")?;
     }
-    let _ = writeln!(out, "}}");
-    out
+    out.write_str("}\n")
+}
+
+/// One attribute line: `    name: domain;`, or `... key;`.
+fn print_attr(a: &Attribute, out: &mut impl Write) -> fmt::Result {
+    let key = if a.is_key() { " key" } else { "" };
+    writeln!(out, "    {}: {}{};", a.name, a.domain, key)
 }
 
 #[cfg(test)]

@@ -28,6 +28,12 @@ pub fn render(schema: &Schema) -> String {
     out
 }
 
+/// Write [`render`]'s text to `out`, in pieces and without measuring
+/// it first.
+pub fn render_into(schema: &Schema, out: &mut impl Write) -> fmt::Result {
+    write_schema(schema, &Children::of(schema), out)
+}
+
 /// A [`Write`] that only counts the bytes written to it.
 struct Measure(usize);
 

@@ -225,8 +225,10 @@ impl Client {
 /// Send one frame, newline included, in a single write and read the
 /// reply line.
 fn round_trip(conn: &mut BufReader<impl Read + Write>, frame: &str) -> std::io::Result<String> {
-    write_frame(conn.get_mut(), frame)?;
-    let mut line = String::new();
+    let mut line = String::with_capacity(frame.len() + 1);
+    line.push_str(frame);
+    write_frame(conn.get_mut(), &mut line)?;
+    line.clear();
     let n = conn.read_line(&mut line)?;
     if n == 0 {
         return Err(std::io::Error::new(

@@ -725,6 +725,9 @@ fn recover(
 
     let mut highest_id = 0;
     let mut open: BTreeMap<u64, Replaying> = BTreeMap::new();
+    // Replayed replies are written here and dropped: one buffer for the
+    // whole recovery.
+    let mut reply = String::new();
     let mut sealed: Vec<Segment> = Vec::new();
     for (number, generation, name) in segments {
         let mut reader = LogReader::new(storage.reader(&name)?);
@@ -739,7 +742,7 @@ fn recover(
                     if s.live.seq == 0 {
                         s.live = Live::opened(&r.payload);
                         if !r.payload.is_empty() {
-                            replay(&mut s.session, &r.payload, metrics, schemas);
+                            replay(&mut s.session, &r.payload, metrics, schemas, &mut reply);
                             metrics.recovered_records.inc();
                         }
                         s.spent_ns += clock.now_ns().saturating_sub(t0);
@@ -751,7 +754,7 @@ fn recover(
                         // is a duplicate, a later one lies past a gap.
                         let next = s.live.framed();
                         if r.seq == next.seq {
-                            replay(&mut s.session, &r.payload, metrics, schemas);
+                            replay(&mut s.session, &r.payload, metrics, schemas, &mut reply);
                             s.spent_ns += clock.now_ns().saturating_sub(t0);
                             s.live = next;
                             metrics.recovered_records.inc();
@@ -821,9 +824,16 @@ fn load_snapshot(payload: &[u8]) -> Option<Session> {
 }
 
 /// Apply one journaled frame to a recovering session through the same
-/// dispatch live requests use. Errors are expected (a verb that failed
-/// live fails identically here) and never abort recovery.
-fn replay(session: &mut Session, payload: &[u8], metrics: &PersistMetrics, schemas: &SchemaTable) {
+/// dispatch live requests use, writing its reply into `reply`, which is
+/// cleared first. Errors are expected (a verb that failed live fails
+/// identically here) and never abort recovery.
+fn replay(
+    session: &mut Session,
+    payload: &[u8],
+    metrics: &PersistMetrics,
+    schemas: &SchemaTable,
+    reply: &mut String,
+) {
     let request = std::str::from_utf8(payload)
         .ok()
         .and_then(|text| Json::parse(text).ok())
@@ -842,9 +852,10 @@ fn replay(session: &mut Session, payload: &[u8], metrics: &PersistMetrics, schem
             }
             Err(_) => Err(()),
         },
-        other => crate::service::apply_session_request(session, other, schemas)
-            .map(|_| ())
-            .map_err(|_| ()),
+        other => {
+            reply.clear();
+            crate::service::apply_session_request(session, other, schemas, reply).map_err(|_| ())
+        }
     };
     if outcome.is_err() {
         metrics.replay_errors.inc();

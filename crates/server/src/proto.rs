@@ -64,7 +64,7 @@ use sit_core::assertion::Assertion;
 use sit_core::error::CoreError;
 use sit_core::script;
 
-use crate::wire::Json;
+use crate::wire::{Json, Value};
 
 /// What a verb does, which decides how the service and the client
 /// treat it.
@@ -503,18 +503,16 @@ impl ServerError {
         }
     }
 
-    /// Encode as a complete response frame.
-    pub fn to_response(&self) -> Json {
-        Json::obj(vec![
-            ("ok", Json::Bool(false)),
-            (
-                "error",
-                Json::obj(vec![
-                    ("code", Json::str(self.code.as_str())),
-                    ("message", Json::str(&self.message)),
-                ]),
-            ),
-        ])
+    /// Append the complete response frame:
+    /// `{"ok":false,"error":{"code":...,"message":...}}`.
+    pub fn write_response(&self, out: &mut String) {
+        Value::new(out).object(|frame| {
+            frame.field("ok").bool(false);
+            frame.field("error").object(|error| {
+                error.field("code").str(self.code.as_str());
+                error.field("message").str(&self.message);
+            });
+        });
     }
 }
 
@@ -538,13 +536,6 @@ impl From<CoreError> for ServerError {
             message: e.to_string(),
         }
     }
-}
-
-/// Build a success response: `ok:true` first, then the payload pairs.
-pub fn ok_response(pairs: Vec<(&str, Json)>) -> Json {
-    let mut all = vec![("ok", Json::Bool(true))];
-    all.extend(pairs);
-    Json::obj(all)
 }
 
 #[cfg(test)]
@@ -660,13 +651,12 @@ mod tests {
     #[test]
     fn error_response_shape() {
         let e = ServerError::unknown_session("9");
-        let r = e.to_response();
-        assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
-        let code = r
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str);
-        assert_eq!(code, Some("unknown_session"));
+        let mut frame = String::new();
+        e.write_response(&mut frame);
+        assert_eq!(
+            frame,
+            r#"{"ok":false,"error":{"code":"unknown_session","message":"no session `9` (closed, evicted, or never opened)"}}"#
+        );
     }
 
     #[test]

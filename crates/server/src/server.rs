@@ -42,7 +42,7 @@ use crate::proto::{ErrorCode, ServerError};
 use crate::service::Service;
 use crate::storage::{DirStorage, Storage};
 use crate::store::StoreConfig;
-use crate::wire::{FrameBuffer, Framed};
+use crate::wire::{FrameBuffer, Framed, MAX_FRAME};
 
 /// Where and how the server persists sessions.
 #[derive(Clone, Debug)]
@@ -381,21 +381,25 @@ impl Drop for Permit<'_> {
 /// connections run: bytes are reassembled into newline-delimited frames by
 /// a [`FrameBuffer`] (so torn and coalesced reads behave identically on
 /// every stream), each frame executes on the calling thread once
-/// `gate` admits it, and the response is written back in request order.
-/// A frame that exceeds [`crate::wire::MAX_LINE`] without a newline gets
-/// a typed `parse` error and the connection is closed — there is no way
-/// to resynchronize a stream mid-flood.
+/// `gate` admits it, and the response is written back in request order,
+/// each through the one reply buffer the connection keeps. A frame that
+/// exceeds [`crate::wire::MAX_LINE`] without a newline gets a typed
+/// `parse` error and the connection is closed — there is no way to
+/// resynchronize a stream mid-flood.
 pub fn serve_connection(mut conn: impl Read + Write, service: &Service, gate: &Gate) {
     let tracer = service.tracer().clone();
     tracer.instant("accept");
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 4096];
+    let mut reply = String::new();
     loop {
         while let Some(framed) = frames.next_frame() {
+            reply.clear();
             let line = match framed {
                 Framed::Line(line) => line,
                 Framed::Overflow => {
-                    let _ = write_frame(&mut conn, &overflow_frame());
+                    overflow(&mut reply);
+                    let _ = write_frame(&mut conn, &mut reply);
                     return;
                 }
             };
@@ -403,20 +407,25 @@ pub fn serve_connection(mut conn: impl Read + Write, service: &Service, gate: &G
                 continue;
             }
             tracer.instant("frame");
-            let response = match gate.enter() {
-                Ok(_permit) => service.handle_line(&line).frame,
-                Err(Refused) if service.is_draining() => {
-                    ServerError::shutting_down().to_response().encode()
+            match gate.enter() {
+                Ok(_permit) => {
+                    service.handle_into(&line, &mut reply);
                 }
-                Err(Refused) => ServerError::overloaded().to_response().encode(),
-            };
+                Err(Refused) if service.is_draining() => {
+                    ServerError::shutting_down().write_response(&mut reply)
+                }
+                Err(Refused) => ServerError::overloaded().write_response(&mut reply),
+            }
             let written = {
                 let _write = tracer.span("write");
-                write_frame(&mut conn, &response)
+                write_frame(&mut conn, &mut reply)
             };
             if written.is_err() {
                 return;
             }
+            // An idle connection holds no more reply buffer than the
+            // largest request frame it may send.
+            reply.shrink_to(MAX_FRAME);
         }
         match conn.read(&mut chunk) {
             Ok(0) | Err(_) => return, // disconnect (or drain unblocked us)
@@ -425,25 +434,23 @@ pub fn serve_connection(mut conn: impl Read + Write, service: &Service, gate: &G
     }
 }
 
-/// Write one frame (payload + newline) in a single `write_all` and flush
-/// it; the server writes responses and the client requests through it.
-pub(crate) fn write_frame(conn: &mut impl Write, frame: &str) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(frame.len() + 1);
-    out.extend_from_slice(frame.as_bytes());
-    out.push(b'\n');
-    conn.write_all(&out)?;
+/// Write one frame in a single `write_all` and flush it: the newline
+/// is appended to `frame` in place, so the frame is not copied. The
+/// server writes responses and the client requests through it.
+pub(crate) fn write_frame(conn: &mut impl Write, frame: &mut String) -> std::io::Result<()> {
+    frame.push('\n');
+    conn.write_all(frame.as_bytes())?;
     conn.flush()
 }
 
-/// The typed `parse` error answering a frame that reached
+/// Append the typed `parse` error answering a frame that reached
 /// [`crate::wire::MAX_LINE`] without a newline.
-fn overflow_frame() -> String {
+fn overflow(out: &mut String) {
     ServerError {
         code: ErrorCode::Parse,
         message: "frame exceeds maximum length without a newline".into(),
     }
-    .to_response()
-    .encode()
+    .write_response(out);
 }
 
 /// Serve the protocol over arbitrary reader/writer pairs (stdin/stdout in
@@ -457,20 +464,21 @@ pub fn serve_stdio(
 ) -> std::io::Result<()> {
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 4096];
+    let mut reply = String::new();
     let mut eof = false;
     loop {
         while let Some(framed) = frames.next_frame() {
+            reply.clear();
             let Framed::Line(line) = framed else {
-                writeln!(writer, "{}", overflow_frame())?;
-                return writer.flush();
+                overflow(&mut reply);
+                return write_frame(&mut writer, &mut reply);
             };
             if line.trim().is_empty() {
                 continue;
             }
-            let handled = service.handle_line(&line);
-            writeln!(writer, "{}", handled.frame)?;
-            writer.flush()?;
-            if handled.shutdown {
+            let shutdown = service.handle_into(&line, &mut reply);
+            write_frame(&mut writer, &mut reply)?;
+            if shutdown {
                 return Ok(());
             }
         }

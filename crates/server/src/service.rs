@@ -38,10 +38,10 @@ use sit_obs::trace::{self, Tracer};
 use crate::intern::SchemaTable;
 use crate::metrics::Metrics;
 use crate::persist::{PersistConfig, Persistence, SEGMENT_BYTES};
-use crate::proto::{ok_response, Class, Request, ServerError};
+use crate::proto::{Class, Request, ServerError};
 use crate::storage::Storage;
 use crate::store::{SessionStore, StoreConfig};
-use crate::wire::Json;
+use crate::wire::{Array, Json, Object, Value};
 
 /// Finished trace events the service retains (oldest overwritten).
 pub const TRACE_CAPACITY: usize = 8_192;
@@ -50,6 +50,10 @@ pub const TRACE_CAPACITY: usize = 8_192;
 /// names no `limit` — sized so the frame stays far below the 1 MiB
 /// wire ceiling.
 pub const TRACE_DUMP_DEFAULT_LIMIT: usize = 512;
+
+/// The capacity [`Service::handle_line`] gives a reply frame: most
+/// replies fit, so writing one does not grow it.
+const REPLY_CAPACITY: usize = 1024;
 
 /// A handled frame: the response line plus whether the request asked the
 /// server to shut down.
@@ -200,6 +204,16 @@ impl Service {
     /// Handle one request line; always produces exactly one response
     /// frame.
     pub fn handle_line(&self, line: &str) -> Handled {
+        let mut frame = String::with_capacity(REPLY_CAPACITY);
+        let shutdown = self.handle_into(line, &mut frame);
+        Handled { frame, shutdown }
+    }
+
+    /// [`Service::handle_line`] into a caller's buffer: append the one
+    /// response frame (no newline) to `out`, and return whether the
+    /// request was an accepted `shutdown`. A serving loop keeps one
+    /// buffer for all the replies of its connection.
+    pub fn handle_into(&self, line: &str, out: &mut String) -> bool {
         // Install this service's tracer for the scope, so engine code
         // reached from dispatch attaches its spans here. The request
         // span drops (and records) after its children — including the
@@ -207,6 +221,7 @@ impl Service {
         let _current = trace::set_current(&self.tracer);
         let mut req_span = self.tracer.span("request");
         let started_ns = self.clock.now_ns();
+        let start = out.len();
         let trimmed = line.trim();
         let parsed = {
             let _parse = self.tracer.span("parse");
@@ -219,7 +234,8 @@ impl Service {
                     message: e.to_string(),
                 };
                 req_span.set_arg("op", "_parse");
-                return self.finish("_parse", started_ns, Err(err), false);
+                self.finish("_parse", started_ns, Err(err), out, start);
+                return false;
             }
             Ok(v) => v,
         };
@@ -229,55 +245,63 @@ impl Service {
         let request = match Request::from_json(&value) {
             Err(e) => {
                 req_span.set_arg("op", "_invalid");
-                return self.finish("_invalid", started_ns, Err(e), false);
+                self.finish("_invalid", started_ns, Err(e), out, start);
+                return false;
             }
             Ok(r) => r,
         };
         let op = request.op();
         req_span.set_arg("op", op);
         if self.is_draining() && request.class() != Class::Observe {
-            return self.finish(op, started_ns, Err(ServerError::shutting_down()), false);
+            let refused = Err(ServerError::shutting_down());
+            self.finish(op, started_ns, refused, out, start);
+            return false;
         }
         let shutdown = matches!(request, Request::Shutdown);
         let result = {
             let _dispatch = self.tracer.span("dispatch");
-            self.dispatch(request, trimmed)
+            self.dispatch(request, trimmed, out)
         };
         let shutdown = shutdown && result.is_ok();
         if shutdown {
             self.begin_shutdown();
         }
-        self.finish(op, started_ns, result, shutdown)
+        self.finish(op, started_ns, result, out, start);
+        shutdown
     }
 
+    /// Count the request, then finish its frame, which `out` holds from
+    /// `start` on: a failed verb's reply, whatever of it was written,
+    /// gives way to its error frame.
     fn finish(
         &self,
         op: &'static str,
         started_ns: u64,
-        result: Result<Json, ServerError>,
-        shutdown: bool,
-    ) -> Handled {
+        result: Result<(), ServerError>,
+        out: &mut String,
+        start: usize,
+    ) {
         let latency = self.clock.now_ns().saturating_sub(started_ns);
         self.metrics.record(op, latency, result.is_err());
         let _encode = self.tracer.span("encode");
-        let frame = match result {
-            Ok(v) => v.encode(),
-            Err(e) => e.to_response().encode(),
-        };
-        Handled { frame, shutdown }
+        if let Err(e) = result {
+            out.truncate(start);
+            e.write_response(out);
+        }
     }
 
-    fn dispatch(&self, request: Request, raw: &str) -> Result<Json, ServerError> {
+    /// Answer `request`, writing its reply into `out`.
+    fn dispatch(&self, request: Request, raw: &str, out: &mut String) -> Result<(), ServerError> {
         // Reads and writes of one session share one path: resolve,
         // journal if a write, apply.
         if matches!(request.class(), Class::Read | Class::Write) {
-            return self.dispatch_session(&request, raw);
+            return self.dispatch_session(&request, raw, out);
         }
         match request {
-            Request::Ping => Ok(ok_response(vec![("pong", Json::Bool(true))])),
+            Request::Ping => ok(out, |r| r.field("pong").bool(true)),
             Request::Open => {
                 let id = self.open(Session::new(), None)?;
-                Ok(ok_response(vec![("session", Json::str(id))]))
+                ok(out, |r| r.field("session").display(id));
             }
             Request::Close { session } => {
                 let entry = self.store.remove(&session);
@@ -290,51 +314,48 @@ impl Service {
                     // resurrect on restart, evicted or not.
                     p.close_session(key)?;
                 }
-                Ok(ok_response(vec![("closed", Json::Bool(entry.is_some()))]))
+                ok(out, |r| r.field("closed").bool(entry.is_some()));
             }
             Request::Load { script } => {
                 let session = script::load(&script)?;
-                let schemas: Vec<Json> = session
+                let names: Vec<String> = session
                     .catalog()
                     .schemas()
-                    .map(|(_, sch)| Json::str(sch.name()))
+                    .map(|(_, sch)| sch.name().to_owned())
                     .collect();
                 // The frame as received rides in the session's open
                 // record; replay re-runs `script::load` on it.
                 let id = self.open(session, Some(raw))?;
-                Ok(ok_response(vec![
-                    ("session", Json::str(id)),
-                    ("schemas", Json::Arr(schemas)),
-                ]))
+                ok(out, |r| {
+                    r.field("session").display(id);
+                    r.field("schemas")
+                        .array(|a| names.iter().for_each(|name| a.item().str(name)));
+                });
             }
             Request::Stats => {
                 let (lru, ttl) = self.store.evictions();
-                let verbs: Vec<(String, Json)> = self
-                    .metrics
-                    .summaries()
-                    .into_iter()
-                    .map(|(op, s)| {
-                        (
-                            op.to_owned(),
-                            Json::obj(vec![
-                                ("count", Json::num(s.count)),
-                                ("errors", Json::num(s.errors)),
-                                ("min_ns", Json::num(s.min_ns)),
-                                ("median_ns", Json::num(s.median_ns)),
-                                ("p95_ns", Json::num(s.p95_ns)),
-                            ]),
-                        )
-                    })
-                    .collect();
-                Ok(ok_response(vec![
-                    ("uptime_ms", Json::num(self.metrics.uptime_ms())),
-                    ("sessions", Json::num(self.store.len() as u64)),
-                    ("evicted_lru", Json::num(lru)),
-                    ("evicted_ttl", Json::num(ttl)),
-                    ("verbs", Json::Obj(verbs)),
-                ]))
+                ok(out, |r| {
+                    r.field("uptime_ms").num(self.metrics.uptime_ms());
+                    r.field("sessions").num(self.store.len() as u64);
+                    r.field("evicted_lru").num(lru);
+                    r.field("evicted_ttl").num(ttl);
+                    r.field("verbs").object(|verbs| {
+                        for (op, s) in self.metrics.summaries() {
+                            verbs.field(op).object(|v| {
+                                v.field("count").num(s.count);
+                                v.field("errors").num(s.errors);
+                                v.field("min_ns").num(s.min_ns);
+                                v.field("median_ns").num(s.median_ns);
+                                v.field("p95_ns").num(s.p95_ns);
+                            });
+                        }
+                    });
+                });
             }
-            Request::MetricsText => Ok(ok_response(vec![("text", Json::str(self.metrics_text()))])),
+            Request::MetricsText => {
+                let text = self.metrics_text();
+                ok(out, |r| r.field("text").str(&text));
+            }
             Request::TraceDump { limit } => {
                 let limit = limit
                     .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
@@ -345,48 +366,53 @@ impl Service {
                 if truncated > 0 {
                     events.drain(..truncated);
                 }
-                Ok(ok_response(vec![
-                    ("events", Json::num(events.len() as u64)),
-                    (
-                        "dropped",
-                        Json::num(self.tracer.dropped() + truncated as u64),
-                    ),
-                    ("trace", Json::str(trace::chrome_json(&events))),
-                ]))
+                ok(out, |r| {
+                    r.field("events").num(events.len() as u64);
+                    r.field("dropped")
+                        .num(self.tracer.dropped() + truncated as u64);
+                    r.field("trace").str(&trace::chrome_json(&events));
+                });
             }
             Request::PersistStats => match &self.persist {
-                None => Ok(ok_response(vec![("enabled", Json::Bool(false))])),
+                None => ok(out, |r| r.field("enabled").bool(false)),
                 Some(p) => {
                     let m = p.metrics();
-                    Ok(ok_response(vec![
-                        ("enabled", Json::Bool(true)),
-                        ("fsync", Json::str(p.config().fsync.to_string())),
-                        ("snapshot_every", Json::num(p.config().snapshot_every)),
-                        ("journal_records", Json::num(m.journal_records.get())),
-                        ("journal_bytes", Json::num(m.journal_bytes.get())),
-                        ("fsyncs", Json::num(m.fsyncs.get())),
-                        ("snapshots", Json::num(m.snapshots.get())),
-                        ("compactions", Json::num(m.compactions.get())),
-                        ("errors", Json::num(m.errors.get())),
-                        ("recovered_sessions", Json::num(m.recovered_sessions.get())),
-                        ("recovered_records", Json::num(m.recovered_records.get())),
-                        ("replay_errors", Json::num(m.replay_errors.get())),
-                    ]))
+                    ok(out, |r| {
+                        r.field("enabled").bool(true);
+                        r.field("fsync").display(p.config().fsync);
+                        r.field("snapshot_every").num(p.config().snapshot_every);
+                        for (key, counter) in [
+                            ("journal_records", &m.journal_records),
+                            ("journal_bytes", &m.journal_bytes),
+                            ("fsyncs", &m.fsyncs),
+                            ("snapshots", &m.snapshots),
+                            ("compactions", &m.compactions),
+                            ("errors", &m.errors),
+                            ("recovered_sessions", &m.recovered_sessions),
+                            ("recovered_records", &m.recovered_records),
+                            ("replay_errors", &m.replay_errors),
+                        ] {
+                            r.field(key).num(counter.get());
+                        }
+                    });
                 }
             },
-            Request::Shutdown => Ok(ok_response(vec![("draining", Json::Bool(true))])),
+            Request::Shutdown => ok(out, |r| r.field("draining").bool(true)),
             // Session verbs were routed to `dispatch_session` above.
-            other => Err(ServerError::bad_request(format!(
-                "`{}` requires a session",
-                other.op()
-            ))),
+            other => {
+                return Err(ServerError::bad_request(format!(
+                    "`{}` requires a session",
+                    other.op()
+                )))
+            }
         }
+        Ok(())
     }
 
     /// Insert a fresh session. On a durable service its open record,
     /// carrying `first`, is logged before the entry exists, so a failure
     /// leaves nothing to undo.
-    fn open(&self, session: Session, first: Option<&str>) -> Result<String, ServerError> {
+    fn open(&self, session: Session, first: Option<&str>) -> Result<u64, ServerError> {
         let id = self.store.reserve_id();
         if let Some(p) = &self.persist {
             if let Err(e) = p.open_session(id, first.map(str::as_bytes)) {
@@ -396,7 +422,7 @@ impl Service {
             }
         }
         self.store.insert(id, session);
-        Ok(id.to_string())
+        Ok(id)
     }
 
     /// One session-addressed request: look up the session, log the
@@ -404,7 +430,12 @@ impl Service {
     /// is durable *before* it is visible), then apply through
     /// [`apply_session_request`] — the same function recovery replays
     /// records through.
-    fn dispatch_session(&self, request: &Request, raw: &str) -> Result<Json, ServerError> {
+    fn dispatch_session(
+        &self,
+        request: &Request,
+        raw: &str,
+        out: &mut String,
+    ) -> Result<(), ServerError> {
         let id = request
             .session_id()
             .expect("reads and writes name a session");
@@ -424,7 +455,7 @@ impl Service {
                 snapshot = Some((p, key));
             }
         }
-        let result = apply_session_request(&mut session, request, &self.schemas);
+        let result = apply_session_request(&mut session, request, &self.schemas, out);
         if let Some((p, key)) = snapshot {
             // The record is durable whatever `result` was (a failed
             // verb replays to the same failure); snapshot cadence
@@ -464,18 +495,22 @@ impl Service {
     }
 }
 
-/// Apply one session-addressed verb to a session. Pure with respect to
-/// the service: live dispatch and journal replay both come through
-/// here, which is what makes replay deterministic. `add_schema` parses
-/// its text through `schemas`, whose answer for a text is the same
-/// whether it held the text or not.
+/// Apply one session-addressed verb to a session and write its reply
+/// into `out`. Pure with respect to the service: live dispatch and
+/// journal replay both come through here, which is what makes replay
+/// deterministic. `add_schema` parses its text through `schemas`, whose
+/// answer for a text is the same whether it held the text or not. A
+/// verb that fails may leave part of a reply in `out`.
 pub(crate) fn apply_session_request(
     s: &mut Session,
     request: &Request,
     schemas: &SchemaTable,
-) -> Result<Json, ServerError> {
+    out: &mut String,
+) -> Result<(), ServerError> {
     match request {
-        Request::Save { .. } => Ok(ok_response(vec![("script", Json::str(script::save(s)))])),
+        Request::Save { .. } => ok(out, |r| {
+            r.field("script").text(|text| script::save_into(s, text));
+        }),
         Request::AddSchema { ddl, .. } => {
             let schemas = schemas
                 .parse(ddl)
@@ -483,86 +518,80 @@ pub(crate) fn apply_session_request(
             if schemas.is_empty() {
                 return Err(ServerError::bad_request("no `schema` blocks in ddl"));
             }
-            let names = schemas
-                .iter()
-                .map(|schema| Json::str(schema.name()))
-                .collect();
             s.add_schemas(schemas.iter().cloned())?;
-            Ok(ok_response(vec![("schemas", Json::Arr(names))]))
+            ok(out, |r| {
+                r.field("schemas")
+                    .array(|a| schemas.iter().for_each(|sch| a.item().str(sch.name())));
+            });
         }
-        Request::ListSchemas { .. } => {
-            let schemas: Vec<Json> = s
-                .catalog()
-                .schemas()
-                .map(|(_, sch)| {
-                    Json::obj(vec![
-                        ("name", Json::str(sch.name())),
-                        ("objects", Json::num(sch.object_count() as u64)),
-                        ("relationships", Json::num(sch.relationship_count() as u64)),
-                    ])
-                })
-                .collect();
-            Ok(ok_response(vec![("schemas", Json::Arr(schemas))]))
-        }
+        Request::ListSchemas { .. } => ok(out, |r| {
+            r.field("schemas").array(|a| {
+                for (_, sch) in s.catalog().schemas() {
+                    a.item().object(|o| {
+                        o.field("name").str(sch.name());
+                        o.field("objects").num(sch.object_count() as u64);
+                        o.field("relationships")
+                            .num(sch.relationship_count() as u64);
+                    });
+                }
+            });
+        }),
         Request::Render { schema, .. } => {
-            let sid = schema_id(s, schema)?;
-            let text = render::render(s.catalog().schema(sid));
-            Ok(ok_response(vec![("text", Json::str(text))]))
+            let schema = s.catalog().schema(schema_id(s, schema)?);
+            ok(out, |r| {
+                r.field("text")
+                    .text(|text| render::render_into(schema, text));
+            });
         }
         Request::Equiv { a, b, .. } => {
             let (sa, oa, aa) = attr_path(a)?;
             let (sb, ob, ab) = attr_path(b)?;
             s.declare_equivalent_named(sa, oa, aa, sb, ob, ab)?;
             let classes = s.equivalences().class_walk().count();
-            Ok(ok_response(vec![("classes", Json::num(classes as u64))]))
+            ok(out, |r| r.field("classes").num(classes as u64));
         }
         Request::Unequiv { a, .. } => {
             let (sa, oa, aa) = attr_path(a)?;
             let attr = s.catalog().attr_named(sa, oa, aa)?;
             let removed = s.remove_from_class(attr);
-            Ok(ok_response(vec![("removed", Json::Bool(removed))]))
+            ok(out, |r| r.field("removed").bool(removed));
         }
-        Request::Candidates { a, b, .. } => candidates::<GObj>(s, a, b),
-        Request::RelCandidates { a, b, .. } => candidates::<GRel>(s, a, b),
+        Request::Candidates { a, b, .. } => candidates::<GObj>(s, a, b, out)?,
+        Request::RelCandidates { a, b, .. } => candidates::<GRel>(s, a, b, out)?,
         Request::Assert {
             a, b, assertion, ..
-        } => assert::<GObj>(s, a, b, *assertion),
+        } => assert::<GObj>(s, a, b, *assertion, out)?,
         Request::RelAssert {
             a, b, assertion, ..
-        } => assert::<GRel>(s, a, b, *assertion),
-        Request::Retract { a, b, .. } => retract::<GObj>(s, a, b),
-        Request::RelRetract { a, b, .. } => retract::<GRel>(s, a, b),
+        } => assert::<GRel>(s, a, b, *assertion, out)?,
+        Request::Retract { a, b, .. } => retract::<GObj>(s, a, b, out)?,
+        Request::RelRetract { a, b, .. } => retract::<GRel>(s, a, b, out)?,
         Request::Matrix { a, b, .. } => {
             let (sa, sb) = (schema_id(s, a)?, schema_id(s, b)?);
-            let rows: Vec<Json> = s
-                .catalog()
-                .objects_of(sa)
-                .map(|o| Json::str(s.catalog().display(o)))
-                .collect();
-            let cols: Vec<Json> = s
-                .catalog()
-                .objects_of(sb)
-                .map(|o| Json::str(s.catalog().display(o)))
-                .collect();
-            let cells: Vec<Json> = s
-                .assertion_matrix(sa, sb)
-                .into_iter()
-                .map(|row| {
-                    Json::Arr(
-                        row.into_iter()
-                            .map(|cell| match cell {
-                                Some(a) => Json::str(script::keyword(a)),
-                                None => Json::Null,
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
-            Ok(ok_response(vec![
-                ("rows", Json::Arr(rows)),
-                ("cols", Json::Arr(cols)),
-                ("cells", Json::Arr(cells)),
-            ]))
+            let catalog = s.catalog();
+            let names = |sid| {
+                move |a: &mut Array<'_>| {
+                    catalog
+                        .objects_of(sid)
+                        .for_each(|o| a.item().display(catalog.dotted(o)));
+                }
+            };
+            ok(out, |r| {
+                r.field("rows").array(names(sa));
+                r.field("cols").array(names(sb));
+                r.field("cells").array(|rows| {
+                    for row in s.assertion_matrix(sa, sb) {
+                        rows.item().array(|cells| {
+                            for cell in row {
+                                match cell {
+                                    Some(a) => cells.item().str(script::keyword(a)),
+                                    None => cells.item().null(),
+                                }
+                            }
+                        });
+                    }
+                });
+            });
         }
         Request::Integrate {
             a,
@@ -578,25 +607,35 @@ pub(crate) fn apply_session_request(
             };
             let integrated = s.integrate(sa, sb, &options)?;
             let schema = &integrated.schema;
-            let mut pairs = vec![
-                ("schema", Json::str(render::render(schema))),
-                ("objects", Json::num(schema.object_count() as u64)),
-                (
-                    "relationships",
-                    Json::num(schema.relationship_count() as u64),
-                ),
-            ];
-            if *mappings {
-                let maps = Mappings::new(s.catalog(), &integrated);
-                pairs.push(("mappings", Json::str(maps.describe())));
-            }
-            Ok(ok_response(pairs))
+            ok(out, |r| {
+                r.field("schema")
+                    .text(|text| render::render_into(schema, text));
+                r.field("objects").num(schema.object_count() as u64);
+                r.field("relationships")
+                    .num(schema.relationship_count() as u64);
+                if *mappings {
+                    let maps = Mappings::new(s.catalog(), &integrated);
+                    r.field("mappings").text(|text| maps.describe_into(text));
+                }
+            });
         }
-        other => Err(ServerError::bad_request(format!(
-            "`{}` is not a session verb",
-            other.op()
-        ))),
+        other => {
+            return Err(ServerError::bad_request(format!(
+                "`{}` is not a session verb",
+                other.op()
+            )))
+        }
     }
+    Ok(())
+}
+
+/// Write a success reply: `"ok":true`, then the members `members`
+/// writes.
+fn ok(out: &mut String, members: impl FnOnce(&mut Object<'_>)) {
+    Value::new(out).object(|reply| {
+        reply.field("ok").bool(true);
+        members(reply);
+    });
 }
 
 fn schema_id(s: &Session, name: &str) -> Result<sit_ecr::SchemaId, ServerError> {
@@ -625,21 +664,27 @@ fn element_path<E: Element>(s: &Session, path: &str) -> Result<E, ServerError> {
     Ok(s.named(schema, name)?)
 }
 
-fn candidates<E: Element>(s: &Session, a: &str, b: &str) -> Result<Json, ServerError> {
+fn candidates<E: Element>(
+    s: &Session,
+    a: &str,
+    b: &str,
+    out: &mut String,
+) -> Result<(), ServerError> {
     let (sa, sb) = (schema_id(s, a)?, schema_id(s, b)?);
-    let pairs: Vec<Json> = s
-        .candidates::<E>(sa, sb)
-        .into_iter()
-        .map(|p| {
-            Json::obj(vec![
-                ("left", Json::str(s.catalog().display(p.left))),
-                ("right", Json::str(s.catalog().display(p.right))),
-                ("equivalent", Json::num(p.equivalent as u64)),
-                ("ratio", Json::Num(p.ratio)),
-            ])
-        })
-        .collect();
-    Ok(ok_response(vec![("pairs", Json::Arr(pairs))]))
+    let catalog = s.catalog();
+    ok(out, |r| {
+        r.field("pairs").array(|pairs| {
+            for p in s.candidates::<E>(sa, sb) {
+                pairs.item().object(|o| {
+                    o.field("left").display(catalog.dotted(p.left));
+                    o.field("right").display(catalog.dotted(p.right));
+                    o.field("equivalent").num(p.equivalent as u64);
+                    o.field("ratio").float(p.ratio);
+                });
+            }
+        });
+    });
+    Ok(())
 }
 
 fn assert<E: Element>(
@@ -647,28 +692,37 @@ fn assert<E: Element>(
     a: &str,
     b: &str,
     assertion: Assertion,
-) -> Result<Json, ServerError> {
+    out: &mut String,
+) -> Result<(), ServerError> {
     let ga = element_path::<E>(s, a)?;
     let gb = element_path::<E>(s, b)?;
-    let derived: Vec<Json> = s
-        .assert(ga, gb, assertion)?
-        .iter()
-        .map(|d| {
-            Json::obj(vec![
-                ("a", Json::str(s.catalog().display(d.a))),
-                ("rel", Json::str(d.rel.to_string())),
-                ("b", Json::str(s.catalog().display(d.b))),
-            ])
-        })
-        .collect();
-    Ok(ok_response(vec![("derived", Json::Arr(derived))]))
+    let derived = s.assert(ga, gb, assertion)?;
+    let catalog = s.catalog();
+    ok(out, |r| {
+        r.field("derived").array(|facts| {
+            for d in &derived {
+                facts.item().object(|o| {
+                    o.field("a").display(catalog.dotted(d.a));
+                    o.field("rel").str(d.rel.tag());
+                    o.field("b").display(catalog.dotted(d.b));
+                });
+            }
+        });
+    });
+    Ok(())
 }
 
-fn retract<E: Element>(s: &mut Session, a: &str, b: &str) -> Result<Json, ServerError> {
+fn retract<E: Element>(
+    s: &mut Session,
+    a: &str,
+    b: &str,
+    out: &mut String,
+) -> Result<(), ServerError> {
     let ga = element_path::<E>(s, a)?;
     let gb = element_path::<E>(s, b)?;
     let retracted = s.retract(ga, gb);
-    Ok(ok_response(vec![("retracted", Json::Bool(retracted))]))
+    ok(out, |r| r.field("retracted").bool(retracted));
+    Ok(())
 }
 
 #[cfg(test)]

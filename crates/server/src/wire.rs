@@ -7,17 +7,29 @@
 //! are byte-stable — golden fixtures and `BENCH_*.json` diffs rely on
 //! that.
 //!
+//! [`Json`] is the tree requests are parsed into and clients build.
+//! Replies are not built as trees: the service writes each one straight
+//! into its frame through [`Value`], whose strings go through the same
+//! escaper [`Json::encode`] uses.
+//!
 //! Decoding and encoding are linear in frame size. Both halves find
 //! the next byte a string must escape with one scan that tests eight
 //! bytes per step, and copy each run between two such bytes whole, so
 //! [`MAX_FRAME`] bounds the work of any frame as well as its memory.
 //!
 //! ```
-//! use sit_server::wire::Json;
+//! use sit_server::wire::{Json, Value};
 //!
 //! let v = Json::parse(r#"{"op":"ping","n":3}"#).unwrap();
 //! assert_eq!(v.get("op").and_then(Json::as_str), Some("ping"));
 //! assert_eq!(v.encode(), r#"{"op":"ping","n":3}"#);
+//!
+//! let mut frame = String::new();
+//! Value::new(&mut frame).object(|o| {
+//!     o.field("op").str("ping");
+//!     o.field("n").num(3);
+//! });
+//! assert_eq!(frame, v.encode());
 //! ```
 
 use std::fmt;
@@ -223,11 +235,18 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-/// Quote and escape `s`: each run of bytes that needs no escape
-/// ([`plain_run`]) is copied whole.
+/// Quote and escape `s`.
 fn write_str(s: &str, out: &mut String) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
+    escape(s, out);
+    out.push('"');
+}
+
+/// Append `s` escaped for the inside of a JSON string: each run of
+/// bytes that needs no escape ([`plain_run`]) is copied whole. The one
+/// escaper of both [`Json::encode`] and [`Value`].
+fn escape(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
     let mut i = 0;
     loop {
@@ -249,7 +268,141 @@ fn write_str(s: &str, out: &mut String) {
         }
         i += 1;
     }
-    out.push('"');
+}
+
+/// One JSON value, written straight into a frame: the reply side of the
+/// wire, with no tree between. Consuming `self`, each method writes
+/// exactly one value; [`Value::object`] and [`Value::array`] hand their
+/// closure the container, close it after, and put the commas between
+/// its members. Numbers and strings are written as [`Json::encode`]
+/// writes them, so a frame written here encodes like the tree of it.
+pub struct Value<'a>(&'a mut String);
+
+impl<'a> Value<'a> {
+    /// A value appended to `out`.
+    pub fn new(out: &'a mut String) -> Value<'a> {
+        Value(out)
+    }
+
+    /// `null`.
+    pub fn null(self) {
+        self.0.push_str("null");
+    }
+
+    /// `true` or `false`.
+    pub fn bool(self, b: bool) {
+        self.0.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A count or id.
+    pub fn num(self, n: u64) {
+        write_num(n as f64, self.0);
+    }
+
+    /// Any number.
+    pub fn float(self, n: f64) {
+        write_num(n, self.0);
+    }
+
+    /// A string, quoted and escaped.
+    pub fn str(self, s: &str) {
+        write_str(s, self.0);
+    }
+
+    /// A string: `v`'s `Display` text, escaped as it is formatted.
+    pub fn display(self, v: impl fmt::Display) {
+        self.text(|text| fmt::Write::write_fmt(text, format_args!("{v}")));
+    }
+
+    /// A string whose text `write` writes in pieces. The pieces land in
+    /// the frame as they come; when `write` returns, the text from its
+    /// first byte that needs an escape on is escaped in one pass. A
+    /// `String` never fails a write, so an error `write` returns can
+    /// come only from a `Display` it called, and leaves the string as
+    /// far as it got.
+    pub fn text(self, write: impl FnOnce(&mut Text<'_>) -> fmt::Result) {
+        let out = self.0;
+        out.push('"');
+        let start = out.len();
+        let _ = write(&mut Text(out));
+        let first = start + plain_run(&out.as_bytes()[start..]);
+        if first < out.len() {
+            let raw = out.split_off(first);
+            escape(&raw, out);
+        }
+        out.push('"');
+    }
+
+    /// An object whose members `members` writes.
+    pub fn object(self, members: impl FnOnce(&mut Object<'_>)) {
+        self.0.push('{');
+        members(&mut Object {
+            out: self.0,
+            first: true,
+        });
+        self.0.push('}');
+    }
+
+    /// An array whose items `items` writes.
+    pub fn array(self, items: impl FnOnce(&mut Array<'_>)) {
+        self.0.push('[');
+        items(&mut Array {
+            out: self.0,
+            first: true,
+        });
+        self.0.push(']');
+    }
+}
+
+/// An object being written by [`Value::object`].
+pub struct Object<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Object<'_> {
+    /// Write the key of the next member; the returned [`Value`] writes
+    /// its value.
+    pub fn field(&mut self, key: &str) -> Value<'_> {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        write_str(key, self.out);
+        self.out.push(':');
+        Value(self.out)
+    }
+}
+
+/// An array being written by [`Value::array`].
+pub struct Array<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Array<'_> {
+    /// The next item.
+    pub fn item(&mut self) -> Value<'_> {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        Value(self.out)
+    }
+}
+
+/// The [`fmt::Write`] a [`Value::text`] string is written through.
+///
+/// Escaping each piece as it came cost a scan and a copy per piece, so
+/// text rendered from many short pieces (a schema's diagram, a mapping
+/// dictionary) took twice as long as the one escaping pass
+/// [`Value::text`] makes over all of it.
+pub struct Text<'a>(&'a mut String);
+
+impl fmt::Write for Text<'_> {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.push_str(s);
+        Ok(())
+    }
 }
 
 /// The index of the first byte in `bytes` that a JSON string must
@@ -747,26 +900,89 @@ mod tests {
         out.push('"');
     }
 
+    /// A short string heavy in bytes the escaper treats specially.
+    fn awkward_string(rng: &mut sit_prng::Xoshiro256pp) -> String {
+        let len = rng.gen_range(0usize..40);
+        (0..len)
+            .map(|_| match rng.gen_range(0u32..8) {
+                0 => char::from_u32(rng.gen_range(0u32..0x20)).unwrap(),
+                1 => *rng.choose(&['"', '\\', '\u{7f}', '/']).unwrap(),
+                2 => char::from_u32(rng.gen_range(0x80u32..0x800)).unwrap(),
+                3 => *rng
+                    .choose(&['é', '\u{FFFD}', '\u{1F600}', '\u{2028}'])
+                    .unwrap(),
+                _ => char::from_u32(rng.gen_range(0x20u32..0x7f)).unwrap(),
+            })
+            .collect()
+    }
+
     #[test]
     fn run_copying_encoder_matches_the_per_char_loop() {
         use sit_prng::{prop, prop_assert_eq};
         prop::check("write_str vs per-char", |rng| {
-            let len = rng.gen_range(0usize..40);
-            let s: String = (0..len)
-                .map(|_| match rng.gen_range(0u32..8) {
-                    0 => char::from_u32(rng.gen_range(0u32..0x20)).unwrap(),
-                    1 => *rng.choose(&['"', '\\', '\u{7f}', '/']).unwrap(),
-                    2 => char::from_u32(rng.gen_range(0x80u32..0x800)).unwrap(),
-                    3 => *rng
-                        .choose(&['é', '\u{FFFD}', '\u{1F600}', '\u{2028}'])
-                        .unwrap(),
-                    _ => char::from_u32(rng.gen_range(0x20u32..0x7f)).unwrap(),
-                })
-                .collect();
+            let s = awkward_string(rng);
             let (mut new, mut old) = (String::new(), String::new());
             write_str(&s, &mut new);
             write_str_per_char(&s, &mut old);
             prop_assert_eq!(new, old, "{:?}", s);
+            Ok(())
+        });
+    }
+
+    /// A random tree of depth at most `depth`.
+    fn random_tree(rng: &mut sit_prng::Xoshiro256pp, depth: u32) -> Json {
+        let leaf = depth == 0 || rng.gen_range(0u32..3) == 0;
+        match rng.gen_range(0u32..if leaf { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_range(0u32..2) == 1),
+            2 => Json::Num(*rng.choose(&[0.0, 42.0, -7.0, 0.5, 1e300]).unwrap()),
+            3 => Json::Str(awkward_string(rng)),
+            4 => Json::Arr(
+                (0..rng.gen_range(0usize..4))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range(0usize..4))
+                    .map(|_| (awkward_string(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Write `v` through the reply writer; a string goes whole, through
+    /// `Display`, or in pieces through the escaping adapter.
+    fn write_tree(v: &Json, w: Value<'_>, rng: &mut sit_prng::Xoshiro256pp) {
+        match v {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.float(*n),
+            Json::Str(s) => match rng.gen_range(0u32..3) {
+                0 => w.str(s),
+                1 => w.display(s),
+                _ => w.text(|text| s.chars().try_for_each(|c| fmt::Write::write_char(text, c))),
+            },
+            Json::Arr(items) => w.array(|a| {
+                for item in items {
+                    write_tree(item, a.item(), rng);
+                }
+            }),
+            Json::Obj(pairs) => w.object(|o| {
+                for (k, v) in pairs {
+                    write_tree(v, o.field(k), rng);
+                }
+            }),
+        }
+    }
+
+    #[test]
+    fn the_writer_writes_what_the_tree_encodes() {
+        use sit_prng::{prop, prop_assert_eq};
+        prop::check("Value vs Json::encode", |rng| {
+            let tree = random_tree(rng, 3);
+            let mut written = String::from("prefix ");
+            write_tree(&tree, Value::new(&mut written), rng);
+            prop_assert_eq!(&written["prefix ".len()..], tree.encode(), "{:?}", tree);
             Ok(())
         });
     }

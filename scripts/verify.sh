@@ -228,6 +228,51 @@ if [ "$(echo "$many_out" | grep -c '^{"ok":true,')" -ne 5 ] \
 fi
 echo "ok: ~1,500-root add_schema, assert and retract answered"
 
+echo "== large-reply smoke (integrate with mappings and save of the ~1,500-root session) =="
+# Replies are written straight into their frame: a schema diagram, a
+# mapping dictionary and a session script are written in pieces and
+# escaped in one pass as each string closes. Both replies here are
+# megabytes of text with a newline to escape on every line; escaping
+# that grew with the square of the text would hold them past the
+# timeout.
+large_out="$(python3 - <<'EOF' | timeout 10 ./target/release/sit serve --stdio
+import json
+
+ddl = "schema many {\n"
+i = 0
+while len(ddl) < 900 * 1024:
+    attrs = " ".join(f"A{i}_{k}: char;" for k in range(38))
+    ddl += f"  entity E{i} {{ K{i}: char key; {attrs} }}\n"
+    i += 1
+ddl += "}"
+few = "schema few { entity F { K: char key; } entity G { K: char key; } }"
+for frame in (
+    {"op": "open"},
+    {"op": "add_schema", "session": "1", "ddl": ddl},
+    {"op": "add_schema", "session": "1", "ddl": few},
+    {"op": "integrate", "session": "1", "a": "many", "b": "few", "mappings": True},
+    {"op": "save", "session": "1"},
+):
+    print(json.dumps(frame, separators=(",", ":")))
+EOF
+)" || { echo "FAIL: sit serve --stdio did not answer integrate and save of the many-root session within 10 s" >&2; exit 1; }
+large_check="$(echo "$large_out" | python3 -c '
+import json, sys
+replies = [json.loads(line) for line in sys.stdin.read().split("\n") if line]
+assert len(replies) == 5, len(replies)
+assert all(r["ok"] is True for r in replies), [str(r)[:100] for r in replies if r["ok"] is not True]
+integrate, save = replies[3], replies[4]
+assert integrate["schema"].startswith("schema many+few\n"), integrate["schema"][:60]
+assert integrate["mappings"].startswith("# mapping dictionary\n"), integrate["mappings"][:60]
+assert save["script"].startswith("# sit session v1\nschema many {\n"), save["script"][:60]
+print(len(integrate["schema"]) + len(integrate["mappings"]), len(save["script"]))
+' 2>&1)" || {
+  echo "FAIL: integrate or save of the many-root session is not one well-formed ok line each:" >&2
+  echo "$large_check" | tail -5 >&2
+  exit 1
+}
+echo "ok: integrate and save answered, one JSON line each (text lengths: $large_check)"
+
 echo "== deep-chain smoke (a 2,046-deep category chain, then a conflict citing it) =="
 # A category is PP each of its ancestors, so a chain of n categories
 # pins n²/2 pairs, and its leaf's pair with its root rests on all n
